@@ -604,17 +604,21 @@ class FastConnection:
             bucket = int(now // fe.timeline_interval_s)
             fe.timeline[bucket] = fe.timeline.get(bucket, 0) + 1
         fe.completed += 1
-        # FrontEnd._detach, inlined (Policy.on_complete and
-        # LoadTracker.on_complete bodies folded in; the canonical calls
-        # reproduce the errors on the failure branches, and a -1 delta
-        # can only cross the threshold downward, so only the
-        # enters-underutilization transition is reachable).
+        # FrontEnd._detach, inlined (Policy.on_complete — least-load
+        # bound included — and LoadTracker.on_complete bodies folded in;
+        # the canonical calls reproduce the errors on the failure
+        # branches, and a -1 delta can only cross the threshold
+        # downward, so only the enters-underutilization transition is
+        # reachable).
         policy = fp.policy
         if live:
             p_loads = fp.p_loads
-            if p_loads[node_id] <= 0:
+            load = p_loads[node_id] - 1
+            if load < 0:
                 policy.on_complete(node_id)
-            p_loads[node_id] -= 1
+            p_loads[node_id] = load
+            if load < policy._min_load:
+                policy._min_load = load
             policy.completions += 1
             t_load = fp.t_load
             load = t_load[node_id] - 1

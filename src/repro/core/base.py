@@ -26,6 +26,7 @@ so that no node can sit idle (< T_low) while every other node is saturated
 from __future__ import annotations
 
 import abc
+from itertools import chain
 from typing import Dict, Hashable, List, Optional, Sequence
 
 __all__ = ["Policy", "PolicyError", "DEFAULT_T_LOW", "DEFAULT_T_HIGH", "admission_limit"]
@@ -145,6 +146,15 @@ class Policy(abc.ABC):
         self._dead_count = 0
         self.dispatches = 0
         self.completions = 0
+        #: Lower bound on the least load of any alive node, so "who is
+        #: least loaded" never rescans the cluster.  Loads move by one:
+        #: :meth:`on_complete` lowers the bound with one compare,
+        #: dispatches cost nothing, and :meth:`least_loaded_node` raises
+        #: it back to the true minimum when a decision needs it.
+        self._min_load = 0
+        #: Connections that died with their node (load zeroed by
+        #: :meth:`on_node_failure` without a completion).
+        self._shed_load = 0
 
     # -- front-end contract ---------------------------------------------------
 
@@ -164,9 +174,13 @@ class Policy(abc.ABC):
 
     def on_complete(self, node: int, target: Hashable = None, size: int = 0) -> None:
         """A previously dispatched connection finished at ``node``."""
-        if self.loads[node] <= 0:
+        loads = self.loads
+        load = loads[node] - 1
+        if load < 0:
             raise PolicyError(f"completion on node {node} with zero load")
-        self.loads[node] -= 1
+        loads[node] = load
+        if load < self._min_load:
+            self._min_load = load
         self.completions += 1
 
     @property
@@ -176,7 +190,8 @@ class Policy(abc.ABC):
 
     @property
     def total_load(self) -> int:
-        return sum(self.loads)
+        """Active connections cluster-wide, ``sum(loads)`` without the scan."""
+        return self.dispatches - self.completions - self._shed_load
 
     # -- membership / failure handling (paper Section 2.6) ---------------------
 
@@ -186,7 +201,7 @@ class Policy(abc.ABC):
 
     @property
     def alive_count(self) -> int:
-        return sum(self._alive)
+        return self.num_nodes - self._dead_count
 
     def is_alive(self, node: int) -> bool:
         """True if ``node`` is currently part of the cluster."""
@@ -199,12 +214,13 @@ class Policy(abc.ABC):
         back end as if they had not been assigned before."
         """
         self._check_alive(node)
+        if self.alive_count == 1:
+            raise PolicyError(f"node {node} is the last alive back-end")
         self._alive[node] = False
+        self._shed_load += self.loads[node]
         self.loads[node] = 0
         self._dead_count += 1
         self.membership_epoch += 1
-        if self.alive_count == 0:
-            raise PolicyError("last back-end failed; cluster is empty")
 
     def on_node_join(self, node: int) -> None:
         """(Re)introduce a back-end with an empty cache and zero load."""
@@ -214,6 +230,7 @@ class Policy(abc.ABC):
             raise PolicyError(f"node {node} is already alive")
         self._alive[node] = True
         self.loads[node] = 0
+        self._min_load = 0
         self._dead_count -= 1
         self.membership_epoch += 1
 
@@ -225,42 +242,64 @@ class Policy(abc.ABC):
         if not self._alive[node]:
             raise PolicyError(f"node {node} is not alive")
 
-    def least_loaded_node(self) -> int:
-        """Alive node with the fewest active connections (lowest id wins ties).
+    def least_loaded_node(self, start: int = 0) -> int:
+        """Alive node with the fewest active connections.
+
+        Ties go to the first such node in ring order from ``start`` — the
+        lowest id by default; :class:`~repro.core.wrr.WeightedRoundRobin`
+        passes its rotating pointer.
 
         With heterogeneous ``weights`` the comparison is *load per unit
         weight*, so a weight-2 node carrying 10 connections looks as busy
         as a weight-1 node carrying 5.
         """
         loads = self.loads
+        alive = self._alive
+        stop = self.num_nodes
         inv = self._inv_weights
         if inv is not None:
             best = -1
             best_key = None
-            for node in range(self.num_nodes):
-                if not self._alive[node]:
+            for node in chain(range(start, stop), range(start)):
+                if not alive[node]:
                     continue
                 key = loads[node] * inv[node]
                 if best_key is None or key < best_key:
                     best, best_key = node, key
-            if best < 0:  # pragma: no cover - guarded by failure handling
+            if best < 0:
                 raise PolicyError("no alive back-end nodes")
             return best
-        if not self._dead_count:
-            # list.index(min(...)) runs both scans in C and returns the
-            # first minimal element, so lowest id wins.
-            return loads.index(min(loads))
-        best = -1
-        best_load = None
-        for node in range(self.num_nodes):
-            if not self._alive[node]:
-                continue
-            load = loads[node]
-            if best_load is None or load < best_load:
-                best, best_load = node, load
-        if best < 0:  # pragma: no cover - guarded by failure handling
-            raise PolicyError("no alive back-end nodes")
-        return best
+        # Walk up from the ``_min_load`` bound with ``list.index`` (C
+        # speed, stops at the first hit) and leave the bound at the true
+        # minimum.  A level found empty stays passed until a completion
+        # or a join lowers the bound again, so the walk is amortized
+        # against those.
+        low = self._min_load
+        while True:
+            # Ring order: [start, n), then wrap to [0, start).
+            lo, hi = start, stop
+            while True:
+                try:
+                    node = loads.index(low, lo, hi)
+                    # Dead nodes sit at load 0, so they are only ever
+                    # met (and skipped) while the bound is 0.
+                    while not alive[node]:
+                        node = loads.index(low, node + 1, hi)
+                except ValueError:
+                    if lo == 0:
+                        break
+                    lo, hi = 0, start
+                else:
+                    self._min_load = low
+                    return node
+            # No load can exceed the dispatch count, so a bound that
+            # does was not lowered by a completion (bookkeeping
+            # bypassed), or nothing is alive: fail instead of spinning.
+            if low > self.dispatches:
+                raise PolicyError(
+                    f"no alive back-end node at or above the least-load bound {low}"
+                )
+            low += 1
 
     def has_node_below(self, threshold: int) -> bool:
         """True if any alive node's load is strictly below ``threshold``.
@@ -268,19 +307,18 @@ class Policy(abc.ABC):
         With heterogeneous ``weights`` the threshold scales with capacity:
         node ``n`` counts as "below" when ``loads[n] < threshold * weights[n]``.
         """
-        # Plain loop: this runs on the per-request imbalance test, where
-        # a generator expression's frame setup would dominate for the
-        # cluster sizes the paper studies (4-32 nodes).
+        weights = self.weights
+        if weights is None:
+            # The bound alone answers the saturated case (nothing alive
+            # is below it); otherwise the least-loaded node decides.
+            return (
+                self._min_load < threshold
+                and self.loads[self.least_loaded_node()] < threshold
+            )
         loads = self.loads
         alive = self._alive
-        weights = self.weights
-        if weights is not None:
-            for node in range(len(alive)):
-                if alive[node] and loads[node] < threshold * weights[node]:
-                    return True
-            return False
         for node in range(len(alive)):
-            if alive[node] and loads[node] < threshold:
+            if alive[node] and loads[node] < threshold * weights[node]:
                 return True
         return False
 

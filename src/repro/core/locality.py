@@ -17,7 +17,7 @@ from __future__ import annotations
 import zlib
 from typing import Callable, Dict, Hashable
 
-from .base import Policy
+from .base import Policy, PolicyError
 
 __all__ = ["HashLocality", "stable_hash"]
 
@@ -76,6 +76,6 @@ class HashLocality(Policy):
             if score > best_score:
                 best, best_score = candidate, score
         if best < 0:  # pragma: no cover - guarded by Policy failure handling
-            raise RuntimeError("no alive back-end nodes")
+            raise PolicyError("no alive back-end nodes")
         self._fallback_cache[target] = best
         return best

@@ -7,10 +7,10 @@ different back ends ... the number of open connections in each back end
 may be used as an estimate of the load."
 
 This implementation rotates a round-robin pointer and, at each request,
-scans the ring starting from the pointer for the alive node with the
-lowest active-connection count.  Starting the scan at the rotating pointer
-is what makes equal-load nodes receive requests in round-robin order
-(plain "least loaded, lowest id" would starve high-numbered nodes during
+takes the first alive node with the lowest active-connection count in
+ring order from the pointer.  Starting at the rotating pointer is what
+makes equal-load nodes receive requests in round-robin order (plain
+"least loaded, lowest id" would starve high-numbered nodes during
 warm-up and under uniform load).
 """
 
@@ -39,31 +39,8 @@ class WeightedRoundRobin(Policy):
         per unit weight, so bigger back-ends draw proportionally more of
         the round-robin stream.
         """
-        best = -1
-        n = self.num_nodes
-        inv = self._inv_weights
-        if inv is not None:
-            best_key = None
-            for offset in range(n):
-                node = (self._pointer + offset) % n
-                if not self._alive[node]:
-                    continue
-                key = self.loads[node] * inv[node]
-                if best_key is None or key < best_key:
-                    best, best_key = node, key
-            if best < 0:  # pragma: no cover - guarded by Policy failure handling
-                raise RuntimeError("no alive back-end nodes")
-            self._pointer = (best + 1) % n
-            return best
-        best_load = None
-        for offset in range(n):
-            node = (self._pointer + offset) % n
-            if not self._alive[node]:
-                continue
-            load = self.loads[node]
-            if best_load is None or load < best_load:
-                best, best_load = node, load
-        if best < 0:  # pragma: no cover - guarded by Policy failure handling
-            raise RuntimeError("no alive back-end nodes")
-        self._pointer = (best + 1) % n
+        # Rotation order with the first minimum winning ties is exactly
+        # "first least-loaded node in ring order from the pointer".
+        best = self.least_loaded_node(self._pointer)
+        self._pointer = (best + 1) % self.num_nodes
         return best

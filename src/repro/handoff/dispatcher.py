@@ -193,11 +193,8 @@ class Dispatcher:
         with self._slot_freed:
             if not self.policy.is_alive(node):
                 return False
-            if self.policy.alive_count <= 1:
-                # Guard before on_node_failure: the base class mutates the
-                # alive set before noticing the cluster went empty.
-                raise PolicyError(f"node {node} is the last alive back-end")
             stranded = self.policy.loads[node]
+            # Refuses the last alive node (PolicyError) before touching state.
             self.policy.on_node_failure(node)
             self._orphan_credits[node] += stranded
             self.node_failures += 1

@@ -34,10 +34,12 @@ Checked every ``deep_interval`` events and at end of run (O(cluster)):
   counter non-negative (strict equality cannot be asserted mid-request:
   the outcome counters tick at the fetch decision, ``requests_served``
   only after teardown);
-* policy load accounting is non-negative, and every node named by a
-  LARD mapping or LARD/R server set is in the live membership — the
-  paper's failure rule ("as if they had not been assigned before") says
-  a dead node must never be routable.
+* policy load accounting is non-negative and its incremental summaries
+  match a recount (``_min_load`` at or below the least alive load,
+  ``total_load == sum(loads)``, ``alive_count == sum(_alive)``), and
+  every node named by a LARD mapping or LARD/R server set is in the live
+  membership — the paper's failure rule ("as if they had not been
+  assigned before") says a dead node must never be routable.
 
 The sanitizer is strictly read-only: it never touches accounting methods
 with side effects (e.g. ``Resource.busy_time`` folds the running
@@ -315,6 +317,33 @@ class InvariantSanitizer:
                     when, callback, f"policy load for node {node} is negative ({load})"
                 )
         alive: Sequence[bool] = policy._alive
+        # The incremental load summaries against a recount: a lifecycle
+        # that bypasses Policy.on_complete and forgets to mirror them
+        # would otherwise mis-route silently.
+        least = min((load for load, up in zip(policy.loads, alive) if up), default=0)
+        if policy._min_load > least:
+            self._fail(
+                when,
+                callback,
+                f"policy least-load bound {policy._min_load} is above the least "
+                f"alive load {least} (a completion did not lower it)",
+            )
+        in_flight = sum(policy.loads)
+        if policy.total_load != in_flight:
+            self._fail(
+                when,
+                callback,
+                f"policy total_load {policy.total_load} disagrees with the sum "
+                f"of its loads ({in_flight})",
+            )
+        up_count = sum(alive)
+        if policy.alive_count != up_count:
+            self._fail(
+                when,
+                callback,
+                f"policy alive_count {policy.alive_count} disagrees with its "
+                f"membership ({up_count} alive)",
+            )
         # LARD: target -> node mappings must only name live nodes.
         server_map = getattr(policy, "_server", None)
         if server_map is not None:

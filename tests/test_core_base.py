@@ -120,6 +120,74 @@ class TestFailureHandling:
         with pytest.raises(PolicyError):
             policy.on_node_failure(0)
 
+    def test_last_node_failure_leaves_state_untouched(self):
+        policy = WeightedRoundRobin(2)
+        policy.on_node_failure(0)
+        policy.on_dispatch(1)
+        epoch = policy.membership_epoch
+        with pytest.raises(PolicyError, match="last alive"):
+            policy.on_node_failure(1)
+        assert policy.is_alive(1)
+        assert policy.alive_count == 1
+        assert policy.loads == [0, 1]
+        assert policy.membership_epoch == epoch
+        assert policy.choose("t", 1) == 1
+
+    def test_alive_count_tracks_membership(self):
+        policy = WeightedRoundRobin(4)
+        assert policy.alive_count == 4
+        policy.on_node_failure(2)
+        policy.on_node_failure(0)
+        assert policy.alive_count == 2 == len(policy.alive_nodes)
+        policy.on_node_join(2)
+        assert policy.alive_count == 3 == len(policy.alive_nodes)
+
+    def test_total_load_forgets_connections_shed_by_a_failure(self):
+        policy = WeightedRoundRobin(3)
+        for node in (0, 1, 1, 2):
+            policy.on_dispatch(node)
+        policy.on_node_failure(1)
+        assert policy.total_load == 2 == sum(policy.loads)
+        policy.on_node_join(1)
+        policy.on_dispatch(1)
+        policy.on_complete(0)
+        assert policy.total_load == 2 == sum(policy.loads)
+
+    def test_least_loaded_skips_dead_idle_nodes(self):
+        policy = WeightedRoundRobin(4)
+        policy.on_dispatch(1)
+        policy.on_node_failure(0)
+        assert policy.least_loaded_node() == 2
+        policy.on_dispatch(2)
+        policy.on_dispatch(3)
+        assert policy.has_node_below(1) is False
+        assert policy.least_loaded_node() == 1
+        policy.on_node_join(0)
+        assert policy.has_node_below(1) is True
+        assert policy.least_loaded_node() == 0
+
+    def test_completion_lowers_the_least_load(self):
+        policy = WeightedRoundRobin(3)
+        for node in (0, 0, 1, 1, 2, 2):
+            policy.on_dispatch(node)
+        assert policy.least_loaded_node() == 0
+        assert policy.has_node_below(2) is False
+        policy.on_complete(2)
+        assert policy.has_node_below(2) is True
+        assert policy.least_loaded_node() == 2
+
+    def test_bookkeeping_bypass_fails_loudly(self):
+        """Loads changed behind ``on_complete`` leave the bound stale; the
+        walk must raise rather than spin looking for a level nobody is at."""
+        policy = WeightedRoundRobin(3)
+        for node in (0, 1, 2):
+            policy.on_dispatch(node)
+        assert policy.least_loaded_node() == 0  # bound now 1
+        policy.loads[:] = [0, 0, 0]
+        policy.completions += 3
+        with pytest.raises(PolicyError, match="least-load bound"):
+            policy.least_loaded_node()
+
     def test_choose_skips_dead_nodes(self):
         policy = WeightedRoundRobin(3)
         policy.on_node_failure(0)

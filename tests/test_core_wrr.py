@@ -1,6 +1,8 @@
 """Unit tests for weighted round-robin."""
 
-from repro.core import WeightedRoundRobin
+import pytest
+
+from repro.core import PolicyError, WeightedRoundRobin
 
 
 def test_equal_load_rotates_round_robin():
@@ -61,6 +63,30 @@ def test_failure_skips_dead_node_in_rotation():
         policy.on_dispatch(node)
         policy.on_complete(node)
     assert chosen == [0, 2, 0, 2]
+
+
+def test_rotation_wraps_past_dead_nodes_at_the_ring_ends():
+    policy = WeightedRoundRobin(4)
+    policy.on_node_failure(0)
+    policy.on_node_failure(3)
+    chosen = []
+    for _ in range(5):
+        node = policy.choose("t", 1)
+        chosen.append(node)
+        policy.on_dispatch(node)
+    assert chosen == [1, 2, 1, 2, 1]
+
+
+@pytest.mark.parametrize("weights", [None, [1.0, 2.0]])
+def test_no_alive_node_raises_policy_error(weights):
+    """Unreachable through the public contract (the last alive node cannot
+    be failed); pinned so both branches agree with ``least_loaded_node``
+    on the error type."""
+    policy = WeightedRoundRobin(2, weights=weights)
+    policy._alive[:] = [False, False]
+    policy._dead_count = 2
+    with pytest.raises(PolicyError, match="no alive back-end"):
+        policy.choose("t", 1)
 
 
 def test_name():

@@ -227,6 +227,61 @@ def test_stale_epoch_server_sets_are_not_flagged():
     assert result.num_requests == 1200
 
 
+# -- detection: policy load summaries ------------------------------------------
+
+
+def test_stale_least_load_bound_is_caught():
+    """A lifecycle that decrements ``loads`` without lowering the bound
+    (what a forgotten fast-path mirror would do) must not go unnoticed."""
+
+    def corrupt(sim):
+        sim.policy._min_load = max(sim.policy.loads) + 1
+
+    sim = _corrupt_at(_simulator(), 0.5, corrupt)
+    with pytest.raises(SanitizerError, match="least-load bound"):
+        sim.run()
+
+
+def test_total_load_drift_is_caught():
+    def corrupt(sim):
+        # A completion that moved the load vector but was never counted.
+        sim.policy.completions -= 1
+
+    sim = _corrupt_at(_simulator(), 0.5, corrupt)
+    with pytest.raises(SanitizerError, match="total_load"):
+        sim.run()
+
+
+def test_alive_count_drift_is_caught():
+    def corrupt(sim):
+        sim.policy._dead_count += 1
+
+    sim = _corrupt_at(_simulator(), 0.5, corrupt)
+    with pytest.raises(SanitizerError, match="alive_count"):
+        sim.run()
+
+
+def test_fastpath_run_keeps_policy_summaries_in_sync():
+    """Sanitized runs take the generator lifecycle, so the flattened fast
+    path's inlined copy of ``Policy.on_complete`` is audited after the
+    fact: stop a plain run mid-flight and at the end, and recount."""
+    config = ClusterConfig(policy="lard/r", num_nodes=3, node_cache_bytes=CACHE)
+    end = ClusterSimulator(_trace(), config).run().sim_time_s
+    sim = ClusterSimulator(_trace(), config)
+    assert sim.frontend._fastpath is not None
+    sanitizer = InvariantSanitizer()
+    sanitizer.watch_policy(sim.policy)
+    sim.frontend.start()
+    for fraction in (0.1, 0.3, 0.5, 0.7, 0.9):
+        sim.engine.run(until=end * fraction)
+        assert sim.policy.total_load > 0
+        sanitizer.final_check(sim.engine.now)
+    sim.engine.run()
+    assert sim.frontend.done
+    sanitizer.final_check(sim.engine.now)
+    assert sim.policy._min_load == 0 and sim.policy.total_load == 0
+
+
 # -- error message quality -----------------------------------------------------
 
 

@@ -1,7 +1,7 @@
 """Flattened request lifecycle: the no-fault, no-trace fast path.
 
-The generator twins in :mod:`repro.cluster.frontend` /
-:mod:`repro.cluster.node` express one request as a coroutine that yields
+The generator lifecycle in :mod:`repro.cluster.frontend` /
+:mod:`repro.cluster.node` expresses one request as a coroutine that yields
 ``Service``/``Wait`` commands; every lifecycle stage then costs a
 ``Process._step`` dispatch, a ``generator.send``, a command-object
 allocation, an ``_activate`` call and a ``Resource._finish`` ->
@@ -14,7 +14,7 @@ step with no coroutine machinery in between.
 
 Resource waiters need care here.  In a fast-path run *every* job on a
 node resource belongs to a fast-path connection (the front end picks
-the path per run, faults/tracing force the generator twins for the
+the path per run, faults/tracing force the generator lifecycle for the
 whole run, and the serve paths use plain FIFO services only), so the
 canonical ``Resource._finish`` wrapper never runs: a contended enqueue
 appends the stage callback itself to ``_waiting``, and the completing
@@ -41,7 +41,7 @@ and the golden-CSV suite):
   is enqueued; a freed server promotes its next waiter *before* the
   finishing request's own logic runs (the CPU round-robins at service
   granularity, exactly as ``Resource._finish`` does it);
-* all float arithmetic mirrors the generator twins operation for
+* all float arithmetic mirrors the generator lifecycle operation for
   operation: resource busy-time integrals fold the identical
   ``busy * (now - last_change)`` terms in the identical order, transmit
   time is ``units * per_unit`` with the precomputed integer ``units``,
@@ -56,11 +56,10 @@ the profile.  Any semantic change to those canonical implementations
 must be mirrored below; the identity tests exist to catch a missed
 mirror.
 
-The front end falls back to the generator twins whenever a tracer or
-fault runtime is attached, for persistent connections
-(``requests_per_connection > 1``), when back-ends disagree on their cost
-model, or when ``REPRO_SIM_FASTPATH=0`` — the fallback *is* the identity
-test's reference.
+The front end falls back to the generator lifecycle whenever a tracer
+or fault runtime is attached, for persistent connections
+(``requests_per_connection > 1``), or when back-ends disagree on their
+cost model — the fallback *is* the identity test's reference.
 """
 
 from __future__ import annotations
@@ -76,7 +75,7 @@ __all__ = ["FastPath", "FastConnection"]
 # must expose the same effect skeleton (see docs/static-analysis.md).
 __twin_of__ = {
     "FastPath.admit": "repro.cluster.frontend.FrontEnd._admit",
-    "FastConnection._begin": "repro.cluster.frontend.FrontEnd._single_request",
+    "FastConnection._begin": "repro.cluster.frontend.FrontEnd._connection",
 }
 
 #: Shared empty plan for single-service data paths (cache hits,
@@ -468,7 +467,7 @@ class FastConnection:
             resource._waiting.append((self._advance_cb, duration))
 
     def _join_pending(self, pending: SimEvent) -> None:
-        """Twin of ``_serve_inflight_pending``: the file is already being
+        """Twin of ``_serve_inflight``: the file is already being
         read from disk on this node."""
         node = self.node
         node.cache_misses += 1
@@ -570,7 +569,7 @@ class FastConnection:
     def _complete(self) -> None:
         """Teardown done: book it, fold the request into the node and
         front-end counters, park the object, refill the admission
-        pipeline (twin of the tail of ``serve`` + ``_single_request``,
+        pipeline (twin of the tail of ``serve`` + ``_connection``,
         with ``_account_request``/``_detach``/``_admit`` inlined)."""
         node = self.node
         cpu = node.cpu

@@ -19,8 +19,8 @@ This module closes that gap for the discrete-event simulator:
   replacing hand-written event tuples for chaos campaigns.
 
 :class:`FaultRuntime` executes a schedule against a running cluster.  It
-follows the sanitizer/tracer pattern: the front-end branches into a
-separate *faulty* admission path only when a runtime is attached
+follows the sanitizer/tracer pattern: the front-end runs its *faulty*
+connection process only when a runtime is attached
 (``FrontEnd.faults``), so the fault-free hot path is byte-for-byte
 untouched and the perf gate holds.  With an **empty** schedule the
 faulty path replays the plain path's state mutations exactly, so its
@@ -370,12 +370,14 @@ def generate_fault_schedule(
 
 class _FaultProbe:
     """Minimal span stand-in for the faulty serve path: collects the
-    per-request cache outcome via ``serve_traced`` without a tracer."""
+    per-request cache outcome via ``serve(span=...)`` without a tracer.
+    ``phases`` is ``None``, so ``serve`` skips its phase timing."""
 
-    __slots__ = ("phases", "outcome")
+    __slots__ = ("outcome",)
+
+    phases = None
 
     def __init__(self) -> None:
-        self.phases: Dict[str, float] = {}
         self.outcome: str = "error"
 
 
@@ -384,8 +386,8 @@ class FaultRuntime:
 
     All cluster references are duck-typed (``Any``), mirroring the
     sanitizer and tracer: the runtime is attached from outside
-    (``FrontEnd.faults``) and the front-end branches into its faulty
-    admission path only when it is present.
+    (``FrontEnd.faults``) and the front-end runs its faulty connection
+    process only when it is present.
     """
 
     def __init__(
@@ -427,7 +429,7 @@ class FaultRuntime:
         return self._dark[node]
 
     def probe(self) -> _FaultProbe:
-        """Fresh outcome probe for one request's ``serve_traced`` call."""
+        """Fresh outcome probe for one request's ``serve`` call."""
         return _FaultProbe()
 
     # -- schedule execution ----------------------------------------------------

@@ -25,7 +25,6 @@ connections already in flight drain without corrupting the books.
 
 from __future__ import annotations
 
-import os
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..core.base import Policy
@@ -37,12 +36,9 @@ from .node import BackendNode
 
 __all__ = ["FrontEnd", "PERSISTENT_POLICIES"]
 
-# Audited by lardlint's twin-drift pass: the traced and faulty admission
-# variants must keep the same effect skeleton as the plain ones.
+# Audited by lardlint's twin-drift pass: the faulty connection wraps a
+# retry loop around the plain one and must keep its effect skeleton.
 __twin_of__ = {
-    "FrontEnd._admit_traced": "repro.cluster.frontend.FrontEnd._admit",
-    "FrontEnd._admit_faulty": "repro.cluster.frontend.FrontEnd._admit",
-    "FrontEnd._connection_traced": "repro.cluster.frontend.FrontEnd._connection",
     "FrontEnd._connection_faulty": "repro.cluster.frontend.FrontEnd._connection",
 }
 
@@ -120,25 +116,25 @@ class FrontEnd:
         #: When True, every request's delay is recorded (percentiles).
         self.collect_delays: bool = False
         self.delays_s: List[float] = []
-        #: Optional :class:`repro.obs.tracer.SimTracer`.  Like the
-        #: invariant sanitizer, tracing swaps in separate instrumented
-        #: generators (``_admit_traced``) so the unhooked hot path below
-        #: is untouched; the traced path replays the same state
-        #: mutations, so results stay byte-identical.
+        #: Optional :class:`repro.obs.tracer.SimTracer`, attached from
+        #: outside like the invariant sanitizer.  When set, admission
+        #: takes the generator lifecycle, which opens a span per request
+        #: and hands it to ``BackendNode.serve``; the state mutations are
+        #: the same, so results stay byte-identical.
         self.tracer: Optional[Any] = None
         #: Optional :class:`repro.cluster.faults.FaultRuntime`.  Same
-        #: attach-from-outside pattern: when set, admission runs the
-        #: faulty twin path (``_admit_faulty``), which adds crash
-        #: detection lag, client retries and lost-request accounting.
-        #: With an empty schedule it replays the plain path exactly.
+        #: attach-from-outside pattern: when set, connections run
+        #: ``_connection_faulty``, which adds crash detection lag, client
+        #: retries and lost-request accounting.  With an empty schedule
+        #: it replays the plain path exactly.
         self.faults: Optional[Any] = None
         #: Flattened state-machine request path (repro.cluster.fastpath):
-        #: byte-identical to the generator twins, minus the coroutine
+        #: byte-identical to the generator lifecycle, minus the coroutine
         #: machinery.  Eligible only for the paper's one-request
-        #: connections over a uniform cost model; ``REPRO_SIM_FASTPATH=0``
-        #: forces the generator path (the identity tests' reference).
-        #: Tracer/fault attachment is rechecked per _admit call, so this
-        #: being set does not bypass those twins.
+        #: connections over a uniform cost model.  ``_admit`` re-reads
+        #: this (and the tracer/fault attachments) on every call, so the
+        #: identity tests clear it on a built simulator to get the
+        #: generator reference.
         self._fastpath: Optional[FastPath] = None
         if (
             requests_per_connection == 1
@@ -151,14 +147,6 @@ class FrontEnd:
                 n.dynamic_cost_of_target is nodes[0].dynamic_cost_of_target
                 for n in nodes
             )
-            # Policies opt out of the flattened path by setting
-            # Policy.fastpath_safe = False (e.g. a future strategy that
-            # consumes entropy outside choose or overrides the inlined
-            # on_dispatch/on_complete hooks); they then always run the
-            # generator twins, which make no assumptions about the
-            # policy beyond the base-class contract.
-            and getattr(policy, "fastpath_safe", True)
-            and os.environ.get("REPRO_SIM_FASTPATH", "1") != "0"  # lardlint: disable=transitive-nondeterminism -- config-time escape hatch; fastpath and generator path are byte-identity-tested twins
         ):
             self._fastpath = FastPath(self)
 
@@ -228,127 +216,26 @@ class FrontEnd:
         return batch
 
     def _admit(self) -> None:
-        if self.faults is not None:
-            self._admit_faulty()
-            return
-        if self.tracer is not None:
-            self._admit_traced()
-            return
-        if self._fastpath is not None:
+        if self._fastpath is not None and self.faults is None and self.tracer is None:
             self._fastpath.admit()
             return
-        targets = self._target_list
-        n = len(targets)
-        if self.requests_per_connection == 1:
-            # Fast path for the paper's HTTP/1.0 evaluation: one request
-            # per connection, so no batch list is needed.
-            sizes = self._size_list
-            engine = self.engine
-            choose = self.policy.choose
-            take = self._take_prediction
-            while self.in_flight < self.max_in_flight and self._next < n:
-                target = targets[self._next]
-                self._next += 1
-                size = sizes[target]
-                node_id = choose(target, size, now=engine.now)
-                hit_hint = take() if take is not None else None
-                self._attach(node_id)
-                self.connections += 1
-                self.in_flight += 1
-                engine.process(self._single_request(target, size, node_id, hit_hint))
-            return
+        connection = (
+            self._connection if self.faults is None else self._connection_faulty
+        )
+        n = len(self._target_list)
         while self.in_flight < self.max_in_flight and self._next < n:
             batch = self._take_batch()
             target, size = batch[0]
-            now = self.engine.now
-            node_id = self.policy.choose(target, size, now=now)
+            node_id = self.policy.choose(target, size, now=self.engine.now)
             # LB/GC's idealized front-end cache model dictates hit/miss.
             take = self._take_prediction
             hit_hint = take() if take is not None else None
             self._attach(node_id)
             self.connections += 1
             self.in_flight += 1
-            self.engine.process(self._connection(batch, node_id, hit_hint))
+            self.engine.process(connection(batch, node_id, hit_hint))
 
-    # -- the traced admission path (repro.obs) ----------------------------------
-
-    def _admit_traced(self) -> None:
-        """Admission with span tracing attached.
-
-        Mirrors :meth:`_admit` exactly — same policy calls, same counter
-        updates, same scheduling order — so a traced run's
-        :class:`~repro.cluster.metrics.SimulationResult` is
-        byte-identical to an untraced one.  The single-request fast path
-        collapses into the batch path here (a batch of one is
-        semantically identical, and traced runs are not perf-gated).
-        """
-        while self.in_flight < self.max_in_flight and self._next < len(
-            self._target_list
-        ):
-            batch = self._take_batch()
-            target, size = batch[0]
-            node_id = self.policy.choose(target, size, now=self.engine.now)
-            take = self._take_prediction
-            hit_hint = take() if take is not None else None
-            self._attach(node_id)
-            self.connections += 1
-            self.in_flight += 1
-            self.engine.process(self._connection_traced(batch, node_id, hit_hint))
-
-    def _connection_traced(self, batch: List[Tuple[int, int]], node_id: int, hit_hint):
-        """Traced twin of :meth:`_connection` (and of the
-        :meth:`_single_request` fast path, via a batch of one)."""
-        tracer = self.tracer
-        epoch = self._epoch[node_id]
-        last_index = len(batch) - 1
-        for index, (target, size) in enumerate(batch):
-            if index > 0:
-                hit_hint = None
-                if self.persistent_policy == "rehandoff":
-                    node_id, epoch, hit_hint = self._maybe_rehandoff(
-                        node_id, epoch, target, size
-                    )
-            start = self.engine.now
-            span = tracer.begin(target, size, node_id, start)
-            yield from self.nodes[node_id].serve_traced(
-                target,
-                size,
-                span,
-                hit_hint=hit_hint,
-                establish=(index == 0),
-                teardown=(index == last_index),
-            )
-            span.t_complete = self.engine.now
-            tracer.finish(span)
-            self._account_request(node_id, epoch, start)
-        self._detach(node_id, epoch)
-        self.in_flight -= 1
-        self._admit()
-
-    # -- the faulty admission path (repro.cluster.faults) -----------------------
-
-    def _admit_faulty(self) -> None:
-        """Admission with a fault runtime attached.
-
-        Mirrors :meth:`_admit_traced`'s batch structure (a batch of one
-        is semantically identical to the fast path), so with an empty
-        fault schedule the results are byte-identical to the plain
-        path.  Requests dispatched to a crashed-but-undetected back-end
-        time out client-side and are retried or lost per the schedule's
-        retry policy.
-        """
-        while self.in_flight < self.max_in_flight and self._next < len(
-            self._target_list
-        ):
-            batch = self._take_batch()
-            target, size = batch[0]
-            node_id = self.policy.choose(target, size, now=self.engine.now)
-            take = self._take_prediction
-            hit_hint = take() if take is not None else None
-            self._attach(node_id)
-            self.connections += 1
-            self.in_flight += 1
-            self.engine.process(self._connection_faulty(batch, node_id, hit_hint))
+    # -- the faulty connection (repro.cluster.faults) ---------------------------
 
     def _connection_faulty(self, batch: List[Tuple[int, int]], node_id: int, hit_hint):
         """Faulty twin of :meth:`_connection`.
@@ -358,8 +245,8 @@ class FrontEnd:
         and re-requests through the front-end (which re-runs the
         policy); after ``max_retries`` unanswered attempts the
         connection's remaining requests are abandoned and counted lost.
-        A live back-end serves exactly as in :meth:`_connection`, via
-        the traced serve twin so the per-request cache outcome feeds the
+        A live back-end serves exactly as in :meth:`_connection`, always
+        with a span so the per-request cache outcome feeds the
         degraded-mode series (a tracer span when tracing, otherwise a
         throwaway probe).
         """
@@ -419,13 +306,13 @@ class FrontEnd:
                 if tracer is not None
                 else faults.probe()
             )
-            yield from self.nodes[node_id].serve_traced(
+            yield from self.nodes[node_id].serve(
                 target,
                 size,
-                span,
                 hit_hint=hit_hint,
                 establish=fresh_dispatch,
                 teardown=(index == n - 1),
+                span=span,
             )
             now = engine.now
             if tracer is not None:
@@ -489,17 +376,12 @@ class FrontEnd:
 
     # -- the connection process ----------------------------------------------------
 
-    def _single_request(self, target: int, size: int, node_id: int, hit_hint):
-        """One-request connection (requests_per_connection == 1 fast path)."""
-        epoch = self._epoch[node_id]
-        start = self.engine.now
-        yield from self.nodes[node_id].serve(target, size, hit_hint=hit_hint)
-        self._account_request(node_id, epoch, start)
-        self._detach(node_id, epoch)
-        self.in_flight -= 1
-        self._admit()
-
     def _connection(self, batch: List[Tuple[int, int]], node_id: int, hit_hint):
+        """One admitted connection: serve its requests in order, then
+        release the slot.  With a tracer attached each request gets a
+        span; the paper's HTTP/1.0 case is simply a batch of one."""
+        tracer = self.tracer
+        span = None
         epoch = self._epoch[node_id]
         last_index = len(batch) - 1
         for index, (target, size) in enumerate(batch):
@@ -510,13 +392,19 @@ class FrontEnd:
                         node_id, epoch, target, size
                     )
             start = self.engine.now
+            if tracer is not None:
+                span = tracer.begin(target, size, node_id, start)
             yield from self.nodes[node_id].serve(
                 target,
                 size,
                 hit_hint=hit_hint,
                 establish=(index == 0),
                 teardown=(index == last_index),
+                span=span,
             )
+            if tracer is not None:
+                span.t_complete = self.engine.now
+                tracer.finish(span)
             self._account_request(node_id, epoch, start)
         self._detach(node_id, epoch)
         self.in_flight -= 1
@@ -526,7 +414,7 @@ class FrontEnd:
         """Re-run the policy for the next request on a persistent connection."""
         now = self.engine.now
         new_node = self.policy.choose(target, size, now=now)
-        take = getattr(self.policy, "take_prediction", None)
+        take = self._take_prediction
         hit_hint = take() if take is not None else None
         if new_node == node_id and self._epoch[node_id] == epoch:
             return node_id, epoch, hit_hint

@@ -33,13 +33,6 @@ from .costs import CostModel
 
 __all__ = ["BackendNode"]
 
-# Audited by lardlint's twin-drift pass: the traced serve path must keep
-# the same effect skeleton as the plain one.
-__twin_of__ = {
-    "BackendNode.serve_traced": "repro.cluster.node.BackendNode.serve",
-}
-
-
 class BackendNode:
     """One simulated back-end: CPU + disks + cache, serving whole requests."""
 
@@ -116,6 +109,14 @@ class BackendNode:
         return self.disks[hash(target) % len(self.disks)]
 
     # -- request lifecycle ----------------------------------------------------------
+    #
+    # One generator lifecycle serves plain, traced and faulty runs.  When
+    # the caller passes a ``span``, the data path's outcome lands in
+    # ``span.outcome`` and, if the span carries a ``phases`` dict (a
+    # tracer span does, the fault runtime's probe does not), each stage
+    # records its simulated-time delta into it; the state mutations and
+    # the yielded command sequence are the same either way, so observing
+    # a run cannot change it.
 
     def serve(
         self,
@@ -124,6 +125,7 @@ class BackendNode:
         hit_hint: Optional[bool] = None,
         establish: bool = True,
         teardown: bool = True,
+        span: Optional[Any] = None,
     ):
         """Generator process serving one request end to end.
 
@@ -136,8 +138,13 @@ class BackendNode:
         establishment and only its last pays teardown (paper Section 5's
         HTTP/1.1 discussion).
         """
+        engine = self.engine
+        phases: Optional[Dict[str, float]] = None if span is None else span.phases
         if establish:
+            t0 = engine.now
             yield Service(self.cpu, self._conn_time)
+            if phases is not None:
+                phases["establish"] = phases.get("establish", 0.0) + (engine.now - t0)
         dyn = self.dynamic_cost_of_target
         if dyn is not None and isinstance(target, int) and dyn[target] > 0.0:
             # Dynamic (CGI) request: CPU-bound compute, uncacheable, so it
@@ -145,273 +152,165 @@ class BackendNode:
             # One combined CPU service: compute + transmit of the
             # generated bytes (same arithmetic as the fast path).
             self.dynamic_requests += 1
+            t0 = engine.now
             yield Service(
                 self.cpu,
                 self.costs.dynamic_service_time(dyn[target])
                 + ((size + 511) // 512) * self._transmit_per_unit,
             )
+            if phases is not None:
+                phases["cpu"] = phases.get("cpu", 0.0) + (engine.now - t0)
+            outcome = "dynamic"
         elif hit_hint is not None:
-            yield from self._fetch_hinted(target, size, hit_hint)
+            outcome = yield from self._fetch_hinted(target, size, hit_hint, phases)
         elif self.gms is not None:
-            yield from self._fetch_gms(target, size)
+            outcome = yield from self._fetch_gms(target, size, phases)
         else:
-            yield from self._fetch_local(target, size)
+            outcome = yield from self._fetch_local(target, size, phases)
         if teardown:
+            t0 = engine.now
             yield Service(self.cpu, self._teardown_time)
+            if phases is not None:
+                phases["teardown"] = phases.get("teardown", 0.0) + (engine.now - t0)
         self.requests_served += 1
         self.bytes_served += size
+        if span is not None:
+            span.outcome = outcome
 
-    def _fetch_hinted(self, target: Hashable, size: int, hit: bool):
+    # Each fetch helper completes the request's data path and returns its
+    # span outcome ("hit", "miss", "coalesced", "gms_local", "gms_remote").
+
+    def _fetch_hinted(
+        self, target: Hashable, size: int, hit: bool, phases: Optional[Dict[str, float]]
+    ):
         if hit:
             self.cache_hits += 1
+            t0 = self.engine.now
             yield Service(self.cpu, ((size + 511) // 512) * self._transmit_per_unit)
-            return
-        if (yield from self._serve_inflight(target, size)):
-            return
-        self.cache_misses += 1
-        yield from self._disk_read(target, size)
-
-    def _fetch_local(self, target: Hashable, size: int):
+            if phases is not None:
+                phases["cpu"] = phases.get("cpu", 0.0) + (self.engine.now - t0)
+            return "hit"
         pending = self._pending.get(target)
         if pending is not None:
-            yield from self._serve_inflight_pending(pending, target, size)
-            return
+            return (yield from self._serve_inflight(pending, target, size, phases))
+        self.cache_misses += 1
+        yield from self._disk_read(target, size, phases)
+        return "miss"
+
+    def _fetch_local(
+        self, target: Hashable, size: int, phases: Optional[Dict[str, float]]
+    ):
+        pending = self._pending.get(target)
+        if pending is not None:
+            return (yield from self._serve_inflight(pending, target, size, phases))
         if self.cache.access(target, size):
             self.cache_hits += 1
+            t0 = self.engine.now
             yield Service(self.cpu, ((size + 511) // 512) * self._transmit_per_unit)
-            return
+            if phases is not None:
+                phases["cpu"] = phases.get("cpu", 0.0) + (self.engine.now - t0)
+            return "hit"
         self.cache_misses += 1
-        yield from self._disk_read(target, size)
+        yield from self._disk_read(target, size, phases)
+        return "miss"
 
-    def _serve_inflight(self, target: Hashable, size: int):
-        """Handle a request whose file is currently being read from disk.
+    def _serve_inflight(
+        self,
+        pending: SimEvent,
+        target: Hashable,
+        size: int,
+        phases: Optional[Dict[str, float]],
+    ):
+        """Data path for a request whose file is already being read from disk.
 
-        Returns True (and completes the data path) if the file was
-        in-flight: with coalescing the request waits for the one read in
-        progress; without it, the request issues its own independent read
-        (the paper's baseline the coalescing optimization removes).
+        With coalescing the request waits for the one read in progress;
+        without it, the request issues its own independent read (the
+        paper's baseline the coalescing optimization removes).
         """
-        pending = self._pending.get(target)
-        if pending is None:
-            return False
-        yield from self._serve_inflight_pending(pending, target, size)
-        return True
-
-    def _serve_inflight_pending(self, pending: SimEvent, target: Hashable, size: int):
-        """Data path for a request that found its file already being read."""
         self.cache_misses += 1
-        if self.coalesce_reads:
-            self.coalesced_reads += 1
-            yield Wait(pending)
-            yield Service(self.cpu, ((size + 511) // 512) * self._transmit_per_unit)
-        else:
-            yield from self._chunked_read(target, size)
+        if not self.coalesce_reads:
+            yield from self._chunked_read(target, size, phases)
+            return "miss"
+        self.coalesced_reads += 1
+        engine = self.engine
+        t0 = engine.now
+        yield Wait(pending)
+        t1 = engine.now
+        yield Service(self.cpu, ((size + 511) // 512) * self._transmit_per_unit)
+        if phases is not None:
+            phases["queue"] = phases.get("queue", 0.0) + (t1 - t0)
+            phases["cpu"] = phases.get("cpu", 0.0) + (engine.now - t1)
+        return "coalesced"
 
-    def _disk_read(self, target: Hashable, size: int):
+    def _disk_read(
+        self, target: Hashable, size: int, phases: Optional[Dict[str, float]]
+    ):
         """First read of a file: registers the in-flight marker."""
         event = SimEvent(self.engine, name=f"read[{self.node_id}:{target}]")
         self._pending[target] = event
-        yield from self._chunked_read(target, size)
+        yield from self._chunked_read(target, size, phases)
         del self._pending[target]
         event.trigger()
 
-    def _chunked_read(self, target: Hashable, size: int):
+    def _chunked_read(
+        self, target: Hashable, size: int, phases: Optional[Dict[str, float]]
+    ):
         """Chunked read from disk, interleaving transmit per block."""
         self.disk_reads += 1
         disk = self.disk_for(target)
         cpu = self.cpu
         per_unit = self._transmit_per_unit
+        engine = self.engine
+        disk_total = cpu_total = 0.0
+        if phases is not None:
+            disk_total = phases.get("disk", 0.0)
+            cpu_total = phases.get("cpu", 0.0)
         for chunk_bytes, disk_time in self.costs.disk_chunks(size):
+            t0 = engine.now
             yield Service(disk, disk_time)
+            t1 = engine.now
             yield Service(cpu, ((chunk_bytes + 511) // 512) * per_unit)
+            if phases is not None:
+                disk_total += t1 - t0
+                cpu_total += engine.now - t1
+        if phases is not None:
+            phases["disk"] = disk_total
+            phases["cpu"] = cpu_total
 
-    def _fetch_gms(self, target: Hashable, size: int):
+    def _fetch_gms(
+        self, target: Hashable, size: int, phases: Optional[Dict[str, float]]
+    ):
         if self.gms is None:
             raise RuntimeError("GMS fetch path taken on a node with no GMS attached")
-        if (yield from self._serve_inflight(target, size)):
-            return
+        pending = self._pending.get(target)
+        if pending is not None:
+            return (yield from self._serve_inflight(pending, target, size, phases))
         result = self.gms.access(self.node_id, target, size)
+        engine = self.engine
         if result.outcome is GMSOutcome.LOCAL_HIT:
             self.cache_hits += 1
             self.gms_local_hits += 1
+            t0 = engine.now
             yield Service(self.cpu, self.costs.transmit_time(size))
-        elif result.outcome is GMSOutcome.REMOTE_HIT:
+            if phases is not None:
+                phases["cpu"] = phases.get("cpu", 0.0) + (engine.now - t0)
+            return "gms_local"
+        if result.outcome is GMSOutcome.REMOTE_HIT:
             # Counted as a memory hit cluster-wide: the request is served
             # without touching a disk, but both peers pay fetch CPU.
             self.cache_hits += 1
             self.gms_remote_hits += 1
             holder = self.peers[result.holder]
             fetch = self.costs.gms_fetch_time(size)
-            yield Service(holder.cpu, fetch)
-            yield Service(self.cpu, fetch)
-            yield Service(self.cpu, self.costs.transmit_time(size))
-        else:
-            self.cache_misses += 1
-            yield from self._disk_read(target, size)
-
-    # -- the traced request lifecycle (repro.obs) ------------------------------------
-    #
-    # Traced twins of the serve/fetch generators above, used only when a
-    # SimTracer is attached to the front-end.  Each twin performs the
-    # *identical* state mutations and yields the identical command
-    # sequence, additionally recording per-phase simulated-time deltas
-    # into ``span.phases`` and returning the span outcome.  Keeping them
-    # separate (the sanitizer's pattern) leaves the unhooked hot path
-    # byte-for-byte untouched.
-
-    def serve_traced(
-        self,
-        target: Hashable,
-        size: int,
-        span: Any,
-        hit_hint: Optional[bool] = None,
-        establish: bool = True,
-        teardown: bool = True,
-    ):
-        """Traced twin of :meth:`serve`: same effects, plus span phases."""
-        engine = self.engine
-        phases = span.phases
-        if establish:
-            t0 = engine.now
-            yield Service(self.cpu, self._conn_time)
-            phases["establish"] = phases.get("establish", 0.0) + (engine.now - t0)
-        dyn = self.dynamic_cost_of_target
-        if dyn is not None and isinstance(target, int) and dyn[target] > 0.0:
-            self.dynamic_requests += 1
-            t0 = engine.now
-            yield Service(
-                self.cpu,
-                self.costs.dynamic_service_time(dyn[target])
-                + ((size + 511) // 512) * self._transmit_per_unit,
-            )
-            phases["cpu"] = phases.get("cpu", 0.0) + (engine.now - t0)
-            outcome = "dynamic"
-        elif hit_hint is not None:
-            outcome = yield from self._fetch_hinted_traced(target, size, hit_hint, phases)
-        elif self.gms is not None:
-            outcome = yield from self._fetch_gms_traced(target, size, phases)
-        else:
-            outcome = yield from self._fetch_local_traced(target, size, phases)
-        if teardown:
-            t0 = engine.now
-            yield Service(self.cpu, self._teardown_time)
-            phases["teardown"] = phases.get("teardown", 0.0) + (engine.now - t0)
-        self.requests_served += 1
-        self.bytes_served += size
-        span.outcome = outcome
-
-    def _fetch_hinted_traced(
-        self, target: Hashable, size: int, hit: bool, phases: Dict[str, float]
-    ):
-        if hit:
-            self.cache_hits += 1
-            t0 = self.engine.now
-            yield Service(self.cpu, ((size + 511) // 512) * self._transmit_per_unit)
-            phases["cpu"] = phases.get("cpu", 0.0) + (self.engine.now - t0)
-            return "hit"
-        pending = self._pending.get(target)
-        if pending is not None:
-            return (
-                yield from self._serve_inflight_pending_traced(
-                    pending, target, size, phases
-                )
-            )
-        self.cache_misses += 1
-        yield from self._disk_read_traced(target, size, phases)
-        return "miss"
-
-    def _fetch_local_traced(self, target: Hashable, size: int, phases: Dict[str, float]):
-        pending = self._pending.get(target)
-        if pending is not None:
-            return (
-                yield from self._serve_inflight_pending_traced(
-                    pending, target, size, phases
-                )
-            )
-        if self.cache.access(target, size):
-            self.cache_hits += 1
-            t0 = self.engine.now
-            yield Service(self.cpu, ((size + 511) // 512) * self._transmit_per_unit)
-            phases["cpu"] = phases.get("cpu", 0.0) + (self.engine.now - t0)
-            return "hit"
-        self.cache_misses += 1
-        yield from self._disk_read_traced(target, size, phases)
-        return "miss"
-
-    def _serve_inflight_pending_traced(
-        self, pending: SimEvent, target: Hashable, size: int, phases: Dict[str, float]
-    ):
-        self.cache_misses += 1
-        if self.coalesce_reads:
-            self.coalesced_reads += 1
-            engine = self.engine
-            t0 = engine.now
-            yield Wait(pending)
-            phases["queue"] = phases.get("queue", 0.0) + (engine.now - t0)
-            t0 = engine.now
-            yield Service(self.cpu, ((size + 511) // 512) * self._transmit_per_unit)
-            phases["cpu"] = phases.get("cpu", 0.0) + (engine.now - t0)
-            return "coalesced"
-        yield from self._chunked_read_traced(target, size, phases)
-        return "miss"
-
-    def _disk_read_traced(self, target: Hashable, size: int, phases: Dict[str, float]):
-        event = SimEvent(self.engine, name=f"read[{self.node_id}:{target}]")
-        self._pending[target] = event
-        yield from self._chunked_read_traced(target, size, phases)
-        del self._pending[target]
-        event.trigger()
-
-    def _chunked_read_traced(self, target: Hashable, size: int, phases: Dict[str, float]):
-        self.disk_reads += 1
-        disk = self.disk_for(target)
-        cpu = self.cpu
-        per_unit = self._transmit_per_unit
-        engine = self.engine
-        disk_total = phases.get("disk", 0.0)
-        cpu_total = phases.get("cpu", 0.0)
-        for chunk_bytes, disk_time in self.costs.disk_chunks(size):
-            t0 = engine.now
-            yield Service(disk, disk_time)
-            t1 = engine.now
-            yield Service(cpu, ((chunk_bytes + 511) // 512) * per_unit)
-            disk_total += t1 - t0
-            cpu_total += engine.now - t1
-        phases["disk"] = disk_total
-        phases["cpu"] = cpu_total
-
-    def _fetch_gms_traced(self, target: Hashable, size: int, phases: Dict[str, float]):
-        if self.gms is None:
-            raise RuntimeError("GMS fetch path taken on a node with no GMS attached")
-        pending = self._pending.get(target)
-        if pending is not None:
-            return (
-                yield from self._serve_inflight_pending_traced(
-                    pending, target, size, phases
-                )
-            )
-        result = self.gms.access(self.node_id, target, size)
-        engine = self.engine
-        if result.outcome is GMSOutcome.LOCAL_HIT:
-            self.cache_hits += 1
-            self.gms_local_hits += 1
-            t0 = engine.now
-            yield Service(self.cpu, self.costs.transmit_time(size))
-            phases["cpu"] = phases.get("cpu", 0.0) + (engine.now - t0)
-            return "gms_local"
-        if result.outcome is GMSOutcome.REMOTE_HIT:
-            self.cache_hits += 1
-            self.gms_remote_hits += 1
-            holder = self.peers[result.holder]
-            fetch = self.costs.gms_fetch_time(size)
             t0 = engine.now
             yield Service(holder.cpu, fetch)
             yield Service(self.cpu, fetch)
             yield Service(self.cpu, self.costs.transmit_time(size))
-            phases["cpu"] = phases.get("cpu", 0.0) + (engine.now - t0)
+            if phases is not None:
+                phases["cpu"] = phases.get("cpu", 0.0) + (engine.now - t0)
             return "gms_remote"
         self.cache_misses += 1
-        yield from self._disk_read_traced(target, size, phases)
+        yield from self._disk_read(target, size, phases)
         return "miss"
 
     # -- reporting -----------------------------------------------------------------

@@ -15,6 +15,7 @@ order of request frequency in the trace" — see :func:`stripe_by_frequency`.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -207,6 +208,11 @@ class ClusterConfig:
                 "fault_schedule and membership_events cannot be combined; "
                 "express clean fail/join pairs as CrashFaults instead"
             )
+        interval = self.timeline_interval_s
+        if interval is not None and not (0.0 < interval < math.inf):
+            raise ValueError(
+                f"timeline_interval_s must be positive and finite, got {interval!r}"
+            )
         if self.node_weights is not None and len(self.node_weights) != self.num_nodes:
             raise ValueError(
                 f"node_weights must have one entry per node ({self.num_nodes}), "
@@ -226,7 +232,7 @@ class ClusterSimulator:
     """Builds and runs one cluster over one trace.
 
     ``tracer`` attaches a :class:`repro.obs.tracer.SimTracer`: the
-    front-end then runs its instrumented admission path, emitting one
+    front-end then runs the generator lifecycle with spans, emitting one
     span per request (plus periodic samples) while producing the exact
     same :class:`~repro.cluster.metrics.SimulationResult`.
     """
@@ -334,14 +340,11 @@ class ClusterSimulator:
         self.frontend.timeline_interval_s = self.config.timeline_interval_s
         self.frontend.collect_delays = self.config.collect_delays
         for when, action, node in self.config.membership_events:
-            # Validated by ClusterConfig.__post_init__; re-checked here
-            # for configs built before validation existed (defensive).
+            # ClusterConfig.__post_init__ admits only "fail" and "join".
             if action == "fail":
                 self.engine.schedule(when, self.frontend.fail_node, node)
-            elif action == "join":
-                self.engine.schedule(when, self.frontend.join_node, node)
             else:
-                raise ValueError(f"unknown membership action {action!r}")
+                self.engine.schedule(when, self.frontend.join_node, node)
         runtime = self.fault_runtime
         if runtime is not None:
             runtime.interval_s = self.config.timeline_interval_s
@@ -407,7 +410,7 @@ def run_simulation(
     ``trace_out`` writes a JSONL span log (one span per request; see
     :mod:`repro.obs.span`) to that path; ``sample_interval_s``
     additionally emits periodic time-series samples.  Tracing runs the
-    instrumented admission path but the returned result is identical.
+    generator lifecycle with spans but the returned result is identical.
     """
     base = config if config is not None else ClusterConfig()
     if overrides:

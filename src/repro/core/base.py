@@ -104,18 +104,6 @@ class Policy(abc.ABC):
     #: Registry name, overridden by subclasses (e.g. ``"lard/r"``).
     name: str = "policy"
 
-    #: Whether the flattened fast path (:mod:`repro.cluster.fastpath`)
-    #: may drive this policy.  True for every strategy whose ``choose``
-    #: is a pure function of policy state mutated only through the
-    #: :class:`Policy` bookkeeping contract — including seeded-RNG
-    #: strategies, because both request paths call ``choose`` exactly
-    #: once per admitted request in the same order, so a deterministic
-    #: generator advances identically.  A future policy that consumes
-    #: entropy outside ``choose`` (or overrides ``on_dispatch`` /
-    #: ``on_complete``, which the fast path inlines) must set this
-    #: False to force the generator twins.
-    fastpath_safe: bool = True
-
     def __init__(
         self,
         num_nodes: int,

@@ -1,10 +1,12 @@
 """Twin-drift auditing (rule ``twin-drift``).
 
-The tree keeps several *twin* implementations that must stay
-semantically identical: the fastpath stage callbacks mirror the
-frontend's generator stages, ``serve_traced`` mirrors ``serve``, the
-sanitized and calendar run loops mirror ``Engine.run``, and the faulty
-admission variants mirror the plain ones.  Runtime byte-identity tests
+The tree keeps four *twin* implementations that must stay semantically
+identical: ``FastPath.admit`` and ``FastConnection._begin`` (the
+flattened state machine) mirror ``FrontEnd._admit`` and
+``FrontEnd._connection`` (the generator lifecycle),
+``FrontEnd._connection_faulty`` wraps a retry loop around
+``FrontEnd._connection``, and ``Engine._run_sanitized`` mirrors
+``Engine.run``.  Runtime byte-identity tests
 catch drift only for the configs they happen to run; this pass makes
 "edit one twin, forget the other" a merge-blocking static finding.
 

@@ -3,10 +3,10 @@
 :class:`SimTracer` is the simulator's bridge into :mod:`repro.obs.span`.
 It follows the invariant sanitizer's pattern from
 :mod:`repro.sim.sanitize`: the tracer is attached from the outside
-(``FrontEnd.tracer``), the hot path branches into separate *traced*
-generators only when it is present, and the traced generators replay the
-untraced state mutations exactly — so a traced run produces
-byte-identical :class:`~repro.cluster.simulator.SimulationResult` output
+(``FrontEnd.tracer``), the front-end leaves the flattened fast path for
+the generator lifecycle only when it is present, and that lifecycle
+performs the same state mutations with or without a span — so a traced
+run produces byte-identical :class:`~repro.cluster.simulator.SimulationResult` output
 to an untraced one, and an unhooked run pays nothing (the
 ``scripts/bench_perf.py --check`` gate holds).
 

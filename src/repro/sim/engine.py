@@ -37,28 +37,18 @@ Example
 from __future__ import annotations
 
 import heapq  # lardlint: disable-file=raw-heapq -- this IS the engine: every push carries the (time, seq) tie-break the rule exists to enforce
-import os
 from collections import deque
 from typing import Any, Callable, Deque, Generator, List, Optional, Tuple
 
-from .calendar import CalendarQueue
-
 __all__ = ["Engine", "Process", "Delay", "SimulationError"]
 
-# Audited by lardlint's twin-drift pass: both alternate run loops must
+# Audited by lardlint's twin-drift pass: the sanitized run loop must
 # keep the same engine-state effect skeleton as Engine.run.
 __twin_of__ = {
     "Engine._run_sanitized": "repro.sim.engine.Engine.run",
-    "Engine._run_calendar": "repro.sim.engine.Engine.run",
 }
 
 _EMPTY_ARGS: Tuple[Any, ...] = ()
-
-#: Recognized event-queue implementations (``Engine(queue=...)`` /
-#: ``REPRO_ENGINE_QUEUE``).  Both dispatch in identical ``(time, seq)``
-#: order; the heap is the default because CPython's C ``heapq`` wins at
-#: the queue depths cluster simulations reach.
-QUEUE_KINDS = ("heap", "calendar")
 
 
 class SimulationError(RuntimeError):
@@ -157,39 +147,23 @@ class Engine:
     deadline.
     """
 
-    def __init__(self, queue: Optional[str] = None) -> None:
-        if queue is None:
-            queue = os.environ.get(  # lardlint: disable=transitive-nondeterminism -- config-time queue selection; both queues are cross-checked byte-identical in CI
-                "REPRO_ENGINE_QUEUE", "heap"
-            )
-        if queue not in QUEUE_KINDS:
-            raise SimulationError(
-                f"unknown event queue {queue!r}: expected one of {QUEUE_KINDS}"
-            )
-        #: Which event-queue implementation this engine dispatches from
-        #: ("heap" or "calendar"); fixed at construction.
-        self.queue_kind = queue
+    def __init__(self) -> None:
         self.now: float = 0.0
         self._queue: List[Tuple[float, int, Callable[..., None], Tuple[Any, ...]]] = []
-        # Same-instant staging FIFO (heap mode only).  An event scheduled
-        # for the *current* clock reading necessarily sorts after every
+        # Same-instant staging FIFO.  An event scheduled for the
+        # *current* clock reading necessarily sorts after every
         # queued event with an earlier time and after every same-time
         # event already in the heap (those were pushed at an earlier
         # clock reading, hence with a smaller seq), so it can skip the
         # heap entirely: a quarter of a cluster simulation's events are
         # zero-delay admissions and wakeups, and each would otherwise
-        # sift to the heap root on push and back down on pop.  Entries
-        # keep the full (time, seq, callback, args) shape, so they can
-        # be flushed back into the heap whenever the invariant "staged
-        # time == current clock" is about to break (see run()).
+        # sift to the heap root on push and back down on pop.  The
+        # invariant "staged time == current clock" holds because the
+        # clock never moves while the FIFO is non-empty: the run loops
+        # drain it before popping a later heap entry, and run() refuses
+        # an ``until`` behind the clock.
         self._nowq: Deque[Tuple[float, int, Callable[..., None], Tuple[Any, ...]]] = (
             deque()
-        )
-        # The calendar scheduler, when selected.  Scheduling methods
-        # branch on this being None; the heap hot loops below are only
-        # entered when it is.
-        self._cal: Optional[CalendarQueue] = (
-            CalendarQueue() if queue == "calendar" else None
         )
         self._seq = 0
         self._stopped = False
@@ -208,16 +182,13 @@ class Engine:
         self._seq += 1
         now = self.now
         when = now + delay
-        if self._cal is None:
-            # Route on the *computed* event time, not on ``delay == 0``:
-            # a subnormal delay can round ``now + delay`` back to ``now``,
-            # and such an event must keep FIFO order with the staged ones.
-            if when > now:
-                heapq.heappush(self._queue, (when, self._seq, callback, args))
-            else:
-                self._nowq.append((when, self._seq, callback, args))
+        # Route on the *computed* event time, not on ``delay == 0``:
+        # a subnormal delay can round ``now + delay`` back to ``now``,
+        # and such an event must keep FIFO order with the staged ones.
+        if when > now:
+            heapq.heappush(self._queue, (when, self._seq, callback, args))
         else:
-            self._cal.push((when, self._seq, callback, args))
+            self._nowq.append((when, self._seq, callback, args))
 
     def schedule_at(self, when: float, callback: Callable[..., None], *args: Any) -> None:
         """Run ``callback(*args)`` at absolute simulated time ``when``.
@@ -232,13 +203,10 @@ class Engine:
                 f"cannot schedule into the past (when={when}, now={self.now})"
             )
         self._seq += 1
-        if self._cal is None:
-            if when > self.now:
-                heapq.heappush(self._queue, (when, self._seq, callback, args))
-            else:
-                self._nowq.append((when, self._seq, callback, args))
+        if when > self.now:
+            heapq.heappush(self._queue, (when, self._seq, callback, args))
         else:
-            self._cal.push((when, self._seq, callback, args))
+            self._nowq.append((when, self._seq, callback, args))
 
     def process(self, gen: Generator[Any, Any, Any], name: str = "") -> Process:
         """Register a generator as a process, starting it at the current time."""
@@ -246,10 +214,7 @@ class Engine:
         # Start the process via the event queue (not synchronously) so that
         # creation order and execution order are both deterministic.
         self._seq += 1
-        if self._cal is None:
-            self._nowq.append((self.now, self._seq, proc._resume, _EMPTY_ARGS))
-        else:
-            self._cal.push((self.now, self._seq, proc._resume, _EMPTY_ARGS))
+        self._nowq.append((self.now, self._seq, proc._resume, _EMPTY_ARGS))
         return proc
 
     # -- execution ----------------------------------------------------------
@@ -259,11 +224,13 @@ class Engine:
 
         Returns the final simulated time.  When ``until`` is given, events
         scheduled after it are left in the queue and the clock is advanced
-        exactly to ``until``.
+        exactly to ``until``.  An ``until`` behind the clock raises
+        :class:`SimulationError`: the clock only moves forward.
         """
-        if self._cal is not None:
-            return self._run_calendar(until)
-        self._flush_nowq()
+        if until is not None and until < self.now:
+            raise SimulationError(
+                f"cannot run into the past (until={until}, now={self.now})"
+            )
         if self._sanitizer is not None:
             return self._run_sanitized(until)
         self._stopped = False
@@ -297,11 +264,10 @@ class Engine:
                     else:
                         callback()
                 return self.now
+            # Staged events are due at the current clock, which the
+            # guard above keeps <= until: only heap entries can be late.
             while not self._stopped:
                 if nowq:
-                    if nowq[0][0] > until:
-                        self.now = until
-                        return self.now
                     if queue and queue[0][0] <= nowq[0][0]:
                         when, _seq, callback, args = pop(queue)
                     else:
@@ -324,24 +290,6 @@ class Engine:
             return self.now
         finally:
             self.events_dispatched += dispatched
-
-    def _flush_nowq(self) -> None:
-        """Re-heap staged same-instant events whose instant has passed.
-
-        Only a ``run(until=...)`` that rewound the clock (``until`` before
-        ``now``) can leave the staging FIFO holding events whose time no
-        longer equals the clock.  Entries keep their ``(time, seq)`` keys,
-        so re-inserting them into the heap preserves dispatch order
-        exactly; the run loops' tie rule (heap before FIFO at equal
-        times) then remains valid because it only ever compares entries
-        staged at the current clock reading.
-        """
-        nowq = self._nowq
-        if nowq and nowq[0][0] != self.now:
-            push = heapq.heappush
-            queue = self._queue
-            while nowq:
-                push(queue, nowq.popleft())
 
     def install_sanitizer(
         self, hook: Callable[[float, Callable[..., None]], None]
@@ -367,9 +315,6 @@ class Engine:
         try:
             while not self._stopped:
                 if nowq:
-                    if until is not None and nowq[0][0] > until:
-                        self.now = until
-                        return self.now
                     if queue and queue[0][0] <= nowq[0][0]:
                         when, _seq, callback, args = pop(queue)
                     else:
@@ -391,41 +336,6 @@ class Engine:
         finally:
             self.events_dispatched += dispatched
 
-    def _run_calendar(self, until: Optional[float]) -> float:
-        """The :meth:`run` loop over the calendar queue.
-
-        One loop serves both plain and sanitized runs: the calendar
-        scheduler is the correctness-checked alternate, not the perf
-        default, so it does not warrant the heap's specialized loops.
-        An event past ``until`` is pushed back rather than peeked —
-        re-inserting the same ``(time, seq)`` entry preserves order.
-        """
-        cal = self._cal
-        if cal is None:  # pragma: no cover - run() guards this
-            raise SimulationError("no calendar queue installed")
-        hook = self._sanitizer
-        self._stopped = False
-        dispatched = 0
-        try:
-            while len(cal) and not self._stopped:
-                entry = cal.pop()
-                when = entry[0]
-                if until is not None and when > until:
-                    cal.push(entry)
-                    self.now = until
-                    return self.now
-                self.now = when
-                dispatched += 1
-                callback = entry[2]
-                callback(*entry[3])
-                if hook is not None:
-                    hook(when, callback)
-            if until is not None and self.now < until and not self._stopped:
-                self.now = until
-            return self.now
-        finally:
-            self.events_dispatched += dispatched
-
     def stop(self) -> None:
         """Halt :meth:`run` after the currently dispatching event returns."""
         self._stopped = True
@@ -433,8 +343,6 @@ class Engine:
     @property
     def pending(self) -> int:
         """Number of events still queued."""
-        if self._cal is not None:
-            return len(self._cal)
         return len(self._queue) + len(self._nowq)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

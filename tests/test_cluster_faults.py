@@ -3,7 +3,10 @@ schedule validation, degraded-mode accounting, sanitizer awareness, and
 the shared observability of simulated and live chaos runs.
 """
 
+import dataclasses
+import hashlib
 import io
+import json
 
 import pytest
 
@@ -411,6 +414,54 @@ def test_traced_faulted_run_matches_untraced(baseline):
         traced = ClusterSimulator(_trace(), config, tracer=SimTracer(writer)).run()
     untraced = run_simulation(_trace(), config, sanitize=True)
     assert traced == untraced
+
+
+# sha256 of (JSONL span log, asdict(result) as sorted-key JSON) for a
+# traced run under a seeded schedule, recorded on a7b00b5 where the
+# faulty path had its own admission loop and its own copy of ``serve``.
+_PARENT_CHAOS_SHA256 = {
+    (1, "sticky"): (
+        "5d1e834bda40b266e9bcdfc81e27abb547b0f1b00e5c5bdfac0cf0c46ce5d1b4",
+        "674924bb24a4aa8c88ab61bc6aa23a2d30ffd3a3c2bce057e669d5059aa607f6",
+    ),
+    (4, "rehandoff"): (
+        "ae8eab3a18551da1c9063e2c2bde03a754dc441440470d7feb07f47add67670f",
+        "3943f39f54a06e13362235f8323f6234bc9d5ea622097ec6fd63a55cc23bcba5",
+    ),
+}
+
+
+@pytest.mark.parametrize("connection", sorted(_PARENT_CHAOS_SHA256))
+def test_seeded_chaos_run_matches_parent_lifecycle(connection):
+    from repro.obs import SpanWriter
+    from repro.obs.tracer import SimTracer
+
+    requests_per_connection, persistent_policy = connection
+    schedule = generate_fault_schedule(
+        3, 5.0, seed=42, mttf_s=2.0, mttr_s=0.5, detect_s=0.2,
+        brownout_mttf_s=3.0, brownout_duration_s=0.5,
+        retry=RetryPolicy(max_retries=1, timeout_s=0.1, backoff_base_s=0.05,
+                          backoff_cap_s=0.25),
+    )
+    config = _config(
+        fault_schedule=schedule,
+        timeline_interval_s=0.25,
+        requests_per_connection=requests_per_connection,
+        persistent_policy=persistent_policy,
+    )
+    buf = io.StringIO()
+    with SpanWriter(buf, source="sim") as writer:
+        traced = ClusterSimulator(_trace(), config, tracer=SimTracer(writer)).run()
+    # The untraced run hands ``serve`` the fault runtime's probe instead.
+    assert run_simulation(_trace(), config) == traced
+    assert traced.lost_requests > 0 and traced.retried_requests > 0
+    digests = (
+        hashlib.sha256(buf.getvalue().encode()).hexdigest(),
+        hashlib.sha256(
+            json.dumps(dataclasses.asdict(traced), sort_keys=True).encode()
+        ).hexdigest(),
+    )
+    assert digests == _PARENT_CHAOS_SHA256[connection]
 
 
 # -- observability: live chaos (FaultInjector) ---------------------------------

@@ -158,6 +158,11 @@ class TestConfig:
         with pytest.raises(ValueError):
             ClusterSimulator(_trace(10), ClusterConfig(num_nodes=0))
 
+    @pytest.mark.parametrize("interval", [0.0, -1.0, float("inf"), float("nan")])
+    def test_bad_timeline_interval_rejected_at_construction(self, interval):
+        with pytest.raises(ValueError, match="timeline_interval_s"):
+            ClusterConfig(timeline_interval_s=interval)
+
     def test_overrides_via_run_simulation(self):
         trace = _trace(500)
         result = run_simulation(trace, policy="lard", num_nodes=2,

@@ -1,18 +1,21 @@
-"""Byte-identity: the flattened fast path vs the generator twins.
+"""Byte-identity: the flattened fast path vs the generator lifecycle.
 
 ``repro.cluster.fastpath`` replays the request lifecycle as an explicit
 state machine; its contract is that every simulation output — counters,
 delays, busy-time integrals, per-node series — is *equal*, not merely
 close, to the generator path's.  These tests run the same simulation
-under ``REPRO_SIM_FASTPATH=1`` and ``=0`` (and under both event-queue
-implementations) and compare entire result dataclasses.
+on both paths (the generator reference by clearing
+``FrontEnd._fastpath`` on a built simulator, which ``_admit`` re-reads
+per call) and compare entire result dataclasses.
 """
 
 import dataclasses
+import hashlib
+import json
 
 import pytest
 
-from repro.cluster import run_simulation
+from repro.cluster.simulator import ClusterConfig, ClusterSimulator
 from repro.workload.synthetic import synthesize_trace
 
 
@@ -27,11 +30,17 @@ def trace():
     )
 
 
-def _run(trace, monkeypatch, fastpath, queue="heap", **kwargs):
-    monkeypatch.setenv("REPRO_SIM_FASTPATH", "1" if fastpath else "0")
-    monkeypatch.setenv("REPRO_ENGINE_QUEUE", queue)
-    result = run_simulation(trace, **kwargs)
-    return dataclasses.asdict(result)
+def _run(trace, fastpath, **kwargs):
+    sim = ClusterSimulator(trace, ClusterConfig(**kwargs))
+    if not fastpath:
+        sim.frontend._fastpath = None
+    return dataclasses.asdict(sim.run())
+
+
+def _sha256(result_dict):
+    return hashlib.sha256(
+        json.dumps(result_dict, sort_keys=True).encode()
+    ).hexdigest()
 
 
 _CONFIGS = [
@@ -66,50 +75,66 @@ _CONFIGS = [
         node_cache_bytes=2**19,
         membership_events=((0.5, "fail", 1), (1.5, "join", 1)),
     ),
+    # Persistent connections are not fast-path eligible: both runs take
+    # the generator lifecycle, pinned below against the parent's.
+    dict(
+        policy="lard/r",
+        num_nodes=4,
+        node_cache_bytes=2**19,
+        requests_per_connection=4,
+        persistent_policy="sticky",
+    ),
+    dict(
+        policy="lard/r",
+        num_nodes=4,
+        node_cache_bytes=2**19,
+        requests_per_connection=4,
+        persistent_policy="rehandoff",
+    ),
+    dict(
+        policy="lb/gc",
+        num_nodes=4,
+        node_cache_bytes=2**19,
+        requests_per_connection=4,
+        persistent_policy="rehandoff",
+    ),
 ]
 
+# sha256 of json.dumps(asdict(result), sort_keys=True) on the generator
+# path, recorded on a7b00b5 — when the plain lifecycle, its traced copy
+# and the one-request-per-connection loop were still separate bodies —
+# so the merged lifecycle is checked against what they produced, not
+# against itself.
+_PARENT_GENERATOR_SHA256 = {
+    "lard/r-4-524288": "135ed5a39d02c218915ea4a1e83e10eb0a7ac73aa8b53706c2c5f1a1512a1194",
+    "lard/r-4-524288-4-sticky": "4f17dcc074d5889984c3f3609b42eef73266045fdbe5cb36cb51ddc5c9d542a2",
+    "lard/r-4-524288-4-rehandoff": "e430fd25e53b60855335cd52a615e23e3cc5d4bb6d6a101db50bc34638faa660",
+    "lb/gc-4-524288-4-rehandoff": "91c63a668aedb9fb9deaad5ce7985958fce93075fbace0eaf0dd414613f5f1a8",
+}
 
-@pytest.mark.parametrize(
-    "config", _CONFIGS, ids=lambda c: "-".join(str(v) for v in c.values())
-)
-def test_fastpath_matches_generator_path(trace, monkeypatch, config):
-    fast = _run(trace, monkeypatch, fastpath=True, **config)
-    slow = _run(trace, monkeypatch, fastpath=False, **config)
+
+def _config_id(config):
+    return "-".join(str(v) for v in config.values())
+
+
+@pytest.mark.parametrize("config", _CONFIGS, ids=_config_id)
+def test_fastpath_matches_generator_path(trace, config):
+    fast = _run(trace, fastpath=True, **config)
+    slow = _run(trace, fastpath=False, **config)
     assert fast == slow
+    pinned = _PARENT_GENERATOR_SHA256.get(_config_id(config))
+    if pinned is not None:
+        assert _sha256(slow) == pinned
 
 
-def test_fastpath_matches_on_calendar_queue(trace, monkeypatch):
-    config = dict(policy="lard/r", num_nodes=4, node_cache_bytes=2**19)
-    runs = {
-        (fp, q): _run(trace, monkeypatch, fastpath=fp, queue=q, **config)
-        for fp in (True, False)
-        for q in ("heap", "calendar")
-    }
-    reference = runs[(True, "heap")]
-    for key, result in runs.items():
-        assert result == reference, f"diverged under {key}"
-
-
-def test_fastpath_is_actually_selected(trace, monkeypatch):
+def test_fastpath_is_actually_selected(trace):
     """Guard against the fast path silently disabling itself: the
     eligibility conditions in FrontEnd must hold for the paper's
-    standard configuration."""
-    from repro.cluster.simulator import ClusterConfig, ClusterSimulator
-
-    monkeypatch.delenv("REPRO_SIM_FASTPATH", raising=False)
-    sim = ClusterSimulator(
-        trace,
-        ClusterConfig(policy="lard/r", num_nodes=4, node_cache_bytes=2**19),
-    )
+    standard configuration, and only there."""
+    config = dict(policy="lard/r", num_nodes=4, node_cache_bytes=2**19)
+    sim = ClusterSimulator(trace, ClusterConfig(**config))
     assert sim.frontend._fastpath is not None
-
-
-def test_fastpath_disabled_by_env(trace, monkeypatch):
-    monkeypatch.setenv("REPRO_SIM_FASTPATH", "0")
-    from repro.cluster.simulator import ClusterConfig, ClusterSimulator
-
-    sim = ClusterSimulator(
-        trace,
-        ClusterConfig(policy="lard/r", num_nodes=4, node_cache_bytes=2**19),
+    persistent = ClusterSimulator(
+        trace, ClusterConfig(requests_per_connection=4, **config)
     )
-    assert sim.frontend._fastpath is None
+    assert persistent.frontend._fastpath is None

@@ -81,9 +81,9 @@ def test_transitive_wall_clock_below_engine_run_is_flagged_with_chain(tree_copy)
     _mutate(
         tree_copy,
         "sim/engine.py",
-        "        if self._cal is not None:\n            return self._run_calendar(until)",
+        "        if self._sanitizer is not None:\n            return self._run_sanitized(until)",
         "        _tick_hook()\n"
-        "        if self._cal is not None:\n            return self._run_calendar(until)",
+        "        if self._sanitizer is not None:\n            return self._run_sanitized(until)",
     )
     findings = lint_paths([tree_copy])
     taint = [f for f in findings if f.rule == "transitive-nondeterminism"]
@@ -127,5 +127,5 @@ def test_tree_twin_pairs_resolve_with_nonempty_identical_skeletons():
             assert ours, f"vacuous (empty) skeleton for {root}"
             assert ours == theirs, f"{root} drifted from {target}"
             pairs += 1
-    # fastpath (2) + traced/faulty admission (4) + serve (1) + engine (2)
-    assert pairs >= 9
+    # fastpath (2) + faulty connection (1) + sanitized run loop (1)
+    assert pairs == 4

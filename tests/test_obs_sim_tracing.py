@@ -7,12 +7,16 @@ every request and reproduce the run's aggregate delay *exactly* (the
 tracer observes the same floats the accounting path adds up).
 """
 
+import hashlib
+import io
+
 import pytest
 
 from repro.analysis.sweep import result_row, write_csv
-from repro.cluster import run_simulation
-from repro.obs import read_span_log
-from repro.workload import synthesize_trace
+from repro.cluster import ClusterConfig, ClusterSimulator, run_simulation
+from repro.obs import SpanWriter, read_span_log
+from repro.obs.tracer import SimTracer
+from repro.workload import cgi_mix_trace, synthesize_trace
 
 CACHE = 256 * 1024
 
@@ -70,6 +74,55 @@ class TestReadOnlyContract:
         traced, log = _run_traced(tmp_path, trace, **kwargs)
         assert traced == plain
         assert len(log.spans) == 1000
+
+
+# sha256 of the JSONL span log (spans with phases, outcomes, dispatch
+# loads, plus 0.05 s samples) recorded on a7b00b5, where traced runs had
+# their own copies of ``serve`` and ``_connection``: the merged lifecycle
+# is checked against what those produced, not against itself.
+# The ``cgi`` digest was taken on a7b00b5 plus the one-word ``"dynamic"``
+# addition to ``OUTCOMES`` (unpatched, tracing a CGI trace died with
+# ``SchemaError: unknown span outcome: 'dynamic'``).
+_PARENT_SPAN_LOG_SHA256 = {
+    "lard/r": "af7462af35b0c3ef543b17e4d1044420fbc5e04f008a0c519e68255ec074566d",
+    "wrr/gms": "4ac6260a3b821d0384b2479c03957b91cdabb365f5d6b2358bf60b0a8331c360",
+    "lb/gc": "2c818ffb824fb3f4afc00f54e6610be6f2d198ac448f06731f83346c81ed60de",
+    "cgi": "4cd16259fa712e8ee65a5e34a9c6e88b1b289355d3be991b5af23efb5df470c0",
+}
+
+
+def _cgi_trace():
+    return cgi_mix_trace(
+        num_requests=1500,
+        num_targets=150,
+        total_bytes=4 * 10**6,
+        zipf_alpha=1.0,
+        dynamic_fraction=0.15,
+        cpu_cost_s=0.02,
+        seed=7,
+    )
+
+
+class TestMatchesParentLifecycle:
+    @pytest.mark.parametrize("case", sorted(_PARENT_SPAN_LOG_SHA256))
+    def test_span_log_bytes_match_parent(self, case):
+        trace = _cgi_trace() if case == "cgi" else _trace()
+        policy = "lard/r" if case == "cgi" else case
+        config = ClusterConfig(policy=policy, num_nodes=3, node_cache_bytes=CACHE)
+        buf = io.StringIO()
+        with SpanWriter(buf, source="sim") as writer:
+            tracer = SimTracer(writer, sample_interval_s=0.05)
+            ClusterSimulator(trace, config, tracer=tracer).run()
+        digest = hashlib.sha256(buf.getvalue().encode()).hexdigest()
+        assert digest == _PARENT_SPAN_LOG_SHA256[case]
+
+    def test_cgi_trace_traces_and_is_unperturbed(self, tmp_path):
+        trace = _cgi_trace()
+        plain = run_simulation(trace, **KWARGS)
+        traced, log = _run_traced(tmp_path, trace, **KWARGS)
+        assert traced == plain
+        dynamic = sum(1 for span in log.spans if span.outcome == "dynamic")
+        assert dynamic == plain.dynamic_requests > 0
 
 
 class TestSpanContent:

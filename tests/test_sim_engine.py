@@ -62,6 +62,34 @@ def test_run_until_beyond_last_event_advances_clock():
     assert end == 10.0
 
 
+@pytest.mark.parametrize("sanitized", [False, True])
+def test_run_until_behind_the_clock_is_rejected(sanitized):
+    eng = Engine()
+    if sanitized:
+        eng.install_sanitizer(lambda when, callback: None)
+    log = []
+    eng.schedule(5.0, log.append, "late")
+    eng.run(until=3.0)
+    with pytest.raises(SimulationError, match="into the past"):
+        eng.run(until=1.0)
+    assert eng.now == 3.0
+    eng.schedule(0.5, lambda: log.append(eng.now))
+    eng.run()
+    assert log == [3.5, "late"]
+
+
+def test_run_until_now_still_dispatches_events_due_now():
+    eng = Engine()
+    log = []
+    eng.schedule(2.0, log.append, "queued")
+    eng.run(until=2.0)
+    eng.schedule(0.0, log.append, "staged")
+    eng.schedule(1.0, log.append, "later")
+    assert eng.run(until=eng.now) == 2.0
+    assert log == ["queued", "staged"]
+    assert eng.pending == 1
+
+
 def test_stop_halts_dispatch():
     eng = Engine()
     log = []

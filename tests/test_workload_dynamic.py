@@ -12,7 +12,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from repro.cluster import run_simulation
+from repro.cluster import ClusterConfig, ClusterSimulator, run_simulation
 from repro.workload import (
     Trace,
     TraceError,
@@ -278,6 +278,13 @@ class TestDynamicPersistence:
             assert "cpu_cost_s_by_target" not in archive
 
 
+def _run_generator_path(trace, **config):
+    """The reference lifecycle: ``_admit`` re-reads ``_fastpath`` per call."""
+    sim = ClusterSimulator(trace, ClusterConfig(**config))
+    sim.frontend._fastpath = None
+    return sim.run()
+
+
 @pytest.fixture(scope="module")
 def cgi_trace():
     return cgi_mix_trace(
@@ -292,9 +299,8 @@ def cgi_trace():
 
 
 class TestClusterDynamicRequests:
-    def test_dynamic_requests_counted_and_uncached(self, cgi_trace, monkeypatch):
-        monkeypatch.setenv("REPRO_SIM_FASTPATH", "0")
-        result = run_simulation(
+    def test_dynamic_requests_counted_and_uncached(self, cgi_trace):
+        result = _run_generator_path(
             cgi_trace, policy="lard", num_nodes=4, node_cache_bytes=2**19
         )
         assert result.dynamic_requests > 0
@@ -304,10 +310,9 @@ class TestClusterDynamicRequests:
             == result.num_requests
         )
 
-    def test_static_trace_has_zero_dynamic(self, monkeypatch):
+    def test_static_trace_has_zero_dynamic(self):
         from repro.workload.synthetic import synthesize_trace
 
-        monkeypatch.setenv("REPRO_SIM_FASTPATH", "0")
         trace = synthesize_trace(
             num_requests=2000,
             num_targets=300,
@@ -315,7 +320,7 @@ class TestClusterDynamicRequests:
             zipf_alpha=1.0,
             seed=5,
         )
-        result = run_simulation(
+        result = _run_generator_path(
             trace, policy="lard", num_nodes=2, node_cache_bytes=2**19
         )
         assert result.dynamic_requests == 0
@@ -331,33 +336,27 @@ class TestClusterDynamicRequests:
         ],
         ids=lambda c: c["policy"],
     )
-    def test_fastpath_byte_identity_on_cgi_trace(self, cgi_trace, monkeypatch, config):
-        runs = {}
-        for fastpath in (True, False):
-            monkeypatch.setenv("REPRO_SIM_FASTPATH", "1" if fastpath else "0")
-            runs[fastpath] = dataclasses.asdict(run_simulation(cgi_trace, **config))
-        assert runs[True] == runs[False]
-        assert runs[True]["dynamic_requests"] > 0
+    def test_fastpath_byte_identity_on_cgi_trace(self, cgi_trace, config):
+        fast = dataclasses.asdict(run_simulation(cgi_trace, **config))
+        slow = dataclasses.asdict(_run_generator_path(cgi_trace, **config))
+        assert fast == slow
+        assert fast["dynamic_requests"] > 0
 
-    def test_fastpath_still_selected_with_dynamic_table(self, cgi_trace, monkeypatch):
-        from repro.cluster.simulator import ClusterConfig, ClusterSimulator
-
-        monkeypatch.delenv("REPRO_SIM_FASTPATH", raising=False)
+    def test_fastpath_still_selected_with_dynamic_table(self, cgi_trace):
         sim = ClusterSimulator(
             cgi_trace,
             ClusterConfig(policy="lard/r", num_nodes=4, node_cache_bytes=2**19),
         )
         assert sim.frontend._fastpath is not None
 
-    def test_sanitized_run_matches_unsanitized(self, cgi_trace, monkeypatch):
-        monkeypatch.setenv("REPRO_SIM_FASTPATH", "0")
+    def test_sanitized_run_matches_unsanitized(self, cgi_trace):
         plain = dataclasses.asdict(
-            run_simulation(cgi_trace, policy="lard", num_nodes=4,
-                           node_cache_bytes=2**19)
+            _run_generator_path(cgi_trace, policy="lard", num_nodes=4,
+                                node_cache_bytes=2**19)
         )
         sanitized = dataclasses.asdict(
-            run_simulation(cgi_trace, policy="lard", num_nodes=4,
-                           node_cache_bytes=2**19, sanitize=True)
+            _run_generator_path(cgi_trace, policy="lard", num_nodes=4,
+                                node_cache_bytes=2**19, sanitize=True)
         )
         assert plain == sanitized
 

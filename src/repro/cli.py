@@ -327,6 +327,9 @@ def _cmd_trace(kind: str, requests: int, scale_factor: float) -> int:
 def _cmd_simulate(args: argparse.Namespace) -> int:
     from .cluster import CostModel
 
+    if args.sample_interval is not None and not args.spans:
+        # Before the trace is generated: the flag would be a silent no-op.
+        raise ValueError("--sample-interval needs --spans (samples go to the span log)")
     trace = _make_trace(args.trace, args.requests, args.scale_factor)
     result = run_simulation(
         trace,

@@ -1,4 +1,4 @@
-"""Flattened request lifecycle: the no-fault, no-trace fast path.
+"""Flattened request lifecycle: the fault-free fast path, traced or not.
 
 The generator lifecycle in :mod:`repro.cluster.frontend` /
 :mod:`repro.cluster.node` expresses one request as a coroutine that yields
@@ -14,8 +14,8 @@ step with no coroutine machinery in between.
 
 Resource waiters need care here.  In a fast-path run *every* job on a
 node resource belongs to a fast-path connection (the front end picks
-the path per run, faults/tracing force the generator lifecycle for the
-whole run, and the serve paths use plain FIFO services only), so the
+the path per run, a fault runtime forces the generator lifecycle for
+the whole run, and the serve paths use plain FIFO services only), so the
 canonical ``Resource._finish`` wrapper never runs: a contended enqueue
 appends the stage callback itself to ``_waiting``, and the completing
 stage promotes it by scheduling it directly — the stage callback books
@@ -56,10 +56,16 @@ the profile.  Any semantic change to those canonical implementations
 must be mirrored below; the identity tests exist to catch a missed
 mirror.
 
-The front end falls back to the generator lifecycle whenever a tracer
-or fault runtime is attached, for persistent connections
+The front end falls back to the generator lifecycle whenever a fault
+runtime is attached, for persistent connections
 (``requests_per_connection > 1``), or when back-ends disagree on their
 cost model — the fallback *is* the identity test's reference.
+
+A tracer does not change the path.  With ``FrontEnd.tracer`` set when
+the connection objects are built they are :class:`TracedConnection` objects:
+stage wrappers that stamp the span's phases around the unchanged stage
+bodies, plus the one ``_served_hook`` call inside ``_complete`` (see
+there for why that point cannot be a wrapper).
 """
 
 from __future__ import annotations
@@ -69,7 +75,7 @@ from typing import Any, Dict, List, Optional, Tuple
 from ..cache.gms import GMSOutcome
 from ..sim.resources import SimEvent
 
-__all__ = ["FastPath", "FastConnection"]
+__all__ = ["FastPath", "FastConnection", "TracedConnection"]
 
 # Audited by lardlint's twin-drift pass: each side's call-graph closure
 # must expose the same effect skeleton (see docs/static-analysis.md).
@@ -234,7 +240,7 @@ class FastPath:
             dispatches[node_id] += 1
             fe.connections += 1
             fe.in_flight += 1
-            conn = pool.pop() if pool else FastConnection(self)
+            conn = pool.pop() if pool else self.new_connection()
             conn.node_id = node_id
             conn.node = nodes[node_id]
             conn.target = target
@@ -243,6 +249,15 @@ class FastPath:
             # The start event replaces engine.process(generator): same
             # single seq consumed, same (now, seq) dispatch slot.
             schedule(0.0, conn._begin_cb)
+
+    def new_connection(self) -> "FastConnection":
+        """A connection object for the pool: the tracer, when one is
+        attached, is bound here — once per pooled object, never per
+        request — so an untraced run executes no tracing code at all."""
+        tracer = self.fe.tracer
+        if tracer is None:
+            return FastConnection(self)
+        return TracedConnection(self, tracer)
 
     def chunk_plan(self, target: int, size: int) -> Tuple[Tuple[float, int], ...]:
         """Memoized multi-chunk read plan: ``((disk_time, cpu_units), ...)``."""
@@ -300,6 +315,7 @@ class FastConnection:
         "_advance_cb",
         "_complete_cb",
         "_coalesced_cb",
+        "_served_hook",
     )
 
     def __init__(self, fp: FastPath) -> None:
@@ -330,6 +346,9 @@ class FastConnection:
         self._advance_cb = self._advance
         self._complete_cb = self._complete
         self._coalesced_cb = self._coalesced
+        #: Stage-observer hook called from inside ``_complete``; ``None``
+        #: on an unobserved connection.
+        self._served_hook: Any = None
 
     # -- lifecycle stages ------------------------------------------------------
 
@@ -587,6 +606,13 @@ class FastConnection:
         # serve()'s epilogue.
         node.requests_served += 1
         node.bytes_served += self.size
+        # The one point a stage wrapper cannot reach: the generator
+        # finishes the span after serve()'s epilogue and before
+        # _account_request, so a sample taken there sees this request
+        # served but not yet completed, detached or replaced.
+        hook = self._served_hook
+        if hook is not None:
+            hook(now)
         fe = self.fe
         fp = self.fp
         node_id = self.node_id
@@ -656,7 +682,7 @@ class FastConnection:
             fe.connections += 1
             fe.in_flight += 1
             pool = fp.pool
-            conn = pool.pop() if pool else FastConnection(fp)
+            conn = pool.pop() if pool else fp.new_connection()
             conn.node_id = node_id
             conn.node = fp.nodes[node_id]
             conn.target = target
@@ -668,3 +694,103 @@ class FastConnection:
             # falls through to the general loop.
             if fe.in_flight < fe.max_in_flight and fe._next < fp.n:
                 fp.admit()
+
+
+class TracedConnection(FastConnection):
+    """A :class:`FastConnection` observed by a tracer: each stage is the
+    unchanged base stage behind a wrapper that stamps the request's span.
+
+    The phase floats reproduce the generator lifecycle's arithmetic
+    exactly — ``BackendNode.serve(span=...)`` is the reference, and
+    ``tests/test_fastpath_identity.py`` compares span-log bytes against
+    it: one delta per ``Service`` on a chunked read, one delta across
+    all the CPU services of any other data path (a GMS remote hit's
+    three included), ``queue`` then ``cpu`` for a coalesced read.
+
+    The wrappers never replay a decision.  ``_decide`` reads the node's
+    outcome counters around the base stage: every fetch decision bumps
+    ``cache_hits`` or ``cache_misses`` or ``dynamic_requests``, and the
+    GMS / coalescing counters tell the rest apart.  The tracer is
+    duck-typed (``begin``/``finish``), so this module never imports
+    :mod:`repro.obs`.
+    """
+
+    __slots__ = ("tracer", "span", "mark", "disk_s", "cpu_s", "on_disk")
+
+    def __init__(self, fp: FastPath, tracer: Any) -> None:
+        super().__init__(fp)
+        self.tracer = tracer
+        self.span: Any = None
+        #: When the phase now being timed began.
+        self.mark = 0.0
+        # Chunked-read accumulators (the generator's disk_total/cpu_total).
+        self.disk_s = 0.0
+        self.cpu_s = 0.0
+        self.on_disk = False
+        self._served_hook = self._served
+
+    def _begin(self) -> None:
+        self.span = self.tracer.begin(
+            self.target, self.size, self.node_id, self.engine.now
+        )
+        FastConnection._begin(self)
+
+    def _decide(self) -> None:
+        now = self.engine.now
+        self.span.phases["establish"] = now - self.start
+        self.mark = now
+        node = self.node
+        hits = node.cache_hits
+        misses = node.cache_misses
+        local = node.gms_local_hits
+        remote = node.gms_remote_hits
+        coalesced = node.coalesced_reads
+        FastConnection._decide(self)
+        span = self.span
+        if node.cache_hits != hits:
+            if node.gms_local_hits != local:
+                span.outcome = "gms_local"
+            elif node.gms_remote_hits != remote:
+                span.outcome = "gms_remote"
+            else:
+                span.outcome = "hit"
+        elif node.cache_misses == misses:
+            span.outcome = "dynamic"
+        elif node.coalesced_reads != coalesced:
+            span.outcome = "coalesced"
+        else:
+            span.outcome = "miss"
+            self.disk_s = self.cpu_s = 0.0
+            self.on_disk = True
+
+    def _coalesced(self, value: Any = None) -> None:
+        now = self.engine.now
+        self.span.phases["queue"] = now - self.mark
+        self.mark = now
+        FastConnection._coalesced(self, value)
+
+    def _advance(self) -> None:
+        now = self.engine.now
+        span = self.span
+        last = self.plan_i >= len(self.plan)
+        if span.outcome == "miss":
+            if self.on_disk:
+                self.disk_s += now - self.mark
+            else:
+                self.cpu_s += now - self.mark
+            self.on_disk = not self.on_disk
+            self.mark = now
+            if last:
+                span.phases["disk"] = self.disk_s
+                span.phases["cpu"] = self.cpu_s
+        elif last:
+            span.phases["cpu"] = now - self.mark
+            self.mark = now
+        FastConnection._advance(self)
+
+    def _served(self, now: float) -> None:
+        span = self.span
+        span.phases["teardown"] = now - self.mark
+        span.t_complete = now
+        self.span = None
+        self.tracer.finish(span)

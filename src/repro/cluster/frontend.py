@@ -117,10 +117,11 @@ class FrontEnd:
         self.collect_delays: bool = False
         self.delays_s: List[float] = []
         #: Optional :class:`repro.obs.tracer.SimTracer`, attached from
-        #: outside like the invariant sanitizer.  When set, admission
-        #: takes the generator lifecycle, which opens a span per request
+        #: outside (before ``start()``) like the invariant sanitizer.  It
+        #: does not pick the lifecycle: the state machine builds traced
+        #: connection objects, the generator opens a span per request
         #: and hands it to ``BackendNode.serve``; the state mutations are
-        #: the same, so results stay byte-identical.
+        #: the same either way, so results stay byte-identical.
         self.tracer: Optional[Any] = None
         #: Optional :class:`repro.cluster.faults.FaultRuntime`.  Same
         #: attach-from-outside pattern: when set, connections run
@@ -132,7 +133,7 @@ class FrontEnd:
         #: byte-identical to the generator lifecycle, minus the coroutine
         #: machinery.  Eligible only for the paper's one-request
         #: connections over a uniform cost model.  ``_admit`` re-reads
-        #: this (and the tracer/fault attachments) on every call, so the
+        #: this (and the fault attachment) on every call, so the
         #: identity tests clear it on a built simulator to get the
         #: generator reference.
         self._fastpath: Optional[FastPath] = None
@@ -216,7 +217,7 @@ class FrontEnd:
         return batch
 
     def _admit(self) -> None:
-        if self._fastpath is not None and self.faults is None and self.tracer is None:
+        if self._fastpath is not None and self.faults is None:
             self._fastpath.admit()
             return
         connection = (

@@ -231,10 +231,11 @@ class ClusterConfig:
 class ClusterSimulator:
     """Builds and runs one cluster over one trace.
 
-    ``tracer`` attaches a :class:`repro.obs.tracer.SimTracer`: the
-    front-end then runs the generator lifecycle with spans, emitting one
-    span per request (plus periodic samples) while producing the exact
-    same :class:`~repro.cluster.metrics.SimulationResult`.
+    ``tracer`` attaches a :class:`repro.obs.tracer.SimTracer`: the run
+    takes the lifecycle it would take anyway (the flattened state machine
+    when eligible) with the tracer observing it, emitting one span per
+    request (plus periodic samples) while producing the exact same
+    :class:`~repro.cluster.metrics.SimulationResult`.
     """
 
     def __init__(
@@ -409,9 +410,14 @@ def run_simulation(
 
     ``trace_out`` writes a JSONL span log (one span per request; see
     :mod:`repro.obs.span`) to that path; ``sample_interval_s``
-    additionally emits periodic time-series samples.  Tracing runs the
-    generator lifecycle with spans but the returned result is identical.
+    additionally emits periodic time-series samples into it, and is
+    rejected without ``trace_out`` (there would be nowhere to write
+    them).  Tracing does not pick the lifecycle — an eligible run stays
+    on the flattened state machine — and the returned result is
+    identical either way.
     """
+    if sample_interval_s is not None and trace_out is None:
+        raise ValueError("sample_interval_s needs trace_out: samples go to the span log")
     base = config if config is not None else ClusterConfig()
     if overrides:
         base = replace(base, **overrides)

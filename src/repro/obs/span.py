@@ -33,9 +33,11 @@ simulator, seconds since the writer was opened for the live cluster.
 from __future__ import annotations
 
 import json
+import math
 import threading
 import time
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
 from typing import IO, Dict, List, Mapping, Optional, Union
 
@@ -101,6 +103,11 @@ FAULT_EVENTS = frozenset(
         "gray",
     }
 )
+
+
+_INF = math.inf
+_int_repr = int.__repr__
+_float_repr = float.__repr__
 
 
 class SchemaError(ValueError):
@@ -185,22 +192,94 @@ class Span:
         )
 
 
-_SPAN_FIELD_TYPES: Dict[str, type] = {
-    "req": int,
-    "target": str,
-    "size": int,
-    "policy": str,
-    "node": int,
-    "outcome": str,
-}
-_SPAN_TIME_FIELDS = ("t_arrival", "t_dispatch", "t_complete")
-
-
-def _require_number(record: Mapping[str, object], name: str) -> float:
-    value = record.get(name)
+def _require_number(name: str, value: object) -> None:
+    """A finite int or float: ``NaN``/``Infinity`` are not JSON (RFC 8259)."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise SchemaError(f"field {name!r} must be a number, got {value!r}")
-    return float(value)
+    if isinstance(value, float) and not math.isfinite(value):
+        raise SchemaError(f"field {name!r} must be finite, got {value!r}")
+
+
+def _require_field(name: str, value: object, expected: type) -> None:
+    if isinstance(value, bool) or not isinstance(value, expected):
+        raise SchemaError(
+            f"span field {name!r} must be {expected.__name__}, got {value!r}"
+        )
+
+
+def _validate_span(
+    req: object,
+    target: object,
+    size: object,
+    policy: object,
+    node: object,
+    outcome: object,
+    t_arrival: object,
+    t_dispatch: object,
+    t_complete: object,
+    phases: object,
+    load: object,
+) -> None:
+    """Every check a span must pass, over its bare field values: the one
+    implementation behind :func:`validate_record` (values read from a
+    parsed record) and :meth:`SpanWriter.write_span` (values read from
+    the :class:`Span`), so the two boundaries cannot disagree.
+
+    It runs once per traced request, so each check first tries the
+    exact builtin type (which also rules out ``bool``) and only a value
+    of any other class pays for the full ``isinstance`` test.
+    """
+    if req.__class__ is not int:
+        _require_field("req", req, int)
+    if target.__class__ is not str:
+        _require_field("target", target, str)
+    if size.__class__ is not int:
+        _require_field("size", size, int)
+    if policy.__class__ is not str:
+        _require_field("policy", policy, str)
+    if node.__class__ is not int:
+        _require_field("node", node, int)
+    if outcome.__class__ is not str:
+        _require_field("outcome", outcome, str)
+    if outcome not in OUTCOMES:
+        raise SchemaError(f"unknown span outcome: {outcome!r}")
+    if t_arrival.__class__ is not float:
+        _require_number("t_arrival", t_arrival)
+    if t_dispatch.__class__ is not float:
+        _require_number("t_dispatch", t_dispatch)
+    if t_complete.__class__ is not float:
+        _require_number("t_complete", t_complete)
+    # Ordered, non-negative and below +inf implies all three are finite.
+    if not (0.0 <= t_arrival <= t_dispatch <= t_complete < _INF):  # type: ignore[operator]
+        _require_number("t_arrival", t_arrival)
+        _require_number("t_dispatch", t_dispatch)
+        _require_number("t_complete", t_complete)
+        times = [float(t_arrival), float(t_dispatch), float(t_complete)]  # type: ignore[arg-type]
+        raise SchemaError(
+            f"span times must satisfy 0 <= t_arrival <= t_dispatch <= "
+            f"t_complete, got {times}"
+        )
+    if not isinstance(phases, dict):
+        raise SchemaError("span field 'phases' must be an object")
+    for phase, seconds in phases.items():
+        if phase.__class__ is not str and not isinstance(phase, str):
+            raise SchemaError(f"phase names must be strings, got {phase!r}")
+        if seconds.__class__ is not float and (
+            isinstance(seconds, bool) or not isinstance(seconds, (int, float))
+        ):
+            raise SchemaError(f"phase {phase!r} must map to seconds, got {seconds!r}")
+        if not (0.0 <= seconds < _INF):
+            if seconds < 0:
+                raise SchemaError(f"phase {phase!r} is negative: {seconds!r}")
+            raise SchemaError(f"phase {phase!r} must be finite, got {seconds!r}")
+    if load is not None:
+        if not isinstance(load, list):
+            raise SchemaError("span field 'load' must be a list of integers")
+        for value in load:
+            if value.__class__ is not int and (
+                isinstance(value, bool) or not isinstance(value, int)
+            ):
+                raise SchemaError("span field 'load' must be a list of integers")
 
 
 def validate_record(record: Mapping[str, object]) -> None:
@@ -213,12 +292,13 @@ def validate_record(record: Mapping[str, object]) -> None:
             raise SchemaError(f"meta source must be one of {SOURCES}")
         return
     if kind == "sample":
-        _require_number(record, "t")
+        _require_number("t", record.get("t"))
         return
     if kind == "fault":
-        t = _require_number(record, "t")
-        if t < 0:
-            raise SchemaError(f"fault time must be non-negative, got {t!r}")
+        t = record.get("t")
+        _require_number("t", t)
+        if t < 0:  # type: ignore[operator]
+            raise SchemaError(f"fault time must be non-negative, got {float(t)!r}")  # type: ignore[arg-type]
         node = record.get("node")
         if isinstance(node, bool) or not isinstance(node, int):
             raise SchemaError(f"fault field 'node' must be int, got {node!r}")
@@ -228,37 +308,46 @@ def validate_record(record: Mapping[str, object]) -> None:
         return
     if kind != "span":
         raise SchemaError(f"unknown record kind: {kind!r}")
-    for name, expected in _SPAN_FIELD_TYPES.items():
-        value = record.get(name)
-        if isinstance(value, bool) or not isinstance(value, expected):
-            raise SchemaError(
-                f"span field {name!r} must be {expected.__name__}, got {value!r}"
-            )
-    if record["outcome"] not in OUTCOMES:
-        raise SchemaError(f"unknown span outcome: {record['outcome']!r}")
-    times = [_require_number(record, name) for name in _SPAN_TIME_FIELDS]
-    t_arrival, t_dispatch, t_complete = times
-    if not (0.0 <= t_arrival <= t_dispatch <= t_complete):
-        raise SchemaError(
-            f"span times must satisfy 0 <= t_arrival <= t_dispatch <= "
-            f"t_complete, got {times}"
-        )
-    phases = record.get("phases")
-    if not isinstance(phases, dict):
-        raise SchemaError("span field 'phases' must be an object")
-    for phase, seconds in phases.items():
-        if not isinstance(phase, str):
-            raise SchemaError(f"phase names must be strings, got {phase!r}")
-        if isinstance(seconds, bool) or not isinstance(seconds, (int, float)):
-            raise SchemaError(f"phase {phase!r} must map to seconds, got {seconds!r}")
-        if seconds < 0:
-            raise SchemaError(f"phase {phase!r} is negative: {seconds!r}")
-    load = record.get("load")
-    if load is not None:
-        if not isinstance(load, list) or any(
-            isinstance(v, bool) or not isinstance(v, int) for v in load
-        ):
-            raise SchemaError("span field 'load' must be a list of integers")
+    get = record.get
+    _validate_span(
+        get("req"), get("target"), get("size"), get("policy"), get("node"),
+        get("outcome"), get("t_arrival"), get("t_dispatch"), get("t_complete"),
+        get("phases"), get("load"),
+    )
+
+
+def _number(value: Union[int, float]) -> str:
+    """``json.dumps`` of a validated (finite) number, subclasses included."""
+    return _float_repr(value) if isinstance(value, float) else _int_repr(value)
+
+
+def _encode_span(span: Span) -> str:
+    """The JSONL line of a validated span, newline included.
+
+    One pass, keys in sorted order: byte-identical to
+    ``json.dumps(span.to_record(), separators=(",", ":"), sort_keys=True)``
+    (``tests/test_obs_span.py`` holds the differential test), without
+    building the record dict or walking it again to sort and escape.
+    Validation has ruled out non-finite floats, so ``float.__repr__``
+    is the whole of JSON number formatting.
+    """
+    phases = span.phases
+    phase_items = ",".join(
+        [f"{_quote(name)}:{_number(phases[name])}" for name in sorted(phases)]
+    )
+    load = span.load
+    load_item = (
+        "" if load is None else f'"load":[{",".join(map(_int_repr, load))}],'
+    )
+    return (
+        f'{{"kind":"span",{load_item}"node":{_int_repr(span.node)}'
+        f',"outcome":"{span.outcome}","phases":{{{phase_items}}}'
+        f',"policy":{_quote(span.policy)},"req":{_int_repr(span.req)}'
+        f',"size":{_int_repr(span.size)},"t_arrival":{_number(span.t_arrival)}'
+        f',"t_complete":{_number(span.t_complete)}'
+        f',"t_dispatch":{_number(span.t_dispatch)}'
+        f',"target":{_quote(span.target)}}}\n'
+    )
 
 
 class SpanWriter:
@@ -317,20 +406,29 @@ class SpanWriter:
     # -- emission --------------------------------------------------------------
 
     def write(self, record: Mapping[str, object]) -> None:
-        """Validate and append one record to the stream."""
+        """Validate and append one record to the stream (the generic
+        path: meta, sample and fault records, or a span already a dict)."""
         validate_record(record)
         line = json.dumps(record, separators=(",", ":"), sort_keys=True)
+        self._append(line + "\n", 1 if record.get("kind") == "span" else 0)
+
+    def write_span(self, span: Span) -> None:
+        """Validate and append one completed :class:`Span`, straight
+        from its typed fields (no intermediate record)."""
+        _validate_span(
+            span.req, span.target, span.size, span.policy, span.node,
+            span.outcome, span.t_arrival, span.t_dispatch, span.t_complete,
+            span.phases, span.load,
+        )
+        self._append(_encode_span(span), 1)
+
+    def _append(self, line: str, spans: int) -> None:
         with self._lock:
             if self._closed:
                 return  # a straggler thread finished after close(); drop it
-            self._stream.write(line + "\n")
+            self._stream.write(line)
             self.records_written += 1
-            if record.get("kind") == "span":
-                self.spans_written += 1
-
-    def write_span(self, span: Span) -> None:
-        """Serialize and append one completed :class:`Span`."""
-        self.write(span.to_record())
+            self.spans_written += spans
 
     def write_sample(self, t: float, values: Mapping[str, object]) -> None:
         """Append one time-series sample taken at time ``t``."""

@@ -3,11 +3,13 @@
 :class:`SimTracer` is the simulator's bridge into :mod:`repro.obs.span`.
 It follows the invariant sanitizer's pattern from
 :mod:`repro.sim.sanitize`: the tracer is attached from the outside
-(``FrontEnd.tracer``), the front-end leaves the flattened fast path for
-the generator lifecycle only when it is present, and that lifecycle
-performs the same state mutations with or without a span — so a traced
-run produces byte-identical :class:`~repro.cluster.simulator.SimulationResult` output
-to an untraced one, and an unhooked run pays nothing (the
+(``FrontEnd.tracer``) and observes whichever lifecycle the run takes
+anyway — stage wrappers on the flattened state machine
+(:class:`repro.cluster.fastpath.TracedConnection`), a span handed to
+``BackendNode.serve`` on the generator lifecycle — performing no state
+mutation of its own, so a traced run produces byte-identical
+:class:`~repro.cluster.simulator.SimulationResult` output to an
+untraced one, and an unhooked run pays nothing (the
 ``scripts/bench_perf.py --check`` gate holds).
 
 Sampling is **completion-driven**, generalizing the front-end's
@@ -21,6 +23,7 @@ per-node CPU/disk queue depths.
 
 from __future__ import annotations
 
+import math
 from typing import Any, Dict, List, Optional, Sequence
 
 from .span import Span, SpanWriter
@@ -48,9 +51,13 @@ class SimTracer:
     def __init__(
         self, writer: SpanWriter, sample_interval_s: Optional[float] = None
     ) -> None:
-        if sample_interval_s is not None and sample_interval_s <= 0:
+        if sample_interval_s is not None and not (
+            0.0 < sample_interval_s < math.inf
+        ):
+            # NaN and inf pass a bare ``<= 0`` guard and then never sample.
             raise ValueError(
-                f"sample_interval_s must be positive, got {sample_interval_s}"
+                "sample_interval_s must be positive and finite, "
+                f"got {sample_interval_s!r}"
             )
         self.writer = writer
         self.sample_interval_s = sample_interval_s
@@ -82,7 +89,9 @@ class SimTracer:
         simulated front-end is overhead-free and closed-loop, so a
         request is dispatched the instant its connection is admitted)."""
         policy = self._policy
-        load = [int(v) for v in policy.loads] if policy is not None else None
+        # A plain copy: ``Policy.loads`` already holds Python ints, and
+        # the writer's schema check refuses anything else.
+        load = list(policy.loads) if policy is not None else None
         span = Span(
             req=self._seq,
             target=str(target),

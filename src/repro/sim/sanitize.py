@@ -39,7 +39,9 @@ Checked every ``deep_interval`` events and at end of run (O(cluster)):
   ``total_load == sum(loads)``, ``alive_count == sum(_alive)``), and
   every node named by a LARD mapping or LARD/R server set is in the live
   membership — the paper's failure rule ("as if they had not been
-  assigned before") says a dead node must never be routable.
+  assigned before") says a dead node must never be routable.  The
+  mapping walk is O(mappings) and vacuous while the sweep's own recount
+  of ``_alive`` finds every node up, so it runs only when one is down.
 
 The sanitizer is strictly read-only: it never touches accounting methods
 with side effects (e.g. ``Resource.busy_time`` folds the running
@@ -149,25 +151,90 @@ class InvariantSanitizer:
 
     # -- the engine hook -------------------------------------------------------
 
-    def after_event(self, when: float, callback: Callable[..., Any]) -> None:
-        """Called by the engine after each dispatched event."""
-        self.events_seen += 1
-        if when + _TIME_EPS < self._last_time:
-            self._fail(
-                when,
-                callback,
-                f"clock moved backwards: event at t={when!r} after t={self._last_time!r}",
-            )
-        self._last_time = when
-        self._check_conservation(when, callback)
-        if self.events_seen % self.deep_interval == 0:
+    def after_event(
+        self, when: float, callback: Optional[Callable[..., Any]], final: bool = False
+    ) -> None:
+        """Called by the engine after each dispatched event: the clock
+        and conservation checks, then a deep sweep every
+        ``deep_interval`` events — one call per event, so the checks
+        live in this body rather than behind a second method call.
+
+        ``final`` marks the end-of-run observation (see
+        :meth:`final_check`): no event was dispatched, so nothing is
+        counted or clocked, and the deep sweep is unconditional.
+        """
+        if not final:
+            self.events_seen += 1
+            if when + _TIME_EPS < self._last_time:
+                self._fail(
+                    when,
+                    callback,
+                    "clock moved backwards: event at "
+                    f"t={when!r} after t={self._last_time!r}",
+                )
+            self._last_time = when
+        fe = self._frontend
+        if fe is not None:
+            admitted = fe._next
+            completed = fe.completed
+            in_flight = fe.in_flight
+            if in_flight < 0:
+                self._fail(when, callback, f"in_flight is negative ({in_flight})")
+            limit = fe.max_in_flight
+            allowance = self._in_flight_cap if self._in_flight_cap > limit else limit
+            if in_flight > allowance:
+                self._fail(
+                    when,
+                    callback,
+                    f"in_flight {in_flight} exceeds the admission limit {limit} "
+                    f"(drain allowance {allowance})",
+                )
+            if in_flight <= limit:
+                self._in_flight_cap = limit
+            outstanding = admitted - completed
+            if outstanding < 0:
+                self._fail(
+                    when,
+                    callback,
+                    f"completed {completed} exceeds admitted {admitted}",
+                )
+            if outstanding > in_flight * fe.requests_per_connection:
+                self._fail(
+                    when,
+                    callback,
+                    f"request conservation broken: admitted {admitted} != completed "
+                    f"{completed} + work carried by {in_flight} in-flight "
+                    f"connection(s) (<= {in_flight * fe.requests_per_connection} requests)",
+                )
+            # Lost-request conservation (fault-model runs): every completion
+            # is either served goodput or an abandoned (lost) request — the
+            # two runtime counters must tile ``completed`` exactly.
+            faults = getattr(fe, "faults", None)
+            if faults is not None:
+                lost = faults.lost_requests
+                served = faults.served_requests
+                retried = faults.retried_requests
+                if lost < 0 or served < 0 or retried < 0:
+                    self._fail(
+                        when,
+                        callback,
+                        f"fault-runtime counters went negative (served {served}, "
+                        f"lost {lost}, retried {retried})",
+                    )
+                if served + lost != completed:
+                    self._fail(
+                        when,
+                        callback,
+                        f"lost-request conservation broken: served {served} + "
+                        f"lost {lost} != completed {completed}",
+                    )
+        if final or self.events_seen % self.deep_interval == 0:
             self._deep_check(when, callback)
 
     def final_check(self, now: float) -> None:
         """Full sweep at end of run (the deep interval may not divide the
         event count, so the final state is always inspected)."""
-        self._check_conservation(now, None)
-        self._deep_check(now, None)
+        self.after_event(now, None, final=True)
 
     # -- checks ----------------------------------------------------------------
 
@@ -176,66 +243,6 @@ class InvariantSanitizer:
             f"invariant violated at t={when:.9g}, event #{self.events_seen} "
             f"({_describe(callback)}): {reason}"
         )
-
-    def _check_conservation(
-        self, when: float, callback: Optional[Callable[..., Any]]
-    ) -> None:
-        fe = self._frontend
-        if fe is None:
-            return
-        admitted = fe._next
-        completed = fe.completed
-        in_flight = fe.in_flight
-        if in_flight < 0:
-            self._fail(when, callback, f"in_flight is negative ({in_flight})")
-        limit = fe.max_in_flight
-        allowance = self._in_flight_cap if self._in_flight_cap > limit else limit
-        if in_flight > allowance:
-            self._fail(
-                when,
-                callback,
-                f"in_flight {in_flight} exceeds the admission limit {limit} "
-                f"(drain allowance {allowance})",
-            )
-        if in_flight <= limit:
-            self._in_flight_cap = limit
-        outstanding = admitted - completed
-        if outstanding < 0:
-            self._fail(
-                when,
-                callback,
-                f"completed {completed} exceeds admitted {admitted}",
-            )
-        if outstanding > in_flight * fe.requests_per_connection:
-            self._fail(
-                when,
-                callback,
-                f"request conservation broken: admitted {admitted} != completed "
-                f"{completed} + work carried by {in_flight} in-flight "
-                f"connection(s) (<= {in_flight * fe.requests_per_connection} requests)",
-            )
-        # Lost-request conservation (fault-model runs): every completion
-        # is either served goodput or an abandoned (lost) request — the
-        # two runtime counters must tile ``completed`` exactly.
-        faults = getattr(fe, "faults", None)
-        if faults is not None:
-            lost = faults.lost_requests
-            served = faults.served_requests
-            retried = faults.retried_requests
-            if lost < 0 or served < 0 or retried < 0:
-                self._fail(
-                    when,
-                    callback,
-                    f"fault-runtime counters went negative (served {served}, "
-                    f"lost {lost}, retried {retried})",
-                )
-            if served + lost != completed:
-                self._fail(
-                    when,
-                    callback,
-                    f"lost-request conservation broken: served {served} + "
-                    f"lost {lost} != completed {completed}",
-                )
 
     def _deep_check(self, when: float, callback: Optional[Callable[..., Any]]) -> None:
         self.deep_sweeps += 1
@@ -344,6 +351,11 @@ class InvariantSanitizer:
                 f"policy alive_count {policy.alive_count} disagrees with its "
                 f"membership ({up_count} alive)",
             )
+        if up_count == len(alive):
+            # Every node is up — recounted just above, in this sweep, not
+            # read off the policy's own counter — so no mapping can name a
+            # failed one: the O(mappings) walks below are vacuous.
+            return
         # LARD: target -> node mappings must only name live nodes.
         server_map = getattr(policy, "_server", None)
         if server_map is not None:

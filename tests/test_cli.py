@@ -153,6 +153,27 @@ class TestErrorExitCodes:
         assert main(["spans", str(bad)]) == 2
         assert "schema" in capsys.readouterr().err
 
+    def test_sample_interval_without_spans(self, capsys):
+        """Samples go to the span log: the flag alone was a silent no-op."""
+        assert main(["simulate", "--requests", "200", "--sample-interval", "0.1"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("lard-repro: error: --sample-interval needs --spans")
+        assert "Traceback" not in err and err.count("\n") == 1
+
+    @pytest.mark.parametrize("interval", ["nan", "inf", "0", "-1"])
+    def test_unusable_sample_interval(self, capsys, tmp_path, interval):
+        code = main(
+            [
+                "simulate", "--requests", "200", "--nodes", "2",
+                "--scale-factor", "0.05", "--spans", str(tmp_path / "s.jsonl"),
+                "--sample-interval", interval,
+            ]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "sample_interval_s must be positive and finite" in err
+        assert "Traceback" not in err
+
 
 class TestChaosCommand:
     def test_parser_defaults(self):

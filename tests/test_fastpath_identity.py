@@ -11,11 +11,16 @@ per call) and compare entire result dataclasses.
 
 import dataclasses
 import hashlib
+import io
 import json
 
 import pytest
 
+from repro.cluster.fastpath import FastConnection, TracedConnection
 from repro.cluster.simulator import ClusterConfig, ClusterSimulator
+from repro.obs import SpanWriter
+from repro.obs.tracer import SimTracer
+from repro.workload import cgi_mix_trace
 from repro.workload.synthetic import synthesize_trace
 
 
@@ -48,6 +53,7 @@ _CONFIGS = [
     dict(policy="lard/r", num_nodes=4, node_cache_bytes=2**19),
     dict(policy="wrr", num_nodes=4, node_cache_bytes=2**19),
     dict(policy="lb/gc", num_nodes=4, node_cache_bytes=2**19),
+    dict(policy="wrr/gms", num_nodes=4, node_cache_bytes=2**19),
     dict(policy="lard/r", num_nodes=2, node_cache_bytes=2**18, disks_per_node=3),
     dict(policy="lard", num_nodes=4, node_cache_bytes=2**19, coalesce_reads=False),
     dict(
@@ -138,3 +144,99 @@ def test_fastpath_is_actually_selected(trace):
         trace, ClusterConfig(requests_per_connection=4, **config)
     )
     assert persistent.frontend._fastpath is None
+
+
+# -- the traced state machine ---------------------------------------------------
+#
+# A tracer does not pick the lifecycle: an eligible traced run stays on
+# the state machine, observed by stage wrappers.  The generator
+# lifecycle's span support is the reference, so the comparison is over
+# span-log *bytes* — every phase float, outcome, dispatch-load snapshot
+# and 0.05 s sample, in order.
+
+
+@pytest.fixture(scope="module")
+def cgi_trace():
+    return cgi_mix_trace(
+        num_requests=2000,
+        num_targets=300,
+        total_bytes=48 * 2**20,
+        zipf_alpha=1.0,
+        dynamic_fraction=0.15,
+        cpu_cost_s=0.02,
+        seed=11,
+    )
+
+
+def _run_traced(trace, fastpath, **kwargs):
+    sink = io.StringIO()
+    with SpanWriter(sink, source="sim") as writer:
+        tracer = SimTracer(writer, sample_interval_s=0.05)
+        sim = ClusterSimulator(trace, ClusterConfig(**kwargs), tracer=tracer)
+        if not fastpath:
+            sim.frontend._fastpath = None
+        result = dataclasses.asdict(sim.run())
+    return sim, result, sink.getvalue()
+
+
+_ELIGIBLE = [c for c in _CONFIGS if c.get("requests_per_connection", 1) == 1]
+
+
+@pytest.mark.parametrize("config", _ELIGIBLE, ids=_config_id)
+def test_traced_state_machine_matches_generator_span_log(trace, config):
+    sim, fast, fast_log = _run_traced(trace, fastpath=True, **config)
+    _, slow, slow_log = _run_traced(trace, fastpath=False, **config)
+    assert fast_log == slow_log
+    assert fast == slow == _run(trace, fastpath=True, **config)
+    assert fast_log.count('"kind":"span"') == len(trace)
+    assert fast_log.count('"kind":"sample"') >= 2
+    # ...and it really was the state machine, one wrapper class for all.
+    pool = sim.frontend._fastpath.pool
+    assert pool and all(type(conn) is TracedConnection for conn in pool)
+
+
+def test_traced_state_machine_matches_generator_on_cgi(cgi_trace):
+    config = dict(policy="lard/r", num_nodes=3, node_cache_bytes=2**19)
+    _, fast, fast_log = _run_traced(cgi_trace, fastpath=True, **config)
+    _, slow, slow_log = _run_traced(cgi_trace, fastpath=False, **config)
+    assert fast_log == slow_log and fast == slow
+    assert '"outcome":"dynamic"' in fast_log
+
+
+def test_every_outcome_is_exercised(trace):
+    """The configs above are only a proof if, between them, they drive
+    every data path the wrappers have to time."""
+    seen = set()
+    for config in (c for c in _ELIGIBLE if c["policy"] in ("lard", "wrr/gms")):
+        _, _, log = _run_traced(trace, fastpath=True, **config)
+        seen.update(
+            json.loads(line)["outcome"]
+            for line in log.splitlines()
+            if '"kind":"span"' in line
+        )
+    assert {"hit", "miss", "coalesced", "gms_local", "gms_remote"} <= seen
+
+
+@pytest.mark.parametrize(
+    "config",
+    [c for c in _ELIGIBLE if c["policy"] == "lard/r" and "disks_per_node" not in c],
+    ids=_config_id,
+)
+def test_traced_and_sanitized_together_change_nothing(trace, config):
+    """Both observers on one run: the span log is the one either
+    lifecycle writes alone, the result the one an unobserved run gives."""
+    _, both, both_log = _run_traced(
+        trace, fastpath=True, sanitize=True, sanitize_interval=16, **config
+    )
+    _, _, reference_log = _run_traced(trace, fastpath=False, **config)
+    assert both_log == reference_log
+    assert both == _run(trace, fastpath=True, **config)
+
+
+def test_untraced_run_builds_untraced_connections(trace):
+    sim = ClusterSimulator(
+        trace, ClusterConfig(policy="lard/r", num_nodes=4, node_cache_bytes=2**19)
+    )
+    sim.run()
+    pool = sim.frontend._fastpath.pool
+    assert pool and all(type(conn) is FastConnection for conn in pool)

@@ -190,6 +190,17 @@ class TestSampling:
         )
         assert sampled == plain
 
+    @pytest.mark.parametrize("interval", [float("nan"), float("inf"), 0.0, -0.05])
+    def test_unusable_interval_rejected_at_construction(self, interval):
+        """NaN and inf slipped past a ``<= 0`` guard and then never
+        sampled; every unusable interval is now a ValueError up front."""
+        with pytest.raises(ValueError, match="positive and finite"):
+            SimTracer(SpanWriter(io.StringIO()), sample_interval_s=interval)
+
+    def test_interval_without_span_log_rejected(self):
+        with pytest.raises(ValueError, match="needs trace_out"):
+            run_simulation(_trace(200), sample_interval_s=0.05, **KWARGS)
+
     def test_no_samples_without_interval(self, tmp_path):
         _, log = _run_traced(tmp_path, _trace(400), **KWARGS)
         assert log.samples == []

@@ -2,9 +2,12 @@
 
 import io
 import json
+import math
 import threading
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
 from repro.obs import (
     OUTCOMES,
@@ -84,6 +87,20 @@ class TestSchema:
         with pytest.raises(SchemaError):
             validate_record(record)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_numbers_rejected(self, bad):
+        """``NaN`` / ``Infinity`` are not JSON (RFC 8259): a log holding
+        one breaks every non-Python reader, so neither side lets it by."""
+        for record in (
+            _span(t_complete=bad).to_record(),
+            _span(phases={"cpu": bad}).to_record(),
+            {"kind": "sample", "t": bad},
+            {"kind": "fault", "t": bad, "node": 0, "event": "crash"},
+        ):
+            with pytest.raises(SchemaError) as excinfo:
+                validate_record(record)
+            assert "\n" not in str(excinfo.value)
+
     def test_unknown_kind_rejected(self):
         with pytest.raises(SchemaError, match="kind"):
             validate_record({"kind": "trace"})
@@ -110,6 +127,29 @@ class TestWriter:
             writer.write_sample(1.0, {"load": [1, 2]})
         assert writer.spans_written == 1
         assert writer.records_written == 3  # meta + span + sample
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_numbers_never_reach_the_stream(self, bad):
+        sink = io.StringIO()
+        with SpanWriter(sink) as writer:
+            for write in (
+                lambda: writer.write_span(_span(t_complete=bad)),
+                lambda: writer.write_span(_span(phases={"cpu": bad})),
+                lambda: writer.write_sample(bad, {"load": [1]}),
+                lambda: writer.write_fault(bad, 0, "crash"),
+            ):
+                with pytest.raises(SchemaError, match="must be finite"):
+                    write()
+        assert sink.getvalue().count("\n") == 1  # the meta line only
+        assert "NaN" not in sink.getvalue() and "Infinity" not in sink.getvalue()
+
+    def test_non_finite_tokens_rejected_on_read(self):
+        meta = json.dumps({"kind": "meta", "schema": SCHEMA_VERSION, "source": "sim"})
+        line = json.dumps(_span().to_record()).replace("2.0", "Infinity")
+        with pytest.raises(SchemaError, match="line 2.*finite"):
+            parse_span_log([meta, line])
+        with pytest.raises(SchemaError, match="line 2.*finite"):
+            parse_span_log([meta, '{"kind":"sample","t":NaN}'])
 
     def test_bad_source_rejected(self):
         with pytest.raises(ValueError, match="source"):
@@ -169,3 +209,118 @@ class TestParser:
         meta = json.dumps({"kind": "meta", "schema": SCHEMA_VERSION, "source": "sim"})
         log = parse_span_log(["", meta, "   ", json.dumps(_span().to_record())])
         assert len(log.spans) == 1
+
+
+# -- the one-pass span encoder ---------------------------------------------------
+
+_times = st.one_of(
+    st.floats(min_value=0.0, max_value=1e9, allow_nan=False),
+    st.integers(min_value=0, max_value=10**9),
+)
+_seconds = st.one_of(
+    st.floats(min_value=0.0, max_value=1e6, allow_nan=False),
+    st.integers(min_value=0, max_value=10**6),
+)
+# Arbitrary text: non-ASCII, quotes, backslashes and control characters
+# all have to come out escaped exactly as ``json.dumps`` escapes them.
+_text = st.text(max_size=12)
+_ints = st.integers(min_value=-(2**70), max_value=2**70)
+
+
+@st.composite
+def _spans(draw):
+    t_arrival, t_dispatch, t_complete = sorted(draw(st.tuples(_times, _times, _times)))
+    return Span(
+        req=draw(_ints),
+        target=draw(_text),
+        size=draw(_ints),
+        policy=draw(_text),
+        node=draw(_ints),
+        t_arrival=t_arrival,
+        t_dispatch=t_dispatch,
+        t_complete=t_complete,
+        outcome=draw(st.sampled_from(sorted(OUTCOMES))),
+        load=draw(st.one_of(st.none(), st.lists(_ints, max_size=9))),
+        phases=draw(st.dictionaries(_text, _seconds, max_size=6)),
+    )
+
+
+def _written(span):
+    sink = io.StringIO()
+    with SpanWriter(sink) as writer:
+        writer.write_span(span)
+    return sink.getvalue().splitlines(keepends=True)[1:]
+
+
+class TestOnePassEncoder:
+    @settings(max_examples=300, deadline=None)
+    @given(_spans())
+    def test_line_equals_json_dumps_of_the_record(self, span):
+        expected = json.dumps(span.to_record(), separators=(",", ":"), sort_keys=True)
+        assert _written(span) == [expected + "\n"]
+        assert Span.from_record(json.loads(expected)) == span
+
+    def test_number_subclasses_encode_as_json_dumps_does(self):
+        class Seconds(float):
+            def __repr__(self):
+                return "Seconds(...)"
+
+        class Count(int):
+            def __repr__(self):
+                return "Count(...)"
+
+        span = _span(
+            req=Count(7), t_complete=Seconds(2.5), load=[Count(1), 2],
+            phases={"cpu": Seconds(0.5), "establish": Count(0)},
+        )
+        expected = json.dumps(span.to_record(), separators=(",", ":"), sort_keys=True)
+        assert _written(span) == [expected + "\n"]
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            dict(req=True),
+            dict(node=False),
+            dict(size=4096.0),
+            dict(req="7"),
+            dict(target=17),
+            dict(policy=None),
+            dict(outcome="teleported"),
+            dict(outcome=3),
+            dict(t_arrival=True),
+            dict(t_dispatch="1.25"),
+            dict(t_complete=None),
+            dict(t_complete=0.5),
+            dict(t_arrival=1.5),
+            dict(t_arrival=-1.0, t_dispatch=-0.5),
+            dict(phases={"cpu": -0.1}),
+            dict(phases={"cpu": True}),
+            dict(phases={"cpu": "0.1"}),
+            dict(phases={3: 0.1}),
+            dict(phases=[("cpu", 0.1)]),
+            dict(load=[1, "two"]),
+            dict(load=[1, True]),
+            dict(load=[1, 2.0]),
+            dict(load="12"),
+            dict(t_complete=math.inf),
+            dict(t_arrival=math.nan),
+            dict(phases={"cpu": math.nan}),
+            dict(phases={"cpu": math.inf}),
+        ],
+        ids=lambda overrides: ",".join(f"{k}={v!r}" for k, v in overrides.items()),
+    )
+    def test_rejection_parity_with_validate_record(self, overrides):
+        """Whatever ``validate_record`` refuses, ``write_span`` refuses
+        the same way, and nothing reaches the stream."""
+        span = _span(**overrides)
+        record = dict(span.__dict__, kind="span")
+        with pytest.raises(SchemaError) as by_record:
+            validate_record(record)
+        sink = io.StringIO()
+        writer = SpanWriter(sink)
+        with pytest.raises(SchemaError) as by_span:
+            writer.write_span(span)
+        assert str(by_span.value) == str(by_record.value)
+        assert "\n" not in str(by_span.value)
+        assert writer.spans_written == 0 and writer.records_written == 1
+        assert sink.getvalue().count("\n") == 1

@@ -215,6 +215,83 @@ def test_lardr_server_set_with_failed_node_is_caught():
         sim.run()
 
 
+def _ghost_lard(sim):
+    sim.policy._server["ghost-target"] = 1
+
+
+def _ghost_lardr(sim):
+    # A current-epoch set that still holds a live member next to the dead one.
+    sim.policy._server_sets["ghost-target"] = _ServerSet(
+        nodes={0, 1}, last_mod=sim.engine.now, epoch=sim.policy.membership_epoch
+    )
+
+
+@pytest.mark.parametrize(
+    "policy, plant, match",
+    [("lard", _ghost_lard, "names a failed"), ("lard/r", _ghost_lardr, "contains failed")],
+)
+def test_mapping_walk_resumes_once_a_node_is_down(policy, plant, match):
+    """The mapping walks are skipped only while the sweep's own recount
+    finds every node up.  Here sweeps run every 64 events and hundreds
+    of them have skipped the walk before node 1 fails: the very next
+    periodic sweep must walk the mappings again."""
+
+    def fail_then_plant(sim):
+        assert sim.sanitizer.deep_sweeps > 10
+        sim.frontend.fail_node(1)
+        plant(sim)
+
+    config = ClusterConfig(
+        policy=policy,
+        num_nodes=3,
+        node_cache_bytes=CACHE,
+        sanitize=True,
+        sanitize_interval=64,
+    )
+    sim = _corrupt_at(ClusterSimulator(_trace(), config), 0.5, fail_then_plant)
+    with pytest.raises(SanitizerError, match=match) as excinfo:
+        sim.run()
+    assert "end of run" not in str(excinfo.value)
+
+
+def test_alive_flag_flip_is_caught_by_the_recount_that_licenses_the_skip():
+    """With every node up the mapping walk is vacuous — *because* the
+    sweep has just recounted ``_alive``.  Flipping a flag behind the
+    counters' back must trip that recount in the same sweep, so the
+    skip can never hide a dead node."""
+
+    def corrupt(sim):
+        assert all(sim.policy._alive)
+        sim.policy._alive[1] = False
+
+    sim = _corrupt_at(_simulator(policy="lard/r"), 0.5, corrupt)
+    with pytest.raises(SanitizerError, match="alive_count"):
+        sim.run()
+
+
+def test_sweep_and_event_counts_are_pinned():
+    """Counts recorded on 30ec2b1 (per-event checks behind two calls,
+    mapping walk unconditional): fusing the calls and skipping the
+    vacuous walk must not change how often anything is checked."""
+    pinned = {
+        "lard/r": (dict(), 5474, 86),
+        "lard": (dict(membership_events=((0.5, "fail", 1), (1.5, "join", 1))), 5619, 88),
+    }
+    for policy, (extra, events, sweeps) in pinned.items():
+        config = ClusterConfig(
+            policy=policy,
+            num_nodes=3,
+            node_cache_bytes=CACHE,
+            sanitize=True,
+            sanitize_interval=64,
+            **extra,
+        )
+        sim = ClusterSimulator(_trace(), config)
+        sim.run()
+        assert sim.sanitizer.events_seen == sim.engine.events_dispatched == events
+        assert sim.sanitizer.deep_sweeps == sweeps
+
+
 def test_stale_epoch_server_sets_are_not_flagged():
     """Entries from before a membership change are filtered lazily on
     access; the sanitizer must not flag them (only current-epoch sets)."""

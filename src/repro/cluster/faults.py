@@ -19,12 +19,13 @@ This module closes that gap for the discrete-event simulator:
   replacing hand-written event tuples for chaos campaigns.
 
 :class:`FaultRuntime` executes a schedule against a running cluster.  It
-follows the sanitizer/tracer pattern: the front-end runs its *faulty*
-connection process only when a runtime is attached
-(``FrontEnd.faults``), so the fault-free hot path is byte-for-byte
-untouched and the perf gate holds.  With an **empty** schedule the
-faulty path replays the plain path's state mutations exactly, so its
-results are byte-identical — the test suite asserts both properties.
+follows the sanitizer/tracer pattern: attached from outside
+(``FrontEnd.faults``), it makes the state machine build
+:class:`~repro.cluster.fastpath.FaultyConnection` objects, so a
+fault-free run executes no fault code at all.  With an **empty**
+schedule a faulty connection runs the plain stages and mutates the same
+state, so its results are byte-identical — the test suite asserts both
+properties.
 
 Scheduling caveat (shared with ``membership_events``): the engine runs
 until its queue is empty, so fault events placed past trace completion
@@ -368,26 +369,14 @@ def generate_fault_schedule(
     return schedule
 
 
-class _FaultProbe:
-    """Minimal span stand-in for the faulty serve path: collects the
-    per-request cache outcome via ``serve(span=...)`` without a tracer.
-    ``phases`` is ``None``, so ``serve`` skips its phase timing."""
-
-    __slots__ = ("outcome",)
-
-    phases = None
-
-    def __init__(self) -> None:
-        self.outcome: str = "error"
-
-
 class FaultRuntime:
     """Executes one :class:`FaultSchedule` against a running cluster.
 
     All cluster references are duck-typed (``Any``), mirroring the
     sanitizer and tracer: the runtime is attached from outside
-    (``FrontEnd.faults``) and the front-end runs its faulty connection
-    process only when it is present.
+    (``FrontEnd.faults``) and connections consult it (``_dark``,
+    ``retry``, the counters and ``record_*`` below) only when it is
+    present.
     """
 
     def __init__(
@@ -402,6 +391,8 @@ class FaultRuntime:
         self.frontend = frontend
         self.nodes = list(nodes)
         self.tracer = tracer
+        #: Per node: crashed (detected or not).  Mutated in place;
+        #: faulty connections hold a reference.
         self._dark = [False] * len(self.nodes)
         self._base_costs = [node.costs for node in self.nodes]
         # Counters: ``served + lost == completed`` at every event (the
@@ -421,16 +412,6 @@ class FaultRuntime:
         self._lost: Dict[int, int] = {}
         self._delays: Dict[int, List[float]] = {}
         self._engine: Optional[Any] = None
-
-    # -- hot helpers (called per dispatch on the faulty path) ------------------
-
-    def is_dark(self, node: int) -> bool:
-        """True while ``node`` is crashed (detected or not)."""
-        return self._dark[node]
-
-    def probe(self) -> _FaultProbe:
-        """Fresh outcome probe for one request's ``serve`` call."""
-        return _FaultProbe()
 
     # -- schedule execution ----------------------------------------------------
 
@@ -470,9 +451,9 @@ class FaultRuntime:
 
     def _crash(self, node: int) -> None:
         """The node goes dark; the front-end keeps routing to it until
-        detection (its in-flight work drains — the simulator's serving
-        generators cannot be torn down mid-yield, an approximation the
-        orphan accounting at detection compensates for)."""
+        detection (its in-flight work drains — services already queued
+        are not torn down, an approximation the orphan accounting at
+        detection compensates for)."""
         self._dark[node] = True
         self._emit("crash", node)
 

@@ -21,26 +21,24 @@ policy per request and moves the connection when the policy says so).
 It also owns cluster-membership dynamics (paper Section 2.6): failures
 drop a node's mappings, load accounting and (on rejoin) cache, while
 connections already in flight drain without corrupting the books.
+
+The front-end decides *who* serves and keeps the books; the request
+lifecycle itself — every run's, whatever is attached to it — is the
+state machine in :mod:`repro.cluster.fastpath`.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence
 
 from ..core.base import Policy
-from ..sim import Delay, Engine
+from ..sim import Engine
 from ..workload.trace import Trace
 from .fastpath import FastPath
 from .metrics import LoadTracker
 from .node import BackendNode
 
 __all__ = ["FrontEnd", "PERSISTENT_POLICIES"]
-
-# Audited by lardlint's twin-drift pass: the faulty connection wraps a
-# retry loop around the plain one and must keep its effect skeleton.
-__twin_of__ = {
-    "FrontEnd._connection_faulty": "repro.cluster.frontend.FrontEnd._connection",
-}
 
 PERSISTENT_POLICIES = ("sticky", "rehandoff")
 
@@ -63,15 +61,6 @@ class FrontEnd:
             raise ValueError(
                 f"policy expects {policy.num_nodes} nodes, cluster has {len(nodes)}"
             )
-        if requests_per_connection < 1:
-            raise ValueError(
-                f"requests_per_connection must be >= 1, got {requests_per_connection}"
-            )
-        if persistent_policy not in PERSISTENT_POLICIES:
-            raise ValueError(
-                f"persistent_policy must be one of {PERSISTENT_POLICIES}, "
-                f"got {persistent_policy!r}"
-            )
         self.engine = engine
         self.policy = policy
         self.nodes = nodes
@@ -81,12 +70,8 @@ class FrontEnd:
         self.max_in_flight = (
             max_in_flight if max_in_flight is not None else policy.admission_limit
         )
-        if self.max_in_flight < 1:
-            raise ValueError(f"max_in_flight must be >= 1, got {self.max_in_flight}")
         self.requests_per_connection = requests_per_connection
         self.persistent_policy = persistent_policy
-        self._targets = trace.targets
-        self._sizes = trace.sizes_by_target
         # Plain-list views of the trace: indexing a numpy array yields a
         # numpy scalar that must be unboxed per request, which dominates
         # the admission loop on long traces.  Memoized on the trace so
@@ -116,45 +101,26 @@ class FrontEnd:
         #: When True, every request's delay is recorded (percentiles).
         self.collect_delays: bool = False
         self.delays_s: List[float] = []
-        #: Optional :class:`repro.obs.tracer.SimTracer`, attached from
-        #: outside (before ``start()``) like the invariant sanitizer.  It
-        #: does not pick the lifecycle: the state machine builds traced
-        #: connection objects, the generator opens a span per request
-        #: and hands it to ``BackendNode.serve``; the state mutations are
-        #: the same either way, so results stay byte-identical.
+        #: Optional :class:`repro.obs.tracer.SimTracer` and
+        #: :class:`repro.cluster.faults.FaultRuntime`, attached from
+        #: outside before ``start()`` (like the invariant sanitizer).
+        #: Neither changes what runs: each selects the connection class
+        #: the state machine is built from, the tracer's stamping spans
+        #: around the stages, the fault runtime's adding crash detection
+        #: lag, client retries and lost-request accounting — with an
+        #: empty schedule it replays the plain stages exactly.
         self.tracer: Optional[Any] = None
-        #: Optional :class:`repro.cluster.faults.FaultRuntime`.  Same
-        #: attach-from-outside pattern: when set, connections run
-        #: ``_connection_faulty``, which adds crash detection lag, client
-        #: retries and lost-request accounting.  With an empty schedule
-        #: it replays the plain path exactly.
         self.faults: Optional[Any] = None
-        #: Flattened state-machine request path (repro.cluster.fastpath):
-        #: byte-identical to the generator lifecycle, minus the coroutine
-        #: machinery.  Eligible only for the paper's one-request
-        #: connections over a uniform cost model.  ``_admit`` re-reads
-        #: this (and the fault attachment) on every call, so the
-        #: identity tests clear it on a built simulator to get the
-        #: generator reference.
+        #: The request lifecycle (:mod:`repro.cluster.fastpath`), built
+        #: by ``start()`` once the observers above are in place.
         self._fastpath: Optional[FastPath] = None
-        if (
-            requests_per_connection == 1
-            and len(nodes) > 0
-            and all(n.costs is nodes[0].costs for n in nodes)
-            # Provable equivalence for dynamic (CGI) catalogs: the fast
-            # path captures one dynamic-cost table, so every node must
-            # hold the *same* table object (None included).
-            and all(
-                n.dynamic_cost_of_target is nodes[0].dynamic_cost_of_target
-                for n in nodes
-            )
-        ):
-            self._fastpath = FastPath(self)
 
     # -- driving ---------------------------------------------------------------
 
     def start(self) -> None:
-        """Admit the initial batch; completions keep the pipeline full."""
+        """Build the state machine for this run's observers and admit
+        the initial batch; completions keep the pipeline full."""
+        self._fastpath = FastPath(self)
         self._admit()
 
     @property
@@ -204,132 +170,10 @@ class FrontEnd:
 
     # -- admission ---------------------------------------------------------------
 
-    def _take_batch(self) -> List[Tuple[int, int]]:
-        """Next connection's requests: up to requests_per_connection."""
-        targets = self._target_list
-        sizes = self._size_list
-        n = len(targets)
-        batch: List[Tuple[int, int]] = []
-        while self._next < n and len(batch) < self.requests_per_connection:
-            target = targets[self._next]
-            batch.append((target, sizes[target]))
-            self._next += 1
-        return batch
-
     def _admit(self) -> None:
-        if self._fastpath is not None and self.faults is None:
-            self._fastpath.admit()
-            return
-        connection = (
-            self._connection if self.faults is None else self._connection_faulty
-        )
-        n = len(self._target_list)
-        while self.in_flight < self.max_in_flight and self._next < n:
-            batch = self._take_batch()
-            target, size = batch[0]
-            node_id = self.policy.choose(target, size, now=self.engine.now)
-            # LB/GC's idealized front-end cache model dictates hit/miss.
-            take = self._take_prediction
-            hit_hint = take() if take is not None else None
-            self._attach(node_id)
-            self.connections += 1
-            self.in_flight += 1
-            self.engine.process(connection(batch, node_id, hit_hint))
-
-    # -- the faulty connection (repro.cluster.faults) ---------------------------
-
-    def _connection_faulty(self, batch: List[Tuple[int, int]], node_id: int, hit_hint):
-        """Faulty twin of :meth:`_connection`.
-
-        While the chosen back-end is crashed but undetected, a dispatch
-        is a black hole: the client waits out its timeout, backs off,
-        and re-requests through the front-end (which re-runs the
-        policy); after ``max_retries`` unanswered attempts the
-        connection's remaining requests are abandoned and counted lost.
-        A live back-end serves exactly as in :meth:`_connection`, always
-        with a span so the per-request cache outcome feeds the
-        degraded-mode series (a tracer span when tracing, otherwise a
-        throwaway probe).
-        """
-        faults = self.faults
-        retry = faults.retry
-        tracer = self.tracer
-        engine = self.engine
-        t_first = engine.now
-        n = len(batch)
-        index = 0
-        attempts = 0
-        epoch = self._epoch[node_id]
-        # True for the first request served after each (re)dispatch: it
-        # pays connection establishment and skips the rehandoff check
-        # (the policy just chose its node).
-        fresh_dispatch = True
-        while index < n:
-            if faults.is_dark(node_id):
-                faults.doomed_dispatches += 1
-                yield Delay(retry.timeout_s)
-                self._detach(node_id, epoch)
-                if attempts >= retry.max_retries:
-                    now = engine.now
-                    for i in range(index, n):
-                        self._account_lost(t_first)
-                        faults.record_lost(now, now - t_first)
-                        if tracer is not None:
-                            lost_target, lost_size = batch[i]
-                            tracer.lost(lost_target, lost_size, node_id, t_first, now)
-                    break
-                attempts += 1
-                faults.retried_requests += n - index
-                yield Delay(retry.backoff_s(attempts))
-                target, size = batch[index]
-                node_id = self.policy.choose(target, size, now=engine.now)
-                take = self._take_prediction
-                hit_hint = take() if take is not None else None
-                self._attach(node_id)
-                epoch = self._epoch[node_id]
-                fresh_dispatch = True
-                continue
-            target, size = batch[index]
-            if not fresh_dispatch:
-                hit_hint = None
-                if self.persistent_policy == "rehandoff":
-                    node_id, epoch, hit_hint = self._maybe_rehandoff(
-                        node_id, epoch, target, size
-                    )
-                    if faults.is_dark(node_id):
-                        # Rehandoff landed on a dark node: the attempt
-                        # times out there like any doomed dispatch.
-                        fresh_dispatch = True
-                        continue
-            start = engine.now
-            span = (
-                tracer.begin(target, size, node_id, start)
-                if tracer is not None
-                else faults.probe()
-            )
-            yield from self.nodes[node_id].serve(
-                target,
-                size,
-                hit_hint=hit_hint,
-                establish=fresh_dispatch,
-                teardown=(index == n - 1),
-                span=span,
-            )
-            now = engine.now
-            if tracer is not None:
-                span.t_complete = now
-                tracer.finish(span)
-            request_start = t_first if index == 0 else start
-            self._account_request(node_id, epoch, request_start)
-            faults.record_served(
-                now, now - request_start, span.outcome in ("miss", "coalesced")
-            )
-            fresh_dispatch = False
-            index += 1
-        else:
-            self._detach(node_id, epoch)
-        self.in_flight -= 1
-        self._admit()
+        """Fill the free admission slots (the one seam the reference
+        oracle in ``tests/cluster_oracle.py`` replaces)."""
+        self._fastpath.admit()
 
     # -- per-connection accounting --------------------------------------------------
 
@@ -339,22 +183,23 @@ class FrontEnd:
         self.tracker.on_dispatch(node_id, now)
         self.per_node_dispatches[node_id] += 1
 
-    def _detach(self, node_id: int, epoch: int) -> bool:
-        """Release a connection's load at ``node_id``; False if orphaned."""
+    def _detach(self, node_id: int, epoch: int) -> None:
+        """Release a connection's load at ``node_id``, unless the node
+        failed since the dispatch (then the connection is an orphan)."""
         if self._epoch[node_id] != epoch:
             self.orphaned += 1
-            return False
+            return
         self.policy.on_complete(node_id)
         self.tracker.on_complete(node_id, self.engine.now)
-        return True
 
     def _account_request(self, node_id: int, epoch: int, start: float) -> None:
         now = self.engine.now
-        self.total_delay_s += now - start
+        delay = now - start
+        self.total_delay_s += delay
         if self.collect_delays:
-            self.delays_s.append(now - start)
+            self.delays_s.append(delay)
         if self._epoch[node_id] == epoch:
-            self.per_node_delay_s[node_id] += now - start
+            self.per_node_delay_s[node_id] += delay
             self.per_node_completions[node_id] += 1
         if self.timeline_interval_s is not None:
             bucket = int(now // self.timeline_interval_s)
@@ -374,57 +219,3 @@ class FrontEnd:
         if self.collect_delays:
             self.delays_s.append(now - start)
         self.completed += 1
-
-    # -- the connection process ----------------------------------------------------
-
-    def _connection(self, batch: List[Tuple[int, int]], node_id: int, hit_hint):
-        """One admitted connection: serve its requests in order, then
-        release the slot.  With a tracer attached each request gets a
-        span; the paper's HTTP/1.0 case is simply a batch of one."""
-        tracer = self.tracer
-        span = None
-        epoch = self._epoch[node_id]
-        last_index = len(batch) - 1
-        for index, (target, size) in enumerate(batch):
-            if index > 0:
-                hit_hint = None
-                if self.persistent_policy == "rehandoff":
-                    node_id, epoch, hit_hint = self._maybe_rehandoff(
-                        node_id, epoch, target, size
-                    )
-            start = self.engine.now
-            if tracer is not None:
-                span = tracer.begin(target, size, node_id, start)
-            yield from self.nodes[node_id].serve(
-                target,
-                size,
-                hit_hint=hit_hint,
-                establish=(index == 0),
-                teardown=(index == last_index),
-                span=span,
-            )
-            if tracer is not None:
-                span.t_complete = self.engine.now
-                tracer.finish(span)
-            self._account_request(node_id, epoch, start)
-        self._detach(node_id, epoch)
-        self.in_flight -= 1
-        self._admit()
-
-    def _maybe_rehandoff(self, node_id: int, epoch: int, target: int, size: int):
-        """Re-run the policy for the next request on a persistent connection."""
-        now = self.engine.now
-        new_node = self.policy.choose(target, size, now=now)
-        take = self._take_prediction
-        hit_hint = take() if take is not None else None
-        if new_node == node_id and self._epoch[node_id] == epoch:
-            return node_id, epoch, hit_hint
-        # Move the connection: release the old node's slot, take the new.
-        if self._epoch[node_id] == epoch:
-            self.policy.on_complete(node_id)
-            self.tracker.on_complete(node_id, now)
-        else:
-            self.orphaned += 1
-        self._attach(new_node)
-        self.rehandoffs += 1
-        return new_node, self._epoch[new_node], hit_hint

@@ -18,6 +18,7 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass, field, replace
+from numbers import Integral
 from pathlib import Path
 from typing import Any, List, Optional, Tuple, Union
 
@@ -32,7 +33,7 @@ from ..sim import Engine, InvariantSanitizer
 from ..workload.trace import Trace
 from .costs import PAPER_NODE_CACHE_BYTES, CostModel
 from .faults import FaultRuntime, FaultSchedule
-from .frontend import FrontEnd
+from .frontend import PERSISTENT_POLICIES, FrontEnd
 from .metrics import UNDERUTILIZATION_FRACTION, LoadTracker, SimulationResult
 from .node import BackendNode
 
@@ -128,6 +129,14 @@ def _validate_membership_events(
             alive[node] = True
 
 
+def _require_count(name: str, value: Any, too_small: Optional[str] = None) -> None:
+    """Reject a count field that is not an integer >= 1."""
+    if isinstance(value, bool) or not isinstance(value, Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < 1:
+        raise ValueError(too_small or f"{name} must be >= 1, got {value}")
+
+
 @dataclass(frozen=True)
 class ClusterConfig:
     """One simulated cluster configuration."""
@@ -179,9 +188,9 @@ class ClusterConfig:
     sanitize_interval: int = 256
     #: Optional simulator fault model (:mod:`repro.cluster.faults`):
     #: crash faults with detection lag and client retries, brownouts,
-    #: and cold/warm/aged rejoins.  ``None`` keeps the untouched
-    #: fault-free hot path.  Mutually exclusive with
-    #: ``membership_events`` (the fault model subsumes them).
+    #: and cold/warm/aged rejoins.  ``None`` runs no fault code at
+    #: all.  Mutually exclusive with ``membership_events`` (the fault
+    #: model subsumes them).
     fault_schedule: Optional[FaultSchedule] = None
     #: Seed for randomized policies (``pod``, ``pod/lc``); equal seeds
     #: reproduce byte-identical runs.
@@ -199,6 +208,20 @@ class ClusterConfig:
     node_weights: Optional[Tuple[float, ...]] = None
 
     def __post_init__(self) -> None:
+        _require_count("requests_per_connection", self.requests_per_connection)
+        if self.persistent_policy not in PERSISTENT_POLICIES:
+            raise ValueError(
+                f"persistent_policy must be one of {PERSISTENT_POLICIES}, "
+                f"got {self.persistent_policy!r}"
+            )
+        if self.max_in_flight is not None:
+            _require_count("max_in_flight", self.max_in_flight)
+        _require_count(
+            "disks_per_node",
+            self.disks_per_node,
+            f"need at least one disk, got {self.disks_per_node}",
+        )
+        _require_count("sanitize_interval", self.sanitize_interval)
         if self.num_nodes >= 1:
             _validate_membership_events(self.membership_events, self.num_nodes)
             if self.fault_schedule is not None:
@@ -232,9 +255,10 @@ class ClusterSimulator:
     """Builds and runs one cluster over one trace.
 
     ``tracer`` attaches a :class:`repro.obs.tracer.SimTracer`: the run
-    takes the lifecycle it would take anyway (the flattened state machine
-    when eligible) with the tracer observing it, emitting one span per
-    request (plus periodic samples) while producing the exact same
+    takes the one request lifecycle there is (the state machine in
+    :mod:`repro.cluster.fastpath`) with the tracer observing it,
+    emitting one span per request (plus periodic samples) while
+    producing the exact same
     :class:`~repro.cluster.metrics.SimulationResult`.
     """
 
@@ -297,9 +321,7 @@ class ClusterSimulator:
             )
             node.disk_of_target = disk_of
             self.nodes.append(node)
-        # One shared dynamic-cost table (or None) across all nodes, set
-        # before the front-end is built: the fast path captures it at
-        # construction and its eligibility gate checks table identity.
+        # One shared dynamic-cost table (or None) across all nodes.
         dynamic_costs = trace.dynamic_cost_list()
         for node in self.nodes:
             node.peers = self.nodes
@@ -412,9 +434,8 @@ def run_simulation(
     :mod:`repro.obs.span`) to that path; ``sample_interval_s``
     additionally emits periodic time-series samples into it, and is
     rejected without ``trace_out`` (there would be nowhere to write
-    them).  Tracing does not pick the lifecycle — an eligible run stays
-    on the flattened state machine — and the returned result is
-    identical either way.
+    them).  Tracing observes the run without changing it: the returned
+    result is identical either way.
     """
     if sample_interval_s is not None and trace_out is None:
         raise ValueError("sample_interval_s needs trace_out: samples go to the span log")

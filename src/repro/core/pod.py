@@ -22,9 +22,9 @@ but with O(d) decision state instead of an explicit server-set table.
 
 Both policies draw randomness exclusively from a per-instance
 ``random.Random(seed)`` and consume it only inside :meth:`choose`, which
-both request paths call exactly once per admitted request in the same
-order — so runs are deterministic and fastpath-eligible (the flattened
-fast path and the generator twin advance the generator identically).
+the simulator calls exactly once per dispatch in trace order — so runs
+are deterministic, and the connection state machine and the coroutine
+oracle in ``tests/`` advance the generator identically.
 """
 
 from __future__ import annotations

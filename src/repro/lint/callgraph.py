@@ -19,15 +19,14 @@ Resolution model (and its deliberate limits):
   ``AnnAssign`` annotation, or a ``ClassName(...)`` construction),
   annotated parameters, and locals assigned from constructions or from
   typed ``self`` attributes.  Subscripts are looked through
-  (``self.nodes[i].serve`` resolves via the element type of
+  (``self.nodes[i].set_costs`` resolves via the element type of
   ``Sequence[BackendNode]``), and container annotations
   (``Optional``/``Sequence``/``List``/``Tuple``/``Iterable``) unwrap to
   their element class.
 * **Dynamic dispatch** is handled conservatively: a resolved method call
   also edges to every project subclass that overrides the method.  A
   call whose receiver type cannot be derived syntactically produces *no*
-  edge (it still records its terminal attribute name as a call effect,
-  which is what the twin-drift vocabulary keys on).
+  edge.
 * **Callback references** — ``self._cb = self._stage`` aliases declared
   in ``__init__``, and bare ``self.method`` loads — produce *reference*
   edges (``CallSite.is_ref``): the engine will call them, so
@@ -155,7 +154,6 @@ class FunctionSummary:
     line: int
     calls: List[CallSite] = field(default_factory=list)
     sources: List[SourceRecord] = field(default_factory=list)
-    effects: List[Tuple[str, str]] = field(default_factory=list)
     writes: List[WriteRecord] = field(default_factory=list)
 
 
@@ -794,7 +792,6 @@ class _FunctionExtractor:
             return
         base, attr = resolved
         base_cls = self._receiver_class(base.split(".")) or ""
-        self.summary.effects.append(("write", attr))
         self.summary.writes.append(
             WriteRecord(
                 attr=attr,
@@ -899,9 +896,7 @@ class _FunctionExtractor:
         if len(parts) == 1:
             alias = self.aliases.get(terminal)
             if alias is not None:
-                # Calling through a local bound-method alias: the effect
-                # token is the attribute the alias captured.
-                self.summary.effects.append(("call", alias[1]))
+                # Calling through a local bound-method alias.
                 receiver_cls = self._receiver_class(alias[0].split("."))
                 if receiver_cls is not None:
                     self._add_edges(
@@ -913,7 +908,6 @@ class _FunctionExtractor:
                     )
                 self._record_source_call(node, parts)
                 return
-        self.summary.effects.append(("call", terminal))
         self._record_source_call(node, parts)
         builder = self.builder
         module = self.scan.module

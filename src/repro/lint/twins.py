@@ -1,41 +1,33 @@
 """Twin-drift auditing (rule ``twin-drift``).
 
-The tree keeps four *twin* implementations that must stay semantically
-identical: ``FastPath.admit`` and ``FastConnection._begin`` (the
-flattened state machine) mirror ``FrontEnd._admit`` and
-``FrontEnd._connection`` (the generator lifecycle),
-``FrontEnd._connection_faulty`` wraps a retry loop around
-``FrontEnd._connection``, and ``Engine._run_sanitized`` mirrors
-``Engine.run``.  Runtime byte-identity tests
-catch drift only for the configs they happen to run; this pass makes
-"edit one twin, forget the other" a merge-blocking static finding.
+The tree keeps one *twin* implementation that must stay semantically
+identical to its counterpart: ``Engine._run_sanitized`` mirrors
+``Engine.run`` (the per-event invariant hook stays off the unsanitized
+hot loop).  Runtime byte-identity tests catch drift only for the configs
+they happen to run; this pass makes "edit one loop, forget the other" a
+merge-blocking static finding.
 
 A module declares its twins with a module-level literal::
 
     __twin_of__ = {
-        "FastPath.admit": "repro.cluster.frontend.FrontEnd._admit",
+        "Engine._run_sanitized": "repro.sim.engine.Engine.run",
     }
 
 mapping a local qualname to the fully-qualified counterpart.  For each
 pair the pass takes the call-graph closure of both sides — following
-call *and* callback-reference edges, but only into modules of the same
-``repro`` sub-package (a cluster-rooted closure records ``schedule`` as
-a call token without descending into ``repro.sim``), and never into the
-counterpart itself (or the counterpart's whole module when the twins
-live in different modules, so each side's closure is genuinely *its*
-implementation).  Each closure is then distilled to an **effect
-skeleton**: the set of guarded-state/accounting attribute writes and
-resource/completion calls whose names appear in the audited vocabulary
-below.  A name one skeleton has and the other lacks is drift.
+call *and* callback-reference edges within the declaring module, and
+never into the counterpart itself — and distils it to an **effect
+skeleton**: the set of attribute writes whose names appear in the
+audited vocabulary below.  A name one skeleton has and the other lacks
+is drift.
 
 The vocabulary is explicit and curated rather than "every name seen":
-twins legitimately differ in *mechanism* (the fastpath inlines
-``Resource`` bookkeeping that the generator path performs inside
-``repro.sim``; only the persistent-connection path can re-handoff), and
-auditing mechanism names would make every rewrite a false positive.
-What must never drift silently is the externally observable effect set
-— cache/disk/GMS counters, request accounting, scheduling state — and
-that is what the vocabulary pins.
+twins legitimately differ in *mechanism* (the sanitized loop keeps a
+hook reference the plain one does not), and auditing mechanism names
+would make every rewrite a false positive.  What must never drift
+silently is the state the rest of the simulator observes — the clock,
+the stop flag, the dispatch count — and that is what the vocabulary
+pins.
 """
 
 from __future__ import annotations
@@ -45,77 +37,26 @@ from typing import FrozenSet, List, Mapping, Set, Tuple
 from .callgraph import ProjectSummary
 from .findings import Finding
 
-__all__ = ["RULES", "WRITE_VOCAB", "CALL_VOCAB", "check"]
+__all__ = ["RULES", "WRITE_VOCAB", "check"]
 
 RULES: Tuple[str, ...] = ("twin-drift",)
 
 _RULE = "twin-drift"
 
 #: Attribute writes that are part of a twin's observable effect set.
-WRITE_VOCAB: FrozenSet[str] = frozenset(
-    {
-        # cache / storage counters
-        "cache_hits",
-        "cache_misses",
-        "disk_reads",
-        "coalesced_reads",
-        "gms_local_hits",
-        "gms_remote_hits",
-        # request accounting
-        "requests_served",
-        "bytes_served",
-        "completed",
-        "connections",
-        "in_flight",
-        "orphaned",
-        "total_delay_s",
-        "per_node_dispatches",
-        "per_node_delay_s",
-        "per_node_completions",
-        "timeline",
-        # scheduling / engine state
-        "_pending",
-        "now",
-        "_stopped",
-        "events_dispatched",
-    }
-)
-
-#: Call tokens that are part of a twin's observable effect set.
-CALL_VOCAB: FrozenSet[str] = frozenset(
-    {
-        "choose",
-        "on_dispatch",
-        "on_complete",
-        "access",
-        "trigger",
-        "age",
-        "clear",
-        "drop_node",
-        "on_node_failure",
-        "on_node_join",
-        "reset_node",
-    }
-)
+WRITE_VOCAB: FrozenSet[str] = frozenset({"now", "_stopped", "events_dispatched"})
 
 
 def _closure_effects(
     project: ProjectSummary,
     root: str,
     counterpart: str,
-) -> FrozenSet[Tuple[str, str]]:
-    """Vocabulary-filtered effect set of ``root``'s same-package closure,
-    never entering ``counterpart`` (nor its module, when foreign)."""
-    root_func = project.functions[root]
-    root_module = root_func.module
-    root_pkg_summary = project.modules.get(root_module)
-    root_package = root_pkg_summary.package if root_pkg_summary is not None else ""
-    other = project.functions.get(counterpart)
-    excluded_module = (
-        other.module if other is not None and other.module != root_module else None
-    )
-    effects: Set[Tuple[str, str]] = set()
-    seen: Set[str] = set()
+) -> FrozenSet[str]:
+    """Vocabulary-filtered writes of ``root``'s same-module closure,
+    never entering ``counterpart``."""
+    module = project.functions[root].module
+    effects: Set[str] = set()
+    seen: Set[str] = {counterpart}
     frontier = [root]
     while frontier:
         qual = frontier.pop()
@@ -123,33 +64,15 @@ def _closure_effects(
             continue
         seen.add(qual)
         func = project.functions.get(qual)
-        if func is None:
+        if func is None or func.module != module:
             continue
-        for kind, name in func.effects:
-            vocab = WRITE_VOCAB if kind == "write" else CALL_VOCAB
-            if name in vocab:
-                effects.add((kind, name))
-        for site in func.calls:
-            callee = site.callee
-            if callee == counterpart or callee in seen:
-                continue
-            callee_func = project.functions.get(callee)
-            if callee_func is None:
-                continue
-            if excluded_module is not None and callee_func.module == excluded_module:
-                continue
-            callee_summary = project.modules.get(callee_func.module)
-            callee_package = (
-                callee_summary.package if callee_summary is not None else ""
-            )
-            if callee_func.module != root_module and callee_package != root_package:
-                continue  # foreign package: the call token above suffices
-            frontier.append(callee)
+        effects.update(w.attr for w in func.writes if w.attr in WRITE_VOCAB)
+        frontier.extend(site.callee for site in func.calls)
     return frozenset(effects)
 
 
-def _describe(effects: FrozenSet[Tuple[str, str]]) -> str:
-    return ", ".join(f"{kind}:{name}" for kind, name in sorted(effects))
+def _describe(effects: FrozenSet[str]) -> str:
+    return ", ".join(f"write:{name}" for name in sorted(effects))
 
 
 def check(

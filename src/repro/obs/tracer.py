@@ -3,11 +3,10 @@
 :class:`SimTracer` is the simulator's bridge into :mod:`repro.obs.span`.
 It follows the invariant sanitizer's pattern from
 :mod:`repro.sim.sanitize`: the tracer is attached from the outside
-(``FrontEnd.tracer``) and observes whichever lifecycle the run takes
-anyway — stage wrappers on the flattened state machine
-(:class:`repro.cluster.fastpath.TracedConnection`), a span handed to
-``BackendNode.serve`` on the generator lifecycle — performing no state
-mutation of its own, so a traced run produces byte-identical
+(``FrontEnd.tracer``) and observes the request lifecycle through stage
+wrappers on the connection state machine (the ``Traced*`` classes of
+:mod:`repro.cluster.fastpath`), performing no state mutation of its
+own, so a traced run produces byte-identical
 :class:`~repro.cluster.simulator.SimulationResult` output to an
 untraced one, and an unhooked run pays nothing (the
 ``scripts/bench_perf.py --check`` gate holds).

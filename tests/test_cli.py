@@ -1,5 +1,7 @@
 """Tests for the lard-repro command-line interface."""
 
+from pathlib import Path
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -211,3 +213,14 @@ class TestChaosCommand:
         header = csv_path.read_text().splitlines()[0]
         assert header.startswith("scenario,policy,")
         assert len(csv_path.read_text().splitlines()) == 1 + 8  # 4 scenarios x 2
+
+    def test_ci_smoke_campaign_matches_golden_scorecard(self, capsys, tmp_path):
+        """CI's ``chaos-sim-smoke`` campaign, against the scorecard the
+        generator lifecycle produced on 3bf1082: crashes, detection lag,
+        retries, rejoins and brownouts pinned across commits."""
+        csv_path = tmp_path / "scorecard.csv"
+        args = "chaos --requests 6000 --scale-factor 0.06 --nodes 3 --policies lard,wrr --seed 7"
+        assert main(args.split() + ["--csv", str(csv_path)]) == 0
+        capsys.readouterr()
+        golden = Path(__file__).parent / "golden" / "chaos_smoke.csv"
+        assert csv_path.read_bytes() == golden.read_bytes()

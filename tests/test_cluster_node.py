@@ -1,11 +1,23 @@
-"""Unit tests for the back-end node model."""
+"""Unit tests for the back-end node model.
+
+A node serves requests only through a connection lifecycle, so each
+behavior is checked on a minimal cluster twice over: on the shipped
+state machine and on the reference coroutines in
+``tests/cluster_oracle.py`` (the closed forms below are what make the
+oracle an oracle).
+"""
 
 import pytest
 
 from repro.cache import GDSCache, GlobalMemorySystem
-from repro.cluster import CostModel
+from repro.cluster import ClusterConfig, ClusterSimulator, CostModel
 from repro.cluster.node import BackendNode
 from repro.sim import Engine
+from repro.workload import Trace
+from tests.cluster_oracle import use_oracle
+
+#: The shipped state machine, then the reference oracle.
+LIFECYCLES = (False, True)
 
 
 def _node(engine, cache_bytes=10**6, num_disks=1, **kw):
@@ -14,37 +26,42 @@ def _node(engine, cache_bytes=10**6, num_disks=1, **kw):
     )
 
 
-def _serve(engine, node, target, size, hit_hint=None):
-    return engine.process(node.serve(target, size, hit_hint=hit_hint))
+def _cluster(oracle, targets, sizes, concurrent=False, **config):
+    """A cluster (one WRR node unless ``config`` says otherwise) about
+    to serve ``targets`` one at a time, or all at once."""
+    config.setdefault("policy", "wrr")
+    config.setdefault("num_nodes", 1)
+    sim = ClusterSimulator(
+        Trace(targets, sizes, name="unit"),
+        ClusterConfig(
+            node_cache_bytes=10**6,
+            max_in_flight=len(targets) if concurrent else 1,
+            **config,
+        ),
+    )
+    return use_oracle(sim) if oracle else sim
 
 
 class TestTiming:
     def test_cached_request_time_matches_cost_model(self):
-        engine = Engine()
-        node = _node(engine)
-        node.cache.access("a", 8192)  # pre-warm
-        _serve(engine, node, "a", 8192)
-        end = engine.run()
-        assert end == pytest.approx(CostModel().cached_request_time(8192))
-        assert node.cache_hits == 1
+        for oracle in LIFECYCLES:
+            sim = _cluster(oracle, [0], [8192])
+            sim.nodes[0].cache.access(0, 8192)  # pre-warm
+            end = sim.run().sim_time_s
+            assert end == pytest.approx(CostModel().cached_request_time(8192))
+            assert sim.nodes[0].cache_hits == 1
 
     def test_miss_includes_disk_time(self):
-        engine = Engine()
-        node = _node(engine)
-        _serve(engine, node, "a", 4096)
-        end = engine.run()
         model = CostModel()
         expected = model.cached_request_time(4096) + model.disk_read_time(4096)
-        assert end == pytest.approx(expected)
-        assert node.cache_misses == 1
-        assert node.disk_reads == 1
+        for oracle in LIFECYCLES:
+            sim = _cluster(oracle, [0], [4096])
+            assert sim.run().sim_time_s == pytest.approx(expected)
+            assert sim.nodes[0].cache_misses == 1
+            assert sim.nodes[0].disk_reads == 1
 
     def test_chunked_read_interleaves_disk_and_cpu(self):
-        engine = Engine()
-        node = _node(engine)
         size = 100 * 1024
-        _serve(engine, node, "big", size)
-        end = engine.run()
         model = CostModel()
         expected = (
             model.connection_time()
@@ -53,65 +70,54 @@ class TestTiming:
             + model.transmit_time(44 * 1024) * 2
             + model.transmit_time(12 * 1024)
         )
-        assert end == pytest.approx(expected)
+        for oracle in LIFECYCLES:
+            sim = _cluster(oracle, [0], [size])
+            assert sim.run().sim_time_s == pytest.approx(expected)
 
 
 class TestCoalescing:
     def test_concurrent_misses_single_disk_read(self):
-        engine = Engine()
-        node = _node(engine)
-        for _ in range(5):
-            _serve(engine, node, "same", 8192)
-        engine.run()
-        assert node.disk_reads == 1
-        assert node.coalesced_reads == 4
-        assert node.cache_misses == 5
-        assert node.requests_served == 5
+        for oracle in LIFECYCLES:
+            sim = _cluster(oracle, [0] * 5, [8192], concurrent=True)
+            sim.run()
+            node = sim.nodes[0]
+            assert node.disk_reads == 1
+            assert node.coalesced_reads == 4
+            assert node.cache_misses == 5
+            assert node.requests_served == 5
 
     def test_disabled_coalescing_reads_repeatedly(self):
-        engine = Engine()
-        node = _node(engine, coalesce_reads=False)
-        for _ in range(3):
-            _serve(engine, node, "same", 8192)
-        engine.run()
-        assert node.disk_reads == 3
-        assert node.coalesced_reads == 0
+        for oracle in LIFECYCLES:
+            sim = _cluster(
+                oracle, [0] * 3, [8192], concurrent=True, coalesce_reads=False
+            )
+            sim.run()
+            assert sim.nodes[0].disk_reads == 3
+            assert sim.nodes[0].coalesced_reads == 0
 
     def test_waiters_complete_after_read(self):
-        engine = Engine()
-        node = _node(engine)
-        _serve(engine, node, "same", 8192)
-        _serve(engine, node, "same", 8192)
-        engine.run()
-        assert node.requests_served == 2
+        for oracle in LIFECYCLES:
+            sim = _cluster(oracle, [0, 0], [8192], concurrent=True)
+            sim.run()
+            assert sim.nodes[0].requests_served == 2
 
     def test_sequential_requests_second_hits(self):
-        engine = Engine()
-        node = _node(engine)
-        _serve(engine, node, "a", 4096)
-        engine.run()
-        _serve(engine, node, "a", 4096)
-        engine.run()
-        assert node.cache_hits == 1
-        assert node.disk_reads == 1
+        for oracle in LIFECYCLES:
+            sim = _cluster(oracle, [0, 0], [4096])
+            sim.run()
+            assert sim.nodes[0].cache_hits == 1
+            assert sim.nodes[0].disk_reads == 1
 
 
 class TestDisks:
     def test_two_disks_overlap_reads(self):
-        engine1 = Engine()
-        single = _node(engine1, num_disks=1)
-        single.disk_of_target = [0, 0]
-        _serve(engine1, single, 0, 4096)
-        _serve(engine1, single, 1, 4096)
-        t_single = engine1.run()
-
-        engine2 = Engine()
-        double = _node(engine2, num_disks=2)
-        double.disk_of_target = [0, 1]
-        _serve(engine2, double, 0, 4096)
-        _serve(engine2, double, 1, 4096)
-        t_double = engine2.run()
-        assert t_double < t_single
+        for oracle in LIFECYCLES:
+            # Two equally popular files: striping puts one on each disk.
+            single = _cluster(oracle, [0, 1], [4096, 4096], concurrent=True)
+            double = _cluster(
+                oracle, [0, 1], [4096, 4096], concurrent=True, disks_per_node=2
+            )
+            assert double.run().sim_time_s < single.run().sim_time_s
 
     def test_striping_assignment_used(self):
         engine = Engine()
@@ -126,60 +132,60 @@ class TestDisks:
 
 
 class TestHintedMode:
+    """LB/GC: the front-end's cache model dictates each outcome, and the
+    node obeys it without consulting a cache of its own."""
+
     def test_hit_hint_serves_from_memory(self):
-        engine = Engine()
-        node = _node(engine)
-        _serve(engine, node, "a", 4096, hit_hint=True)
-        end = engine.run()
-        assert end == pytest.approx(CostModel().cached_request_time(4096))
-        assert node.cache_hits == 1
-        assert node.disk_reads == 0
+        model = CostModel()
+        for oracle in LIFECYCLES:
+            sim = _cluster(oracle, [0, 0], [4096], policy="lb/gc")
+            end = sim.run().sim_time_s
+            # The second request is a predicted hit: no second disk read.
+            assert end == pytest.approx(
+                2 * model.cached_request_time(4096) + model.disk_read_time(4096)
+            )
+            assert sim.nodes[0].cache_hits == 1
+            assert sim.nodes[0].disk_reads == 1
 
     def test_miss_hint_reads_disk(self):
-        engine = Engine()
-        node = _node(engine)
-        _serve(engine, node, "a", 4096, hit_hint=False)
-        engine.run()
-        assert node.cache_misses == 1
-        assert node.disk_reads == 1
+        for oracle in LIFECYCLES:
+            sim = _cluster(oracle, [0], [4096], policy="lb/gc")
+            sim.run()
+            assert sim.nodes[0].cache_misses == 1
+            assert sim.nodes[0].disk_reads == 1
 
     def test_miss_hints_coalesce(self):
-        engine = Engine()
-        node = _node(engine)
-        _serve(engine, node, "a", 4096, hit_hint=False)
-        _serve(engine, node, "a", 4096, hit_hint=False)
-        engine.run()
-        assert node.disk_reads == 1
-        assert node.coalesced_reads == 1
+        for oracle in LIFECYCLES:
+            # Two predicted misses on one file (the second larger than
+            # the model's whole cache, so it cannot be a predicted hit).
+            sim = _cluster(
+                oracle, [0, 0], [2 * 10**6], policy="lb/gc", concurrent=True
+            )
+            sim.run()
+            assert sim.nodes[0].disk_reads == 1
+            assert sim.nodes[0].coalesced_reads == 1
 
 
 class TestGMSMode:
     def test_remote_hit_charges_holder_cpu(self):
-        engine = Engine()
-        gms = GlobalMemorySystem(2, 10**6)
-        model = CostModel()
-        nodes = [
-            BackendNode(engine, i, model, None, gms=gms) for i in range(2)
-        ]
-        for node in nodes:
-            node.peers = nodes
-        engine.process(nodes[0].serve("a", 4096))
-        engine.run()
-        holder_busy_before = nodes[0].cpu.busy_time()
-        engine.process(nodes[1].serve("a", 4096))
-        engine.run()
-        assert nodes[1].gms_remote_hits == 1
-        # Holder's CPU did the fetch work.
-        assert nodes[0].cpu.busy_time() > holder_busy_before
+        for oracle in LIFECYCLES:
+            # WRR alternates: node 0 reads the file, node 1 then finds it
+            # in node 0's memory.
+            sim = _cluster(oracle, [0, 0], [4096], policy="wrr/gms", num_nodes=2)
+            sim.run()
+            assert sim.nodes[0].disk_reads == 1
+            assert sim.nodes[1].gms_remote_hits == 1
+            # Holder's CPU did the fetch work on top of its own request.
+            model = CostModel()
+            assert sim.nodes[0].cpu.busy_time() == pytest.approx(
+                model.cached_request_time(4096) + model.gms_fetch_time(4096)
+            )
 
     def test_gms_miss_goes_to_disk(self):
-        engine = Engine()
-        gms = GlobalMemorySystem(1, 10**6)
-        node = BackendNode(engine, 0, CostModel(), None, gms=gms)
-        node.peers = [node]
-        engine.process(node.serve("a", 4096))
-        engine.run()
-        assert node.disk_reads == 1
+        for oracle in LIFECYCLES:
+            sim = _cluster(oracle, [0], [4096], policy="wrr/gms")
+            sim.run()
+            assert sim.nodes[0].disk_reads == 1
 
     def test_exactly_one_of_cache_or_gms(self):
         engine = Engine()
@@ -196,12 +202,11 @@ class TestGMSMode:
 
 
 def test_counters_and_bytes():
-    engine = Engine()
-    node = _node(engine)
-    _serve(engine, node, "a", 1000)
-    _serve(engine, node, "b", 2000)
-    engine.run()
-    assert node.requests_served == 2
-    assert node.bytes_served == 3000
-    assert node.cpu_utilization() > 0
-    assert node.disk_utilization() > 0
+    for oracle in LIFECYCLES:
+        sim = _cluster(oracle, [0, 1], [1000, 2000], concurrent=True)
+        sim.run()
+        node = sim.nodes[0]
+        assert node.requests_served == 2
+        assert node.bytes_served == 3000
+        assert node.cpu_utilization() > 0
+        assert node.disk_utilization() > 0

@@ -163,6 +163,34 @@ class TestConfig:
         with pytest.raises(ValueError, match="timeline_interval_s"):
             ClusterConfig(timeline_interval_s=interval)
 
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("requests_per_connection", 0, "requests_per_connection must be >= 1, got 0"),
+            # 2.5 used to be accepted and silently ran three-request
+            # connections (``len(batch) < 2.5``).
+            ("requests_per_connection", 2.5, "requests_per_connection must be an integer"),
+            ("requests_per_connection", True, "requests_per_connection must be an integer"),
+            ("persistent_policy", "bouncing", "persistent_policy must be one of"),
+            ("max_in_flight", 0, "max_in_flight must be >= 1, got 0"),
+            ("max_in_flight", 1.5, "max_in_flight must be an integer"),
+            ("disks_per_node", 0, "need at least one disk, got 0"),
+            ("disks_per_node", 1.5, "disks_per_node must be an integer"),
+            ("sanitize_interval", 0, "sanitize_interval must be >= 1, got 0"),
+            ("sanitize_interval", 2.5, "sanitize_interval must be an integer"),
+        ],
+    )
+    def test_garbage_counts_rejected_at_config_time(self, field, value, message):
+        """One line, from one layer, before anything is built."""
+        with pytest.raises(ValueError, match=message):
+            ClusterConfig(**{field: value})
+
+    def test_numpy_integer_counts_accepted(self):
+        config = ClusterConfig(
+            requests_per_connection=np.int64(4), disks_per_node=np.int32(2)
+        )
+        assert config.requests_per_connection == 4
+
     def test_overrides_via_run_simulation(self):
         trace = _trace(500)
         result = run_simulation(trace, policy="lard", num_nodes=2,

@@ -1,12 +1,12 @@
-"""Byte-identity: the flattened fast path vs the generator lifecycle.
+"""Byte-identity: the state machine vs the generator reference oracle.
 
-``repro.cluster.fastpath`` replays the request lifecycle as an explicit
+``repro.cluster.fastpath`` runs the request lifecycle as an explicit
 state machine; its contract is that every simulation output — counters,
 delays, busy-time integrals, per-node series — is *equal*, not merely
-close, to the generator path's.  These tests run the same simulation
-on both paths (the generator reference by clearing
-``FrontEnd._fastpath`` on a built simulator, which ``_admit`` re-reads
-per call) and compare entire result dataclasses.
+close, to what the coroutine lifecycle in ``tests/cluster_oracle.py``
+produces.  These tests run the same simulation on both (``fastpath=False``
+swaps a built simulator onto the oracle) and compare entire result
+dataclasses.
 """
 
 import dataclasses
@@ -16,12 +16,18 @@ import json
 
 import pytest
 
-from repro.cluster.fastpath import FastConnection, TracedConnection
+from repro.cluster.fastpath import (
+    FastConnection,
+    PersistentConnection,
+    TracedConnection,
+    TracedPersistentConnection,
+)
 from repro.cluster.simulator import ClusterConfig, ClusterSimulator
 from repro.obs import SpanWriter
 from repro.obs.tracer import SimTracer
 from repro.workload import cgi_mix_trace
 from repro.workload.synthetic import synthesize_trace
+from tests.cluster_oracle import use_oracle
 
 
 @pytest.fixture(scope="module")
@@ -38,7 +44,7 @@ def trace():
 def _run(trace, fastpath, **kwargs):
     sim = ClusterSimulator(trace, ClusterConfig(**kwargs))
     if not fastpath:
-        sim.frontend._fastpath = None
+        use_oracle(sim)
     return dataclasses.asdict(sim.run())
 
 
@@ -81,8 +87,8 @@ _CONFIGS = [
         node_cache_bytes=2**19,
         membership_events=((0.5, "fail", 1), (1.5, "join", 1)),
     ),
-    # Persistent connections are not fast-path eligible: both runs take
-    # the generator lifecycle, pinned below against the parent's.
+    # Persistent connections: a batch per pooled object, pinned below
+    # against what the generator lifecycle produced on a7b00b5.
     dict(
         policy="lard/r",
         num_nodes=4,
@@ -133,24 +139,52 @@ def test_fastpath_matches_generator_path(trace, config):
         assert _sha256(slow) == pinned
 
 
+def _pool_classes(sim):
+    return {type(conn) for conn in sim.frontend._fastpath.pool}
+
+
 def test_fastpath_is_actually_selected(trace):
-    """Guard against the fast path silently disabling itself: the
-    eligibility conditions in FrontEnd must hold for the paper's
-    standard configuration, and only there."""
+    """There is no other lifecycle to fall back to: the paper's standard
+    configuration pools plain one-request connections, a persistent one
+    pools the batch class, and the oracle hook leaves the pool empty."""
     config = dict(policy="lard/r", num_nodes=4, node_cache_bytes=2**19)
     sim = ClusterSimulator(trace, ClusterConfig(**config))
-    assert sim.frontend._fastpath is not None
+    sim.run()
+    assert _pool_classes(sim) == {FastConnection}
     persistent = ClusterSimulator(
         trace, ClusterConfig(requests_per_connection=4, **config)
     )
-    assert persistent.frontend._fastpath is None
+    persistent.run()
+    assert _pool_classes(persistent) == {PersistentConnection}
+    reference = use_oracle(ClusterSimulator(trace, ClusterConfig(**config)))
+    reference.run()
+    assert _pool_classes(reference) == set()
+
+
+def test_pooled_connections_share_one_schedule_object(trace):
+    """``engine.schedule`` evaluated per object allocated one bound
+    method per pooled connection (six tracked objects apiece at 1024
+    nodes); every class now takes the path's single binding."""
+    for extra in (dict(), dict(requests_per_connection=4)):
+        sim, _, _ = _run_traced(
+            trace, fastpath=True, policy="lard/r", num_nodes=4,
+            node_cache_bytes=2**19, **extra,
+        )
+        untraced = ClusterSimulator(
+            trace,
+            ClusterConfig(policy="lard/r", num_nodes=4, node_cache_bytes=2**19, **extra),
+        )
+        untraced.run()
+        for run in (sim, untraced):
+            path = run.frontend._fastpath
+            assert len(path.pool) > 1
+            assert all(conn.schedule is path.schedule for conn in path.pool)
 
 
 # -- the traced state machine ---------------------------------------------------
 #
-# A tracer does not pick the lifecycle: an eligible traced run stays on
-# the state machine, observed by stage wrappers.  The generator
-# lifecycle's span support is the reference, so the comparison is over
+# A tracer observes the state machine through stage wrappers.  The
+# oracle's span support is the reference, so the comparison is over
 # span-log *bytes* — every phase float, outcome, dispatch-load snapshot
 # and 0.05 s sample, in order.
 
@@ -174,15 +208,15 @@ def _run_traced(trace, fastpath, **kwargs):
         tracer = SimTracer(writer, sample_interval_s=0.05)
         sim = ClusterSimulator(trace, ClusterConfig(**kwargs), tracer=tracer)
         if not fastpath:
-            sim.frontend._fastpath = None
+            use_oracle(sim)
         result = dataclasses.asdict(sim.run())
     return sim, result, sink.getvalue()
 
 
-_ELIGIBLE = [c for c in _CONFIGS if c.get("requests_per_connection", 1) == 1]
+_ONE_REQUEST = [c for c in _CONFIGS if c.get("requests_per_connection", 1) == 1]
 
 
-@pytest.mark.parametrize("config", _ELIGIBLE, ids=_config_id)
+@pytest.mark.parametrize("config", _CONFIGS, ids=_config_id)
 def test_traced_state_machine_matches_generator_span_log(trace, config):
     sim, fast, fast_log = _run_traced(trace, fastpath=True, **config)
     _, slow, slow_log = _run_traced(trace, fastpath=False, **config)
@@ -190,9 +224,11 @@ def test_traced_state_machine_matches_generator_span_log(trace, config):
     assert fast == slow == _run(trace, fastpath=True, **config)
     assert fast_log.count('"kind":"span"') == len(trace)
     assert fast_log.count('"kind":"sample"') >= 2
-    # ...and it really was the state machine, one wrapper class for all.
-    pool = sim.frontend._fastpath.pool
-    assert pool and all(type(conn) is TracedConnection for conn in pool)
+    # ...and it really was the state machine, one traced class per base.
+    expected = (
+        TracedConnection if config in _ONE_REQUEST else TracedPersistentConnection
+    )
+    assert _pool_classes(sim) == {expected}
 
 
 def test_traced_state_machine_matches_generator_on_cgi(cgi_trace):
@@ -207,7 +243,7 @@ def test_every_outcome_is_exercised(trace):
     """The configs above are only a proof if, between them, they drive
     every data path the wrappers have to time."""
     seen = set()
-    for config in (c for c in _ELIGIBLE if c["policy"] in ("lard", "wrr/gms")):
+    for config in (c for c in _ONE_REQUEST if c["policy"] in ("lard", "wrr/gms")):
         _, _, log = _run_traced(trace, fastpath=True, **config)
         seen.update(
             json.loads(line)["outcome"]
@@ -219,7 +255,7 @@ def test_every_outcome_is_exercised(trace):
 
 @pytest.mark.parametrize(
     "config",
-    [c for c in _ELIGIBLE if c["policy"] == "lard/r" and "disks_per_node" not in c],
+    [c for c in _CONFIGS if c["policy"] == "lard/r" and "disks_per_node" not in c],
     ids=_config_id,
 )
 def test_traced_and_sanitized_together_change_nothing(trace, config):
@@ -238,5 +274,4 @@ def test_untraced_run_builds_untraced_connections(trace):
         trace, ClusterConfig(policy="lard/r", num_nodes=4, node_cache_bytes=2**19)
     )
     sim.run()
-    pool = sim.frontend._fastpath.pool
-    assert pool and all(type(conn) is FastConnection for conn in pool)
+    assert _pool_classes(sim) == {FastConnection}

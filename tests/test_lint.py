@@ -156,7 +156,7 @@ def test_disciplined_lockset_corpus_is_clean():
 def test_twin_drift_fires_and_names_the_lost_effect():
     findings = lint_paths([FIXTURES / "proj_twins_bad"])
     assert [f.rule for f in findings] == ["twin-drift"]
-    assert "write:in_flight" in findings[0].message
+    assert "write:events_dispatched" in findings[0].message
 
 
 def test_twin_with_identical_closure_effects_is_clean():

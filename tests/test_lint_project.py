@@ -5,15 +5,16 @@ fixture" but "fires on the *tree* when someone makes the exact mistake
 the pass exists for".  Each test copies ``src/repro`` to a temp dir,
 applies one realistic mutation, and asserts the matching rule fires:
 
-* deleting an effect from a fastpath stage  -> ``twin-drift``
+* deleting an effect from the sanitized run loop
+                                            -> ``twin-drift``
 * a transitive ``time.time()`` below ``Engine.run``
                                             -> ``transitive-nondeterminism``
 * removing a lock acquisition around a declared helper call
                                             -> ``unverified-locked-helper``
 
-A final test pins the twin audit's teeth: every declared pair on the
+A final test pins the twin audit's teeth: the one declared pair on the
 real tree must resolve and compare *non-empty* effect skeletons, so the
-clean lint run can never be an accident of vacuous ∅ == ∅ comparisons.
+clean lint run can never be an accident of a vacuous ∅ == ∅ comparison.
 """
 
 import ast
@@ -51,17 +52,26 @@ def test_unmutated_tree_copy_is_clean(tree_copy):
     assert lint_paths([tree_copy]) == []
 
 
-def test_deleting_a_fastpath_effect_yields_twin_drift(tree_copy):
+def test_deleting_a_sanitized_loop_effect_yields_twin_drift(tree_copy):
+    # The sanitized loop's dispatch count is its last statement.
     _mutate(
         tree_copy,
-        "cluster/fastpath.py",
-        "node.disk_reads += 1",
-        "pass",
+        "sim/engine.py",
+        "            return self.now\n"
+        "        finally:\n"
+        "            self.events_dispatched += dispatched\n"
+        "\n"
+        "    def stop(self)",
+        "            return self.now\n"
+        "        finally:\n"
+        "            pass\n"
+        "\n"
+        "    def stop(self)",
     )
     findings = lint_paths([tree_copy])
     drift = [f for f in findings if f.rule == "twin-drift"]
     assert drift, f"expected twin-drift, got {[f.rule for f in findings]}"
-    assert any("disk_reads" in f.message for f in drift)
+    assert any("events_dispatched" in f.message for f in drift)
 
 
 def test_transitive_wall_clock_below_engine_run_is_flagged_with_chain(tree_copy):
@@ -127,5 +137,5 @@ def test_tree_twin_pairs_resolve_with_nonempty_identical_skeletons():
             assert ours, f"vacuous (empty) skeleton for {root}"
             assert ours == theirs, f"{root} drifted from {target}"
             pairs += 1
-    # fastpath (2) + faulty connection (1) + sanitized run loop (1)
-    assert pairs == 4
+    # The sanitized run loop, and nothing else.
+    assert pairs == 1

@@ -339,13 +339,12 @@ def test_alive_count_drift_is_caught():
 
 
 def test_fastpath_run_keeps_policy_summaries_in_sync():
-    """The flattened fast path inlines its own copy of
+    """The one-request connection inlines its own copy of
     ``Policy.on_complete``; audit it on an unsanitized run too: stop a
     plain run mid-flight and at the end, and recount."""
     config = ClusterConfig(policy="lard/r", num_nodes=3, node_cache_bytes=CACHE)
     end = ClusterSimulator(_trace(), config).run().sim_time_s
     sim = ClusterSimulator(_trace(), config)
-    assert sim.frontend._fastpath is not None
     sanitizer = InvariantSanitizer()
     sanitizer.watch_policy(sim.policy)
     sim.frontend.start()

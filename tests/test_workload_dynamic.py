@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from repro.cluster import ClusterConfig, ClusterSimulator, run_simulation
+from repro.cluster.fastpath import FastConnection
 from repro.workload import (
     Trace,
     TraceError,
@@ -25,6 +26,7 @@ from repro.workload import (
     multi_tenant_trace,
     save_trace,
 )
+from tests.cluster_oracle import use_oracle
 
 SMALL = dict(num_requests=4000, num_targets=300, total_bytes=8 * 2**20)
 
@@ -279,10 +281,8 @@ class TestDynamicPersistence:
 
 
 def _run_generator_path(trace, **config):
-    """The reference lifecycle: ``_admit`` re-reads ``_fastpath`` per call."""
-    sim = ClusterSimulator(trace, ClusterConfig(**config))
-    sim.frontend._fastpath = None
-    return sim.run()
+    """The reference lifecycle (``tests/cluster_oracle.py``)."""
+    return use_oracle(ClusterSimulator(trace, ClusterConfig(**config))).run()
 
 
 @pytest.fixture(scope="module")
@@ -347,7 +347,9 @@ class TestClusterDynamicRequests:
             cgi_trace,
             ClusterConfig(policy="lard/r", num_nodes=4, node_cache_bytes=2**19),
         )
-        assert sim.frontend._fastpath is not None
+        sim.run()
+        pool = sim.frontend._fastpath.pool
+        assert pool and all(type(conn) is FastConnection for conn in pool)
 
     def test_sanitized_run_matches_unsanitized(self, cgi_trace):
         plain = dataclasses.asdict(

@@ -76,11 +76,11 @@ class GlobalCacheDirectory:
         self._mirror: List[Cache] = []
         self._clock = 0  # recency stamps, used for LRU victim comparison
         self._stamp: Dict[Hashable, int] = {}
+        self._where: Dict[Hashable, int] = {}
         for node in range(num_nodes):
             cache = self._make_mirror(node)
             cache.evict_listener = self._make_evict_listener(node)
             self._mirror.append(cache)
-        self._where: Dict[Hashable, int] = {}
         self._alive: List[bool] = [True] * num_nodes
 
     def _make_mirror(self, node: int) -> Cache:
@@ -89,10 +89,16 @@ class GlobalCacheDirectory:
         return LRUCache(self.node_capacity_bytes, name=f"lbgc[{node}]")
 
     def _make_evict_listener(self, node: int):
+        # The closure holds the two tables it updates, not ``self``: a
+        # mirror's listener must not tie the directory into a reference
+        # cycle.
+        where = self._where
+        stamp = self._stamp
+
         def _on_evict(target: Hashable, size: int) -> None:
-            if self._where.get(target) == node:
-                del self._where[target]
-            self._stamp.pop(target, None)
+            if where.get(target) == node:
+                del where[target]
+            stamp.pop(target, None)
 
         return _on_evict
 

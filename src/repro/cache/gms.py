@@ -237,13 +237,18 @@ class GlobalMemorySystem:
     # -- GDS (per-node caches + copy on remote hit) mode --------------------------
 
     def _make_evict_listener(self, node: int):
+        # The closure holds the two objects it updates, not ``self``: a
+        # cache's listener must not tie the system into a reference cycle.
+        where = self._where
+        stats = self.stats
+
         def _on_evict(target: Hashable, size: int) -> None:
-            holders = self._where.get(target)
+            holders = where.get(target)
             if holders is not None:
                 holders.discard(node)
                 if not holders:
-                    del self._where[target]
-            self.stats.evictions += 1
+                    del where[target]
+            stats.evictions += 1
 
         return _on_evict
 

@@ -314,6 +314,20 @@ class FastPath:
         request."""
         return self.conn_class(self)
 
+    def release(self) -> None:
+        """The run is over: free its connections and cut the links that
+        lead from this path back into the cluster (``fe``, and each
+        node's ``disk_times_for``), so that nothing left is a reference
+        cycle.  Every connection of a finished run is parked in the
+        pool; what is read afterwards (``conn_class``, the cost tables)
+        stays."""
+        for conn in self.pool:
+            conn._release()
+        self.pool.clear()
+        for node in self.nodes:
+            node.disk_times_for = None
+        self.fe = None
+
 
 class FastConnection:
     """One in-flight request as a state machine.
@@ -359,7 +373,6 @@ class FastConnection:
         "_decide_cb",
         "_advance_cb",
         "_complete_cb",
-        "_coalesced_cb",
         "_served_hook",
     )
 
@@ -390,10 +403,15 @@ class FastConnection:
         self._decide_cb = self._decide
         self._advance_cb = self._advance
         self._complete_cb = self._complete
-        self._coalesced_cb = self._coalesced
         #: Stage-observer hook called from inside ``_complete``; ``None``
         #: on an unobserved connection.
         self._served_hook: Any = None
+
+    def _release(self) -> None:
+        """Drop the pre-bound callbacks: each is a reference to this
+        object, and without them the pool's ``clear()`` frees it."""
+        self._begin_cb = self._decide_cb = self._advance_cb = None
+        self._complete_cb = self._served_hook = None
 
     # -- lifecycle stages ------------------------------------------------------
 
@@ -543,8 +561,9 @@ class FastConnection:
         if node.coalesce_reads:
             node.coalesced_reads += 1
             # The event is registered in _pending, hence not yet
-            # triggered — join its waiter list in arrival order.
-            pending._waiters.append(self._coalesced_cb)
+            # triggered — join its waiter list in arrival order.  Bound
+            # here, not per pooled object: coalescing is the rare path.
+            pending._waiters.append(self._coalesced)
         else:
             self._start_chunked_read()
 
@@ -896,6 +915,10 @@ class FaultyConnection(PersistentConnection):
         self._begin_cb = self._dispatch
         self._timed_out_cb = self._timed_out
         self._retry_cb = self._retry
+
+    def _release(self) -> None:
+        PersistentConnection._release(self)
+        self._timed_out_cb = self._retry_cb = None
 
     def _dispatch(self) -> None:
         """Start event: the connection's clock starts, whatever becomes

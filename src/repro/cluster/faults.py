@@ -443,6 +443,16 @@ class FaultRuntime:
         """The schedule's brownout intervals (convenience accessor)."""
         return self.schedule.brownouts
 
+    def unbind(self) -> None:
+        """Forget the cluster (the run is over, every transition has
+        fired): the counters, ``events`` and the degraded-mode series
+        stay, and ``FrontEnd.faults`` no longer closes a reference
+        cycle."""
+        self.frontend = None
+        self.nodes = []
+        self.tracer = None
+        self._engine = None
+
     def _emit(self, event: str, node: int, **details: Any) -> None:
         now = self._engine.now if self._engine is not None else 0.0
         self.events.append((now, event, node))

@@ -123,6 +123,12 @@ class FrontEnd:
         self._fastpath = FastPath(self)
         self._admit()
 
+    def release(self) -> None:
+        """The run is over: drop the state machine's per-run state and
+        its link back to this object (``FastPath.release``).  The
+        counters, and ``_fastpath.conn_class``, remain readable."""
+        self._fastpath.release()
+
     @property
     def done(self) -> bool:
         return self.completed == len(self.trace)

@@ -15,6 +15,7 @@ order of request frequency in the trace" — see :func:`stripe_by_frequency`.
 
 from __future__ import annotations
 
+import gc
 import math
 import os
 from dataclasses import dataclass, field, replace
@@ -252,7 +253,10 @@ class ClusterConfig:
 
 
 class ClusterSimulator:
-    """Builds and runs one cluster over one trace.
+    """Builds and runs one cluster over one trace — once.
+
+    A simulator is single-use: :meth:`run` consumes the trace and a
+    second call raises; build a new ``ClusterSimulator`` to run again.
 
     ``tracer`` attaches a :class:`repro.obs.tracer.SimTracer`: the run
     takes the one request lifecycle there is (the state machine in
@@ -260,6 +264,26 @@ class ClusterSimulator:
     emitting one span per request (plus periodic samples) while
     producing the exact same
     :class:`~repro.cluster.metrics.SimulationResult`.
+
+    **What survives** :meth:`run`.  Everything a caller reads
+    afterwards: ``frontend`` counters (``completed``, ``connections``,
+    per-node series), ``engine.events_dispatched`` and ``engine.now``,
+    every node's counters, resources and cache, ``policy``, ``tracker``,
+    ``gms``, ``sanitizer.events_seen`` / ``deep_sweeps``, the
+    ``fault_runtime`` totals, ``events`` and degraded series, and the
+    connection class the run used (``frontend._fastpath.conn_class``).
+    What does not: the connection pool, and the links that made the
+    finished cluster one reference cycle — ``FastPath.fe``,
+    ``BackendNode.peers`` and ``disk_times_for``, the engine's
+    sanitizer hook, the tracer's and the fault runtime's references to
+    the cluster.  A finished simulator is therefore freed by reference
+    count the moment it is dropped, with no collector pass.
+
+    **The cyclic collector is paused** for the length of :meth:`run`
+    (and put back as it was, also when the run raises): a run creates
+    no cyclic garbage — ``tests/test_cluster_memory.py`` holds it to
+    that, configuration by configuration — so every pass the collector
+    made during one re-walked the live cluster and freed nothing.
     """
 
     def __init__(
@@ -357,9 +381,28 @@ class ClusterSimulator:
             sanitizer.watch_nodes(self.nodes)
             self.engine.install_sanitizer(sanitizer.after_event)
             self.sanitizer = sanitizer
+        self._ran = False
 
     def run(self) -> SimulationResult:
         """Serve the whole trace and report the paper's metrics."""
+        if self._ran:
+            raise RuntimeError(
+                "this simulator already ran; build a new ClusterSimulator"
+            )
+        self._ran = True
+        # Paused for the whole call, not just the dispatch loop: the
+        # first pass after the collector comes back walks everything
+        # allocated meanwhile, so the run's connections are released
+        # (by _serve, last thing) before it does.
+        collecting = gc.isenabled()
+        gc.disable()
+        try:
+            return self._serve()
+        finally:
+            if collecting:
+                gc.enable()
+
+    def _serve(self) -> SimulationResult:
         self.frontend.timeline_interval_s = self.config.timeline_interval_s
         self.frontend.collect_delays = self.config.collect_delays
         for when, action, node in self.config.membership_events:
@@ -381,7 +424,7 @@ class ClusterSimulator:
                 f"simulation stalled: {self.frontend.completed}/{len(self.trace)} served"
             )
         nodes = self.nodes
-        return SimulationResult(
+        result = SimulationResult(
             policy=self.config.policy,
             num_nodes=self.config.num_nodes,
             num_requests=len(self.trace),
@@ -413,6 +456,21 @@ class ClusterSimulator:
             retried_requests=runtime.retried_requests if runtime is not None else 0,
             degraded=runtime.degraded_timeline() if runtime is not None else None,
         )
+        self._release()
+        return result
+
+    def _release(self) -> None:
+        """Free the per-run state and cut every link that leads back
+        into the cluster, leaving a graph without cycles (see the class
+        docstring for what stays readable)."""
+        self.frontend.release()
+        for node in self.nodes:
+            node.peers = ()
+        self.engine.install_sanitizer(None)
+        if self.tracer is not None:
+            self.tracer.unbind()
+        if self.fault_runtime is not None:
+            self.fault_runtime.unbind()
 
 
 def run_simulation(

@@ -81,6 +81,14 @@ class SimTracer:
         self._policy = policy
         self._policy_name = str(getattr(policy, "name", policy.__class__.__name__))
 
+    def unbind(self) -> None:
+        """Forget the cluster (the run is over): a tracer the caller
+        keeps must not keep the front-end, nodes and caches alive, nor
+        close a reference cycle through ``FrontEnd.tracer``."""
+        self._frontend = None
+        self._nodes = ()
+        self._policy = None
+
     # -- span lifecycle --------------------------------------------------------
 
     def begin(self, target: object, size: int, node: int, now: float) -> Span:

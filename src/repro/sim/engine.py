@@ -292,7 +292,7 @@ class Engine:
             self.events_dispatched += dispatched
 
     def install_sanitizer(
-        self, hook: Callable[[float, Callable[..., None]], None]
+        self, hook: Optional[Callable[[float, Callable[..., None]], None]]
     ) -> None:
         """Invoke ``hook(event_time, callback)`` after every dispatched event.
 

@@ -57,9 +57,12 @@ class Resource:
         self._busy_integral = 0.0
         self._last_change = engine.now
         self.jobs_served = 0
-        # Pre-bound completion callback: _finish is scheduled once per job,
-        # so re-binding the method per call would allocate on the hot path.
-        self._finish_cb = self._finish
+        # No pre-bound ``self._finish`` kept here: an object holding a
+        # method bound to itself is a reference cycle, and a finished
+        # simulation is to be freed by reference count, not by the
+        # cyclic collector (see ClusterSimulator).  Only generator
+        # processes pay the per-job binding; the cluster's state machine
+        # books its own completions.
 
     # -- accounting ---------------------------------------------------------
 
@@ -106,7 +109,7 @@ class Resource:
                 # will yield Release(resource) later.
                 engine.schedule(0.0, resume)
             else:
-                engine.schedule(duration, self._finish_cb, resume)
+                engine.schedule(duration, self._finish, resume)
         else:
             self._waiting.append((resume, duration))
 
@@ -120,7 +123,7 @@ class Resource:
             # yield Release(resource) later.
             self.engine.schedule(0.0, resume)
         else:
-            self.engine.schedule(duration, self._finish_cb, resume)
+            self.engine.schedule(duration, self._finish, resume)
 
     def _finish(self, resume: Callable[..., None]) -> None:
         self.jobs_served += 1
@@ -198,6 +201,8 @@ class SimEvent:
     triggered value is delivered as the result of the ``yield``.  Waiting on
     an already-triggered event resumes immediately with the stored value.
     """
+
+    __slots__ = ("engine", "name", "triggered", "value", "_waiters")
 
     def __init__(self, engine: Engine, name: str = "") -> None:
         self.engine = engine

@@ -25,17 +25,13 @@ from __future__ import annotations
 import dataclasses
 import functools
 import io
-import os
-import shutil
 import subprocess
 import sys
-from pathlib import Path
 
 import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
-import repro
 from repro.cluster import ClusterConfig, ClusterSimulator
 from repro.cluster.faults import RetryPolicy, generate_fault_schedule
 from repro.core import POLICY_NAMES
@@ -43,6 +39,7 @@ from repro.obs import SpanWriter
 from repro.obs.tracer import SimTracer
 from repro.workload import cgi_mix_trace, synthesize_trace
 from tests.cluster_oracle import use_oracle
+from tests.seeded_mutation import REPO_ROOT, mutated_env
 
 NUM_NODES = 3
 CACHE = 2**19
@@ -231,17 +228,11 @@ def _case_disagreement(case):
 def test_seeded_mutation_is_caught(name, tmp_path):
     relpath, anchor, replacement, case = MUTATIONS[name]
     assert _case_disagreement(case) is None
-    root = tmp_path / "repro"
-    shutil.copytree(Path(repro.__file__).resolve().parent, root)
-    text = (root / relpath).read_text(encoding="utf-8")
-    assert text.count(anchor) == 1, f"mutation anchor not found once in {relpath}"
-    (root / relpath).write_text(text.replace(anchor, replacement), encoding="utf-8")
-    repo_root = Path(__file__).resolve().parent.parent
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(tmp_path), str(repo_root)]))
+    env = mutated_env(tmp_path, relpath, anchor, replacement)
     env.pop("REPRO_SANITIZE", None)  # the comparison must catch it, not the sanitizer
     verdict = subprocess.run(
         [sys.executable, "-m", "tests.test_cluster_differential", name],
-        env=env, cwd=repo_root, capture_output=True, text=True, timeout=120,
+        env=env, cwd=REPO_ROOT, capture_output=True, text=True, timeout=120,
     )
     # 1: the lifecycles disagreed; 2: the mutated one died of it.
     assert verdict.returncode in (1, 2), verdict.stdout + verdict.stderr

@@ -56,6 +56,37 @@ class TestBasicRuns:
         assert result.throughput_rps == pytest.approx(1000 / result.sim_time_s)
         assert result.bytes_served == trace.transferred_bytes
 
+    def test_a_simulator_runs_once(self):
+        """A second ``run()`` used to restart admission on the drained
+        trace and hand back a result rebuilt from the first run's
+        counters; it is refused before it touches anything."""
+        sim = ClusterSimulator(
+            _trace(1000),
+            ClusterConfig(policy="lard/r", num_nodes=3, node_cache_bytes=CACHE),
+        )
+        sim.run()
+
+        def state():
+            return (sim.frontend.completed, sim.frontend.connections,
+                    sim.engine.events_dispatched, sim.engine.now, sim.engine.pending,
+                    sim.policy.dispatches, sim.frontend._fastpath)
+
+        before = state()
+        with pytest.raises(RuntimeError, match="already ran; build a new ClusterSimulator"):
+            sim.run()
+        assert state() == before
+
+    def test_a_failed_run_cannot_be_resumed(self):
+        sim = ClusterSimulator(
+            _trace(1000),
+            ClusterConfig(policy="lard/r", num_nodes=3, node_cache_bytes=CACHE),
+        )
+        sim.engine.schedule(0.1, sim.engine.stop)
+        with pytest.raises(RuntimeError, match="simulation stalled"):
+            sim.run()
+        with pytest.raises(RuntimeError, match="already ran"):
+            sim.run()
+
 
 class TestPaperShape:
     def test_lard_beats_wrr_when_working_set_exceeds_node_cache(self):

@@ -18,6 +18,7 @@ import pytest
 
 from repro.cluster.fastpath import (
     FastConnection,
+    FastPath,
     PersistentConnection,
     TracedConnection,
     TracedPersistentConnection,
@@ -139,26 +140,49 @@ def test_fastpath_matches_generator_path(trace, config):
         assert _sha256(slow) == pinned
 
 
-def _pool_classes(sim):
-    return {type(conn) for conn in sim.frontend._fastpath.pool}
+def _conn_class(sim):
+    """The connection class the run was built from: chosen once, when
+    ``FrontEnd.start()`` builds the ``FastPath``, and still readable
+    after ``run()`` has released the pool."""
+    return sim.frontend._fastpath.conn_class
 
 
-def test_fastpath_is_actually_selected(trace):
+def test_fastpath_is_actually_selected(trace, monkeypatch):
     """There is no other lifecycle to fall back to: the paper's standard
-    configuration pools plain one-request connections, a persistent one
-    pools the batch class, and the oracle hook leaves the pool empty."""
+    configuration runs plain one-request connections, a persistent one
+    the batch class, and the oracle hook builds no connection at all."""
     config = dict(policy="lard/r", num_nodes=4, node_cache_bytes=2**19)
     sim = ClusterSimulator(trace, ClusterConfig(**config))
     sim.run()
-    assert _pool_classes(sim) == {FastConnection}
+    assert _conn_class(sim) is FastConnection
     persistent = ClusterSimulator(
         trace, ClusterConfig(requests_per_connection=4, **config)
     )
     persistent.run()
-    assert _pool_classes(persistent) == {PersistentConnection}
+    assert _conn_class(persistent) is PersistentConnection
+
+    def no_connection(path):
+        raise AssertionError("the oracle run built a state-machine connection")
+
+    monkeypatch.setattr(FastPath, "new_connection", no_connection)
     reference = use_oracle(ClusterSimulator(trace, ClusterConfig(**config)))
-    reference.run()
-    assert _pool_classes(reference) == set()
+    assert reference.run().num_requests == len(trace)
+
+
+def _parked_during(sim, every_s=0.01):
+    """Run ``sim``; return the connections that probe events inside the
+    run saw parked in the pool (``run()`` releases the pool when it
+    ends, so it has to be looked at from the inside)."""
+    parked = {}
+
+    def probe():
+        parked.update((id(conn), conn) for conn in sim.frontend._fastpath.pool)
+        if not sim.frontend.done:
+            sim.engine.schedule(every_s, probe)
+
+    sim.engine.schedule(every_s, probe)
+    sim.run()
+    return list(parked.values())
 
 
 def test_pooled_connections_share_one_schedule_object(trace):
@@ -166,19 +190,21 @@ def test_pooled_connections_share_one_schedule_object(trace):
     method per pooled connection (six tracked objects apiece at 1024
     nodes); every class now takes the path's single binding."""
     for extra in (dict(), dict(requests_per_connection=4)):
-        sim, _, _ = _run_traced(
-            trace, fastpath=True, policy="lard/r", num_nodes=4,
-            node_cache_bytes=2**19, **extra,
+        config = ClusterConfig(
+            policy="lard/r", num_nodes=4, node_cache_bytes=2**19, **extra
         )
-        untraced = ClusterSimulator(
-            trace,
-            ClusterConfig(policy="lard/r", num_nodes=4, node_cache_bytes=2**19, **extra),
-        )
-        untraced.run()
-        for run in (sim, untraced):
+        with SpanWriter(io.StringIO(), source="sim") as writer:
+            traced = ClusterSimulator(trace, config, tracer=SimTracer(writer))
+            traced_parked = _parked_during(traced)
+        untraced = ClusterSimulator(trace, config)
+        for run, parked in ((traced, traced_parked), (untraced, _parked_during(untraced))):
+            assert len(parked) > 1
+            assert {type(conn) for conn in parked} == {_conn_class(run)}
             path = run.frontend._fastpath
-            assert len(path.pool) > 1
-            assert all(conn.schedule is path.schedule for conn in path.pool)
+            assert all(conn.schedule is path.schedule for conn in parked)
+            # run() released them: no pool, no self-referencing callbacks.
+            assert path.pool == []
+            assert all(conn._begin_cb is None for conn in parked)
 
 
 # -- the traced state machine ---------------------------------------------------
@@ -228,7 +254,7 @@ def test_traced_state_machine_matches_generator_span_log(trace, config):
     expected = (
         TracedConnection if config in _ONE_REQUEST else TracedPersistentConnection
     )
-    assert _pool_classes(sim) == {expected}
+    assert _conn_class(sim) is expected
 
 
 def test_traced_state_machine_matches_generator_on_cgi(cgi_trace):
@@ -274,4 +300,4 @@ def test_untraced_run_builds_untraced_connections(trace):
         trace, ClusterConfig(policy="lard/r", num_nodes=4, node_cache_bytes=2**19)
     )
     sim.run()
-    assert _pool_classes(sim) == {FastConnection}
+    assert _conn_class(sim) is FastConnection

@@ -348,8 +348,7 @@ class TestClusterDynamicRequests:
             ClusterConfig(policy="lard/r", num_nodes=4, node_cache_bytes=2**19),
         )
         sim.run()
-        pool = sim.frontend._fastpath.pool
-        assert pool and all(type(conn) is FastConnection for conn in pool)
+        assert sim.frontend._fastpath.conn_class is FastConnection
 
     def test_sanitized_run_matches_unsanitized(self, cgi_trace):
         plain = dataclasses.asdict(

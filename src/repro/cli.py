@@ -330,6 +330,14 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     if args.sample_interval is not None and not args.spans:
         # Before the trace is generated: the flag would be a silent no-op.
         raise ValueError("--sample-interval needs --spans (samples go to the span log)")
+    if args.spans:
+        # Also before the trace is generated (seconds at the default
+        # size): a sink that cannot be opened, an interval the tracer
+        # refuses.  The run opens the log again.
+        from .obs import SimTracer, SpanWriter
+
+        with SpanWriter(args.spans, source="sim") as writer:
+            SimTracer(writer, sample_interval_s=args.sample_interval)
     trace = _make_trace(args.trace, args.requests, args.scale_factor)
     result = run_simulation(
         trace,

@@ -44,7 +44,10 @@ Byte-identity contract (enforced by ``tests/test_fastpath_identity.py``,
 * the relative order of every ``engine.schedule`` call — admissions,
   service starts, waiter promotions, coalesced-read wakeups, retry
   timers — matches the oracle exactly, so the engine consumes the same
-  ``(time, seq)`` stream and dispatches the same events;
+  ``(time, seq)`` stream and dispatches the same events; a connection's
+  start event may be *run* where the oracle stages it, but only when it
+  is the event the engine would dispatch next (``FastPath.admit`` has
+  the conditions), and it is counted in ``engine.events_dispatched``;
 * per-request state reads happen at the same event boundaries: the
   membership epoch and start timestamp are read when the connection's
   start event dispatches (not at admit time); the pending-read table is
@@ -166,6 +169,10 @@ class FastPath:
         "batched",
         "rehandoff",
         "schedule",
+        "engine",
+        "heap",
+        "nowq",
+        "inplace",
         "units",
         "tables",
         "targets_l",
@@ -206,7 +213,18 @@ class FastPath:
         self.conn_class = base if fe.tracer is None else _TRACED[base]
         # One bound method for every connection: scheduling is the
         # single hottest call each stage makes.
-        self.schedule = fe.engine.schedule
+        engine = fe.engine
+        self.schedule = engine.schedule
+        # What an admission looks at to tell whether the start event it
+        # is about to stage would be the very next one dispatched (see
+        # ``admit``): the engine's two queues, never written from here.
+        self.engine = engine
+        self.heap = engine._queue  # lardlint: disable=event-queue -- read-only: is anything else due at this instant
+        self.nowq = engine._nowq  # lardlint: disable=event-queue -- read-only: is anything staged ahead
+        #: The admission loop may run a start event in place.  Not a
+        #: traced one: it snapshots ``policy.loads``, which the later
+        #: admissions of the same loop still change.
+        self.inplace: bool = fe.tracer is None
         self.units: List[int] = fe.trace.transmit_units(512)
         self.tables: Dict[CostModel, DiskTimes] = {}
         for node in fe.nodes:
@@ -256,9 +274,26 @@ class FastPath:
         one-request completion that frees more than the one slot it
         refills; the steady-state single admission is inlined in
         :meth:`FastConnection._complete`.
+
+        A start event is staged (``schedule(0.0, ...)``) unless it would
+        be the very next event dispatched anyway, in which case it runs
+        here, in place, and is counted in ``engine.events_dispatched``
+        as the dispatch it replaces.  That is so exactly when nothing
+        is staged ahead of it (``_nowq`` empty), the run loop is going
+        to dispatch another event (engine not stopped — which also
+        keeps every run's initial fill, made before ``run()``, staged),
+        nothing else is due at this instant (heap empty, or its top
+        strictly later than ``now``: a heap entry for ``now`` goes
+        first), and no sanitizer is installed (its hook must see every
+        event).  Every admission here is the last thing its event does
+        to the policy, the tracker and the front-end's books; what is
+        left of the loop is more admissions, whose decisions read none
+        of what an untraced start event writes (its own epoch and
+        clock, the node's CPU queue, the engine's heap).
         """
         fe = self.fe
-        now = fe.engine.now
+        engine = self.engine
+        now = engine.now
         n = self.n
         # No hoisting of the state below into locals: a batch-class
         # completion calls this for one admission, and the prologue
@@ -306,7 +341,16 @@ class FastPath:
                 conn.index = first
                 conn.last = end - 1
             # One start event per connection, in admission order.
-            self.schedule(0.0, conn._begin_cb)
+            if (
+                self.inplace
+                and not (self.nowq or engine._stopped)
+                and engine._sanitizer is None
+                and (not self.heap or self.heap[0][0] > now)
+            ):
+                engine.events_dispatched += 1
+                conn._begin_cb()
+            else:
+                self.schedule(0.0, conn._begin_cb)
 
     def new_connection(self) -> "FastConnection":
         """A connection object for the pool, of the class this run
@@ -755,12 +799,25 @@ class FastConnection:
             conn.target = target
             conn.size = size
             conn.hit_hint = hit_hint
-            self.schedule(0.0, conn._begin_cb)
             # A single freed slot admits a single connection; anything
             # more (a raised admission limit racing this completion)
-            # falls through to the general loop.
+            # goes to the general loop, behind this one's staged start.
             if fe.in_flight < fe.max_in_flight and fe._next < fp.n:
+                self.schedule(0.0, conn._begin_cb)
                 fp.admit()
+                return
+            # Nothing follows in this event, so any connection class may
+            # start in place (the conditions are ``FastPath.admit``'s).
+            engine = self.engine
+            if (
+                not (fp.nowq or engine._stopped)
+                and engine._sanitizer is None
+                and (not fp.heap or fp.heap[0][0] > now)
+            ):
+                engine.events_dispatched += 1
+                conn._begin_cb()
+            else:
+                self.schedule(0.0, conn._begin_cb)
 
 
 class PersistentConnection(FastConnection):

@@ -144,8 +144,10 @@ class SimTracer:
         self.writer.write_fault(t, node, event, **details)
 
     def finish(self, span: Span) -> None:
-        """Emit a completed span; maybe emit a periodic sample."""
-        self.writer.write_span(span)
+        """Emit a completed span; maybe emit a periodic sample.  The
+        tracer made the span in :meth:`begin` and forgets it here, so
+        the writer may take it over."""
+        self.writer.take_span(span)
         self.spans_finished += 1
         interval = self.sample_interval_s
         if interval is not None and span.t_complete >= self._next_sample_t:

@@ -166,7 +166,12 @@ class Engine:
             deque()
         )
         self._seq = 0
-        self._stopped = False
+        # True whenever no run loop is going to dispatch another event:
+        # before run(), once it returns, and from stop() on.  Code that
+        # runs an event in place of staging it (the request lifecycle's
+        # start events, repro.cluster.fastpath) reads it, and counts
+        # the event in ``events_dispatched`` itself.
+        self._stopped = True
         self.events_dispatched = 0
         # Optional per-event invariant hook (see repro.sim.sanitize).
         # Kept as a separate run loop so the unsanitized hot path pays
@@ -289,6 +294,7 @@ class Engine:
                 self.now = until
             return self.now
         finally:
+            self._stopped = True
             self.events_dispatched += dispatched
 
     def install_sanitizer(
@@ -334,6 +340,7 @@ class Engine:
                 self.now = until
             return self.now
         finally:
+            self._stopped = True
             self.events_dispatched += dispatched
 
     def stop(self) -> None:

@@ -176,6 +176,31 @@ class TestErrorExitCodes:
         assert "sample_interval_s must be positive and finite" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "spans, interval, message",
+        [
+            ("/nonexistent/dir/s.jsonl", None, "No such file or directory"),
+            (None, "0", "sample_interval_s must be positive and finite"),
+        ],
+        ids=["unopenable-span-log", "zero-sample-interval"],
+    )
+    def test_span_flags_rejected_before_the_trace_is_generated(
+        self, capsys, tmp_path, monkeypatch, spans, interval, message
+    ):
+        """Both used to exit 2 only after generation: seconds at the
+        default 200k requests."""
+        cache = tmp_path / "cache"
+        monkeypatch.setenv("REPRO_TRACE_CACHE", str(cache))
+        argv = ["simulate", "--requests", "300", "--scale-factor", "0.05"]
+        argv += ["--spans", spans or str(tmp_path / "s.jsonl")]
+        if interval is not None:
+            argv += ["--sample-interval", interval]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("lard-repro: error:") and message in err
+        assert "Traceback" not in err
+        assert not cache.exists() or not any(cache.iterdir())
+
 
 class TestChaosCommand:
     def test_parser_defaults(self):

@@ -29,6 +29,8 @@ from repro.obs.tracer import SimTracer
 from repro.workload import cgi_mix_trace
 from repro.workload.synthetic import synthesize_trace
 from tests.cluster_oracle import use_oracle
+from tests.seeded_mutation import assert_selected_tests_fail
+from tests.test_cluster_differential import _schedule
 
 
 @pytest.fixture(scope="module")
@@ -301,3 +303,97 @@ def test_untraced_run_builds_untraced_connections(trace):
     )
     sim.run()
     assert _conn_class(sim) is FastConnection
+
+
+# -- start events that run in place ---------------------------------------------
+#
+# An admission stages its connection's start event, or — when that event
+# would be the very next one dispatched — runs it on the spot and counts
+# it.  The comparisons above pin the order of everything that follows;
+# what they cannot see is the count, which a sanitized run (its hook
+# must see every event, so it stages them all) supplies.
+
+_INPLACE_CASES = {
+    "one-request": dict(),
+    "persistent": dict(requests_per_connection=4),
+    "faulty": dict(fault_schedule=_schedule(3)),
+    "membership": dict(membership_events=((0.5, "fail", 1), (1.5, "join", 1))),
+}
+
+
+def _counted(trace, traced=False, **config):
+    """``(events dispatched, events scheduled, result)`` of one run."""
+    config = ClusterConfig(policy="lard/r", num_nodes=3, node_cache_bytes=2**19, **config)
+    tracer = SimTracer(SpanWriter(io.StringIO(), source="sim")) if traced else None
+    sim = ClusterSimulator(trace, config, tracer=tracer)
+    result = sim.run()
+    return sim.engine.events_dispatched, sim.engine._seq, result
+
+
+@pytest.mark.parametrize("traced", [False, True], ids=["untraced", "traced"])
+@pytest.mark.parametrize("case", sorted(_INPLACE_CASES))
+def test_in_place_starts_are_counted_as_the_events_they_replace(trace, case, traced):
+    config = _INPLACE_CASES[case]
+    events, scheduled, result = _counted(trace, traced, **config)
+    all_staged, all_scheduled, reference = _counted(
+        trace, traced, sanitize=True, sanitize_interval=64, **config
+    )
+    assert events == all_staged == all_scheduled
+    assert result == reference
+    # Vacuous if nothing ran in place; a traced batch class (whose only
+    # admissions are the loop's) is the one kind of run where nothing may.
+    assert (scheduled < events) == (not traced or case in ("one-request", "membership"))
+
+
+@pytest.mark.parametrize("max_in_flight", [1, 7])
+def test_initial_fill_is_staged(trace, max_in_flight):
+    """Nothing runs before ``engine.run()``: not even a fill of one,
+    which finds both of the engine's queues empty."""
+    sim = ClusterSimulator(
+        trace,
+        ClusterConfig(policy="wrr", num_nodes=3, requests_per_connection=2,
+                      max_in_flight=max_in_flight),
+    )
+    sim.frontend.start()
+    assert sim.engine.events_dispatched == 0
+    assert sim.engine.pending == sim.frontend.in_flight == max_in_flight
+    assert all(node.cpu.busy == 0 for node in sim.nodes)
+
+
+# name -> (anchor in cluster/fastpath.py, replacement, ``-k`` selector of
+# the tests in this file that fail on it).
+_INPLACE_MUTATIONS = {
+    "in-place-start-without-the-heap-top-check": (
+        "                and (not fp.heap or fp.heap[0][0] > now)\n",
+        "",
+        "test_fastpath_matches_generator_path and lard-4-524288",
+    ),
+    "in-place-start-in-the-admit-loop-without-the-heap-top-check": (
+        "                and (not self.heap or self.heap[0][0] > now)\n",
+        "",
+        "test_fastpath_matches_generator_path and rehandoff",
+    ),
+    "in-place-start-in-a-traced-admit-loop": (
+        "self.inplace: bool = fe.tracer is None",
+        "self.inplace: bool = True",
+        "test_traced_state_machine_matches_generator_span_log and join",
+    ),
+    "in-place-start-not-counted": (
+        "fp.heap[0][0] > now)\n            ):\n                engine.events_dispatched += 1\n",
+        "fp.heap[0][0] > now)\n            ):\n",
+        "test_in_place_starts_are_counted and one-request",
+    ),
+    "in-place-start-before-the-engine-runs": (
+        "                and not (self.nowq or engine._stopped)\n",
+        "                and not self.nowq\n",
+        "test_initial_fill_is_staged",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_INPLACE_MUTATIONS))
+def test_seeded_in_place_mutation_is_caught(name, tmp_path):
+    anchor, replacement, selector = _INPLACE_MUTATIONS[name]
+    assert_selected_tests_fail(
+        tmp_path, "cluster/fastpath.py", anchor, replacement, __file__, selector
+    )

@@ -57,14 +57,11 @@ def test_deleting_a_sanitized_loop_effect_yields_twin_drift(tree_copy):
     _mutate(
         tree_copy,
         "sim/engine.py",
-        "            return self.now\n"
-        "        finally:\n"
+        "            self._stopped = True\n"
         "            self.events_dispatched += dispatched\n"
         "\n"
         "    def stop(self)",
-        "            return self.now\n"
-        "        finally:\n"
-        "            pass\n"
+        "            self._stopped = True\n"
         "\n"
         "    def stop(self)",
     )

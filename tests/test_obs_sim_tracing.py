@@ -15,7 +15,9 @@ import pytest
 from repro.analysis.sweep import result_row, write_csv
 from repro.cluster import ClusterConfig, ClusterSimulator, run_simulation
 from repro.obs import SpanWriter, read_span_log
+from repro.obs.span import _SPAN_BATCH
 from repro.obs.tracer import SimTracer
+from repro.sim import SanitizerError
 from repro.workload import cgi_mix_trace, synthesize_trace
 
 CACHE = 256 * 1024
@@ -204,3 +206,47 @@ class TestSampling:
     def test_no_samples_without_interval(self, tmp_path):
         _, log = _run_traced(tmp_path, _trace(400), **KWARGS)
         assert log.samples == []
+
+
+class TestRunThatEndsEarly:
+    """The tracer hands its spans over to the writer, which formats them
+    a batch at a time; a run that dies must still leave every finished
+    span in a log closed by ``with SpanWriter(...)``."""
+
+    def _traced(self, writer, **config):
+        tracer = SimTracer(writer)
+        sim = ClusterSimulator(
+            _trace(), ClusterConfig(**KWARGS, **config), tracer=tracer
+        )
+        return tracer, sim
+
+    def _check(self, path, tracer, sim):
+        log = read_span_log(path)
+        finished = sim.frontend.completed
+        assert 0 < finished < len(sim.trace)
+        # Part of a batch was still waiting to be formatted.
+        assert finished % _SPAN_BATCH
+        assert len({span.req for span in log.spans}) == len(log.spans) == finished
+        assert tracer.spans_finished == finished
+
+    def test_stalled_run_keeps_every_finished_span(self, tmp_path):
+        path = tmp_path / "stalled.jsonl"
+        with SpanWriter(path, source="sim") as writer:
+            tracer, sim = self._traced(writer)
+            sim.engine.schedule(1.0, sim.engine.stop)
+            with pytest.raises(RuntimeError, match="simulation stalled"):
+                sim.run()
+        self._check(path, tracer, sim)
+
+    def test_sanitizer_violation_keeps_every_finished_span(self, tmp_path):
+        path = tmp_path / "violation.jsonl"
+        with SpanWriter(path, source="sim") as writer:
+            tracer, sim = self._traced(writer, sanitize=True, sanitize_interval=1)
+
+            def corrupt():
+                sim.frontend.in_flight = -1
+
+            sim.engine.schedule(1.0, corrupt)
+            with pytest.raises(SanitizerError, match="in_flight is negative"):
+                sim.run()
+        self._check(path, tracer, sim)

@@ -4,11 +4,13 @@ import io
 import json
 import math
 import threading
+from unittest import mock
 
 import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
+from repro.obs import span as span_module
 from repro.obs import (
     OUTCOMES,
     SCHEMA_VERSION,
@@ -19,6 +21,7 @@ from repro.obs import (
     read_span_log,
     validate_record,
 )
+from tests.seeded_mutation import assert_selected_tests_fail
 
 
 def _span(**overrides):
@@ -324,3 +327,202 @@ class TestOnePassEncoder:
         assert "\n" not in str(by_span.value)
         assert writer.spans_written == 0 and writer.records_written == 1
         assert sink.getvalue().count("\n") == 1
+
+
+# -- one memo for a whole log; spans the writer takes over -----------------------
+
+
+class Seconds(float):
+    """A ``float`` subclass: ``json.dumps`` prints it with ``float.__repr__``."""
+
+
+class Count(int):
+    """An ``int`` subclass, likewise printed with ``int.__repr__``."""
+
+    def __repr__(self):
+        return "Count(...)"
+
+
+# Values that are equal — one dict key — across types and signs, and
+# different JSON: the memo may remember none of them under a shared key.
+_colliding = st.sampled_from(
+    [0, 0.0, -0.0, Seconds(0.0), 1, 1.0, Seconds(1.0), 2, 2.0, Count(2),
+     0.5, Seconds(0.5), 3.0, Count(3)]
+)
+_tricky_times = st.one_of(_colliding, _times)
+_tricky_seconds = st.one_of(_colliding, _seconds)
+_tricky_text = st.one_of(
+    st.sampled_from(["cpu", "établir", "ディスク", 'q"uo\\te', "tab\there", "\u2028"]),
+    _text,
+)
+_counts = st.one_of(_ints, st.integers(min_value=0, max_value=9).map(Count))
+
+
+@st.composite
+def _tricky_spans(draw):
+    t_arrival, t_dispatch, t_complete = sorted(
+        draw(st.tuples(_tricky_times, _tricky_times, _tricky_times))
+    )
+    return Span(
+        req=draw(_counts),
+        target=draw(_tricky_text),
+        size=draw(_ints),
+        policy=draw(_tricky_text),
+        node=draw(_ints),
+        t_arrival=t_arrival,
+        # The simulator's spans carry one float object for both times.
+        t_dispatch=draw(st.sampled_from([t_arrival, t_dispatch])),
+        t_complete=t_complete,
+        outcome=draw(st.sampled_from(sorted(OUTCOMES))),
+        load=draw(st.one_of(st.none(), st.lists(_counts, max_size=9))),
+        phases=draw(st.dictionaries(_tricky_text, _tricky_seconds, max_size=6)),
+    )
+
+
+def _reference_line(span):
+    return json.dumps(span.to_record(), separators=(",", ":"), sort_keys=True) + "\n"
+
+
+#: One log entry: a span handed over (``take``) or written on the spot
+#: (``write``), or a fault / sample record at time ``t``.
+_ops = st.one_of(
+    st.tuples(st.sampled_from(["take", "write"]), _tricky_spans()),
+    st.tuples(st.sampled_from(["fault", "sample"]), _seconds),
+)
+
+
+def _replay(ops, batched):
+    """The log ``ops`` produce; ``batched=False`` writes every span on
+    the spot, the form the batched log must equal byte for byte."""
+    sink = io.StringIO()
+    with SpanWriter(sink) as writer:
+        for op, arg in ops:
+            if op == "fault":
+                writer.write_fault(arg, 1, "crash", why="test")
+            elif op == "sample":
+                writer.write_sample(arg, {"load": [1, 2]})
+            elif op == "take" and batched:
+                writer.take_span(arg)
+            else:
+                writer.write_span(arg)
+    return sink.getvalue().splitlines(keepends=True)[1:], writer
+
+
+class TestSharedMemoAndBatches:
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(_tricky_spans(), min_size=1, max_size=12), st.booleans())
+    def test_every_line_of_a_log_equals_json_dumps(self, spans, take):
+        """The memo is shared by every span of a writer; a tiny bound
+        makes it overflow (and empty itself) inside most examples."""
+        with mock.patch.object(span_module, "_MEMO_LIMIT", 3):
+            lines, writer = _replay([("take" if take else "write", s) for s in spans], True)
+        assert lines == [_reference_line(span) for span in spans]
+        for memo in (writer._encoder.reprs, writer._encoder.keys):
+            assert len(memo) <= 3
+        assert all(type(key) is float and key for key in writer._encoder.reprs)
+
+    def test_equal_values_of_different_types_keep_their_own_text(self):
+        spans = [
+            _span(t_arrival=0.0, t_dispatch=1.0, phases={"a": 1.0, "b": 0.0, "c": 2.0}),
+            _span(t_arrival=-0.0, t_dispatch=1, phases={"a": 1, "b": -0.0, "c": Count(2)}),
+            _span(t_arrival=0, t_dispatch=Seconds(1.0), phases={"a": Seconds(1.0), "b": 0}),
+        ]
+        lines, _ = _replay([("take", span) for span in spans], True)
+        assert lines == [_reference_line(span) for span in spans]
+        assert '"a":1.0,"b":0.0,"c":2.0' in lines[0] and '"t_arrival":0.0' in lines[0]
+        assert '"a":1,"b":-0.0,"c":2' in lines[1] and '"t_arrival":-0.0' in lines[1]
+        for bad in (True, False):
+            with pytest.raises(SchemaError):
+                SpanWriter(io.StringIO()).take_span(_span(phases={"a": bad}))
+
+    def test_memo_stays_bounded_past_its_limit(self):
+        limit = span_module._MEMO_LIMIT
+        spans = [
+            _span(req=i, phases={f"p{i}": 0.001 * (2 * i + 1), "cpu": 0.5 + i})
+            for i in range(limit + 50)
+        ]
+        lines, writer = _replay([("take", span) for span in spans], True)
+        assert lines == [_reference_line(span) for span in spans]
+        assert 0 < len(writer._encoder.reprs) <= limit
+        assert 0 < len(writer._encoder.keys) <= limit
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(_ops, max_size=14))
+    def test_batched_log_equals_the_unbatched_log(self, ops):
+        with mock.patch.object(span_module, "_SPAN_BATCH", 3):
+            batched, writer = _replay(ops, True)
+        plain, reference = _replay(ops, False)
+        assert batched == plain
+        assert [line for line in plain if '"kind":"span"' in line] == [
+            _reference_line(arg) for op, arg in ops if op in ("take", "write")
+        ]
+        assert writer.records_written == reference.records_written == len(plain) + 1
+        assert writer.spans_written == reference.spans_written
+
+    def test_a_full_batch_reaches_the_stream_before_close(self):
+        sink = io.StringIO()
+        writer = SpanWriter(sink)
+        for req in range(span_module._SPAN_BATCH):
+            assert sink.getvalue().count("\n") == 1  # the meta line
+            writer.take_span(_span(req=req))
+        assert sink.getvalue().count("\n") == 1 + span_module._SPAN_BATCH
+
+    def test_bad_span_raises_at_the_call_that_hands_it_over(self):
+        sink = io.StringIO()
+        with SpanWriter(sink) as writer:
+            writer.take_span(_span(req=0))
+            for bad in (_span(req=True), _span(phases={"cpu": math.nan}), _span(load=[1.0])):
+                with pytest.raises(SchemaError):
+                    writer.take_span(bad)
+            writer.take_span(_span(req=1))
+        assert [json.loads(line)["req"] for line in sink.getvalue().splitlines()[1:]] == [0, 1]
+        assert writer.spans_written == 2
+
+    def test_taken_spans_after_close_are_dropped(self):
+        sink = io.StringIO()
+        writer = SpanWriter(sink)
+        writer.close()
+        writer.take_span(_span())
+        assert sink.getvalue().count("\n") == 1 and writer.spans_written == 0
+
+    def test_write_span_shows_the_span_as_of_the_call(self):
+        """A caller may reuse one ``Span`` (the perf ledger's
+        ``obs.span_write`` micro does): only ``take_span`` transfers it."""
+        sink = io.StringIO()
+        span = _span(req=0)
+        with SpanWriter(sink) as writer:
+            writer.write_span(span)
+            expected = _reference_line(span)
+            span.req, span.t_complete = 99, 7.5
+            span.phases["cpu"] = 5.0
+            span.load.append(9)
+        assert sink.getvalue().splitlines(keepends=True)[1:] == [expected]
+
+
+# name -> (anchor in obs/span.py, replacement, ``-k`` selector of the
+# tests above that fail on it).
+_MUTATIONS = {
+    "memo-keyed-on-value-for-every-number": (
+        "                    if value.__class__ is float and value\n",
+        "                    if True\n",
+        "test_equal_values_of_different_types",
+    ),
+    "taken-spans-written-after-the-next-record": (
+        "            self._write_taken()\n            self._stream.write(line)\n",
+        "            self._stream.write(line)\n            self._write_taken()\n",
+        "test_batched_log_equals_the_unbatched_log",
+    ),
+    "close-forgets-the-taken-spans": (
+        "                self._write_taken()\n                self._stream.flush()\n",
+        "                self._stream.flush()\n",
+        "test_batched_log_equals_the_unbatched_log or test_bad_span_raises",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_MUTATIONS))
+def test_seeded_mutation_is_caught(name, tmp_path):
+    anchor, replacement, selector = _MUTATIONS[name]
+    assert_selected_tests_fail(
+        tmp_path, "obs/span.py", anchor, replacement, __file__, selector
+    )

@@ -144,6 +144,15 @@ class MatrixSpec:
             raise ValueError(f"matrix {self.name!r}: num_nodes must be >= 1")
 
 
+def _int_field(spec: Mapping[str, Any], key: str, default: int) -> int:
+    """An integer field of a spec: ``2.9``, ``true`` and ``"3"`` are
+    mistakes to report, not values to coerce."""
+    value = spec.get(key, default)
+    if type(value) is not int:
+        raise ValueError(f"matrix spec: {key!r} must be an integer, got {value!r}")
+    return value
+
+
 def matrix_from_dict(spec: Mapping[str, Any]) -> MatrixSpec:
     """Build a :class:`MatrixSpec` from a plain (e.g. JSON-loaded) dict.
 
@@ -195,11 +204,11 @@ def matrix_from_dict(spec: Mapping[str, Any]) -> MatrixSpec:
         name=str(spec.get("name", "matrix")),
         scenarios=tuple(scenarios),
         policies=tuple(str(p) for p in spec.get("policies", ())),
-        num_nodes=int(spec.get("num_nodes", 8)),
-        node_cache_bytes=int(spec.get("node_cache_bytes", 4 * 2**20)),
-        policy_seed=int(spec.get("policy_seed", 0)),
-        pod_d=int(spec.get("pod_d", 2)),
-        pod_replication=int(spec.get("pod_replication", 3)),
+        num_nodes=_int_field(spec, "num_nodes", 8),
+        node_cache_bytes=_int_field(spec, "node_cache_bytes", 4 * 2**20),
+        policy_seed=_int_field(spec, "policy_seed", 0),
+        pod_d=_int_field(spec, "pod_d", 2),
+        pod_replication=_int_field(spec, "pod_replication", 3),
     )
 
 

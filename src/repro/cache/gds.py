@@ -55,6 +55,11 @@ class GDSCache(Cache):
         self._cost_fn = cost_fn
         #: True for GDS(1): lets the hit path skip the cost-function call.
         self._unit_cost = cost_fn is _unit_cost
+        #: A miss may take :meth:`access`'s own copy of the insert:
+        #: GDS(1) of exactly this class.  A supplied cost function or a
+        #: subclass (its ``_admits``, or any other hook it overrides)
+        #: goes through :meth:`Cache._insert` and the hooks.
+        self._fused_insert = self._unit_cost and type(self) is GDSCache
         self._inflation = 0.0  # the running L value
         self._credit: Dict[Hashable, float] = {}
         self._heap: List[Tuple[float, int, Hashable]] = []
@@ -102,10 +107,12 @@ class GDSCache(Cache):
     def access(self, target: Hashable, size: int) -> bool:
         """Specialized :meth:`Cache.access`: the hit path fuses the base
         protocol with ``_on_hit`` — one membership probe serves both the
-        hit test and the size lookup, and no hook call frame is paid.
-        This runs once per request, the simulator's most frequent cache
-        operation; outcomes and counter updates are identical to the
-        base implementation.
+        hit test and the size lookup, and no hook call frame is paid —
+        and the miss path fuses ``_insert`` / ``_on_insert`` /
+        ``_fresh_credit`` / ``_push`` the same way where no subclass or
+        cost function can have changed them (``_fused_insert``).  This runs once per request,
+        the simulator's most frequent cache operation; outcomes and
+        counter updates are identical to the base implementation.
         """
         if size < 0:
             raise CacheError(f"negative file size for {target!r}: {size}")
@@ -121,8 +128,24 @@ class GDSCache(Cache):
             self._credit[target] = credit
             heapq.heappush(self._heap, (credit, self._seq, target))
             return True
-        self.stats.misses += 1
-        self._insert(target, size)
+        stats = self.stats
+        stats.misses += 1
+        if not self._fused_insert:
+            self._insert(target, size)
+            return False
+        capacity = self.capacity_bytes
+        if size > capacity:
+            stats.rejected += 1
+            return False
+        while self.used_bytes + size > capacity:
+            self._evict_one()
+        self._sizes[target] = size
+        self.used_bytes += size
+        stats.insertions += 1
+        credit = self._inflation + (1.0 / size if size > 0 else 1.0)
+        self._seq += 1
+        self._credit[target] = credit
+        heapq.heappush(self._heap, (credit, self._seq, target))
         return False
 
     def _on_hit(self, target: Hashable) -> None:

@@ -38,6 +38,21 @@ always >= +0.0).  Mixing generator waiters into these queues would
 double-book a service; the byte-identity suite catches that immediately
 because utilization integrals land in the golden CSVs.
 
+A disk read pays one frame per stage, like a hit.  The node's
+pending-read table maps a target to the *waiters* of the read in flight:
+the shared empty ``_NO_WAITERS`` until a second request for the file
+arrives (nearly every read ends that way, so nothing is allocated for
+it), then a list of ``_coalesced`` callbacks in arrival order.  The
+connection that registered the read carries a flag (``reading``); when
+its last chunk completes it pops the entry and stages one wake-up per
+waiter, in order, before it enqueues its own teardown — the schedule
+calls a ``SimEvent`` registered, triggered and waited on would have
+made, which is how the oracle still does it.  ``_start_disk_read``
+registers the read and, for a file of one chunk, enqueues the disk
+service itself; only files of several chunks (and the reads a request
+issues beside one in flight when coalescing is off) build their plan in
+``_start_chunked_read``.
+
 Byte-identity contract (enforced by ``tests/test_fastpath_identity.py``,
 ``tests/test_cluster_differential.py`` and the golden-CSV suite):
 
@@ -80,7 +95,6 @@ from __future__ import annotations
 from typing import Any, Dict, List, Optional, Tuple
 
 from ..cache.gms import GMSOutcome
-from ..sim.resources import SimEvent
 from .costs import CostModel
 
 __all__ = [
@@ -98,6 +112,11 @@ __all__ = [
 #: coalesced reads): ``_advance`` sees no remaining steps and proceeds
 #: straight to teardown.
 _EMPTY_PLAN: Tuple[Tuple[Any, float], ...] = ()
+
+#: What ``BackendNode._pending[target]`` holds while a read is in flight
+#: and nobody else waits for it — nearly every read.  The first request
+#: to join replaces it with a list of wake-up callbacks.
+_NO_WAITERS: Tuple[Any, ...] = ()
 
 
 class DiskTimes:
@@ -410,7 +429,7 @@ class FastConnection:
         "plan",
         "plan_i",
         "res",
-        "read_event",
+        "reading",
         "schedule",
         "units",
         "_begin_cb",
@@ -441,7 +460,9 @@ class FastConnection:
         #: Resource serving the in-flight data service (read by _advance
         #: to book its completion; establish/teardown book the CPU).
         self.res: Any = None
-        self.read_event: Optional[SimEvent] = None
+        #: This connection's disk read is the one registered in the
+        #: node's pending table (it wakes the waiters when it ends).
+        self.reading = False
         # Stage callbacks, bound once per pooled object (not per request).
         self._begin_cb = self._begin
         self._decide_cb = self._decide
@@ -597,21 +618,23 @@ class FastConnection:
         else:
             resource._waiting.append((self._advance_cb, duration))
 
-    def _join_pending(self, pending: SimEvent) -> None:
+    def _join_pending(self, waiters: Any) -> None:
         """The file is already being read from disk on this node:
         wait for that read, or (coalescing off) issue another."""
         node = self.node
         node.cache_misses += 1
         if node.coalesce_reads:
             node.coalesced_reads += 1
-            # The event is registered in _pending, hence not yet
-            # triggered — join its waiter list in arrival order.  Bound
-            # here, not per pooled object: coalescing is the rare path.
-            pending._waiters.append(self._coalesced)
+            # Join the read's waiters in arrival order.  Bound here, not
+            # per pooled object: coalescing is the rare path.
+            if waiters:
+                waiters.append(self._coalesced)
+            else:
+                node._pending[self.target] = [self._coalesced]
         else:
             self._start_chunked_read()
 
-    def _coalesced(self, value: Any = None) -> None:
+    def _coalesced(self) -> None:
         """The awaited disk read finished: transmit from memory."""
         node = self.node
         self.plan = _EMPTY_PLAN
@@ -621,32 +644,44 @@ class FastConnection:
         )
 
     def _start_disk_read(self) -> None:
-        """First reader: register the in-flight marker, then perform
-        the chunked read."""
+        """First reader: register the read as in flight, then start it
+        — a file of one chunk (the common case, both durations
+        precomputed) right here, with ``Resource._enqueue`` inlined."""
         node = self.node
-        event = SimEvent(self.engine)
-        node._pending[self.target] = event
-        self.read_event = event
-        self._start_chunked_read()
+        target = self.target
+        node._pending[target] = _NO_WAITERS
+        self.reading = True
+        times = node.disk_times
+        if self.size > times.chunk_bytes:
+            self._start_chunked_read()
+            return
+        node.disk_reads += 1
+        self.plan = ((node.cpu, self.units[target] * node._transmit_per_unit),)
+        self.plan_i = 0
+        disks = node.disks  # disk_for's one-disk answer, without its frame
+        disk = disks[0] if len(disks) == 1 else node.disk_for(target)
+        self.res = disk
+        if disk._busy < disk.capacity:
+            now = self.engine.now
+            disk._busy_integral += disk._busy * (now - disk._last_change)
+            disk._last_change = now
+            disk._busy += 1
+            self.schedule(times.single[target], self._advance_cb)
+        else:
+            disk._waiting.append((self._advance_cb, times.single[target]))
 
     def _start_chunked_read(self) -> None:
         """Disk service then CPU transmit per 44 KB chunk, first chunk
         enqueued here, the rest via the plan — every duration taken from
-        the node's cost model as it stands now."""
+        the node's cost model as it stands now.  The general form:
+        files of several chunks, and every read a request issues beside
+        one already in flight when coalescing is off."""
         node = self.node
         target = self.target
-        size = self.size
-        times = node.disk_times
         node.disk_reads += 1
         cpu = node.cpu
         per_unit = node._transmit_per_unit
-        if size <= times.chunk_bytes:
-            # Single chunk (the common case): both durations precomputed.
-            self.plan = ((cpu, self.units[target] * per_unit),)
-            self.plan_i = 0
-            self._enqueue_data(node.disk_for(target), times.single[target])
-            return
-        pairs = times.chunk_plan(target, size)
+        pairs = node.disk_times.chunk_plan(target, self.size)
         disk = node.disk_for(target)
         plan: List[Tuple[Any, float]] = [(cpu, pairs[0][1] * per_unit)]
         append = plan.append
@@ -679,15 +714,14 @@ class FastConnection:
             resource, duration = plan[i]
             self._enqueue_data(resource, duration)
             return
-        event = self.read_event
         node = self.node
-        if event is not None:
+        if self.reading:
             # Deregister *after* the last chunk completes and *before*
             # teardown is enqueued, so coalesced waiters wake in exactly
             # the oracle's order.
-            self.read_event = None
-            del node._pending[self.target]
-            event.trigger()
+            self.reading = False
+            for wake in node._pending.pop(self.target):
+                self.schedule(0.0, wake)
         # Resource._enqueue, inlined (teardown service).
         cpu = node.cpu
         if cpu._busy < cpu.capacity:
@@ -741,11 +775,11 @@ class FastConnection:
             fe.timeline[bucket] = fe.timeline.get(bucket, 0) + 1
         fe.completed += 1
         # FrontEnd._detach, inlined (Policy.on_complete — least-load
-        # bound included — and LoadTracker.on_complete bodies folded in;
-        # the canonical calls reproduce the errors on the failure
-        # branches, and a -1 delta can only cross the threshold
-        # downward, so only the enters-underutilization transition is
-        # reachable).
+        # bound and scan cursor included — and LoadTracker.on_complete
+        # bodies folded in; the canonical calls reproduce the errors on
+        # the failure branches, and a -1 delta can only cross the
+        # threshold downward, so only the enters-underutilization
+        # transition is reachable).
         policy = fp.policy
         if live:
             p_loads = fp.p_loads
@@ -753,8 +787,13 @@ class FastConnection:
             if load < 0:
                 policy.on_complete(node_id)
             p_loads[node_id] = load
-            if load < policy._min_load:
-                policy._min_load = load
+            low = policy._min_load
+            if load <= low:
+                if load < low:
+                    policy._min_load = load
+                    policy._min_cursor = node_id
+                elif node_id < policy._min_cursor:
+                    policy._min_cursor = node_id
             policy.completions += 1
             t_load = fp.t_load
             load = t_load[node_id] - 1
@@ -852,11 +891,10 @@ class PersistentConnection(FastConnection):
             wcb, wdur = waiting.popleft()
             res._busy += 1
             self.schedule(wdur, wcb)
-        event = self.read_event
-        if event is not None:
-            self.read_event = None
-            del self.node._pending[self.target]
-            event.trigger()
+        if self.reading:
+            self.reading = False
+            for wake in self.node._pending.pop(self.target):
+                self.schedule(0.0, wake)
         self._request_done(now)
         fp = self.fp
         self.index += 1
@@ -1159,11 +1197,11 @@ class _Traced:
             self.disk_s = self.cpu_s = 0.0
             self.on_disk = True
 
-    def _coalesced(self, value: Any = None) -> None:
+    def _coalesced(self) -> None:
         now = self.engine.now
         self.span.phases["queue"] = now - self.mark
         self.mark = now
-        self._base._coalesced(self, value)
+        self._base._coalesced(self)
 
     def _advance(self) -> None:
         now = self.engine.now

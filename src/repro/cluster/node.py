@@ -14,8 +14,8 @@ requests):
 
 "Multiple requests waiting on the same file from disk can be satisfied
 with only one disk read" — implemented by the per-target pending-read
-table: concurrent misses on an in-flight file wait on a
-:class:`~repro.sim.resources.SimEvent` instead of issuing another read.
+table: concurrent misses on an in-flight file join that read's waiters,
+woken in arrival order when it ends, instead of issuing another read.
 
 In WRR/GMS mode the node consults the cluster-wide
 :class:`~repro.cache.gms.GlobalMemorySystem` instead of a private cache;
@@ -32,7 +32,7 @@ from typing import Any, Callable, Dict, Hashable, Optional, Sequence
 
 from ..cache.base import Cache
 from ..cache.gms import GlobalMemorySystem
-from ..sim import Engine, Resource, SimEvent
+from ..sim import Engine, Resource
 from .costs import CostModel
 
 __all__ = ["BackendNode"]
@@ -78,7 +78,10 @@ class BackendNode:
         #: Set by the cluster: target -> CPU (CGI) cost in seconds, or
         #: ``None`` for an all-static catalog.
         self.dynamic_cost_of_target: Optional[Sequence[float]] = None
-        self._pending: Dict[Hashable, SimEvent] = {}
+        #: target -> who waits for the read in flight: the lifecycle's
+        #: own representation (wake-up callbacks for the state machine,
+        #: a ``SimEvent`` for the coroutine oracle in ``tests/``).
+        self._pending: Dict[Hashable, Any] = {}
         # Counters (paper metrics).
         self.cache_hits = 0
         self.cache_misses = 0

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import abc
 from itertools import chain
-from typing import Dict, Hashable, List, Optional, Sequence
+from typing import Any, Dict, Hashable, List, Optional, Sequence
 
 __all__ = ["Policy", "PolicyError", "DEFAULT_T_LOW", "DEFAULT_T_HIGH", "admission_limit"]
 
@@ -50,6 +50,15 @@ def admission_limit(num_nodes: int, t_low: int = DEFAULT_T_LOW, t_high: int = DE
     if num_nodes < 1:
         raise PolicyError(f"need at least one node, got {num_nodes}")
     return (num_nodes - 1) * t_high + t_low - 1
+
+
+def _positive_int(name: str, value: Any) -> int:
+    """``value`` if it is an ``int`` (not a ``bool``) >= 1: a count that
+    reached a policy as ``2.5`` or ``True`` is a spec error, not a
+    number to round."""
+    if type(value) is not int or value < 1:
+        raise PolicyError(f"{name} must be an integer >= 1, got {value!r}")
+    return value
 
 
 def _normalize_weights(
@@ -140,6 +149,12 @@ class Policy(abc.ABC):
         #: dispatches cost nothing, and :meth:`least_loaded_node` raises
         #: it back to the true minimum when a decision needs it.
         self._min_load = 0
+        #: Scan cursor beside the bound: no alive node with an id below
+        #: it sits at ``_min_load``, so a run of first-assignments with
+        #: no completion in between resumes the scan where the last one
+        #: stopped instead of at id 0.  A completion that reaches the
+        #: bound at a lower id pulls it back; a join resets it.
+        self._min_cursor = 0
         #: Connections that died with their node (load zeroed by
         #: :meth:`on_node_failure` without a completion).
         self._shed_load = 0
@@ -167,8 +182,14 @@ class Policy(abc.ABC):
         if load < 0:
             raise PolicyError(f"completion on node {node} with zero load")
         loads[node] = load
-        if load < self._min_load:
-            self._min_load = load
+        low = self._min_load
+        if load <= low:
+            if load < low:
+                # Every other alive node is above the new bound.
+                self._min_load = load
+                self._min_cursor = node
+            elif node < self._min_cursor:
+                self._min_cursor = node
         self.completions += 1
 
     @property
@@ -219,6 +240,7 @@ class Policy(abc.ABC):
         self._alive[node] = True
         self.loads[node] = 0
         self._min_load = 0
+        self._min_cursor = 0
         self._dead_count -= 1
         self.membership_epoch += 1
 
@@ -261,11 +283,19 @@ class Policy(abc.ABC):
         # speed, stops at the first hit) and leave the bound at the true
         # minimum.  A level found empty stays passed until a completion
         # or a join lowers the bound again, so the walk is amortized
-        # against those.
+        # against those; within a level the ids below ``_min_cursor``
+        # stay passed the same way.
         low = self._min_load
+        if loads[start] == low and alive[start]:
+            # The rotation's common case: the node it starts at is one
+            # of the least loaded.
+            return start
+        cursor = self._min_cursor
         while True:
-            # Ring order: [start, n), then wrap to [0, start).
-            lo, hi = start, stop
+            # Ring order: [start, n), then wrap to [0, start) — minus
+            # the ids below the cursor, none of which sits at ``low``.
+            lo = start if start > cursor else cursor
+            hi = stop
             while True:
                 try:
                     node = loads.index(low, lo, hi)
@@ -274,11 +304,16 @@ class Policy(abc.ABC):
                     while not alive[node]:
                         node = loads.index(low, node + 1, hi)
                 except ValueError:
-                    if lo == 0:
+                    if lo == cursor:
                         break
-                    lo, hi = 0, start
+                    lo, hi = cursor, start
                 else:
                     self._min_load = low
+                    # A hit in the segment that begins at the cursor is
+                    # the lowest id at the bound; one in [start, n)
+                    # says nothing about [cursor, start).
+                    if lo == cursor:
+                        self._min_cursor = node
                     return node
             # No load can exceed the dispatch count, so a bound that
             # does was not lowered by a completion (bookkeeping
@@ -288,6 +323,7 @@ class Policy(abc.ABC):
                     f"no alive back-end node at or above the least-load bound {low}"
                 )
             low += 1
+            self._min_cursor = cursor = 0
 
     def has_node_below(self, threshold: int) -> bool:
         """True if any alive node's load is strictly below ``threshold``.

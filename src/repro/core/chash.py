@@ -29,9 +29,9 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from typing import Hashable, List, Tuple
+from typing import Dict, Hashable, List, Tuple
 
-from .base import Policy, PolicyError
+from .base import Policy, PolicyError, _positive_int
 from .locality import stable_hash
 
 __all__ = ["ConsistentHashBounded", "DEFAULT_BOUND_FACTOR", "DEFAULT_VNODES"]
@@ -72,16 +72,16 @@ class ConsistentHashBounded(Policy):
         super().__init__(num_nodes, **kwargs)
         if bound_factor <= 1.0:
             raise PolicyError(f"bound_factor must be > 1, got {bound_factor}")
-        if vnodes < 1:
-            raise PolicyError(f"vnodes must be >= 1, got {vnodes}")
         self.bound_factor = bound_factor
-        self.vnodes = vnodes
+        self.vnodes = _positive_int("vnodes", vnodes)
         #: Requests that overflowed their hash-owner and walked the ring.
         self.spills = 0
         self._ring_epoch = -1
         self._ring_hashes: List[int] = []
         self._ring_nodes: List[int] = []
         self._shares: List[float] = []
+        #: target -> index of its hash-owner's vnode, for this ring.
+        self._starts: Dict[Hashable, int] = {}
         self._rebuild_ring()
 
     # -- ring maintenance -------------------------------------------------------
@@ -108,6 +108,7 @@ class ConsistentHashBounded(Policy):
                 weight = 1.0 if weights is None else weights[node]
                 shares[node] = weight / total_weight
         self._shares = shares
+        self._starts = {}
         self._ring_epoch = self.membership_epoch
 
     # -- decision logic ---------------------------------------------------------
@@ -118,19 +119,34 @@ class ConsistentHashBounded(Policy):
             self._rebuild_ring()
         ring_nodes = self._ring_nodes
         ring_len = len(ring_nodes)
-        start = bisect_right(self._ring_hashes, stable_hash(target, salt=0)) % ring_len
+        start = self._starts.get(target)
+        if start is None:
+            start = self._starts[target] = (
+                bisect_right(self._ring_hashes, stable_hash(target, salt=0)) % ring_len
+            )
         loads = self.loads
         shares = self._shares
-        budget = self.bound_factor * (self.total_load + 1)
+        # ``total_load`` without the property's frame.
+        budget = self.bound_factor * (
+            self.dispatches - self.completions - self._shed_load + 1
+        )
         owner = ring_nodes[start]
-        if loads[owner] < math.ceil(budget * shares[owner]):
+        bound = math.ceil(budget * shares[owner])
+        if loads[owner] < bound:
             return owner
         # Walk clockwise.  Capacities sum to >= ceil(c * (m + 1)) > m, so
         # some alive node is under its bound and the walk terminates
         # within one lap; every alive node owns at least one vnode.
+        # Without weights every alive node has the owner's share, hence
+        # its bound.
+        weighted = self.weights is not None
         for step in range(1, ring_len):
             node = ring_nodes[(start + step) % ring_len]
-            if node != owner and loads[node] < math.ceil(budget * shares[node]):
+            if node == owner:
+                continue
+            if weighted:
+                bound = math.ceil(budget * shares[node])
+            if loads[node] < bound:
                 self.spills += 1
                 return node
         # All nodes at their bound (only possible transiently when the

@@ -24,18 +24,30 @@ Both policies draw randomness exclusively from a per-instance
 ``random.Random(seed)`` and consume it only inside :meth:`choose`, which
 the simulator calls exactly once per dispatch in trace order — so runs
 are deterministic, and the connection state machine and the coroutine
-oracle in ``tests/`` advance the generator identically.
+oracle in ``tests/`` advance the generator identically.  The probes are
+picked by this module's own :func:`draw` over the generator's public
+``getrandbits`` (the raw Mersenne Twister words), not by
+``Random.sample``: the Python documentation promises the generator's
+sequence for a seed and explicitly not the algorithms built on it, and
+the pinned decision digests should not hang on one of those.
 """
 
 from __future__ import annotations
 
+import math
 from random import Random
-from typing import Dict, Hashable, List, Set, Tuple
+from typing import Callable, Dict, Hashable, List, Sequence, Set, Tuple
 
-from .base import Policy, PolicyError
+from .base import Policy, PolicyError, _positive_int
 from .locality import stable_hash
 
-__all__ = ["PowerOfD", "CacheAwarePowerOfD", "DEFAULT_D", "DEFAULT_REPLICATION"]
+__all__ = [
+    "PowerOfD",
+    "CacheAwarePowerOfD",
+    "DEFAULT_D",
+    "DEFAULT_REPLICATION",
+    "draw",
+]
 
 #: The classic "power of two choices": d = 2 captures almost all of the
 #: benefit of larger d.
@@ -43,6 +55,46 @@ DEFAULT_D = 2
 
 #: Default replica locations per target for ``pod/lc``.
 DEFAULT_REPLICATION = 3
+
+
+def draw(getrandbits: Callable[[int], int], population: Sequence[int], k: int) -> List[int]:
+    """``k`` distinct members of ``population``, in selection order.
+
+    Each index comes from rejection sampling on ``getrandbits`` (draw
+    ``bit_length`` bits, retry while out of range).  Small populations
+    are drawn from a shrinking pool — index below what is left, vacancy
+    filled with the pool's last member — and large ones by redrawing
+    indices already taken; the crossover is where a ``k``-entry set gets
+    smaller than an ``n``-entry list.  That is the procedure, bit for
+    bit, the recorded decision digests were taken with (CPython's
+    ``Random.sample``, which ``tests/test_core_pod.py`` holds this to).
+    """
+    n = len(population)
+    if not 0 <= k <= n:
+        raise PolicyError(f"cannot draw {k} of {n}")
+    pool_limit = 21
+    if k > 5:
+        pool_limit += 4 ** math.ceil(math.log(k * 3, 4))
+    picked: List[int] = []
+    if n <= pool_limit:
+        pool = list(population)
+        for left in range(n, n - k, -1):
+            bits = left.bit_length()
+            j = getrandbits(bits)
+            while j >= left:
+                j = getrandbits(bits)
+            picked.append(pool[j])
+            pool[j] = pool[left - 1]
+        return picked
+    taken: Set[int] = set()
+    bits = n.bit_length()
+    for _ in range(k):
+        j = getrandbits(bits)
+        while j >= n or j in taken:
+            j = getrandbits(bits)
+        taken.add(j)
+        picked.append(population[j])
+    return picked
 
 
 class PowerOfD(Policy):
@@ -67,11 +119,9 @@ class PowerOfD(Policy):
         **kwargs,
     ) -> None:
         super().__init__(num_nodes, **kwargs)
-        if d < 1:
-            raise PolicyError(f"d must be >= 1, got {d}")
-        self.d = d
+        self.d = _positive_int("d", d)
         self.seed = seed
-        self._rng = Random(seed)
+        self._getrandbits = Random(seed).getrandbits
         self._alive_epoch = -1
         self._alive_list: List[int] = []
 
@@ -82,27 +132,23 @@ class PowerOfD(Policy):
             self._alive_epoch = self.membership_epoch
         return self._alive_list
 
-    def _probe_key(self, node: int) -> float:
-        """Load per unit weight (raw load when homogeneous)."""
-        inv = self._inv_weights
-        load = self.loads[node]
-        return load * inv[node] if inv is not None else float(load)
-
     def choose(self, target: Hashable, size: int, now: float = 0.0) -> int:
         """Dispatch to the least-loaded of ``d`` uniformly sampled probes."""
-        alive = self._alive_snapshot()
+        alive = self._alive_list
+        if self._alive_epoch != self.membership_epoch:
+            alive = self._alive_snapshot()
         d = self.d
-        if d >= len(alive):
-            probes = alive
-        else:
-            probes = self._rng.sample(alive, d)
-        best = probes[0]
-        best_key = self._probe_key(best)
-        for node in probes[1:]:
-            key = self._probe_key(node)
+        probes = alive if d >= len(alive) else draw(self._getrandbits, alive, d)
+        loads = self.loads
+        inv = self._inv_weights
+        best = -1
+        best_key = 0.0
+        for node in probes:
+            # Load per unit weight (raw load when homogeneous).
+            key = loads[node] if inv is None else loads[node] * inv[node]
             # Strict <: earlier probe order wins ties, which is the
             # textbook rule and keeps reruns deterministic.
-            if key < best_key:
+            if best < 0 or key < best_key:
                 best, best_key = node, key
         return best
 
@@ -143,9 +189,7 @@ class CacheAwarePowerOfD(PowerOfD):
         **kwargs,
     ) -> None:
         super().__init__(num_nodes, d=d, seed=seed, **kwargs)
-        if replication < 1:
-            raise PolicyError(f"replication must be >= 1, got {replication}")
-        self.replication = replication
+        self.replication = _positive_int("replication", replication)
         #: target -> (epoch, replica locations)
         self._locations: Dict[Hashable, Tuple[int, List[int]]] = {}
         #: target -> nodes predicted to hold it in cache.
@@ -181,24 +225,31 @@ class CacheAwarePowerOfD(PowerOfD):
 
     def choose(self, target: Hashable, size: int, now: float = 0.0) -> int:
         """Least-loaded cached probe when viable, else least-loaded probe."""
-        locations = self._replica_locations(target)
-        if self.d >= len(locations):
+        memo = self._locations.get(target)
+        if memo is not None and memo[0] == self.membership_epoch:
+            locations = memo[1]
+        else:
+            locations = self._replica_locations(target)
+        d = self.d
+        if d >= len(locations):
             probes = locations
         else:
-            probes = self._rng.sample(locations, self.d)
+            probes = draw(self._getrandbits, locations, d)
         cached = self._cached.get(target)
+        loads = self.loads
+        inv = self._inv_weights
         best = -1
         best_key = 0.0
         best_hit = -1
         best_hit_key = 0.0
         for node in probes:
-            key = self._probe_key(node)
+            key = loads[node] if inv is None else loads[node] * inv[node]
             if best < 0 or key < best_key:
                 best, best_key = node, key
             if cached is not None and node in cached:
                 if best_hit < 0 or key < best_hit_key:
                     best_hit, best_hit_key = node, key
-        if best_hit >= 0 and self.loads[best_hit] < self.t_high:
+        if best_hit >= 0 and loads[best_hit] < self.t_high:
             self.predicted_hits += 1
             return best_hit
         self.cold_dispatches += 1

@@ -35,7 +35,8 @@ Checked every ``deep_interval`` events and at end of run (O(cluster)):
   the outcome counters tick at the fetch decision, ``requests_served``
   only after teardown);
 * policy load accounting is non-negative and its incremental summaries
-  match a recount (``_min_load`` at or below the least alive load,
+  match a recount (``_min_load`` at or below the least alive load, no
+  alive node below ``_min_cursor`` at that bound,
   ``total_load == sum(loads)``, ``alive_count == sum(_alive)``), and
   every node named by a LARD mapping or LARD/R server set is in the live
   membership — the paper's failure rule ("as if they had not been
@@ -335,6 +336,16 @@ class InvariantSanitizer:
                 f"policy least-load bound {policy._min_load} is above the least "
                 f"alive load {least} (a completion did not lower it)",
             )
+        bound = policy._min_load
+        for node in range(policy._min_cursor):
+            if alive[node] and policy.loads[node] == bound:
+                self._fail(
+                    when,
+                    callback,
+                    f"policy scan cursor {policy._min_cursor} is past node {node}, "
+                    f"which sits at the least-load bound {bound} (a completion "
+                    f"did not pull it back)",
+                )
         in_flight = sum(policy.loads)
         if policy.total_load != in_flight:
             self._fail(

@@ -69,6 +69,19 @@ class TestSpecValidation:
         with pytest.raises(ValueError, match="unknown keys: speed"):
             matrix_from_dict(bad)
 
+    @pytest.mark.parametrize(
+        "key", ["pod_d", "pod_replication", "num_nodes", "node_cache_bytes", "policy_seed"]
+    )
+    @pytest.mark.parametrize("value", [2.9, True, "3", None])
+    def test_integer_fields_are_not_coerced(self, key, value):
+        # int() used to turn 2.9 into 2, true into 1 and "3" into 3.
+        with pytest.raises(ValueError, match=f"'{key}' must be an integer"):
+            matrix_from_dict(dict(TINY, **{key: value}))
+
+    def test_integer_fields_reach_the_spec(self):
+        spec = matrix_from_dict(dict(TINY, pod_d=3, pod_replication=4))
+        assert (spec.pod_d, spec.pod_replication) == (3, 4)
+
     def test_unknown_trace_kind_rejected(self):
         with pytest.raises(ValueError, match="unknown trace kind"):
             Scenario(name="x", kind="nope")

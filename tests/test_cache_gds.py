@@ -1,8 +1,19 @@
-"""Unit tests for Greedy-Dual-Size replacement."""
+"""Unit tests for Greedy-Dual-Size replacement.
+
+``GDSCache.access`` carries its own copy of the insert for the default
+GDS(1) cache; a supplied cost function or a subclass's ``_admits`` goes
+through ``Cache._insert`` and the hooks.  The replay tests at the end
+hold the two paths to one another, and the seeded mutations beside them
+show they would notice a slip in the copy or in the choice of path.
+"""
+
+import dataclasses
+import random
 
 import pytest
 
 from repro.cache import GDSCache, CacheError
+from tests.seeded_mutation import assert_selected_tests_fail
 
 
 def test_basic_hit_miss():
@@ -127,3 +138,90 @@ def test_invalidate_then_no_stale_eviction():
     cache.access("c", 60)  # fits in freed space, b must survive
     assert "b" in cache
     assert "c" in cache
+
+
+# -- the fused miss path against Cache._insert ------------------------------------
+
+
+class _HookPathGDS(GDSCache):
+    """Admits what the default admits, through an override — which is
+    what sends its misses down ``Cache._insert`` and the hooks."""
+
+    def _admits(self, target, size):
+        return True
+
+
+class _SmallFilesOnlyGDS(GDSCache):
+    def _admits(self, target, size):
+        return size <= 40
+
+
+def _stream(seed, length=3000):
+    """Hits, misses, evictions, zero-byte and over-capacity files."""
+    rng = random.Random(seed)
+    for _ in range(length):
+        target = int(rng.paretovariate(0.7)) % 150
+        yield target, (0, 700)[target % 2] if target % 50 < 2 else 5 + 7 * (target % 23)
+
+
+def _replay(cache, seed):
+    """Everything a replay leaves behind, eviction order included."""
+    evicted = []
+    cache.evict_listener = lambda target, size: evicted.append((target, size))
+    outcomes = [cache.access(target, size) for target, size in _stream(seed)]
+    return (
+        outcomes,
+        dataclasses.asdict(cache.stats),
+        cache.used_bytes,
+        cache.inflation,
+        dict(cache._sizes),
+        dict(cache._credit),
+        evicted,
+    )
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_fused_miss_path_is_the_hook_path(seed):
+    fused = GDSCache(600)
+    hooks = _HookPathGDS(600)
+    priced = GDSCache(600, cost_fn=lambda target, size: 1.0)
+    assert fused._fused_insert and not hooks._fused_insert and not priced._fused_insert
+    expected = _replay(hooks, seed)
+    assert expected[1]["evictions"] > 100 and expected[1]["rejected"] > 0
+    assert _replay(fused, seed) == expected
+    assert _replay(priced, seed) == expected
+
+
+def test_a_subclass_admission_filter_is_honoured():
+    cache = _SmallFilesOnlyGDS(600)
+    refused = set()
+    for target, size in _stream(1):
+        hit = cache.access(target, size)
+        if size > 40:
+            assert not hit and target not in cache
+            refused.add(target)
+    assert refused and cache.stats.rejected > len(refused)
+    assert all(size <= 40 for size in cache._sizes.values())
+
+
+#: name -> (anchor in cache/gds.py, replacement, ``-k`` selector).
+_MUTATIONS = {
+    "fused-insert-forgets-the-inflation": (
+        "\n        credit = self._inflation + (1.0 / size if size > 0 else 1.0)\n",
+        "\n        credit = 1.0 / size if size > 0 else 1.0\n",
+        "fused_miss_path_is_the_hook_path",
+    ),
+    "fused-insert-taken-whatever-the-subclass-admits": (
+        "self._fused_insert = self._unit_cost and type(self) is GDSCache\n",
+        "self._fused_insert = self._unit_cost\n",
+        "admission_filter_is_honoured",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_MUTATIONS))
+def test_seeded_mutation_is_caught(name, tmp_path):
+    anchor, replacement, selector = _MUTATIONS[name]
+    assert_selected_tests_fail(
+        tmp_path, "cache/gds.py", anchor, replacement, __file__, selector
+    )

@@ -294,9 +294,9 @@ MUTATIONS = {
     ),
     "per-request-self-reference-on-a-connection": (
         "cluster/fastpath.py",
-        "            pending._waiters.append(self._coalesced)\n",
-        "            self.hit_hint = self._coalesced\n"
-        "            pending._waiters.append(self.hit_hint)\n",
+        "                node._pending[self.target] = [self._coalesced]\n",
+        "                self.hit_hint = self._coalesced\n"
+        "                node._pending[self.target] = [self.hit_hint]\n",
         "creates_no_cyclic_garbage and one-request",
     ),
     "evict-listener-closes-over-its-owner": (

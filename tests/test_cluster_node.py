@@ -7,14 +7,19 @@ state machine and on the reference coroutines in
 oracle an oracle).
 """
 
+import io
+
 import pytest
 
 from repro.cache import GDSCache, GlobalMemorySystem
 from repro.cluster import ClusterConfig, ClusterSimulator, CostModel
 from repro.cluster.node import BackendNode
+from repro.obs import SpanWriter, parse_span_log
+from repro.obs.tracer import SimTracer
 from repro.sim import Engine
 from repro.workload import Trace
 from tests.cluster_oracle import use_oracle
+from tests.seeded_mutation import assert_selected_tests_fail
 
 #: The shipped state machine, then the reference oracle.
 LIFECYCLES = (False, True)
@@ -26,7 +31,7 @@ def _node(engine, cache_bytes=10**6, num_disks=1, **kw):
     )
 
 
-def _cluster(oracle, targets, sizes, concurrent=False, **config):
+def _cluster(oracle, targets, sizes, concurrent=False, tracer=None, **config):
     """A cluster (one WRR node unless ``config`` says otherwise) about
     to serve ``targets`` one at a time, or all at once."""
     config.setdefault("policy", "wrr")
@@ -38,6 +43,7 @@ def _cluster(oracle, targets, sizes, concurrent=False, **config):
             max_in_flight=len(targets) if concurrent else 1,
             **config,
         ),
+        tracer=tracer,
     )
     return use_oracle(sim) if oracle else sim
 
@@ -86,6 +92,56 @@ class TestCoalescing:
             assert node.cache_misses == 5
             assert node.requests_served == 5
 
+    def test_three_waiters_wake_in_arrival_order_before_the_readers_teardown(self):
+        """One read in flight, three requests joining it one after the
+        other: they are woken in the order they joined, and the read is
+        off the pending table in the very event that ends it — the one
+        that starts the reader's teardown."""
+        model = CostModel()
+        for oracle in LIFECYCLES:
+            sink = io.StringIO()
+            tracer = SimTracer(SpanWriter(sink, source="sim"))
+            sim = _cluster(oracle, [0] * 4, [8192], concurrent=True, tracer=tracer)
+            node = sim.nodes[0]
+            states = []  # after every event
+
+            def watch(when, callback):
+                cpu = node.cpu
+                states.append(
+                    (len(node._pending), cpu.jobs_served, cpu.busy, cpu.queue_length)
+                )
+
+            sim.engine.install_sanitizer(watch)
+            sim.run()
+            tracer.writer.close()
+            assert (node.disk_reads, node.coalesced_reads) == (1, 3)
+            assert (node.cache_misses, node.requests_served) == (4, 4)
+            # The event that empties the table: four establishments and
+            # the reader's transmit are booked, its teardown is in
+            # service, and the waiters' wake-ups are staged behind it —
+            # none has reached the CPU queue yet.
+            registered = [pending for pending, *_ in states].index(1)
+            emptied = [pending for pending, *_ in states].index(0, registered)
+            assert states[emptied] == (0, 5, 1, 0)
+            assert all(pending == 0 for pending, *_ in states[emptied:])
+            # Spans land in completion order, ``req`` counts admissions.
+            spans = parse_span_log(sink.getvalue().splitlines()).spans
+            assert [span.req for span in spans] == [0, 1, 2, 3]
+            assert [span.outcome for span in spans] == ["miss"] + ["coalesced"] * 3
+            # Joined one establishment apart, woken at one instant, then
+            # served one transmit apart behind the reader's teardown.
+            conn, transmit = model.connection_time(), model.transmit_time(8192)
+            woken = [span.t_arrival + span.phases["establish"] + span.phases["queue"]
+                     for span in spans[1:]]
+            assert woken[0] == woken[1] == woken[2]
+            for earlier, later in zip(spans[1:], spans[2:]):
+                assert later.phases["establish"] - earlier.phases["establish"] == (
+                    pytest.approx(conn)
+                )
+                assert later.phases["cpu"] - earlier.phases["cpu"] == (
+                    pytest.approx(transmit)
+                )
+
     def test_disabled_coalescing_reads_repeatedly(self):
         for oracle in LIFECYCLES:
             sim = _cluster(
@@ -107,6 +163,28 @@ class TestCoalescing:
             sim.run()
             assert sim.nodes[0].cache_hits == 1
             assert sim.nodes[0].disk_reads == 1
+
+
+#: Slips in the state machine's waiter list that the three-waiter test
+#: must catch: name -> (anchor in cluster/fastpath.py, replacement).
+_WAITER_MUTATIONS = {
+    "waiters-woken-newest-first": (
+        "            for wake in node._pending.pop(self.target):\n",
+        "            for wake in reversed(node._pending.pop(self.target)):\n",
+    ),
+    "a-later-waiter-replaces-the-earlier-ones": (
+        "                waiters.append(self._coalesced)\n",
+        "                node._pending[self.target] = [self._coalesced]\n",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_WAITER_MUTATIONS))
+def test_seeded_waiter_mutation_is_caught(name, tmp_path):
+    anchor, replacement = _WAITER_MUTATIONS[name]
+    assert_selected_tests_fail(
+        tmp_path, "cluster/fastpath.py", anchor, replacement, __file__, "three_waiters"
+    )
 
 
 class TestDisks:

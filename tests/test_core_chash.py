@@ -116,6 +116,11 @@ class TestValidation:
         with pytest.raises(PolicyError):
             _chash(2, vnodes=0)
 
+    @pytest.mark.parametrize("vnodes", [1.5, 64.0, True, "64"])
+    def test_vnodes_must_be_an_integer(self, vnodes):
+        with pytest.raises(PolicyError, match="vnodes must be an integer"):
+            _chash(2, vnodes=vnodes)
+
     def test_factory_forwards_kwargs(self):
         policy = make_policy("chash", 4, bound_factor=2.0, vnodes=8)
         assert policy.bound_factor == 2.0

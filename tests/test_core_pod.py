@@ -1,8 +1,23 @@
-"""Unit tests for power-of-d-choices (``pod``) and cache-aware ``pod/lc``."""
+"""Unit tests for power-of-d-choices (``pod``) and cache-aware ``pod/lc``.
 
+The probes come from :func:`repro.core.pod.draw`, the repo's own k-of-n
+draw over the seeded generator's ``getrandbits``.  Its oracle is the
+routine the recorded decision digests were taken with, CPython's
+``Random.sample``: same members in the same order, and the generator
+left at the same stream position.  The seeded mutation recorded beside
+that test (the second index drawn below ``n`` instead of below what is
+left of the pool) shows it has teeth.
+"""
+
+import random
+
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
 from repro.core import CacheAwarePowerOfD, PolicyError, PowerOfD, make_policy
+from repro.core.pod import draw
+from tests.seeded_mutation import assert_selected_tests_fail
 
 
 def _load(policy, node, amount):
@@ -64,6 +79,12 @@ class TestPowerOfD:
         with pytest.raises(PolicyError):
             PowerOfD(4, d=0)
 
+    @pytest.mark.parametrize("d", [1.5, 2.0, True, "2", None])
+    def test_d_must_be_an_integer(self, d):
+        # Used to build, then die inside Random.sample on the first request.
+        with pytest.raises(PolicyError, match="d must be an integer"):
+            PowerOfD(4, d=d)
+
 
 class TestCacheAwarePowerOfD:
     def test_repeat_target_sticks_to_cached_probe(self):
@@ -121,6 +142,14 @@ class TestCacheAwarePowerOfD:
         with pytest.raises(PolicyError):
             CacheAwarePowerOfD(4, replication=0)
 
+    @pytest.mark.parametrize("replication", [2.5, 3.0, True, "3"])
+    def test_replication_must_be_an_integer(self, replication):
+        # 2.5 used to run, silently, with three replicas.
+        with pytest.raises(PolicyError, match="replication must be an integer"):
+            CacheAwarePowerOfD(4, replication=replication)
+        with pytest.raises(PolicyError, match="d must be an integer"):
+            CacheAwarePowerOfD(4, d=1.5)
+
     def test_factory_forwards_kwargs(self):
         policy = make_policy("pod/lc", 8, d=3, replication=5, seed=7)
         assert (policy.d, policy.replication, policy.seed) == (3, 5, 7)
@@ -140,3 +169,57 @@ class TestCacheAwarePowerOfD:
             return out
 
         assert run() == run()
+
+
+# -- the draw against its oracle ---------------------------------------------------
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**32),
+    n=st.integers(min_value=1, max_value=64),
+    k=st.integers(min_value=1, max_value=8),
+    warm=st.integers(min_value=0, max_value=3),
+)
+def test_draw_is_random_sample_on_the_same_stream(seed, n, k, warm):
+    """Both of ``sample``'s branches are in range: a pool for ``n <= 21``
+    (and for every ``n`` here once ``k > 5``), a selection set above."""
+    k = min(k, n)
+    population = [3 * i + 1 for i in range(n)]
+    ours, theirs = random.Random(seed), random.Random(seed)
+    for _ in range(warm):  # not only from a fresh generator
+        ours.getrandbits(32)
+        theirs.getrandbits(32)
+    assert draw(ours.getrandbits, population, k) == theirs.sample(population, k)
+    assert ours.getrandbits(32) == theirs.getrandbits(32)
+    assert population == [3 * i + 1 for i in range(n)]
+
+
+def test_draw_covers_both_branches_of_sample():
+    """The property above is only a proof if its range straddles the
+    crossover: at k=2, n=21 draws from a pool and n=22 redraws."""
+    for n in (21, 22):
+        for seed in range(50):
+            ours, theirs = random.Random(seed), random.Random(seed)
+            population = list(range(n))
+            assert draw(ours.getrandbits, population, 2) == theirs.sample(population, 2)
+            assert ours.getrandbits(32) == theirs.getrandbits(32)
+
+
+def test_draw_refuses_more_than_there_is():
+    with pytest.raises(PolicyError, match="cannot draw 4 of 3"):
+        draw(random.Random(0).getrandbits, [0, 1, 2], 4)
+
+
+#: The second index drawn below ``n`` instead of below what is left.
+_DRAW_MUTATION = (
+    "core/pod.py",
+    "            bits = left.bit_length()\n",
+    "            left = n\n            bits = left.bit_length()\n",
+)
+
+
+def test_seeded_draw_mutation_is_caught(tmp_path):
+    assert_selected_tests_fail(
+        tmp_path, *_DRAW_MUTATION, __file__, "draw_is_random_sample"
+    )

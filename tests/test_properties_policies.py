@@ -17,10 +17,15 @@ hold for every policy and every schedule:
 
 The load helpers every strategy decides with (``least_loaded_node``,
 ``has_node_below``, the ``wrr`` rotation) answer from an incrementally
-maintained bound instead of scanning the cluster; a second family of
-tests holds them to the naive scans in :mod:`tests.policy_oracle` under
-the same kind of schedule, and pins the 1024-node decision streams to
-digests taken before the bound existed.
+maintained bound and scan cursor instead of scanning the cluster; a
+second family of tests holds them to the naive scans in
+:mod:`tests.policy_oracle` under the same kind of schedule — driven
+through ``Policy.on_complete`` and, inside a real run, through the copy
+of it inlined in ``FastConnection._complete`` — and pins the 1024-node
+decision streams to digests taken before the bound existed.  The
+mutations recorded at the end (a completion that does not pull the
+cursor back, in either copy; a dead node answered from the start
+position) show both have teeth.
 """
 
 import hashlib
@@ -30,8 +35,11 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
+from repro.cluster import ClusterConfig, ClusterSimulator
 from repro.core import POLICY_NAMES, WeightedRoundRobin, make_policy
+from repro.workload import synthesize_trace
 from tests import policy_oracle
+from tests.seeded_mutation import assert_selected_tests_fail
 
 NUM_NODES = 5
 
@@ -136,9 +144,16 @@ _helper_ops = st.lists(
 )
 
 
-def _assert_helpers_match(policy):
+def _assert_helpers_match(policy, starts=()):
     """Every helper against its scan, at the thresholds around the minimum
-    (where the answer flips) and at the paper's T_low."""
+    (where the answer flips) and at the paper's T_low; ``starts`` are
+    ring positions to ask from besides id 0 (the ``wrr`` rotation)."""
+    for start in starts:
+        start %= policy.num_nodes
+        expected = policy_oracle.least_loaded_node(policy, start)
+        assert policy.least_loaded_node(start) == expected, (
+            f"least_loaded_node({start}) with loads {policy.loads}"
+        )
     least = policy_oracle.least_loaded_node(policy)
     assert policy.least_loaded_node() == least
     floor = policy.loads[least]
@@ -152,6 +167,11 @@ def _assert_summaries_match(policy):
     """The incremental summaries against a recount (never raises the bound)."""
     alive_loads = [policy.loads[n] for n in policy.alive_nodes]
     assert policy._min_load <= min(alive_loads)
+    assert not any(
+        policy.loads[n] == policy._min_load
+        for n in policy.alive_nodes
+        if n < policy._min_cursor
+    ), f"cursor {policy._min_cursor} passed a node at the bound: {policy.loads}"
     assert policy.total_load == sum(policy.loads)
     assert policy.alive_count == len(alive_loads)
 
@@ -166,7 +186,8 @@ def _assert_summaries_match(policy):
 def test_load_helpers_match_the_scan_oracle(num_nodes, weight_seed, eager, schedule):
     """``eager`` asks after every step (the bound is always fresh); the
     lazy runs only ask at ``ask`` ops, so the bound goes stale by several
-    levels — under completions, failures and joins — before it is used."""
+    levels — under completions, failures and joins — before it is used.
+    Every ask is from id 0 and from the op's own value as ring position."""
     weights = None
     if weight_seed is not None:
         rng = random.Random(weight_seed)
@@ -195,8 +216,47 @@ def test_load_helpers_match_the_scan_oracle(num_nodes, weight_seed, eager, sched
                 policy.on_node_join(down[value % len(down)])
         _assert_summaries_match(policy)
         if eager or op == "ask":
-            _assert_helpers_match(policy)
-    _assert_helpers_match(policy)
+            _assert_helpers_match(policy, (value, value // 7))
+    _assert_helpers_match(policy, range(num_nodes))
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    policy_name=st.sampled_from(["wrr", "lard", "lard/r"]),
+    num_nodes=st.integers(min_value=2, max_value=12),
+    seed=st.integers(min_value=0, max_value=10**6),
+    every=st.integers(min_value=1, max_value=9),
+    churn=st.booleans(),
+)
+def test_load_helpers_match_the_scan_oracle_inside_a_run(
+    policy_name, num_nodes, seed, every, churn
+):
+    """The same oracle where completions never reach ``on_complete``:
+    ``FastConnection._complete`` carries its own copy of the bound and
+    cursor updates.  Asked after every ``every``-th event of a real
+    simulation (with a node failing and rejoining under ``churn``),
+    through the engine's per-event hook."""
+    trace = synthesize_trace(500, 60, 8 * 2**20, 1.0, seed=seed % 50)
+    events = ((0.3, "fail", seed % num_nodes), (0.9, "join", seed % num_nodes))
+    config = ClusterConfig(
+        policy=policy_name,
+        num_nodes=num_nodes,
+        node_cache_bytes=2**19,
+        membership_events=events if churn else (),
+    )
+    simulator = ClusterSimulator(trace, config)
+    policy = simulator.policy
+    seen = [0]
+
+    def ask(when, callback):
+        seen[0] += 1
+        _assert_summaries_match(policy)
+        if seen[0] % every == 0:
+            _assert_helpers_match(policy, (seen[0], seed))
+
+    simulator.engine.install_sanitizer(ask)
+    result = simulator.run()
+    assert result.num_requests == 500 and seen[0] > 1500
 
 
 # -- pinned decisions at 1024 nodes ------------------------------------------------
@@ -259,3 +319,37 @@ def _decision_digest(name, churn):
 @pytest.mark.parametrize("name,churn", sorted(_DECISION_DIGESTS))
 def test_decisions_at_1024_nodes_are_pinned(name, churn):
     assert _decision_digest(name, churn) == _DECISION_DIGESTS[(name, churn)]
+
+
+# -- seeded mutations ----------------------------------------------------------------
+#
+# name -> (file under src/repro, anchor, replacement, ``-k`` expression
+# selecting the tests that must fail on it).
+
+_CURSOR_MUTATIONS = {
+    "on-complete-does-not-pull-the-cursor-back": (
+        "core/base.py",
+        "            elif node < self._min_cursor:\n                self._min_cursor = node\n",
+        "",
+        "match_the_scan_oracle and not inside_a_run",
+    ),
+    "shortcut-answers-with-a-dead-start-node": (
+        "core/base.py",
+        "        if loads[start] == low and alive[start]:\n",
+        "        if loads[start] == low:\n",
+        "match_the_scan_oracle and not inside_a_run",
+    ),
+    "inlined-completion-does-not-pull-the-cursor-back": (
+        "cluster/fastpath.py",
+        "                elif node_id < policy._min_cursor:\n"
+        "                    policy._min_cursor = node_id\n",
+        "",
+        "match_the_scan_oracle_inside_a_run",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_CURSOR_MUTATIONS))
+def test_seeded_cursor_mutation_is_caught(name, tmp_path):
+    relpath, anchor, replacement, selector = _CURSOR_MUTATIONS[name]
+    assert_selected_tests_fail(tmp_path, relpath, anchor, replacement, __file__, selector)

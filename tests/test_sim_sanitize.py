@@ -319,6 +319,20 @@ def test_stale_least_load_bound_is_caught():
         sim.run()
 
 
+def test_stale_scan_cursor_is_caught():
+    """...or without pulling the scan cursor back to a node that has
+    just reached the bound."""
+
+    def corrupt(sim):
+        policy = sim.policy
+        policy._min_load = min(policy.loads)
+        policy._min_cursor = policy.num_nodes
+
+    sim = _corrupt_at(_simulator(), 0.5, corrupt)
+    with pytest.raises(SanitizerError, match="scan cursor"):
+        sim.run()
+
+
 def test_total_load_drift_is_caught():
     def corrupt(sim):
         # A completion that moved the load vector but was never counted.

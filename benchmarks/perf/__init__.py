@@ -1,8 +1,8 @@
-"""Performance microbenchmarks for the simulator substrate.
+"""Performance measurement for the simulator substrate.
 
 Unlike the figure benchmarks (which reproduce paper results), this
-package measures the *speed* of the reproduction itself: raw engine
-event dispatch, end-to-end simulation throughput, and parallel sweep
-scaling.  ``scripts/bench_perf.py`` drives these and gates regressions
-against the committed ``BENCH_perf.json`` baseline.
+package measures the *speed* of the reproduction itself.  The
+instrument of record is the layered ledger in ``ledger/`` (declared by
+``BENCHMARK.json``); ``micro.py`` holds the few pieces it shares with
+the smoke tests.
 """

@@ -1,10 +1,8 @@
-"""The three perf microbenchmarks, as plain importable functions.
-
-Each returns a flat dict of measurements; ``scripts/bench_perf.py``
-aggregates them into ``BENCH_perf.json`` and ``test_perf_smoke.py`` runs
-scaled-down versions as a functional smoke test.  All workloads are
-deterministic (fixed seeds, fixed schedules), so run-to-run variance is
-machine noise only.
+"""What the perf ledger (``benchmarks/perf/ledger``) shares with its
+smoke tests: the calibration loop, the raw engine-dispatch micro and the
+reference workload's parameters.  ``test_perf_smoke.py`` runs scaled-down
+versions as a functional smoke test.  Everything is deterministic (fixed
+seeds, fixed schedules), so run-to-run variance is machine noise only.
 """
 
 from __future__ import annotations
@@ -12,16 +10,12 @@ from __future__ import annotations
 import time
 from typing import Any, Dict
 
-from repro.analysis.sweep import sweep
-from repro.cluster import PAPER_NODE_CACHE_BYTES, run_simulation
+from repro.cluster import PAPER_NODE_CACHE_BYTES
 from repro.sim import Delay, Engine
-from repro.workload import cached_trace
 
 __all__ = [
     "calibration_score",
     "bench_engine_events",
-    "bench_sim_requests",
-    "bench_sweep",
     "E2E_TRACE_PARAMS",
     "E2E_SIM_PARAMS",
 ]
@@ -75,48 +69,4 @@ def bench_engine_events(num_events: int = 400_000, fanout: int = 200) -> Dict[st
         "seconds": elapsed,
         "events": float(engine.events_dispatched),
         "events_per_s": engine.events_dispatched / elapsed,
-    }
-
-
-def bench_sim_requests(num_requests: int = 100_000) -> Dict[str, float]:
-    """End-to-end simulation throughput on the reference LARD/R workload.
-
-    Trace generation is excluded from the timed region (and memoized on
-    disk), so the number isolates the simulator itself.
-    """
-    params = dict(E2E_TRACE_PARAMS)
-    params["num_requests"] = num_requests
-    trace = cached_trace("rice", **params)
-    t0 = time.perf_counter()
-    result = run_simulation(trace, **E2E_SIM_PARAMS)
-    elapsed = time.perf_counter() - t0
-    return {
-        "seconds": elapsed,
-        "requests": float(num_requests),
-        "requests_per_s": num_requests / elapsed,
-        "sim_throughput_rps": result.throughput_rps,
-        "sim_miss_ratio": result.cache_miss_ratio,
-    }
-
-
-def bench_sweep(jobs: int, num_requests: int = 20_000) -> Dict[str, float]:
-    """Wall-clock for a 16-cell sweep at the given worker count.
-
-    The cells (4 policies x 4 cluster sizes) are the acceptance
-    workload for parallel scaling; rows are identical at every ``jobs``.
-    """
-    trace = cached_trace("rice", num_requests=num_requests, scale=0.1)
-    parameters = dict(
-        policy=["wrr", "lb", "lard", "lard/r"],
-        num_nodes=[2, 4, 6, 8],
-        node_cache_bytes=[int(PAPER_NODE_CACHE_BYTES * 0.1)],
-    )
-    t0 = time.perf_counter()
-    rows = sweep(trace, jobs=jobs, **parameters)
-    elapsed = time.perf_counter() - t0
-    return {
-        "seconds": elapsed,
-        "cells": float(len(rows)),
-        "cells_per_s": len(rows) / elapsed,
-        "jobs": float(jobs),
     }

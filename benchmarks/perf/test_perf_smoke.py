@@ -2,13 +2,13 @@
 
 These run scaled-down versions of every microbenchmark so CI catches a
 broken benchmark (import error, workload drift, zero-division) without
-paying full measurement time.  Regression *gating* is separate — see
-``scripts/bench_perf.py --check``.
+paying full measurement time.  Regression *gating* is the ledger's
+per-PR parent/change comparison (``benchmarks/perf/ledger``).
 """
 
 from __future__ import annotations
 
-from .micro import bench_engine_events, bench_sim_requests, bench_sweep, calibration_score
+from .micro import bench_engine_events, calibration_score
 
 
 def test_calibration_positive():
@@ -20,16 +20,3 @@ def test_engine_events_counts_dispatches():
     assert result["events_per_s"] > 0
     # fanout starts + fanout*steps delays + fanout StopIterations, roughly.
     assert result["events"] >= 20_000 / 2
-
-
-def test_sim_requests_serves_whole_trace():
-    result = bench_sim_requests(num_requests=5_000)
-    assert result["requests"] == 5_000
-    assert result["requests_per_s"] > 0
-    assert 0.0 < result["sim_miss_ratio"] < 1.0
-
-
-def test_sweep_serial_and_parallel_agree_on_cell_count():
-    serial = bench_sweep(jobs=1, num_requests=2_000)
-    parallel = bench_sweep(jobs=2, num_requests=2_000)
-    assert serial["cells"] == parallel["cells"] == 16

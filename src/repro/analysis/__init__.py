@@ -19,29 +19,30 @@ from .experiments import (
     set_parallel_jobs,
 )
 from .chaos import (
+    CHAOS_SCORECARD,
     DEFAULT_CHAOS_POLICIES,
     SCORECARD_COLUMNS,
     ChaosScenario,
     build_scenarios,
-    run_chaos_campaign,
+    chaos_spec,
 )
 from .chart import ascii_chart, experiment_chart
 from .scaleout import (
     DEFAULT_SCALEOUT_POLICIES,
     DEFAULT_SCALEOUT_SIZES,
     SCALEOUT_COLUMNS,
-    run_scaleout_sweep,
-    write_scaleout_csv,
+    SCALEOUT_SCORECARD,
 )
 from .matrix import (
     BUILTIN_MATRICES,
     MATRIX_COLUMNS,
     MatrixSpec,
     Scenario,
+    Scorecard,
     builtin_matrix,
     matrix_from_dict,
+    paper_scenario,
     run_matrix,
-    write_matrix_csv,
 )
 from .parallel import ParallelExecutionError, default_jobs, run_many
 from .report import ExperimentResult, format_table
@@ -71,22 +72,23 @@ __all__ = [
     "ParallelExecutionError",
     "prefetch_cells",
     "set_parallel_jobs",
-    "run_chaos_campaign",
+    "chaos_spec",
     "build_scenarios",
     "ChaosScenario",
     "DEFAULT_CHAOS_POLICIES",
     "SCORECARD_COLUMNS",
-    "run_scaleout_sweep",
-    "write_scaleout_csv",
+    "CHAOS_SCORECARD",
     "DEFAULT_SCALEOUT_POLICIES",
     "DEFAULT_SCALEOUT_SIZES",
     "SCALEOUT_COLUMNS",
+    "SCALEOUT_SCORECARD",
+    "Scorecard",
     "Scenario",
     "MatrixSpec",
     "MATRIX_COLUMNS",
     "BUILTIN_MATRICES",
     "matrix_from_dict",
     "builtin_matrix",
+    "paper_scenario",
     "run_matrix",
-    "write_matrix_csv",
 ]

@@ -1,13 +1,20 @@
-"""Seeded chaos campaigns: race policies across fault scenarios.
+"""The chaos scorecard: race policies across seeded fault scenarios.
 
-A *campaign* runs every policy under test against the same seeded
+A chaos campaign runs every policy under test against the same seeded
 :class:`~repro.cluster.faults.FaultSchedule` scenarios and reduces each
 run to a scorecard row — availability, lost/retried requests, goodput,
 and time-to-recovery of throughput, miss ratio, and p99 delay after the
-last disruption.  Scenarios are generated deterministically from the
-campaign seed (and scaled to the workload's fault-free duration), so a
-scorecard is byte-reproducible across reruns and across ``--jobs``
-fan-out — the property the ``chaos-sim-smoke`` CI job asserts.
+last disruption.
+
+The campaign is a :class:`~repro.analysis.matrix.MatrixSpec`
+(:func:`chaos_spec`) run by :func:`~repro.analysis.matrix.run_matrix`:
+one fault-free scenario (``none``) followed by one fault scenario per
+stock profile over the same trace.
+A faulted cell's reference is the same policy's fault-free run, and the
+shortest fault-free duration scales the seeded schedules, so every
+policy faces the *same* faults.  This module owns the profiles
+(:func:`build_scenarios`), the recovery thresholds and
+:data:`CHAOS_SCORECARD`.
 
 The three stock scenarios stress different failure semantics:
 
@@ -25,20 +32,23 @@ The three stock scenarios stress different failure semantics:
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from functools import partial
+from typing import Any, Dict, Mapping, Optional, Sequence, Tuple
 
-from ..cluster import ClusterConfig, SimulationResult
+from ..cluster import SimulationResult
 from ..cluster.faults import FaultSchedule, RetryPolicy, generate_fault_schedule
 from ..cluster.metrics import recovery_time_s
-from ..workload.trace import Trace
-from .parallel import run_many
+from .matrix import MatrixSpec, Scenario, Scorecard
 
 __all__ = [
     "DEFAULT_CHAOS_POLICIES",
+    "FAULT_PROFILES",
     "SCORECARD_COLUMNS",
+    "CHAOS_SCORECARD",
     "ChaosScenario",
     "build_scenarios",
-    "run_chaos_campaign",
+    "chaos_spec",
+    "fault_fields",
 ]
 
 #: Policies raced by default: the paper's contenders (LARD, LARD/R,
@@ -71,6 +81,12 @@ _TPUT_RECOVERY_FRACTION = 0.8
 _MISS_RECOVERY_FACTOR = 1.5
 _MISS_RECOVERY_SLACK = 0.02
 _P99_RECOVERY_FACTOR = 1.5
+
+#: Buckets the fault-free duration is cut into for the recovery series.
+_TIMELINE_BUCKETS = 40
+
+#: The stock profiles, in :func:`build_scenarios` (and scorecard) order.
+FAULT_PROFILES: Tuple[str, ...] = ("churn", "burst", "brownout")
 
 
 @dataclass(frozen=True)
@@ -126,27 +142,65 @@ def build_scenarios(
         disk_factor=0.4,
         retry=retry,
     )
-    return (
-        ChaosScenario("churn", churn),
-        ChaosScenario("burst", burst),
-        ChaosScenario("brownout", brownout),
+    return tuple(
+        ChaosScenario(name, schedule)
+        for name, schedule in zip(FAULT_PROFILES, (churn, burst, brownout))
     )
 
 
-def _recovery_cell(value: Optional[float]) -> object:
-    return "never" if value is None else value
+def fault_fields(
+    profile: str, seed: int, num_nodes: int, duration_s: float
+) -> Dict[str, Any]:
+    """The :class:`~repro.cluster.ClusterConfig` fields of a cell under
+    stock ``profile``, once the fault-free ``duration_s`` that scales it
+    is known: the schedule, and the timeline its recovery series need."""
+    scenarios = build_scenarios(num_nodes, duration_s, seed)
+    return dict(
+        fault_schedule=scenarios[FAULT_PROFILES.index(profile)].schedule,
+        timeline_interval_s=duration_s / _TIMELINE_BUCKETS,
+    )
 
 
-def _scorecard_row(
-    scenario: str,
+def _chaos_row(
     result: SimulationResult,
-    recovery_tput: Optional[float],
-    recovery_miss: Optional[float],
-    recovery_p99: Optional[float],
-) -> Dict[str, object]:
+    baseline: Optional[SimulationResult],
+    config: Mapping[str, Any],
+) -> Dict[str, Any]:
+    """One scorecard row; recovery is measured against ``baseline``, the
+    same policy's fault-free run (``None``: this *is* the fault-free
+    run, recovered from the start)."""
+    degraded = result.degraded
+    recovery_tput: object = 0.0
+    recovery_miss: object = 0.0
+    recovery_p99: object = 0.0
+    # A faulted cell always has both: fault_fields gave it a timeline.
+    if baseline is not None and degraded is not None:
+        interval_s = degraded.interval_s
+        after_s = config["fault_schedule"].last_disruption_s
+
+        def recovery(series: Dict[int, float], target: float, mode: str) -> object:
+            value = recovery_time_s(series, interval_s, after_s, target, mode=mode)
+            return "never" if value is None else value
+
+        recovery_tput = recovery(
+            degraded.throughput_series(),
+            baseline.throughput_rps * _TPUT_RECOVERY_FRACTION,
+            "ge",
+        )
+        recovery_miss = recovery(
+            degraded.miss_ratio_series(),
+            max(
+                baseline.cache_miss_ratio * _MISS_RECOVERY_FACTOR,
+                baseline.cache_miss_ratio + _MISS_RECOVERY_SLACK,
+            ),
+            "le",
+        )
+        base_p99_s = baseline.delay_percentile_s(99.0) if baseline.delays_s else 0.0
+        recovery_p99 = recovery(
+            degraded.p99_delay_series(), base_p99_s * _P99_RECOVERY_FACTOR, "le"
+        )
     p99_s = result.delay_percentile_s(99.0) if result.delays_s else 0.0
     return {
-        "scenario": scenario,
         "policy": result.policy,
         "num_nodes": result.num_nodes,
         "num_requests": result.num_requests,
@@ -158,106 +212,40 @@ def _scorecard_row(
         "throughput_rps": result.throughput_rps,
         "cache_miss_ratio": result.cache_miss_ratio,
         "p99_delay_ms": p99_s * 1000.0,
-        "recovery_tput_s": _recovery_cell(recovery_tput),
-        "recovery_miss_s": _recovery_cell(recovery_miss),
-        "recovery_p99_s": _recovery_cell(recovery_p99),
+        "recovery_tput_s": recovery_tput,
+        "recovery_miss_s": recovery_miss,
+        "recovery_p99_s": recovery_p99,
     }
 
 
-def run_chaos_campaign(
-    trace: Trace,
+CHAOS_SCORECARD = Scorecard(
+    columns=SCORECARD_COLUMNS,
+    row=_chaos_row,
+    fields=dict(collect_delays=True),
+)
+
+
+def chaos_spec(
+    scenario: Scenario,
     *,
     num_nodes: int = 4,
     node_cache_bytes: int,
     policies: Sequence[str] = DEFAULT_CHAOS_POLICIES,
     seed: int = 0,
-    jobs: Optional[int] = 1,
-    buckets: int = 40,
-    progress: Optional[Callable[[int, int], None]] = None,
-) -> List[Dict[str, object]]:
-    """Race ``policies`` across the stock fault scenarios.
-
-    Phase 1 runs every policy fault-free (the ``none`` scenario rows,
-    and the per-policy recovery baselines); the shortest fault-free
-    duration then scales the seeded scenarios so every policy faces the
-    *same* fault schedules.  Phase 2 runs every (scenario, policy) cell.
-    Both phases fan out over ``jobs`` worker processes; rows are
-    byte-identical regardless of ``jobs``.
-
-    Returns scorecard rows (``none`` scenario first, then scenario-major
-    in :func:`build_scenarios` order) with the
-    :data:`SCORECARD_COLUMNS` fields.
-    """
-    if not policies:
-        raise ValueError("run_chaos_campaign needs at least one policy")
-    if buckets < 4:
-        raise ValueError(f"buckets must be >= 4, got {buckets}")
-    base_configs = [
-        ClusterConfig(
-            num_nodes=num_nodes,
-            policy=policy,
-            node_cache_bytes=node_cache_bytes,
-            collect_delays=True,
-        )
-        for policy in policies
-    ]
-    baselines = run_many(trace, list(base_configs), jobs=jobs, progress=progress)
-    duration_s = min(result.sim_time_s for result in baselines)
-    interval_s = duration_s / buckets
-    scenarios = build_scenarios(num_nodes, duration_s, seed)
-
-    faulted_configs = [
-        replace(
-            base,
-            fault_schedule=scenario.schedule,
-            timeline_interval_s=interval_s,
-        )
-        for scenario in scenarios
-        for base in base_configs
-    ]
-    faulted = run_many(trace, faulted_configs, jobs=jobs, progress=progress)
-
-    rows: List[Dict[str, object]] = [
-        _scorecard_row("none", result, 0.0, 0.0, 0.0) for result in baselines
-    ]
-    for s_index, scenario in enumerate(scenarios):
-        after_s = scenario.schedule.last_disruption_s
-        for p_index, baseline in enumerate(baselines):
-            result = faulted[s_index * len(baselines) + p_index]
-            degraded = result.degraded
-            if degraded is None:  # pragma: no cover - faulted runs always carry one
-                rows.append(_scorecard_row(scenario.name, result, None, None, None))
-                continue
-            base_p99_s = (
-                baseline.delay_percentile_s(99.0) if baseline.delays_s else 0.0
-            )
-            recovery_tput = recovery_time_s(
-                degraded.throughput_series(),
-                interval_s,
-                after_s,
-                baseline.throughput_rps * _TPUT_RECOVERY_FRACTION,
-                mode="ge",
-            )
-            recovery_miss = recovery_time_s(
-                degraded.miss_ratio_series(),
-                interval_s,
-                after_s,
-                max(
-                    baseline.cache_miss_ratio * _MISS_RECOVERY_FACTOR,
-                    baseline.cache_miss_ratio + _MISS_RECOVERY_SLACK,
-                ),
-                mode="le",
-            )
-            recovery_p99 = recovery_time_s(
-                degraded.p99_delay_series(),
-                interval_s,
-                after_s,
-                base_p99_s * _P99_RECOVERY_FACTOR,
-                mode="le",
-            )
-            rows.append(
-                _scorecard_row(
-                    scenario.name, result, recovery_tput, recovery_miss, recovery_p99
-                )
-            )
-    return rows
+) -> MatrixSpec:
+    """The campaign over ``scenario``'s trace: its fault-free run
+    (``none``, the recovery baselines) then every stock profile from
+    ``seed``, ``policies`` inner — the scorecard's row order."""
+    scenarios = [replace(scenario, name="none")]
+    scenarios.extend(
+        replace(scenarios[0], name=profile, fault=partial(fault_fields, profile, seed))
+        for profile in FAULT_PROFILES
+    )
+    return MatrixSpec(
+        name="chaos",
+        scenarios=tuple(scenarios),
+        policies=tuple(policies),
+        num_nodes=num_nodes,
+        node_cache_bytes=node_cache_bytes,
+        scorecard=CHAOS_SCORECARD,
+    )

@@ -27,13 +27,16 @@ from ..cluster import (
 from ..core import PAPER_POLICY_NAMES
 from ..workload import (
     Trace,
-    cached_trace,
     cumulative_distributions,
     inject_hot_targets,
     locality_profile,
     synthesize_trace,
 )
+from .chaos import build_scenarios, chaos_spec
+from .matrix import MatrixSpec, Scenario, paper_scenario, run_matrix
+from .parallel import run_many
 from .report import ExperimentResult
+from .scaleout import DEFAULT_SCALEOUT_POLICIES, SCALEOUT_SCORECARD
 
 __all__ = [
     "Scale",
@@ -118,16 +121,14 @@ def get_trace(kind: str, scale: Scale) -> Trace:
     key = (kind, scale.trace_scale, scale.num_requests)
     trace = _trace_cache.get(key)
     if trace is None:
-        if kind in ("rice", "ibm"):
-            trace = cached_trace(
-                kind, num_requests=scale.num_requests, scale=scale.trace_scale
-            )
-        elif kind == "chess":
-            trace = cached_trace(kind, num_requests=scale.num_requests)
-        else:
-            raise ValueError(f"unknown trace kind {kind!r}")
+        trace = _scenario(kind, scale).build_trace()
         _trace_cache[key] = trace
     return trace
+
+
+def _scenario(kind: str, scale: Scale) -> Scenario:
+    """A stand-in trace at an experiment scale, as a campaign scenario."""
+    return paper_scenario(kind, scale.num_requests, scale.trace_scale)
 
 
 def _cell_key(
@@ -173,38 +174,25 @@ def prefetch_cells(cells, jobs: Optional[int] = None) -> int:
 
     ``cells`` is an iterable of ``(kind, policy, num_nodes, scale,
     config_overrides)`` tuples.  Cells already cached are skipped; the rest
-    run grouped by trace — in ``jobs`` worker processes when ``jobs > 1``
-    (default: the value installed by :func:`set_parallel_jobs`), serially
-    otherwise.  Results are identical either way; returns the number of
-    cells actually simulated.
+    run grouped by trace through :func:`~repro.analysis.parallel.run_many`
+    with ``jobs`` workers (default: the value installed by
+    :func:`set_parallel_jobs`).  Results are identical for every ``jobs``;
+    returns the number of cells actually simulated.
     """
     jobs = _parallel_jobs if jobs is None else jobs
-    pending: Dict[tuple, tuple] = {}
+    # Grouped by trace, so each run_many call shares one (see
+    # repro.analysis.parallel's trace-sharing notes).
+    groups: Dict[tuple, Dict[tuple, Dict]] = {}
     for kind, policy, num_nodes, scale, config_overrides in cells:
         key = _cell_key(kind, policy, num_nodes, scale, config_overrides)
-        if key in _cell_cache or key in pending:
-            continue
-        pending[key] = (kind, scale, _cell_config(policy, num_nodes, scale, config_overrides))
-    if not pending:
-        return 0
-    # Group by trace so each worker pool shares one trace (see
-    # repro.analysis.parallel's trace-sharing notes).
-    groups: Dict[tuple, List[tuple]] = {}
-    for key, (kind, scale, _config) in pending.items():
-        groups.setdefault((kind, scale.trace_scale, scale.num_requests), []).append(key)
-    for keys in groups.values():
-        kind, scale, _config = pending[keys[0]]
-        trace = get_trace(kind, scale)
-        configs = [pending[key][2] for key in keys]
-        if jobs > 1 and len(configs) > 1:
-            from .parallel import run_many
-
-            results = run_many(trace, configs, jobs=jobs)
-        else:
-            results = [run_simulation(trace, **config) for config in configs]
-        for key, result in zip(keys, results):
-            _cell_cache[key] = result
-    return len(pending)
+        if key not in _cell_cache:
+            groups.setdefault((kind, scale), {})[key] = _cell_config(
+                policy, num_nodes, scale, config_overrides
+            )
+    for (kind, scale), group in groups.items():
+        results = run_many(get_trace(kind, scale), list(group.values()), jobs=jobs)
+        _cell_cache.update(zip(group, results))
+    return sum(len(group) for group in groups.values())
 
 
 # ---------------------------------------------------------------------------
@@ -277,19 +265,30 @@ def fig06_ibm_cdf(scale: Scale = STANDARD) -> ExperimentResult:
 # ---------------------------------------------------------------------------
 
 
-def _policy_sweep_rows(kind: str, scale: Scale, metric: Callable[[SimulationResult], float]):
+def _rows_by_cluster_size(
+    kind: str,
+    scale: Scale,
+    columns: List[Tuple[str, Dict]],
+    metric: Callable[[SimulationResult], float],
+) -> List[List]:
+    """One table row per cluster size and one column per ``(policy,
+    config_overrides)`` of ``columns``.  The cells are prefetched as one
+    batch, so ``jobs`` fans the whole table out, from the same list the
+    rows are then read with."""
     prefetch_cells(
-        (kind, policy, n, scale, {})
+        (kind, policy, n, scale, overrides)
         for n in scale.cluster_sizes
-        for policy in _SIM_POLICIES
+        for policy, overrides in columns
     )
     rows = []
     for n in scale.cluster_sizes:
-        row: List = [n]
-        for policy in _SIM_POLICIES:
-            row.append(metric(run_cell(kind, policy, n, scale)))
-        rows.append(row)
+        cells = [run_cell(kind, policy, n, scale, **overrides) for policy, overrides in columns]
+        rows.append([n] + [metric(cell) for cell in cells])
     return rows
+
+
+def _policy_sweep_rows(kind: str, scale: Scale, metric: Callable[[SimulationResult], float]):
+    return _rows_by_cluster_size(kind, scale, [(policy, {}) for policy in _SIM_POLICIES], metric)
 
 
 def fig07_throughput_rice(scale: Scale = STANDARD) -> ExperimentResult:
@@ -505,38 +504,25 @@ def sec42_chess(scale: Scale = STANDARD) -> ExperimentResult:
 CPU_MEMORY_STEPS = ((1.0, 1.0), (2.0, 1.5), (3.0, 2.0), (4.0, 3.0))
 
 
-def _cpu_scaling_rows(policies: Tuple[str, ...], scale: Scale):
-    prefetch_cells(
-        (
-            "rice",
-            policy,
-            n,
-            scale,
-            dict(
-                costs=CostModel(cpu_speed=cpu),
-                node_cache_bytes=int(scale.node_cache_bytes * mem),
-            ),
-        )
-        for n in scale.cluster_sizes
-        for policy in policies
-        for cpu, mem in CPU_MEMORY_STEPS
+def _cpu_step(scale: Scale, cpu: float, mem: float) -> Dict:
+    """Config overrides of one CPU/memory pairing."""
+    return dict(
+        costs=CostModel(cpu_speed=cpu),
+        node_cache_bytes=int(scale.node_cache_bytes * mem),
     )
-    rows = []
-    for n in scale.cluster_sizes:
-        row: List = [n]
-        for policy in policies:
-            for cpu, mem in CPU_MEMORY_STEPS:
-                result = run_cell(
-                    "rice",
-                    policy,
-                    n,
-                    scale,
-                    costs=CostModel(cpu_speed=cpu),
-                    node_cache_bytes=int(scale.node_cache_bytes * mem),
-                )
-                row.append(round(result.throughput_rps, 1))
-        rows.append(row)
-    return rows
+
+
+def _cpu_scaling_rows(policies: Tuple[str, ...], scale: Scale):
+    return _rows_by_cluster_size(
+        "rice",
+        scale,
+        [
+            (policy, _cpu_step(scale, cpu, mem))
+            for policy in policies
+            for cpu, mem in CPU_MEMORY_STEPS
+        ],
+        lambda result: round(result.throughput_rps, 1),
+    )
 
 
 def _cpu_headers(policies: Tuple[str, ...]) -> List[str]:
@@ -551,15 +537,8 @@ def _cpu_headers(policies: Tuple[str, ...]) -> List[str]:
 def fig11_wrr_cpu(scale: Scale = QUICK) -> ExperimentResult:
     rows = _cpu_scaling_rows(("wrr",), scale)
     n_hi = scale.cluster_sizes[-1]
-    base = run_cell("rice", "wrr", n_hi, scale, costs=CostModel(cpu_speed=1.0))
-    fast = run_cell(
-        "rice",
-        "wrr",
-        n_hi,
-        scale,
-        costs=CostModel(cpu_speed=4.0),
-        node_cache_bytes=int(scale.node_cache_bytes * 3.0),
-    )
+    base = run_cell("rice", "wrr", n_hi, scale, **_cpu_step(scale, 1.0, 1.0))
+    fast = run_cell("rice", "wrr", n_hi, scale, **_cpu_step(scale, 4.0, 3.0))
     uplift = fast.throughput_rps / base.throughput_rps
     checks = [
         ("" if uplift < 2.5 else "FAIL ")
@@ -580,24 +559,10 @@ def fig11_wrr_cpu(scale: Scale = QUICK) -> ExperimentResult:
 def fig12_lard_cpu(scale: Scale = QUICK) -> ExperimentResult:
     rows = _cpu_scaling_rows(("lard/r",), scale)
     n_hi = scale.cluster_sizes[-1]
-    base = run_cell("rice", "lard/r", n_hi, scale, costs=CostModel(cpu_speed=1.0))
-    fast = run_cell(
-        "rice",
-        "lard/r",
-        n_hi,
-        scale,
-        costs=CostModel(cpu_speed=4.0),
-        node_cache_bytes=int(scale.node_cache_bytes * 3.0),
-    )
-    wrr_base = run_cell("rice", "wrr", n_hi, scale, costs=CostModel(cpu_speed=1.0))
-    wrr_fast = run_cell(
-        "rice",
-        "wrr",
-        n_hi,
-        scale,
-        costs=CostModel(cpu_speed=4.0),
-        node_cache_bytes=int(scale.node_cache_bytes * 3.0),
-    )
+    base = run_cell("rice", "lard/r", n_hi, scale, **_cpu_step(scale, 1.0, 1.0))
+    fast = run_cell("rice", "lard/r", n_hi, scale, **_cpu_step(scale, 4.0, 3.0))
+    wrr_base = run_cell("rice", "wrr", n_hi, scale, **_cpu_step(scale, 1.0, 1.0))
+    wrr_fast = run_cell("rice", "wrr", n_hi, scale, **_cpu_step(scale, 4.0, 3.0))
     lard_uplift = fast.throughput_rps / base.throughput_rps
     wrr_uplift = wrr_fast.throughput_rps / wrr_base.throughput_rps
     checks = [
@@ -624,19 +589,12 @@ def fig12_lard_cpu(scale: Scale = QUICK) -> ExperimentResult:
 
 
 def _disk_scaling_rows(policy: str, scale: Scale):
-    prefetch_cells(
-        ("rice", policy, n, scale, dict(disks_per_node=disks))
-        for n in scale.cluster_sizes
-        for disks in (1, 2, 3, 4)
+    return _rows_by_cluster_size(
+        "rice",
+        scale,
+        [(policy, dict(disks_per_node=disks)) for disks in (1, 2, 3, 4)],
+        lambda result: round(result.throughput_rps, 1),
     )
-    rows = []
-    for n in scale.cluster_sizes:
-        row: List = [n]
-        for disks in (1, 2, 3, 4):
-            result = run_cell("rice", policy, n, scale, disks_per_node=disks)
-            row.append(round(result.throughput_rps, 1))
-        rows.append(row)
-    return rows
 
 
 def fig13_wrr_disks(scale: Scale = QUICK) -> ExperimentResult:
@@ -1189,21 +1147,18 @@ def ext_chaos_campaign(scale: Scale = QUICK) -> ExperimentResult:
     stock churn/burst/brownout fault scenarios (see
     :mod:`repro.analysis.chaos`) and check the robustness claims that
     should hold at any scale."""
-    from dataclasses import replace as dc_replace
-
-    from .chaos import build_scenarios, run_chaos_campaign
-
     # Fault scenarios stress transients, not steady state; a medium trace
     # is plenty and keeps the campaign a small slice of a full regen.
-    chaos_scale = dc_replace(scale, num_requests=min(scale.num_requests, 60_000))
+    chaos_scale = replace(scale, num_requests=min(scale.num_requests, 60_000))
     num_nodes = 4
     seed = 0
-    trace = get_trace("rice", chaos_scale)
-    rows_raw = run_chaos_campaign(
-        trace,
-        num_nodes=num_nodes,
-        node_cache_bytes=chaos_scale.node_cache_bytes,
-        seed=seed,
+    rows_raw = run_matrix(
+        chaos_spec(
+            _scenario("rice", chaos_scale),
+            num_nodes=num_nodes,
+            node_cache_bytes=chaos_scale.node_cache_bytes,
+            seed=seed,
+        ),
         jobs=_parallel_jobs,
     )
     rows = [
@@ -1284,17 +1239,16 @@ def ext_scaleout(scale: Scale = QUICK) -> ExperimentResult:
     """The policy zoo at modern cluster sizes: chash / pod / pod/lc vs
     lard / lard/r (and the wrr floor) as the cluster grows past the
     paper's 16 nodes."""
-    from .scaleout import DEFAULT_SCALEOUT_POLICIES, run_scaleout_sweep
-
     sizes = _scaleout_sizes(scale)
-    trace = get_trace("rice", scale)
-    sweep_rows = run_scaleout_sweep(
-        trace,
-        cluster_sizes=sizes,
+    spec = MatrixSpec(
+        name=f"ext-scaleout-{scale.label}",
+        scenarios=(_scenario("rice", scale),),
         policies=DEFAULT_SCALEOUT_POLICIES,
+        num_nodes=sizes,
         node_cache_bytes=scale.node_cache_bytes,
-        jobs=_parallel_jobs,
+        scorecard=SCALEOUT_SCORECARD,
     )
+    sweep_rows = run_matrix(spec, jobs=_parallel_jobs)
     by_cell = {(row["policy"], row["num_nodes"]): row for row in sweep_rows}
     rows = [
         [
@@ -1329,12 +1283,7 @@ def ext_scaleout(scale: Scale = QUICK) -> ExperimentResult:
     ]
     # Determinism gate: a randomized-policy cell rerun from the same seed
     # (outside the memo cache) must reproduce byte-identically.
-    rerun = run_scaleout_sweep(
-        trace,
-        cluster_sizes=(sizes[0],),
-        policies=("pod/lc",),
-        node_cache_bytes=scale.node_cache_bytes,
-    )
+    rerun = run_matrix(replace(spec, policies=("pod/lc",), num_nodes=sizes[0]))
     first = next(
         row for row in sweep_rows
         if row["policy"] == "pod/lc" and row["num_nodes"] == sizes[0]
@@ -1364,8 +1313,6 @@ def ext_dynamic(scale: Scale = QUICK) -> ExperimentResult:
     the trace stops being a stationary IRM — flash crowds, popularity
     drift, CGI mixes and multi-tenant interleaves vs the static baseline,
     via the declarative matrix engine."""
-    from .matrix import MatrixSpec, Scenario, run_matrix
-
     num_targets = max(1, int(16_000 * scale.trace_scale))
     total_bytes = max(1, int(384 * 2**20 * scale.trace_scale))
     base = dict(
@@ -1447,14 +1394,9 @@ def ext_dynamic(scale: Scale = QUICK) -> ExperimentResult:
     ]
     # Determinism gate: one cell rerun through a fresh single-cell matrix
     # must reproduce its scorecard row byte-identically.
-    resubmit = MatrixSpec(
-        name=spec.name,
-        scenarios=(spec.scenarios[2],),  # drift
-        policies=("lard",),
-        num_nodes=spec.num_nodes,
-        node_cache_bytes=spec.node_cache_bytes,
+    rerun = run_matrix(
+        replace(spec, scenarios=(spec.scenarios[2],), policies=("lard",))  # drift
     )
-    rerun = run_matrix(resubmit)
     checks.append(
         ("" if rerun[0] == cell("drift", "lard") else "FAIL ")
         + "matrix cells reproduce identical scorecard rows on rerun"
@@ -1524,63 +1466,42 @@ def sec62_frontend_capacity(scale: Scale = QUICK) -> ExperimentResult:
 # Registry
 # ---------------------------------------------------------------------------
 
-#: One-line description per experiment (shown by ``lard-repro list``).
-EXPERIMENT_TITLES: Dict[str, str] = {
-    "fig5": "Figure 5  - Rice trace cumulative request/size distributions",
-    "fig6": "Figure 6  - IBM trace cumulative request/size distributions",
-    "fig7": "Figure 7  - throughput vs cluster size, Rice-like, all 6 policies",
-    "fig8": "Figure 8  - cache miss ratio vs cluster size, Rice-like",
-    "fig9": "Figure 9  - node underutilization vs cluster size, Rice-like",
-    "fig10": "Figure 10 - throughput vs cluster size, IBM-like",
-    "sec4.2-hot": "Sec 4.2   - LARD vs LARD/R with artificial hot targets",
-    "sec4.2-chess": "Sec 4.2   - chess trace (WRR's best case)",
-    "fig11": "Figure 11 - WRR throughput vs CPU speed",
-    "fig12": "Figure 12 - LARD/R throughput vs CPU speed",
-    "fig13": "Figure 13 - WRR throughput vs disks per node",
-    "fig14": "Figure 14 - LARD/R throughput vs disks per node",
-    "sec4.4-delay": "Sec 4.4   - mean request delay, LARD/R vs WRR",
-    "sec2.4-sens": "Sec 2.4   - sensitivity to the T_high - T_low window",
-    "sec4.1-tenfold": "Sec 4.1   - WRR needs ~10x node caches to match LARD",
-    "sec6.2-capacity": "Sec 6.2   - front-end capacity model (hand-off + forwarding)",
-    "ext-failure": "extension - back-end failure and recovery dynamics",
-    "ext-persistent": "extension - HTTP/1.1 persistent-connection policies",
-    "ext-chaos": "extension - seeded chaos campaign across fault scenarios",
-    "ext-scaleout": "extension - policy zoo (chash/pod/pod-lc) at 64-1024 nodes",
-    "ext-dynamic": "extension - dynamic workload matrix (flash/drift/CGI/tenants)",
-    "abl-replacement": "ablation  - GDS vs LRU vs LFU back-end replacement",
-    "abl-admission": "ablation  - admission limit S on/off",
-    "abl-mappings": "ablation  - bounded front-end mapping table",
-    "abl-k": "ablation  - replication decay constant K sweep",
-    "abl-coalesce": "ablation  - disk read coalescing on/off",
+#: The registry, in ``run all`` order: id -> (one-line description shown by
+#: ``lard-repro list``, experiment).
+_REGISTRY: Dict[str, Tuple[str, Callable[[Scale], ExperimentResult]]] = {
+    "fig5": ("Figure 5  - Rice trace cumulative request/size distributions", fig05_rice_cdf),
+    "fig6": ("Figure 6  - IBM trace cumulative request/size distributions", fig06_ibm_cdf),
+    "fig7": ("Figure 7  - throughput vs cluster size, Rice-like, all 6 policies", fig07_throughput_rice),
+    "fig8": ("Figure 8  - cache miss ratio vs cluster size, Rice-like", fig08_missratio_rice),
+    "fig9": ("Figure 9  - node underutilization vs cluster size, Rice-like", fig09_idle_rice),
+    "fig10": ("Figure 10 - throughput vs cluster size, IBM-like", fig10_throughput_ibm),
+    "sec4.2-hot": ("Sec 4.2   - LARD vs LARD/R with artificial hot targets", sec42_hot_targets),
+    "sec4.2-chess": ("Sec 4.2   - chess trace (WRR's best case)", sec42_chess),
+    "fig11": ("Figure 11 - WRR throughput vs CPU speed", fig11_wrr_cpu),
+    "fig12": ("Figure 12 - LARD/R throughput vs CPU speed", fig12_lard_cpu),
+    "fig13": ("Figure 13 - WRR throughput vs disks per node", fig13_wrr_disks),
+    "fig14": ("Figure 14 - LARD/R throughput vs disks per node", fig14_lard_disks),
+    "sec4.4-delay": ("Sec 4.4   - mean request delay, LARD/R vs WRR", sec44_delay),
+    "sec2.4-sens": ("Sec 2.4   - sensitivity to the T_high - T_low window", sec24_sensitivity),
+    "sec4.1-tenfold": ("Sec 4.1   - WRR needs ~10x node caches to match LARD", sec41_tenfold_cache),
+    "sec6.2-capacity": ("Sec 6.2   - front-end capacity model (hand-off + forwarding)", sec62_frontend_capacity),
+    "ext-failure": ("extension - back-end failure and recovery dynamics", ext_failure_recovery),
+    "ext-persistent": ("extension - HTTP/1.1 persistent-connection policies", ext_persistent_connections),
+    "ext-chaos": ("extension - seeded chaos campaign across fault scenarios", ext_chaos_campaign),
+    "ext-scaleout": ("extension - policy zoo (chash/pod/pod-lc) at 64-1024 nodes", ext_scaleout),
+    "ext-dynamic": ("extension - dynamic workload matrix (flash/drift/CGI/tenants)", ext_dynamic),
+    "abl-replacement": ("ablation  - GDS vs LRU vs LFU back-end replacement", ablation_replacement),
+    "abl-admission": ("ablation  - admission limit S on/off", ablation_admission),
+    "abl-mappings": ("ablation  - bounded front-end mapping table", ablation_mapping_bound),
+    "abl-k": ("ablation  - replication decay constant K sweep", ablation_replication_decay),
+    "abl-coalesce": ("ablation  - disk read coalescing on/off", ablation_coalescing),
 }
 
 EXPERIMENTS: Dict[str, Callable[[Scale], ExperimentResult]] = {
-    "fig5": fig05_rice_cdf,
-    "fig6": fig06_ibm_cdf,
-    "fig7": fig07_throughput_rice,
-    "fig8": fig08_missratio_rice,
-    "fig9": fig09_idle_rice,
-    "fig10": fig10_throughput_ibm,
-    "sec4.2-hot": sec42_hot_targets,
-    "sec4.2-chess": sec42_chess,
-    "fig11": fig11_wrr_cpu,
-    "fig12": fig12_lard_cpu,
-    "fig13": fig13_wrr_disks,
-    "fig14": fig14_lard_disks,
-    "sec4.4-delay": sec44_delay,
-    "sec2.4-sens": sec24_sensitivity,
-    "sec4.1-tenfold": sec41_tenfold_cache,
-    "sec6.2-capacity": sec62_frontend_capacity,
-    "ext-failure": ext_failure_recovery,
-    "ext-persistent": ext_persistent_connections,
-    "ext-chaos": ext_chaos_campaign,
-    "ext-scaleout": ext_scaleout,
-    "ext-dynamic": ext_dynamic,
-    "abl-replacement": ablation_replacement,
-    "abl-admission": ablation_admission,
-    "abl-mappings": ablation_mapping_bound,
-    "abl-k": ablation_replication_decay,
-    "abl-coalesce": ablation_coalescing,
+    experiment_id: fn for experiment_id, (_title, fn) in _REGISTRY.items()
+}
+EXPERIMENT_TITLES: Dict[str, str] = {
+    experiment_id: title for experiment_id, (title, _fn) in _REGISTRY.items()
 }
 
 
@@ -1599,9 +1520,7 @@ def run_experiment(
         raise KeyError(
             f"unknown experiment {experiment_id!r}; known: {', '.join(EXPERIMENTS)}"
         ) from None
-    if jobs is None:
-        return fn() if scale is None else fn(scale)
-    previous = set_parallel_jobs(jobs)
+    previous = set_parallel_jobs(_parallel_jobs if jobs is None else jobs)
     try:
         return fn() if scale is None else fn(scale)
     finally:

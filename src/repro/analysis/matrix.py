@@ -1,40 +1,50 @@
-"""Declarative experiment matrices over the dynamic workload engine.
+"""Declarative campaigns: one grid, one runner.
 
-A *matrix* races a set of policies across a set of *scenarios* — named
-trace-generator invocations from :data:`repro.workload.memo.
-TRACE_GENERATORS`, typically the phase-structured dynamic workloads in
-:mod:`repro.workload.dynamic` next to a static baseline — and reduces
-every (scenario, policy) cell to one scorecard row.  The matrix is plain
-data (:class:`MatrixSpec`, loadable from a JSON dict via
+A *campaign* is a grid — scenarios x cluster sizes x policies, every
+cell one deterministic simulation — reduced to a table.  The grid is
+plain data (:class:`MatrixSpec`, loadable from a JSON dict via
 :func:`matrix_from_dict`), so an experiment is declared, versioned and
-diffed rather than scripted.
+diffed rather than scripted, and :func:`run_matrix` is the only driver.
+What differs between campaigns is the spec's :class:`Scorecard`.
 
-Warmup/measured phases
-----------------------
-Dynamic scenarios are precisely about transients, so cold-cache fill
-must not be averaged into the scores.  Each scenario carries a
-``warmup_fraction``: the cell simulates the warmup *prefix* of the trace
-on its own and the full trace, both deterministically, and reports the
-**measured phase as the difference** (requests, simulated time, cache
-outcomes, delay mass).  In a closed-loop simulator the prefix run
-replays the full run's opening almost exactly — divergence is bounded by
-the in-flight window at the phase boundary — so the deltas isolate
-steady-state-plus-dynamics behavior without perturbing either run.
+This module owns the spec types, the driver, and the measured-phase
+scorecard of the dynamic workload matrices
+(:mod:`repro.workload.dynamic` scenarios next to a static baseline);
+:mod:`repro.analysis.scaleout` and :mod:`repro.analysis.chaos` own
+their scorecards.  ``docs/workloads.md`` ("Campaigns") is the manual.
+
+A cell's reference
+------------------
+A scorecard reads each cell against a *reference* run, and the cell's
+scenario decides which run that is:
+
+* ``warmup_fraction > 0`` — the same cell over the warm-up *prefix* of
+  the trace.  Dynamic scenarios are precisely about transients, so
+  cold-cache fill must not be averaged into the scores: the
+  measured-phase row is the **difference** between the full run and the
+  prefix run (requests, simulated time, cache outcomes, delay mass).
+  In a closed-loop simulator the prefix run replays the full run's
+  opening almost exactly — divergence is bounded by the in-flight
+  window at the phase boundary — so the deltas isolate
+  steady-state-plus-dynamics behavior without perturbing either run.
+* ``fault`` set — the same cell of the fault-free scenario before it
+  (see :mod:`repro.analysis.chaos`).
+* neither — ``None``.
 
 Determinism
 -----------
 Scenario traces come from :func:`repro.workload.memo.cached_trace`
-(pure functions of their parameters), cells run through
-:func:`repro.analysis.parallel.run_many` grouped per trace, and rows are
-emitted scenarios-outer / policies-inner — so a matrix CSV is
-byte-identical across reruns and across ``--jobs`` fan-out, the property
-the ``workload-matrix-smoke`` CI job asserts with ``cmp``.
+(pure functions of their parameters), a scenario's cells run through
+:func:`repro.analysis.parallel.run_many` over one shared trace, and
+rows are emitted scenario -> cluster size -> policy in declaration
+order — so a scorecard CSV is byte-identical across reruns and across
+``--jobs`` fan-out, the property the ``campaign-smoke`` CI job asserts
+with ``cmp``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import (
     Any,
     Callable,
@@ -47,21 +57,23 @@ from typing import (
     Union,
 )
 
-from ..cluster import SimulationResult, run_simulation
+from ..cluster import SimulationResult
 from ..core import POLICY_NAMES, PolicyError
 from ..workload.memo import TRACE_GENERATORS, cached_trace
 from ..workload.trace import Trace
-from .sweep import write_csv
+from .parallel import run_many
 
 __all__ = [
+    "Scorecard",
     "Scenario",
     "MatrixSpec",
     "MATRIX_COLUMNS",
+    "MATRIX_SCORECARD",
     "BUILTIN_MATRICES",
     "matrix_from_dict",
     "builtin_matrix",
+    "paper_scenario",
     "run_matrix",
-    "write_matrix_csv",
 ]
 
 #: Scorecard CSV column order (fixed so reruns are byte-comparable).
@@ -79,6 +91,74 @@ MATRIX_COLUMNS: Tuple[str, ...] = (
 
 
 @dataclass(frozen=True)
+class Scorecard:
+    """What a campaign reports, and what its cells need to report it.
+
+    ``row(result, reference, config)`` reduces one cell to a dict with
+    the ``columns`` keys (the driver adds ``scenario``): ``result`` is
+    the cell's run, ``reference`` the run it is read against (``None``
+    when the scenario gives it none; see the module docstring) and
+    ``config`` the :class:`~repro.cluster.ClusterConfig` fields the
+    cell ran with.  ``fields`` are the config fields every cell needs
+    on top of the spec's (``collect_delays`` for a percentile column).
+    ``digits`` rounds float columns in the terminal table only; the CSV
+    keeps full precision.
+    """
+
+    columns: Tuple[str, ...]
+    row: Callable[
+        [SimulationResult, Optional[SimulationResult], Mapping[str, Any]],
+        Dict[str, Any],
+    ]
+    fields: Mapping[str, Any] = field(default_factory=dict)
+    digits: Mapping[str, int] = field(default_factory=dict)
+
+
+def _measured_row(
+    full: SimulationResult,
+    warm: Optional[SimulationResult],
+    _config: Mapping[str, Any],
+) -> Dict[str, Any]:
+    """Reduce a cell to its measured-phase scorecard row (delta method)."""
+
+    def measured(field_name: str) -> Any:
+        whole = getattr(full, field_name)
+        return whole if warm is None else whole - getattr(warm, field_name)
+
+    requests = measured("num_requests")
+    time_s = measured("sim_time_s")
+    hits = measured("cache_hits")
+    misses = measured("cache_misses")
+    dynamic = measured("dynamic_requests")
+    cacheable = hits + misses
+    return dict(
+        policy=full.policy,
+        num_nodes=full.num_nodes,
+        requests_measured=requests,
+        throughput_rps=(requests / time_s) if time_s > 0 else 0.0,
+        cache_miss_ratio=(misses / cacheable) if cacheable else 0.0,
+        dynamic_fraction=(dynamic / requests) if requests else 0.0,
+        mean_delay_ms=(
+            measured("total_delay_s") / requests * 1000.0 if requests else 0.0
+        ),
+        disk_reads=measured("disk_reads"),
+    )
+
+
+#: The measured-phase scorecard: every spec's default.
+MATRIX_SCORECARD = Scorecard(
+    columns=MATRIX_COLUMNS,
+    row=_measured_row,
+    digits=dict(
+        throughput_rps=1,
+        cache_miss_ratio=4,
+        dynamic_fraction=4,
+        mean_delay_ms=1,
+    ),
+)
+
+
+@dataclass(frozen=True)
 class Scenario:
     """One named workload cell axis: a generator invocation plus phases.
 
@@ -86,13 +166,18 @@ class Scenario:
     ``params`` are the generator's keyword arguments (hashed into the
     trace-cache key, so equal scenarios share one cached trace);
     ``warmup_fraction`` of the stream is simulated but excluded from the
-    measured scores (see the module docstring).
+    measured scores; ``fault`` makes this a fault scenario:
+    ``fault(num_nodes, duration_s)`` returns the extra
+    :class:`~repro.cluster.ClusterConfig` fields of its cells once the
+    fault-free scenario before it has run (see the module docstring for
+    both, :func:`repro.analysis.chaos.fault_fields` for the stock ones).
     """
 
     name: str
     kind: str
     params: Mapping[str, Any] = field(default_factory=dict)
     warmup_fraction: float = 0.25
+    fault: Optional[Callable[[int, float], Mapping[str, Any]]] = None
 
     def __post_init__(self) -> None:
         if not self.name:
@@ -107,24 +192,40 @@ class Scenario:
                 f"scenario {self.name!r}: warmup_fraction must be in [0, 1), "
                 f"got {self.warmup_fraction}"
             )
+        if self.fault is not None and self.warmup_fraction > 0.0:
+            raise ValueError(
+                f"scenario {self.name!r}: a fault scenario is read against its "
+                f"fault-free run, so it cannot also have a warm-up phase"
+            )
 
     def build_trace(self) -> Trace:
         """Generate (or reload from the disk cache) the scenario's trace."""
         return cached_trace(self.kind, **dict(self.params))
 
 
+def paper_scenario(kind: str, num_requests: int, scale: float) -> Scenario:
+    """A ``rice`` / ``ibm`` / ``chess`` stand-in trace as a scenario with
+    no warm-up phase (the chess generator has no catalog to scale)."""
+    params: Dict[str, Any] = dict(num_requests=num_requests)
+    if kind != "chess":
+        params["scale"] = scale
+    return Scenario(kind, kind, params, warmup_fraction=0.0)
+
+
 @dataclass(frozen=True)
 class MatrixSpec:
-    """A full declarative matrix: scenarios x policies on one cluster shape."""
+    """A full declarative campaign: scenarios x cluster sizes x policies."""
 
     name: str
     scenarios: Tuple[Scenario, ...]
     policies: Tuple[str, ...]
-    num_nodes: int = 8
+    #: One cluster size, or the sizes to sweep.
+    num_nodes: Union[int, Tuple[int, ...]] = 8
     node_cache_bytes: int = 4 * 2**20
     policy_seed: int = 0
     pod_d: int = 2
     pod_replication: int = 3
+    scorecard: Scorecard = MATRIX_SCORECARD
 
     def __post_init__(self) -> None:
         if not self.scenarios:
@@ -140,8 +241,22 @@ class MatrixSpec:
                     f"matrix {self.name!r}: unknown policy {policy!r} "
                     f"(choose from {', '.join(POLICY_NAMES)})"
                 )
-        if self.num_nodes < 1:
+        # A repeated policy or size would run its cells twice and emit
+        # the rows twice.
+        if len(set(self.policies)) != len(self.policies):
+            raise ValueError(f"matrix {self.name!r}: duplicate policies")
+        sizes = self.sizes
+        if not sizes or any(n < 1 for n in sizes):
             raise ValueError(f"matrix {self.name!r}: num_nodes must be >= 1")
+        if len(set(sizes)) != len(sizes):
+            raise ValueError(f"matrix {self.name!r}: duplicate cluster sizes")
+
+    @property
+    def sizes(self) -> Tuple[int, ...]:
+        """The cluster-size axis (one entry when ``num_nodes`` is an int)."""
+        if isinstance(self.num_nodes, int):
+            return (self.num_nodes,)
+        return tuple(self.num_nodes)
 
 
 def _int_field(spec: Mapping[str, Any], key: str, default: int) -> int:
@@ -284,128 +399,66 @@ def builtin_matrix(name: str) -> MatrixSpec:
     return matrix_from_dict(spec)
 
 
-def _cell_config(spec: MatrixSpec, policy: str) -> Dict[str, Any]:
-    return dict(
-        policy=policy,
-        num_nodes=spec.num_nodes,
-        node_cache_bytes=spec.node_cache_bytes,
-        policy_seed=spec.policy_seed,
-        pod_d=spec.pod_d,
-        pod_replication=spec.pod_replication,
-    )
-
-
-def _run_group(
-    trace: Trace,
-    configs: Sequence[Dict[str, Any]],
-    jobs: Optional[int],
-    tick: Optional[Callable[[], None]],
-) -> List[SimulationResult]:
-    """One run_many group: every config over one shared trace."""
-    if jobs is None or jobs != 1:
-        from .parallel import run_many
-
-        def forward(done: int, total: int) -> None:
-            if tick is not None:
-                tick()
-
-        return run_many(trace, configs, jobs=jobs, progress=forward)
-    results = []
-    for config in configs:
-        results.append(run_simulation(trace, **config))
-        if tick is not None:
-            tick()
-    return results
-
-
-def _measured_row(
-    scenario: Scenario,
-    policy: str,
-    spec: MatrixSpec,
-    full: SimulationResult,
-    warm: Optional[SimulationResult],
-) -> Dict[str, Any]:
-    """Reduce a cell to its measured-phase scorecard row (delta method)."""
-    w_requests = warm.num_requests if warm is not None else 0
-    w_time = warm.sim_time_s if warm is not None else 0.0
-    w_hits = warm.cache_hits if warm is not None else 0
-    w_misses = warm.cache_misses if warm is not None else 0
-    w_dynamic = warm.dynamic_requests if warm is not None else 0
-    w_delay = warm.total_delay_s if warm is not None else 0.0
-    w_disk = warm.disk_reads if warm is not None else 0
-    requests = full.num_requests - w_requests
-    time_s = full.sim_time_s - w_time
-    hits = full.cache_hits - w_hits
-    misses = full.cache_misses - w_misses
-    dynamic = full.dynamic_requests - w_dynamic
-    cacheable = hits + misses
-    return dict(
-        scenario=scenario.name,
-        policy=policy,
-        num_nodes=spec.num_nodes,
-        requests_measured=requests,
-        throughput_rps=(requests / time_s) if time_s > 0 else 0.0,
-        cache_miss_ratio=(misses / cacheable) if cacheable else 0.0,
-        dynamic_fraction=(dynamic / requests) if requests else 0.0,
-        mean_delay_ms=(
-            (full.total_delay_s - w_delay) / requests * 1000.0 if requests else 0.0
-        ),
-        disk_reads=full.disk_reads - w_disk,
-    )
-
-
 def run_matrix(
     spec: MatrixSpec,
     jobs: Optional[int] = 1,
     progress: Optional[Callable[[int, int], None]] = None,
 ) -> List[Dict[str, Any]]:
-    """Execute every (scenario, policy) cell of ``spec``.
+    """Execute every (scenario, cluster size, policy) cell of ``spec``.
 
-    Returns one scorecard row per cell — scenarios outer, policies inner,
-    both in declaration order — with the :data:`MATRIX_COLUMNS` fields,
-    each reduced to its measured phase (see the module docstring).
-    Cells are grouped per trace through
-    :func:`~repro.analysis.parallel.run_many`, so ``jobs`` only changes
-    wall-clock time; ``progress(done, total)`` counts simulations (a
-    warmed-up scenario costs two per policy).
+    Returns one scorecard row per cell — scenario, then cluster size,
+    then policy, each in declaration order — with the ``scenario`` name
+    and the fields of ``spec.scorecard.columns``, each cell reduced
+    against its reference (see the module docstring).  A scenario's
+    cells share one trace and one
+    :func:`~repro.analysis.parallel.run_many` call, so ``jobs`` only
+    changes wall-clock time; ``progress(done, total)`` counts
+    simulations (a warmed-up scenario costs two per cell).
     """
-    configs_per: List[List[Dict[str, Any]]] = [
-        [_cell_config(spec, policy) for policy in spec.policies]
-        for _ in spec.scenarios
+    card = spec.scorecard
+    cells: List[Dict[str, Any]] = [
+        dict(
+            policy=policy,
+            num_nodes=num_nodes,
+            node_cache_bytes=spec.node_cache_bytes,
+            policy_seed=spec.policy_seed,
+            pod_d=spec.pod_d,
+            pod_replication=spec.pod_replication,
+            **card.fields,
+        )
+        for num_nodes in spec.sizes
+        for policy in spec.policies
     ]
-    warm_lens: List[int] = []
-    total = 0
-    for scenario, configs in zip(spec.scenarios, configs_per):
-        runs = 1
-        if scenario.warmup_fraction > 0.0:
-            runs = 2
-        warm_lens.append(runs)
-        total += runs * len(configs)
+    total = len(cells) * sum(
+        2 if scenario.warmup_fraction > 0.0 else 1 for scenario in spec.scenarios
+    )
     done = 0
 
-    def tick() -> None:
+    def tick(_group_done: int, _group_total: int) -> None:
         nonlocal done
         done += 1
         if progress is not None:
             progress(done, total)
 
     rows: List[Dict[str, Any]] = []
-    for scenario, configs in zip(spec.scenarios, configs_per):
+    fault_free: List[SimulationResult] = []
+    for scenario in spec.scenarios:
         trace = scenario.build_trace()
         warmup = int(scenario.warmup_fraction * len(trace))
-        warm_results: List[Optional[SimulationResult]]
-        if warmup > 0:
-            warm_results = list(
-                _run_group(trace.head(warmup), configs, jobs, tick)
-            )
-        else:
-            warm_results = [None] * len(configs)
-        full_results = _run_group(trace, configs, jobs, tick)
-        for policy, full, warm in zip(spec.policies, full_results, warm_results):
-            rows.append(_measured_row(scenario, policy, spec, full, warm))
+        configs = cells
+        references: Sequence[Optional[SimulationResult]] = [None] * len(cells)
+        if scenario.fault is not None:
+            # Scaled to the shortest fault-free run, so every policy
+            # faces the same schedule.
+            duration_s = min(result.sim_time_s for result in fault_free)
+            extra = {n: scenario.fault(n, duration_s) for n in spec.sizes}
+            configs = [dict(cell, **extra[cell["num_nodes"]]) for cell in cells]
+            references = fault_free
+        elif warmup > 0:
+            references = run_many(trace.head(warmup), cells, jobs=jobs, progress=tick)
+        results = run_many(trace, configs, jobs=jobs, progress=tick)
+        if scenario.fault is None:
+            fault_free = results
+        for config, result, reference in zip(configs, results, references):
+            rows.append(dict(scenario=scenario.name, **card.row(result, reference, config)))
     return rows
-
-
-def write_matrix_csv(rows: Sequence[Dict[str, Any]], path: Union[str, Path]) -> Path:
-    """Write a matrix scorecard with the fixed column order."""
-    return write_csv(rows, path, columns=MATRIX_COLUMNS)

@@ -40,9 +40,8 @@ import numpy as np
 
 from ..cluster import ClusterConfig, SimulationResult, run_simulation
 from ..workload.trace import Trace
-from .sweep import expand_parameters, result_row
 
-__all__ = ["run_many", "sweep", "default_jobs", "ParallelExecutionError"]
+__all__ = ["run_many", "default_jobs", "ParallelExecutionError"]
 
 #: A sweep cell: ClusterConfig, or a dict of ``run_simulation`` overrides.
 ConfigLike = Union[ClusterConfig, Dict[str, Any]]
@@ -192,20 +191,3 @@ def run_many(
         _WORKER_TRACE = None
         if spill_dir is not None:
             shutil.rmtree(spill_dir, ignore_errors=True)
-
-
-def sweep(
-    trace: Trace,
-    jobs: Optional[int] = None,
-    progress: Optional[ProgressFn] = None,
-    **parameters: Any,
-) -> List[Dict[str, Any]]:
-    """Parallel counterpart of :func:`repro.analysis.sweep`.
-
-    Same cross product, same row dicts, same (deterministic) row order —
-    only the wall-clock time differs.
-    """
-    names, combinations = expand_parameters(parameters)
-    configs = [dict(zip(names, combination)) for combination in combinations]
-    results = run_many(trace, configs, jobs=jobs, progress=progress)
-    return [result_row(result, config) for result, config in zip(results, configs)]

@@ -1,36 +1,35 @@
-"""Cluster-size scale-out sweeps: the policy zoo at 64-1024 nodes.
+"""The scale-out scorecard: the policy zoo at 64-1024 nodes.
 
-The paper's evaluation stops at 16 back-ends; this module answers the
-ROADMAP's standing question — where does LARD's working-set argument win
-or break at modern cluster sizes — by sweeping cluster size up to 1024
-simulated nodes and racing the modern policy zoo (``chash``, ``pod``,
-``pod/lc``; see :mod:`repro.core.chash` / :mod:`repro.core.pod`) against
-``lard``/``lard/r`` and the ``wrr`` baseline on one trace.
+The paper's evaluation stops at 16 back-ends; the scale-out campaign
+answers the ROADMAP's standing question — where does LARD's working-set
+argument win or break at modern cluster sizes — by sweeping cluster size
+up to 1024 simulated nodes and racing the modern policy zoo (``chash``,
+``pod``, ``pod/lc``; see :mod:`repro.core.chash` / :mod:`repro.core.pod`)
+against ``lard``/``lard/r`` and the ``wrr`` baseline on one trace.
 
-Each (policy, cluster size) cell is one deterministic simulation; the
-sweep reduces every cell to a flat scorecard row (throughput, miss
-ratio, idle fraction, mean and p99 delay vs. n).  Rows are produced in a
-fixed order (sizes outer, policies inner) and all randomized policies
-run from an explicit seed, so a scorecard is byte-reproducible across
-reruns and across ``--jobs`` fan-out — the property the
-``policy-zoo-smoke`` CI job asserts with ``cmp``.
+The campaign is a :class:`~repro.analysis.matrix.MatrixSpec` whose
+``num_nodes`` is the list of sizes, run by
+:func:`~repro.analysis.matrix.run_matrix`; this module owns what is
+particular to it — the default axes and :data:`SCALEOUT_SCORECARD`
+(throughput, miss ratio, idle fraction, mean and p99 delay vs. n, no
+reference run).  Per-node cache stays fixed as the cluster grows (the
+paper's scale-out model: adding a node adds its RAM), so the aggregate
+cache sweeps across the working set and the locality-aware strategies
+separate from the oblivious ones.
 """
 
 from __future__ import annotations
 
-from pathlib import Path
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, Mapping, Optional, Tuple
 
-from ..cluster import SimulationResult, run_simulation
-from ..workload.trace import Trace
-from .sweep import write_csv
+from ..cluster import SimulationResult
+from .matrix import Scorecard
 
 __all__ = [
     "DEFAULT_SCALEOUT_POLICIES",
     "DEFAULT_SCALEOUT_SIZES",
     "SCALEOUT_COLUMNS",
-    "run_scaleout_sweep",
-    "write_scaleout_csv",
+    "SCALEOUT_SCORECARD",
 ]
 
 #: Policies raced by default: the WRR baseline, the paper's champions,
@@ -60,89 +59,32 @@ SCALEOUT_COLUMNS: Tuple[str, ...] = (
 )
 
 
-def _cell_config(
-    policy: str,
-    num_nodes: int,
-    node_cache_bytes: int,
-    policy_seed: int,
-    pod_d: int,
-    pod_replication: int,
+def _scaleout_row(
+    result: SimulationResult,
+    _reference: Optional[SimulationResult],
+    _config: Mapping[str, Any],
 ) -> Dict[str, Any]:
-    """ClusterConfig kwargs for one scorecard cell."""
     return dict(
-        policy=policy,
-        num_nodes=num_nodes,
-        node_cache_bytes=node_cache_bytes,
-        collect_delays=True,
-        policy_seed=policy_seed,
-        pod_d=pod_d,
-        pod_replication=pod_replication,
+        policy=result.policy,
+        num_nodes=result.num_nodes,
+        num_requests=result.num_requests,
+        throughput_rps=result.throughput_rps,
+        cache_miss_ratio=result.cache_miss_ratio,
+        idle_fraction=result.idle_fraction,
+        mean_delay_ms=result.mean_delay_s * 1000.0,
+        p99_delay_ms=result.delay_percentile_s(99) * 1000.0,
     )
 
 
-def run_scaleout_sweep(
-    trace: Trace,
-    cluster_sizes: Sequence[int] = DEFAULT_SCALEOUT_SIZES,
-    policies: Sequence[str] = DEFAULT_SCALEOUT_POLICIES,
-    node_cache_bytes: int = 4 * 2**20,
-    policy_seed: int = 0,
-    pod_d: int = 2,
-    pod_replication: int = 3,
-    jobs: Optional[int] = 1,
-    progress: Optional[Callable[[int, int], None]] = None,
-) -> List[Dict[str, Any]]:
-    """Race ``policies`` across ``cluster_sizes`` on one trace.
-
-    Returns one scorecard row per (size, policy) cell — sizes outer,
-    policies inner, both in the given order — with the
-    :data:`SCALEOUT_COLUMNS` fields.  Per-node cache stays fixed as the
-    cluster grows (the paper's scale-out model: adding a node adds its
-    RAM), so the aggregate cache sweeps across the working set and the
-    locality-aware strategies separate from the oblivious ones.
-
-    ``jobs`` fans the independent cells out over worker processes
-    (results identical to a serial run in content and order);
-    ``progress(done, total)`` is called as cells complete.
-    """
-    if not cluster_sizes:
-        raise ValueError("cluster_sizes must name at least one size")
-    if not policies:
-        raise ValueError("policies must name at least one policy")
-    configs: List[Dict[str, Any]] = [
-        _cell_config(
-            policy, num_nodes, node_cache_bytes, policy_seed, pod_d, pod_replication
-        )
-        for num_nodes in cluster_sizes
-        for policy in policies
-    ]
-    results: List[SimulationResult]
-    if jobs is None or jobs != 1:
-        from .parallel import run_many
-
-        results = run_many(trace, configs, jobs=jobs, progress=progress)
-    else:
-        results = []
-        for index, config in enumerate(configs):
-            results.append(run_simulation(trace, **config))
-            if progress is not None:
-                progress(index + 1, len(configs))
-    rows: List[Dict[str, Any]] = []
-    for config, result in zip(configs, results):
-        rows.append(
-            dict(
-                policy=result.policy,
-                num_nodes=result.num_nodes,
-                num_requests=result.num_requests,
-                throughput_rps=result.throughput_rps,
-                cache_miss_ratio=result.cache_miss_ratio,
-                idle_fraction=result.idle_fraction,
-                mean_delay_ms=result.mean_delay_s * 1000.0,
-                p99_delay_ms=result.delay_percentile_s(99) * 1000.0,
-            )
-        )
-    return rows
-
-
-def write_scaleout_csv(rows: Sequence[Dict[str, Any]], path: Union[str, Path]) -> Path:
-    """Write a scale-out scorecard with the fixed column order."""
-    return write_csv(rows, path, columns=SCALEOUT_COLUMNS)
+SCALEOUT_SCORECARD = Scorecard(
+    columns=SCALEOUT_COLUMNS,
+    row=_scaleout_row,
+    fields=dict(collect_delays=True),
+    digits=dict(
+        throughput_rps=1,
+        cache_miss_ratio=4,
+        idle_fraction=4,
+        mean_delay_ms=1,
+        p99_delay_ms=1,
+    ),
+)

@@ -21,10 +21,11 @@ from __future__ import annotations
 import csv
 import itertools
 from pathlib import Path
-from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
-from ..cluster import SimulationResult, run_simulation
+from ..cluster import SimulationResult
 from ..workload.trace import Trace
+from .parallel import run_many
 
 __all__ = ["sweep", "result_row", "write_csv", "expand_parameters"]
 
@@ -97,16 +98,7 @@ def sweep(
     """
     names, combinations = expand_parameters(parameters)
     configs = [dict(zip(names, combination)) for combination in combinations]
-    if jobs is None or jobs != 1:
-        from .parallel import run_many
-
-        results = run_many(trace, configs, jobs=jobs, progress=progress)
-    else:
-        results = []
-        for index, config in enumerate(configs):
-            results.append(run_simulation(trace, **config))
-            if progress is not None:
-                progress(index + 1, len(configs))
+    results = run_many(trace, configs, jobs=jobs, progress=progress)
     return [result_row(result, config) for result, config in zip(results, configs)]
 
 

@@ -27,22 +27,40 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import List, Optional
+from pathlib import Path
+from typing import List, Optional, Sequence, Tuple
 
-from .analysis import EXPERIMENTS, FULL, QUICK, SMOKE, STANDARD, Scale, run_experiment
+from .analysis import (
+    DEFAULT_CHAOS_POLICIES,
+    DEFAULT_SCALEOUT_POLICIES,
+    DEFAULT_SCALEOUT_SIZES,
+    EXPERIMENTS,
+    FULL,
+    QUICK,
+    SCALEOUT_SCORECARD,
+    SMOKE,
+    STANDARD,
+    MatrixSpec,
+    Scale,
+    builtin_matrix,
+    chaos_spec,
+    default_jobs,
+    format_table,
+    matrix_from_dict,
+    paper_scenario,
+    run_experiment,
+    run_matrix,
+    write_csv,
+)
 from .cluster import PAPER_NODE_CACHE_BYTES, run_simulation
 from .core import POLICY_NAMES, PolicyError
-from .workload import (
-    chess_like_trace,
-    ibm_like_trace,
-    locality_profile,
-    rice_like_trace,
-)
+from .workload import locality_profile
 
 __all__ = ["main", "build_parser"]
 
 _SCALES = {"smoke": SMOKE, "quick": QUICK, "standard": STANDARD, "full": FULL}
-_TRACES = {"rice": rice_like_trace, "ibm": ibm_like_trace, "chess": chess_like_trace}
+#: The paper's three stand-in traces (see repro.analysis.matrix.paper_scenario).
+_TRACES = ("chess", "ibm", "rice")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -82,7 +100,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     trace = sub.add_parser("trace", help="describe a synthetic trace")
-    trace.add_argument("kind", choices=sorted(_TRACES))
+    trace.add_argument("kind", choices=_TRACES)
     trace.add_argument("--requests", type=int, default=200_000)
     trace.add_argument(
         "--scale-factor",
@@ -94,7 +112,7 @@ def build_parser() -> argparse.ArgumentParser:
     sim = sub.add_parser("simulate", help="one cluster simulation run")
     sim.add_argument("--policy", choices=POLICY_NAMES, default="lard/r")
     sim.add_argument("--nodes", type=int, default=8)
-    sim.add_argument("--trace", choices=sorted(_TRACES), default="rice")
+    sim.add_argument("--trace", choices=_TRACES, default="rice")
     sim.add_argument("--requests", type=int, default=200_000)
     sim.add_argument("--scale-factor", type=float, default=0.25)
     sim.add_argument("--disks", type=int, default=1)
@@ -129,7 +147,7 @@ def build_parser() -> argparse.ArgumentParser:
         "chaos",
         help="race policies across seeded fault scenarios and print a scorecard",
     )
-    chaos.add_argument("--trace", choices=sorted(_TRACES), default="rice")
+    chaos.add_argument("--trace", choices=_TRACES, default="rice")
     chaos.add_argument("--requests", type=int, default=50_000)
     chaos.add_argument("--scale-factor", type=float, default=0.1)
     chaos.add_argument("--nodes", type=int, default=4)
@@ -140,23 +158,12 @@ def build_parser() -> argparse.ArgumentParser:
         help="comma-separated policies to race (default: lard,lard/r,wrr,lb/gc)",
     )
     chaos.add_argument("--seed", type=int, default=0, help="fault-schedule seed")
-    chaos.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        metavar="N",
-        help="run cells in up to N worker processes (0 = one per CPU; "
-        "the scorecard is identical to --jobs 1)",
-    )
-    chaos.add_argument(
-        "--csv", metavar="OUT.csv", help="also write the scorecard to this CSV file"
-    )
 
     scaleout = sub.add_parser(
         "scaleout",
         help="race the policy zoo across cluster sizes (default 64-1024 nodes)",
     )
-    scaleout.add_argument("--trace", choices=sorted(_TRACES), default="rice")
+    scaleout.add_argument("--trace", choices=_TRACES, default="rice")
     scaleout.add_argument("--requests", type=int, default=200_000)
     scaleout.add_argument("--scale-factor", type=float, default=0.25)
     scaleout.add_argument(
@@ -185,17 +192,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="R",
         help="replica locations per target for pod/lc",
     )
-    scaleout.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        metavar="N",
-        help="run cells in up to N worker processes (0 = one per CPU; "
-        "the scorecard is identical to --jobs 1)",
-    )
-    scaleout.add_argument(
-        "--csv", metavar="OUT.csv", help="also write the scorecard to this CSV file"
-    )
 
     matrix = sub.add_parser(
         "matrix",
@@ -213,17 +209,19 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="SPEC.json",
         help="JSON matrix spec file (overrides --name)",
     )
-    matrix.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        metavar="N",
-        help="run cells in up to N worker processes (0 = one per CPU; "
-        "the scorecard is identical to --jobs 1)",
-    )
-    matrix.add_argument(
-        "--csv", metavar="OUT.csv", help="also write the scorecard to this CSV file"
-    )
+
+    for campaign in (chaos, scaleout, matrix):
+        campaign.add_argument(
+            "--jobs",
+            type=int,
+            default=1,
+            metavar="N",
+            help="run cells in up to N worker processes (0 = one per CPU; "
+            "the scorecard is identical to --jobs 1)",
+        )
+        campaign.add_argument(
+            "--csv", metavar="OUT.csv", help="also write the scorecard to this CSV file"
+        )
 
     lint = sub.add_parser(
         "lint",
@@ -257,11 +255,27 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _make_trace(kind: str, requests: int, scale_factor: float):
-    from .workload import cached_trace
+    return paper_scenario(kind, requests, scale_factor).build_trace()
 
-    if kind == "chess":
-        return cached_trace("chess", num_requests=requests)
-    return cached_trace(kind, num_requests=requests, scale=scale_factor)
+
+def _resolve_jobs(jobs: int) -> int:
+    """``--jobs``: 0 means one worker per CPU; a negative count is an error."""
+    if jobs < 0:
+        raise ValueError(f"--jobs must be >= 0 (0 = one per CPU), got {jobs}")
+    return jobs or default_jobs()
+
+
+def _at_least_one(flag: str, value: int) -> int:
+    if value < 1:
+        raise ValueError(f"{flag} must be >= 1, got {value}")
+    return value
+
+
+def _policies(text: Optional[str], default: Sequence[str]) -> Tuple[str, ...]:
+    """``--policies``; the spec rejects unknown and repeated names."""
+    if text is None:
+        return tuple(default)
+    return tuple(p.strip() for p in text.split(",") if p.strip())
 
 
 def _cmd_list() -> int:
@@ -281,10 +295,7 @@ def _cmd_run(
 ) -> int:
     from .analysis import experiment_chart
 
-    if jobs == 0:
-        import os
-
-        jobs = os.cpu_count() or 1
+    jobs = _resolve_jobs(jobs)
     scale = _SCALES[scale_name]
     ids = list(EXPERIMENTS) if experiment == "all" else [experiment]
     profiler = None
@@ -370,128 +381,89 @@ def _cmd_spans(path: str) -> int:
     return 0
 
 
-def _cmd_chaos(args: argparse.Namespace) -> int:
-    from .analysis.chaos import (
-        DEFAULT_CHAOS_POLICIES,
-        SCORECARD_COLUMNS,
-        run_chaos_campaign,
-    )
-    from .analysis.report import format_table
-
-    if args.policies is None:
-        policies = list(DEFAULT_CHAOS_POLICIES)
-    else:
-        policies = [p.strip() for p in args.policies.split(",") if p.strip()]
-    for policy in policies:
-        if policy not in POLICY_NAMES:
-            raise PolicyError(
-                f"unknown policy {policy!r} (choose from {', '.join(POLICY_NAMES)})"
-            )
-    jobs = args.jobs
-    if jobs == 0:
-        import os
-
-        jobs = os.cpu_count() or 1
-    trace = _make_trace(args.trace, args.requests, args.scale_factor)
-    rows = run_chaos_campaign(
-        trace,
-        num_nodes=args.nodes,
-        node_cache_bytes=int(PAPER_NODE_CACHE_BYTES * args.scale_factor),
-        policies=policies,
-        seed=args.seed,
-        jobs=jobs,
-    )
-    print(
-        f"chaos campaign: trace={args.trace} requests={args.requests} "
-        f"nodes={args.nodes} seed={args.seed}"
-    )
-    print(format_table(SCORECARD_COLUMNS, [[row[c] for c in SCORECARD_COLUMNS] for row in rows]))
+def _cmd_campaign(spec: MatrixSpec, header: str, args: argparse.Namespace) -> int:
+    """What ``chaos``, ``scaleout`` and ``matrix`` share once each has
+    mapped its flags to a spec: run it, print the scorecard, write it."""
+    jobs = _resolve_jobs(args.jobs)
     if args.csv:
-        from .analysis.sweep import write_csv
-
-        path = write_csv(rows, args.csv, columns=SCORECARD_COLUMNS)
+        # Before any trace is generated (a default scaleout is minutes):
+        # a sink that cannot be opened.  Append mode, so a scorecard
+        # already there survives a campaign that fails; write_csv
+        # truncates it.
+        sink = Path(args.csv)
+        sink.parent.mkdir(parents=True, exist_ok=True)
+        sink.open("a").close()
+    rows = run_matrix(spec, jobs=jobs)
+    card = spec.scorecard
+    print(header)
+    print(
+        format_table(
+            card.columns,
+            [
+                [
+                    round(row[c], card.digits[c]) if c in card.digits else row[c]
+                    for c in card.columns
+                ]
+                for row in rows
+            ],
+        )
+    )
+    if args.csv:
+        path = write_csv(rows, args.csv, columns=card.columns)
         print(f"scorecard written to {path}")
     return 0
 
 
-def _cmd_scaleout(args: argparse.Namespace) -> int:
-    from .analysis.report import format_table
-    from .analysis.scaleout import (
-        DEFAULT_SCALEOUT_POLICIES,
-        DEFAULT_SCALEOUT_SIZES,
-        SCALEOUT_COLUMNS,
-        run_scaleout_sweep,
-        write_scaleout_csv,
+def _cmd_chaos(args: argparse.Namespace) -> int:
+    spec = chaos_spec(
+        paper_scenario(
+            args.trace, _at_least_one("--requests", args.requests), args.scale_factor
+        ),
+        num_nodes=_at_least_one("--nodes", args.nodes),
+        node_cache_bytes=int(PAPER_NODE_CACHE_BYTES * args.scale_factor),
+        policies=_policies(args.policies, DEFAULT_CHAOS_POLICIES),
+        seed=args.seed,
     )
+    header = (
+        f"chaos campaign: trace={args.trace} requests={args.requests} "
+        f"nodes={args.nodes} seed={args.seed}"
+    )
+    return _cmd_campaign(spec, header, args)
 
-    if args.policies is None:
-        policies = list(DEFAULT_SCALEOUT_POLICIES)
-    else:
-        policies = [p.strip() for p in args.policies.split(",") if p.strip()]
-    for policy in policies:
-        if policy not in POLICY_NAMES:
-            raise PolicyError(
-                f"unknown policy {policy!r} (choose from {', '.join(POLICY_NAMES)})"
-            )
+
+def _cmd_scaleout(args: argparse.Namespace) -> int:
     if args.sizes is None:
-        sizes = list(DEFAULT_SCALEOUT_SIZES)
+        sizes = DEFAULT_SCALEOUT_SIZES
     else:
         try:
-            sizes = [int(s.strip()) for s in args.sizes.split(",") if s.strip()]
+            sizes = tuple(int(s.strip()) for s in args.sizes.split(",") if s.strip())
         except ValueError:
             raise ValueError(f"--sizes must be comma-separated integers, got {args.sizes!r}")
     if not sizes or any(n < 1 for n in sizes):
         raise ValueError(f"--sizes must name positive cluster sizes, got {args.sizes!r}")
-    jobs = args.jobs
-    if jobs == 0:
-        import os
-
-        jobs = os.cpu_count() or 1
-    trace = _make_trace(args.trace, args.requests, args.scale_factor)
-    rows = run_scaleout_sweep(
-        trace,
-        cluster_sizes=sizes,
-        policies=policies,
+    spec = MatrixSpec(
+        name="scaleout",
+        scenarios=(
+            paper_scenario(
+                args.trace, _at_least_one("--requests", args.requests), args.scale_factor
+            ),
+        ),
+        policies=_policies(args.policies, DEFAULT_SCALEOUT_POLICIES),
+        num_nodes=sizes,
         node_cache_bytes=int(PAPER_NODE_CACHE_BYTES * args.scale_factor),
         policy_seed=args.seed,
         pod_d=args.pod_d,
         pod_replication=args.pod_replication,
-        jobs=jobs,
+        scorecard=SCALEOUT_SCORECARD,
     )
-    print(
+    header = (
         f"scale-out sweep: trace={args.trace} requests={args.requests} "
         f"sizes={','.join(str(n) for n in sizes)} seed={args.seed}"
     )
-    display = [
-        [
-            row["policy"],
-            row["num_nodes"],
-            row["num_requests"],
-            round(row["throughput_rps"], 1),
-            round(row["cache_miss_ratio"], 4),
-            round(row["idle_fraction"], 4),
-            round(row["mean_delay_ms"], 1),
-            round(row["p99_delay_ms"], 1),
-        ]
-        for row in rows
-    ]
-    print(format_table(SCALEOUT_COLUMNS, display))
-    if args.csv:
-        path = write_scaleout_csv(rows, args.csv)
-        print(f"scorecard written to {path}")
-    return 0
+    return _cmd_campaign(spec, header, args)
 
 
 def _cmd_matrix(args: argparse.Namespace) -> int:
-    from .analysis.matrix import (
-        MATRIX_COLUMNS,
-        builtin_matrix,
-        matrix_from_dict,
-        run_matrix,
-        write_matrix_csv,
-    )
-    from .analysis.report import format_table
-
     if args.spec is not None:
         import json
 
@@ -502,36 +474,12 @@ def _cmd_matrix(args: argparse.Namespace) -> int:
             raise ValueError(f"{args.spec}: not valid JSON: {exc}") from exc
     else:
         spec = builtin_matrix(args.name)
-    jobs = args.jobs
-    if jobs == 0:
-        import os
-
-        jobs = os.cpu_count() or 1
-    rows = run_matrix(spec, jobs=jobs)
-    print(
+    header = (
         f"workload matrix: {spec.name} "
         f"({len(spec.scenarios)} scenarios x {len(spec.policies)} policies, "
         f"{spec.num_nodes} nodes)"
     )
-    display = [
-        [
-            row["scenario"],
-            row["policy"],
-            row["num_nodes"],
-            row["requests_measured"],
-            round(row["throughput_rps"], 1),
-            round(row["cache_miss_ratio"], 4),
-            round(row["dynamic_fraction"], 4),
-            round(row["mean_delay_ms"], 1),
-            row["disk_reads"],
-        ]
-        for row in rows
-    ]
-    print(format_table(MATRIX_COLUMNS, display))
-    if args.csv:
-        path = write_matrix_csv(rows, args.csv)
-        print(f"scorecard written to {path}")
-    return 0
+    return _cmd_campaign(spec, header, args)
 
 
 def _dispatch(args: argparse.Namespace) -> int:

@@ -8,8 +8,8 @@ wrappers on the connection state machine (the ``Traced*`` classes of
 :mod:`repro.cluster.fastpath`), performing no state mutation of its
 own, so a traced run produces byte-identical
 :class:`~repro.cluster.simulator.SimulationResult` output to an
-untraced one, and an unhooked run pays nothing (the
-``scripts/bench_perf.py --check`` gate holds).
+untraced one, and an unhooked run pays nothing (the perf ledger's
+``ref-8n`` workload holds).
 
 Sampling is **completion-driven**, generalizing the front-end's
 completions-only ``timeline``: rather than scheduling engine events

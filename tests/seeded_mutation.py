@@ -3,8 +3,8 @@
 Shared by the test modules that record mutations beside their tests
 (``test_cluster_differential``, ``test_cluster_memory``,
 ``test_fastpath_identity``, ``test_obs_span``,
-``test_cluster_metamorphic``): each shows, in a subprocess importing the
-mutated copy, that its checks fail on it.
+``test_cluster_metamorphic``, ``test_analysis_matrix``): each shows,
+in a subprocess importing the mutated copy, that its checks fail on it.
 """
 
 from __future__ import annotations

@@ -1,5 +1,7 @@
 """Tests for the experiment harness and report rendering."""
 
+from pathlib import Path
+
 import pytest
 
 from repro.analysis import (
@@ -70,6 +72,23 @@ class TestHarness:
             "ext-failure", "ext-persistent",
         }
         assert expected <= set(EXPERIMENTS)
+
+    @pytest.mark.parametrize(
+        "experiment_id",
+        ["fig7", "fig8", "fig9", "fig11", "fig13", "ext-scaleout", "ext-chaos", "ext-dynamic"],
+    )
+    def test_smoke_render_matches_golden_block(self, experiment_id):
+        """The experiments that ride ``prefetch_cells`` or ``run_matrix``,
+        against ``run all --scale smoke`` as recorded on 42f2d89, before
+        the runners became one (CI's ``campaign-smoke`` compares the
+        whole file)."""
+        golden = Path(__file__).parent / "golden" / "experiments_smoke.txt"
+        blocks = {
+            block.split(":", 1)[0]: block
+            for block in golden.read_text().strip().split("\n\n")
+        }
+        rendered = run_experiment(experiment_id, SMOKE).render()
+        assert rendered == blocks[f"== {experiment_id}"]
 
     def test_every_experiment_has_a_title(self):
         from repro.analysis.experiments import EXPERIMENT_TITLES

@@ -1,6 +1,8 @@
-"""Declarative workload matrices: spec validation, delta phases, determinism."""
+"""Declarative campaigns: spec validation, the one driver, determinism."""
 
 import json
+from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -12,10 +14,14 @@ from repro.analysis.matrix import (
     builtin_matrix,
     matrix_from_dict,
     run_matrix,
-    write_matrix_csv,
 )
+from repro.analysis.scaleout import SCALEOUT_COLUMNS, SCALEOUT_SCORECARD
+from repro.analysis.sweep import write_csv
 from repro.cli import main
 from repro.core import PolicyError
+from tests.seeded_mutation import assert_selected_tests_fail
+
+GOLDEN = Path(__file__).parent / "golden"
 
 #: A tiny two-scenario spec every test can afford to actually run.
 TINY = {
@@ -109,6 +115,29 @@ class TestSpecValidation:
                 policies=("wrr",),
             )
 
+    def test_duplicate_policies_rejected(self):
+        # Used to run every cell twice and emit every row twice.
+        with pytest.raises(ValueError, match="duplicate policies"):
+            matrix_from_dict(dict(TINY, policies=["wrr", "lard", "wrr"]))
+
+    def test_duplicate_cluster_sizes_rejected(self):
+        with pytest.raises(ValueError, match="duplicate cluster sizes"):
+            replace(matrix_from_dict(TINY), num_nodes=(2, 4, 2))
+
+    @pytest.mark.parametrize("sizes", [(), (2, 0)])
+    def test_cluster_sizes_must_be_positive(self, sizes):
+        with pytest.raises(ValueError, match="num_nodes must be >= 1"):
+            replace(matrix_from_dict(TINY), num_nodes=sizes)
+
+    def test_an_int_cluster_size_stays_an_int(self):
+        # The perf ledger feeds spec.num_nodes to ClusterConfig.
+        spec = matrix_from_dict(TINY)
+        assert spec.num_nodes == 2 and spec.sizes == (2,)
+
+    def test_fault_scenario_cannot_have_a_warmup(self):
+        with pytest.raises(ValueError, match="cannot also have a warm-up"):
+            Scenario(name="x", kind="flash", fault=lambda num_nodes, duration_s: {})
+
     def test_builtins_all_parse(self):
         for name in BUILTIN_MATRICES:
             spec = builtin_matrix(name)
@@ -132,6 +161,20 @@ class TestRunMatrix:
         for row in rows:
             assert set(row) == set(MATRIX_COLUMNS)
 
+    def test_rows_ordered_scenario_then_size_then_policy(self):
+        spec = replace(
+            matrix_from_dict(TINY), num_nodes=(2, 3), scorecard=SCALEOUT_SCORECARD
+        )
+        rows = run_matrix(spec)
+        assert [(r["scenario"], r["num_nodes"], r["policy"]) for r in rows] == [
+            (scenario, size, policy)
+            for scenario in ("flash", "cgi")
+            for size in (2, 3)
+            for policy in ("wrr", "lard")
+        ]
+        for row in rows:
+            assert set(row) == {"scenario", *SCALEOUT_COLUMNS}
+
     def test_warmup_excluded_from_measured_phase(self):
         spec = matrix_from_dict(TINY)
         rows = run_matrix(spec)
@@ -154,7 +197,7 @@ class TestRunMatrix:
 
     def test_csv_has_fixed_columns(self, tmp_path):
         spec = matrix_from_dict(TINY)
-        path = write_matrix_csv(run_matrix(spec), tmp_path / "m.csv")
+        path = write_csv(run_matrix(spec), tmp_path / "m.csv", columns=MATRIX_COLUMNS)
         header = path.read_text().splitlines()[0]
         assert header == ",".join(MATRIX_COLUMNS)
 
@@ -169,6 +212,16 @@ class TestCli:
         assert "workload matrix: tiny" in out
         assert csv_path.exists()
 
+    def test_ci_smoke_matrix_matches_golden_scorecard(self, tmp_path, capsys):
+        """CI's ``campaign-smoke`` matrix, against the scorecard recorded
+        on 42f2d89 (before the runners became one): CI used to ``cmp``
+        ``--jobs 1`` against ``--jobs 2`` only, which a drifted reducer
+        passes."""
+        csv_path = tmp_path / "scorecard.csv"
+        assert main(["matrix", "--name", "dynamic-smoke", "--csv", str(csv_path)]) == 0
+        capsys.readouterr()
+        assert csv_path.read_bytes() == (GOLDEN / "matrix_dynamic_smoke.csv").read_bytes()
+
     def test_invalid_json_is_operator_error(self, tmp_path, capsys):
         spec_path = tmp_path / "bad.json"
         spec_path.write_text("{nope")
@@ -178,3 +231,35 @@ class TestCli:
     def test_unknown_builtin_is_operator_error(self, capsys):
         assert main(["matrix", "--name", "nope"]) == 2
         assert "unknown matrix" in capsys.readouterr().err
+
+
+# Seeded mutations of the one driver, each caught by the tests named
+# beside it (run against a mutated copy of the package).
+_DRIVER_MUTATIONS = {
+    "size and policy loops swapped": (
+        "        for num_nodes in spec.sizes\n        for policy in spec.policies\n",
+        "        for policy in spec.policies\n        for num_nodes in spec.sizes\n",
+        __file__,
+        "rows_ordered_scenario_then_size",
+    ),
+    "warm-up prefix result not subtracted": (
+        "in zip(configs, results, references):",
+        "in zip(configs, results, [None] * len(cells)):",
+        __file__,
+        "warmup_excluded or golden_scorecard",
+    ),
+    "chaos row read against the neighbouring policy's fault-free run": (
+        "            references = fault_free\n",
+        "            references = fault_free[::-1]\n",
+        str(Path(__file__).with_name("test_cli.py")),
+        "ci_smoke_campaign_matches_golden_scorecard",
+    ),
+}
+
+
+@pytest.mark.parametrize("mutation", sorted(_DRIVER_MUTATIONS))
+def test_seeded_driver_mutation_is_caught(tmp_path, mutation):
+    anchor, replacement, test_file, selector = _DRIVER_MUTATIONS[mutation]
+    assert_selected_tests_fail(
+        tmp_path, "analysis/matrix.py", anchor, replacement, test_file, selector
+    )

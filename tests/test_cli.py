@@ -249,3 +249,126 @@ class TestChaosCommand:
         capsys.readouterr()
         golden = Path(__file__).parent / "golden" / "chaos_smoke.csv"
         assert csv_path.read_bytes() == golden.read_bytes()
+
+
+_SMALL = ["--requests", "300", "--scale-factor", "0.05"]
+#: Each campaign verb, sized so that *running* it would still be quick.
+_CAMPAIGNS = {
+    "chaos": ["chaos", *_SMALL, "--nodes", "2", "--policies", "wrr"],
+    "scaleout": ["scaleout", *_SMALL, "--sizes", "2", "--policies", "wrr"],
+    "matrix": ["matrix", "--name", "dynamic-smoke"],
+}
+
+
+class TestCampaignContract:
+    """``chaos``, ``scaleout`` and ``matrix`` are one runner behind three
+    flag sets: what it refuses, it refuses before any trace exists."""
+
+    @pytest.fixture
+    def cache(self, tmp_path, monkeypatch):
+        """An empty trace cache: still empty afterwards means the verb
+        stopped before generating (or loading) a trace."""
+        path = tmp_path / "cache"
+        monkeypatch.setenv("REPRO_TRACE_CACHE", str(path))
+        return path
+
+    @staticmethod
+    def _refused(capsys, cache, argv, *needles):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("lard-repro: error:") and err.count("\n") == 1
+        for needle in needles:
+            assert needle in err
+        assert "Traceback" not in err
+        assert not cache.exists() or not any(cache.iterdir())
+
+    @pytest.mark.parametrize("verb", sorted(_CAMPAIGNS))
+    def test_unwritable_csv_sink_is_found_before_the_campaign_runs(
+        self, capsys, cache, tmp_path, verb
+    ):
+        """A directory as ``--csv`` used to cost the whole campaign
+        (minutes at the default ``scaleout``) and then exit 2."""
+        self._refused(
+            capsys, cache, _CAMPAIGNS[verb] + ["--csv", str(tmp_path)], "Is a directory"
+        )
+
+    def test_an_existing_scorecard_survives_the_sink_check(self, capsys, cache, tmp_path):
+        scorecard = tmp_path / "kept.csv"
+        scorecard.write_text("policy\nwrr\n")
+        argv = _CAMPAIGNS["chaos"] + ["--jobs", "-1", "--csv", str(scorecard)]
+        self._refused(capsys, cache, argv, "--jobs")
+        assert scorecard.read_text() == "policy\nwrr\n"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["run", "fig5", "--scale", "smoke"], *(_CAMPAIGNS[v] for v in sorted(_CAMPAIGNS))],
+        ids=["run", *sorted(_CAMPAIGNS)],
+    )
+    def test_negative_jobs_rejected(self, capsys, cache, argv):
+        """``--jobs -3`` used to run serially without a word."""
+        self._refused(capsys, cache, argv + ["--jobs", "-3"], "--jobs must be >= 0", "-3")
+
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["scaleout", "--requests", "0", "--sizes", "2"], "--requests"),
+            (["chaos", "--requests", "0"], "--requests"),
+            (["chaos", *_SMALL, "--nodes", "0"], "--nodes"),
+            (["scaleout", *_SMALL, "--sizes", "4,0"], "--sizes"),
+        ],
+        ids=["scaleout-requests", "chaos-requests", "chaos-nodes", "scaleout-sizes"],
+    )
+    def test_counts_below_one_rejected_naming_the_flag(self, capsys, cache, argv, flag):
+        """``--requests 0`` used to die after trace generation with an
+        error about percentiles or durations, ``--nodes 0`` only once
+        the first cell was built."""
+        self._refused(capsys, cache, argv, flag)
+
+    @pytest.mark.parametrize(
+        "argv, what",
+        [
+            (["chaos", *_SMALL, "--policies", "wrr,wrr"], "duplicate policies"),
+            (["scaleout", *_SMALL, "--sizes", "2", "--policies", "wrr,lard,wrr"],
+             "duplicate policies"),
+            (["scaleout", *_SMALL, "--sizes", "2,2"], "duplicate cluster sizes"),
+        ],
+        ids=["chaos-policies", "scaleout-policies", "scaleout-sizes"],
+    )
+    def test_repeated_axis_values_rejected(self, capsys, cache, argv, what):
+        """They used to run every cell twice and print every row twice."""
+        self._refused(capsys, cache, argv, what)
+
+    def test_jobs_zero_is_one_worker_per_cpu(self, capsys, tmp_path):
+        one, auto = tmp_path / "one.csv", tmp_path / "auto.csv"
+        assert main(_CAMPAIGNS["scaleout"] + ["--csv", str(one)]) == 0
+        assert main(_CAMPAIGNS["scaleout"] + ["--jobs", "0", "--csv", str(auto)]) == 0
+        assert one.read_bytes() == auto.read_bytes()
+
+
+class TestScaleoutCommand:
+    def test_small_sweep_prints_the_rounded_table(self, capsys, tmp_path):
+        csv_path = tmp_path / "zoo.csv"
+        argv = ["scaleout", "--requests", "3000", "--scale-factor", "0.05",
+                "--sizes", "2,4", "--policies", "wrr,pod/lc", "--csv", str(csv_path)]
+        assert main(argv) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert out[0] == "scale-out sweep: trace=rice requests=3000 sizes=2,4 seed=0"
+        assert out[1].split() == [
+            "policy", "num_nodes", "num_requests", "throughput_rps",
+            "cache_miss_ratio", "idle_fraction", "mean_delay_ms", "p99_delay_ms",
+        ]
+        assert [line.split()[:2] for line in out[3:7]] == [
+            ["wrr", "2"], ["pod/lc", "2"], ["wrr", "4"], ["pod/lc", "4"],
+        ]
+        assert csv_path.read_text().splitlines()[0] == ",".join(out[1].split())
+
+    def test_ci_1024_node_sweep_matches_golden_scorecard(self, capsys, tmp_path):
+        """CI's 1024-node sweep, against the scorecard recorded on
+        b141770: a policy decision that changes at 1024 nodes fails here,
+        not only in the ``campaign-smoke`` job."""
+        csv_path = tmp_path / "scorecard.csv"
+        args = "scaleout --requests 20000 --sizes 1024 --policies wrr,lard/r,chash,pod/lc"
+        assert main(args.split() + ["--csv", str(csv_path)]) == 0
+        capsys.readouterr()
+        golden = Path(__file__).parent / "golden" / "scaleout_1024.csv"
+        assert csv_path.read_bytes() == golden.read_bytes()

@@ -521,18 +521,31 @@ def test_fault_injector_without_writer_stays_silent():
 # -- chaos campaign ------------------------------------------------------------
 
 
-def test_chaos_campaign_deterministic_across_jobs():
-    from repro.analysis.chaos import SCORECARD_COLUMNS, run_chaos_campaign
+def test_chaos_campaign_deterministic_across_jobs(monkeypatch):
+    from repro.analysis.chaos import SCORECARD_COLUMNS, chaos_spec
+    from repro.analysis.matrix import Scenario, run_matrix
 
-    trace = _trace(1500, seed=11)
-    kw = dict(num_nodes=3, node_cache_bytes=CACHE, policies=("lard", "wrr"),
-              seed=4, buckets=10)
-    serial = run_chaos_campaign(trace, jobs=1, **kw)
-    parallel = run_chaos_campaign(trace, jobs=2, **kw)
+    monkeypatch.setenv("REPRO_TRACE_CACHE", "0")
+    workload = Scenario(
+        "synthetic",
+        "synthetic",
+        dict(num_requests=1500, num_targets=400, total_bytes=8 * 2**20,
+             zipf_alpha=0.9, seed=11),
+        warmup_fraction=0.0,
+    )
+    spec = chaos_spec(workload, num_nodes=3, node_cache_bytes=CACHE,
+                      policies=("lard", "wrr"), seed=4)
+    serial = run_matrix(spec, jobs=1)
+    parallel = run_matrix(spec, jobs=2)
     assert serial == parallel
-    assert [set(SCORECARD_COLUMNS) == set(row) for row in serial]
-    scenarios = [row["scenario"] for row in serial]
-    assert scenarios == (["none"] * 2 + ["churn"] * 2 + ["burst"] * 2
-                         + ["brownout"] * 2)
+    assert all(set(SCORECARD_COLUMNS) == set(row) for row in serial)
+    assert [(row["scenario"], row["policy"]) for row in serial] == [
+        (scenario, policy)
+        for scenario in ("none", "churn", "burst", "brownout")
+        for policy in ("lard", "wrr")
+    ]
     for row in serial:
         assert 0.0 < row["availability"] <= 1.0
+        # The fault-free rows are their own baseline: recovered at once.
+        if row["scenario"] == "none":
+            assert row["recovery_tput_s"] == row["recovery_p99_s"] == 0.0

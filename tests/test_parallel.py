@@ -5,7 +5,9 @@ import pytest
 from repro.analysis import (
     ParallelExecutionError,
     clear_caches,
+    expand_parameters,
     prefetch_cells,
+    result_row,
     run_cell,
     run_many,
     set_parallel_jobs,
@@ -13,7 +15,6 @@ from repro.analysis import (
     write_csv,
 )
 from repro.analysis.experiments import SMOKE, run_experiment
-from repro.analysis.parallel import sweep as parallel_sweep
 from repro.cluster import ClusterConfig
 from repro.workload import synthesize_trace
 
@@ -88,9 +89,25 @@ class TestParallelSweep:
         assert a.read_bytes() == b.read_bytes()
 
     def test_parallel_module_sweep_matches(self, small_trace):
-        assert parallel_sweep(small_trace, jobs=2, **_SWEEP_PARAMS) == sweep(
-            small_trace, jobs=1, **_SWEEP_PARAMS
-        )
+        """``sweep`` is the cross product handed to ``run_many`` (the
+        parallel module's own copy of it is gone)."""
+        names, combinations = expand_parameters(_SWEEP_PARAMS)
+        configs = [dict(zip(names, combination)) for combination in combinations]
+        results = run_many(small_trace, configs, jobs=1)
+        assert sweep(small_trace, jobs=2, **_SWEEP_PARAMS) == [
+            result_row(result, config) for result, config in zip(results, configs)
+        ]
+
+    def test_progress_reported_serial_and_pooled(self, small_trace):
+        for jobs in (1, 2):
+            seen = []
+            sweep(
+                small_trace,
+                jobs=jobs,
+                progress=lambda d, t: seen.append((d, t)),
+                **_SWEEP_PARAMS,
+            )
+            assert seen == [(1, 4), (2, 4), (3, 4), (4, 4)]
 
 
 class TestExperimentPrefetch:

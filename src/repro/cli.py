@@ -349,6 +349,8 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
         with SpanWriter(args.spans, source="sim") as writer:
             SimTracer(writer, sample_interval_s=args.sample_interval)
+    # Before the trace is generated too: a speed the cost model refuses.
+    costs = CostModel(cpu_speed=args.cpu_speed)
     trace = _make_trace(args.trace, args.requests, args.scale_factor)
     result = run_simulation(
         trace,
@@ -357,7 +359,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         node_cache_bytes=int(PAPER_NODE_CACHE_BYTES * args.scale_factor),
         disks_per_node=args.disks,
         cache_policy=args.cache,
-        costs=CostModel(cpu_speed=args.cpu_speed),
+        costs=costs,
         profile=args.profile,
         trace_out=args.spans,
         sample_interval_s=args.sample_interval,

@@ -22,14 +22,26 @@ CPU cost.  ``disk_speed`` is provided for symmetry/ablations.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
-from typing import Iterator, List, Tuple
+from typing import List, Tuple
 
 __all__ = ["CostModel", "PAPER_NODE_CACHE_BYTES"]
 
 #: Section 3.2: "we chose to set the default node cache size in our
 #: simulations to 32 MB".
 PAPER_NODE_CACHE_BYTES = 32 * 2**20
+
+#: The :class:`CostModel` fields that are service times in seconds.
+_SERVICE_CONSTANTS = (
+    "connection_setup_s",
+    "connection_teardown_s",
+    "transmit_s_per_512b",
+    "disk_initial_latency_s",
+    "disk_transfer_s_per_4kb",
+    "disk_extra_seek_s",
+    "gms_fetch_s_per_512b",
+)
 
 
 @dataclass(frozen=True)
@@ -52,8 +64,19 @@ class CostModel:
     disk_speed: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.cpu_speed <= 0 or self.disk_speed <= 0:
-            raise ValueError("speed multipliers must be positive")
+        # ``0 < x < inf`` and ``0 <= x < inf`` are false for NaN, which a
+        # bare ``<= 0`` test lets through (and an infinite speed is a
+        # zero-time server, an infinite cost a run that never ends).
+        for name in ("cpu_speed", "disk_speed"):
+            speed = getattr(self, name)
+            if not 0.0 < speed < math.inf:
+                raise ValueError(f"{name} must be positive and finite, got {speed!r}")
+        for name in _SERVICE_CONSTANTS:
+            seconds = getattr(self, name)
+            if not 0.0 <= seconds < math.inf:
+                raise ValueError(
+                    f"{name} must be finite and non-negative, got {seconds!r}"
+                )
         if self.disk_chunk_bytes <= 0:
             raise ValueError("disk_chunk_bytes must be positive")
 

@@ -54,7 +54,9 @@ issues beside one in flight when coalescing is off) build their plan in
 ``_start_chunked_read``.
 
 Byte-identity contract (enforced by ``tests/test_fastpath_identity.py``,
-``tests/test_cluster_differential.py`` and the golden-CSV suite):
+``tests/test_cluster_differential.py`` and the golden-CSV suite; the
+closed forms of ``tests/test_cluster_analytic.py`` check the same books
+from outside):
 
 * the relative order of every ``engine.schedule`` call — admissions,
   service starts, waiter promotions, coalesced-read wakeups, retry
@@ -73,21 +75,34 @@ Byte-identity contract (enforced by ``tests/test_fastpath_identity.py``,
   constants and disk-time table are read when a service is enqueued, so
   a brownout changes new work and never a service already queued;
 * all float arithmetic mirrors the oracle operation for operation:
-  resource busy-time integrals fold the identical
-  ``busy * (now - last_change)`` terms in the identical order, transmit
-  time is ``units * per_unit`` with the precomputed integer ``units``,
-  and the GMS paths call the exact ``CostModel`` methods the oracle
-  calls.
+  resource busy-time integrals fold the same terms in the same order
+  (see below for why ``now - last_change`` is the oracle's
+  ``busy * (now - last_change)``), transmit time is
+  ``units * per_unit`` with the precomputed integer ``units``, and the
+  GMS paths call the exact ``CostModel`` methods the oracle calls.
 
-Several canonical bodies are deliberately inlined in
-:class:`FastConnection` and :meth:`FastPath.admit` — from ``Resource``
-(enqueue/finish), ``Policy.on_dispatch``/``on_complete``,
-``LoadTracker._update`` and ``FrontEnd._account_request``/``_detach`` —
-because at ~4 events per request the call frames themselves dominated
-the profile.  Any semantic change to those canonical implementations
-must be mirrored below; the identity tests exist to catch a missed
-mirror.  The batch classes pay ~2 events per request and call the
-canonical ``FrontEnd`` accounting instead.
+Every node resource is a single FCFS server (paper Section 3.1: one
+CPU, and each disk, with its own queue; ``FastPath`` refuses anything
+else), and the inlined bookkeeping is written for exactly that.  A
+finish counts the job, adds ``now - _last_change`` to the busy integral
+(the server was busy: ``1 * x == x``) and either promotes the head
+waiter, leaving ``_busy`` at 1, or sets it to 0.  An enqueue on a busy
+server appends; on an idle one it restarts the busy period —
+``_last_change = now; _busy = 1`` — without the canonical fold, which
+would add ``0 * x`` to an integral that is never below ``+0.0``.
+
+Several canonical bodies are deliberately inlined in the connection
+classes and :meth:`FastPath.admit` — from ``Resource`` (enqueue/finish),
+``Policy.on_dispatch``/``on_complete``, ``LoadTracker._update`` and
+``FrontEnd._account_request``/``_detach`` — because at ~4 events per
+request the call frames themselves dominated the profile.  Any semantic
+change to those canonical implementations must be mirrored below; the
+identity tests exist to catch a missed mirror.  A class that changes a
+stage carries that stage in full (``PersistentConnection._advance`` and
+``_complete``, ``FaultyConnection._request_done``) rather than wrapping
+the base one: what a run adds should cost what it records, not a frame
+per stage on top.  Only the rare paths — a rehandoff, a retry, a lost
+request — call the canonical ``FrontEnd`` accounting.
 """
 
 from __future__ import annotations
@@ -247,6 +262,13 @@ class FastPath:
         self.units: List[int] = fe.trace.transmit_units(512)
         self.tables: Dict[CostModel, DiskTimes] = {}
         for node in fe.nodes:
+            for resource in (node.cpu, *node.disks):
+                if resource.capacity != 1:
+                    raise ValueError(
+                        "the request state machine books single-server "
+                        f"resources only: {resource.name} has capacity "
+                        f"{resource.capacity}"
+                    )
             node.disk_times_for = self.disk_times
             node.disk_times = self.disk_times(node.costs)
         # Admission-side references, resolved once.
@@ -289,10 +311,11 @@ class FastPath:
         ``per_conn`` trace requests (the first one picks the node).
 
         This loop serves pipeline (re)fills — ``start()`` and
-        ``join_node`` — every batch-class completion, and the rare
-        one-request completion that frees more than the one slot it
-        refills; the steady-state single admission is inlined in
-        :meth:`FastConnection._complete`.
+        ``join_node`` — a fault-model connection given up after its
+        retries, and the rare completion that frees more than the one
+        slot it refills; the steady-state single admission is inlined
+        in :meth:`FastConnection._complete` and
+        :meth:`PersistentConnection._complete`.
 
         A start event is staged (``schedule(0.0, ...)``) unless it would
         be the very next event dispatched anyway, in which case it runs
@@ -300,11 +323,13 @@ class FastPath:
         as the dispatch it replaces.  That is so exactly when nothing
         is staged ahead of it (``_nowq`` empty), the run loop is going
         to dispatch another event (engine not stopped — which also
-        keeps every run's initial fill, made before ``run()``, staged),
-        nothing else is due at this instant (heap empty, or its top
+        keeps every run's initial fill, made before ``run()``, staged)
+        and nothing else is due at this instant (heap empty, or its top
         strictly later than ``now``: a heap entry for ``now`` goes
-        first), and no sanitizer is installed (its hook must see every
-        event).  Every admission here is the last thing its event does
+        first).  A sanitizer's hook must see every event, so the site
+        that ran one in place calls it, as the run loop would have:
+        ``hook(now, callback)`` right after the event.  Every admission
+        here is the last thing its event does
         to the policy, the tracker and the front-end's books; what is
         left of the loop is more admissions, whose decisions read none
         of what an untraced start event writes (its own epoch and
@@ -314,9 +339,6 @@ class FastPath:
         engine = self.engine
         now = engine.now
         n = self.n
-        # No hoisting of the state below into locals: a batch-class
-        # completion calls this for one admission, and the prologue
-        # would cost more than the loop body.
         while fe.in_flight < fe.max_in_flight and fe._next < n:
             first = fe._next
             end = first + self.per_conn
@@ -363,11 +385,13 @@ class FastPath:
             if (
                 self.inplace
                 and not (self.nowq or engine._stopped)
-                and engine._sanitizer is None
                 and (not self.heap or self.heap[0][0] > now)
             ):
                 engine.events_dispatched += 1
                 conn._begin_cb()
+                hook = engine._sanitizer
+                if hook is not None:
+                    hook(now, conn._begin_cb)
             else:
                 self.schedule(0.0, conn._begin_cb)
 
@@ -490,13 +514,12 @@ class FastConnection:
         self.start = now
         cpu = node.cpu
         # Resource._enqueue, inlined (establish service).
-        if cpu._busy < cpu.capacity:
-            cpu._busy_integral += cpu._busy * (now - cpu._last_change)
-            cpu._last_change = now
-            cpu._busy += 1
-            self.schedule(node._conn_time, self._decide_cb)
-        else:
+        if cpu._busy:
             cpu._waiting.append((self._decide_cb, node._conn_time))
+        else:
+            cpu._last_change = now
+            cpu._busy = 1
+            self.schedule(node._conn_time, self._decide_cb)
 
     def _decide(self) -> None:
         """Establishment done: book it, then make the fetch decision."""
@@ -505,14 +528,14 @@ class FastConnection:
         # Resource._finish, inlined: the freed server promotes its next
         # waiter *before* this request's own logic continues.
         cpu.jobs_served += 1
-        cpu._busy_integral += cpu._busy * (now - cpu._last_change)
+        cpu._busy_integral += now - cpu._last_change
         cpu._last_change = now
-        cpu._busy -= 1
         waiting = cpu._waiting
-        if waiting and cpu._busy < cpu.capacity:
+        if waiting:
             wcb, wdur = waiting.popleft()
-            cpu._busy += 1
             self.schedule(wdur, wcb)
+        else:
+            cpu._busy = 0
         self._fetch()
 
     def _fetch(self) -> None:
@@ -609,14 +632,12 @@ class FastConnection:
         """Resource._enqueue, inlined, with ``_advance`` as the fused
         completion callback."""
         self.res = resource
-        if resource._busy < resource.capacity:
-            now = self.engine.now
-            resource._busy_integral += resource._busy * (now - resource._last_change)
-            resource._last_change = now
-            resource._busy += 1
-            self.schedule(duration, self._advance_cb)
-        else:
+        if resource._busy:
             resource._waiting.append((self._advance_cb, duration))
+        else:
+            resource._last_change = self.engine.now
+            resource._busy = 1
+            self.schedule(duration, self._advance_cb)
 
     def _join_pending(self, waiters: Any) -> None:
         """The file is already being read from disk on this node:
@@ -661,14 +682,12 @@ class FastConnection:
         disks = node.disks  # disk_for's one-disk answer, without its frame
         disk = disks[0] if len(disks) == 1 else node.disk_for(target)
         self.res = disk
-        if disk._busy < disk.capacity:
-            now = self.engine.now
-            disk._busy_integral += disk._busy * (now - disk._last_change)
-            disk._last_change = now
-            disk._busy += 1
-            self.schedule(times.single[target], self._advance_cb)
-        else:
+        if disk._busy:
             disk._waiting.append((self._advance_cb, times.single[target]))
+        else:
+            disk._last_change = self.engine.now
+            disk._busy = 1
+            self.schedule(times.single[target], self._advance_cb)
 
     def _start_chunked_read(self) -> None:
         """Disk service then CPU transmit per 44 KB chunk, first chunk
@@ -699,14 +718,14 @@ class FastConnection:
         now = self.engine.now
         # Resource._finish, inlined (waiter promotion before our logic).
         res.jobs_served += 1
-        res._busy_integral += res._busy * (now - res._last_change)
+        res._busy_integral += now - res._last_change
         res._last_change = now
-        res._busy -= 1
         waiting = res._waiting
-        if waiting and res._busy < res.capacity:
+        if waiting:
             wcb, wdur = waiting.popleft()
-            res._busy += 1
             self.schedule(wdur, wcb)
+        else:
+            res._busy = 0
         plan = self.plan
         i = self.plan_i
         if i < len(plan):
@@ -724,13 +743,12 @@ class FastConnection:
                 self.schedule(0.0, wake)
         # Resource._enqueue, inlined (teardown service).
         cpu = node.cpu
-        if cpu._busy < cpu.capacity:
-            cpu._busy_integral += cpu._busy * (now - cpu._last_change)
-            cpu._last_change = now
-            cpu._busy += 1
-            self.schedule(node._teardown_time, self._complete_cb)
-        else:
+        if cpu._busy:
             cpu._waiting.append((self._complete_cb, node._teardown_time))
+        else:
+            cpu._last_change = now
+            cpu._busy = 1
+            self.schedule(node._teardown_time, self._complete_cb)
 
     def _complete(self) -> None:
         """Teardown done: book it, fold the request into the node and
@@ -741,14 +759,14 @@ class FastConnection:
         now = self.engine.now
         # Resource._finish, inlined.
         cpu.jobs_served += 1
-        cpu._busy_integral += cpu._busy * (now - cpu._last_change)
+        cpu._busy_integral += now - cpu._last_change
         cpu._last_change = now
-        cpu._busy -= 1
         waiting = cpu._waiting
-        if waiting and cpu._busy < cpu.capacity:
+        if waiting:
             wcb, wdur = waiting.popleft()
-            cpu._busy += 1
             self.schedule(wdur, wcb)
+        else:
+            cpu._busy = 0
         node.requests_served += 1
         node.bytes_served += self.size
         # The one point a stage wrapper cannot reach: a span finishes
@@ -850,11 +868,13 @@ class FastConnection:
             engine = self.engine
             if (
                 not (fp.nowq or engine._stopped)
-                and engine._sanitizer is None
                 and (not fp.heap or fp.heap[0][0] > now)
             ):
                 engine.events_dispatched += 1
                 conn._begin_cb()
+                hook = engine._sanitizer
+                if hook is not None:
+                    hook(now, conn._begin_cb)
             else:
                 self.schedule(0.0, conn._begin_cb)
 
@@ -869,32 +889,47 @@ class PersistentConnection(FastConnection):
     """
 
     #: Trace index of the request now being served, and of the
-    #: connection's last one; ``FastPath.admit`` sets both.
+    #: connection's last one; the admission sets both.
     __slots__ = ("index", "last")
 
     def _advance(self) -> None:
-        """As the base stage, except that the end of a data plan which
-        is not the connection's last starts the next request instead of
-        teardown."""
-        if self.index == self.last or self.plan_i < len(self.plan):
-            FastConnection._advance(self)
-            return
+        """The base stage in full (no second frame for it), except that
+        the end of a data plan which is not the connection's last
+        starts the next request instead of teardown."""
         res = self.res
         now = self.engine.now
         # Resource._finish, inlined (waiter promotion before our logic).
         res.jobs_served += 1
-        res._busy_integral += res._busy * (now - res._last_change)
+        res._busy_integral += now - res._last_change
         res._last_change = now
-        res._busy -= 1
         waiting = res._waiting
-        if waiting and res._busy < res.capacity:
+        if waiting:
             wcb, wdur = waiting.popleft()
-            res._busy += 1
             self.schedule(wdur, wcb)
+        else:
+            res._busy = 0
+        plan = self.plan
+        i = self.plan_i
+        if i < len(plan):
+            self.plan_i = i + 1
+            resource, duration = plan[i]
+            self._enqueue_data(resource, duration)
+            return
         if self.reading:
             self.reading = False
             for wake in self.node._pending.pop(self.target):
                 self.schedule(0.0, wake)
+        if self.index == self.last:
+            # Resource._enqueue, inlined (teardown service).
+            cpu = self.node.cpu
+            teardown = self.node._teardown_time
+            if cpu._busy:
+                cpu._waiting.append((self._complete_cb, teardown))
+            else:
+                cpu._last_change = now
+                cpu._busy = 1
+                self.schedule(teardown, self._complete_cb)
+            return
         self._request_done(now)
         fp = self.fp
         self.index += 1
@@ -938,38 +973,126 @@ class PersistentConnection(FastConnection):
 
     def _request_done(self, now: float) -> None:
         """One request served: node counters, observer hook, front-end
-        accounting — in that order (see ``FastConnection._complete``)."""
+        accounting — in that order (see ``FastConnection._complete``),
+        with ``FrontEnd._account_request`` inlined."""
         node = self.node
         node.requests_served += 1
         node.bytes_served += self.size
         hook = self._served_hook
         if hook is not None:
             hook(now)
-        self.fe._account_request(self.node_id, self.epoch, self.start)
+        fe = self.fe
+        fp = self.fp
+        node_id = self.node_id
+        delay = now - self.start
+        fe.total_delay_s += delay
+        if fe.collect_delays:
+            fe.delays_s.append(delay)
+        if fp.epochs[node_id] == self.epoch:
+            fp.per_node_delay_s[node_id] += delay
+            fp.per_node_completions[node_id] += 1
+        if fe.timeline_interval_s is not None:
+            bucket = int(now // fe.timeline_interval_s)
+            fe.timeline[bucket] = fe.timeline.get(bucket, 0) + 1
+        fe.completed += 1
 
     def _complete(self) -> None:
         """Teardown done: book it, count the last request, release the
-        connection's load and slot, refill."""
+        connection's load and slot, refill — ``FrontEnd._detach`` and the
+        single admission inlined as in ``FastConnection._complete``,
+        which has the comments; a connection here takes up to
+        ``per_conn`` trace requests."""
         cpu = self.node.cpu
         now = self.engine.now
         # Resource._finish, inlined.
         cpu.jobs_served += 1
-        cpu._busy_integral += cpu._busy * (now - cpu._last_change)
+        cpu._busy_integral += now - cpu._last_change
         cpu._last_change = now
-        cpu._busy -= 1
         waiting = cpu._waiting
-        if waiting and cpu._busy < cpu.capacity:
+        if waiting:
             wcb, wdur = waiting.popleft()
-            cpu._busy += 1
             self.schedule(wdur, wcb)
+        else:
+            cpu._busy = 0
         self._request_done(now)
         fe = self.fe
-        fe._detach(self.node_id, self.epoch)
-        # Free the admission slot, park the object, refill.
-        fe.in_flight -= 1
         fp = self.fp
+        node_id = self.node_id
+        policy = fp.policy
+        if fp.epochs[node_id] == self.epoch:
+            p_loads = fp.p_loads
+            load = p_loads[node_id] - 1
+            if load < 0:
+                policy.on_complete(node_id)
+            p_loads[node_id] = load
+            low = policy._min_load
+            if load <= low:
+                if load < low:
+                    policy._min_load = load
+                    policy._min_cursor = node_id
+                elif policy._min_cursor > node_id:
+                    policy._min_cursor = node_id
+            policy.completions += 1
+            t_load = fp.t_load
+            load = t_load[node_id] - 1
+            if load < 0:
+                fp.tracker.on_complete(node_id, now)
+            t_load[node_id] = load
+            if load < fp.t_threshold and not fp.t_is_under[node_id]:
+                fp.t_under_since[node_id] = now
+                fp.t_is_under[node_id] = True
+        else:
+            fe.orphaned += 1
+        fe.in_flight -= 1
         fp.pool.append(self)
-        fp.admit()
+        first = fe._next
+        n = fp.n
+        if first < n and fe.in_flight < fe.max_in_flight:
+            end = first + fp.per_conn
+            if end > n:
+                end = n
+            fe._next = end
+            target = fp.targets_l[first]
+            size = fp.sizes_l[target]
+            node_id = fp.choose(target, size, now=now)
+            take = fp.take
+            hit_hint = take() if take is not None else None
+            if not fp.p_alive[node_id]:
+                policy.on_dispatch(node_id)
+            fp.p_loads[node_id] += 1
+            policy.dispatches += 1
+            t_load = fp.t_load
+            load = t_load[node_id] + 1
+            t_load[node_id] = load
+            if load >= fp.t_threshold and fp.t_is_under[node_id]:
+                fp.t_under_time[node_id] += now - fp.t_under_since[node_id]
+                fp.t_is_under[node_id] = False
+            fp.per_node_dispatches[node_id] += 1
+            fe.connections += 1
+            fe.in_flight += 1
+            pool = fp.pool
+            conn = pool.pop() if pool else fp.new_connection()
+            conn.node_id = node_id
+            conn.node = fp.nodes[node_id]
+            conn.target = target
+            conn.size = size
+            conn.hit_hint = hit_hint
+            conn.index = first
+            conn.last = end - 1
+            if fe.in_flight < fe.max_in_flight and end < n:
+                self.schedule(0.0, conn._begin_cb)
+                fp.admit()
+                return
+            engine = self.engine
+            heap = fp.heap
+            if not (fp.nowq or engine._stopped) and (not heap or heap[0][0] > now):
+                engine.events_dispatched += 1
+                conn._begin_cb()
+                hook = engine._sanitizer
+                if hook is not None:
+                    hook(now, conn._begin_cb)
+            else:
+                self.schedule(0.0, conn._begin_cb)
 
 
 class FaultyConnection(PersistentConnection):
@@ -1103,13 +1226,39 @@ class FaultyConnection(PersistentConnection):
         self.missed = node.cache_misses != misses
 
     def _request_done(self, now: float) -> None:
-        """As the base step, plus the fault runtime's goodput record."""
+        """The base step in full (no second frame for it), plus the
+        fault runtime's goodput record."""
         if self.index == self.first:
             # ``start`` has done its other job (the establish phase of a
             # traced span) by now; from here it is the accounting origin.
             self.start = self.t_first
-        PersistentConnection._request_done(self, now)
-        self.faults.record_served(now, now - self.start, self.missed)
+        node = self.node
+        node.requests_served += 1
+        node.bytes_served += self.size
+        hook = self._served_hook
+        if hook is not None:
+            hook(now)
+        fe = self.fe
+        fp = self.fp
+        node_id = self.node_id
+        delay = now - self.start
+        fe.total_delay_s += delay
+        if fe.collect_delays:
+            fe.delays_s.append(delay)
+        if fp.epochs[node_id] == self.epoch:
+            fp.per_node_delay_s[node_id] += delay
+            fp.per_node_completions[node_id] += 1
+        if fe.timeline_interval_s is not None:
+            bucket = int(now // fe.timeline_interval_s)
+            fe.timeline[bucket] = fe.timeline.get(bucket, 0) + 1
+        fe.completed += 1
+        self.faults.record_served(now, delay, self.missed)
+
+
+#: ``_Traced.mark`` from the start event until the fetch decision (every
+#: real mark is an engine time, so >= 0): no phase is being timed from a
+#: mark, the establishment runs from ``start``.
+_ESTABLISHING = -1.0
 
 
 class _Traced:
@@ -1158,6 +1307,10 @@ class _Traced:
         self.span = self.tracer.begin(
             self.target, self.size, self.node_id, self.engine.now
         )
+        # Establishment is being paid: ``_fetch`` stamps it (the fetch
+        # decision is made in the event that books the establishment,
+        # so the phase needs no wrapper around ``_decide``).
+        self.mark = _ESTABLISHING
         self._base._begin(self)
 
     def _resume(self) -> None:
@@ -1166,13 +1319,11 @@ class _Traced:
         self.mark = now
         self._base._resume(self)
 
-    def _decide(self) -> None:
-        now = self.engine.now
-        self.span.phases["establish"] = now - self.start
-        self.mark = now
-        self._base._decide(self)
-
     def _fetch(self) -> None:
+        if self.mark < 0.0:
+            now = self.engine.now
+            self.span.phases["establish"] = now - self.start
+            self.mark = now
         node = self.node
         hits = node.cache_hits
         misses = node.cache_misses

@@ -2,9 +2,8 @@
 
 The per-file rules in :mod:`repro.lint.determinism` and
 :mod:`repro.lint.concurrency` see one AST at a time; the whole-program
-passes (:mod:`repro.lint.interproc`, :mod:`repro.lint.locksets`,
-:mod:`repro.lint.twins`) all consume the :class:`ProjectSummary` built
-here instead — one extraction pass over every file, shared by every
+passes (:mod:`repro.lint.interproc`, :mod:`repro.lint.locksets`) both
+consume the :class:`ProjectSummary` built here instead — one extraction pass over every file, shared by every
 interprocedural rule.
 
 Resolution model (and its deliberate limits):
@@ -63,7 +62,6 @@ __all__ = [
     "WriteRecord",
     "FunctionSummary",
     "ClassSummary",
-    "ModuleSummary",
     "ProjectSummary",
     "build_project",
     "module_name_for",
@@ -174,28 +172,14 @@ class ClassSummary:
 
 
 @dataclass
-class ModuleSummary:
-    """One analyzed module: identity plus its twin declarations."""
-
-    module: str
-    path: str
-    package: str
-    #: local qualname -> (fully qualified counterpart, declaration line).
-    twins: Dict[str, Tuple[str, int]] = field(default_factory=dict)
-
-
-@dataclass
 class ProjectSummary:
     """The whole-program view every interprocedural pass shares."""
 
     digest: str
-    modules: Dict[str, ModuleSummary] = field(default_factory=dict)
     functions: Dict[str, FunctionSummary] = field(default_factory=dict)
     classes: Dict[str, ClassSummary] = field(default_factory=dict)
     #: class qualname -> direct project subclasses.
     subclasses: Dict[str, List[str]] = field(default_factory=dict)
-    #: display path -> module dotted name.
-    path_modules: Dict[str, str] = field(default_factory=dict)
 
     def resolve_method(self, class_qual: str, method: str) -> Optional[str]:
         """Defining function qualname for ``method`` on ``class_qual``,
@@ -332,23 +316,6 @@ def _annotation_name(annotation: ast.expr) -> Optional[str]:
     return None
 
 
-def _string_pairs(value: ast.expr) -> Optional[List[Tuple[str, str]]]:
-    """``{"a": "b", ...}`` dict literal as string pairs, else None."""
-    if not isinstance(value, ast.Dict):
-        return None
-    out: List[Tuple[str, str]] = []
-    for key, val in zip(value.keys, value.values):
-        if not (
-            isinstance(key, ast.Constant)
-            and isinstance(key.value, str)
-            and isinstance(val, ast.Constant)
-            and isinstance(val.value, str)
-        ):
-            return None
-        out.append((key.value, val.value))
-    return out
-
-
 def _string_tuple(value: ast.expr) -> Tuple[str, ...]:
     if isinstance(value, ast.Constant) and isinstance(value.value, str):
         return (value.value,)
@@ -458,29 +425,20 @@ class _ClassScan:
 class _ModuleScan:
     """Raw facts about one module, before cross-module resolution."""
 
-    def __init__(self, display: str, module: str, package: str, tree: ast.Module) -> None:
+    def __init__(self, display: str, module: str, tree: ast.Module) -> None:
         self.display = display
         self.module = module
-        self.package = package
         self.tree = tree
         self.imports_mod: Dict[str, str] = {}
         self.imports_sym: Dict[str, Tuple[str, str]] = {}
         self.functions: Dict[str, ast.FunctionDef] = {}
         self.classes: Dict[str, _ClassScan] = {}
-        self.twins: Dict[str, Tuple[str, int]] = {}
         self.det_imports = _Imports(tree)
         for stmt in tree.body:
             if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 self.functions[stmt.name] = stmt  # type: ignore[assignment]
             elif isinstance(stmt, ast.ClassDef):
                 self.classes[stmt.name] = _ClassScan(module, stmt)
-            elif isinstance(stmt, ast.Assign):
-                for target in stmt.targets:
-                    if isinstance(target, ast.Name) and target.id == "__twin_of__":
-                        pairs = _string_pairs(stmt.value)
-                        if pairs is not None:
-                            for local, counterpart in pairs:
-                                self.twins[local] = (counterpart, stmt.lineno)
         for node in ast.walk(tree):
             if isinstance(node, ast.Import):
                 for alias in node.names:
@@ -556,14 +514,6 @@ class _Builder:
 
     def build(self) -> ProjectSummary:
         project = self.project
-        for scan in self.scans.values():
-            project.modules[scan.module] = ModuleSummary(
-                module=scan.module,
-                path=scan.display,
-                package=scan.package,
-                twins=dict(scan.twins),
-            )
-            project.path_modules[scan.display] = scan.module
         # Classes first (method tables + resolved bases + attribute types),
         # so function extraction can resolve receivers project-wide.
         for scan in self.scans.values():
@@ -1099,13 +1049,7 @@ def build_project(
     scans: Dict[str, _ModuleScan] = {}
     for path, display, tree in units:
         module = module_name_for(path)
-        root = package_root(path)
-        package = ""
-        if root is not None and root.name == "repro":
-            relative = path.resolve().relative_to(root)
-            if len(relative.parts) > 1:
-                package = relative.parts[0]
-        scans[module] = _ModuleScan(display, module, package, tree)
+        scans[module] = _ModuleScan(display, module, tree)
     return _Builder(scans, digest).build()
 
 

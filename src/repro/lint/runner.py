@@ -16,8 +16,8 @@ a ``# lardlint: scope=...`` directive.
 :func:`lint_file` runs the per-file rules on one file;
 :func:`lint_paths` additionally builds the project call graph
 (:mod:`repro.lint.callgraph`) over *all* the files and runs the
-whole-program passes — interprocedural determinism taint, lockset
-verification, and twin-drift auditing — on top.
+whole-program passes — interprocedural determinism taint and lockset
+verification — on top.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ from typing import (
     Union,
 )
 
-from . import callgraph, concurrency, determinism, hygiene, interproc, locksets, twins
+from . import callgraph, concurrency, determinism, hygiene, interproc, locksets
 from .context import FileContext
 from .findings import Finding
 from .suppress import Suppressions, parse_suppressions
@@ -71,7 +71,6 @@ ALL_RULES: FrozenSet[str] = frozenset(
     + hygiene.RULES
     + interproc.RULES
     + locksets.RULES
-    + twins.RULES
 )
 
 _SCOPE_CHECKS = (
@@ -255,7 +254,7 @@ def lint_paths(
     Runs the per-file rules on each file, then builds the project call
     graph over all of them and runs the interprocedural passes
     (``transitive-nondeterminism``, ``unverified-locked-helper``,
-    ``cross-module-unguarded-write``, ``twin-drift``).
+    ``cross-module-unguarded-write``).
 
     ``cache_file`` (or the ``REPRO_LINT_CACHE`` environment variable via
     the CLI) persists the built call graph keyed by a digest of all
@@ -289,7 +288,6 @@ def lint_paths(
     for finding in (
         interproc.check(project, scope_map, sup_map)
         + locksets.check(project, scope_map)
-        + twins.check(project, scope_map)
     ):
         suppressions = sup_map.get(finding.path)
         if suppressions is not None and suppressions.is_suppressed(

@@ -342,7 +342,9 @@ class _SpanEncoder:
     ``1 == 1.0 == True`` and ``0.0 == -0.0`` are each one dict key and
     different JSON, so every other number is formatted afresh.  Phase
     names are remembered in their quoted ``"name":`` form.  Both memos
-    are bounded by :data:`_MEMO_LIMIT`.
+    are bounded by :data:`_MEMO_LIMIT`.  (Policy and target names are
+    not remembered: ``encode_basestring_ascii`` on a short ASCII string
+    costs what the memo's lookup would, ~30 ns.)
     """
 
     __slots__ = ("reprs", "keys", "_load_len", "_load_format")
@@ -519,22 +521,20 @@ class SpanWriter:
         """Validate and append one completed :class:`Span`, straight
         from its typed fields (no intermediate record).  The line shows
         the span as it is now; the caller keeps the object."""
-        self._accept(span, 1)
+        self.take_span(span, 1)
 
-    def take_span(self, span: Span) -> None:
+    def take_span(self, span: Span, batch: int = _SPAN_BATCH) -> None:
         """Validate one completed :class:`Span` and take it over: the
         caller must not touch it (or its ``phases`` / ``load``) again.
 
         A span that fails the schema raises here, at the request that
-        made it.  Its line is formatted and written with up to
-        :data:`_SPAN_BATCH` neighbours, in call order, before any later
-        record of another kind and at the latest on :meth:`close`, so a
-        run that stops early still leaves every finished span in a log
-        closed by ``with SpanWriter(...)``.
+        made it.  Its line is formatted and written with its neighbours
+        once ``batch`` of them are held (:meth:`write_span` is a batch
+        of one), in call order, before any later record of another kind
+        and at the latest on :meth:`close`, so a run that stops early
+        still leaves every finished span in a log closed by
+        ``with SpanWriter(...)``.
         """
-        self._accept(span, _SPAN_BATCH)
-
-    def _accept(self, span: Span, batch: int) -> None:
         _validate_span(
             span.req, span.target, span.size, span.policy, span.node,
             span.outcome, span.t_arrival, span.t_dispatch, span.t_complete,

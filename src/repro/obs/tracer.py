@@ -97,17 +97,13 @@ class SimTracer:
         request is dispatched the instant its connection is admitted)."""
         policy = self._policy
         # A plain copy: ``Policy.loads`` already holds Python ints, and
-        # the writer's schema check refuses anything else.
-        load = list(policy.loads) if policy is not None else None
+        # the writer's schema check refuses anything else.  Positional,
+        # every field given: once per traced request, the dataclass's
+        # keyword matching and ``default_factory`` call are measurable.
         span = Span(
-            req=self._seq,
-            target=str(target),
-            size=int(size),
-            policy=self._policy_name,
-            node=node,
-            t_arrival=now,
-            t_dispatch=now,
-            load=load,
+            self._seq, str(target), int(size), self._policy_name, node,
+            now, now, 0.0, "error",
+            list(policy.loads) if policy is not None else None, {},
         )
         self._seq += 1
         return span

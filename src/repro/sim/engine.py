@@ -42,13 +42,10 @@ from typing import Any, Callable, Deque, Generator, List, Optional, Tuple
 
 __all__ = ["Engine", "Process", "Delay", "SimulationError"]
 
-# Audited by lardlint's twin-drift pass: the sanitized run loop must
-# keep the same engine-state effect skeleton as Engine.run.
-__twin_of__ = {
-    "Engine._run_sanitized": "repro.sim.engine.Engine.run",
-}
-
 _EMPTY_ARGS: Tuple[Any, ...] = ()
+
+#: The bound of an unbounded run that takes the general loop.
+_NEVER = float("inf")
 
 
 class SimulationError(RuntimeError):
@@ -169,21 +166,26 @@ class Engine:
         # True whenever no run loop is going to dispatch another event:
         # before run(), once it returns, and from stop() on.  Code that
         # runs an event in place of staging it (the request lifecycle's
-        # start events, repro.cluster.fastpath) reads it, and counts
-        # the event in ``events_dispatched`` itself.
+        # start events, repro.cluster.fastpath) reads it, counts the
+        # event in ``events_dispatched`` and shows it to the sanitizer's
+        # hook itself.
         self._stopped = True
         self.events_dispatched = 0
-        # Optional per-event invariant hook (see repro.sim.sanitize).
-        # Kept as a separate run loop so the unsanitized hot path pays
-        # nothing — not even a None check per event.
+        # Optional per-event invariant hook (see repro.sim.sanitize):
+        # run() reads it once and keeps the unsanitized hot loop free of
+        # it — not even a None check per event.
         self._sanitizer: Optional[Callable[[float, Callable[..., None]], None]] = None
 
     # -- scheduling ---------------------------------------------------------
 
     def schedule(self, delay: float, callback: Callable[..., None], *args: Any) -> None:
         """Run ``callback(*args)`` after ``delay`` simulated time units."""
-        if delay < 0:
-            raise SimulationError(f"cannot schedule into the past (delay={delay})")
+        # ``not >=`` rather than ``<``: a NaN delay fails every compare,
+        # and must not slip through to be staged at the current instant.
+        if not delay >= 0:
+            raise SimulationError(
+                f"cannot schedule into the past or at NaN (delay={delay})"
+            )
         self._seq += 1
         now = self.now
         when = now + delay
@@ -200,12 +202,12 @@ class Engine:
 
         ``when`` may equal the current clock (the event runs after all
         events already queued for this instant, preserving insertion
-        order); scheduling strictly into the past raises
-        :class:`SimulationError`.
+        order); scheduling strictly into the past — or at NaN, which is
+        no time at all — raises :class:`SimulationError`.
         """
-        if when < self.now:
+        if not when >= self.now:
             raise SimulationError(
-                f"cannot schedule into the past (when={when}, now={self.now})"
+                f"cannot schedule into the past or at NaN (when={when}, now={self.now})"
             )
         self._seq += 1
         if when > self.now:
@@ -229,22 +231,27 @@ class Engine:
 
         Returns the final simulated time.  When ``until`` is given, events
         scheduled after it are left in the queue and the clock is advanced
-        exactly to ``until``.  An ``until`` behind the clock raises
-        :class:`SimulationError`: the clock only moves forward.
+        exactly to ``until``.  An ``until`` behind the clock (or NaN)
+        raises :class:`SimulationError`: the clock only moves forward.
+
+        There are two loops.  An unbounded run with no sanitizer takes
+        the hot one, which checks nothing per event; every other run —
+        bounded, sanitized or both — takes the general one, where the
+        bound is one compare per heap pop and the sanitizer's hook one
+        ``None`` test per event.
         """
-        if until is not None and until < self.now:
+        if until is not None and not until >= self.now:
             raise SimulationError(
-                f"cannot run into the past (until={until}, now={self.now})"
+                f"cannot run into the past or to NaN (until={until}, now={self.now})"
             )
-        if self._sanitizer is not None:
-            return self._run_sanitized(until)
+        hook = self._sanitizer
         self._stopped = False
         queue = self._queue
         nowq = self._nowq
         pop = heapq.heappop
         dispatched = 0
         try:
-            if until is None:
+            if until is None and hook is None:
                 # Hot loop: no bound checks — schedule/schedule_at
                 # guarantee event times are never in the past.  Staged
                 # same-instant events dispatch after any equal-time heap
@@ -271,6 +278,7 @@ class Engine:
                 return self.now
             # Staged events are due at the current clock, which the
             # guard above keeps <= until: only heap entries can be late.
+            limit = _NEVER if until is None else until
             while not self._stopped:
                 if nowq:
                     if queue and queue[0][0] <= nowq[0][0]:
@@ -278,9 +286,8 @@ class Engine:
                     else:
                         when, _seq, callback, args = nowq.popleft()
                 elif queue:
-                    if queue[0][0] > until:
-                        self.now = until
-                        return self.now
+                    if queue[0][0] > limit:
+                        break
                     when, _seq, callback, args = pop(queue)
                 else:
                     break
@@ -290,7 +297,9 @@ class Engine:
                     callback(*args)
                 else:
                     callback()
-            if self.now < until and not self._stopped:
+                if hook is not None:
+                    hook(when, callback)
+            if until is not None and self.now < until and not self._stopped:
                 self.now = until
             return self.now
         finally:
@@ -302,46 +311,14 @@ class Engine:
     ) -> None:
         """Invoke ``hook(event_time, callback)`` after every dispatched event.
 
-        Installing a hook switches :meth:`run` to a separate checked loop,
-        so simulations without a sanitizer keep the unchecked hot path.
+        :meth:`run` reads the hook once, when it starts; with none
+        installed an unbounded run keeps the unchecked hot loop.  Code
+        that runs an event in place of staging it (see ``_stopped``)
+        calls the hook for that event itself, right after the event,
+        with the clock and the callback the loop would have passed.
         Pass ``None`` to uninstall.
         """
         self._sanitizer = hook
-
-    def _run_sanitized(self, until: Optional[float]) -> float:
-        """The :meth:`run` loop with the invariant hook in the dispatch path."""
-        hook = self._sanitizer
-        if hook is None:  # pragma: no cover - run() guards this
-            raise SimulationError("no sanitizer installed")
-        self._stopped = False
-        queue = self._queue
-        nowq = self._nowq
-        pop = heapq.heappop
-        dispatched = 0
-        try:
-            while not self._stopped:
-                if nowq:
-                    if queue and queue[0][0] <= nowq[0][0]:
-                        when, _seq, callback, args = pop(queue)
-                    else:
-                        when, _seq, callback, args = nowq.popleft()
-                elif queue:
-                    if until is not None and queue[0][0] > until:
-                        self.now = until
-                        return self.now
-                    when, _seq, callback, args = pop(queue)
-                else:
-                    break
-                self.now = when
-                dispatched += 1
-                callback(*args)
-                hook(when, callback)
-            if until is not None and self.now < until and not self._stopped:
-                self.now = until
-            return self.now
-        finally:
-            self._stopped = True
-            self.events_dispatched += dispatched
 
     def stop(self) -> None:
         """Halt :meth:`run` after the currently dispatching event returns."""

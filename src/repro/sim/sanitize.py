@@ -164,8 +164,9 @@ class InvariantSanitizer:
         :meth:`final_check`): no event was dispatched, so nothing is
         counted or clocked, and the deep sweep is unconditional.
         """
+        seen = self.events_seen
         if not final:
-            self.events_seen += 1
+            self.events_seen = seen = seen + 1
             if when + _TIME_EPS < self._last_time:
                 self._fail(
                     when,
@@ -182,7 +183,8 @@ class InvariantSanitizer:
             if in_flight < 0:
                 self._fail(when, callback, f"in_flight is negative ({in_flight})")
             limit = fe.max_in_flight
-            allowance = self._in_flight_cap if self._in_flight_cap > limit else limit
+            cap = self._in_flight_cap
+            allowance = cap if cap > limit else limit
             if in_flight > allowance:
                 self._fail(
                     when,
@@ -190,7 +192,7 @@ class InvariantSanitizer:
                     f"in_flight {in_flight} exceeds the admission limit {limit} "
                     f"(drain allowance {allowance})",
                 )
-            if in_flight <= limit:
+            if cap != limit and in_flight <= limit:
                 self._in_flight_cap = limit
             outstanding = admitted - completed
             if outstanding < 0:
@@ -229,7 +231,7 @@ class InvariantSanitizer:
                         f"lost-request conservation broken: served {served} + "
                         f"lost {lost} != completed {completed}",
                     )
-        if final or self.events_seen % self.deep_interval == 0:
+        if final or seen % self.deep_interval == 0:
             self._deep_check(when, callback)
 
     def final_check(self, now: float) -> None:

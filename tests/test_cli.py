@@ -202,6 +202,25 @@ class TestErrorExitCodes:
         assert not cache.exists() or not any(cache.iterdir())
 
 
+    @pytest.mark.parametrize("speed", ["nan", "inf", "0", "-2"])
+    def test_unusable_cpu_speed_is_rejected_before_the_trace_is_generated(
+        self, capsys, tmp_path, monkeypatch, speed
+    ):
+        """``--cpu-speed nan`` used to print ``idle= nan% delay= nan ms``
+        and exit 0; ``inf`` ran a zero-time CPU."""
+        cache = tmp_path / "cache"
+        monkeypatch.setenv("REPRO_TRACE_CACHE", str(cache))
+        argv = ["simulate", "--requests", "300", "--scale-factor", "0.05"]
+        assert main(argv + ["--cpu-speed", speed]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(
+            "lard-repro: error: cpu_speed must be positive and finite"
+        )
+        assert "Traceback" not in captured.err and captured.err.count("\n") == 1
+        assert captured.out == ""
+        assert not cache.exists() or not any(cache.iterdir())
+
+
 class TestChaosCommand:
     def test_parser_defaults(self):
         args = build_parser().parse_args(["chaos"])

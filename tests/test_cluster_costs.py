@@ -96,6 +96,26 @@ class TestDerived:
         with pytest.raises(ValueError):
             CostModel(disk_speed=-1)
 
+    @pytest.mark.parametrize("speed", [float("nan"), float("inf"), 0.0, -1.0])
+    @pytest.mark.parametrize("field", ["cpu_speed", "disk_speed"])
+    def test_speed_must_be_positive_and_finite(self, field, speed):
+        """NaN passed the old ``<= 0`` test and ran (idle nan%, delay
+        nan ms); inf ran a zero-time server."""
+        with pytest.raises(ValueError, match=f"{field} must be positive and finite"):
+            CostModel(**{field: speed})
+
+    @pytest.mark.parametrize("seconds", [float("nan"), float("inf"), -1e-6])
+    @pytest.mark.parametrize(
+        "field",
+        ["connection_setup_s", "connection_teardown_s", "transmit_s_per_512b",
+         "disk_initial_latency_s", "disk_transfer_s_per_4kb", "disk_extra_seek_s",
+         "gms_fetch_s_per_512b"],
+    )
+    def test_service_constants_must_be_finite_and_non_negative(self, field, seconds):
+        with pytest.raises(ValueError, match=f"{field} must be finite and non-negative"):
+            CostModel(**{field: seconds})
+        assert getattr(CostModel(**{field: 0.0}), field) == 0.0  # free is legal
+
     def test_hashable_for_memoization(self):
         assert hash(CostModel()) == hash(CostModel())
         assert CostModel() == CostModel()

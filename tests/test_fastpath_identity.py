@@ -310,8 +310,9 @@ def test_untraced_run_builds_untraced_connections(trace):
 # An admission stages its connection's start event, or — when that event
 # would be the very next one dispatched — runs it on the spot and counts
 # it.  The comparisons above pin the order of everything that follows;
-# what they cannot see is the count, which a sanitized run (its hook
-# must see every event, so it stages them all) supplies.
+# what they cannot see is the count, which the oracle (it stages every
+# start) supplies.  A sanitizer's hook still sees every event: the site
+# that runs a start in place calls it.
 
 _INPLACE_CASES = {
     "one-request": dict(),
@@ -321,28 +322,46 @@ _INPLACE_CASES = {
 }
 
 
-def _counted(trace, traced=False, **config):
-    """``(events dispatched, events scheduled, result)`` of one run."""
+def _counted(trace, traced=False, oracle=False, **config):
+    """``(events dispatched, events scheduled, result, sanitizer)`` of
+    one run."""
     config = ClusterConfig(policy="lard/r", num_nodes=3, node_cache_bytes=2**19, **config)
     tracer = SimTracer(SpanWriter(io.StringIO(), source="sim")) if traced else None
     sim = ClusterSimulator(trace, config, tracer=tracer)
+    if oracle:
+        use_oracle(sim)
     result = sim.run()
-    return sim.engine.events_dispatched, sim.engine._seq, result
+    return sim.engine.events_dispatched, sim.engine._seq, result, sim.sanitizer
 
 
 @pytest.mark.parametrize("traced", [False, True], ids=["untraced", "traced"])
 @pytest.mark.parametrize("case", sorted(_INPLACE_CASES))
 def test_in_place_starts_are_counted_as_the_events_they_replace(trace, case, traced):
     config = _INPLACE_CASES[case]
-    events, scheduled, result = _counted(trace, traced, **config)
-    all_staged, all_scheduled, reference = _counted(
-        trace, traced, sanitize=True, sanitize_interval=64, **config
-    )
+    events, scheduled, result, _ = _counted(trace, traced, **config)
+    all_staged, all_scheduled, reference, _ = _counted(trace, traced, oracle=True, **config)
     assert events == all_staged == all_scheduled
     assert result == reference
-    # Vacuous if nothing ran in place; a traced batch class (whose only
-    # admissions are the loop's) is the one kind of run where nothing may.
-    assert (scheduled < events) == (not traced or case in ("one-request", "membership"))
+    # Vacuous if nothing ran in place; a traced batch class admits in
+    # place only at a completion that frees one slot, which these runs
+    # all have.
+    assert scheduled < events
+
+
+@pytest.mark.parametrize("traced", [False, True], ids=["untraced", "traced"])
+@pytest.mark.parametrize("case", sorted(_INPLACE_CASES))
+def test_the_sanitizer_hook_sees_every_event(trace, case, traced):
+    """Starts run in place under a sanitizer too, and its hook is
+    called for each of them: as many events seen as dispatched, as many
+    dispatched as without it, and the same result."""
+    config = _INPLACE_CASES[case]
+    events, scheduled, result, _ = _counted(trace, traced, **config)
+    checked, checked_scheduled, checked_result, sanitizer = _counted(
+        trace, traced, sanitize=True, sanitize_interval=64, **config
+    )
+    assert sanitizer.events_seen == checked == events
+    assert checked_scheduled == scheduled < events
+    assert checked_result == result
 
 
 @pytest.mark.parametrize("max_in_flight", [1, 7])
@@ -360,6 +379,29 @@ def test_initial_fill_is_staged(trace, max_in_flight):
     assert all(node.cpu.busy == 0 for node in sim.nodes)
 
 
+def test_admit_loop_stages_a_start_behind_an_event_due_now(trace):
+    """The admission loop (here refilling a raised limit; completions
+    carry their own single admission) runs a start in place only when
+    nothing else is due at that instant."""
+    sim = ClusterSimulator(
+        trace, ClusterConfig(policy="wrr", num_nodes=3, max_in_flight=2)
+    )
+    engine, frontend = sim.engine, sim.frontend
+    ran_in_place = []
+
+    def raise_limit():
+        frontend.max_in_flight += 1
+        before = engine.events_dispatched
+        frontend._admit()
+        ran_in_place.append(engine.events_dispatched - before)
+
+    engine.schedule(0.01, raise_limit)
+    engine.schedule(0.01, lambda: None)  # due at 0.01 too: it goes first
+    engine.schedule(0.02, raise_limit)
+    sim.run()
+    assert ran_in_place == [0, 1]
+
+
 # name -> (anchor in cluster/fastpath.py, replacement, ``-k`` selector of
 # the tests in this file that fail on it).
 _INPLACE_MUTATIONS = {
@@ -371,7 +413,7 @@ _INPLACE_MUTATIONS = {
     "in-place-start-in-the-admit-loop-without-the-heap-top-check": (
         "                and (not self.heap or self.heap[0][0] > now)\n",
         "",
-        "test_fastpath_matches_generator_path and rehandoff",
+        "test_admit_loop_stages_a_start_behind_an_event_due_now",
     ),
     "in-place-start-in-a-traced-admit-loop": (
         "self.inplace: bool = fe.tracer is None",
@@ -382,6 +424,16 @@ _INPLACE_MUTATIONS = {
         "fp.heap[0][0] > now)\n            ):\n                engine.events_dispatched += 1\n",
         "fp.heap[0][0] > now)\n            ):\n",
         "test_in_place_starts_are_counted and one-request",
+    ),
+    "in-place-start-skips-the-sanitizer-hook": (
+        "                engine.events_dispatched += 1\n                conn._begin_cb()\n"
+        "                hook = engine._sanitizer\n                if hook is not None:\n"
+        "                    hook(now, conn._begin_cb)\n            else:\n"
+        "                self.schedule(0.0, conn._begin_cb)\n\n\nclass PersistentConnection",
+        "                engine.events_dispatched += 1\n                conn._begin_cb()\n"
+        "            else:\n"
+        "                self.schedule(0.0, conn._begin_cb)\n\n\nclass PersistentConnection",
+        "test_the_sanitizer_hook_sees_every_event and one-request",
     ),
     "in-place-start-before-the-engine-runs": (
         "                and not (self.nowq or engine._stopped)\n",

@@ -9,6 +9,7 @@ worker threads leak, and throughput recovers once the node rejoins.
 
 import threading
 import time
+from collections import Counter
 
 import pytest
 
@@ -55,12 +56,19 @@ def _poll(predicate, timeout_s=5.0):
     return predicate()
 
 
-def _worker_thread_names():
-    return {
+def _live_threads():
+    """Name -> how many live threads carry it, for every cluster and
+    client thread in the process *except* the front-end's handler pool
+    (``fe_N``): a ``ThreadPoolExecutor`` starts its threads lazily, one
+    more whenever a burst finds none idle, so how many exist after a
+    load is a matter of timing, not a leak (the pool caps it).
+    Restarted back-end workers reuse their names, so a leaked one shows
+    as a count of two, which a set of names could never show."""
+    return Counter(
         t.name
         for t in threading.enumerate()
-        if t.name.startswith(("backend", "fe", "client", "health", "l4"))
-    }
+        if t.name.startswith(("backend", "fe-", "client", "health", "l4"))
+    )
 
 
 class TestKillMidRun:
@@ -98,14 +106,22 @@ class TestKillMidRun:
             # Recovery phase: rejoin cold, throughput comes back.
             chaos.revive(victim)
             assert cluster.dispatcher.is_alive(victim)
-            after = _load(cluster, store, 300)
-            assert after.errors == 0
-            assert after.answered == 300
-            assert cluster.wait_idle()
             # LARD moves the victim's targets to survivors at failure, so
             # the rejoined node serves little traffic; recovery is judged
-            # by cluster throughput.  Loose bound for CI timing noise.
-            assert after.throughput_rps >= 0.5 * warm_rps
+            # by cluster throughput, loosely.  Each load is ~50 ms of wall
+            # time, so one scheduling hiccup halves its rate (seen 1 run
+            # in 20 with this file in a loop): a cluster that did not
+            # recover is slow on every try, a hiccup on one.
+            recovered_rps = 0.0
+            for _ in range(3):
+                after = _load(cluster, store, 300)
+                assert after.errors == 0
+                assert after.answered == 300
+                assert cluster.wait_idle()
+                recovered_rps = max(recovered_rps, after.throughput_rps)
+                if recovered_rps >= 0.5 * warm_rps:
+                    break
+            assert recovered_rps >= 0.5 * warm_rps
 
             stats = cluster.stats()
             assert stats.alive == [True] * 4
@@ -123,21 +139,37 @@ class TestKillMidRun:
             assert cluster.wait_idle()
 
     def test_no_thread_leak_across_kill_revive_cycles(self, store):
+        """Nothing here waits on a clock: ``kill()`` joins the workers it
+        stops and ``LoadGenerator.run`` joins its clients, so each check
+        is made the moment the call returns.  (The test used to poll a
+        set of thread *names* against a baseline taken after one short
+        load; a handler-pool thread first needed by a later burst failed
+        it, about one full run in two, and a leaked worker — same name
+        as its replacement — could not have.)"""
         with _cluster(store) as cluster, FaultInjector(cluster) as chaos:
             _load(cluster, store, 50, concurrency=4)
             assert cluster.wait_idle()
-            baseline = _worker_thread_names()
+            backend = cluster.backends[3]
+            baseline = _live_threads()
+            assert baseline["backend3-w0"] == 1 and not baseline["client-0"]
             for _ in range(3):
+                doomed = list(backend._threads)
+                assert doomed and all(t.is_alive() for t in doomed)
                 chaos.kill(3)
+                assert not any(t.is_alive() for t in doomed)
+                assert not backend._threads
                 _load(cluster, store, 50, concurrency=4)
                 chaos.revive(3)
+                restarted = list(backend._threads)
+                assert len(restarted) == len(doomed)
+                assert all(t.is_alive() for t in restarted)
+                assert not set(restarted) & set(doomed)
                 _load(cluster, store, 50, concurrency=4)
                 assert cluster.wait_idle()
-            # Load-generator client threads die with each run; cluster
-            # worker threads must be exactly the restarted set.
-            assert _poll(lambda: _worker_thread_names() <= baseline, timeout_s=5.0), (
-                _worker_thread_names() - baseline
-            )
+            # Exactly the restarted set: no name has more live threads
+            # than before the first kill.
+            leaked = _live_threads() - baseline
+            assert not leaked, leaked
 
     def test_failure_counters_surface_in_stats(self, store):
         with _cluster(store) as cluster, FaultInjector(cluster) as chaos:

@@ -153,16 +153,6 @@ def test_disciplined_lockset_corpus_is_clean():
     assert project_rules_of("proj_lock_good") == []
 
 
-def test_twin_drift_fires_and_names_the_lost_effect():
-    findings = lint_paths([FIXTURES / "proj_twins_bad"])
-    assert [f.rule for f in findings] == ["twin-drift"]
-    assert "write:events_dispatched" in findings[0].message
-
-
-def test_twin_with_identical_closure_effects_is_clean():
-    assert project_rules_of("proj_twins_good") == []
-
-
 # -- every rule id has bad + good fixture coverage -----------------------------
 
 RULE_FIXTURES = {
@@ -181,7 +171,6 @@ RULE_FIXTURES = {
     "transitive-nondeterminism": ("proj_taint_bad", "proj_taint_good"),
     "unverified-locked-helper": ("proj_lock_bad", "proj_lock_good"),
     "cross-module-unguarded-write": ("proj_lock_bad", "proj_lock_good"),
-    "twin-drift": ("proj_twins_bad", "proj_twins_good"),
 }
 
 

@@ -78,6 +78,23 @@ def test_run_until_behind_the_clock_is_rejected(sanitized):
     assert log == [3.5, "late"]
 
 
+def test_nan_is_refused_at_every_time_boundary():
+    """NaN fails every compare, so ``delay < 0`` / ``when < now`` /
+    ``until < now`` all let it in: the event was staged at the current
+    instant and ``run()`` returned with ``engine.now == nan``."""
+    nan = float("nan")
+    eng = Engine()
+    with pytest.raises(SimulationError, match="NaN"):
+        eng.schedule(nan, lambda: None)
+    with pytest.raises(SimulationError, match="NaN"):
+        eng.schedule_at(nan, lambda: None)
+    with pytest.raises(SimulationError, match="NaN"):
+        eng.run(until=nan)
+    assert eng.pending == 0 and eng.now == 0.0
+    eng.schedule(1.0, lambda: None)
+    assert eng.run() == 1.0
+
+
 def test_run_until_now_still_dispatches_events_due_now():
     eng = Engine()
     log = []

@@ -128,6 +128,34 @@ def test_bare_engine_hook_checks_monotonicity():
         engine.run()
 
 
+def test_bounded_run_under_a_sanitizer_checks_exactly_the_events_it_dispatches():
+    """``run(until=)`` with a hook installed: one loop serves both, so
+    the hook sees every event up to the bound, none past it, and the
+    clock still lands on the bound exactly."""
+    engine = Engine()
+    sanitizer = InvariantSanitizer(deep_interval=1)
+    seen = []
+    engine.install_sanitizer(
+        lambda when, callback: (seen.append(when), sanitizer.after_event(when, callback))
+    )
+    log = []
+    for when in (1.0, 2.0, 2.0, 3.5):
+        engine.schedule(when, log.append, when)
+    engine.schedule(2.0, lambda: engine.schedule(0.0, log.append, "staged"))
+    assert engine.run(until=3.0) == 3.0
+    assert log == [1.0, 2.0, 2.0, "staged"]
+    assert seen == [1.0, 2.0, 2.0, 2.0, 2.0]
+    assert sanitizer.events_seen == engine.events_dispatched == 5
+    assert engine.pending == 1
+    # The bound is not an event: the next run resumes from it, checked.
+    assert engine.run() == 3.5
+    assert sanitizer.events_seen == engine.events_dispatched == 6
+    # And a corruption inside a bounded run is caught inside it.
+    engine.schedule(1.0, lambda: heapq.heappush(engine._queue, (0.1, 10**9, lambda: None, ())))
+    with pytest.raises(SanitizerError, match="clock moved backwards"):
+        engine.run(until=10.0)
+
+
 # -- detection: resource and cache accounting ----------------------------------
 
 

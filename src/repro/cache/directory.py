@@ -9,13 +9,12 @@ track every back-end's cache state to realize a cluster-wide cache:
     eviction of that target."
 
 :class:`GlobalCacheDirectory` is that front-end model.  It mirrors each
-back-end cache — with the same replacement policy the simulated back-ends
-run, Greedy-Dual-Size by default, so that the idealization is an *upper*
-bound on locality rather than a handicapped LRU approximation — routes
-each request, and reports the resulting hit/miss.  "Globally oldest" is
+back-end cache — with the replacement policy the simulated back-ends
+run, Greedy-Dual-Size, so that the idealization is an *upper* bound on
+locality rather than a handicapped LRU approximation — routes each
+request, and reports the resulting hit/miss.  "Globally oldest" is
 generalized to "globally least valuable": the miss node is the one whose
-next replacement victim has the lowest credit (for LRU mirrors this is
-exactly the globally oldest file).
+next replacement victim has the lowest credit.
 
 Each target is mirrored on at most one node — routing guarantees this,
 which is how LB/GC aggregates cluster cache capacity.
@@ -26,9 +25,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Hashable, List, Optional
 
-from .base import Cache, CacheError
+from .base import CacheError
 from .gds import GDSCache
-from .lru import LRUCache
 
 __all__ = ["GlobalCacheDirectory", "RouteDecision"]
 
@@ -48,57 +46,32 @@ class GlobalCacheDirectory:
     ----------
     num_nodes / node_capacity_bytes:
         Cluster shape being mirrored.
-    mirror_policy:
-        ``"gds"`` (default, matches the simulator's back-ends) or
-        ``"lru"`` (the literal "globally oldest" reading of the paper).
     """
 
-    MIRROR_POLICIES = ("gds", "lru")
-
-    def __init__(
-        self,
-        num_nodes: int,
-        node_capacity_bytes: int,
-        mirror_policy: str = "gds",
-    ) -> None:
+    def __init__(self, num_nodes: int, node_capacity_bytes: int) -> None:
         if num_nodes < 1:
             raise CacheError(f"directory needs >= 1 node, got {num_nodes}")
         if node_capacity_bytes <= 0:
             raise CacheError(f"node capacity must be positive, got {node_capacity_bytes}")
-        if mirror_policy not in self.MIRROR_POLICIES:
-            raise CacheError(
-                f"unknown mirror policy {mirror_policy!r}; "
-                f"expected one of {self.MIRROR_POLICIES}"
-            )
         self.num_nodes = num_nodes
         self.node_capacity_bytes = int(node_capacity_bytes)
-        self.mirror_policy = mirror_policy
-        self._mirror: List[Cache] = []
-        self._clock = 0  # recency stamps, used for LRU victim comparison
-        self._stamp: Dict[Hashable, int] = {}
+        self._mirror: List[GDSCache] = []
         self._where: Dict[Hashable, int] = {}
         for node in range(num_nodes):
-            cache = self._make_mirror(node)
+            cache = GDSCache(self.node_capacity_bytes, name=f"lbgc[{node}]")
             cache.evict_listener = self._make_evict_listener(node)
             self._mirror.append(cache)
         self._alive: List[bool] = [True] * num_nodes
 
-    def _make_mirror(self, node: int) -> Cache:
-        if self.mirror_policy == "gds":
-            return GDSCache(self.node_capacity_bytes, name=f"lbgc[{node}]")
-        return LRUCache(self.node_capacity_bytes, name=f"lbgc[{node}]")
-
     def _make_evict_listener(self, node: int):
-        # The closure holds the two tables it updates, not ``self``: a
+        # The closure holds the table it updates, not ``self``: a
         # mirror's listener must not tie the directory into a reference
         # cycle.
         where = self._where
-        stamp = self._stamp
 
         def _on_evict(target: Hashable, size: int) -> None:
             if where.get(target) == node:
                 del where[target]
-            stamp.pop(target, None)
 
         return _on_evict
 
@@ -124,17 +97,14 @@ class GlobalCacheDirectory:
         """Choose the back-end for a request and update the mirror state."""
         if size < 0:
             raise CacheError(f"negative file size for {target!r}: {size}")
-        self._clock += 1
         node = self._where.get(target)
         if node is not None:
             self._mirror[node].access(target, size)  # refresh, guaranteed hit
-            self._stamp[target] = self._clock
             return RouteDecision(node=node, predicted_hit=True)
         node = self._choose_miss_node(size)
         self._mirror[node].access(target, size)  # insert (may evict)
         if self._mirror[node].peek(target):
             self._where[target] = node
-            self._stamp[target] = self._clock
         return RouteDecision(node=node, predicted_hit=False)
 
     def drop_node(self, node: int) -> int:
@@ -142,7 +112,7 @@ class GlobalCacheDirectory:
         (node failure).  Returns the number of entries dropped."""
         self._check_node(node)
         dropped = len(self._mirror[node])
-        self._mirror[node].clear()  # listener cleans _where/_stamp
+        self._mirror[node].clear()  # listener cleans _where
         self._alive[node] = False
         return dropped
 
@@ -157,18 +127,10 @@ class GlobalCacheDirectory:
         if not 0 <= node < self.num_nodes:
             raise CacheError(f"node id {node} out of range 0..{self.num_nodes - 1}")
 
-    def _victim_key(self, node: int):
-        """Comparable 'age' of the node's next replacement victim."""
-        mirror = self._mirror[node]
-        if isinstance(mirror, GDSCache):
-            credit = mirror.next_victim_credit()
-            return credit if credit is not None else float("-inf")
-        if not isinstance(mirror, LRUCache):
-            raise CacheError(f"unsupported mirror cache type {type(mirror).__name__}")
-        order = mirror.recency_order()
-        if not order:
-            return float("-inf")
-        return self._stamp.get(order[0], 0)
+    def _victim_key(self, node: int) -> float:
+        """Credit of the node's next replacement victim (its 'age')."""
+        credit = self._mirror[node].next_victim_credit()
+        return credit if credit is not None else float("-inf")
 
     def _choose_miss_node(self, size: int) -> int:
         # Prefer a node that can absorb the file without evicting; among

@@ -7,9 +7,10 @@ to be the best known policy for Web workloads."*
 GDS assigns every cached file ``p`` a credit ``H(p) = L + cost(p)/size(p)``
 where ``L`` is a monotonically inflating baseline.  Eviction removes the
 file with the smallest ``H`` and sets ``L`` to that value, so recently
-touched and cheap-to-keep (small) files survive.  With ``cost(p) = 1``
-(the GDS(1) variant used here by default) the policy optimizes request hit
-ratio, which is what the paper's cache-miss-ratio figures report.
+touched and cheap-to-keep (small) files survive.  This is GDS(1),
+``cost(p) = 1``: every file costs one miss to refetch, so the policy
+optimizes request hit ratio, which is what the paper's cache-miss-ratio
+figures report.
 
 Implementation: a lazy-deletion binary heap keyed by ``(H, seq)``.  Stale
 heap entries (whose credit was refreshed after being pushed) are skipped at
@@ -20,46 +21,23 @@ operation O(log n) amortized without a decrease-key structure.
 from __future__ import annotations
 
 import heapq  # lardlint: disable-file=raw-heapq -- not an event queue; credit-heap entries carry a seq tie-break so equal credits pop in insertion order
-from typing import Callable, Dict, Hashable, List, Optional, Tuple
+from typing import Dict, Hashable, List, Optional, Tuple
 
 from .base import Cache, CacheError
 
 __all__ = ["GDSCache"]
 
 
-def _unit_cost(target: Hashable, size: int) -> float:
-    """GDS(1): every file costs one miss to refetch → maximize hit ratio."""
-    return 1.0
-
-
 class GDSCache(Cache):
-    """Greedy-Dual-Size cache.
+    """Greedy-Dual-Size cache, the GDS(1) variant."""
 
-    Parameters
-    ----------
-    capacity_bytes:
-        Cache size in bytes.
-    cost_fn:
-        ``cost(target, size)`` — refetch cost used in the credit formula.
-        Defaults to GDS(1).  Pass ``lambda t, s: float(s)`` for the
-        byte-hit-ratio variant (GDS(size)).
-    """
-
-    def __init__(
-        self,
-        capacity_bytes: int,
-        cost_fn: Callable[[Hashable, int], float] = _unit_cost,
-        name: str = "",
-    ) -> None:
+    def __init__(self, capacity_bytes: int, name: str = "") -> None:
         super().__init__(capacity_bytes, name=name)
-        self._cost_fn = cost_fn
-        #: True for GDS(1): lets the hit path skip the cost-function call.
-        self._unit_cost = cost_fn is _unit_cost
-        #: A miss may take :meth:`access`'s own copy of the insert:
-        #: GDS(1) of exactly this class.  A supplied cost function or a
-        #: subclass (its ``_admits``, or any other hook it overrides)
-        #: goes through :meth:`Cache._insert` and the hooks.
-        self._fused_insert = self._unit_cost and type(self) is GDSCache
+        #: A miss may take :meth:`access`'s own copy of the insert in
+        #: exactly this class.  A subclass (its ``_admits``, or any other
+        #: hook it overrides) goes through :meth:`Cache._insert` and the
+        #: hooks.
+        self._fused_insert = type(self) is GDSCache
         self._inflation = 0.0  # the running L value
         self._credit: Dict[Hashable, float] = {}
         self._heap: List[Tuple[float, int, Hashable]] = []
@@ -91,13 +69,10 @@ class GDSCache(Cache):
 
     # -- policy hooks --------------------------------------------------------
 
-    def _fresh_credit(self, target: Hashable, size: int) -> float:
-        cost = self._cost_fn(target, size)
-        if cost <= 0:
-            raise CacheError(f"GDS cost must be positive, got {cost} for {target!r}")
+    def _fresh_credit(self, size: int) -> float:
         # A zero-byte file is free to keep; give it the cost alone so its
         # credit stays finite and well ordered.
-        return self._inflation + (cost / size if size > 0 else cost)
+        return self._inflation + (1.0 / size if size > 0 else 1.0)
 
     def _push(self, target: Hashable, credit: float) -> None:
         self._seq += 1
@@ -109,21 +84,18 @@ class GDSCache(Cache):
         protocol with ``_on_hit`` — one membership probe serves both the
         hit test and the size lookup, and no hook call frame is paid —
         and the miss path fuses ``_insert`` / ``_on_insert`` /
-        ``_fresh_credit`` / ``_push`` the same way where no subclass or
-        cost function can have changed them (``_fused_insert``).  This runs once per request,
-        the simulator's most frequent cache operation; outcomes and
-        counter updates are identical to the base implementation.
+        ``_fresh_credit`` / ``_push`` the same way where no subclass can
+        have changed them (``_fused_insert``).  This runs once per
+        request, the simulator's most frequent cache operation; outcomes
+        and counter updates are identical to the base implementation.
         """
         if size < 0:
             raise CacheError(f"negative file size for {target!r}: {size}")
         cached = self._sizes.get(target)
         if cached is not None:
             self.stats.hits += 1
-            if self._unit_cost:
-                # Inlined _fresh_credit for the default GDS(1) variant.
-                credit = self._inflation + (1.0 / cached if cached > 0 else 1.0)
-            else:
-                credit = self._fresh_credit(target, cached)
+            # Inlined _fresh_credit.
+            credit = self._inflation + (1.0 / cached if cached > 0 else 1.0)
             self._seq += 1
             self._credit[target] = credit
             heapq.heappush(self._heap, (credit, self._seq, target))
@@ -149,17 +121,10 @@ class GDSCache(Cache):
         return False
 
     def _on_hit(self, target: Hashable) -> None:
-        size = self._sizes[target]
-        if self._unit_cost:
-            credit = self._inflation + (1.0 / size if size > 0 else 1.0)
-        else:
-            credit = self._fresh_credit(target, size)
-        self._seq += 1
-        self._credit[target] = credit
-        heapq.heappush(self._heap, (credit, self._seq, target))
+        self._push(target, self._fresh_credit(self._sizes[target]))
 
     def _on_insert(self, target: Hashable, size: int) -> None:
-        self._push(target, self._fresh_credit(target, size))
+        self._push(target, self._fresh_credit(size))
 
     def _select_victim(self) -> Hashable:
         heap = self._heap

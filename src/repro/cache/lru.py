@@ -54,7 +54,3 @@ class LRUCache(Cache):
 
     def _on_remove(self, target: Hashable) -> None:
         del self._order[target]
-
-    def recency_order(self):
-        """Targets from least- to most-recently used (testing/introspection)."""
-        return list(self._order)

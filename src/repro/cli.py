@@ -223,33 +223,13 @@ def build_parser() -> argparse.ArgumentParser:
             "--csv", metavar="OUT.csv", help="also write the scorecard to this CSV file"
         )
 
-    lint = sub.add_parser(
+    # The linter parses its own flags (``main`` hands it the rest of
+    # the line): one declaration, and ``lint --help`` is its help.
+    sub.add_parser(
         "lint",
-        help="run lardlint (determinism/concurrency/hygiene static analysis)",
-    )
-    lint.add_argument(
-        "paths",
-        nargs="*",
-        help="files or directories to lint (default: the repro package)",
-    )
-    lint.add_argument(
-        "--list-rules", action="store_true", help="print every rule id and exit"
-    )
-    lint.add_argument(
-        "--format",
-        choices=("text", "json", "github"),
-        default="text",
-        help="finding output format (github prints workflow annotations)",
-    )
-    lint.add_argument(
-        "--statistics",
-        action="store_true",
-        help="print call-graph size and analysis timings to stderr",
-    )
-    lint.add_argument(
-        "--callgraph-cache",
-        metavar="FILE",
-        help="pickle file caching the project call graph keyed by source digest",
+        add_help=False,
+        help="run lardlint (determinism/concurrency/hygiene static analysis); "
+        "flags as for python -m repro.lint",
     )
     return parser
 
@@ -507,24 +487,18 @@ def _dispatch(args: argparse.Namespace) -> int:
         return _cmd_scaleout(args)
     if args.command == "matrix":
         return _cmd_matrix(args)
-    if args.command == "lint":
-        from .lint import main as lint_main
-
-        lint_argv = list(args.paths)
-        if args.list_rules:
-            lint_argv.append("--list-rules")
-        if args.format != "text":
-            lint_argv.append(f"--format={args.format}")
-        if args.statistics:
-            lint_argv.append("--statistics")
-        if args.callgraph_cache:
-            lint_argv.extend(["--callgraph-cache", args.callgraph_cache])
-        return lint_main(lint_argv)
     raise AssertionError(f"unhandled command {args.command!r}")  # pragma: no cover
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args, rest = parser.parse_known_args(argv)
+    if args.command == "lint":
+        from .lint import main as lint_main
+
+        return lint_main(rest)
+    if rest:
+        parser.error(f"unrecognized arguments: {' '.join(rest)}")
     try:
         return _dispatch(args)
     except BrokenPipeError:

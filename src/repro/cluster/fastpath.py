@@ -66,8 +66,10 @@ from outside):
   is the event the engine would dispatch next (``FastPath.admit`` has
   the conditions), and it is counted in ``engine.events_dispatched``;
 * per-request state reads happen at the same event boundaries: the
-  membership epoch and start timestamp are read when the connection's
-  start event dispatches (not at admit time); the pending-read table is
+  membership epoch is read where the load is attached (admission, retry,
+  rehandoff — a node may fail between an admission and its start event,
+  and that connection is an orphan), the start timestamp when the
+  connection's start event dispatches; the pending-read table is
   deregistered after the last data chunk completes and before teardown
   is enqueued; a freed server promotes its next waiter *before* the
   finishing request's own logic runs (the CPU round-robins at service
@@ -332,8 +334,8 @@ class FastPath:
         here is the last thing its event does
         to the policy, the tracker and the front-end's books; what is
         left of the loop is more admissions, whose decisions read none
-        of what an untraced start event writes (its own epoch and
-        clock, the node's CPU queue, the engine's heap).
+        of what an untraced start event writes (its own clock, the
+        node's CPU queue, the engine's heap).
         """
         fe = self.fe
         engine = self.engine
@@ -374,6 +376,7 @@ class FastPath:
             pool = self.pool
             conn = pool.pop() if pool else self.new_connection()
             conn.node_id = node_id
+            conn.epoch = self.epochs[node_id]
             conn.node = self.nodes[node_id]
             conn.target = target
             conn.size = size
@@ -505,10 +508,9 @@ class FastConnection:
     # -- lifecycle stages ------------------------------------------------------
 
     def _begin(self) -> None:
-        """Start event: read epoch/start *now* (exactly where the
-        oracle's first resume reads them), then queue establishment."""
+        """Start event: the request's clock starts *now* (exactly where
+        the oracle's first resume reads it), then queue establishment."""
         node = self.node
-        self.epoch = self.fp.epochs[self.node_id]
         engine = self.engine
         now = engine.now
         self.start = now
@@ -852,6 +854,7 @@ class FastConnection:
             pool = fp.pool
             conn = pool.pop() if pool else fp.new_connection()
             conn.node_id = node_id
+            conn.epoch = fp.epochs[node_id]
             conn.node = fp.nodes[node_id]
             conn.target = target
             conn.size = size
@@ -1073,6 +1076,7 @@ class PersistentConnection(FastConnection):
             pool = fp.pool
             conn = pool.pop() if pool else fp.new_connection()
             conn.node_id = node_id
+            conn.epoch = fp.epochs[node_id]
             conn.node = fp.nodes[node_id]
             conn.target = target
             conn.size = size
@@ -1146,7 +1150,6 @@ class FaultyConnection(PersistentConnection):
         self.t_first = self.engine.now
         self.first = self.index
         self.attempts = 0
-        self.epoch = self.fp.epochs[self.node_id]
         if self.dark[self.node_id]:
             self._doomed()
         else:

@@ -155,12 +155,6 @@ class ClusterConfig:
     max_in_flight: Optional[int] = None
     #: Bound on the front-end mapping table (None = unbounded, Section 2.6).
     max_mappings: Optional[int] = None
-    #: GMS remote hits copy the file into the requester's cache
-    #: (Feeley-style page movement); see :class:`repro.cache.GlobalMemorySystem`.
-    gms_copy: bool = True
-    #: GMS replacement mode: "gds" (per-node caches + copy) or "lru"
-    #: (single-copy global LRU with forwarding).
-    gms_replacement: str = "gds"
     #: Coalesce concurrent misses on one file into a single disk read
     #: (paper Section 3.1); disable only for the ablation bench.
     coalesce_reads: bool = True
@@ -201,14 +195,11 @@ class ClusterConfig:
     #: Replica locations per target for ``pod/lc`` (the r of
     #: arXiv:1706.10209).
     pod_replication: int = 3
-    #: Load-bound factor c for ``chash`` (arXiv:1608.01350).
-    chash_bound_factor: float = 1.25
-    #: Optional heterogeneous back-end capacity weights, one per node;
-    #: ``None`` (or an all-equal vector) keeps the paper's homogeneous
-    #: cluster and its exact integer comparison fast paths.
-    node_weights: Optional[Tuple[float, ...]] = None
 
     def __post_init__(self) -> None:
+        _require_count(
+            "num_nodes", self.num_nodes, f"need at least one node, got {self.num_nodes}"
+        )
         _require_count("requests_per_connection", self.requests_per_connection)
         if self.persistent_policy not in PERSISTENT_POLICIES:
             raise ValueError(
@@ -223,10 +214,9 @@ class ClusterConfig:
             f"need at least one disk, got {self.disks_per_node}",
         )
         _require_count("sanitize_interval", self.sanitize_interval)
-        if self.num_nodes >= 1:
-            _validate_membership_events(self.membership_events, self.num_nodes)
-            if self.fault_schedule is not None:
-                self.fault_schedule.validate(self.num_nodes)
+        _validate_membership_events(self.membership_events, self.num_nodes)
+        if self.fault_schedule is not None:
+            self.fault_schedule.validate(self.num_nodes)
         if self.fault_schedule is not None and self.membership_events:
             raise ValueError(
                 "fault_schedule and membership_events cannot be combined; "
@@ -236,11 +226,6 @@ class ClusterConfig:
         if interval is not None and not (0.0 < interval < math.inf):
             raise ValueError(
                 f"timeline_interval_s must be positive and finite, got {interval!r}"
-            )
-        if self.node_weights is not None and len(self.node_weights) != self.num_nodes:
-            raise ValueError(
-                f"node_weights must have one entry per node ({self.num_nodes}), "
-                f"got {len(self.node_weights)}"
             )
 
     def scaled_cpu(self, cpu_multiplier: float, memory_multiplier: float = 1.0) -> "ClusterConfig":
@@ -289,8 +274,6 @@ class ClusterSimulator:
     def __init__(
         self, trace: Trace, config: ClusterConfig, tracer: Optional[Any] = None
     ) -> None:
-        if config.num_nodes < 1:
-            raise ValueError(f"need at least one node, got {config.num_nodes}")
         self.trace = trace
         self.config = config
         self.engine = Engine()
@@ -304,10 +287,6 @@ class ClusterSimulator:
             policy_kwargs["seed"] = config.policy_seed
         if config.policy == "pod/lc":
             policy_kwargs["replication"] = config.pod_replication
-        if config.policy == "chash":
-            policy_kwargs["bound_factor"] = config.chash_bound_factor
-        if config.node_weights is not None:
-            policy_kwargs["weights"] = config.node_weights
         self.policy: Policy = make_policy(
             config.policy,
             config.num_nodes,
@@ -316,12 +295,7 @@ class ClusterSimulator:
         )
         self.gms: Optional[GlobalMemorySystem] = None
         if uses_gms(config.policy):
-            self.gms = GlobalMemorySystem(
-                config.num_nodes,
-                config.node_cache_bytes,
-                replacement=config.gms_replacement,
-                copy_on_remote_hit=config.gms_copy,
-            )
+            self.gms = GlobalMemorySystem(config.num_nodes, config.node_cache_bytes)
         self.nodes: List[BackendNode] = []
         disk_of = (
             stripe_by_frequency(trace, config.disks_per_node)

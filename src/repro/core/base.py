@@ -26,14 +26,9 @@ so that no node can sit idle (< T_low) while every other node is saturated
 from __future__ import annotations
 
 import abc
-from itertools import chain
-from typing import Any, Dict, Hashable, List, Optional, Sequence
+from typing import Any, Hashable, List
 
 __all__ = ["Policy", "PolicyError", "DEFAULT_T_LOW", "DEFAULT_T_HIGH", "admission_limit"]
-
-#: Weight vectors within this relative spread of uniform are treated as
-#: uniform, keeping the unweighted fast paths byte-identical.
-_UNIFORM_EPSILON = 1e-12
 
 #: Paper Section 2.4: "settings of T_low = 25 and T_high = 65 active
 #: connections give good performance across all workloads we tested".
@@ -61,32 +56,6 @@ def _positive_int(name: str, value: Any) -> int:
     return value
 
 
-def _normalize_weights(
-    weights: Optional[Sequence[float]], num_nodes: int
-) -> Optional[List[float]]:
-    """Validate a capacity-weight vector; ``None`` for the uniform case.
-
-    An explicitly uniform vector (all entries equal) collapses to
-    ``None`` so the integer comparison fast paths — and with them the
-    golden byte-identity suites — are used whenever weights change
-    nothing.
-    """
-    if weights is None:
-        return None
-    values = [float(w) for w in weights]
-    if len(values) != num_nodes:
-        raise PolicyError(
-            f"weights must have one entry per node ({num_nodes}), got {len(values)}"
-        )
-    for node, value in enumerate(values):
-        if not value > 0.0:
-            raise PolicyError(f"node {node} weight must be positive, got {value!r}")
-    first = values[0]
-    if all(abs(value - first) <= _UNIFORM_EPSILON * first for value in values):
-        return None
-    return values
-
-
 class Policy(abc.ABC):
     """Base class for front-end request-distribution strategies.
 
@@ -99,15 +68,6 @@ class Policy(abc.ABC):
         LARD migration tests and the shared admission limit, so every
         strategy is compared under identical admission control (as in the
         paper's simulations).
-    weights:
-        Optional per-node capacity weights (heterogeneous back-ends,
-        cf. arXiv:1103.1207).  When set, the load-comparison helpers
-        (:meth:`least_loaded_node`, :meth:`has_node_below`) compare
-        *load per unit weight* instead of raw active-connection counts,
-        so a node with weight 2 absorbs twice the connections of a
-        weight-1 node before looking equally busy.  ``None`` (or an
-        all-equal vector) keeps the paper's homogeneous behaviour and
-        its exact integer fast paths.
     """
 
     #: Registry name, overridden by subclasses (e.g. ``"lard/r"``).
@@ -118,7 +78,6 @@ class Policy(abc.ABC):
         num_nodes: int,
         t_low: int = DEFAULT_T_LOW,
         t_high: int = DEFAULT_T_HIGH,
-        weights: Optional[Sequence[float]] = None,
     ) -> None:
         if num_nodes < 1:
             raise PolicyError(f"need at least one node, got {num_nodes}")
@@ -127,14 +86,6 @@ class Policy(abc.ABC):
         self.num_nodes = num_nodes
         self.t_low = t_low
         self.t_high = t_high
-        self.weights: Optional[List[float]] = _normalize_weights(weights, num_nodes)
-        #: Reciprocal weights, so the per-request comparisons multiply
-        #: (one flop) instead of divide.  ``None`` means uniform.
-        self._inv_weights: Optional[List[float]] = (
-            None
-            if self.weights is None
-            else [1.0 / w for w in self.weights]
-        )
         self.loads: List[int] = [0] * num_nodes
         self._alive: List[bool] = [True] * num_nodes
         #: Bumped on every failure/join; lets strategies cache
@@ -258,27 +209,10 @@ class Policy(abc.ABC):
         Ties go to the first such node in ring order from ``start`` — the
         lowest id by default; :class:`~repro.core.wrr.WeightedRoundRobin`
         passes its rotating pointer.
-
-        With heterogeneous ``weights`` the comparison is *load per unit
-        weight*, so a weight-2 node carrying 10 connections looks as busy
-        as a weight-1 node carrying 5.
         """
         loads = self.loads
         alive = self._alive
         stop = self.num_nodes
-        inv = self._inv_weights
-        if inv is not None:
-            best = -1
-            best_key = None
-            for node in chain(range(start, stop), range(start)):
-                if not alive[node]:
-                    continue
-                key = loads[node] * inv[node]
-                if best_key is None or key < best_key:
-                    best, best_key = node, key
-            if best < 0:
-                raise PolicyError("no alive back-end nodes")
-            return best
         # Walk up from the ``_min_load`` bound with ``list.index`` (C
         # speed, stops at the first hit) and leave the bound at the true
         # minimum.  A level found empty stays passed until a completion
@@ -326,25 +260,13 @@ class Policy(abc.ABC):
             self._min_cursor = cursor = 0
 
     def has_node_below(self, threshold: int) -> bool:
-        """True if any alive node's load is strictly below ``threshold``.
-
-        With heterogeneous ``weights`` the threshold scales with capacity:
-        node ``n`` counts as "below" when ``loads[n] < threshold * weights[n]``.
-        """
-        weights = self.weights
-        if weights is None:
-            # The bound alone answers the saturated case (nothing alive
-            # is below it); otherwise the least-loaded node decides.
-            return (
-                self._min_load < threshold
-                and self.loads[self.least_loaded_node()] < threshold
-            )
-        loads = self.loads
-        alive = self._alive
-        for node in range(len(alive)):
-            if alive[node] and loads[node] < threshold * weights[node]:
-                return True
-        return False
+        """True if any alive node's load is strictly below ``threshold``."""
+        # The bound alone answers the saturated case (nothing alive is
+        # below it); otherwise the least-loaded node decides.
+        return (
+            self._min_load < threshold
+            and self.loads[self.least_loaded_node()] < threshold
+        )
 
     def describe(self) -> str:
         """Short human-readable configuration summary."""

@@ -19,10 +19,6 @@ Locality degrades gracefully: while a node stays under its bound every
 request for a target hits the same cache, and overflow spills to the
 ring successor (always the *same* successor for a given occupancy
 pattern, so spill locality is better than random).
-
-Heterogeneous capacity ``weights`` scale both the number of virtual
-nodes a back-end places on the ring (more arc, proportionally more
-keys) and its load bound.
 """
 
 from __future__ import annotations
@@ -41,7 +37,7 @@ __all__ = ["ConsistentHashBounded", "DEFAULT_BOUND_FACTOR", "DEFAULT_VNODES"]
 #: the mean, with modest spill rates.
 DEFAULT_BOUND_FACTOR = 1.25
 
-#: Virtual nodes per unit weight.  64 keeps arc-length variance low
+#: Virtual nodes per back-end.  64 keeps arc-length variance low
 #: while a 1024-node ring (65k vnodes) still builds in milliseconds and
 #: binary-searches in ~16 probes.
 DEFAULT_VNODES = 64
@@ -54,10 +50,10 @@ class ConsistentHashBounded(Policy):
     ----------
     bound_factor:
         ``c`` > 1; each alive node accepts at most
-        ``ceil(c * (total_load + 1) * share)`` active connections, where
-        ``share`` is its weight fraction (``1/n`` when homogeneous).
+        ``ceil(c * (total_load + 1) / n)`` active connections, ``n`` the
+        number of alive nodes.
     vnodes:
-        Ring points per unit node weight.
+        Ring points per node.
     """
 
     name = "chash"
@@ -79,7 +75,8 @@ class ConsistentHashBounded(Policy):
         self._ring_epoch = -1
         self._ring_hashes: List[int] = []
         self._ring_nodes: List[int] = []
-        self._shares: List[float] = []
+        #: ``1 / alive_count``: every alive node's fraction of the budget.
+        self._share = 1.0
         #: target -> index of its hash-owner's vnode, for this ring.
         self._starts: Dict[Hashable, int] = {}
         self._rebuild_ring()
@@ -89,25 +86,13 @@ class ConsistentHashBounded(Policy):
     def _rebuild_ring(self) -> None:
         """(Re)build the vnode ring over the currently alive nodes."""
         points: List[Tuple[int, int]] = []
-        weights = self.weights
-        total_weight = 0.0
-        for node in range(self.num_nodes):
-            if not self._alive[node]:
-                continue
-            weight = 1.0 if weights is None else weights[node]
-            total_weight += weight
-            count = max(1, round(self.vnodes * weight))
-            for replica in range(count):
+        for node in self.alive_nodes:
+            for replica in range(self.vnodes):
                 points.append((stable_hash((node, replica), salt=0x5EED), node))
         points.sort()
         self._ring_hashes = [h for h, _ in points]
         self._ring_nodes = [n for _, n in points]
-        shares = [0.0] * self.num_nodes
-        for node in range(self.num_nodes):
-            if self._alive[node]:
-                weight = 1.0 if weights is None else weights[node]
-                shares[node] = weight / total_weight
-        self._shares = shares
+        self._share = 1.0 / self.alive_count
         self._starts = {}
         self._ring_epoch = self.membership_epoch
 
@@ -125,27 +110,22 @@ class ConsistentHashBounded(Policy):
                 bisect_right(self._ring_hashes, stable_hash(target, salt=0)) % ring_len
             )
         loads = self.loads
-        shares = self._shares
         # ``total_load`` without the property's frame.
         budget = self.bound_factor * (
             self.dispatches - self.completions - self._shed_load + 1
         )
+        # Every alive node has the same share, hence the same bound.
+        bound = math.ceil(budget * self._share)
         owner = ring_nodes[start]
-        bound = math.ceil(budget * shares[owner])
         if loads[owner] < bound:
             return owner
         # Walk clockwise.  Capacities sum to >= ceil(c * (m + 1)) > m, so
         # some alive node is under its bound and the walk terminates
         # within one lap; every alive node owns at least one vnode.
-        # Without weights every alive node has the owner's share, hence
-        # its bound.
-        weighted = self.weights is not None
         for step in range(1, ring_len):
             node = ring_nodes[(start + step) % ring_len]
             if node == owner:
                 continue
-            if weighted:
-                bound = math.ceil(budget * shares[node])
             if loads[node] < bound:
                 self.spills += 1
                 return node

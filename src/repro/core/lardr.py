@@ -79,7 +79,7 @@ class LARDReplication(Policy):
         **kwargs,
     ) -> None:
         super().__init__(num_nodes, **kwargs)
-        if k_seconds <= 0:
+        if not k_seconds > 0:  # also NaN, which no elapsed time exceeds
             raise PolicyError(f"k_seconds must be positive, got {k_seconds}")
         if max_mappings is not None and max_mappings < 1:
             raise PolicyError(f"max_mappings must be >= 1, got {max_mappings}")

@@ -140,16 +140,14 @@ class PowerOfD(Policy):
         d = self.d
         probes = alive if d >= len(alive) else draw(self._getrandbits, alive, d)
         loads = self.loads
-        inv = self._inv_weights
         best = -1
-        best_key = 0.0
+        best_load = 0
         for node in probes:
-            # Load per unit weight (raw load when homogeneous).
-            key = loads[node] if inv is None else loads[node] * inv[node]
+            load = loads[node]
             # Strict <: earlier probe order wins ties, which is the
             # textbook rule and keeps reruns deterministic.
-            if best < 0 or key < best_key:
-                best, best_key = node, key
+            if best < 0 or load < best_load:
+                best, best_load = node, load
         return best
 
     def describe(self) -> str:
@@ -237,18 +235,17 @@ class CacheAwarePowerOfD(PowerOfD):
             probes = draw(self._getrandbits, locations, d)
         cached = self._cached.get(target)
         loads = self.loads
-        inv = self._inv_weights
         best = -1
-        best_key = 0.0
+        best_load = 0
         best_hit = -1
-        best_hit_key = 0.0
+        best_hit_load = 0
         for node in probes:
-            key = loads[node] if inv is None else loads[node] * inv[node]
-            if best < 0 or key < best_key:
-                best, best_key = node, key
+            load = loads[node]
+            if best < 0 or load < best_load:
+                best, best_load = node, load
             if cached is not None and node in cached:
-                if best_hit < 0 or key < best_hit_key:
-                    best_hit, best_hit_key = node, key
+                if best_hit < 0 or load < best_hit_load:
+                    best_hit, best_hit_load = node, load
         if best_hit >= 0 and loads[best_hit] < self.t_high:
             self.predicted_hits += 1
             return best_hit

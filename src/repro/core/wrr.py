@@ -33,12 +33,7 @@ class WeightedRoundRobin(Policy):
         self._pointer = 0
 
     def choose(self, target: Hashable, size: int, now: float = 0.0) -> int:
-        """Pick the least-loaded node, breaking ties round-robin.
-
-        With heterogeneous capacity ``weights`` the scan minimizes load
-        per unit weight, so bigger back-ends draw proportionally more of
-        the round-robin stream.
-        """
+        """Pick the least-loaded node, breaking ties round-robin."""
         # Rotation order with the first minimum winning ties is exactly
         # "first least-loaded node in ring order from the pointer".
         best = self.least_loaded_node(self._pointer)

@@ -31,17 +31,11 @@ Resolution model (and its deliberate limits):
   edges (``CallSite.is_ref``): the engine will call them, so
   reachability passes must follow them, but they are not call sites for
   lockset verification.
-
-Everything in the summary is picklable; :func:`load_cached` /
-:func:`store_cached` implement the digest-keyed cache the CI lint job
-uses to skip re-extraction when no source changed.
 """
 
 from __future__ import annotations
 
 import ast
-import hashlib
-import pickle
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
@@ -66,9 +60,6 @@ __all__ = [
     "build_project",
     "module_name_for",
     "package_root",
-    "project_digest",
-    "load_cached",
-    "store_cached",
 ]
 
 #: Container annotations unwrapped to their (first) element type when
@@ -175,7 +166,6 @@ class ClassSummary:
 class ProjectSummary:
     """The whole-program view every interprocedural pass shares."""
 
-    digest: str
     functions: Dict[str, FunctionSummary] = field(default_factory=dict)
     classes: Dict[str, ClassSummary] = field(default_factory=dict)
     #: class qualname -> direct project subclasses.
@@ -468,9 +458,9 @@ class _ModuleScan:
 
 
 class _Builder:
-    def __init__(self, scans: Dict[str, _ModuleScan], digest: str) -> None:
+    def __init__(self, scans: Dict[str, _ModuleScan]) -> None:
         self.scans = scans
-        self.project = ProjectSummary(digest=digest)
+        self.project = ProjectSummary()
 
     # symbol resolution --------------------------------------------------------
 
@@ -1038,49 +1028,13 @@ class _FunctionExtractor:
 # -- public entry points -------------------------------------------------------
 
 
-def build_project(
-    units: Sequence[Tuple[Path, str, ast.Module]], digest: str = ""
-) -> ProjectSummary:
+def build_project(units: Sequence[Tuple[Path, str, ast.Module]]) -> ProjectSummary:
     """Build the whole-program summary from parsed files.
 
-    ``units`` is ``(path, display, tree)`` per file; ``digest`` is the
-    content digest the cache is keyed by (see :func:`project_digest`).
+    ``units`` is ``(path, display, tree)`` per file.
     """
     scans: Dict[str, _ModuleScan] = {}
     for path, display, tree in units:
         module = module_name_for(path)
         scans[module] = _ModuleScan(display, module, tree)
-    return _Builder(scans, digest).build()
-
-
-def project_digest(files: Sequence[Tuple[str, str]]) -> str:
-    """Stable digest over ``(display path, source)`` pairs."""
-    hasher = hashlib.sha256()
-    for display, source in sorted(files):
-        hasher.update(display.encode("utf-8", "replace"))
-        hasher.update(b"\x00")
-        hasher.update(source.encode("utf-8", "replace"))
-        hasher.update(b"\x01")
-    return hasher.hexdigest()
-
-
-def load_cached(cache_file: Path, digest: str) -> Optional[ProjectSummary]:
-    """Cached summary if ``cache_file`` holds one for ``digest``."""
-    try:
-        with cache_file.open("rb") as handle:
-            loaded = pickle.load(handle)
-    except (OSError, pickle.UnpicklingError, EOFError, AttributeError, ImportError):
-        return None
-    if isinstance(loaded, ProjectSummary) and loaded.digest == digest:
-        return loaded
-    return None
-
-
-def store_cached(cache_file: Path, summary: ProjectSummary) -> None:
-    """Persist ``summary``; failures are ignored (the cache is advisory)."""
-    try:
-        cache_file.parent.mkdir(parents=True, exist_ok=True)
-        with cache_file.open("wb") as handle:
-            pickle.dump(summary, handle, protocol=pickle.HIGHEST_PROTOCOL)
-    except OSError:
-        pass
+    return _Builder(scans).build()

@@ -25,7 +25,6 @@ from __future__ import annotations
 import argparse
 import ast
 import json
-import os
 import sys
 import time
 from pathlib import Path
@@ -154,20 +153,18 @@ def _load_lock_hierarchy(directory: Path) -> Tuple[str, ...]:
 class _ParsedFile:
     """One successfully parsed file plus its lint context."""
 
-    __slots__ = ("path", "display", "source", "tree", "scopes", "suppressions")
+    __slots__ = ("path", "display", "tree", "scopes", "suppressions")
 
     def __init__(
         self,
         path: Path,
         display: str,
-        source: str,
         tree: ast.Module,
         scopes: FrozenSet[str],
         suppressions: Suppressions,
     ) -> None:
         self.path = path
         self.display = display
-        self.source = source
         self.tree = tree
         self.scopes = scopes
         self.suppressions = suppressions
@@ -219,7 +216,7 @@ def _lint_one(
         if not suppressions.is_suppressed(finding.rule, finding.line)
     ]
     kept.extend(suppressions.errors)
-    return kept, _ParsedFile(path, display, source, tree, scopes, suppressions)
+    return kept, _ParsedFile(path, display, tree, scopes, suppressions)
 
 
 def lint_file(path: Path, scopes: Optional[FrozenSet[str]] = None) -> List[Finding]:
@@ -246,7 +243,6 @@ def _iter_python_files(paths: Iterable[Path]) -> List[Path]:
 
 def lint_paths(
     paths: Iterable[Path],
-    cache_file: Optional[Path] = None,
     stats: Optional[Dict[str, Union[int, float]]] = None,
 ) -> List[Finding]:
     """Lint every ``.py`` file under ``paths`` (dirs recurse), sorted.
@@ -254,11 +250,8 @@ def lint_paths(
     Runs the per-file rules on each file, then builds the project call
     graph over all of them and runs the interprocedural passes
     (``transitive-nondeterminism``, ``unverified-locked-helper``,
-    ``cross-module-unguarded-write``).
-
-    ``cache_file`` (or the ``REPRO_LINT_CACHE`` environment variable via
-    the CLI) persists the built call graph keyed by a digest of all
-    sources; ``stats`` receives counts and per-phase timings when given.
+    ``cross-module-unguarded-write``).  ``stats`` receives counts and
+    per-phase timings when given.
     """
     started = time.perf_counter()
     findings: List[Finding] = []
@@ -272,17 +265,9 @@ def lint_paths(
 
     scope_map = {record.display: record.scopes for record in parsed}
     sup_map = {record.display: record.suppressions for record in parsed}
-    digest = callgraph.project_digest(
-        [(record.display, record.source) for record in parsed]
+    project = callgraph.build_project(
+        [(record.path, record.display, record.tree) for record in parsed]
     )
-    project = callgraph.load_cached(cache_file, digest) if cache_file else None
-    from_cache = project is not None
-    if project is None:
-        project = callgraph.build_project(
-            [(record.path, record.display, record.tree) for record in parsed], digest
-        )
-        if cache_file is not None:
-            callgraph.store_cached(cache_file, project)
     graph_done = time.perf_counter()
 
     for finding in (
@@ -302,7 +287,6 @@ def lint_paths(
         stats["functions"] = len(project.functions)
         stats["classes"] = len(project.classes)
         stats["edges"] = sum(len(f.calls) for f in project.functions.values())
-        stats["graph_cached"] = int(from_cache)
         stats["parse_s"] = parse_done - started
         stats["graph_s"] = graph_done - parse_done
         stats["passes_s"] = passes_done - graph_done
@@ -370,13 +354,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         action="store_true",
         help="print call-graph size and per-phase analysis timings to stderr",
     )
-    parser.add_argument(
-        "--callgraph-cache",
-        type=Path,
-        default=None,
-        help="pickle file caching the project call graph keyed by source "
-        "digest (default: $REPRO_LINT_CACHE when set)",
-    )
     args = parser.parse_args(argv)
 
     if args.list_rules:
@@ -384,26 +361,19 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             print(rule)
         return 0
 
-    cache_file = args.callgraph_cache
-    if cache_file is None:
-        cache_env = os.environ.get("REPRO_LINT_CACHE")
-        if cache_env:
-            cache_file = Path(cache_env)
-
     paths = args.paths or [Path(__file__).resolve().parent.parent]
     stats: Dict[str, Union[int, float]] = {}
-    findings = lint_paths(paths, cache_file=cache_file, stats=stats)
+    findings = lint_paths(paths, stats=stats)
     _emit(findings, args.format)
     if args.statistics:
         print(
             "lardlint: {files} files, {functions} functions, {classes} classes, "
-            "{edges} call edges (graph {cached}); parse {parse_s:.3f}s, "
+            "{edges} call edges; parse {parse_s:.3f}s, "
             "graph {graph_s:.3f}s, passes {passes_s:.3f}s, total {total_s:.3f}s".format(
                 files=stats.get("files", 0),
                 functions=stats.get("functions", 0),
                 classes=stats.get("classes", 0),
                 edges=stats.get("edges", 0),
-                cached="cached" if stats.get("graph_cached") else "rebuilt",
                 parse_s=stats.get("parse_s", 0.0),
                 graph_s=stats.get("graph_s", 0.0),
                 passes_s=stats.get("passes_s", 0.0),

@@ -266,16 +266,17 @@ def _admit(fe) -> None:
         fe._attach(node_id)
         fe.connections += 1
         fe.in_flight += 1
-        fe.engine.process(connection(fe, batch, node_id, hit_hint))
+        # The epoch is read here, where the load is attached: the node
+        # may fail before the process is first resumed.
+        fe.engine.process(connection(fe, batch, node_id, fe._epoch[node_id], hit_hint))
 
 
-def _connection(fe, batch: List[Tuple[int, int]], node_id: int, hit_hint):
+def _connection(fe, batch: List[Tuple[int, int]], node_id: int, epoch: int, hit_hint):
     """One admitted connection: serve its requests in order, then
     release the slot.  With a tracer attached each request gets a
     span; the paper's HTTP/1.0 case is simply a batch of one."""
     tracer = fe.tracer
     span = None
-    epoch = fe._epoch[node_id]
     last_index = len(batch) - 1
     for index, (target, size) in enumerate(batch):
         if index > 0:
@@ -337,7 +338,9 @@ class _FaultProbe:
         self.outcome: str = "error"
 
 
-def _connection_faulty(fe, batch: List[Tuple[int, int]], node_id: int, hit_hint):
+def _connection_faulty(
+    fe, batch: List[Tuple[int, int]], node_id: int, epoch: int, hit_hint
+):
     """:func:`_connection` under a fault runtime.
 
     While the chosen back-end is crashed but undetected, a dispatch
@@ -359,7 +362,6 @@ def _connection_faulty(fe, batch: List[Tuple[int, int]], node_id: int, hit_hint)
     n = len(batch)
     index = 0
     attempts = 0
-    epoch = fe._epoch[node_id]
     # True for the first request served after each (re)dispatch: it
     # pays connection establishment and skips the rehandoff check
     # (the policy just chose its node).

@@ -36,18 +36,18 @@ def test_warmup_spreads_over_nodes():
 
 
 def test_full_cluster_evicts_globally_least_valuable():
-    directory = GlobalCacheDirectory(2, 100, mirror_policy="lru")
-    directory.route("a", 100)  # node X full
-    directory.route("b", 100)  # node Y full
-    directory.route("a", 100)  # refresh a -> b is globally oldest
+    directory = GlobalCacheDirectory(2, 100)
+    directory.route("big", 100)  # fills one node; credit 1/100
+    directory.route("s1", 50)
+    directory.route("s2", 50)  # the other node is full too; credit 1/50 each
     decision = directory.route("c", 100)
     assert decision.node == directory.locate("c")
-    assert directory.locate("b") is None  # b evicted
-    assert directory.locate("a") is not None
+    assert directory.locate("big") is None  # the lowest credit in the cluster
+    assert directory.locate("s1") is not None and directory.locate("s2") is not None
 
 
 def test_gds_mirror_prefers_evicting_large():
-    directory = GlobalCacheDirectory(1, 100, mirror_policy="gds")
+    directory = GlobalCacheDirectory(1, 100)
     directory.route("small", 2)
     directory.route("big", 90)
     directory.route("new", 50)
@@ -102,8 +102,8 @@ def test_invalid_construction():
         GlobalCacheDirectory(0, 100)
     with pytest.raises(CacheError):
         GlobalCacheDirectory(2, 0)
-    with pytest.raises(CacheError):
-        GlobalCacheDirectory(2, 100, mirror_policy="random")
+    with pytest.raises(TypeError):  # GDS mirrors only: the keyword is gone
+        GlobalCacheDirectory(2, 100, mirror_policy="lru")
 
 
 def test_aggregation_beats_single_node():

@@ -1,8 +1,8 @@
 """Unit tests for Greedy-Dual-Size replacement.
 
-``GDSCache.access`` carries its own copy of the insert for the default
-GDS(1) cache; a supplied cost function or a subclass's ``_admits`` goes
-through ``Cache._insert`` and the hooks.  The replay tests at the end
+``GDSCache.access`` carries its own copy of the insert for a cache of
+exactly that class; a subclass (its ``_admits``, any hook) goes through
+``Cache._insert`` and the hooks.  The replay tests at the end
 hold the two paths to one another, and the seeded mutations beside them
 show they would notice a slip in the copy or in the choice of path.
 """
@@ -12,7 +12,7 @@ import random
 
 import pytest
 
-from repro.cache import GDSCache, CacheError
+from repro.cache import GDSCache
 from tests.seeded_mutation import assert_selected_tests_fail
 
 
@@ -68,18 +68,6 @@ def test_credit_formula_unit_cost():
     cache = GDSCache(1000)
     cache.access("a", 4)
     assert cache.credit_of("a") == pytest.approx(0.25)  # L=0 + 1/4
-
-
-def test_custom_cost_function():
-    cache = GDSCache(100, cost_fn=lambda target, size: float(size))
-    cache.access("a", 10)
-    assert cache.credit_of("a") == pytest.approx(1.0)  # L + size/size
-
-
-def test_nonpositive_cost_rejected():
-    cache = GDSCache(100, cost_fn=lambda target, size: 0.0)
-    with pytest.raises(CacheError):
-        cache.access("a", 10)
 
 
 def test_zero_byte_file_has_finite_credit():
@@ -184,12 +172,10 @@ def _replay(cache, seed):
 def test_fused_miss_path_is_the_hook_path(seed):
     fused = GDSCache(600)
     hooks = _HookPathGDS(600)
-    priced = GDSCache(600, cost_fn=lambda target, size: 1.0)
-    assert fused._fused_insert and not hooks._fused_insert and not priced._fused_insert
+    assert fused._fused_insert and not hooks._fused_insert
     expected = _replay(hooks, seed)
     assert expected[1]["evictions"] > 100 and expected[1]["rejected"] > 0
     assert _replay(fused, seed) == expected
-    assert _replay(priced, seed) == expected
 
 
 def test_a_subclass_admission_filter_is_honoured():
@@ -212,8 +198,8 @@ _MUTATIONS = {
         "fused_miss_path_is_the_hook_path",
     ),
     "fused-insert-taken-whatever-the-subclass-admits": (
-        "self._fused_insert = self._unit_cost and type(self) is GDSCache\n",
-        "self._fused_insert = self._unit_cost\n",
+        "self._fused_insert = type(self) is GDSCache\n",
+        "self._fused_insert = True\n",
         "admission_filter_is_honoured",
     ),
 }

@@ -1,4 +1,4 @@
-"""Unit tests for the global memory system (both replacement modes)."""
+"""Unit tests for the global memory system."""
 
 import pytest
 
@@ -28,13 +28,6 @@ class TestGDSMode:
         assert gms.access(0, "a", 10).outcome is GMSOutcome.LOCAL_HIT
         assert gms.access(1, "a", 10).outcome is GMSOutcome.LOCAL_HIT
 
-    def test_no_copy_mode_keeps_single_holder(self):
-        gms = GlobalMemorySystem(2, 1000, copy_on_remote_hit=False)
-        gms.access(0, "a", 10)
-        gms.access(1, "a", 10)
-        assert gms.holders_of("a") == {0}
-        assert gms.access(1, "a", 10).outcome is GMSOutcome.REMOTE_HIT
-
     def test_duplication_consumes_capacity(self):
         gms = GlobalMemorySystem(2, 100)
         gms.access(0, "a", 60)
@@ -56,12 +49,6 @@ class TestGDSMode:
         result = gms.access(0, "a", 10)
         assert result.outcome is GMSOutcome.LOCAL_HIT
         assert gms.stats.remote_hits == 0
-
-    def test_max_cacheable_filter(self):
-        gms = GlobalMemorySystem(2, 1000, max_cacheable_bytes=50)
-        gms.access(0, "big", 100)
-        assert "big" not in gms
-        assert gms.stats.rejected == 1
 
     def test_drop_node(self):
         gms = GlobalMemorySystem(2, 1000)
@@ -92,76 +79,18 @@ class TestGDSMode:
         assert gms.cached_targets(0) == ["a"]
         assert len(gms) == 2
 
-
-class TestLRUMode:
-    def _gms(self, nodes=2, cap=100):
-        return GlobalMemorySystem(nodes, cap, replacement="lru")
-
-    def test_single_copy_invariant(self):
-        gms = self._gms()
-        gms.access(0, "a", 10)
-        gms.access(1, "a", 10)  # migrates, does not copy
-        assert gms.holders_of("a") == {1}
-
-    def test_migration_on_remote_hit(self):
-        gms = self._gms()
-        gms.access(0, "a", 10)
-        result = gms.access(1, "a", 10)
-        assert result.outcome is GMSOutcome.REMOTE_HIT
-        assert result.holder == 0
-        assert gms.holder_of("a") == 1  # moved to the requester
-
-    def test_no_migration_when_disabled(self):
-        gms = GlobalMemorySystem(2, 100, replacement="lru", copy_on_remote_hit=False)
-        gms.access(0, "a", 10)
-        gms.access(1, "a", 10)
-        assert gms.holder_of("a") == 0
-
-    def test_global_lru_eviction_prefers_globally_oldest(self):
-        gms = self._gms(2, 100)
-        gms.access(0, "old", 60)
-        gms.access(1, "newer", 60)
-        gms.access(1, "filler", 39)
-        # Node 1 is full; inserting there evicts "old" on node 0 (globally
-        # oldest) and forwards node 1's oldest into the freed space.
-        gms.access(1, "new", 60)
-        assert "old" not in gms
-
-    def test_forwarding_preserves_recent_content(self):
-        gms = self._gms(2, 100)
-        gms.access(0, "cold", 50)
-        gms.access(1, "warm", 50)
-        gms.access(1, "hot", 49)
-        # Node 1 needs 80 bytes: two global-LRU rounds evict cold then warm
-        # (the two globally oldest), while hot — more recent — survives by
-        # being forwarded into node 0's freed space.
-        gms.access(1, "incoming", 80)
-        assert "cold" not in gms
-        assert "warm" not in gms
-        assert "hot" in gms
-        assert gms.stats.forwards >= 1
-        assert gms.holder_of("hot") == 0
-
     def test_node_capacity_respected(self):
-        gms = self._gms(2, 100)
+        gms = GlobalMemorySystem(2, 100)
         for i in range(20):
             gms.access(i % 2, f"t{i}", 30)
             assert gms.node_used_bytes(0) <= 100
             assert gms.node_used_bytes(1) <= 100
 
     def test_oversized_file_rejected(self):
-        gms = self._gms(2, 100)
+        gms = GlobalMemorySystem(2, 100)
         gms.access(0, "big", 200)
         assert "big" not in gms
         assert gms.stats.rejected == 1
-
-    def test_drop_node_lru(self):
-        gms = self._gms(2, 100)
-        gms.access(0, "a", 10)
-        gms.access(1, "b", 10)
-        assert gms.drop_node(0) == 1
-        assert "a" not in gms
-        assert "b" in gms
 
 
 def test_invalid_construction():
@@ -169,8 +98,10 @@ def test_invalid_construction():
         GlobalMemorySystem(0, 100)
     with pytest.raises(CacheError):
         GlobalMemorySystem(2, 0)
-    with pytest.raises(CacheError):
-        GlobalMemorySystem(2, 100, replacement="fifo")
+    # One system, no modes: the keywords that chose one are gone.
+    for gone in ("replacement", "copy_on_remote_hit", "max_cacheable_bytes"):
+        with pytest.raises(TypeError):
+            GlobalMemorySystem(2, 100, **{gone: None})
 
 
 def test_bad_node_id():

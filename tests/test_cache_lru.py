@@ -31,14 +31,6 @@ def test_evicts_least_recently_used():
     assert "c" in cache
 
 
-def test_recency_order_exposed():
-    cache = LRUCache(1000)
-    for name in "abc":
-        cache.access(name, 10)
-    cache.access("a", 10)
-    assert cache.recency_order() == ["b", "c", "a"]
-
-
 def test_oversized_file_rejected_not_cached():
     cache = LRUCache(100)
     cache.access("big", 200)

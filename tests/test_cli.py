@@ -1,5 +1,6 @@
 """Tests for the lard-repro command-line interface."""
 
+import json
 from pathlib import Path
 
 import pytest
@@ -155,6 +156,11 @@ class TestErrorExitCodes:
         assert main(["spans", str(bad)]) == 2
         assert "schema" in capsys.readouterr().err
 
+    def test_simulate_without_nodes(self, capsys):
+        argv = ["simulate", "--requests", "200", "--scale-factor", "0.05", "--nodes", "0"]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == "lard-repro: error: need at least one node, got 0\n"
+
     def test_sample_interval_without_spans(self, capsys):
         """Samples go to the span log: the flag alone was a silent no-op."""
         assert main(["simulate", "--requests", "200", "--sample-interval", "0.1"]) == 2
@@ -201,7 +207,6 @@ class TestErrorExitCodes:
         assert "Traceback" not in err
         assert not cache.exists() or not any(cache.iterdir())
 
-
     @pytest.mark.parametrize("speed", ["nan", "inf", "0", "-2"])
     def test_unusable_cpu_speed_is_rejected_before_the_trace_is_generated(
         self, capsys, tmp_path, monkeypatch, speed
@@ -219,6 +224,29 @@ class TestErrorExitCodes:
         assert "Traceback" not in captured.err and captured.err.count("\n") == 1
         assert captured.out == ""
         assert not cache.exists() or not any(cache.iterdir())
+
+
+class TestLintCommand:
+    """``lint`` declares no flags of its own: the linter parses the rest
+    of the line."""
+
+    def test_a_flag_and_its_value_survive_the_hop(self, capsys):
+        fixture = Path(__file__).parent / "lint_fixtures" / "hyg_bad.py"
+        assert main(["lint", "--format", "json", str(fixture)]) == 1
+        records = json.loads(capsys.readouterr().out)
+        assert any(record["rule"] == "bare-except" for record in records)
+
+    def test_help_is_the_linters(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["lint", "--help"])
+        assert exit_info.value.code == 0
+        assert "--list-rules" in capsys.readouterr().out
+
+    def test_other_verbs_still_refuse_unknown_flags(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["list", "--format", "json"])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: --format json" in capsys.readouterr().err
 
 
 class TestChaosCommand:

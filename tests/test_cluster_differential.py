@@ -12,12 +12,15 @@ is attached; both lifecycles run it and must agree on every field of
 The test has teeth: ``MUTATIONS`` seeds one realistic bug each into a
 copy of the package, and ``test_seeded_mutation_is_caught`` shows the
 comparison failing on it (and passing on the unmutated tree) for the
-fixed case recorded beside it.  Two that were tried and are *not* listed
-because nothing observable depends on them: calling ``record_served``
+fixed case recorded beside it.  One that was tried and is *not* listed
+because nothing observable depends on it: calling ``record_served``
 before ``_account_request`` (both only add to counters of different
-objects inside one event), and skipping the epoch re-read in
-``FastConnection._begin`` after a retry (the retry reads it in the same
-instant).
+objects inside one event).
+
+Hypothesis draws fault times from a continuous process, so it never
+puts two membership changes at one instant; the case where that matters
+(a node failing between an admission and the start event the admission
+staged) is fixed below, through both ways of writing a schedule.
 """
 
 from __future__ import annotations
@@ -33,7 +36,12 @@ import pytest
 from hypothesis import given, settings
 
 from repro.cluster import ClusterConfig, ClusterSimulator
-from repro.cluster.faults import RetryPolicy, generate_fault_schedule
+from repro.cluster.faults import (
+    CrashFault,
+    FaultSchedule,
+    RetryPolicy,
+    generate_fault_schedule,
+)
 from repro.core import POLICY_NAMES
 from repro.obs import SpanWriter
 from repro.obs.tracer import SimTracer
@@ -163,6 +171,45 @@ def test_drawn_schedules_exercise_the_fault_paths():
     assert _schedule(3).brownouts and _schedule(5, 0.15).brownouts
 
 
+# -- a failure between an admission and its start -----------------------------------
+#
+# Node 1's rejoin raises the admission limit and refills the window; some
+# of the refill lands on node 2, whose failure is the next event of the
+# same instant, ahead of the start events the refill staged.  Those
+# connections are orphans: their load went with the node.  Both
+# lifecycles used to read the epoch in the start event, took the orphans
+# for live connections and died of "completion on node 2 with zero load".
+
+_RACES = {
+    "membership-events": dict(
+        membership_events=((0.5, "fail", 1), (1.0, "join", 1), (1.0, "fail", 2)),
+    ),
+    # The same through the fault model: rejoin and detection at t=1.0;
+    # node 2 is dark by then, so the orphans time out rather than finish.
+    "fault-schedule": dict(
+        fault_schedule=FaultSchedule(
+            crashes=(
+                CrashFault(1, at_s=0.25, detect_s=0.25, rejoin_at_s=1.0),
+                CrashFault(2, at_s=0.75, detect_s=0.25),
+            ),
+            retry=RetryPolicy(
+                max_retries=1, timeout_s=0.125, backoff_base_s=0.0625, backoff_cap_s=0.25
+            ),
+        ),
+    ),
+}
+
+
+@pytest.mark.parametrize("policy", ["wrr", "lard/r"])
+@pytest.mark.parametrize("race", sorted(_RACES))
+def test_a_node_failing_between_admission_and_start_orphans_the_connection(race, policy):
+    want, _ = _run(True, False, False, policy=policy, **_RACES[race])
+    got, _ = _run(False, False, False, policy=policy, **_RACES[race])
+    assert got == want
+    assert got["num_requests"] == len(_trace(False))
+    assert got["orphaned_connections"] > 0
+
+
 # -- seeded mutations ---------------------------------------------------------------
 #
 # name -> (file under src/repro, anchor, replacement, the fixed case that
@@ -202,6 +249,14 @@ MUTATIONS = {
         "            if False:\n                # Rehandoff landed",
         dict(traced=False, cgi=False, policy="wrr", fault_seed=5, mttf_frac=0.15,
              **_REHANDOFF),
+    ),
+    "epoch-read-by-the-start-event": (
+        "cluster/fastpath.py",
+        "        node = self.node\n        engine = self.engine\n        now = engine.now\n"
+        "        self.start = now\n",
+        "        node = self.node\n        engine = self.engine\n        now = engine.now\n"
+        "        self.start = now\n        self.epoch = self.fp.epochs[self.node_id]\n",
+        dict(traced=False, cgi=False, policy="wrr", **_RACES["membership-events"]),
     ),
     "teardown-phase-on-every-request": (
         "cluster/fastpath.py",

@@ -144,12 +144,6 @@ class TestGMS:
         gms = run_simulation(trace, policy="wrr/gms", num_nodes=4, node_cache_bytes=CACHE)
         assert gms.throughput_rps > wrr.throughput_rps
 
-    def test_gms_lru_mode_runs(self):
-        trace = _trace(2000)
-        result = run_simulation(trace, policy="wrr/gms", num_nodes=2,
-                                node_cache_bytes=CACHE, gms_replacement="lru")
-        assert result.num_requests == 2000
-
 
 class TestMakeCache:
     def test_factory_types(self):
@@ -197,6 +191,11 @@ class TestConfig:
     @pytest.mark.parametrize(
         "field, value, message",
         [
+            ("num_nodes", 0, "need at least one node, got 0"),
+            # 2.5 used to die in ``[0] * num_nodes`` with a TypeError, and
+            # True ran as a one-node cluster.
+            ("num_nodes", 2.5, "num_nodes must be an integer"),
+            ("num_nodes", True, "num_nodes must be an integer"),
             ("requests_per_connection", 0, "requests_per_connection must be >= 1, got 0"),
             # 2.5 used to be accepted and silently ran three-request
             # connections (``len(batch) < 2.5``).

@@ -85,28 +85,6 @@ class TestMembership:
         assert {t: policy.choose(t, 1) for t in targets} == before
 
 
-class TestWeights:
-    def test_weighted_nodes_own_proportional_arcs(self):
-        policy = _chash(4, weights=(1.0, 1.0, 2.0, 4.0))
-        counts = [0, 0, 0, 0]
-        for i in range(4000):
-            counts[policy.choose(f"t{i}", 1)] += 1
-        assert counts[3] > counts[2] > max(counts[0], counts[1])
-
-    def test_weighted_bound_scales_with_share(self):
-        # Node with 4x weight should absorb a hot target longer than a
-        # 1x node would before spilling.
-        heavy = _chash(2, weights=(1.0, 7.0), bound_factor=1.25)
-        light = _chash(2, bound_factor=1.25)
-        # Drive both to total_load 8 concentrated on one node.
-        h_owner = heavy.choose("x", 1)
-        l_owner = light.choose("x", 1)
-        _load(heavy, h_owner, 8)
-        _load(light, l_owner, 8)
-        if h_owner == 1:  # only meaningful if the heavy node owns "x"
-            assert heavy.spills <= light.spills
-
-
 class TestValidation:
     def test_bound_factor_must_exceed_one(self):
         with pytest.raises(PolicyError):

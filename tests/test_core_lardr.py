@@ -137,9 +137,15 @@ class TestMappingTable:
 
 def test_validation():
     with pytest.raises(PolicyError):
-        LARDReplication(2, k_seconds=0.0)
-    with pytest.raises(PolicyError):
         LARDReplication(2, max_mappings=0)
+
+
+@pytest.mark.parametrize("k_seconds", [0.0, -1.0, float("nan")])
+def test_k_seconds_must_be_positive(k_seconds):
+    """NaN used to pass ``k <= 0`` and then never shrink a replica set:
+    no elapsed time compares greater than it."""
+    with pytest.raises(PolicyError, match="k_seconds must be positive"):
+        LARDReplication(2, k_seconds=k_seconds)
 
 
 def test_name():

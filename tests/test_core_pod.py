@@ -68,13 +68,6 @@ class TestPowerOfD:
         # d=2 keeps the max within a small factor of the mean (100).
         assert max(policy.loads) < 150
 
-    def test_weighted_probe_key_scales_load(self):
-        policy = PowerOfD(2, d=2, weights=(1.0, 3.0))
-        _load(policy, 0, 1)
-        _load(policy, 1, 2)
-        # 2/3 < 1/1: the heavier node is less loaded per unit capacity.
-        assert policy.choose("x", 1) == 1
-
     def test_d_must_be_positive(self):
         with pytest.raises(PolicyError):
             PowerOfD(4, d=0)

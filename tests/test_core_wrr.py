@@ -77,12 +77,10 @@ def test_rotation_wraps_past_dead_nodes_at_the_ring_ends():
     assert chosen == [1, 2, 1, 2, 1]
 
 
-@pytest.mark.parametrize("weights", [None, [1.0, 2.0]])
-def test_no_alive_node_raises_policy_error(weights):
+def test_no_alive_node_raises_policy_error():
     """Unreachable through the public contract (the last alive node cannot
-    be failed); pinned so both branches agree with ``least_loaded_node``
-    on the error type."""
-    policy = WeightedRoundRobin(2, weights=weights)
+    be failed); pinned so the walk fails instead of spinning."""
+    policy = WeightedRoundRobin(2)
     policy._alive[:] = [False, False]
     policy._dead_count = 2
     with pytest.raises(PolicyError, match="no alive back-end"):

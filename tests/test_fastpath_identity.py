@@ -79,12 +79,6 @@ _CONFIGS = [
     dict(policy="pod/lc", num_nodes=4, node_cache_bytes=2**19),
     dict(policy="pod/lc", num_nodes=4, node_cache_bytes=2**19, policy_seed=7),
     dict(
-        policy="chash",
-        num_nodes=4,
-        node_cache_bytes=2**19,
-        node_weights=(1.0, 1.0, 2.0, 4.0),
-    ),
-    dict(
         policy="pod",
         num_nodes=3,
         node_cache_bytes=2**19,

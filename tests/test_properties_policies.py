@@ -179,20 +179,15 @@ def _assert_summaries_match(policy):
 @settings(max_examples=150, deadline=None)
 @given(
     num_nodes=st.integers(min_value=1, max_value=64),
-    weight_seed=st.one_of(st.none(), st.integers(min_value=0, max_value=10**6)),
     eager=st.booleans(),
     schedule=_helper_ops,
 )
-def test_load_helpers_match_the_scan_oracle(num_nodes, weight_seed, eager, schedule):
+def test_load_helpers_match_the_scan_oracle(num_nodes, eager, schedule):
     """``eager`` asks after every step (the bound is always fresh); the
     lazy runs only ask at ``ask`` ops, so the bound goes stale by several
     levels — under completions, failures and joins — before it is used.
     Every ask is from id 0 and from the op's own value as ring position."""
-    weights = None
-    if weight_seed is not None:
-        rng = random.Random(weight_seed)
-        weights = [rng.choice((1.0, 2.0, 4.0)) for _ in range(num_nodes)]
-    policy = WeightedRoundRobin(num_nodes, weights=weights)
+    policy = WeightedRoundRobin(num_nodes)
     for op, value in schedule:
         alive = policy.alive_nodes
         if op == "req":

@@ -6,7 +6,7 @@ plus the two live-prototype measurements, and writes the results as a
 markdown record.  This is the script that produced the committed
 EXPERIMENTS.md.
 
-Usage: python scripts/generate_experiments_md.py [quick|standard|full]
+Usage: python scripts/generate_experiments_md.py [smoke|quick|standard|full]
 """
 
 from __future__ import annotations
@@ -16,10 +16,7 @@ import tempfile
 import time
 from pathlib import Path
 
-from repro.analysis import EXPERIMENTS, FULL, QUICK, STANDARD, run_experiment
-from repro.analysis.experiments import EXPERIMENT_TITLES
-
-_SCALES = {"quick": QUICK, "standard": STANDARD, "full": FULL}
+from repro.analysis import EXPERIMENTS, SCALES, run_experiment
 
 
 def prototype_sections() -> str:
@@ -127,7 +124,7 @@ def l4_comparison_section() -> str:
 
 def main() -> int:
     scale_name = sys.argv[1] if len(sys.argv) > 1 else "standard"
-    scale = _SCALES[scale_name]
+    scale = SCALES[scale_name]
     started = time.time()
     sections = [
         "# EXPERIMENTS — paper vs measured\n",
@@ -141,12 +138,12 @@ def main() -> int:
         "lists the paper's qualitative expectation and the checks verified "
         "against the measured data; `[x]` = holds, `[ ]` = does not.\n",
     ]
-    for experiment_id in EXPERIMENTS:
+    for experiment_id, entry in EXPERIMENTS.items():
         print(f"running {experiment_id} ...", flush=True)
         result = run_experiment(experiment_id, scale)
         sections.append(
             f"## {experiment_id} — {result.title} ({result.paper_reference})\n\n"
-            f"_{EXPERIMENT_TITLES.get(experiment_id, '')}_\n\n"
+            f"_{entry.summary}_\n\n"
             "```\n" + "\n".join(result.render().splitlines()[1:]) + "\n```\n"
         )
     print("running prototype measurements ...", flush=True)

@@ -8,15 +8,14 @@ from .experiments import (
     EXPERIMENTS,
     FULL,
     QUICK,
+    SCALES,
     SMOKE,
     STANDARD,
     Scale,
     clear_caches,
     get_trace,
-    prefetch_cells,
-    run_cell,
+    run_cells,
     run_experiment,
-    set_parallel_jobs,
 )
 from .chaos import (
     CHAOS_SCORECARD,
@@ -45,21 +44,23 @@ from .matrix import (
     run_matrix,
 )
 from .parallel import ParallelExecutionError, default_jobs, run_many
-from .report import ExperimentResult, format_table
+from .report import ExperimentResult, check, format_table
 from .sweep import expand_parameters, result_row, sweep, write_csv
 
 __all__ = [
     "EXPERIMENTS",
     "run_experiment",
     "Scale",
+    "SCALES",
     "FULL",
     "STANDARD",
     "QUICK",
     "SMOKE",
     "clear_caches",
     "get_trace",
-    "run_cell",
+    "run_cells",
     "ExperimentResult",
+    "check",
     "format_table",
     "ascii_chart",
     "experiment_chart",
@@ -70,8 +71,6 @@ __all__ = [
     "run_many",
     "default_jobs",
     "ParallelExecutionError",
-    "prefetch_cells",
-    "set_parallel_jobs",
     "chaos_spec",
     "build_scenarios",
     "ChaosScenario",

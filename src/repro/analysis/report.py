@@ -12,7 +12,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, List, Sequence
 
-__all__ = ["ExperimentResult", "format_table"]
+__all__ = ["ExperimentResult", "check", "format_table"]
+
+#: What a check that does not hold starts with, in ``checks`` and in print.
+_FAIL = "FAIL "
 
 
 def _fmt(value: Any) -> str:
@@ -47,6 +50,12 @@ def format_table(headers: Sequence[str], rows: Sequence[Sequence[Any]]) -> str:
     return "\n".join(lines)
 
 
+def check(ok: bool, claim: str) -> str:
+    """One entry of :attr:`ExperimentResult.checks`: ``claim``, marked as
+    failed unless ``ok``."""
+    return claim if ok else _FAIL + claim
+
+
 @dataclass
 class ExperimentResult:
     """One regenerated paper figure/table."""
@@ -69,10 +78,16 @@ class ExperimentResult:
         ]
         if self.checks:
             parts.append("checks:")
-            parts.extend(f"  [{'x' if not c.startswith('FAIL') else ' '}] {c}" for c in self.checks)
+            failed = self.failures
+            parts.extend(f"  [{' ' if c in failed else 'x'}] {c}" for c in self.checks)
         if self.notes:
             parts.append(f"notes: {self.notes}")
         return "\n".join(parts)
+
+    @property
+    def failures(self) -> List[str]:
+        """The checks that did not hold (see :func:`check`)."""
+        return [c for c in self.checks if c.startswith(_FAIL)]
 
     def column(self, header: str) -> List[Any]:
         """Extract one column by header name (for assertions in benches)."""

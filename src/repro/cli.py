@@ -35,13 +35,9 @@ from .analysis import (
     DEFAULT_SCALEOUT_POLICIES,
     DEFAULT_SCALEOUT_SIZES,
     EXPERIMENTS,
-    FULL,
-    QUICK,
     SCALEOUT_SCORECARD,
-    SMOKE,
-    STANDARD,
+    SCALES,
     MatrixSpec,
-    Scale,
     builtin_matrix,
     chaos_spec,
     default_jobs,
@@ -58,7 +54,6 @@ from .workload import locality_profile
 
 __all__ = ["main", "build_parser"]
 
-_SCALES = {"smoke": SMOKE, "quick": QUICK, "standard": STANDARD, "full": FULL}
 #: The paper's three stand-in traces (see repro.analysis.matrix.paper_scenario).
 _TRACES = ("chess", "ibm", "rice")
 
@@ -76,7 +71,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("experiment", help="experiment id (see 'list') or 'all'")
     run.add_argument(
         "--scale",
-        choices=sorted(_SCALES),
+        choices=sorted(SCALES),
         default="standard",
         help="experiment size (default: standard)",
     )
@@ -259,11 +254,16 @@ def _policies(text: Optional[str], default: Sequence[str]) -> Tuple[str, ...]:
 
 
 def _cmd_list() -> int:
-    from .analysis.experiments import EXPERIMENT_TITLES
-
-    for experiment_id in EXPERIMENTS:
-        print(f"{experiment_id:16s} {EXPERIMENT_TITLES.get(experiment_id, '')}")
+    for entry in EXPERIMENTS.values():
+        print(f"{entry.experiment_id:16s} {entry.summary}")
     return 0
+
+
+def _check_sink(path: str) -> None:
+    """Before any trace is generated: an output file that cannot be
+    opened.  Append mode, so what is already there survives a run that
+    then fails; the writer truncates it."""
+    Path(path).open("a").close()
 
 
 def _cmd_run(
@@ -275,15 +275,22 @@ def _cmd_run(
 ) -> int:
     from .analysis import experiment_chart
 
-    jobs = _resolve_jobs(jobs)
-    scale = _SCALES[scale_name]
-    ids = list(EXPERIMENTS) if experiment == "all" else [experiment]
     profiler = None
     if profile:
+        if jobs != 1:
+            # The flag as typed (0 is one worker per CPU): every
+            # simulation of an experiment runs in a pool worker.
+            raise ValueError(
+                f"--profile needs --jobs 1 (got {jobs}): worker processes are not profiled"
+            )
+        _check_sink(profile)
         import cProfile
 
         profiler = cProfile.Profile()
         profiler.enable()
+    jobs = _resolve_jobs(jobs)
+    scale = SCALES[scale_name]
+    ids = list(EXPERIMENTS) if experiment == "all" else [experiment]
     failed = False
     try:
         for experiment_id in ids:
@@ -294,7 +301,7 @@ def _cmd_run(
                 if rendered:
                     print(rendered)
             print()
-            failed = failed or any(c.startswith("FAIL") for c in result.checks)
+            failed = failed or bool(result.failures)
     finally:
         if profiler is not None:
             profiler.disable()
@@ -329,8 +336,11 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
         with SpanWriter(args.spans, source="sim") as writer:
             SimTracer(writer, sample_interval_s=args.sample_interval)
-    # Before the trace is generated too: a speed the cost model refuses.
+    # Before the trace is generated too: a speed the cost model refuses,
+    # a profile that cannot be written.
     costs = CostModel(cpu_speed=args.cpu_speed)
+    if args.profile:
+        _check_sink(args.profile)
     trace = _make_trace(args.trace, args.requests, args.scale_factor)
     result = run_simulation(
         trace,
@@ -368,13 +378,9 @@ def _cmd_campaign(spec: MatrixSpec, header: str, args: argparse.Namespace) -> in
     mapped its flags to a spec: run it, print the scorecard, write it."""
     jobs = _resolve_jobs(args.jobs)
     if args.csv:
-        # Before any trace is generated (a default scaleout is minutes):
-        # a sink that cannot be opened.  Append mode, so a scorecard
-        # already there survives a campaign that fails; write_csv
-        # truncates it.
-        sink = Path(args.csv)
-        sink.parent.mkdir(parents=True, exist_ok=True)
-        sink.open("a").close()
+        # A default scaleout is minutes; write_csv makes the directory too.
+        Path(args.csv).parent.mkdir(parents=True, exist_ok=True)
+        _check_sink(args.csv)
     rows = run_matrix(spec, jobs=jobs)
     card = spec.scorecard
     print(header)

@@ -322,12 +322,14 @@ class TestCampaignContract:
     @staticmethod
     def _refused(capsys, cache, argv, *needles):
         assert main(argv) == 2
-        err = capsys.readouterr().err
+        captured = capsys.readouterr()
+        err = captured.err
         assert err.startswith("lard-repro: error:") and err.count("\n") == 1
         for needle in needles:
             assert needle in err
         assert "Traceback" not in err
         assert not cache.exists() or not any(cache.iterdir())
+        return captured.out
 
     @pytest.mark.parametrize("verb", sorted(_CAMPAIGNS))
     def test_unwritable_csv_sink_is_found_before_the_campaign_runs(
@@ -384,6 +386,26 @@ class TestCampaignContract:
     def test_repeated_axis_values_rejected(self, capsys, cache, argv, what):
         """They used to run every cell twice and print every row twice."""
         self._refused(capsys, cache, argv, what)
+
+    @pytest.mark.parametrize(
+        "argv, profile, needle",
+        [
+            (["run", "fig5", "--scale", "smoke"], "missing/x.pstats", "No such file or directory"),
+            (["simulate", *_SMALL], "missing/x.pstats", "No such file or directory"),
+            (["run", "fig5", "--scale", "smoke", "--jobs", "2"], "x.pstats", "not profiled"),
+            (["run", "fig5", "--scale", "smoke", "--jobs", "0"], "x.pstats", "not profiled"),
+        ],
+        ids=["run-sink", "simulate-sink", "run-jobs-2", "run-jobs-0"],
+    )
+    def test_profile_is_checked_before_anything_runs(
+        self, capsys, cache, tmp_path, argv, profile, needle
+    ):
+        """``run --profile`` into a directory that is not there used to
+        run and print the whole experiment, then exit 2 on the dump
+        (``simulate`` likewise); with ``--jobs 2`` it profiled the parent
+        waiting on the pool."""
+        argv = argv + ["--profile", str(tmp_path / profile)]
+        assert self._refused(capsys, cache, argv, needle) == ""
 
     def test_jobs_zero_is_one_worker_per_cpu(self, capsys, tmp_path):
         one, auto = tmp_path / "one.csv", tmp_path / "auto.csv"

@@ -1,4 +1,5 @@
-"""Metamorphic oracle: exact power-of-two time dilation.
+"""Metamorphic oracles: exact power-of-two time dilation, and target
+relabelling (at the end of the file).
 
 Every duration the simulator schedules is a cost constant divided by
 ``cpu_speed`` or ``disk_speed``, and the one time the policies read is
@@ -21,12 +22,14 @@ from __future__ import annotations
 
 import dataclasses
 
+import numpy as np
 import pytest
 
+from repro.analysis import paper_scenario
 from repro.cluster import ClusterConfig, CostModel, run_simulation
 from repro.core import POLICY_NAMES
 from repro.obs import read_span_log
-from repro.workload import synthesize_trace
+from repro.workload import Trace, synthesize_trace
 from tests.seeded_mutation import assert_selected_tests_fail
 
 NUM_NODES = 4
@@ -93,3 +96,57 @@ _MUTATION = (
 
 def test_seeded_mutation_is_caught(tmp_path):
     assert_selected_tests_fail(tmp_path, *_MUTATION, __file__, "doubles and wrr")
+
+
+# -- target relabelling --------------------------------------------------------
+#
+# A target id is a name.  Permute the ids (and ``sizes_by_target`` with
+# them) and a policy that only ever compares ids for equality sees the
+# same request stream: every decision, every cache and every time in the
+# result is what it was, to the last bit.  The policies that *place* by
+# a hash of the id are the complete list of exceptions: the permutation
+# hands them different buckets, so they must differ (a hashed policy
+# that did not would not be reading its hash).
+
+#: Policies whose placement is a function of the id itself.
+_PLACED_BY_ID_HASH = {"lb", "chash", "pod/lc"}
+
+
+@pytest.fixture(scope="module")
+def relabelled_pair():
+    trace = paper_scenario("rice", 20_000, 0.1).build_trace()
+    permutation = np.random.default_rng(7).permutation(trace.num_targets)
+    sizes = np.empty_like(trace.sizes_by_target)
+    sizes[permutation] = trace.sizes_by_target
+    return trace, Trace(permutation[trace.targets], sizes, name=trace.name)
+
+
+@pytest.mark.parametrize("policy", POLICY_NAMES)
+def test_relabelling_targets_changes_nothing_unless_the_policy_hashes_ids(
+    policy, relabelled_pair
+):
+    config = ClusterConfig(
+        policy=policy, num_nodes=NUM_NODES, node_cache_bytes=3 * 2**20, collect_delays=True
+    )
+    was, now = (dataclasses.asdict(run_simulation(trace, config)) for trace in relabelled_pair)
+    assert was["cache_misses"] > 0 and was["cache_hits"] > 0
+    if policy in _PLACED_BY_ID_HASH:
+        assert now != was
+        assert now["sim_time_s"] == pytest.approx(was["sim_time_s"], rel=0.1)
+    else:
+        for name in was:
+            assert now[name] == was[name], name
+
+
+# A tie-break that reads the id: first assignments start their
+# least-loaded scan at a node the target's number picks.
+_RELABEL_MUTATION = (
+    "core/lard.py",
+    "        if node is None:\n            node = self.least_loaded_node()\n",
+    "        if node is None:\n"
+    "            node = self.least_loaded_node(target % self.num_nodes)\n",
+)
+
+
+def test_seeded_relabelling_mutation_is_caught(tmp_path):
+    assert_selected_tests_fail(tmp_path, *_RELABEL_MUTATION, __file__, "relabelling and lard")

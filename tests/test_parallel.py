@@ -6,11 +6,10 @@ from repro.analysis import (
     ParallelExecutionError,
     clear_caches,
     expand_parameters,
-    prefetch_cells,
+    experiments,
     result_row,
-    run_cell,
+    run_cells,
     run_many,
-    set_parallel_jobs,
     sweep,
     write_csv,
 )
@@ -111,14 +110,23 @@ class TestParallelSweep:
 
 
 class TestExperimentPrefetch:
-    def test_prefetch_populates_cell_cache(self):
+    def test_prefetch_populates_cell_cache(self, monkeypatch):
         clear_caches()
-        cells = [("rice", p, n, SMOKE, {}) for p in ("wrr", "lard") for n in (2, 4)]
-        ran = prefetch_cells(cells, jobs=2)
-        assert ran == 4
-        # Cached now: a second prefetch (and run_cell) does no work.
-        assert prefetch_cells(cells, jobs=2) == 0
-        assert run_cell("rice", "wrr", 2, SMOKE).num_nodes == 2
+        batches = []
+
+        def counting_run_many(trace, configs, jobs=None):
+            batches.append((jobs, len(configs)))
+            return run_many(trace, configs, jobs=jobs)
+
+        monkeypatch.setattr(experiments, "run_many", counting_run_many)
+        cells = {(p, n): dict(policy=p, num_nodes=n) for p in ("wrr", "lard") for n in (2, 4)}
+        first = run_cells("rice", cells, SMOKE, jobs=2)
+        assert batches == [(2, 4)]
+        # Cached now: asking again, for all or for one, does no work.
+        assert run_cells("rice", cells, SMOKE, jobs=2) == first
+        one = run_cells("rice", {"x": dict(policy="wrr", num_nodes=2)}, SMOKE, jobs=1)["x"]
+        assert one is first["wrr", 2] and one.num_nodes == 2
+        assert batches == [(2, 4)]
         clear_caches()
 
     def test_experiment_parallel_matches_serial(self):
@@ -128,10 +136,3 @@ class TestExperimentPrefetch:
         serial = run_experiment("fig8", SMOKE)
         clear_caches()
         assert parallel.rows == serial.rows
-
-    def test_set_parallel_jobs_restores(self):
-        previous = set_parallel_jobs(3)
-        try:
-            assert set_parallel_jobs(previous) == 3
-        finally:
-            set_parallel_jobs(previous)

@@ -14,10 +14,11 @@ anything — the front-end models in :mod:`repro.cache.directory` rely on it.
 from __future__ import annotations
 
 import abc
+import heapq  # lardlint: disable-file=raw-heapq -- not an event queue; priority-heap entries carry a stamp tie-break so equal priorities pop in the order they were set
 from dataclasses import dataclass, field
-from typing import Dict, Hashable, Iterable, Iterator, Optional
+from typing import Any, Dict, Hashable, Iterable, Iterator, List, Optional, Tuple
 
-__all__ = ["Cache", "CacheStats", "CacheError"]
+__all__ = ["Cache", "PriorityHeapCache", "CacheStats", "CacheError"]
 
 Target = Hashable
 
@@ -207,3 +208,69 @@ class Cache(abc.ABC):
             f"<{type(self).__name__} {self.name or ''} "
             f"{self.used_bytes}/{self.capacity_bytes}B files={len(self)}>"
         )
+
+
+class PriorityHeapCache(Cache):
+    """A cache that evicts the file with the least ``(priority, stamp)``.
+
+    ``_priority[target]`` is what the policy orders by (a GDS credit, an
+    LFU frequency); the stamp is the change counter ``_seq`` when it was
+    last set, so equal priorities leave in the order they were set.  The
+    heap holds one ``(priority, stamp, target)`` per cached file.  A hit
+    writes ``_priority`` and ``_stamp`` and touches no heap: both only
+    rise, so a heap entry is a lower bound on its file's live key, and
+    once :meth:`_live_top` has re-keyed the stale tops it meets, the top
+    is the true minimum.
+    """
+
+    def __init__(self, capacity_bytes: int, name: str = "") -> None:
+        super().__init__(capacity_bytes, name=name)
+        self._priority: Dict[Target, Any] = {}
+        self._stamp: Dict[Target, int] = {}  # files a hit has re-prioritized
+        self._heap: List[Tuple[Any, int, Target]] = []
+        self._seq = 0
+
+    def _set_priority(self, target: Target, priority: Any) -> None:
+        """A cached file's priority rose; its heap entry goes stale."""
+        self._seq += 1
+        self._priority[target] = priority
+        self._stamp[target] = self._seq
+
+    def _push(self, target: Target, priority: Any) -> None:
+        """A file was inserted: its one heap entry (which has its stamp)."""
+        self._seq += 1
+        self._priority[target] = priority
+        heapq.heappush(self._heap, (priority, self._seq, target))
+
+    def _live_top(self) -> Tuple[Any, int, Target]:
+        """The heap entry of the next victim."""
+        heap = self._heap
+        priority = self._priority
+        while heap:
+            top = heap[0]
+            target = top[2]
+            live = priority[target]
+            if live == top[0]:
+                return top
+            heapq.heapreplace(heap, (live, self._stamp[target], target))
+        raise CacheError("victim requested from an empty cache")  # pragma: no cover
+
+    def _select_victim(self) -> Target:
+        return self._live_top()[2]
+
+    def _on_remove(self, target: Target) -> None:
+        del self._priority[target]
+        self._stamp.pop(target, None)
+        heap = self._heap
+        if not heap:
+            return  # clear() has emptied it
+        if heap[0][2] == target:
+            heapq.heappop(heap)  # the victim just selected
+        else:
+            heap[:] = [entry for entry in heap if entry[2] != target]
+            heapq.heapify(heap)
+
+    def clear(self) -> None:
+        """Drop every entry, the heap in one go (statistics are preserved)."""
+        self._heap.clear()
+        super().clear()

@@ -62,6 +62,10 @@ class GlobalCacheDirectory:
             cache.evict_listener = self._make_evict_listener(node)
             self._mirror.append(cache)
         self._alive: List[bool] = [True] * num_nodes
+        #: Upper bound on every alive mirror's free space (a larger miss
+        #: skips the walk that looks for room): raised by an evicting
+        #: insert and a revived node, lowered by a walk that finds none.
+        self._free_bound = self.node_capacity_bytes
 
     def _make_evict_listener(self, node: int):
         # The closure holds the table it updates, not ``self``: a
@@ -102,9 +106,13 @@ class GlobalCacheDirectory:
             self._mirror[node].access(target, size)  # refresh, guaranteed hit
             return RouteDecision(node=node, predicted_hit=True)
         node = self._choose_miss_node(size)
-        self._mirror[node].access(target, size)  # insert (may evict)
-        if self._mirror[node].peek(target):
+        mirror = self._mirror[node]
+        mirror.access(target, size)  # insert (may evict)
+        if mirror.peek(target):
             self._where[target] = node
+        free = self.node_capacity_bytes - mirror.used_bytes
+        if free > self._free_bound:  # it evicted more than it took
+            self._free_bound = free
         return RouteDecision(node=node, predicted_hit=False)
 
     def drop_node(self, node: int) -> int:
@@ -120,6 +128,7 @@ class GlobalCacheDirectory:
         """Resume routing to ``node`` (assumed to return with a cold cache)."""
         self._check_node(node)
         self._alive[node] = True
+        self._free_bound = self.node_capacity_bytes
 
     # -- internals -----------------------------------------------------------
 
@@ -127,33 +136,29 @@ class GlobalCacheDirectory:
         if not 0 <= node < self.num_nodes:
             raise CacheError(f"node id {node} out of range 0..{self.num_nodes - 1}")
 
-    def _victim_key(self, node: int) -> float:
-        """Credit of the node's next replacement victim (its 'age')."""
-        credit = self._mirror[node].next_victim_credit()
-        return credit if credit is not None else float("-inf")
-
     def _choose_miss_node(self, size: int) -> int:
         # Prefer a node that can absorb the file without evicting; among
         # those, the one with the most free space (fills the cluster evenly
         # during warm-up).  Once every cache is full, pick the node whose
         # next victim is globally least valuable, per the paper.
-        best_free = -1
-        best_node = -1
-        for node in range(self.num_nodes):
-            if not self._alive[node]:
-                continue
-            free = self.node_capacity_bytes - self._mirror[node].used_bytes
-            if free >= size and free > best_free:
-                best_free = free
-                best_node = node
-        if best_node >= 0:
-            return best_node
+        alive = self._alive
+        if size <= self._free_bound:
+            best_free = best_node = -1
+            for node, mirror in enumerate(self._mirror):
+                free = self.node_capacity_bytes - mirror.used_bytes
+                if alive[node] and free > best_free:
+                    best_free, best_node = free, node
+            if best_free >= size:
+                return best_node
+            self._free_bound = best_free
         oldest_key = None
         oldest_node = -1
-        for node in range(self.num_nodes):
-            if not self._alive[node]:
+        for node, mirror in enumerate(self._mirror):
+            if not alive[node]:
                 continue
-            key = self._victim_key(node)
+            key = mirror.next_victim_credit()
+            if key is None:
+                key = float("-inf")  # nothing to evict counts as oldest
             if oldest_key is None or key < oldest_key:
                 oldest_key = key
                 oldest_node = node

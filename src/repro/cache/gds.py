@@ -12,23 +12,25 @@ touched and cheap-to-keep (small) files survive.  This is GDS(1),
 optimizes request hit ratio, which is what the paper's cache-miss-ratio
 figures report.
 
-Implementation: a lazy-deletion binary heap keyed by ``(H, seq)``.  Stale
-heap entries (whose credit was refreshed after being pushed) are skipped at
-pop time by comparing against the live credit table; this keeps every
-operation O(log n) amortized without a decrease-key structure.
+Implementation: :class:`~repro.cache.base.PriorityHeapCache` keyed by
+``(H, stamp)`` — one heap entry per cached file.  A hit only writes the
+file's new credit; the heap learns of it when the entry surfaces at
+victim selection and is re-keyed, so every operation stays O(log n)
+amortized without a decrease-key structure and the heap never holds
+more than the cache does.
 """
 
 from __future__ import annotations
 
 import heapq  # lardlint: disable-file=raw-heapq -- not an event queue; credit-heap entries carry a seq tie-break so equal credits pop in insertion order
-from typing import Dict, Hashable, List, Optional, Tuple
+from typing import Dict, Hashable, Optional
 
-from .base import Cache, CacheError
+from .base import CacheError, PriorityHeapCache
 
 __all__ = ["GDSCache"]
 
 
-class GDSCache(Cache):
+class GDSCache(PriorityHeapCache):
     """Greedy-Dual-Size cache, the GDS(1) variant."""
 
     def __init__(self, capacity_bytes: int, name: str = "") -> None:
@@ -39,9 +41,7 @@ class GDSCache(Cache):
         #: hooks.
         self._fused_insert = type(self) is GDSCache
         self._inflation = 0.0  # the running L value
-        self._credit: Dict[Hashable, float] = {}
-        self._heap: List[Tuple[float, int, Hashable]] = []
-        self._seq = 0
+        self._credit: Dict[Hashable, float] = self._priority
 
     @property
     def inflation(self) -> float:
@@ -53,19 +53,10 @@ class GDSCache(Cache):
         return self._credit.get(target)
 
     def next_victim_credit(self) -> Optional[float]:
-        """H value of the entry that would be evicted next (None if empty).
-
-        Used by the LB/GC directory to pick the back-end holding the
-        globally least valuable file.  Stale heap entries encountered on
-        the way are discarded as a side effect.
-        """
-        heap = self._heap
-        while heap:
-            h, _seq, target = heap[0]
-            if self._credit.get(target) == h:
-                return h
-            heapq.heappop(heap)
-        return None
+        """H value of the entry that would be evicted next (None if
+        empty): how the LB/GC directory finds the back-end holding the
+        globally least valuable file."""
+        return self._live_top()[0] if self._heap else None
 
     # -- policy hooks --------------------------------------------------------
 
@@ -73,11 +64,6 @@ class GDSCache(Cache):
         # A zero-byte file is free to keep; give it the cost alone so its
         # credit stays finite and well ordered.
         return self._inflation + (1.0 / size if size > 0 else 1.0)
-
-    def _push(self, target: Hashable, credit: float) -> None:
-        self._seq += 1
-        self._credit[target] = credit
-        heapq.heappush(self._heap, (credit, self._seq, target))
 
     def access(self, target: Hashable, size: int) -> bool:
         """Specialized :meth:`Cache.access`: the hit path fuses the base
@@ -94,11 +80,13 @@ class GDSCache(Cache):
         cached = self._sizes.get(target)
         if cached is not None:
             self.stats.hits += 1
-            # Inlined _fresh_credit.
+            # Inlined _on_hit: a credit L has not moved since stays put,
+            # stamp and all (the file keeps its place among its equals).
             credit = self._inflation + (1.0 / cached if cached > 0 else 1.0)
-            self._seq += 1
-            self._credit[target] = credit
-            heapq.heappush(self._heap, (credit, self._seq, target))
+            if credit != self._credit[target]:
+                self._seq = seq = self._seq + 1
+                self._credit[target] = credit
+                self._stamp[target] = seq
             return True
         stats = self.stats
         stats.misses += 1
@@ -115,41 +103,20 @@ class GDSCache(Cache):
         self.used_bytes += size
         stats.insertions += 1
         credit = self._inflation + (1.0 / size if size > 0 else 1.0)
-        self._seq += 1
+        self._seq = seq = self._seq + 1
         self._credit[target] = credit
-        heapq.heappush(self._heap, (credit, self._seq, target))
+        heapq.heappush(self._heap, (credit, seq, target))
         return False
 
     def _on_hit(self, target: Hashable) -> None:
-        self._push(target, self._fresh_credit(self._sizes[target]))
+        credit = self._fresh_credit(self._sizes[target])
+        if credit != self._credit[target]:
+            self._set_priority(target, credit)
 
     def _on_insert(self, target: Hashable, size: int) -> None:
         self._push(target, self._fresh_credit(size))
 
     def _select_victim(self) -> Hashable:
-        heap = self._heap
-        credit = self._credit
-        while heap:
-            h, _seq, target = heap[0]
-            live = credit.get(target)
-            if live is None or live != h:
-                heapq.heappop(heap)  # stale entry: refreshed or removed
-                continue
-            self._inflation = h
-            return target
-        raise CacheError("GDS victim requested from an empty cache")  # pragma: no cover
-
-    def _on_remove(self, target: Hashable) -> None:
-        # Lazy deletion: heap entries become stale and are skipped later.
-        del self._credit[target]
-        self._maybe_compact()
-
-    def _maybe_compact(self) -> None:
-        """Rebuild the heap when stale entries dominate, bounding memory."""
-        if len(self._heap) > 64 and len(self._heap) > 4 * len(self._credit):
-            self._heap = [
-                (h, seq, target)
-                for (h, seq, target) in self._heap
-                if self._credit.get(target) == h
-            ]
-            heapq.heapify(self._heap)
+        credit, _stamp, victim = self._live_top()
+        self._inflation = credit
+        return victim

@@ -170,10 +170,9 @@ class GlobalMemorySystem:
     def drop_node(self, node: int) -> int:
         """Discard every file cached on ``node`` (node failure).  Returns count."""
         self._check_node(node)
-        victims = list(self._locals[node])
-        for target in victims:
-            self._locals[node].invalidate(target)  # listener fixes _where
-        return len(victims)
+        dropped = len(self._locals[node])
+        self._locals[node].clear()  # listener fixes _where
+        return dropped
 
     # -- internals -------------------------------------------------------------
 

@@ -9,60 +9,25 @@ but adapts slowly when the working set shifts.
 
 from __future__ import annotations
 
-import heapq  # lardlint: disable-file=raw-heapq -- not an event queue; frequency-heap entries carry a seq tie-break so ties pop in insertion order
-from typing import Dict, Hashable, List, Tuple
+from typing import Hashable
 
-from .base import Cache, CacheError
+from .base import PriorityHeapCache
 
 __all__ = ["LFUCache"]
 
 
-class LFUCache(Cache):
-    """LFU with least-recent tie-break, via a lazy-deletion heap.
-
-    Heap entries are ``(frequency, seq, target)``; ``seq`` is a global
-    access counter, so equal-frequency entries evict in least-recently-
-    touched order.
+class LFUCache(PriorityHeapCache):
+    """LFU with least-recent tie-break: the priority is the access
+    count and every access restamps, so equal-frequency entries evict in
+    least-recently-touched order.
     """
-
-    def __init__(self, capacity_bytes: int, name: str = "") -> None:
-        super().__init__(capacity_bytes, name=name)
-        self._freq: Dict[Hashable, int] = {}
-        self._stamp: Dict[Hashable, int] = {}
-        self._heap: List[Tuple[int, int, Hashable]] = []
-        self._seq = 0
 
     def frequency_of(self, target: Hashable) -> int:
         """Access count of a cached target (0 if absent)."""
-        return self._freq.get(target, 0)
-
-    def _touch(self, target: Hashable) -> None:
-        self._seq += 1
-        self._freq[target] = self._freq.get(target, 0) + 1
-        self._stamp[target] = self._seq
-        heapq.heappush(self._heap, (self._freq[target], self._seq, target))
+        return self._priority.get(target, 0)
 
     def _on_hit(self, target: Hashable) -> None:
-        self._touch(target)
+        self._set_priority(target, self._priority[target] + 1)
 
     def _on_insert(self, target: Hashable, size: int) -> None:
-        self._touch(target)
-
-    def _select_victim(self) -> Hashable:
-        while self._heap:
-            freq, stamp, target = self._heap[0]
-            if self._freq.get(target) == freq and self._stamp.get(target) == stamp:
-                return target
-            heapq.heappop(self._heap)  # stale
-        raise CacheError("LFU victim requested from an empty cache")  # pragma: no cover
-
-    def _on_remove(self, target: Hashable) -> None:
-        del self._freq[target]
-        del self._stamp[target]
-        if len(self._heap) > 64 and len(self._heap) > 4 * len(self._freq):
-            self._heap = [
-                (f, s, t)
-                for (f, s, t) in self._heap
-                if self._freq.get(t) == f and self._stamp.get(t) == s
-            ]
-            heapq.heapify(self._heap)
+        self._push(target, 1)

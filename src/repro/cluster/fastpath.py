@@ -95,16 +95,29 @@ would add ``0 * x`` to an integral that is never below ``+0.0``.
 
 Several canonical bodies are deliberately inlined in the connection
 classes and :meth:`FastPath.admit` — from ``Resource`` (enqueue/finish),
-``Policy.on_dispatch``/``on_complete``, ``LoadTracker._update`` and
+``Policy.on_dispatch``/``on_complete``, ``LoadTracker.observe`` and
 ``FrontEnd._account_request``/``_detach`` — because at ~4 events per
 request the call frames themselves dominated the profile.  Any semantic
 change to those canonical implementations must be mirrored below; the
-identity tests exist to catch a missed mirror.  A class that changes a
-stage carries that stage in full (``PersistentConnection._advance`` and
-``_complete``, ``FaultyConnection._request_done``) rather than wrapping
-the base one: what a run adds should cost what it records, not a frame
-per stage on top.  Only the rare paths — a rehandoff, a retry, a lost
-request — call the canonical ``FrontEnd`` accounting.
+identity tests exist to catch a missed mirror.  Of the tracker only the
+threshold crossing is left to inline: it integrates over the policy's
+own ``loads``, so the load a policy update has just computed is the one
+it compares, and a +1 (-1) can only leave (enter) underutilization.  A
+class that changes a stage carries that stage in full
+(``PersistentConnection._advance`` and ``_complete``,
+``FaultyConnection._request_done``) rather than wrapping the base one:
+what a run adds should cost what it records, not a frame per stage on
+top.  Only the rare paths — a rehandoff, a retry, a lost request — call
+the canonical ``FrontEnd`` accounting.
+
+The front-end is a closed loop, so in steady state a completion admits
+exactly one connection, and ``_complete`` hands its slot over: the
+completing object becomes the admitted connection and ``fe.in_flight``
+is not written.  (Parking first was a round trip: the pool is LIFO, so
+the object appended was the object popped, and the count went down and
+up by one within an event in which nothing reads it.)  The slot is
+given up, and the object parked, only on the exit that admits nothing;
+``tests/test_fastpath_exits.py`` drives every exit.
 """
 
 from __future__ import annotations
@@ -192,9 +205,10 @@ class FastPath:
     * one :class:`DiskTimes` per distinct :class:`CostModel`
       (:meth:`disk_times`), handed to each node for its own model.
 
-    The policy's ``loads``/``_alive`` lists and the tracker's arrays are
-    captured by reference (they are mutated in place, never reassigned),
-    so the per-request accounting below runs on plain list indexing.
+    The policy's ``loads``/``_alive`` lists and the tracker's arrays
+    (which integrate over that same ``loads``) are captured by reference
+    — they are mutated in place, never reassigned — so the per-request
+    accounting below runs on plain list indexing.
     """
 
     __slots__ = (
@@ -219,8 +233,6 @@ class FastPath:
         "policy",
         "p_loads",
         "p_alive",
-        "tracker",
-        "t_load",
         "t_under_since",
         "t_under_time",
         "t_is_under",
@@ -283,8 +295,6 @@ class FastPath:
         self.p_loads: List[int] = policy.loads
         self.p_alive: List[bool] = policy._alive
         tracker = fe.tracker
-        self.tracker = tracker
-        self.t_load: List[int] = tracker._load
         self.t_under_since: List[float] = tracker._under_since
         self.t_under_time: List[float] = tracker._under_time
         self.t_is_under: List[bool] = tracker._is_under
@@ -358,15 +368,14 @@ class FastPath:
             policy = self.policy
             if not self.p_alive[node_id]:
                 policy.on_dispatch(node_id)
-            self.p_loads[node_id] += 1
+            p_loads = self.p_loads
+            load = p_loads[node_id] + 1
+            p_loads[node_id] = load
             policy.dispatches += 1
-            # LoadTracker.on_dispatch, inlined.  Admission never moves
-            # the clock, so one ``now`` read serves the whole loop; a
-            # +1 delta can only cross the threshold upward, so only the
+            # LoadTracker.observe, inlined.  Admission never moves the
+            # clock, so one ``now`` read serves the whole loop; a +1
+            # delta can only cross the threshold upward, so only the
             # leaves-underutilization transition is reachable.
-            t_load = self.t_load
-            load = t_load[node_id] + 1
-            t_load[node_id] = load
             if load >= self.t_threshold and self.t_is_under[node_id]:
                 self.t_under_time[node_id] += now - self.t_under_since[node_id]
                 self.t_is_under[node_id] = False
@@ -437,8 +446,9 @@ class FastConnection:
     callback sits in a contended resource's waiter queue (see the
     module docstring for why that is sound).
 
-    Instances are pooled by the owning :class:`FastPath`: a completing
-    connection parks itself before re-admission runs, so the steady
+    Instances are reused: a completing connection carries the request
+    its freed slot admits, and parks itself in the owning
+    :class:`FastPath`'s pool only when there is none, so the steady
     state allocates no per-request objects at all.
     """
 
@@ -754,8 +764,8 @@ class FastConnection:
 
     def _complete(self) -> None:
         """Teardown done: book it, fold the request into the node and
-        front-end counters, park the object, refill the admission
-        pipeline (``_account_request``/``_detach``/``admit`` inlined)."""
+        front-end counters, hand the slot to the next trace request
+        (``_account_request``/``_detach``/``admit`` inlined)."""
         node = self.node
         cpu = node.cpu
         now = self.engine.now
@@ -795,14 +805,14 @@ class FastConnection:
             fe.timeline[bucket] = fe.timeline.get(bucket, 0) + 1
         fe.completed += 1
         # FrontEnd._detach, inlined (Policy.on_complete — least-load
-        # bound and scan cursor included — and LoadTracker.on_complete
-        # bodies folded in; the canonical calls reproduce the errors on
-        # the failure branches, and a -1 delta can only cross the
+        # bound and scan cursor included — and LoadTracker.observe on
+        # the load just written; the canonical call reproduces the error
+        # on the failure branch, and a -1 delta can only cross the
         # threshold downward, so only the enters-underutilization
         # transition is reachable).
         policy = fp.policy
+        p_loads = fp.p_loads
         if live:
-            p_loads = fp.p_loads
             load = p_loads[node_id] - 1
             if load < 0:
                 policy.on_complete(node_id)
@@ -815,23 +825,18 @@ class FastConnection:
                 elif node_id < policy._min_cursor:
                     policy._min_cursor = node_id
             policy.completions += 1
-            t_load = fp.t_load
-            load = t_load[node_id] - 1
-            if load < 0:
-                fp.tracker.on_complete(node_id, now)
-            t_load[node_id] = load
             if load < fp.t_threshold and not fp.t_is_under[node_id]:
                 fp.t_under_since[node_id] = now
                 fp.t_is_under[node_id] = True
         else:
             fe.orphaned += 1
-        fe.in_flight -= 1
-        # Park before re-admission so the next admitted request can
-        # reuse this object; nothing below touches self.
-        fp.pool.append(self)
-        # The steady-state single admission, inlined from FastPath.admit.
+        # The freed slot admits the next trace request on this object:
+        # one connection out, one in, so ``fe.in_flight`` and the pool
+        # are left alone (FastPath.admit's single admission, inlined).
+        in_flight = fe.in_flight - 1
+        limit = fe.max_in_flight
         i = fe._next
-        if i < fp.n and fe.in_flight < fe.max_in_flight:
+        if i < fp.n and in_flight < limit:
             target = fp.targets_l[i]
             fe._next = i + 1
             size = fp.sizes_l[target]
@@ -840,30 +845,25 @@ class FastConnection:
             hit_hint = take() if take is not None else None
             if not fp.p_alive[node_id]:
                 policy.on_dispatch(node_id)
-            fp.p_loads[node_id] += 1
+            load = p_loads[node_id] + 1
+            p_loads[node_id] = load
             policy.dispatches += 1
-            t_load = fp.t_load
-            load = t_load[node_id] + 1
-            t_load[node_id] = load
             if load >= fp.t_threshold and fp.t_is_under[node_id]:
                 fp.t_under_time[node_id] += now - fp.t_under_since[node_id]
                 fp.t_is_under[node_id] = False
             fp.per_node_dispatches[node_id] += 1
             fe.connections += 1
-            fe.in_flight += 1
-            pool = fp.pool
-            conn = pool.pop() if pool else fp.new_connection()
-            conn.node_id = node_id
-            conn.epoch = fp.epochs[node_id]
-            conn.node = fp.nodes[node_id]
-            conn.target = target
-            conn.size = size
-            conn.hit_hint = hit_hint
+            self.node_id = node_id
+            self.epoch = fp.epochs[node_id]
+            self.node = fp.nodes[node_id]
+            self.target = target
+            self.size = size
+            self.hit_hint = hit_hint
             # A single freed slot admits a single connection; anything
             # more (a raised admission limit racing this completion)
             # goes to the general loop, behind this one's staged start.
-            if fe.in_flight < fe.max_in_flight and fe._next < fp.n:
-                self.schedule(0.0, conn._begin_cb)
+            if in_flight + 1 < limit and fe._next < fp.n:
+                self.schedule(0.0, self._begin_cb)
                 fp.admit()
                 return
             # Nothing follows in this event, so any connection class may
@@ -874,12 +874,17 @@ class FastConnection:
                 and (not fp.heap or fp.heap[0][0] > now)
             ):
                 engine.events_dispatched += 1
-                conn._begin_cb()
+                self._begin_cb()
                 hook = engine._sanitizer
                 if hook is not None:
-                    hook(now, conn._begin_cb)
+                    hook(now, self._begin_cb)
             else:
-                self.schedule(0.0, conn._begin_cb)
+                self.schedule(0.0, self._begin_cb)
+        else:
+            # Nothing to admit (the trace ran out, or a failure lowered
+            # the limit): the slot is given up and the object parked.
+            fe.in_flight = in_flight
+            fp.pool.append(self)
 
 
 class PersistentConnection(FastConnection):
@@ -1001,8 +1006,8 @@ class PersistentConnection(FastConnection):
 
     def _complete(self) -> None:
         """Teardown done: book it, count the last request, release the
-        connection's load and slot, refill — ``FrontEnd._detach`` and the
-        single admission inlined as in ``FastConnection._complete``,
+        connection's load, hand its slot over — ``FrontEnd._detach`` and
+        the single admission inlined as in ``FastConnection._complete``,
         which has the comments; a connection here takes up to
         ``per_conn`` trace requests."""
         cpu = self.node.cpu
@@ -1022,8 +1027,8 @@ class PersistentConnection(FastConnection):
         fp = self.fp
         node_id = self.node_id
         policy = fp.policy
+        p_loads = fp.p_loads
         if fp.epochs[node_id] == self.epoch:
-            p_loads = fp.p_loads
             load = p_loads[node_id] - 1
             if load < 0:
                 policy.on_complete(node_id)
@@ -1036,21 +1041,16 @@ class PersistentConnection(FastConnection):
                 elif policy._min_cursor > node_id:
                     policy._min_cursor = node_id
             policy.completions += 1
-            t_load = fp.t_load
-            load = t_load[node_id] - 1
-            if load < 0:
-                fp.tracker.on_complete(node_id, now)
-            t_load[node_id] = load
             if load < fp.t_threshold and not fp.t_is_under[node_id]:
                 fp.t_under_since[node_id] = now
                 fp.t_is_under[node_id] = True
         else:
             fe.orphaned += 1
-        fe.in_flight -= 1
-        fp.pool.append(self)
+        in_flight = fe.in_flight - 1
+        limit = fe.max_in_flight
         first = fe._next
         n = fp.n
-        if first < n and fe.in_flight < fe.max_in_flight:
+        if first < n and in_flight < limit:
             end = first + fp.per_conn
             if end > n:
                 end = n
@@ -1062,41 +1062,39 @@ class PersistentConnection(FastConnection):
             hit_hint = take() if take is not None else None
             if not fp.p_alive[node_id]:
                 policy.on_dispatch(node_id)
-            fp.p_loads[node_id] += 1
+            load = p_loads[node_id] + 1
+            p_loads[node_id] = load
             policy.dispatches += 1
-            t_load = fp.t_load
-            load = t_load[node_id] + 1
-            t_load[node_id] = load
             if load >= fp.t_threshold and fp.t_is_under[node_id]:
                 fp.t_under_time[node_id] += now - fp.t_under_since[node_id]
                 fp.t_is_under[node_id] = False
             fp.per_node_dispatches[node_id] += 1
             fe.connections += 1
-            fe.in_flight += 1
-            pool = fp.pool
-            conn = pool.pop() if pool else fp.new_connection()
-            conn.node_id = node_id
-            conn.epoch = fp.epochs[node_id]
-            conn.node = fp.nodes[node_id]
-            conn.target = target
-            conn.size = size
-            conn.hit_hint = hit_hint
-            conn.index = first
-            conn.last = end - 1
-            if fe.in_flight < fe.max_in_flight and end < n:
-                self.schedule(0.0, conn._begin_cb)
+            self.node_id = node_id
+            self.epoch = fp.epochs[node_id]
+            self.node = fp.nodes[node_id]
+            self.target = target
+            self.size = size
+            self.hit_hint = hit_hint
+            self.index = first
+            self.last = end - 1
+            if in_flight + 1 < limit and end < n:
+                self.schedule(0.0, self._begin_cb)
                 fp.admit()
                 return
             engine = self.engine
             heap = fp.heap
             if not (fp.nowq or engine._stopped) and (not heap or heap[0][0] > now):
                 engine.events_dispatched += 1
-                conn._begin_cb()
+                self._begin_cb()
                 hook = engine._sanitizer
                 if hook is not None:
-                    hook(now, conn._begin_cb)
+                    hook(now, self._begin_cb)
             else:
-                self.schedule(0.0, conn._begin_cb)
+                self.schedule(0.0, self._begin_cb)
+        else:
+            fe.in_flight = in_flight
+            fp.pool.append(self)
 
 
 class FaultyConnection(PersistentConnection):

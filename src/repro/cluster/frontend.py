@@ -139,7 +139,7 @@ class FrontEnd:
         """A back-end died: drop its mappings and load, orphan its
         in-flight connections, and stop routing to it."""
         self.policy.on_node_failure(node)
-        self.tracker.reset_node(node, self.engine.now)
+        self.tracker.observe(node, self.engine.now)
         self._epoch[node] += 1
         backend = self.nodes[node]
         if backend.gms is not None:
@@ -184,9 +184,8 @@ class FrontEnd:
     # -- per-connection accounting --------------------------------------------------
 
     def _attach(self, node_id: int) -> None:
-        now = self.engine.now
         self.policy.on_dispatch(node_id)
-        self.tracker.on_dispatch(node_id, now)
+        self.tracker.observe(node_id, self.engine.now)
         self.per_node_dispatches[node_id] += 1
 
     def _detach(self, node_id: int, epoch: int) -> None:
@@ -196,7 +195,7 @@ class FrontEnd:
             self.orphaned += 1
             return
         self.policy.on_complete(node_id)
-        self.tracker.on_complete(node_id, self.engine.now)
+        self.tracker.observe(node_id, self.engine.now)
 
     def _account_request(self, node_id: int, epoch: int, start: float) -> None:
         now = self.engine.now

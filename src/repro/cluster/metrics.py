@@ -10,8 +10,8 @@
 * **Delay** — mean per-request latency, dispatch to completion
   (Section 4.4 compares LARD/R's delay against WRR's).
 
-:class:`LoadTracker` integrates each node's active-connection level over
-time so the idle figure needs no sampling; :class:`SimulationResult` is
+:class:`LoadTracker` integrates each node's time below that level over
+the policy's own load list, so the idle figure needs no sampling; :class:`SimulationResult` is
 the bundle every experiment consumes.
 """
 
@@ -35,21 +35,23 @@ UNDERUTILIZATION_FRACTION = 0.40
 
 
 class LoadTracker:
-    """Time-integrates per-node load to report underutilization fractions."""
+    """Time-integrates per-node underutilization over ``loads``, the
+    policy's own active-connection list: it is told (:meth:`observe`)
+    when an entry changed."""
 
-    def __init__(self, num_nodes: int, threshold: float) -> None:
-        self.num_nodes = num_nodes
+    def __init__(self, loads: List[int], threshold: float) -> None:
+        self.loads = loads
+        self.num_nodes = num_nodes = len(loads)
         self.threshold = threshold
-        self._load = [0] * num_nodes
         self._under_since = [0.0] * num_nodes  # every node starts idle at t=0
         self._under_time = [0.0] * num_nodes
         self._is_under = [True] * num_nodes
 
-    def _update(self, node: int, now: float, delta: int) -> None:
-        load = self._load[node] + delta
+    def observe(self, node: int, now: float) -> None:
+        """``loads[node]`` was written at time ``now``."""
+        load = self.loads[node]
         if load < 0:
             raise ValueError(f"node {node} load went negative")
-        self._load[node] = load
         under = load < self.threshold
         if under and not self._is_under[node]:
             self._under_since[node] = now
@@ -57,22 +59,6 @@ class LoadTracker:
         elif not under and self._is_under[node]:
             self._under_time[node] += now - self._under_since[node]
             self._is_under[node] = False
-
-    def on_dispatch(self, node: int, now: float) -> None:
-        """A connection was handed to ``node`` at time ``now``."""
-        self._update(node, now, +1)
-
-    def on_complete(self, node: int, now: float) -> None:
-        """A connection finished at ``node`` at time ``now``."""
-        self._update(node, now, -1)
-
-    def reset_node(self, node: int, now: float) -> None:
-        """Zero a node's load (failure): its connections no longer count."""
-        self._update(node, now, -self._load[node])
-
-    def load(self, node: int) -> int:
-        """Current active-connection count of ``node``."""
-        return self._load[node]
 
     def underutilized_fraction(self, node: int, end_time: float) -> float:
         """Fraction of [0, end_time] the node spent below the threshold."""

@@ -325,7 +325,7 @@ class ClusterSimulator:
             node.peers = self.nodes
             node.dynamic_cost_of_target = dynamic_costs
         self.tracker = LoadTracker(
-            config.num_nodes, threshold=UNDERUTILIZATION_FRACTION * config.t_low
+            self.policy.loads, threshold=UNDERUTILIZATION_FRACTION * config.t_low
         )
         self.frontend = FrontEnd(
             self.engine,

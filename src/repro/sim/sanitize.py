@@ -37,7 +37,9 @@ Checked every ``deep_interval`` events and at end of run (O(cluster)):
 * policy load accounting is non-negative and its incremental summaries
   match a recount (``_min_load`` at or below the least alive load, no
   alive node below ``_min_cursor`` at that bound,
-  ``total_load == sum(loads)``, ``alive_count == sum(_alive)``), and
+  ``total_load == sum(loads)``, ``alive_count == sum(_alive)``), the
+  load tracker's underutilized flag of every alive node is on the side
+  of its threshold that the policy's load is, and
   every node named by a LARD mapping or LARD/R server set is in the live
   membership — the paper's failure rule ("as if they had not been
   assigned before") says a dead node must never be routable.  The
@@ -321,12 +323,24 @@ class InvariantSanitizer:
         policy = self._policy
         if policy is None:
             return
+        alive: Sequence[bool] = policy._alive
+        # The idle integral is kept by transitions inlined beside every
+        # load write; a skipped one leaves the flag on the wrong side.
+        tracker = getattr(self._frontend, "tracker", None)
         for node, load in enumerate(policy.loads):
             if load < 0:
                 self._fail(
                     when, callback, f"policy load for node {node} is negative ({load})"
                 )
-        alive: Sequence[bool] = policy._alive
+            if tracker is not None and alive[node] and tracker._is_under[node] != (
+                load < tracker.threshold
+            ):
+                self._fail(
+                    when,
+                    callback,
+                    f"load tracker has node {node} on the wrong side of its "
+                    f"threshold {tracker.threshold:g} at load {load}",
+                )
         # The incremental load summaries against a recount: a lifecycle
         # that bypasses Policy.on_complete and forgets to mirror them
         # would otherwise mis-route silently.

@@ -317,7 +317,7 @@ def _maybe_rehandoff(fe, node_id: int, epoch: int, target: int, size: int):
     # Move the connection: release the old node's slot, take the new.
     if fe._epoch[node_id] == epoch:
         fe.policy.on_complete(node_id)
-        fe.tracker.on_complete(node_id, now)
+        fe.tracker.observe(node_id, now)
     else:
         fe.orphaned += 1
     fe._attach(new_node)

@@ -1,8 +1,17 @@
-"""Unit tests for the LB/GC global cache directory."""
+"""Unit tests for the LB/GC global cache directory.
+
+A miss looks for a mirror with room before it looks for the oldest
+victim; the directory keeps an upper bound on the room there is, so on
+full caches the first look is skipped.  ``_TwoWalkDirectory`` is the
+routing without the bound, the oracle of the routing with it.
+"""
+
+import random
 
 import pytest
 
 from repro.cache import CacheError, GlobalCacheDirectory
+from tests.seeded_mutation import assert_selected_tests_fail
 
 
 def test_first_route_is_a_miss():
@@ -118,3 +127,117 @@ def test_aggregation_beats_single_node():
     quad_hits = sum(quad.route(n, s).predicted_hit for n, s in targets)
     assert quad_hits == len(targets)
     assert single_hits < quad_hits
+
+
+# -- the free-space bound --------------------------------------------------------
+
+
+class _TwoWalkDirectory(GlobalCacheDirectory):
+    """Miss routing as it was on fa959e2: every alive mirror asked for
+    its free space, then every alive mirror asked for its oldest victim,
+    whatever an earlier miss found."""
+
+    def _choose_miss_node(self, size):
+        best_free = -1
+        best_node = -1
+        for node in range(self.num_nodes):
+            if not self._alive[node]:
+                continue
+            free = self.node_capacity_bytes - self._mirror[node].used_bytes
+            if free >= size and free > best_free:
+                best_free = free
+                best_node = node
+        if best_node >= 0:
+            return best_node
+        oldest_key = None
+        oldest_node = -1
+        for node in range(self.num_nodes):
+            if not self._alive[node]:
+                continue
+            key = self._mirror[node].next_victim_credit()
+            if key is None:
+                key = float("-inf")
+            if oldest_key is None or key < oldest_key:
+                oldest_key = key
+                oldest_node = node
+        if oldest_node < 0:
+            raise CacheError("no alive back-end nodes to route to")
+        return oldest_node
+
+
+class _ProbeCountingList(list):
+    """The mirror list, counting every mirror it hands out."""
+
+    probes = 0
+
+    def __getitem__(self, index):
+        self.probes += 1
+        return list.__getitem__(self, index)
+
+    def __iter__(self):
+        for mirror in list.__iter__(self):
+            self.probes += 1
+            yield mirror
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_bounded_routing_is_the_two_walk_routing(seed):
+    """Files of many sizes, so that an eviction often frees more than
+    the insert takes and a later, smaller file fits beside it; nodes
+    fail and return cold in between."""
+    rng = random.Random(seed)
+    nodes = 4
+    bounded = GlobalCacheDirectory(nodes, 200)
+    two_walk = _TwoWalkDirectory(nodes, 200)
+    down = set()
+    routed_to_room = 0
+    for step in range(4000):
+        if step % 500 == 250:
+            node = rng.randrange(nodes)
+            if node in down:
+                down.remove(node)
+                for directory in (bounded, two_walk):
+                    directory.revive_node(node)
+            elif len(down) < nodes - 1:
+                down.add(node)
+                assert bounded.drop_node(node) == two_walk.drop_node(node)
+        target = int(rng.paretovariate(0.6)) % 120
+        size = (5, 17, 40, 90, 120, 250)[target % 6]
+        full = all(
+            bounded.node_capacity_bytes - bounded.node_used_bytes(n) < size
+            for n in range(nodes) if n not in down
+        )
+        decision = bounded.route(target, size)
+        assert decision == two_walk.route(target, size)
+        routed_to_room += not decision.predicted_hit and not full
+        assert bounded._where == two_walk._where
+    assert 50 < routed_to_room < 2000  # both kinds of miss were routed
+
+
+def test_a_miss_on_full_caches_walks_the_mirrors_once():
+    """Fails on fa959e2, which asked all eight mirrors for their free
+    space on every one of these misses (18 probes each) although the
+    one before had found none."""
+    nodes = 8
+    directory = GlobalCacheDirectory(nodes, 100)
+    for i in range(4 * nodes):
+        directory.route(("warm", i), 25)  # every mirror exactly full
+    directory._mirror = mirrors = _ProbeCountingList(directory._mirror)
+    misses = 200
+    for i in range(misses):
+        assert not directory.route(("cold", i), 25).predicted_hit
+    # The victim walk, the chosen mirror, and the first miss's look for room.
+    assert mirrors.probes / misses <= nodes + 2
+
+
+def test_seeded_mutation_of_the_free_space_bound_is_caught(tmp_path):
+    """A bound that is never raised when an insert evicts more than it
+    takes: the next small file is sent to evict where it would have fit."""
+    assert_selected_tests_fail(
+        tmp_path,
+        "cache/directory.py",
+        "        if free > self._free_bound:  # it evicted more than it took\n",
+        "        if False:\n",
+        __file__,
+        "bounded_routing_is_the_two_walk_routing",
+    )

@@ -2,17 +2,23 @@
 
 ``GDSCache.access`` carries its own copy of the insert for a cache of
 exactly that class; a subclass (its ``_admits``, any hook) goes through
-``Cache._insert`` and the hooks.  The replay tests at the end
-hold the two paths to one another, and the seeded mutations beside them
-show they would notice a slip in the copy or in the choice of path.
+``Cache._insert`` and the hooks.  The replay tests hold the two paths
+to one another.  The heap holds one entry per cached file and re-keys a
+stale one when it surfaces; the implementation that did it by lazy
+deletion (``tests/gds_reference.py``) is the oracle of that, driven
+step for step with the same stream.  The seeded mutations at the end
+show the tests would notice a slip in any of it.
 """
 
 import dataclasses
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.cache import GDSCache
+from tests.gds_reference import LazyDeletionGDSCache
 from tests.seeded_mutation import assert_selected_tests_fail
 
 
@@ -190,24 +196,151 @@ def test_a_subclass_admission_filter_is_honoured():
     assert all(size <= 40 for size in cache._sizes.values())
 
 
-#: name -> (anchor in cache/gds.py, replacement, ``-k`` selector).
+# -- one heap entry per file, against the lazy-deletion heap ----------------------
+
+#: Sizes repeat, so files share credits and the stamp decides between
+#: them; 0 and 150 are the zero-byte and the never-cacheable file.
+_SIZES = (10, 10, 10, 10, 20, 20, 20, 40, 40, 0, 150, 25)
+_CAPACITY = 100
+
+_STEPS = st.lists(
+    st.one_of(
+        st.tuples(st.just("access"), st.integers(0, len(_SIZES) - 1)),
+        st.tuples(st.just("access"), st.integers(0, len(_SIZES) - 1)),
+        st.tuples(st.just("invalidate"), st.integers(0, len(_SIZES) - 1)),
+        st.tuples(st.just("age"), st.sampled_from((0.0, 0.3, 0.5, 1.0))),
+        st.tuples(st.just("clear"), st.none()),
+    ),
+    max_size=120,
+)
+
+
+class _Pair:
+    """The cache and its oracle, fed the same calls."""
+
+    def __init__(self, sizes=_SIZES, capacity=_CAPACITY):
+        self.sizes = sizes
+        self.caches = GDSCache(capacity), LazyDeletionGDSCache(capacity)
+        self.evicted = [], []
+        for cache, log in zip(self.caches, self.evicted):
+            cache.evict_listener = lambda target, size, log=log: log.append((target, size))
+        #: How often ``invalidate`` / ``clear`` has dropped each file: a
+        #: file fetched again after one is a new name (see the
+        #: reference's docstring for why it has to be).
+        self.lives = [0] * len(sizes)
+
+    def both(self, call):
+        ours, theirs = (call(cache) for cache in self.caches)
+        assert ours == theirs
+        return ours
+
+    def step(self, op, arg):
+        if op == "access":
+            self.both(lambda cache: cache.access((arg, self.lives[arg]), self.sizes[arg]))
+        elif op == "invalidate":
+            if self.both(lambda cache: cache.invalidate((arg, self.lives[arg]))):
+                self.lives[arg] += 1
+        elif op == "age":
+            self.both(lambda cache: cache.age(arg))
+        else:
+            for name, _life in list(self.caches[0]):
+                self.lives[name] += 1
+            self.both(lambda cache: cache.clear())
+        new, _old = self.caches
+        assert self.evicted[0] == self.evicted[1]
+        self.both(lambda cache: cache.inflation)
+        self.both(lambda cache: cache.next_victim_credit())
+        self.both(lambda cache: (dict(cache._sizes), cache.used_bytes, dict(cache._credit)))
+        assert len(new._heap) == len(new)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_STEPS)
+def test_one_entry_per_file_is_the_lazy_deletion_heap(steps):
+    pair = _Pair()
+    for op, arg in steps:
+        pair.step(op, arg)
+
+
+def test_equal_credits_leave_in_the_order_they_were_set():
+    """The case the property's repeated sizes are there for, spelled
+    out: a hit while ``L`` stands still rewrites the same credit and
+    keeps the file's place, in the heap or waiting to be re-keyed; a
+    hit after ``L`` moved takes a new place, the one its stale heap
+    entry is given when it surfaces."""
+    pair = _Pair(sizes=(10,) * 8, capacity=40)
+    for name in (0, 1, 2, 3):  # full at L = 0, one credit, stamps in this order
+        pair.step("access", name)
+    pair.step("access", 0)  # the same credit again: still the first to go
+    pair.step("access", 4)  # evicts 0; L moves to 1/10
+    pair.step("access", 3)  # re-credited behind 4; its heap entry is stale
+    pair.step("access", 5)  # evicts 1; 5 is credited behind 3
+    pair.step("access", 3)  # the same credit again: still ahead of 5
+    pair.step("access", 6)  # evicts 2
+    pair.step("access", 7)  # 3's entry surfaces and is re-keyed behind 4, which goes
+    pair.step("access", 0)  # 3 goes, not 5
+    assert [name for (name, _life), _size in pair.evicted[0]] == [0, 1, 2, 4, 3]
+
+
+def test_the_reference_resurrects_a_removed_entry():
+    """What the oracle does and the cache does not (and why the property
+    renames a file it has invalidated): ``a`` is dropped and fetched
+    again while ``L`` stands still, so in the lazy-deletion heap its old
+    entry matches its credit once more and it leaves before ``b``, which
+    has been in the cache for longer."""
+    evicted = {}
+    for cls in (GDSCache, LazyDeletionGDSCache):
+        cache = cls(100)
+        log = evicted[cls] = []
+        cache.evict_listener = lambda target, size, log=log: log.append(target)
+        cache.access("a", 50)
+        cache.access("b", 50)
+        cache.invalidate("a")
+        cache.access("a", 50)
+        del log[:]
+        cache.access("c", 50)
+    assert evicted[GDSCache] == ["b"]
+    assert evicted[LazyDeletionGDSCache] == ["a"]
+
+
+#: name -> (file under src/repro/cache, anchor, replacement, ``-k`` selector).
 _MUTATIONS = {
     "fused-insert-forgets-the-inflation": (
+        "gds.py",
         "\n        credit = self._inflation + (1.0 / size if size > 0 else 1.0)\n",
         "\n        credit = 1.0 / size if size > 0 else 1.0\n",
         "fused_miss_path_is_the_hook_path",
     ),
     "fused-insert-taken-whatever-the-subclass-admits": (
+        "gds.py",
         "self._fused_insert = type(self) is GDSCache\n",
         "self._fused_insert = True\n",
         "admission_filter_is_honoured",
+    ),
+    "re-key-keeps-the-stale-stamp": (
+        "base.py",
+        "heapq.heapreplace(heap, (live, self._stamp[target], target))",
+        "heapq.heapreplace(heap, (live, top[1], target))",
+        "lazy_deletion_heap or equal_credits",
+    ),
+    "victim-entry-not-popped": (
+        "base.py",
+        "            heapq.heappop(heap)  # the victim just selected\n",
+        "            pass\n",
+        "lazy_deletion_heap or equal_credits",
+    ),
+    "a-hit-restamps-an-unchanged-credit": (
+        "gds.py",
+        "            if credit != self._credit[target]:\n                self._seq = seq",
+        "            if True:\n                self._seq = seq",
+        "lazy_deletion_heap or equal_credits",
     ),
 }
 
 
 @pytest.mark.parametrize("name", sorted(_MUTATIONS))
 def test_seeded_mutation_is_caught(name, tmp_path):
-    anchor, replacement, selector = _MUTATIONS[name]
+    relpath, anchor, replacement, selector = _MUTATIONS[name]
     assert_selected_tests_fail(
-        tmp_path, "cache/gds.py", anchor, replacement, __file__, selector
+        tmp_path, f"cache/{relpath}", anchor, replacement, __file__, selector
     )

@@ -48,39 +48,53 @@ class TestFrontEnd:
 
 
 class TestLoadTracker:
+    """The tracker integrates over a load list it does not own: the
+    tests play the policy, writing ``loads`` and then saying so."""
+
+    @staticmethod
+    def _move(tracker, node, delta, now):
+        tracker.loads[node] += delta
+        tracker.observe(node, now)
+
     def test_starts_fully_underutilized(self):
-        tracker = LoadTracker(2, threshold=10)
+        tracker = LoadTracker([0, 0], threshold=10)
         assert tracker.mean_underutilized_fraction(100.0) == pytest.approx(1.0)
 
     def test_loaded_node_not_underutilized(self):
-        tracker = LoadTracker(1, threshold=2)
+        tracker = LoadTracker([0], threshold=2)
         for _ in range(3):
-            tracker.on_dispatch(0, 0.0)
+            self._move(tracker, 0, +1, 0.0)
         assert tracker.underutilized_fraction(0, 10.0) == pytest.approx(0.0)
 
     def test_time_weighted_integration(self):
-        tracker = LoadTracker(1, threshold=2)
-        tracker.on_dispatch(0, 0.0)
-        tracker.on_dispatch(0, 5.0)  # load 2 >= threshold from t=5
+        tracker = LoadTracker([0], threshold=2)
+        self._move(tracker, 0, +1, 0.0)
+        self._move(tracker, 0, +1, 5.0)  # load 2 >= threshold from t=5
         assert tracker.underutilized_fraction(0, 10.0) == pytest.approx(0.5)
 
     def test_returns_to_underutilized(self):
-        tracker = LoadTracker(1, threshold=2)
-        tracker.on_dispatch(0, 0.0)
-        tracker.on_dispatch(0, 0.0)
-        tracker.on_complete(0, 4.0)  # back below threshold
+        tracker = LoadTracker([0], threshold=2)
+        self._move(tracker, 0, +1, 0.0)
+        self._move(tracker, 0, +1, 0.0)
+        self._move(tracker, 0, -1, 4.0)  # back below threshold
         assert tracker.underutilized_fraction(0, 8.0) == pytest.approx(0.5)
 
     def test_negative_load_rejected(self):
-        tracker = LoadTracker(1, threshold=2)
+        tracker = LoadTracker([0], threshold=2)
         with pytest.raises(ValueError):
-            tracker.on_complete(0, 1.0)
+            self._move(tracker, 0, -1, 1.0)
 
-    def test_load_accessor(self):
-        tracker = LoadTracker(2, threshold=1)
-        tracker.on_dispatch(1, 0.0)
-        assert tracker.load(1) == 1
-        assert tracker.load(0) == 0
+    def test_integrates_over_the_list_it_was_given(self):
+        """No copy: a failure that zeroes the policy's entry is one
+        ``observe`` away from the idle integral."""
+        loads = [0, 3]
+        tracker = LoadTracker(loads, threshold=1)
+        assert tracker.loads is loads
+        tracker.observe(1, 0.0)
+        loads[1] = 0
+        tracker.observe(1, 6.0)
+        assert tracker.underutilized_fraction(1, 8.0) == pytest.approx(0.25)
+        assert tracker.underutilized_fraction(0, 8.0) == pytest.approx(1.0)
 
 
 class TestSimulationResult:

@@ -420,13 +420,15 @@ _INPLACE_MUTATIONS = {
         "test_in_place_starts_are_counted and one-request",
     ),
     "in-place-start-skips-the-sanitizer-hook": (
-        "                engine.events_dispatched += 1\n                conn._begin_cb()\n"
+        "                engine.events_dispatched += 1\n                self._begin_cb()\n"
         "                hook = engine._sanitizer\n                if hook is not None:\n"
-        "                    hook(now, conn._begin_cb)\n            else:\n"
-        "                self.schedule(0.0, conn._begin_cb)\n\n\nclass PersistentConnection",
-        "                engine.events_dispatched += 1\n                conn._begin_cb()\n"
+        "                    hook(now, self._begin_cb)\n            else:\n"
+        "                self.schedule(0.0, self._begin_cb)\n        else:\n"
+        "            # Nothing to admit",
+        "                engine.events_dispatched += 1\n                self._begin_cb()\n"
         "            else:\n"
-        "                self.schedule(0.0, conn._begin_cb)\n\n\nclass PersistentConnection",
+        "                self.schedule(0.0, self._begin_cb)\n        else:\n"
+        "            # Nothing to admit",
         "test_the_sanitizer_hook_sees_every_event and one-request",
     ),
     "in-place-start-before-the-engine-runs": (

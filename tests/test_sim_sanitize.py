@@ -380,6 +380,21 @@ def test_alive_count_drift_is_caught():
         sim.run()
 
 
+def test_load_tracker_flag_on_the_wrong_side_is_caught():
+    """The tracker integrates over the policy's own loads through
+    transitions inlined beside every load write; one that is skipped
+    leaves the flag where the load no longer is."""
+
+    def corrupt(sim):
+        busiest = max(range(3), key=sim.policy.loads.__getitem__)
+        assert sim.policy.loads[busiest] >= sim.tracker.threshold
+        sim.tracker._is_under[busiest] = True
+
+    sim = _corrupt_at(_simulator(), 0.5, corrupt)
+    with pytest.raises(SanitizerError, match="load tracker has node"):
+        sim.run()
+
+
 def test_fastpath_run_keeps_policy_summaries_in_sync():
     """The one-request connection inlines its own copy of
     ``Policy.on_complete``; audit it on an unsanitized run too: stop a

@@ -6,20 +6,20 @@ directly to the engine, with the resource bookkeeping that
 ``Resource._enqueue``/``_finish`` would do inlined at the head and tail
 of each stage, so one event dispatch performs one whole lifecycle step
 with no coroutine machinery in between.  Every simulation runs here:
-what a run adds — persistent connections, a fault runtime, a tracer — is
-a connection *class*, chosen once when :class:`FastPath` is built, that
-overrides only the stages where it intervenes:
+what a run adds — a fault runtime, a tracer — is a connection *class*,
+chosen once when :class:`FastPath` is built, that overrides only the
+stages where it intervenes:
 
-* :class:`FastConnection` — the paper's one-request HTTP/1.0 connection;
-* :class:`PersistentConnection` — a batch of consecutive trace requests
-  (``sticky`` or ``rehandoff``): the first pays establishment, the last
-  teardown, and each next request's fetch decision is made inline when
-  the previous data plan ends;
-* :class:`FaultyConnection` — a persistent connection (a batch of one
-  included) under a :class:`~repro.cluster.faults.FaultRuntime`: a
-  dispatch to a dark node times out, backs off and re-runs the policy,
-  or is counted lost;
-* the ``Traced*`` classes — any of the three observed by a tracer.
+* :class:`FastConnection` — a client connection carrying consecutive
+  trace requests ``index..last``: the first pays establishment, the
+  last teardown, and each next request's fetch decision is made inline
+  when the previous data plan ends.  The paper's HTTP/1.0 connection is
+  a batch of one; ``requests_per_connection > 1`` (``sticky`` or
+  ``rehandoff``, paper Section 5) only makes the batches longer;
+* :class:`FaultyConnection` — a connection under a
+  :class:`~repro.cluster.faults.FaultRuntime`: a dispatch to a dark
+  node times out, backs off and re-runs the policy, or is counted lost;
+* the ``Traced*`` classes — either of the two observed by a tracer.
 
 The coroutine form of the same lifecycle (``yield Service(...)`` per
 stage) lives on as the reference oracle in ``tests/cluster_oracle.py``;
@@ -102,13 +102,13 @@ change to those canonical implementations must be mirrored below; the
 identity tests exist to catch a missed mirror.  Of the tracker only the
 threshold crossing is left to inline: it integrates over the policy's
 own ``loads``, so the load a policy update has just computed is the one
-it compares, and a +1 (-1) can only leave (enter) underutilization.  A
-class that changes a stage carries that stage in full
-(``PersistentConnection._advance`` and ``_complete``,
-``FaultyConnection._request_done``) rather than wrapping the base one:
-what a run adds should cost what it records, not a frame per stage on
-top.  Only the rare paths — a rehandoff, a retry, a lost request — call
-the canonical ``FrontEnd`` accounting.
+it compares, and a +1 (-1) can only leave (enter) underutilization.
+What a run adds should cost what it records, not a frame per stage on
+top: the fault runtime's goodput record and a tracer's span finish both
+ride the served hook, called where a request is booked, and a class
+that changes a stage carries that stage in full
+(``FaultyConnection._fetch``) rather than wrapping the base one.  Only the rare paths — a rehandoff, a
+retry, a lost request — call the canonical ``FrontEnd`` accounting.
 
 The front-end is a closed loop, so in steady state a completion admits
 exactly one connection, and ``_complete`` hands its slot over: the
@@ -131,10 +131,8 @@ __all__ = [
     "FastPath",
     "DiskTimes",
     "FastConnection",
-    "PersistentConnection",
     "FaultyConnection",
     "TracedConnection",
-    "TracedPersistentConnection",
     "TracedFaultyConnection",
 ]
 
@@ -216,7 +214,6 @@ class FastPath:
         "pool",
         "conn_class",
         "per_conn",
-        "batched",
         "rehandoff",
         "schedule",
         "engine",
@@ -247,17 +244,10 @@ class FastPath:
     def __init__(self, fe: Any) -> None:
         self.fe = fe
         self.pool: List[FastConnection] = []
-        faulty = fe.faults is not None
         #: Trace requests carried by one connection.
         self.per_conn: int = fe.requests_per_connection
-        #: Connections carry batch bounds (``index``/``last``).
-        self.batched: bool = faulty or self.per_conn > 1
         self.rehandoff: bool = fe.persistent_policy == "rehandoff"
-        base = (
-            FaultyConnection
-            if faulty
-            else PersistentConnection if self.per_conn > 1 else FastConnection
-        )
+        base = FastConnection if fe.faults is None else FaultyConnection
         self.conn_class = base if fe.tracer is None else _TRACED[base]
         # One bound method for every connection: scheduling is the
         # single hottest call each stage makes.
@@ -326,8 +316,7 @@ class FastPath:
         ``join_node`` — a fault-model connection given up after its
         retries, and the rare completion that frees more than the one
         slot it refills; the steady-state single admission is inlined
-        in :meth:`FastConnection._complete` and
-        :meth:`PersistentConnection._complete`.
+        in :meth:`FastConnection._complete`.
 
         A start event is staged (``schedule(0.0, ...)``) unless it would
         be the very next event dispatched anyway, in which case it runs
@@ -384,15 +373,13 @@ class FastPath:
             fe.in_flight += 1
             pool = self.pool
             conn = pool.pop() if pool else self.new_connection()
-            conn.node_id = node_id
             conn.epoch = self.epochs[node_id]
             conn.node = self.nodes[node_id]
             conn.target = target
             conn.size = size
             conn.hit_hint = hit_hint
-            if self.batched:
-                conn.index = first
-                conn.last = end - 1
+            conn.index = first
+            conn.last = end - 1
             # One start event per connection, in admission order.
             if (
                 self.inplace
@@ -429,7 +416,10 @@ class FastPath:
 
 
 class FastConnection:
-    """One in-flight request as a state machine.
+    """One in-flight client connection as a state machine: trace
+    requests ``index..last``, a batch of one in the paper's HTTP/1.0
+    runs, of up to ``requests_per_connection`` with persistent
+    connections (paper Section 5, HTTP/1.1).
 
     Stages map one-to-one onto the oracle coroutine's suspension points:
 
@@ -437,7 +427,12 @@ class FastConnection:
     establishment, then ``_fetch``: the cache / GMS / pending-read
     decision, which enqueues the data plan) -> ``_advance`` per data
     service -> teardown service -> ``_complete`` (node counters,
-    front-end accounting, re-admission).
+    front-end accounting, re-admission).  A data plan that ends before
+    the batch does starts the next request in the same event instead
+    of teardown (``_advance`` -> ``_continue`` -> ``_resume`` ->
+    ``_fetch``); ``sticky`` keeps the node the first request chose,
+    ``rehandoff`` re-runs the policy per request and moves the
+    connection's load when the policy says so.
 
     Each service-completion stage (``_decide``, ``_advance``,
     ``_complete``) opens with the inlined body of ``Resource._finish``
@@ -457,12 +452,13 @@ class FastConnection:
         "fe",
         "engine",
         "node",
-        "node_id",
         "target",
         "size",
         "hit_hint",
         "epoch",
         "start",
+        "index",
+        "last",
         "plan",
         "plan_i",
         "res",
@@ -486,12 +482,15 @@ class FastConnection:
         self.schedule = fp.schedule
         self.units = fp.units
         self.node: Any = None
-        self.node_id = 0
         self.target = 0
         self.size = 0
         self.hit_hint: Optional[bool] = None
         self.epoch = 0
         self.start = 0.0
+        #: Trace index of the request now being served, and of the
+        #: connection's last one; the admission sets both.
+        self.index = 0
+        self.last = 0
         self.plan: Any = _EMPTY_PLAN
         self.plan_i = 0
         #: Resource serving the in-flight data service (read by _advance
@@ -505,8 +504,9 @@ class FastConnection:
         self._decide_cb = self._decide
         self._advance_cb = self._advance
         self._complete_cb = self._complete
-        #: Stage-observer hook called from inside ``_complete``; ``None``
-        #: on an unobserved connection.
+        #: Observer hook called when a request is served (by
+        #: ``_request_done``, and by ``_complete`` for a batch's last
+        #: request); ``None`` on an unobserved connection.
         self._served_hook: Any = None
 
     def _release(self) -> None:
@@ -553,8 +553,8 @@ class FastConnection:
     def _fetch(self) -> None:
         """The fetch decision: count the outcome on the node and enqueue
         the request's first data service.  A stage of its own because a
-        persistent connection's later requests decide without an
-        establishment to book."""
+        batch's later requests decide without an establishment to
+        book."""
         node = self.node
         target = self.target
         dyn = node.dynamic_cost_of_target
@@ -725,7 +725,9 @@ class FastConnection:
 
     def _advance(self) -> None:
         """One data service done: book it, then enqueue the next plan
-        step, or close out the read and move to teardown."""
+        step, or close out the read and move to teardown — or, when the
+        plan that ended is not the connection's last, to its next
+        request."""
         res = self.res
         now = self.engine.now
         # Resource._finish, inlined (waiter promotion before our logic).
@@ -753,22 +755,91 @@ class FastConnection:
             self.reading = False
             for wake in node._pending.pop(self.target):
                 self.schedule(0.0, wake)
-        # Resource._enqueue, inlined (teardown service).
-        cpu = node.cpu
-        if cpu._busy:
-            cpu._waiting.append((self._complete_cb, node._teardown_time))
-        else:
-            cpu._last_change = now
-            cpu._busy = 1
-            self.schedule(node._teardown_time, self._complete_cb)
+        if self.index == self.last:
+            # Resource._enqueue, inlined (teardown service).
+            cpu = node.cpu
+            if cpu._busy:
+                cpu._waiting.append((self._complete_cb, node._teardown_time))
+            else:
+                cpu._last_change = now
+                cpu._busy = 1
+                self.schedule(node._teardown_time, self._complete_cb)
+            return
+        self._request_done(now)
+        fp = self.fp
+        self.index += 1
+        target = fp.targets_l[self.index]
+        self.target = target
+        self.size = fp.sizes_l[target]
+        self._continue(now)
+
+    def _continue(self, now: float) -> None:
+        """Serve the next request on the open connection: the hit
+        prediction belonged to the first request, the node is the
+        policy's to change."""
+        self.hit_hint = None
+        if self.fp.rehandoff:
+            self._rehandoff(now)
+        self._resume()
+
+    def _resume(self) -> None:
+        """A request on an already-established connection starts."""
+        self.start = self.engine.now
+        self._fetch()
+
+    def _rehandoff(self, now: float) -> None:
+        """Re-run the policy for this request; if it names another node
+        (or this one failed meanwhile) move the connection there."""
+        fp = self.fp
+        fe = self.fe
+        new_node = fp.choose(self.target, self.size, now=now)
+        take = fp.take
+        self.hit_hint = take() if take is not None else None
+        node_id = self.node.node_id
+        if new_node == node_id and fp.epochs[node_id] == self.epoch:
+            return
+        # Release the old node's slot (or count it orphaned), take the new.
+        fe._detach(node_id, self.epoch)
+        fe._attach(new_node)
+        fe.rehandoffs += 1
+        self.node = fp.nodes[new_node]
+        self.epoch = fp.epochs[new_node]
+
+    def _request_done(self, now: float) -> None:
+        """One request served: node counters, observer hook, front-end
+        accounting (``FrontEnd._account_request``, inlined) — in that
+        order: a span finishes after the node counts the request and
+        before the front-end does, so a sample taken there sees this
+        request served but not yet completed, detached or replaced."""
+        node = self.node
+        node.requests_served += 1
+        node.bytes_served += self.size
+        hook = self._served_hook
+        if hook is not None:
+            hook(now)
+        fe = self.fe
+        fp = self.fp
+        node_id = node.node_id
+        delay = now - self.start
+        fe.total_delay_s += delay
+        if fe.collect_delays:
+            fe.delays_s.append(delay)
+        if fp.epochs[node_id] == self.epoch:
+            fp.per_node_delay_s[node_id] += delay
+            fp.per_node_completions[node_id] += 1
+        if fe.timeline_interval_s is not None:
+            bucket = int(now // fe.timeline_interval_s)
+            fe.timeline[bucket] = fe.timeline.get(bucket, 0) + 1
+        fe.completed += 1
 
     def _complete(self) -> None:
-        """Teardown done: book it, fold the request into the node and
-        front-end counters, hand the slot to the next trace request
-        (``_account_request``/``_detach``/``admit`` inlined)."""
+        """Teardown done: book it, count the last request, release the
+        connection's load and hand its slot to the next trace requests
+        (``_request_done``/``_detach``/``admit`` inlined)."""
         node = self.node
         cpu = node.cpu
-        now = self.engine.now
+        engine = self.engine
+        now = engine.now
         # Resource._finish, inlined.
         cpu.jobs_served += 1
         cpu._busy_integral += now - cpu._last_change
@@ -779,20 +850,17 @@ class FastConnection:
             self.schedule(wdur, wcb)
         else:
             cpu._busy = 0
+        # The batch's last request is done: _request_done, inlined, since
+        # in the paper's HTTP/1.0 runs it is every request.
         node.requests_served += 1
         node.bytes_served += self.size
-        # The one point a stage wrapper cannot reach: a span finishes
-        # after the node counts the request and before _account_request,
-        # so a sample taken there sees this request served but not yet
-        # completed, detached or replaced.
         hook = self._served_hook
         if hook is not None:
             hook(now)
         fe = self.fe
         fp = self.fp
-        node_id = self.node_id
+        node_id = node.node_id
         delay = now - self.start
-        # FrontEnd._account_request, inlined.
         fe.total_delay_s += delay
         if fe.collect_delays:
             fe.delays_s.append(delay)
@@ -830,222 +898,9 @@ class FastConnection:
                 fp.t_is_under[node_id] = True
         else:
             fe.orphaned += 1
-        # The freed slot admits the next trace request on this object:
+        # The freed slot admits the next trace requests on this object:
         # one connection out, one in, so ``fe.in_flight`` and the pool
         # are left alone (FastPath.admit's single admission, inlined).
-        in_flight = fe.in_flight - 1
-        limit = fe.max_in_flight
-        i = fe._next
-        if i < fp.n and in_flight < limit:
-            target = fp.targets_l[i]
-            fe._next = i + 1
-            size = fp.sizes_l[target]
-            node_id = fp.choose(target, size, now=now)
-            take = fp.take
-            hit_hint = take() if take is not None else None
-            if not fp.p_alive[node_id]:
-                policy.on_dispatch(node_id)
-            load = p_loads[node_id] + 1
-            p_loads[node_id] = load
-            policy.dispatches += 1
-            if load >= fp.t_threshold and fp.t_is_under[node_id]:
-                fp.t_under_time[node_id] += now - fp.t_under_since[node_id]
-                fp.t_is_under[node_id] = False
-            fp.per_node_dispatches[node_id] += 1
-            fe.connections += 1
-            self.node_id = node_id
-            self.epoch = fp.epochs[node_id]
-            self.node = fp.nodes[node_id]
-            self.target = target
-            self.size = size
-            self.hit_hint = hit_hint
-            # A single freed slot admits a single connection; anything
-            # more (a raised admission limit racing this completion)
-            # goes to the general loop, behind this one's staged start.
-            if in_flight + 1 < limit and fe._next < fp.n:
-                self.schedule(0.0, self._begin_cb)
-                fp.admit()
-                return
-            # Nothing follows in this event, so any connection class may
-            # start in place (the conditions are ``FastPath.admit``'s).
-            engine = self.engine
-            if (
-                not (fp.nowq or engine._stopped)
-                and (not fp.heap or fp.heap[0][0] > now)
-            ):
-                engine.events_dispatched += 1
-                self._begin_cb()
-                hook = engine._sanitizer
-                if hook is not None:
-                    hook(now, self._begin_cb)
-            else:
-                self.schedule(0.0, self._begin_cb)
-        else:
-            # Nothing to admit (the trace ran out, or a failure lowered
-            # the limit): the slot is given up and the object parked.
-            fe.in_flight = in_flight
-            fp.pool.append(self)
-
-
-class PersistentConnection(FastConnection):
-    """A connection carrying trace requests ``index..last`` (paper
-    Section 5, HTTP/1.1): the first pays establishment, the last
-    teardown, and when a request's data plan ends the next one's fetch
-    decision is made in the same event.  ``sticky`` keeps the node the
-    first request chose; ``rehandoff`` re-runs the policy per request
-    and moves the connection's load when the policy says so.
-    """
-
-    #: Trace index of the request now being served, and of the
-    #: connection's last one; the admission sets both.
-    __slots__ = ("index", "last")
-
-    def _advance(self) -> None:
-        """The base stage in full (no second frame for it), except that
-        the end of a data plan which is not the connection's last
-        starts the next request instead of teardown."""
-        res = self.res
-        now = self.engine.now
-        # Resource._finish, inlined (waiter promotion before our logic).
-        res.jobs_served += 1
-        res._busy_integral += now - res._last_change
-        res._last_change = now
-        waiting = res._waiting
-        if waiting:
-            wcb, wdur = waiting.popleft()
-            self.schedule(wdur, wcb)
-        else:
-            res._busy = 0
-        plan = self.plan
-        i = self.plan_i
-        if i < len(plan):
-            self.plan_i = i + 1
-            resource, duration = plan[i]
-            self._enqueue_data(resource, duration)
-            return
-        if self.reading:
-            self.reading = False
-            for wake in self.node._pending.pop(self.target):
-                self.schedule(0.0, wake)
-        if self.index == self.last:
-            # Resource._enqueue, inlined (teardown service).
-            cpu = self.node.cpu
-            teardown = self.node._teardown_time
-            if cpu._busy:
-                cpu._waiting.append((self._complete_cb, teardown))
-            else:
-                cpu._last_change = now
-                cpu._busy = 1
-                self.schedule(teardown, self._complete_cb)
-            return
-        self._request_done(now)
-        fp = self.fp
-        self.index += 1
-        target = fp.targets_l[self.index]
-        self.target = target
-        self.size = fp.sizes_l[target]
-        self._continue(now)
-
-    def _continue(self, now: float) -> None:
-        """Serve the next request on the open connection: the hit
-        prediction belonged to the first request, the node is the
-        policy's to change."""
-        self.hit_hint = None
-        if self.fp.rehandoff:
-            self._rehandoff(now)
-        self._resume()
-
-    def _resume(self) -> None:
-        """A request on an already-established connection starts."""
-        self.start = self.engine.now
-        self._fetch()
-
-    def _rehandoff(self, now: float) -> None:
-        """Re-run the policy for this request; if it names another node
-        (or this one failed meanwhile) move the connection there."""
-        fp = self.fp
-        fe = self.fe
-        new_node = fp.choose(self.target, self.size, now=now)
-        take = fp.take
-        self.hit_hint = take() if take is not None else None
-        node_id = self.node_id
-        if new_node == node_id and fp.epochs[node_id] == self.epoch:
-            return
-        # Release the old node's slot (or count it orphaned), take the new.
-        fe._detach(node_id, self.epoch)
-        fe._attach(new_node)
-        fe.rehandoffs += 1
-        self.node_id = new_node
-        self.node = fp.nodes[new_node]
-        self.epoch = fp.epochs[new_node]
-
-    def _request_done(self, now: float) -> None:
-        """One request served: node counters, observer hook, front-end
-        accounting — in that order (see ``FastConnection._complete``),
-        with ``FrontEnd._account_request`` inlined."""
-        node = self.node
-        node.requests_served += 1
-        node.bytes_served += self.size
-        hook = self._served_hook
-        if hook is not None:
-            hook(now)
-        fe = self.fe
-        fp = self.fp
-        node_id = self.node_id
-        delay = now - self.start
-        fe.total_delay_s += delay
-        if fe.collect_delays:
-            fe.delays_s.append(delay)
-        if fp.epochs[node_id] == self.epoch:
-            fp.per_node_delay_s[node_id] += delay
-            fp.per_node_completions[node_id] += 1
-        if fe.timeline_interval_s is not None:
-            bucket = int(now // fe.timeline_interval_s)
-            fe.timeline[bucket] = fe.timeline.get(bucket, 0) + 1
-        fe.completed += 1
-
-    def _complete(self) -> None:
-        """Teardown done: book it, count the last request, release the
-        connection's load, hand its slot over — ``FrontEnd._detach`` and
-        the single admission inlined as in ``FastConnection._complete``,
-        which has the comments; a connection here takes up to
-        ``per_conn`` trace requests."""
-        cpu = self.node.cpu
-        now = self.engine.now
-        # Resource._finish, inlined.
-        cpu.jobs_served += 1
-        cpu._busy_integral += now - cpu._last_change
-        cpu._last_change = now
-        waiting = cpu._waiting
-        if waiting:
-            wcb, wdur = waiting.popleft()
-            self.schedule(wdur, wcb)
-        else:
-            cpu._busy = 0
-        self._request_done(now)
-        fe = self.fe
-        fp = self.fp
-        node_id = self.node_id
-        policy = fp.policy
-        p_loads = fp.p_loads
-        if fp.epochs[node_id] == self.epoch:
-            load = p_loads[node_id] - 1
-            if load < 0:
-                policy.on_complete(node_id)
-            p_loads[node_id] = load
-            low = policy._min_load
-            if load <= low:
-                if load < low:
-                    policy._min_load = load
-                    policy._min_cursor = node_id
-                elif policy._min_cursor > node_id:
-                    policy._min_cursor = node_id
-            policy.completions += 1
-            if load < fp.t_threshold and not fp.t_is_under[node_id]:
-                fp.t_under_since[node_id] = now
-                fp.t_is_under[node_id] = True
-        else:
-            fe.orphaned += 1
         in_flight = fe.in_flight - 1
         limit = fe.max_in_flight
         first = fe._next
@@ -1070,7 +925,6 @@ class PersistentConnection(FastConnection):
                 fp.t_is_under[node_id] = False
             fp.per_node_dispatches[node_id] += 1
             fe.connections += 1
-            self.node_id = node_id
             self.epoch = fp.epochs[node_id]
             self.node = fp.nodes[node_id]
             self.target = target
@@ -1078,13 +932,20 @@ class PersistentConnection(FastConnection):
             self.hit_hint = hit_hint
             self.index = first
             self.last = end - 1
+            # A single freed slot admits a single connection; anything
+            # more (a raised admission limit racing this completion)
+            # goes to the general loop, behind this one's staged start.
             if in_flight + 1 < limit and end < n:
                 self.schedule(0.0, self._begin_cb)
                 fp.admit()
                 return
-            engine = self.engine
-            heap = fp.heap
-            if not (fp.nowq or engine._stopped) and (not heap or heap[0][0] > now):
+            # Nothing follows in this event, so a traced or faulty
+            # connection may start in place too (the conditions are
+            # ``FastPath.admit``'s).
+            if (
+                not (fp.nowq or engine._stopped)
+                and (not fp.heap or fp.heap[0][0] > now)
+            ):
                 engine.events_dispatched += 1
                 self._begin_cb()
                 hook = engine._sanitizer
@@ -1093,11 +954,13 @@ class PersistentConnection(FastConnection):
             else:
                 self.schedule(0.0, self._begin_cb)
         else:
+            # Nothing to admit (the trace ran out, or a failure lowered
+            # the limit): the slot is given up and the object parked.
             fe.in_flight = in_flight
             fp.pool.append(self)
 
 
-class FaultyConnection(PersistentConnection):
+class FaultyConnection(FastConnection):
     """A connection under a :class:`~repro.cluster.faults.FaultRuntime`.
 
     While the chosen back-end is crashed but undetected, a dispatch is a
@@ -1107,9 +970,10 @@ class FaultyConnection(PersistentConnection):
     requests are abandoned and counted lost.  The check happens wherever
     a request is about to be handed to a node — the start event, a retry,
     the next request of a batch, a rehandoff — and a live node serves
-    exactly as it serves a :class:`PersistentConnection`.  With an empty
-    schedule no node is ever dark and the two classes run the same
-    stages.
+    exactly as it serves a :class:`FastConnection`, with every served
+    request also recorded by the fault runtime (the served hook).  With
+    an empty schedule no node is ever dark and the two classes run the
+    same stages.
     """
 
     __slots__ = (
@@ -1125,7 +989,7 @@ class FaultyConnection(PersistentConnection):
     )
 
     def __init__(self, fp: FastPath) -> None:
-        PersistentConnection.__init__(self, fp)
+        FastConnection.__init__(self, fp)
         faults = fp.fe.faults
         self.faults = faults
         self.dark: List[bool] = faults._dark
@@ -1135,9 +999,10 @@ class FaultyConnection(PersistentConnection):
         self._begin_cb = self._dispatch
         self._timed_out_cb = self._timed_out
         self._retry_cb = self._retry
+        self._served_hook = self._record_served
 
     def _release(self) -> None:
-        PersistentConnection._release(self)
+        FastConnection._release(self)
         self._timed_out_cb = self._retry_cb = None
 
     def _dispatch(self) -> None:
@@ -1148,7 +1013,7 @@ class FaultyConnection(PersistentConnection):
         self.t_first = self.engine.now
         self.first = self.index
         self.attempts = 0
-        if self.dark[self.node_id]:
+        if self.dark[self.node.node_id]:
             self._doomed()
         else:
             self._begin()
@@ -1164,7 +1029,7 @@ class FaultyConnection(PersistentConnection):
         back off for another attempt or abandon what is left."""
         fe = self.fe
         faults = self.faults
-        fe._detach(self.node_id, self.epoch)
+        fe._detach(self.node.node_id, self.epoch)
         if self.attempts >= self.retry.max_retries:
             now = self.engine.now
             t_first = self.t_first
@@ -1175,7 +1040,7 @@ class FaultyConnection(PersistentConnection):
                 faults.record_lost(now, now - t_first)
                 if tracer is not None:
                     target = fp.targets_l[index]
-                    tracer.lost(target, fp.sizes_l[target], self.node_id, t_first, now)
+                    tracer.lost(target, fp.sizes_l[target], self.node.node_id, t_first, now)
             # The connection is over: its load was released above.
             fe.in_flight -= 1
             fp.pool.append(self)
@@ -1192,7 +1057,6 @@ class FaultyConnection(PersistentConnection):
         take = fp.take
         self.hit_hint = take() if take is not None else None
         self.fe._attach(node_id)
-        self.node_id = node_id
         self.node = fp.nodes[node_id]
         self.epoch = fp.epochs[node_id]
         if self.dark[node_id]:
@@ -1204,13 +1068,13 @@ class FaultyConnection(PersistentConnection):
         """As the base step, with the dark-node check before the node
         is kept and again after a rehandoff picks another."""
         dark = self.dark
-        if dark[self.node_id]:
+        if dark[self.node.node_id]:
             self._doomed()
             return
         self.hit_hint = None
         if self.fp.rehandoff:
             self._rehandoff(now)
-            if dark[self.node_id]:
+            if dark[self.node.node_id]:
                 # Rehandoff landed on a dark node: the attempt times out
                 # there like any doomed dispatch.
                 self._doomed()
@@ -1226,34 +1090,14 @@ class FaultyConnection(PersistentConnection):
         # Every miss and every coalesced read counts one cache miss.
         self.missed = node.cache_misses != misses
 
-    def _request_done(self, now: float) -> None:
-        """The base step in full (no second frame for it), plus the
-        fault runtime's goodput record."""
+    def _record_served(self, now: float) -> None:
+        """The served hook: the fault runtime's goodput record, with the
+        delay the front-end is about to book."""
         if self.index == self.first:
             # ``start`` has done its other job (the establish phase of a
             # traced span) by now; from here it is the accounting origin.
             self.start = self.t_first
-        node = self.node
-        node.requests_served += 1
-        node.bytes_served += self.size
-        hook = self._served_hook
-        if hook is not None:
-            hook(now)
-        fe = self.fe
-        fp = self.fp
-        node_id = self.node_id
-        delay = now - self.start
-        fe.total_delay_s += delay
-        if fe.collect_delays:
-            fe.delays_s.append(delay)
-        if fp.epochs[node_id] == self.epoch:
-            fp.per_node_delay_s[node_id] += delay
-            fp.per_node_completions[node_id] += 1
-        if fe.timeline_interval_s is not None:
-            bucket = int(now // fe.timeline_interval_s)
-            fe.timeline[bucket] = fe.timeline.get(bucket, 0) + 1
-        fe.completed += 1
-        self.faults.record_served(now, delay, self.missed)
+        self.faults.record_served(now, now - self.start, self.missed)
 
 
 #: ``_Traced.mark`` from the start event until the fetch decision (every
@@ -1306,7 +1150,7 @@ class _Traced:
 
     def _begin(self) -> None:
         self.span = self.tracer.begin(
-            self.target, self.size, self.node_id, self.engine.now
+            self.target, self.size, self.node.node_id, self.engine.now
         )
         # Establishment is being paid: ``_fetch`` stamps it (the fetch
         # decision is made in the event that books the establishment,
@@ -1316,7 +1160,7 @@ class _Traced:
 
     def _resume(self) -> None:
         now = self.engine.now
-        self.span = self.tracer.begin(self.target, self.size, self.node_id, now)
+        self.span = self.tracer.begin(self.target, self.size, self.node.node_id, now)
         self.mark = now
         self._base._resume(self)
 
@@ -1386,18 +1230,11 @@ class _Traced:
 
 
 class TracedConnection(_Traced, FastConnection):
-    """A :class:`FastConnection` observed by a tracer."""
+    """A :class:`FastConnection` observed by a tracer: one span per
+    request, opened when that request starts."""
 
     __slots__ = _Traced._SLOTS
     _base = FastConnection
-
-
-class TracedPersistentConnection(_Traced, PersistentConnection):
-    """A :class:`PersistentConnection` observed by a tracer: one span
-    per request, opened when that request starts."""
-
-    __slots__ = _Traced._SLOTS
-    _base = PersistentConnection
 
 
 class TracedFaultyConnection(_Traced, FaultyConnection):
@@ -1408,8 +1245,10 @@ class TracedFaultyConnection(_Traced, FaultyConnection):
     __slots__ = _Traced._SLOTS
     _base = FaultyConnection
 
+    def _served(self, now: float) -> None:
+        """Both observers' hook: the span, then the goodput record."""
+        _Traced._served(self, now)
+        self._record_served(now)
 
-_TRACED = {
-    cls._base: cls
-    for cls in (TracedConnection, TracedPersistentConnection, TracedFaultyConnection)
-}
+
+_TRACED = {cls._base: cls for cls in (TracedConnection, TracedFaultyConnection)}

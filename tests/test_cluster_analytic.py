@@ -19,10 +19,10 @@ further 44 KB) and is held to them:
 * WRR over identical nodes and identical requests: per-node dispatch
   counts within one of each other.
 
-Each runs as every connection class the state machine has — plain,
-persistent (4 requests a connection: establishment and teardown once a
-connection), faulty with an empty schedule, and sanitized — against
-that class's own closed form.  The expected values are built from
+Each runs in every shape the state machine has — plain, persistent (the
+same connection class with batches of 4: establishment and teardown
+once a connection), faulty with an empty schedule, and sanitized —
+against that shape's own closed form.  The expected values are built from
 ``CostModel``'s methods and ``math.fsum``, never from the state
 machine's tables, so the check is also a check of the tables
 ``FastPath.disk_times`` memoizes.
@@ -42,7 +42,7 @@ E = COSTS.connection_time()
 TD = COSTS.teardown_time()
 REL = 1e-12
 
-#: Connection class -> the config fields that select it.
+#: Run shape -> the config fields that select it.
 CLASSES = {
     "plain": dict(),
     "persistent": dict(requests_per_connection=4),

@@ -14,8 +14,8 @@ copy of the package, and ``test_seeded_mutation_is_caught`` shows the
 comparison failing on it (and passing on the unmutated tree) for the
 fixed case recorded beside it.  One that was tried and is *not* listed
 because nothing observable depends on it: calling ``record_served``
-before ``_account_request`` (both only add to counters of different
-objects inside one event).
+after ``_account_request`` rather than before it, from the served hook
+(both only add to counters of different objects inside one event).
 
 Hypothesis draws fault times from a continuous process, so it never
 puts two membership changes at one instant; the case where that matters
@@ -245,7 +245,7 @@ MUTATIONS = {
     ),
     "rehandoff-onto-dark-node-is-served": (
         "cluster/fastpath.py",
-        "            if dark[self.node_id]:\n                # Rehandoff landed",
+        "            if dark[self.node.node_id]:\n                # Rehandoff landed",
         "            if False:\n                # Rehandoff landed",
         dict(traced=False, cgi=False, policy="wrr", fault_seed=5, mttf_frac=0.15,
              **_REHANDOFF),
@@ -255,8 +255,27 @@ MUTATIONS = {
         "        node = self.node\n        engine = self.engine\n        now = engine.now\n"
         "        self.start = now\n",
         "        node = self.node\n        engine = self.engine\n        now = engine.now\n"
-        "        self.start = now\n        self.epoch = self.fp.epochs[self.node_id]\n",
+        "        self.start = now\n        self.epoch = self.fp.epochs[self.node.node_id]\n",
         dict(traced=False, cgi=False, policy="wrr", **_RACES["membership-events"]),
+    ),
+    # A connection is a batch of trace requests; one of one is the paper's.
+    "batch-torn-down-after-its-first-request": (
+        "cluster/fastpath.py",
+        "        if self.index == self.last:\n",
+        "        if True:\n",
+        dict(traced=False, cgi=False, policy="lard/r", requests_per_connection=4),
+    ),
+    "goodput-not-recorded": (
+        "cluster/fastpath.py",
+        "        self._served_hook = self._record_served\n",
+        "",
+        dict(traced=False, cgi=False, policy="wrr", fault_seed=3),
+    ),
+    "traced-fault-run-drops-the-goodput-record": (
+        "cluster/fastpath.py",
+        "        _Traced._served(self, now)\n        self._record_served(now)\n",
+        "        _Traced._served(self, now)\n",
+        dict(traced=True, cgi=False, policy="wrr", fault_seed=3),
     ),
     "teardown-phase-on-every-request": (
         "cluster/fastpath.py",

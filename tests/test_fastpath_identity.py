@@ -16,13 +16,7 @@ import json
 
 import pytest
 
-from repro.cluster.fastpath import (
-    FastConnection,
-    FastPath,
-    PersistentConnection,
-    TracedConnection,
-    TracedPersistentConnection,
-)
+from repro.cluster.fastpath import FastConnection, FastPath, TracedConnection
 from repro.cluster.simulator import ClusterConfig, ClusterSimulator
 from repro.obs import SpanWriter
 from repro.obs.tracer import SimTracer
@@ -145,8 +139,9 @@ def _conn_class(sim):
 
 def test_fastpath_is_actually_selected(trace, monkeypatch):
     """There is no other lifecycle to fall back to: the paper's standard
-    configuration runs plain one-request connections, a persistent one
-    the batch class, and the oracle hook builds no connection at all."""
+    configuration and a persistent one run the same connection class —
+    an HTTP/1.0 connection is a batch of one — and the oracle hook
+    builds no connection at all."""
     config = dict(policy="lard/r", num_nodes=4, node_cache_bytes=2**19)
     sim = ClusterSimulator(trace, ClusterConfig(**config))
     sim.run()
@@ -155,7 +150,7 @@ def test_fastpath_is_actually_selected(trace, monkeypatch):
         trace, ClusterConfig(requests_per_connection=4, **config)
     )
     persistent.run()
-    assert _conn_class(persistent) is PersistentConnection
+    assert _conn_class(persistent) is FastConnection
 
     def no_connection(path):
         raise AssertionError("the oracle run built a state-machine connection")
@@ -246,11 +241,9 @@ def test_traced_state_machine_matches_generator_span_log(trace, config):
     assert fast == slow == _run(trace, fastpath=True, **config)
     assert fast_log.count('"kind":"span"') == len(trace)
     assert fast_log.count('"kind":"sample"') >= 2
-    # ...and it really was the state machine, one traced class per base.
-    expected = (
-        TracedConnection if config in _ONE_REQUEST else TracedPersistentConnection
-    )
-    assert _conn_class(sim) is expected
+    # ...and it really was the state machine, one traced class for every
+    # batch length.
+    assert _conn_class(sim) is TracedConnection
 
 
 def test_traced_state_machine_matches_generator_on_cgi(cgi_trace):

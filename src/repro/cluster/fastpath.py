@@ -1,14 +1,19 @@
 """The request lifecycle: one explicit state machine for every run.
 
 One request is a handful of stages — establish, fetch decision, data
-services, teardown — and each stage is one pre-bound callback handed
-directly to the engine, with the resource bookkeeping that
-``Resource._enqueue``/``_finish`` would do inlined at the head and tail
-of each stage, so one event dispatch performs one whole lifecycle step
-with no coroutine machinery in between.  Every simulation runs here:
-what a run adds — a fault runtime, a tracer — is a connection *class*,
-chosen once when :class:`FastPath` is built, that overrides only the
-stages where it intervenes:
+services, teardown — and each stage is one function of the connection's
+class, posted to the engine with the connection as its argument
+(``engine.post(delay, stage, conn)``, dispatched as ``stage(conn)``),
+with the resource bookkeeping that ``Resource._enqueue``/``_finish``
+would do inlined at the head and tail of each stage, so one event
+dispatch performs one whole lifecycle step with no coroutine machinery
+in between.  A connection is one object: it holds no method bound to
+itself, so a run's connections are not reference cycles and cost one
+allocation each, however many stages they pass through.
+
+Every simulation runs here: what a run adds — a fault runtime, a
+tracer — is a connection *class*, chosen once when :class:`FastPath` is
+built, that overrides only the stages where it intervenes:
 
 * :class:`FastConnection` — a client connection carrying consecutive
   trace requests ``index..last``: the first pays establishment, the
@@ -27,10 +32,11 @@ the contract below is stated against it.
 
 Resource waiters need care here.  *Every* job on a node resource belongs
 to a state-machine connection, so the canonical ``Resource._finish``
-wrapper never runs: a contended enqueue appends the stage callback
-itself to ``_waiting``, and the completing stage promotes it by
-scheduling it directly — the stage callback books its own completion
-when it fires.  The promotion skips the canonical ``_start``
+wrapper never runs: a contended enqueue appends the event its start
+will post — ``(duration, stage, conn)``, the shape of every
+``Resource`` job — to ``_waiting``, and the completing stage promotes
+it by posting it directly (``post(*job)``) — the stage books its own
+completion when it fires.  The promotion skips the canonical ``_start``
 busy-integral fold deliberately: the promoting stage has just set
 ``_last_change`` to the current instant, so the fold would add
 ``busy * 0.0`` — bit-identical to not folding at all (the integral is
@@ -42,23 +48,23 @@ A disk read pays one frame per stage, like a hit.  The node's
 pending-read table maps a target to the *waiters* of the read in flight:
 the shared empty ``_NO_WAITERS`` until a second request for the file
 arrives (nearly every read ends that way, so nothing is allocated for
-it), then a list of ``_coalesced`` callbacks in arrival order.  The
+it), then a list of the waiting connections in arrival order.  The
 connection that registered the read carries a flag (``reading``); when
 its last chunk completes it pops the entry and stages one wake-up per
-waiter, in order, before it enqueues its own teardown — the schedule
-calls a ``SimEvent`` registered, triggered and waited on would have
-made, which is how the oracle still does it.  ``_start_disk_read``
-registers the read and, for a file of one chunk, enqueues the disk
-service itself; only files of several chunks (and the reads a request
-issues beside one in flight when coalescing is off) build their plan in
-``_start_chunked_read``.
+waiter (its class's ``_coalesced`` stage), in order, before it enqueues
+its own teardown — the posts a ``SimEvent`` registered, triggered and
+waited on would have made, which is how the oracle still does it.
+``_start_disk_read`` registers the read and, for a file of one chunk,
+enqueues the disk service itself; only files of several chunks (and the
+reads a request issues beside one in flight when coalescing is off)
+build their plan in ``_start_chunked_read``.
 
 Byte-identity contract (enforced by ``tests/test_fastpath_identity.py``,
 ``tests/test_cluster_differential.py`` and the golden-CSV suite; the
 closed forms of ``tests/test_cluster_analytic.py`` check the same books
 from outside):
 
-* the relative order of every ``engine.schedule`` call — admissions,
+* the relative order of every ``engine.post`` call — admissions,
   service starts, waiter promotions, coalesced-read wakeups, retry
   timers — matches the oracle exactly, so the engine consumes the same
   ``(time, seq)`` stream and dispatches the same events; a connection's
@@ -143,7 +149,7 @@ _EMPTY_PLAN: Tuple[Tuple[Any, float], ...] = ()
 
 #: What ``BackendNode._pending[target]`` holds while a read is in flight
 #: and nobody else waits for it — nearly every read.  The first request
-#: to join replaces it with a list of wake-up callbacks.
+#: to join replaces it with a list of the connections waiting.
 _NO_WAITERS: Tuple[Any, ...] = ()
 
 
@@ -215,7 +221,7 @@ class FastPath:
         "conn_class",
         "per_conn",
         "rehandoff",
-        "schedule",
+        "post",
         "engine",
         "heap",
         "nowq",
@@ -249,10 +255,10 @@ class FastPath:
         self.rehandoff: bool = fe.persistent_policy == "rehandoff"
         base = FastConnection if fe.faults is None else FaultyConnection
         self.conn_class = base if fe.tracer is None else _TRACED[base]
-        # One bound method for every connection: scheduling is the
-        # single hottest call each stage makes.
+        # One bound method for every connection: posting an event is
+        # the single hottest call each stage makes.
         engine = fe.engine
-        self.schedule = engine.schedule
+        self.post = engine.post
         # What an admission looks at to tell whether the start event it
         # is about to stage would be the very next one dispatched (see
         # ``admit``): the engine's two queues, never written from here.
@@ -318,7 +324,7 @@ class FastPath:
         slot it refills; the steady-state single admission is inlined
         in :meth:`FastConnection._complete`.
 
-        A start event is staged (``schedule(0.0, ...)``) unless it would
+        A start event is staged (``post(0.0, ...)``) unless it would
         be the very next event dispatched anyway, in which case it runs
         here, in place, and is counted in ``engine.events_dispatched``
         as the dispatch it replaces.  That is so exactly when nothing
@@ -329,7 +335,7 @@ class FastPath:
         strictly later than ``now``: a heap entry for ``now`` goes
         first).  A sanitizer's hook must see every event, so the site
         that ran one in place calls it, as the run loop would have:
-        ``hook(now, callback)`` right after the event.  Every admission
+        ``hook(now, stage)`` right after the event.  Every admission
         here is the last thing its event does
         to the policy, the tracker and the front-end's books; what is
         left of the loop is more admissions, whose decisions read none
@@ -387,17 +393,17 @@ class FastPath:
                 and (not self.heap or self.heap[0][0] > now)
             ):
                 engine.events_dispatched += 1
-                conn._begin_cb()
+                begin = conn.begin_stage
+                begin(conn)
                 hook = engine._sanitizer
                 if hook is not None:
-                    hook(now, conn._begin_cb)
+                    hook(now, begin)
             else:
-                self.schedule(0.0, conn._begin_cb)
+                self.post(0.0, conn.begin_stage, conn)
 
     def new_connection(self) -> "FastConnection":
         """A connection object for the pool, of the class this run
-        needs: observers are bound once per pooled object, never per
-        request."""
+        needs."""
         return self.conn_class(self)
 
     def release(self) -> None:
@@ -405,10 +411,9 @@ class FastPath:
         lead from this path back into the cluster (``fe``, and each
         node's ``disk_times_for``), so that nothing left is a reference
         cycle.  Every connection of a finished run is parked in the
-        pool; what is read afterwards (``conn_class``, the cost tables)
-        stays."""
-        for conn in self.pool:
-            conn._release()
+        pool, and a pooled connection's only way back to itself is this
+        path's pool; what is read afterwards (``conn_class``, the cost
+        tables) stays."""
         self.pool.clear()
         for node in self.nodes:
             node.disk_times_for = None
@@ -438,8 +443,16 @@ class FastConnection:
     ``_complete``) opens with the inlined body of ``Resource._finish``
     — jobs counter, busy-integral fold, direct waiter promotion — for
     the resource that served it, then runs the stage logic; the same
-    callback sits in a contended resource's waiter queue (see the
-    module docstring for why that is sound).
+    stage function and connection sit in a contended resource's waiter
+    queue (see the module docstring for why that is sound).
+
+    A connection is one object.  An event is a stage function of its
+    class and the connection itself (``post(delay, stage, conn)``, run
+    as ``stage(conn)``): the stage functions are read off the class
+    once per pooled object into the ``*_stage`` slots, shared with
+    every other connection of the run, so a connection holds no bound
+    method — nothing it references leads back to it, and a finished
+    run frees it with its pool.
 
     Instances are reused: a completing connection carries the request
     its freed slot admits, and parks itself in the owning
@@ -463,12 +476,12 @@ class FastConnection:
         "plan_i",
         "res",
         "reading",
-        "schedule",
+        "post",
         "units",
-        "_begin_cb",
-        "_decide_cb",
-        "_advance_cb",
-        "_complete_cb",
+        "begin_stage",
+        "decide_stage",
+        "advance_stage",
+        "complete_stage",
         "_served_hook",
     )
 
@@ -476,10 +489,10 @@ class FastConnection:
         self.fp = fp
         self.fe = fp.fe
         self.engine = fp.fe.engine
-        # The path's one bound ``schedule`` (a per-object binding would
+        # The path's one bound ``post`` (a per-object binding would
         # allocate a method object per connection), and the per-target
         # transmit-unit table read on every hit path.
-        self.schedule = fp.schedule
+        self.post = fp.post
         self.units = fp.units
         self.node: Any = None
         self.target = 0
@@ -499,21 +512,17 @@ class FastConnection:
         #: This connection's disk read is the one registered in the
         #: node's pending table (it wakes the waiters when it ends).
         self.reading = False
-        # Stage callbacks, bound once per pooled object (not per request).
-        self._begin_cb = self._begin
-        self._decide_cb = self._decide
-        self._advance_cb = self._advance
-        self._complete_cb = self._complete
-        #: Observer hook called when a request is served (by
-        #: ``_request_done``, and by ``_complete`` for a batch's last
-        #: request); ``None`` on an unobserved connection.
+        # The class's stage functions, each posted with this connection:
+        # plain functions, not methods bound to it.
+        cls = type(self)
+        self.begin_stage = cls._begin
+        self.decide_stage = cls._decide
+        self.advance_stage = cls._advance
+        self.complete_stage = cls._complete
+        #: Observer hook, ``hook(conn, now)``, called when a request is
+        #: served (by ``_request_done``, and by ``_complete`` for a
+        #: batch's last request); ``None`` on an unobserved connection.
         self._served_hook: Any = None
-
-    def _release(self) -> None:
-        """Drop the pre-bound callbacks: each is a reference to this
-        object, and without them the pool's ``clear()`` frees it."""
-        self._begin_cb = self._decide_cb = self._advance_cb = None
-        self._complete_cb = self._served_hook = None
 
     # -- lifecycle stages ------------------------------------------------------
 
@@ -527,11 +536,11 @@ class FastConnection:
         cpu = node.cpu
         # Resource._enqueue, inlined (establish service).
         if cpu._busy:
-            cpu._waiting.append((self._decide_cb, node._conn_time))
+            cpu._waiting.append((node._conn_time, self.decide_stage, self))
         else:
             cpu._last_change = now
             cpu._busy = 1
-            self.schedule(node._conn_time, self._decide_cb)
+            self.post(node._conn_time, self.decide_stage, self)
 
     def _decide(self) -> None:
         """Establishment done: book it, then make the fetch decision."""
@@ -544,8 +553,7 @@ class FastConnection:
         cpu._last_change = now
         waiting = cpu._waiting
         if waiting:
-            wcb, wdur = waiting.popleft()
-            self.schedule(wdur, wcb)
+            self.post(*waiting.popleft())
         else:
             cpu._busy = 0
         self._fetch()
@@ -642,14 +650,14 @@ class FastConnection:
 
     def _enqueue_data(self, resource: Any, duration: float) -> None:
         """Resource._enqueue, inlined, with ``_advance`` as the fused
-        completion callback."""
+        completion stage."""
         self.res = resource
         if resource._busy:
-            resource._waiting.append((self._advance_cb, duration))
+            resource._waiting.append((duration, self.advance_stage, self))
         else:
             resource._last_change = self.engine.now
             resource._busy = 1
-            self.schedule(duration, self._advance_cb)
+            self.post(duration, self.advance_stage, self)
 
     def _join_pending(self, waiters: Any) -> None:
         """The file is already being read from disk on this node:
@@ -658,12 +666,11 @@ class FastConnection:
         node.cache_misses += 1
         if node.coalesce_reads:
             node.coalesced_reads += 1
-            # Join the read's waiters in arrival order.  Bound here, not
-            # per pooled object: coalescing is the rare path.
+            # Join the read's waiters in arrival order.
             if waiters:
-                waiters.append(self._coalesced)
+                waiters.append(self)
             else:
-                node._pending[self.target] = [self._coalesced]
+                node._pending[self.target] = [self]
         else:
             self._start_chunked_read()
 
@@ -695,11 +702,11 @@ class FastConnection:
         disk = disks[0] if len(disks) == 1 else node.disk_for(target)
         self.res = disk
         if disk._busy:
-            disk._waiting.append((self._advance_cb, times.single[target]))
+            disk._waiting.append((times.single[target], self.advance_stage, self))
         else:
             disk._last_change = self.engine.now
             disk._busy = 1
-            self.schedule(times.single[target], self._advance_cb)
+            self.post(times.single[target], self.advance_stage, self)
 
     def _start_chunked_read(self) -> None:
         """Disk service then CPU transmit per 44 KB chunk, first chunk
@@ -736,8 +743,7 @@ class FastConnection:
         res._last_change = now
         waiting = res._waiting
         if waiting:
-            wcb, wdur = waiting.popleft()
-            self.schedule(wdur, wcb)
+            self.post(*waiting.popleft())
         else:
             res._busy = 0
         plan = self.plan
@@ -753,17 +759,17 @@ class FastConnection:
             # teardown is enqueued, so coalesced waiters wake in exactly
             # the oracle's order.
             self.reading = False
-            for wake in node._pending.pop(self.target):
-                self.schedule(0.0, wake)
+            for waiter in node._pending.pop(self.target):
+                self.post(0.0, type(waiter)._coalesced, waiter)
         if self.index == self.last:
             # Resource._enqueue, inlined (teardown service).
             cpu = node.cpu
             if cpu._busy:
-                cpu._waiting.append((self._complete_cb, node._teardown_time))
+                cpu._waiting.append((node._teardown_time, self.complete_stage, self))
             else:
                 cpu._last_change = now
                 cpu._busy = 1
-                self.schedule(node._teardown_time, self._complete_cb)
+                self.post(node._teardown_time, self.complete_stage, self)
             return
         self._request_done(now)
         fp = self.fp
@@ -816,7 +822,7 @@ class FastConnection:
         node.bytes_served += self.size
         hook = self._served_hook
         if hook is not None:
-            hook(now)
+            hook(self, now)
         fe = self.fe
         fp = self.fp
         node_id = node.node_id
@@ -846,8 +852,7 @@ class FastConnection:
         cpu._last_change = now
         waiting = cpu._waiting
         if waiting:
-            wcb, wdur = waiting.popleft()
-            self.schedule(wdur, wcb)
+            self.post(*waiting.popleft())
         else:
             cpu._busy = 0
         # The batch's last request is done: _request_done, inlined, since
@@ -856,7 +861,7 @@ class FastConnection:
         node.bytes_served += self.size
         hook = self._served_hook
         if hook is not None:
-            hook(now)
+            hook(self, now)
         fe = self.fe
         fp = self.fp
         node_id = node.node_id
@@ -936,7 +941,7 @@ class FastConnection:
             # more (a raised admission limit racing this completion)
             # goes to the general loop, behind this one's staged start.
             if in_flight + 1 < limit and end < n:
-                self.schedule(0.0, self._begin_cb)
+                self.post(0.0, self.begin_stage, self)
                 fp.admit()
                 return
             # Nothing follows in this event, so a traced or faulty
@@ -947,12 +952,13 @@ class FastConnection:
                 and (not fp.heap or fp.heap[0][0] > now)
             ):
                 engine.events_dispatched += 1
-                self._begin_cb()
+                begin = self.begin_stage
+                begin(self)
                 hook = engine._sanitizer
                 if hook is not None:
-                    hook(now, self._begin_cb)
+                    hook(now, begin)
             else:
-                self.schedule(0.0, self._begin_cb)
+                self.post(0.0, self.begin_stage, self)
         else:
             # Nothing to admit (the trace ran out, or a failure lowered
             # the limit): the slot is given up and the object parked.
@@ -984,8 +990,6 @@ class FaultyConnection(FastConnection):
         "first",
         "attempts",
         "missed",
-        "_timed_out_cb",
-        "_retry_cb",
     )
 
     def __init__(self, fp: FastPath) -> None:
@@ -996,14 +1000,9 @@ class FaultyConnection(FastConnection):
         self.retry = faults.retry
         # Per-connection state (t_first, first, attempts) is set by the
         # start event, ``missed`` by each fetch decision.
-        self._begin_cb = self._dispatch
-        self._timed_out_cb = self._timed_out
-        self._retry_cb = self._retry
-        self._served_hook = self._record_served
-
-    def _release(self) -> None:
-        FastConnection._release(self)
-        self._timed_out_cb = self._retry_cb = None
+        cls = type(self)
+        self.begin_stage = cls._dispatch
+        self._served_hook = cls._record_served
 
     def _dispatch(self) -> None:
         """Start event: the connection's clock starts, whatever becomes
@@ -1022,7 +1021,7 @@ class FaultyConnection(FastConnection):
         """The chosen node is dark: nothing answers until the client's
         timeout fires."""
         self.faults.doomed_dispatches += 1
-        self.schedule(self.retry.timeout_s, self._timed_out_cb)
+        self.post(self.retry.timeout_s, type(self)._timed_out, self)
 
     def _timed_out(self) -> None:
         """Client timeout: give the dark node's slot back, then either
@@ -1048,7 +1047,7 @@ class FaultyConnection(FastConnection):
             return
         self.attempts += 1
         faults.retried_requests += self.last + 1 - self.index
-        self.schedule(self.retry.backoff_s(self.attempts), self._retry_cb)
+        self.post(self.retry.backoff_s(self.attempts), type(self)._retry, self)
 
     def _retry(self) -> None:
         """Back-off over: the front-end dispatches the request afresh."""
@@ -1146,7 +1145,7 @@ class _Traced:
         self.disk_s = 0.0
         self.cpu_s = 0.0
         self.on_disk = False
-        self._served_hook = self._served
+        self._served_hook = type(self)._served
 
     def _begin(self) -> None:
         self.span = self.tracer.begin(

@@ -27,10 +27,11 @@ Resolution model (and its deliberate limits):
   call whose receiver type cannot be derived syntactically produces *no*
   edge.
 * **Callback references** — ``self._cb = self._stage`` aliases declared
-  in ``__init__``, and bare ``self.method`` loads — produce *reference*
-  edges (``CallSite.is_ref``): the engine will call them, so
-  reachability passes must follow them, but they are not call sites for
-  lockset verification.
+  in ``__init__`` (or ``= cls._stage`` / ``= type(self)._stage``: a
+  stage function posted with its object), and bare ``self.method``
+  loads — produce *reference* edges (``CallSite.is_ref``): the engine
+  will call them, so reachability passes must follow them, but they are
+  not call sites for lockset verification.
 """
 
 from __future__ import annotations
@@ -268,6 +269,21 @@ def _chain_parts(expr: ast.expr) -> Optional[List[str]]:
             return None
 
 
+def _is_own_class_or_self(expr: ast.expr) -> bool:
+    """``self``, ``cls`` or ``type(self)``: a method read off one of
+    them in ``__init__`` is the object's own function."""
+    if isinstance(expr, ast.Name):
+        return expr.id in ("self", "cls")
+    return (
+        isinstance(expr, ast.Call)
+        and isinstance(expr.func, ast.Name)
+        and expr.func.id == "type"
+        and len(expr.args) == 1
+        and isinstance(expr.args[0], ast.Name)
+        and expr.args[0].id == "self"
+    )
+
+
 def _annotation_name(annotation: ast.expr) -> Optional[str]:
     """Class name an annotation ultimately refers to, unwrapping string
     annotations and the common container heads."""
@@ -405,8 +421,7 @@ class _ClassScan:
                 self.attr_annotations.setdefault(attr, param_annotations[value.id])
             elif (
                 isinstance(value, ast.Attribute)
-                and isinstance(value.value, ast.Name)
-                and value.value.id == "self"
+                and _is_own_class_or_self(value.value)
                 and value.attr in self.methods
             ):
                 self.attr_aliases[attr] = value.attr

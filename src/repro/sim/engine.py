@@ -7,12 +7,14 @@ of any web-server concepts so that it can be tested (and reused) on its own.
 The engine follows the classic event-list design:
 
 * :class:`Engine` owns a simulated clock and a priority queue of pending
-  events, each a ``(time, sequence, callback, args)`` tuple.  Ties in time
-  are broken by insertion order, which makes runs fully deterministic.
-  Storing the argument tuple in the queue entry (instead of wrapping the
-  callback in a closure) keeps :meth:`Engine.schedule` allocation-free on
-  the hot path — a simulation dispatches one of these per event, so a
-  per-event lambda is pure overhead.
+  events, each a ``(time, sequence, fn, arg)`` tuple dispatched as
+  ``fn(arg)``.  Ties in time are broken by insertion order, which makes
+  runs fully deterministic.  One function and one argument is the whole
+  event: the cluster's request lifecycle posts a stage function with its
+  connection (:meth:`Engine.post`), so no event needs a closure, a bound
+  method or an argument tuple, and the run loop has one way to call
+  every event.  :meth:`Engine.schedule` takes a callback of any arity
+  and folds it into that shape.
 * :class:`Process` wraps a Python generator.  The generator *yields* command
   objects (:class:`Delay`, :class:`Service`, :class:`Wait`, :class:`Acquire`,
   :class:`Release` from :mod:`repro.sim.resources`) and is resumed by the
@@ -38,11 +40,24 @@ from __future__ import annotations
 
 import heapq  # lardlint: disable-file=raw-heapq -- this IS the engine: every push carries the (time, seq) tie-break the rule exists to enforce
 from collections import deque
+from functools import partial
 from typing import Any, Callable, Deque, Generator, List, Optional, Tuple
 
 __all__ = ["Engine", "Process", "Delay", "SimulationError"]
 
-_EMPTY_ARGS: Tuple[Any, ...] = ()
+try:
+    from operator import call as _call  # Python 3.11+: call(f) is f(), in C
+except ImportError:  # pragma: no cover - Python < 3.11
+
+    def _call(fn: Callable[[], Any]) -> Any:
+        return fn()
+
+
+_heappush = heapq.heappush
+
+#: A pending event: dispatched as ``fn(arg)`` at ``time``.
+Event = Tuple[float, int, Callable[[Any], Any], Any]
+
 
 #: The bound of an unbounded run that takes the general loop.
 _NEVER = float("inf")
@@ -98,8 +113,9 @@ class Process:
         self.finished = False
         self.value: Any = None
         self.name = name
-        # The bound method is scheduled once per event; binding it eagerly
-        # avoids re-creating a method object on every wakeup.
+        # The resume callable commands hand to resources and events (a
+        # wakeup is ``_resume(value)``); binding it eagerly avoids
+        # re-creating a method object on every wakeup.
         self._resume = self._step
 
     def _step(self, send_value: Any = None) -> None:
@@ -113,7 +129,7 @@ class Process:
         # Exact-type check instead of isinstance: Delay is final in
         # practice and this is the engine's innermost dispatch.
         if command.__class__ is Delay:
-            self.engine.schedule(command.duration, self._resume)
+            self.engine.post(command.duration, self._resume, None)
             return
         try:
             # Resource-style commands (Service/Acquire/Release/Wait)
@@ -146,7 +162,7 @@ class Engine:
 
     def __init__(self) -> None:
         self.now: float = 0.0
-        self._queue: List[Tuple[float, int, Callable[..., None], Tuple[Any, ...]]] = []
+        self._queue: List[Event] = []
         # Same-instant staging FIFO.  An event scheduled for the
         # *current* clock reading necessarily sorts after every
         # queued event with an earlier time and after every same-time
@@ -159,9 +175,7 @@ class Engine:
         # clock never moves while the FIFO is non-empty: the run loops
         # drain it before popping a later heap entry, and run() refuses
         # an ``until`` behind the clock.
-        self._nowq: Deque[Tuple[float, int, Callable[..., None], Tuple[Any, ...]]] = (
-            deque()
-        )
+        self._nowq: Deque[Event] = deque()
         self._seq = 0
         # True whenever no run loop is going to dispatch another event:
         # before run(), once it returns, and from stop() on.  Code that
@@ -174,30 +188,47 @@ class Engine:
         # Optional per-event invariant hook (see repro.sim.sanitize):
         # run() reads it once and keeps the unsanitized hot loop free of
         # it — not even a None check per event.
-        self._sanitizer: Optional[Callable[[float, Callable[..., None]], None]] = None
+        self._sanitizer: Optional[Callable[[float, Callable[..., Any]], None]] = None
 
     # -- scheduling ---------------------------------------------------------
 
-    def schedule(self, delay: float, callback: Callable[..., None], *args: Any) -> None:
-        """Run ``callback(*args)`` after ``delay`` simulated time units."""
+    def post(self, delay: float, fn: Callable[[Any], Any], arg: Any) -> None:
+        """Run ``fn(arg)`` after ``delay`` simulated time units.
+
+        The engine's own event shape, stored as given: the request
+        lifecycle posts a stage function and its connection, a resource
+        a job's completion, a process its own resumption.
+        """
         # ``not >=`` rather than ``<``: a NaN delay fails every compare,
         # and must not slip through to be staged at the current instant.
         if not delay >= 0:
             raise SimulationError(
                 f"cannot schedule into the past or at NaN (delay={delay})"
             )
-        self._seq += 1
+        seq = self._seq + 1
+        self._seq = seq
         now = self.now
         when = now + delay
         # Route on the *computed* event time, not on ``delay == 0``:
         # a subnormal delay can round ``now + delay`` back to ``now``,
         # and such an event must keep FIFO order with the staged ones.
         if when > now:
-            heapq.heappush(self._queue, (when, self._seq, callback, args))
+            _heappush(self._queue, (when, seq, fn, arg))
         else:
-            self._nowq.append((when, self._seq, callback, args))
+            self._nowq.append((when, seq, fn, arg))
 
-    def schedule_at(self, when: float, callback: Callable[..., None], *args: Any) -> None:
+    def schedule(self, delay: float, callback: Callable[..., Any], *args: Any) -> None:
+        """Run ``callback(*args)`` after ``delay`` simulated time units:
+        :meth:`post`, for a callback of any arity (none is
+        ``_call(callback)``, several a ``partial``)."""
+        if not args:
+            self.post(delay, _call, callback)
+        elif len(args) == 1:
+            self.post(delay, callback, args[0])
+        else:
+            self.post(delay, _call, partial(callback, *args))
+
+    def schedule_at(self, when: float, callback: Callable[..., Any], *args: Any) -> None:
         """Run ``callback(*args)`` at absolute simulated time ``when``.
 
         ``when`` may equal the current clock (the event runs after all
@@ -209,11 +240,17 @@ class Engine:
             raise SimulationError(
                 f"cannot schedule into the past or at NaN (when={when}, now={self.now})"
             )
+        if len(args) == 1:
+            fn, arg = callback, args[0]
+        elif args:
+            fn, arg = _call, partial(callback, *args)
+        else:
+            fn, arg = _call, callback
         self._seq += 1
         if when > self.now:
-            heapq.heappush(self._queue, (when, self._seq, callback, args))
+            _heappush(self._queue, (when, self._seq, fn, arg))
         else:
-            self._nowq.append((when, self._seq, callback, args))
+            self._nowq.append((when, self._seq, fn, arg))
 
     def process(self, gen: Generator[Any, Any, Any], name: str = "") -> Process:
         """Register a generator as a process, starting it at the current time."""
@@ -221,7 +258,7 @@ class Engine:
         # Start the process via the event queue (not synchronously) so that
         # creation order and execution order are both deterministic.
         self._seq += 1
-        self._nowq.append((self.now, self._seq, proc._resume, _EMPTY_ARGS))
+        self._nowq.append((self.now, self._seq, proc._resume, None))
         return proc
 
     # -- execution ----------------------------------------------------------
@@ -252,29 +289,23 @@ class Engine:
         dispatched = 0
         try:
             if until is None and hook is None:
-                # Hot loop: no bound checks — schedule/schedule_at
-                # guarantee event times are never in the past.  Staged
-                # same-instant events dispatch after any equal-time heap
-                # entry (the heap entry's seq is necessarily smaller).
-                # Most events carry no args (the flattened request path
-                # binds its state into the callback), and a plain call is
-                # measurably cheaper than a star-call on an empty tuple.
+                # Hot loop: no bound checks — post/schedule_at guarantee
+                # event times are never in the past.  Staged same-instant
+                # events dispatch after any equal-time heap entry (the
+                # heap entry's seq is necessarily smaller).
                 while not self._stopped:
                     if nowq:
                         if queue and queue[0][0] <= nowq[0][0]:
-                            when, _seq, callback, args = pop(queue)
+                            when, _seq, fn, arg = pop(queue)
                         else:
-                            when, _seq, callback, args = nowq.popleft()
+                            when, _seq, fn, arg = nowq.popleft()
                     elif queue:
-                        when, _seq, callback, args = pop(queue)
+                        when, _seq, fn, arg = pop(queue)
                     else:
                         break
                     self.now = when
                     dispatched += 1
-                    if args:
-                        callback(*args)
-                    else:
-                        callback()
+                    fn(arg)
                 return self.now
             # Staged events are due at the current clock, which the
             # guard above keeps <= until: only heap entries can be late.
@@ -282,23 +313,22 @@ class Engine:
             while not self._stopped:
                 if nowq:
                     if queue and queue[0][0] <= nowq[0][0]:
-                        when, _seq, callback, args = pop(queue)
+                        when, _seq, fn, arg = pop(queue)
                     else:
-                        when, _seq, callback, args = nowq.popleft()
+                        when, _seq, fn, arg = nowq.popleft()
                 elif queue:
                     if queue[0][0] > limit:
                         break
-                    when, _seq, callback, args = pop(queue)
+                    when, _seq, fn, arg = pop(queue)
                 else:
                     break
                 self.now = when
                 dispatched += 1
-                if args:
-                    callback(*args)
-                else:
-                    callback()
+                fn(arg)
                 if hook is not None:
-                    hook(when, callback)
+                    # The hook is shown the callback that ran: a zero-
+                    # argument one is the argument of ``_call``.
+                    hook(when, arg if fn is _call else fn)
             if until is not None and self.now < until and not self._stopped:
                 self.now = until
             return self.now
@@ -307,16 +337,18 @@ class Engine:
             self.events_dispatched += dispatched
 
     def install_sanitizer(
-        self, hook: Optional[Callable[[float, Callable[..., None]], None]]
+        self, hook: Optional[Callable[[float, Callable[..., Any]], None]]
     ) -> None:
         """Invoke ``hook(event_time, callback)`` after every dispatched event.
 
-        :meth:`run` reads the hook once, when it starts; with none
-        installed an unbounded run keeps the unchecked hot loop.  Code
-        that runs an event in place of staging it (see ``_stopped``)
-        calls the hook for that event itself, right after the event,
-        with the clock and the callback the loop would have passed.
-        Pass ``None`` to uninstall.
+        ``callback`` is the event's function (a stage function, for the
+        request lifecycle), or the callback itself for one scheduled
+        with no arguments.  :meth:`run` reads the hook once, when it
+        starts; with none installed an unbounded run keeps the unchecked
+        hot loop.  Code that runs an event in place of staging it (see
+        ``_stopped``) calls the hook for that event itself, right after
+        the event, with the clock and the function the loop would have
+        passed.  Pass ``None`` to uninstall.
         """
         self._sanitizer = hook
 

@@ -48,11 +48,14 @@ class Resource:
         self.capacity = capacity
         self.name = name
         self._busy = 0
-        # Waiters are stored as their *resume callables*, not process
-        # objects: generator processes enqueue ``process._resume`` and
-        # the flattened fast path (repro.cluster.fastpath) enqueues its
-        # per-stage bound callbacks, so one queue serves both styles.
-        self._waiting: Deque[Tuple[Callable[..., None], Optional[float]]] = deque()
+        # A waiting job is the event its start will post: ``(duration,
+        # fn, arg)``, so that ``fn(arg)`` runs when the service ends.  A
+        # generator process's job is this resource's ``_finish`` and the
+        # process's resume callable; the cluster's state machine
+        # (repro.cluster.fastpath) queues a stage function and its
+        # connection, which books its own completion.  One shape, so
+        # either side starts a waiter with ``engine.post(*job)``.
+        self._waiting: Deque[Tuple[float, Callable[[Any], Any], Any]] = deque()
         # Utilization accounting: integral of (busy servers) dt.
         self._busy_integral = 0.0
         self._last_change = engine.now
@@ -96,6 +99,12 @@ class Resource:
     # -- mechanics ----------------------------------------------------------
 
     def _enqueue(self, resume: Callable[..., None], duration: Optional[float]) -> None:
+        # An Acquire-style hold (no duration) resumes the caller as soon
+        # as a server is its; it will yield Release(resource) later.
+        if duration is None:
+            job = (0.0, resume, None)
+        else:
+            job = (duration, self._finish, resume)
         # _start's body is inlined for the uncontended case: enqueue and
         # finish are the two most frequent operations in a simulation.
         if self._busy < self.capacity:
@@ -104,26 +113,16 @@ class Resource:
             self._busy_integral += self._busy * (now - self._last_change)
             self._last_change = now
             self._busy += 1
-            if duration is None:
-                # Acquire-style hold: resume the caller immediately; it
-                # will yield Release(resource) later.
-                engine.schedule(0.0, resume)
-            else:
-                engine.schedule(duration, self._finish, resume)
+            engine.post(*job)
         else:
-            self._waiting.append((resume, duration))
+            self._waiting.append(job)
 
-    def _start(self, resume: Callable[..., None], duration: Optional[float]) -> None:
+    def _start(self, duration: float, fn: Callable[[Any], Any], arg: Any) -> None:
         now = self.engine.now
         self._busy_integral += self._busy * (now - self._last_change)
         self._last_change = now
         self._busy += 1
-        if duration is None:
-            # Acquire-style hold: resume the caller immediately; it will
-            # yield Release(resource) later.
-            self.engine.schedule(0.0, resume)
-        else:
-            self.engine.schedule(duration, self._finish, resume)
+        self.engine.post(duration, fn, arg)
 
     def _finish(self, resume: Callable[..., None]) -> None:
         self.jobs_served += 1
@@ -132,8 +131,7 @@ class Resource:
         self._last_change = now
         self._busy -= 1
         if self._waiting and self._busy < self.capacity:
-            waiter, duration = self._waiting.popleft()
-            self._start(waiter, duration)
+            self._start(*self._waiting.popleft())
         resume()
 
     def _release_server(self) -> None:
@@ -144,8 +142,7 @@ class Resource:
         if self._busy < 0:  # pragma: no cover - defensive
             raise SimulationError(f"resource {self.name!r} released below zero")
         if self._waiting and self._busy < self.capacity:
-            resume, duration = self._waiting.popleft()
-            self._start(resume, duration)
+            self._start(*self._waiting.popleft())
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
@@ -191,7 +188,7 @@ class Release:
 
     def _activate(self, process: Process) -> None:
         self.resource._release_server()
-        self.resource.engine.schedule(0.0, process._resume)
+        self.resource.engine.post(0.0, process._resume, None)
 
 
 class SimEvent:
@@ -209,9 +206,8 @@ class SimEvent:
         self.name = name
         self.triggered = False
         self.value: Any = None
-        # Resume callables (see Resource._waiting): a generator waiter
-        # registers ``process._resume``, a fast-path connection its
-        # coalesced-wakeup callback.
+        # Resume callables: a generator waiter registers
+        # ``process._resume``.
         self._waiters: List[Callable[..., None]] = []
 
     def trigger(self, value: Any = None) -> None:
@@ -222,7 +218,7 @@ class SimEvent:
         self.value = value
         waiters, self._waiters = self._waiters, []
         for resume in waiters:
-            self.engine.schedule(0.0, resume, value)
+            self.engine.post(0.0, resume, value)
 
     @property
     def waiter_count(self) -> int:
@@ -243,6 +239,6 @@ class Wait:
 
     def _activate(self, process: Process) -> None:
         if self.event.triggered:
-            self.event.engine.schedule(0.0, process._resume, self.event.value)
+            self.event.engine.post(0.0, process._resume, self.event.value)
         else:
             self.event._waiters.append(process._resume)

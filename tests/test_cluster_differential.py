@@ -267,7 +267,7 @@ MUTATIONS = {
     ),
     "goodput-not-recorded": (
         "cluster/fastpath.py",
-        "        self._served_hook = self._record_served\n",
+        "        self._served_hook = cls._record_served\n",
         "",
         dict(traced=False, cgi=False, policy="wrr", fault_seed=3),
     ),

@@ -169,12 +169,12 @@ class TestCoalescing:
 #: must catch: name -> (anchor in cluster/fastpath.py, replacement).
 _WAITER_MUTATIONS = {
     "waiters-woken-newest-first": (
-        "            for wake in node._pending.pop(self.target):\n",
-        "            for wake in reversed(node._pending.pop(self.target)):\n",
+        "            for waiter in node._pending.pop(self.target):\n",
+        "            for waiter in reversed(node._pending.pop(self.target)):\n",
     ),
     "a-later-waiter-replaces-the-earlier-ones": (
-        "                waiters.append(self._coalesced)\n",
-        "                node._pending[self.target] = [self._coalesced]\n",
+        "                waiters.append(self)\n",
+        "                node._pending[self.target] = [self]\n",
     ),
 }
 

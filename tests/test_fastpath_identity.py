@@ -10,9 +10,11 @@ dataclasses.
 """
 
 import dataclasses
+import gc
 import hashlib
 import io
 import json
+import types
 
 import pytest
 
@@ -177,9 +179,11 @@ def _parked_during(sim, every_s=0.01):
 
 
 def test_pooled_connections_share_one_schedule_object(trace):
-    """``engine.schedule`` evaluated per object allocated one bound
-    method per pooled connection (six tracked objects apiece at 1024
-    nodes); every class now takes the path's single binding."""
+    """``engine.post`` evaluated per object would allocate one bound
+    method per pooled connection; every class takes the path's single
+    binding.  And a connection binds nothing else to itself: its events
+    are its class's stage functions posted with it, so nothing it
+    holds is a method."""
     for extra in (dict(), dict(requests_per_connection=4)):
         config = ClusterConfig(
             policy="lard/r", num_nodes=4, node_cache_bytes=2**19, **extra
@@ -190,12 +194,16 @@ def test_pooled_connections_share_one_schedule_object(trace):
         untraced = ClusterSimulator(trace, config)
         for run, parked in ((traced, traced_parked), (untraced, _parked_during(untraced))):
             assert len(parked) > 1
-            assert {type(conn) for conn in parked} == {_conn_class(run)}
+            cls = _conn_class(run)
+            assert {type(conn) for conn in parked} == {cls}
             path = run.frontend._fastpath
-            assert all(conn.schedule is path.schedule for conn in parked)
-            # run() released them: no pool, no self-referencing callbacks.
+            assert all(conn.post is path.post for conn in parked)
+            for conn in parked:
+                assert conn.advance_stage is cls._advance
+                held = [ref for ref in gc.get_referents(conn) if ref is not path.post]
+                assert not any(isinstance(ref, types.MethodType) for ref in held)
+            # run() released them: the pool is gone.
             assert path.pool == []
-            assert all(conn._begin_cb is None for conn in parked)
 
 
 # -- the traced state machine ---------------------------------------------------
@@ -413,14 +421,14 @@ _INPLACE_MUTATIONS = {
         "test_in_place_starts_are_counted and one-request",
     ),
     "in-place-start-skips-the-sanitizer-hook": (
-        "                engine.events_dispatched += 1\n                self._begin_cb()\n"
+        "                begin(self)\n"
         "                hook = engine._sanitizer\n                if hook is not None:\n"
-        "                    hook(now, self._begin_cb)\n            else:\n"
-        "                self.schedule(0.0, self._begin_cb)\n        else:\n"
+        "                    hook(now, begin)\n            else:\n"
+        "                self.post(0.0, self.begin_stage, self)\n        else:\n"
         "            # Nothing to admit",
-        "                engine.events_dispatched += 1\n                self._begin_cb()\n"
+        "                begin(self)\n"
         "            else:\n"
-        "                self.schedule(0.0, self._begin_cb)\n        else:\n"
+        "                self.post(0.0, self.begin_stage, self)\n        else:\n"
         "            # Nothing to admit",
         "test_the_sanitizer_hook_sees_every_event and one-request",
     ),

@@ -139,6 +139,18 @@ def test_transitive_nondeterminism_fires_across_modules_with_chain():
     assert "-> time.time()" in chained[0].message
 
 
+def test_taint_follows_a_stage_function_read_off_the_class():
+    """``self.stage = cls._stage`` (or ``type(self)._stage``) in
+    ``__init__`` is a callback alias like ``self._stage``: a stage
+    posted with its object reaches what the stage calls."""
+    findings = lint_paths([FIXTURES / "proj_stage_taint"])
+    assert {f.rule for f in findings} == {"transitive-nondeterminism"}
+    assert sorted(f.message.split(": ")[1] for f in findings) == [
+        "stage_util.Conn._tick -> time.time()",
+        "stage_util.Conn._tock -> time.time()",
+    ]
+
+
 def test_transitive_nondeterminism_source_suppression_silences_cone():
     assert project_rules_of("proj_taint_good") == []
 

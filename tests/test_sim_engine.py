@@ -36,6 +36,67 @@ def test_schedule_with_args():
     assert log == ["x"]
 
 
+def test_an_event_is_one_function_and_one_argument():
+    """``post`` stores ``(time, seq, fn, arg)`` as given and the loop
+    calls ``fn(arg)``; ``schedule`` folds every arity into that shape,
+    and both draw on one sequence, so ties keep the order of the calls
+    whichever made them."""
+    eng = Engine()
+    log = []
+
+    class Conn:
+        def stage(self):
+            log.append(("stage", self is conn, eng.now))
+
+    conn = Conn()
+    eng.post(1.0, Conn.stage, conn)
+    assert eng._queue == [(1.0, 1, Conn.stage, conn)]
+    eng.schedule(1.0, lambda: log.append(("none",)))
+    eng.schedule(1.0, log.append, ("one",))
+    eng.schedule(1.0, lambda a, b: log.append(("two", a, b)), "a", "b")
+    eng.schedule_at(1.0, log.append, ("at",))
+    eng.post(0.0, log.append, ("staged",))
+    assert eng._nowq[0][2:] == (log.append, ("staged",))
+    eng.run()
+    assert log == [
+        ("staged",),
+        ("stage", True, 1.0),
+        ("none",),
+        ("one",),
+        ("two", "a", "b"),
+        ("at",),
+    ]
+    assert eng.events_dispatched == 6
+
+
+@pytest.mark.parametrize("sanitized", [False, True])
+def test_post_refuses_the_past_and_nan(sanitized):
+    eng = Engine()
+    if sanitized:
+        eng.install_sanitizer(lambda when, callback: None)
+    for delay in (-0.1, float("nan")):
+        with pytest.raises(SimulationError):
+            eng.post(delay, id, None)
+    assert eng.pending == 0
+
+
+def test_the_hook_is_shown_the_callback_that_ran():
+    """A posted event shows its function; a callback scheduled with no
+    arguments shows itself, not the adapter that called it."""
+    eng = Engine()
+    seen, sink = [], []
+    eng.install_sanitizer(lambda when, callback: seen.append(callback))
+
+    def tick():
+        pass
+
+    eng.post(1.0, sink.append, 1)
+    eng.schedule(2.0, tick)
+    eng.schedule(3.0, sink.append, 3)
+    eng.run(until=5.0)
+    assert seen == [sink.append, tick, sink.append] and sink == [1, 3]
+
+
 def test_negative_delay_rejected():
     eng = Engine()
     with pytest.raises(SimulationError):

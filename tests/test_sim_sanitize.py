@@ -104,12 +104,12 @@ def test_sanitized_run_is_byte_identical(tmp_path, monkeypatch):
 
 def test_clock_regression_is_caught():
     def corrupt(sim):
-        # Bypass the schedule() past-guard: push a raw event dated before
-        # the current clock, exactly the corruption the sanitizer exists
-        # to catch.
+        # Bypass the post() past-guard: push a raw event, ``(time, seq,
+        # fn, arg)``, dated before the current clock, exactly the
+        # corruption the sanitizer exists to catch.
         engine = sim.engine
         engine._seq += 1
-        heapq.heappush(engine._queue, (engine.now / 2, engine._seq, lambda: None, ()))
+        heapq.heappush(engine._queue, (engine.now / 2, engine._seq, lambda _: None, None))
 
     sim = _corrupt_at(_simulator(), 0.5, corrupt)
     with pytest.raises(SanitizerError, match="clock moved backwards"):
@@ -122,7 +122,7 @@ def test_bare_engine_hook_checks_monotonicity():
     engine.install_sanitizer(sanitizer.after_event)
     engine.schedule(1.0, lambda: None)
     engine.schedule(
-        0.5, lambda: heapq.heappush(engine._queue, (0.1, 10**9, lambda: None, ()))
+        0.5, lambda: heapq.heappush(engine._queue, (0.1, 10**9, lambda _: None, None))
     )
     with pytest.raises(SanitizerError, match="clock moved backwards"):
         engine.run()
@@ -151,7 +151,7 @@ def test_bounded_run_under_a_sanitizer_checks_exactly_the_events_it_dispatches()
     assert engine.run() == 3.5
     assert sanitizer.events_seen == engine.events_dispatched == 6
     # And a corruption inside a bounded run is caught inside it.
-    engine.schedule(1.0, lambda: heapq.heappush(engine._queue, (0.1, 10**9, lambda: None, ())))
+    engine.schedule(1.0, lambda: heapq.heappush(engine._queue, (0.1, 10**9, lambda _: None, None)))
     with pytest.raises(SanitizerError, match="clock moved backwards"):
         engine.run(until=10.0)
 

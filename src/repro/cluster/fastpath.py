@@ -12,8 +12,9 @@ itself, so a run's connections are not reference cycles and cost one
 allocation each, however many stages they pass through.
 
 Every simulation runs here: what a run adds — a fault runtime, a
-tracer — is a connection *class*, chosen once when :class:`FastPath` is
-built, that overrides only the stages where it intervenes:
+tracer — is a connection *class*, chosen once by
+:meth:`FrontEnd.start() <repro.cluster.frontend.FrontEnd.start>`, that
+overrides only the stages where it intervenes:
 
 * :class:`FastConnection` — a client connection carrying consecutive
   trace requests ``index..last``: the first pays establishment, the
@@ -69,7 +70,7 @@ from outside):
   timers — matches the oracle exactly, so the engine consumes the same
   ``(time, seq)`` stream and dispatches the same events; a connection's
   start event may be *run* where the oracle stages it, but only when it
-  is the event the engine would dispatch next (``FastPath.admit`` has
+  is the event the engine would dispatch next (``FrontEnd.admit`` has
   the conditions), and it is counted in ``engine.events_dispatched``;
 * per-request state reads happen at the same event boundaries: the
   membership epoch is read where the load is attached (admission, retry,
@@ -90,8 +91,8 @@ from outside):
   GMS paths call the exact ``CostModel`` methods the oracle calls.
 
 Every node resource is a single FCFS server (paper Section 3.1: one
-CPU, and each disk, with its own queue; ``FastPath`` refuses anything
-else), and the inlined bookkeeping is written for exactly that.  A
+CPU, and each disk, with its own queue; ``FrontEnd.start`` refuses
+anything else), and the inlined bookkeeping is written for exactly that.  A
 finish counts the job, adds ``now - _last_change`` to the busy integral
 (the server was busy: ``1 * x == x``) and either promotes the head
 waiter, leaving ``_busy`` at 1, or sets it to 0.  An enqueue on a busy
@@ -100,7 +101,7 @@ server appends; on an idle one it restarts the busy period —
 would add ``0 * x`` to an integral that is never below ``+0.0``.
 
 Several canonical bodies are deliberately inlined in the connection
-classes and :meth:`FastPath.admit` — from ``Resource`` (enqueue/finish),
+classes and ``FrontEnd.admit`` — from ``Resource`` (enqueue/finish),
 ``Policy.on_dispatch``/``on_complete``, ``LoadTracker.observe`` and
 ``FrontEnd._account_request``/``_detach`` — because at ~4 events per
 request the call frames themselves dominated the profile.  Any semantic
@@ -134,7 +135,6 @@ from ..cache.gms import GMSOutcome
 from .costs import CostModel
 
 __all__ = [
-    "FastPath",
     "DiskTimes",
     "FastConnection",
     "FaultyConnection",
@@ -192,234 +192,6 @@ class DiskTimes:
         return plan
 
 
-class FastPath:
-    """Per-front-end state of the state machine: the connection class
-    this run needs, precomputed cost tables, resolved references into
-    the policy/tracker hot state, and the connection pool.
-
-    Built by ``FrontEnd.start()``, when the run's observers are attached:
-    the tracer and the fault runtime pick the connection class here,
-    once, so a run without them executes none of their code.
-
-    Cost tables are derived from the trace with numpy:
-
-    * ``units[t]`` — target ``t``'s size in 512-byte transmit blocks;
-      multiplied by a node's folded ``_transmit_per_unit`` this is
-      bit-for-bit the oracle's ``((size + 511) // 512) * per_unit``.
-    * one :class:`DiskTimes` per distinct :class:`CostModel`
-      (:meth:`disk_times`), handed to each node for its own model.
-
-    The policy's ``loads``/``_alive`` lists and the tracker's arrays
-    (which integrate over that same ``loads``) are captured by reference
-    — they are mutated in place, never reassigned — so the per-request
-    accounting below runs on plain list indexing.
-    """
-
-    __slots__ = (
-        "fe",
-        "pool",
-        "conn_class",
-        "per_conn",
-        "rehandoff",
-        "post",
-        "engine",
-        "heap",
-        "nowq",
-        "inplace",
-        "units",
-        "tables",
-        "targets_l",
-        "sizes_l",
-        "n",
-        "choose",
-        "take",
-        "policy",
-        "p_loads",
-        "p_alive",
-        "t_under_since",
-        "t_under_time",
-        "t_is_under",
-        "t_threshold",
-        "epochs",
-        "nodes",
-        "per_node_dispatches",
-        "per_node_delay_s",
-        "per_node_completions",
-    )
-
-    def __init__(self, fe: Any) -> None:
-        self.fe = fe
-        self.pool: List[FastConnection] = []
-        #: Trace requests carried by one connection.
-        self.per_conn: int = fe.requests_per_connection
-        self.rehandoff: bool = fe.persistent_policy == "rehandoff"
-        base = FastConnection if fe.faults is None else FaultyConnection
-        self.conn_class = base if fe.tracer is None else _TRACED[base]
-        # One bound method for every connection: posting an event is
-        # the single hottest call each stage makes.
-        engine = fe.engine
-        self.post = engine.post
-        # What an admission looks at to tell whether the start event it
-        # is about to stage would be the very next one dispatched (see
-        # ``admit``): the engine's two queues, never written from here.
-        self.engine = engine
-        self.heap = engine._queue  # lardlint: disable=event-queue -- read-only: is anything else due at this instant
-        self.nowq = engine._nowq  # lardlint: disable=event-queue -- read-only: is anything staged ahead
-        #: The admission loop may run a start event in place.  Not a
-        #: traced one: it snapshots ``policy.loads``, which the later
-        #: admissions of the same loop still change.
-        self.inplace: bool = fe.tracer is None
-        self.units: List[int] = fe.trace.transmit_units(512)
-        self.tables: Dict[CostModel, DiskTimes] = {}
-        for node in fe.nodes:
-            for resource in (node.cpu, *node.disks):
-                if resource.capacity != 1:
-                    raise ValueError(
-                        "the request state machine books single-server "
-                        f"resources only: {resource.name} has capacity "
-                        f"{resource.capacity}"
-                    )
-            node.disk_times_for = self.disk_times
-            node.disk_times = self.disk_times(node.costs)
-        # Admission-side references, resolved once.
-        self.targets_l, self.sizes_l = fe._target_list, fe._size_list
-        self.n = len(self.targets_l)
-        policy = fe.policy
-        self.policy = policy
-        self.choose = policy.choose
-        self.take = fe._take_prediction
-        self.p_loads: List[int] = policy.loads
-        self.p_alive: List[bool] = policy._alive
-        tracker = fe.tracker
-        self.t_under_since: List[float] = tracker._under_since
-        self.t_under_time: List[float] = tracker._under_time
-        self.t_is_under: List[bool] = tracker._is_under
-        self.t_threshold: float = tracker.threshold
-        self.epochs: List[int] = fe._epoch
-        self.nodes = fe.nodes
-        self.per_node_dispatches: List[int] = fe.per_node_dispatches
-        self.per_node_delay_s: List[float] = fe.per_node_delay_s
-        self.per_node_completions: List[int] = fe.per_node_completions
-
-    def disk_times(self, costs: CostModel) -> DiskTimes:
-        """The disk-time table for ``costs``, built on first use (a
-        brownout's scaled model gets its own, shared by every node and
-        every interval that scales the same way)."""
-        table = self.tables.get(costs)
-        if table is None:
-            table = self.tables[costs] = DiskTimes(
-                costs, self.fe.trace.sizes_by_target
-            )
-        return table
-
-    def admit(self) -> None:
-        """Admit connections while slots and trace requests remain: one
-        policy decision, one load/tracker/counter update and one
-        scheduled start event per connection, which takes the next
-        ``per_conn`` trace requests (the first one picks the node).
-
-        This loop serves pipeline (re)fills — ``start()`` and
-        ``join_node`` — a fault-model connection given up after its
-        retries, and the rare completion that frees more than the one
-        slot it refills; the steady-state single admission is inlined
-        in :meth:`FastConnection._complete`.
-
-        A start event is staged (``post(0.0, ...)``) unless it would
-        be the very next event dispatched anyway, in which case it runs
-        here, in place, and is counted in ``engine.events_dispatched``
-        as the dispatch it replaces.  That is so exactly when nothing
-        is staged ahead of it (``_nowq`` empty), the run loop is going
-        to dispatch another event (engine not stopped — which also
-        keeps every run's initial fill, made before ``run()``, staged)
-        and nothing else is due at this instant (heap empty, or its top
-        strictly later than ``now``: a heap entry for ``now`` goes
-        first).  A sanitizer's hook must see every event, so the site
-        that ran one in place calls it, as the run loop would have:
-        ``hook(now, stage)`` right after the event.  Every admission
-        here is the last thing its event does
-        to the policy, the tracker and the front-end's books; what is
-        left of the loop is more admissions, whose decisions read none
-        of what an untraced start event writes (its own clock, the
-        node's CPU queue, the engine's heap).
-        """
-        fe = self.fe
-        engine = self.engine
-        now = engine.now
-        n = self.n
-        while fe.in_flight < fe.max_in_flight and fe._next < n:
-            first = fe._next
-            end = first + self.per_conn
-            if end > n:
-                end = n
-            fe._next = end
-            target = self.targets_l[first]
-            size = self.sizes_l[target]
-            node_id = self.choose(target, size, now=now)
-            # LB/GC's idealized front-end cache model dictates hit/miss.
-            take = self.take
-            hit_hint = take() if take is not None else None
-            # Policy.on_dispatch, inlined (no subclass overrides it; the
-            # canonical call reproduces the error on the failure branch).
-            policy = self.policy
-            if not self.p_alive[node_id]:
-                policy.on_dispatch(node_id)
-            p_loads = self.p_loads
-            load = p_loads[node_id] + 1
-            p_loads[node_id] = load
-            policy.dispatches += 1
-            # LoadTracker.observe, inlined.  Admission never moves the
-            # clock, so one ``now`` read serves the whole loop; a +1
-            # delta can only cross the threshold upward, so only the
-            # leaves-underutilization transition is reachable.
-            if load >= self.t_threshold and self.t_is_under[node_id]:
-                self.t_under_time[node_id] += now - self.t_under_since[node_id]
-                self.t_is_under[node_id] = False
-            self.per_node_dispatches[node_id] += 1
-            fe.connections += 1
-            fe.in_flight += 1
-            pool = self.pool
-            conn = pool.pop() if pool else self.new_connection()
-            conn.epoch = self.epochs[node_id]
-            conn.node = self.nodes[node_id]
-            conn.target = target
-            conn.size = size
-            conn.hit_hint = hit_hint
-            conn.index = first
-            conn.last = end - 1
-            # One start event per connection, in admission order.
-            if (
-                self.inplace
-                and not (self.nowq or engine._stopped)
-                and (not self.heap or self.heap[0][0] > now)
-            ):
-                engine.events_dispatched += 1
-                begin = conn.begin_stage
-                begin(conn)
-                hook = engine._sanitizer
-                if hook is not None:
-                    hook(now, begin)
-            else:
-                self.post(0.0, conn.begin_stage, conn)
-
-    def new_connection(self) -> "FastConnection":
-        """A connection object for the pool, of the class this run
-        needs."""
-        return self.conn_class(self)
-
-    def release(self) -> None:
-        """The run is over: free its connections and cut the links that
-        lead from this path back into the cluster (``fe``, and each
-        node's ``disk_times_for``), so that nothing left is a reference
-        cycle.  Every connection of a finished run is parked in the
-        pool, and a pooled connection's only way back to itself is this
-        path's pool; what is read afterwards (``conn_class``, the cost
-        tables) stays."""
-        self.pool.clear()
-        for node in self.nodes:
-            node.disk_times_for = None
-        self.fe = None
-
-
 class FastConnection:
     """One in-flight client connection as a state machine: trace
     requests ``index..last``, a batch of one in the paper's HTTP/1.0
@@ -455,13 +227,13 @@ class FastConnection:
     run frees it with its pool.
 
     Instances are reused: a completing connection carries the request
-    its freed slot admits, and parks itself in the owning
-    :class:`FastPath`'s pool only when there is none, so the steady
-    state allocates no per-request objects at all.
+    its freed slot admits, and parks itself in the front-end's pool
+    only when there is none, so the steady state allocates no
+    per-request objects at all.  Its one link to the run is ``fe``, the
+    :class:`~repro.cluster.frontend.FrontEnd` that admitted it.
     """
 
     __slots__ = (
-        "fp",
         "fe",
         "engine",
         "node",
@@ -485,15 +257,14 @@ class FastConnection:
         "_served_hook",
     )
 
-    def __init__(self, fp: FastPath) -> None:
-        self.fp = fp
-        self.fe = fp.fe
-        self.engine = fp.fe.engine
-        # The path's one bound ``post`` (a per-object binding would
+    def __init__(self, fe: Any) -> None:
+        self.fe = fe
+        self.engine = fe.engine
+        # The front-end's one bound ``post`` (a per-object binding would
         # allocate a method object per connection), and the per-target
         # transmit-unit table read on every hit path.
-        self.post = fp.post
-        self.units = fp.units
+        self.post = fe.post
+        self.units = fe.units
         self.node: Any = None
         self.target = 0
         self.size = 0
@@ -772,11 +543,11 @@ class FastConnection:
                 self.post(node._teardown_time, self.complete_stage, self)
             return
         self._request_done(now)
-        fp = self.fp
+        fe = self.fe
         self.index += 1
-        target = fp.targets_l[self.index]
+        target = fe._target_list[self.index]
         self.target = target
-        self.size = fp.sizes_l[target]
+        self.size = fe._size_list[target]
         self._continue(now)
 
     def _continue(self, now: float) -> None:
@@ -784,7 +555,7 @@ class FastConnection:
         prediction belonged to the first request, the node is the
         policy's to change."""
         self.hit_hint = None
-        if self.fp.rehandoff:
+        if self.fe.rehandoff:
             self._rehandoff(now)
         self._resume()
 
@@ -796,20 +567,19 @@ class FastConnection:
     def _rehandoff(self, now: float) -> None:
         """Re-run the policy for this request; if it names another node
         (or this one failed meanwhile) move the connection there."""
-        fp = self.fp
         fe = self.fe
-        new_node = fp.choose(self.target, self.size, now=now)
-        take = fp.take
+        new_node = fe.choose(self.target, self.size, now=now)
+        take = fe._take_prediction
         self.hit_hint = take() if take is not None else None
         node_id = self.node.node_id
-        if new_node == node_id and fp.epochs[node_id] == self.epoch:
+        if new_node == node_id and fe._epoch[node_id] == self.epoch:
             return
         # Release the old node's slot (or count it orphaned), take the new.
         fe._detach(node_id, self.epoch)
         fe._attach(new_node)
         fe.rehandoffs += 1
-        self.node = fp.nodes[new_node]
-        self.epoch = fp.epochs[new_node]
+        self.node = fe.nodes[new_node]
+        self.epoch = fe._epoch[new_node]
 
     def _request_done(self, now: float) -> None:
         """One request served: node counters, observer hook, front-end
@@ -824,15 +594,14 @@ class FastConnection:
         if hook is not None:
             hook(self, now)
         fe = self.fe
-        fp = self.fp
         node_id = node.node_id
         delay = now - self.start
         fe.total_delay_s += delay
         if fe.collect_delays:
             fe.delays_s.append(delay)
-        if fp.epochs[node_id] == self.epoch:
-            fp.per_node_delay_s[node_id] += delay
-            fp.per_node_completions[node_id] += 1
+        if fe._epoch[node_id] == self.epoch:
+            fe.per_node_delay_s[node_id] += delay
+            fe.per_node_completions[node_id] += 1
         if fe.timeline_interval_s is not None:
             bucket = int(now // fe.timeline_interval_s)
             fe.timeline[bucket] = fe.timeline.get(bucket, 0) + 1
@@ -863,16 +632,15 @@ class FastConnection:
         if hook is not None:
             hook(self, now)
         fe = self.fe
-        fp = self.fp
         node_id = node.node_id
         delay = now - self.start
         fe.total_delay_s += delay
         if fe.collect_delays:
             fe.delays_s.append(delay)
-        live = fp.epochs[node_id] == self.epoch
+        live = fe._epoch[node_id] == self.epoch
         if live:
-            fp.per_node_delay_s[node_id] += delay
-            fp.per_node_completions[node_id] += 1
+            fe.per_node_delay_s[node_id] += delay
+            fe.per_node_completions[node_id] += 1
         if fe.timeline_interval_s is not None:
             bucket = int(now // fe.timeline_interval_s)
             fe.timeline[bucket] = fe.timeline.get(bucket, 0) + 1
@@ -883,8 +651,8 @@ class FastConnection:
         # on the failure branch, and a -1 delta can only cross the
         # threshold downward, so only the enters-underutilization
         # transition is reachable).
-        policy = fp.policy
-        p_loads = fp.p_loads
+        policy = fe.policy
+        p_loads = fe.p_loads
         if live:
             load = p_loads[node_id] - 1
             if load < 0:
@@ -898,40 +666,40 @@ class FastConnection:
                 elif node_id < policy._min_cursor:
                     policy._min_cursor = node_id
             policy.completions += 1
-            if load < fp.t_threshold and not fp.t_is_under[node_id]:
-                fp.t_under_since[node_id] = now
-                fp.t_is_under[node_id] = True
+            if load < fe.t_threshold and not fe.t_is_under[node_id]:
+                fe.t_under_since[node_id] = now
+                fe.t_is_under[node_id] = True
         else:
             fe.orphaned += 1
         # The freed slot admits the next trace requests on this object:
         # one connection out, one in, so ``fe.in_flight`` and the pool
-        # are left alone (FastPath.admit's single admission, inlined).
+        # are left alone (FrontEnd.admit's single admission, inlined).
         in_flight = fe.in_flight - 1
         limit = fe.max_in_flight
         first = fe._next
-        n = fp.n
+        n = fe.n
         if first < n and in_flight < limit:
-            end = first + fp.per_conn
+            end = first + fe.requests_per_connection
             if end > n:
                 end = n
             fe._next = end
-            target = fp.targets_l[first]
-            size = fp.sizes_l[target]
-            node_id = fp.choose(target, size, now=now)
-            take = fp.take
+            target = fe._target_list[first]
+            size = fe._size_list[target]
+            node_id = fe.choose(target, size, now=now)
+            take = fe._take_prediction
             hit_hint = take() if take is not None else None
-            if not fp.p_alive[node_id]:
+            if not fe.p_alive[node_id]:
                 policy.on_dispatch(node_id)
             load = p_loads[node_id] + 1
             p_loads[node_id] = load
             policy.dispatches += 1
-            if load >= fp.t_threshold and fp.t_is_under[node_id]:
-                fp.t_under_time[node_id] += now - fp.t_under_since[node_id]
-                fp.t_is_under[node_id] = False
-            fp.per_node_dispatches[node_id] += 1
+            if load >= fe.t_threshold and fe.t_is_under[node_id]:
+                fe.t_under_time[node_id] += now - fe.t_under_since[node_id]
+                fe.t_is_under[node_id] = False
+            fe.per_node_dispatches[node_id] += 1
             fe.connections += 1
-            self.epoch = fp.epochs[node_id]
-            self.node = fp.nodes[node_id]
+            self.epoch = fe._epoch[node_id]
+            self.node = fe.nodes[node_id]
             self.target = target
             self.size = size
             self.hit_hint = hit_hint
@@ -942,14 +710,14 @@ class FastConnection:
             # goes to the general loop, behind this one's staged start.
             if in_flight + 1 < limit and end < n:
                 self.post(0.0, self.begin_stage, self)
-                fp.admit()
+                fe.admit()
                 return
             # Nothing follows in this event, so a traced or faulty
             # connection may start in place too (the conditions are
-            # ``FastPath.admit``'s).
+            # ``FrontEnd.admit``'s).
             if (
-                not (fp.nowq or engine._stopped)
-                and (not fp.heap or fp.heap[0][0] > now)
+                not (fe.nowq or engine._stopped)
+                and (not fe.heap or fe.heap[0][0] > now)
             ):
                 engine.events_dispatched += 1
                 begin = self.begin_stage
@@ -963,7 +731,7 @@ class FastConnection:
             # Nothing to admit (the trace ran out, or a failure lowered
             # the limit): the slot is given up and the object parked.
             fe.in_flight = in_flight
-            fp.pool.append(self)
+            fe.pool.append(self)
 
 
 class FaultyConnection(FastConnection):
@@ -992,9 +760,9 @@ class FaultyConnection(FastConnection):
         "missed",
     )
 
-    def __init__(self, fp: FastPath) -> None:
-        FastConnection.__init__(self, fp)
-        faults = fp.fe.faults
+    def __init__(self, fe: Any) -> None:
+        FastConnection.__init__(self, fe)
+        faults = fe.faults
         self.faults = faults
         self.dark: List[bool] = faults._dark
         self.retry = faults.retry
@@ -1033,17 +801,16 @@ class FaultyConnection(FastConnection):
             now = self.engine.now
             t_first = self.t_first
             tracer = fe.tracer
-            fp = self.fp
             for index in range(self.index, self.last + 1):
                 fe._account_lost(t_first)
                 faults.record_lost(now, now - t_first)
                 if tracer is not None:
-                    target = fp.targets_l[index]
-                    tracer.lost(target, fp.sizes_l[target], self.node.node_id, t_first, now)
+                    target = fe._target_list[index]
+                    tracer.lost(target, fe._size_list[target], self.node.node_id, t_first, now)
             # The connection is over: its load was released above.
             fe.in_flight -= 1
-            fp.pool.append(self)
-            fp.admit()
+            fe.pool.append(self)
+            fe.admit()
             return
         self.attempts += 1
         faults.retried_requests += self.last + 1 - self.index
@@ -1051,13 +818,13 @@ class FaultyConnection(FastConnection):
 
     def _retry(self) -> None:
         """Back-off over: the front-end dispatches the request afresh."""
-        fp = self.fp
-        node_id = fp.choose(self.target, self.size, now=self.engine.now)
-        take = fp.take
+        fe = self.fe
+        node_id = fe.choose(self.target, self.size, now=self.engine.now)
+        take = fe._take_prediction
         self.hit_hint = take() if take is not None else None
-        self.fe._attach(node_id)
-        self.node = fp.nodes[node_id]
-        self.epoch = fp.epochs[node_id]
+        fe._attach(node_id)
+        self.node = fe.nodes[node_id]
+        self.epoch = fe._epoch[node_id]
         if self.dark[node_id]:
             self._doomed()
         else:
@@ -1071,7 +838,7 @@ class FaultyConnection(FastConnection):
             self._doomed()
             return
         self.hit_hint = None
-        if self.fp.rehandoff:
+        if self.fe.rehandoff:
             self._rehandoff(now)
             if dark[self.node.node_id]:
                 # Rehandoff landed on a dark node: the attempt times out
@@ -1135,9 +902,9 @@ class _Traced:
     #: costs ~70 ns more per call on CPython 3.11, five times a request.
     _base: Any = None
 
-    def __init__(self, fp: FastPath) -> None:
-        self._base.__init__(self, fp)
-        self.tracer = fp.fe.tracer
+    def __init__(self, fe: Any) -> None:
+        self._base.__init__(self, fe)
+        self.tracer = fe.tracer
         self.span: Any = None
         #: When the phase now being timed began.
         self.mark = 0.0

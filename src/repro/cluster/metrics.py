@@ -19,15 +19,35 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Sequence
 
 __all__ = [
     "LoadTracker",
     "SimulationResult",
     "DegradedTimeline",
     "recovery_time_s",
+    "nearest_rank",
     "UNDERUTILIZATION_FRACTION",
 ]
+
+
+def nearest_rank(ordered: Sequence[float], pct: float) -> float:
+    """Nearest-rank percentile of an already **sorted** sequence.
+
+    Uses the ceil-based definition (rank ``ceil(p/100 * n)``), so exact
+    multiples land on the rank itself: p50 of ``[1, 2]`` is 1, p0 is the
+    minimum, p100 the maximum.  The one percentile rule of the package:
+    the simulator's delay percentiles and the span-log statistics of
+    :mod:`repro.obs.analyze` both call it.
+    """
+    if not 0 <= pct <= 100:
+        raise ValueError(f"percentile must be in [0, 100], got {pct}")
+    n = len(ordered)
+    if n == 0:
+        raise ValueError("percentile of an empty sequence")
+    rank = math.ceil(pct / 100.0 * n)
+    return ordered[min(n - 1, max(rank - 1, 0))]
+
 
 #: "Node underutilization is defined as the time that a node's load is
 #: less than 40% of T_low."
@@ -112,14 +132,11 @@ class DegradedTimeline:
 
     def p99_delay_series(self) -> Dict[int, float]:
         """Nearest-rank p99 request delay (served + lost), per bucket."""
-        series: Dict[int, float] = {}
-        for bucket, delays in self.delays.items():
-            if not delays:
-                continue
-            ordered = sorted(delays)
-            rank = math.ceil(0.99 * len(ordered))
-            series[bucket] = ordered[min(len(ordered) - 1, max(rank - 1, 0))]
-        return series
+        return {
+            bucket: nearest_rank(sorted(delays), 99.0)
+            for bucket, delays in self.delays.items()
+            if delays
+        }
 
 
 def recovery_time_s(
@@ -238,19 +255,11 @@ class SimulationResult:
         return self.total_delay_s / self.num_requests if self.num_requests else 0.0
 
     def delay_percentile_s(self, pct: float) -> float:
-        """Request-delay percentile (requires ``collect_delays=True``).
-
-        Nearest-rank with the ceil-based rank ``ceil(pct/100 * n)``:
-        exact multiples land on the rank itself (p50 of ``[1, 2]`` is
-        1), p0 is the minimum and p100 the maximum.
-        """
-        if not 0 <= pct <= 100:
-            raise ValueError(f"percentile must be in [0, 100], got {pct}")
+        """Request-delay percentile (requires ``collect_delays=True``),
+        by :func:`nearest_rank`: p50 of ``[1, 2]`` is 1."""
         if not self.delays_s:
             raise ValueError("run with collect_delays=True to get percentiles")
-        ordered = sorted(self.delays_s)
-        rank = math.ceil(pct / 100.0 * len(ordered))
-        return ordered[min(len(ordered) - 1, max(rank - 1, 0))]
+        return nearest_rank(sorted(self.delays_s), pct)
 
     @property
     def delay_spread_s(self) -> float:

@@ -60,8 +60,8 @@ class BackendNode:
         self.cache = cache
         self.gms = gms
         self.coalesce_reads = coalesce_reads
-        #: Set by the state machine: cost model -> its per-target
-        #: disk-time table (``FastPath.disk_times``), and the table for
+        #: Set by ``FrontEnd.start``: cost model -> its per-target
+        #: disk-time table (``FrontEnd.disk_times``), and the table for
         #: the model in force.
         self.disk_times_for: Optional[Callable[[CostModel], Any]] = None
         self.disk_times: Any = None
@@ -79,8 +79,8 @@ class BackendNode:
         #: ``None`` for an all-static catalog.
         self.dynamic_cost_of_target: Optional[Sequence[float]] = None
         #: target -> who waits for the read in flight: the lifecycle's
-        #: own representation (wake-up callbacks for the state machine,
-        #: a ``SimEvent`` for the coroutine oracle in ``tests/``).
+        #: own representation (the waiting connections for the state
+        #: machine, a ``SimEvent`` for the coroutine oracle in ``tests/``).
         self._pending: Dict[Hashable, Any] = {}
         # Counters (paper metrics).
         self.cache_hits = 0

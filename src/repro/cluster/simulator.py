@@ -256,12 +256,11 @@ class ClusterSimulator:
     every node's counters, resources and cache, ``policy``, ``tracker``,
     ``gms``, ``sanitizer.events_seen`` / ``deep_sweeps``, the
     ``fault_runtime`` totals, ``events`` and degraded series, and the
-    connection class the run used (``frontend._fastpath.conn_class``).
+    connection class the run used (``frontend.conn_class``).
     What does not: the connection pool, and the links that made the
-    finished cluster one reference cycle — ``FastPath.fe``,
-    ``BackendNode.peers`` and ``disk_times_for``, the engine's
-    sanitizer hook, the tracer's and the fault runtime's references to
-    the cluster.  A finished simulator is therefore freed by reference
+    finished cluster one reference cycle — ``BackendNode.peers`` and
+    ``disk_times_for``, the engine's sanitizer hook, the tracer's and
+    the fault runtime's references to the cluster.  A finished simulator is therefore freed by reference
     count the moment it is dropped, with no collector pass.
 
     **The cyclic collector is paused** for the length of :meth:`run`

@@ -105,14 +105,6 @@ class LoadResult:
     def mean_latency_s(self) -> float:
         return sum(self.latencies_s) / len(self.latencies_s) if self.latencies_s else 0.0
 
-    def percentile_latency_s(self, pct: float) -> float:
-        """Latency percentile over all successful requests."""
-        if not self.latencies_s:
-            return 0.0
-        ordered = sorted(self.latencies_s)
-        index = min(len(ordered) - 1, int(pct / 100.0 * len(ordered)))
-        return ordered[index]
-
 
 class LoadGenerator:
     """Drives a cluster with ``concurrency`` closed-loop HTTP clients.

@@ -41,15 +41,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
-from .determinism import (
-    _DATETIME_FUNCTIONS,
-    _Imports,
-    _NP_RANDOM_SAFE,
-    _RANDOM_SAFE,
-    _TIME_FUNCTIONS,
-    _collect_set_names,
-    _is_set_expr,
-)
+from .determinism import _Imports, _collect_set_names, _is_set_expr, classify_call
 
 __all__ = [
     "CallSite",
@@ -967,32 +959,11 @@ class _FunctionExtractor:
         imports = self.scan.det_imports
         chain = ".".join(parts)
         root_module = imports.module_of(parts[0])
-        if root_module == "time" and len(parts) == 2 and parts[1] in _TIME_FUNCTIONS:
-            self._add_source("wall-clock", f"{chain}()", node)
-        elif len(parts) == 1 and parts[0] in imports.from_time:
-            self._add_source("wall-clock", f"{parts[0]}() (from time)", node)
-        elif (
-            root_module == "datetime"
-            and len(parts) == 3
-            and parts[1] == "datetime"
-            and parts[2] in _DATETIME_FUNCTIONS
-        ) or (
-            len(parts) == 2
-            and parts[0] in imports.datetime_class
-            and parts[1] in _DATETIME_FUNCTIONS
-        ):
-            self._add_source("wall-clock", f"{chain}()", node)
-        elif root_module == "random" and len(parts) == 2 and parts[1] not in _RANDOM_SAFE:
-            self._add_source("global-random", f"{chain}()", node)
-        elif len(parts) == 1 and parts[0] in imports.from_random:
-            self._add_source("global-random", f"{parts[0]}() (from random)", node)
-        elif (
-            root_module == "numpy"
-            and len(parts) == 3
-            and parts[1] == "random"
-            and parts[2] not in _NP_RANDOM_SAFE
-        ):
-            self._add_source("global-random", f"{chain}()", node)
+        source = classify_call(parts, imports)
+        if source is not None:
+            kind, origin = source
+            detail = f"{chain}() ({origin})" if len(parts) == 1 else f"{chain}()"
+            self._add_source(kind, detail, node)
         elif root_module == "os":
             if len(parts) == 2 and parts[1] == "urandom":
                 self._add_source("os-urandom", f"{chain}()", node)

@@ -36,7 +36,7 @@ these rules ban the constructs that silently break it:
 from __future__ import annotations
 
 import ast
-from typing import Dict, Set, Tuple
+from typing import Dict, Optional, Sequence, Set, Tuple
 
 from .context import FileContext, call_chain
 
@@ -103,6 +103,54 @@ class _Imports:
         return self.modules.get(alias, "")
 
 
+def classify_call(parts: Sequence[str], imports: _Imports) -> Optional[Tuple[str, str]]:
+    """Whether the call named by the dotted chain ``parts`` reads the
+    host clock or an interpreter-wide RNG: ``(kind, origin)``, or
+    ``None``.  ``kind`` is the rule (``wall-clock`` / ``global-random``);
+    ``origin`` what the call reaches — ``time``, ``datetime``,
+    ``random`` or ``numpy`` through a module, ``from time`` /
+    ``from random`` through a from-imported name.  The per-file rules
+    and the call graph's taint sources both classify with this."""
+    if len(parts) == 1:
+        if parts[0] in imports.from_time:
+            return "wall-clock", "from time"
+        if parts[0] in imports.from_random:
+            return "global-random", "from random"
+        return None
+    root = imports.module_of(parts[0])
+    if root == "time" and len(parts) == 2 and parts[1] in _TIME_FUNCTIONS:
+        return "wall-clock", "time"
+    if parts[-1] in _DATETIME_FUNCTIONS and (
+        (root == "datetime" and len(parts) == 3 and parts[1] == "datetime")
+        or (len(parts) == 2 and parts[0] in imports.datetime_class)
+    ):
+        return "wall-clock", "datetime"
+    if root == "random" and len(parts) == 2 and parts[1] not in _RANDOM_SAFE:
+        return "global-random", "random"
+    if (
+        root == "numpy"
+        and len(parts) == 3
+        and parts[1] == "random"
+        and parts[2] not in _NP_RANDOM_SAFE
+    ):
+        return "global-random", "numpy"
+    return None
+
+
+_HOST_CLOCK = "reads the host clock; simulator code must use the engine's simulated time"
+#: ``call to <chain>() <message>``, by :func:`classify_call`'s origin.
+_CALL_MESSAGES = {
+    "time": _HOST_CLOCK,
+    "datetime": _HOST_CLOCK,
+    "from time": "(imported from time) reads the host clock",
+    "random": "uses the shared module-level RNG; pass a seeded random.Random "
+    "instance instead",
+    "from random": "(imported from random) uses the shared module-level RNG; "
+    "pass a seeded random.Random instead",
+    "numpy": "uses numpy's legacy global RNG; use np.random.default_rng(seed)",
+}
+
+
 def _is_set_expr(node: ast.expr, set_names: Set[str]) -> bool:
     """Syntactically-certainly-a-set expressions (plus tracked local names)."""
     if isinstance(node, (ast.Set, ast.SetComp)):
@@ -151,66 +199,13 @@ def _check_calls(ctx: FileContext, imports: _Imports) -> None:
         if not chain:
             continue
         parts = chain.split(".")
-        root_module = imports.module_of(parts[0])
-        # wall-clock ---------------------------------------------------------
-        if root_module == "time" and len(parts) == 2 and parts[1] in _TIME_FUNCTIONS:
-            ctx.report(
-                node,
-                "wall-clock",
-                f"call to {chain}() reads the host clock; simulator code must "
-                "use the engine's simulated time",
-            )
-        elif len(parts) == 1 and parts[0] in imports.from_time:
-            ctx.report(
-                node,
-                "wall-clock",
-                f"call to {parts[0]}() (imported from time) reads the host clock",
-            )
-        elif (
-            root_module == "datetime"
-            and len(parts) == 3
-            and parts[1] == "datetime"
-            and parts[2] in _DATETIME_FUNCTIONS
-        ) or (
-            len(parts) == 2
-            and parts[0] in imports.datetime_class
-            and parts[1] in _DATETIME_FUNCTIONS
+        source = classify_call(parts, imports)
+        if source is not None:
+            kind, origin = source
+            ctx.report(node, kind, f"call to {chain}() {_CALL_MESSAGES[origin]}")
+        elif imports.module_of(parts[0]) == "heapq" or (
+            len(parts) == 1 and _from_heapq(ctx, parts[0])
         ):
-            ctx.report(
-                node,
-                "wall-clock",
-                f"call to {chain}() reads the host clock; simulator code must "
-                "use the engine's simulated time",
-            )
-        # global-random ------------------------------------------------------
-        elif root_module == "random" and len(parts) == 2 and parts[1] not in _RANDOM_SAFE:
-            ctx.report(
-                node,
-                "global-random",
-                f"call to {chain}() uses the shared module-level RNG; pass a "
-                "seeded random.Random instance instead",
-            )
-        elif len(parts) == 1 and parts[0] in imports.from_random:
-            ctx.report(
-                node,
-                "global-random",
-                f"call to {parts[0]}() (imported from random) uses the shared "
-                "module-level RNG; pass a seeded random.Random instead",
-            )
-        elif (
-            root_module == "numpy"
-            and len(parts) == 3
-            and parts[1] == "random"
-            and parts[2] not in _NP_RANDOM_SAFE
-        ):
-            ctx.report(
-                node,
-                "global-random",
-                f"call to {chain}() uses numpy's legacy global RNG; use "
-                "np.random.default_rng(seed)",
-            )
-        # raw-heapq ----------------------------------------------------------
-        elif root_module == "heapq" or (len(parts) == 1 and _from_heapq(ctx, parts[0])):
             ctx.report(
                 node,
                 "raw-heapq",

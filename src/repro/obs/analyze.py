@@ -11,9 +11,9 @@ convenience.
 
 from __future__ import annotations
 
-import math
 from typing import Dict, Iterable, List, Sequence, Tuple
 
+from ..cluster.metrics import nearest_rank
 from .span import Span, SpanLog, read_span_log
 
 __all__ = [
@@ -45,22 +45,6 @@ PHASE_GROUPS: Dict[str, str] = {
     # fault-model retries (dispatch timeouts + backoff against dark nodes)
     "retry": "retry",
 }
-
-
-def nearest_rank(ordered: Sequence[float], pct: float) -> float:
-    """Nearest-rank percentile of an already **sorted** sequence.
-
-    Uses the ceil-based definition (rank ``ceil(p/100 * n)``), so exact
-    multiples land on the rank itself: p50 of ``[1, 2]`` is 1, p0 is the
-    minimum, p100 the maximum.
-    """
-    if not 0 <= pct <= 100:
-        raise ValueError(f"percentile must be in [0, 100], got {pct}")
-    n = len(ordered)
-    if n == 0:
-        raise ValueError("percentile of an empty sequence")
-    rank = math.ceil(pct / 100.0 * n)
-    return ordered[min(n - 1, max(rank - 1, 0))]
 
 
 def where_time_went(spans: Iterable[Span]) -> Dict[str, Dict[str, float]]:
@@ -101,8 +85,7 @@ def delay_stats(
         "max_s": ordered[-1],
     }
     for pct in percentiles:
-        key = f"p{pct:g}_s"
-        stats[key] = nearest_rank(ordered, pct)
+        stats[f"p{pct:g}_s"] = nearest_rank(ordered, pct)
     return stats
 
 

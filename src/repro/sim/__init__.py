@@ -6,7 +6,7 @@ processes, FIFO multi-server resources, and one-shot broadcast events.  See
 """
 
 from .engine import Delay, Engine, Process, SimulationError
-from .resources import Acquire, Release, Resource, Service, SimEvent, Wait
+from .resources import Resource, Service, SimEvent, Wait
 from .sanitize import InvariantSanitizer, SanitizerError
 
 __all__ = [
@@ -18,8 +18,6 @@ __all__ = [
     "SanitizerError",
     "Resource",
     "Service",
-    "Acquire",
-    "Release",
     "SimEvent",
     "Wait",
 ]

@@ -16,10 +16,10 @@ The engine follows the classic event-list design:
   every event.  :meth:`Engine.schedule` takes a callback of any arity
   and folds it into that shape.
 * :class:`Process` wraps a Python generator.  The generator *yields* command
-  objects (:class:`Delay`, :class:`Service`, :class:`Wait`, :class:`Acquire`,
-  :class:`Release` from :mod:`repro.sim.resources`) and is resumed by the
-  engine when the command completes.  This is the same coroutine style used
-  by SimPy, implemented here from scratch so the reproduction has no
+  objects (:class:`Delay`, and :class:`Service` and :class:`Wait` from
+  :mod:`repro.sim.resources`) and is resumed by the engine when the
+  command completes.  This is the same coroutine style used by SimPy,
+  implemented here from scratch so the reproduction has no
   third-party simulation dependency.
 
 Example
@@ -132,7 +132,7 @@ class Process:
             self.engine.post(command.duration, self._resume, None)
             return
         try:
-            # Resource-style commands (Service/Acquire/Release/Wait)
+            # Resource-style commands (Service/Wait)
             # register themselves and invoke ``process._step(result)``
             # when done.  The direct call avoids the bound-method
             # allocation a getattr-then-call would pay per event.

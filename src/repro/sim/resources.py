@@ -1,18 +1,21 @@
 """Queueing resources and synchronization primitives for the DES engine.
 
-Three building blocks cover everything the cluster model needs:
+Two building blocks, with the commands a process yields to them:
 
 * :class:`Resource` — a FIFO multi-server queue (``capacity`` servers).  A
   process yields ``Service(resource, duration)`` to enqueue a job and is
   resumed once its service completes.  The paper's back-end CPU and each
   disk are modelled as single-server :class:`Resource` instances.
-* :class:`Acquire` / :class:`Release` — classic counting-semaphore style
-  hold of a server for a process-controlled span (used where service time
-  is not known up front).
 * :class:`SimEvent` — a one-shot broadcast event; processes yielding
   ``Wait(event)`` are all resumed when ``event.trigger(value)`` fires.
   Used for read-coalescing: concurrent misses on one file wait for a single
   disk read.
+
+The cluster's request lifecycle books these resources inline
+(:mod:`repro.cluster.fastpath`); the commands are the substrate of the
+coroutine reference oracle in ``tests/cluster_oracle.py`` (``Service``,
+``Wait``, ``SimEvent``) and of the perf ledger's micro-benchmarks
+(``Service``).
 
 All resources track time-integrated busy-ness so that utilization can be
 reported without sampling.
@@ -21,11 +24,11 @@ reported without sampling.
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Callable, Deque, List, Optional, Tuple
+from typing import Any, Callable, Deque, List, Tuple
 
 from .engine import Engine, Process, SimulationError
 
-__all__ = ["Resource", "Service", "Acquire", "Release", "SimEvent", "Wait"]
+__all__ = ["Resource", "Service", "SimEvent", "Wait"]
 
 
 class Resource:
@@ -98,13 +101,8 @@ class Resource:
 
     # -- mechanics ----------------------------------------------------------
 
-    def _enqueue(self, resume: Callable[..., None], duration: Optional[float]) -> None:
-        # An Acquire-style hold (no duration) resumes the caller as soon
-        # as a server is its; it will yield Release(resource) later.
-        if duration is None:
-            job = (0.0, resume, None)
-        else:
-            job = (duration, self._finish, resume)
+    def _enqueue(self, resume: Callable[..., None], duration: float) -> None:
+        job = (duration, self._finish, resume)
         # _start's body is inlined for the uncontended case: enqueue and
         # finish are the two most frequent operations in a simulation.
         if self._busy < self.capacity:
@@ -134,16 +132,6 @@ class Resource:
             self._start(*self._waiting.popleft())
         resume()
 
-    def _release_server(self) -> None:
-        now = self.engine.now
-        self._busy_integral += self._busy * (now - self._last_change)
-        self._last_change = now
-        self._busy -= 1
-        if self._busy < 0:  # pragma: no cover - defensive
-            raise SimulationError(f"resource {self.name!r} released below zero")
-        if self._waiting and self._busy < self.capacity:
-            self._start(*self._waiting.popleft())
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"<Resource {self.name or hex(id(self))} busy={self._busy}/"
@@ -164,31 +152,6 @@ class Service:
 
     def _activate(self, process: Process) -> None:
         self.resource._enqueue(process._resume, self.duration)
-
-
-class Acquire:
-    """Command: hold one server of ``resource`` until a matching Release."""
-
-    __slots__ = ("resource",)
-
-    def __init__(self, resource: Resource) -> None:
-        self.resource = resource
-
-    def _activate(self, process: Process) -> None:
-        self.resource._enqueue(process._resume, None)
-
-
-class Release:
-    """Command: give back a server previously taken with :class:`Acquire`."""
-
-    __slots__ = ("resource",)
-
-    def __init__(self, resource: Resource) -> None:
-        self.resource = resource
-
-    def _activate(self, process: Process) -> None:
-        self.resource._release_server()
-        self.resource.engine.post(0.0, process._resume, None)
 
 
 class SimEvent:

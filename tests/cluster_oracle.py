@@ -40,7 +40,7 @@ def use_oracle(sim: Any) -> Any:
     """Make ``sim`` (a built, not yet run ``ClusterSimulator``) admit
     its connections as generator processes; returns ``sim``."""
     fe = sim.frontend
-    fe._admit = lambda: _admit(fe)
+    fe.admit = lambda: _admit(fe)
     return sim
 
 
@@ -281,7 +281,7 @@ def _connection(fe, batch: List[Tuple[int, int]], node_id: int, epoch: int, hit_
     for index, (target, size) in enumerate(batch):
         if index > 0:
             hit_hint = None
-            if fe.persistent_policy == "rehandoff":
+            if fe.rehandoff:
                 node_id, epoch, hit_hint = _maybe_rehandoff(
                     fe, node_id, epoch, target, size
                 )
@@ -303,7 +303,7 @@ def _connection(fe, batch: List[Tuple[int, int]], node_id: int, epoch: int, hit_
         fe._account_request(node_id, epoch, start)
     fe._detach(node_id, epoch)
     fe.in_flight -= 1
-    fe._admit()
+    fe.admit()
 
 
 def _maybe_rehandoff(fe, node_id: int, epoch: int, target: int, size: int):
@@ -394,7 +394,7 @@ def _connection_faulty(
         target, size = batch[index]
         if not fresh_dispatch:
             hit_hint = None
-            if fe.persistent_policy == "rehandoff":
+            if fe.rehandoff:
                 node_id, epoch, hit_hint = _maybe_rehandoff(
                     fe, node_id, epoch, target, size
                 )
@@ -432,4 +432,4 @@ def _connection_faulty(
     else:
         fe._detach(node_id, epoch)
     fe.in_flight -= 1
-    fe._admit()
+    fe.admit()

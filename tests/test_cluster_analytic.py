@@ -25,7 +25,7 @@ once a connection), faulty with an empty schedule, and sanitized —
 against that shape's own closed form.  The expected values are built from
 ``CostModel``'s methods and ``math.fsum``, never from the state
 machine's tables, so the check is also a check of the tables
-``FastPath.disk_times`` memoizes.
+``FrontEnd.disk_times`` memoizes.
 """
 
 import math

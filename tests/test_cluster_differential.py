@@ -220,13 +220,13 @@ _REHANDOFF = dict(requests_per_connection=4, persistent_policy="rehandoff")
 MUTATIONS = {
     "hit-hint-kept-after-first-request": (
         "cluster/fastpath.py",
-        "        self.hit_hint = None\n        if self.fp.rehandoff:\n            self._rehandoff(now)\n        self._resume()",
-        "        if self.fp.rehandoff:\n            self._rehandoff(now)\n        self._resume()",
+        "        self.hit_hint = None\n        if self.fe.rehandoff:\n            self._rehandoff(now)\n        self._resume()",
+        "        if self.fe.rehandoff:\n            self._rehandoff(now)\n        self._resume()",
         dict(traced=False, cgi=False, policy="lb/gc", requests_per_connection=4),
     ),
     "epoch-not-reread-after-rehandoff": (
         "cluster/fastpath.py",
-        "        self.epoch = fp.epochs[new_node]\n\n    def _request_done",
+        "        self.epoch = fe._epoch[new_node]\n\n    def _request_done",
         "\n    def _request_done",
         dict(traced=False, cgi=False, policy="lard/r", fault_seed=5, mttf_frac=0.15,
              **_REHANDOFF),
@@ -255,7 +255,7 @@ MUTATIONS = {
         "        node = self.node\n        engine = self.engine\n        now = engine.now\n"
         "        self.start = now\n",
         "        node = self.node\n        engine = self.engine\n        now = engine.now\n"
-        "        self.start = now\n        self.epoch = self.fp.epochs[self.node.node_id]\n",
+        "        self.start = now\n        self.epoch = self.fe._epoch[self.node.node_id]\n",
         dict(traced=False, cgi=False, policy="wrr", **_RACES["membership-events"]),
     ),
     # A connection is a batch of trace requests; one of one is the paper's.

@@ -194,14 +194,18 @@ def test_a_pooled_connection_is_one_allocation(case):
     method bound to it per stage, which at 1024 nodes, where the whole
     trace is admitted at once, is 20k objects rather than 100k."""
     simulator = _build(case, io.StringIO())
-    simulator.frontend.start()
-    path = simulator.frontend._fastpath
-    fastpath_py = sys.modules[type(path).__module__].__file__
-    only_here = [tracemalloc.Filter(True, fastpath_py)]
+    frontend = simulator.frontend
+    frontend.start()
+    # The front-end allocates the object, the connection class's
+    # ``__init__`` anything else.
+    only_here = [
+        tracemalloc.Filter(True, sys.modules[cls.__module__].__file__)
+        for cls in (type(frontend), frontend.conn_class)
+    ]
     tracemalloc.start()
     try:
         before = tracemalloc.take_snapshot().filter_traces(only_here)
-        built = [path.new_connection() for _ in range(200)]
+        built = [frontend.new_connection() for _ in range(200)]
         after = tracemalloc.take_snapshot().filter_traces(only_here)
     finally:
         tracemalloc.stop()
@@ -310,7 +314,7 @@ MUTATIONS = {
         "freed_without_the_collector and faulty",
     ),
     "release-keeps-its-pool": (
-        "cluster/fastpath.py",
+        "cluster/frontend.py",
         "        self.pool.clear()\n",
         "",
         "freed_without_the_collector and sticky",

@@ -69,7 +69,7 @@ class TestBasicRuns:
         def state():
             return (sim.frontend.completed, sim.frontend.connections,
                     sim.engine.events_dispatched, sim.engine.now, sim.engine.pending,
-                    sim.policy.dispatches, sim.frontend._fastpath)
+                    sim.policy.dispatches, sim.nodes[0].disk_times_for)
 
         before = state()
         with pytest.raises(RuntimeError, match="already ran; build a new ClusterSimulator"):

@@ -21,7 +21,7 @@ import sys
 
 import pytest
 
-from repro.cluster.fastpath import FastPath
+from repro.cluster.frontend import FrontEnd
 from repro.cluster.simulator import ClusterConfig, ClusterSimulator
 from repro.obs import SpanWriter
 from repro.obs.tracer import SimTracer
@@ -49,7 +49,8 @@ def trace():
 
 
 class _Watch:
-    """What the state machine did, seen through ``FastPath`` itself."""
+    """What the state machine did, seen through the ``FrontEnd`` it
+    admits through."""
 
     def __init__(self, monkeypatch):
         self.built = 0
@@ -57,24 +58,24 @@ class _Watch:
         self.multi_slot_exits = 0
         self.parked_at_most = 0
         self.looks = 0
-        new_connection, admit = FastPath.new_connection, FastPath.admit
+        new_connection, admit = FrontEnd.new_connection, FrontEnd.admit
 
-        def counted_new_connection(path):
+        def counted_new_connection(frontend):
             self.built += 1
-            return new_connection(path)
+            return new_connection(frontend)
 
-        def counted_admit(path):
+        def counted_admit(frontend):
             self.multi_slot_exits += sys._getframe(1).f_code.co_name == "_complete"
-            before = path.fe.connections
-            admit(path)
-            self.loop_admissions += path.fe.connections - before
+            before = frontend.connections
+            admit(frontend)
+            self.loop_admissions += frontend.connections - before
 
-        monkeypatch.setattr(FastPath, "new_connection", counted_new_connection)
-        monkeypatch.setattr(FastPath, "admit", counted_admit)
+        monkeypatch.setattr(FrontEnd, "new_connection", counted_new_connection)
+        monkeypatch.setattr(FrontEnd, "admit", counted_admit)
 
     def look(self, sim):
         frontend = sim.frontend
-        parked = len(frontend._fastpath.pool)
+        parked = len(frontend.pool)
         assert frontend.in_flight + parked == self.built
         self.parked_at_most = max(self.parked_at_most, parked)
         self.looks += 1

@@ -18,7 +18,8 @@ import types
 
 import pytest
 
-from repro.cluster.fastpath import FastConnection, FastPath, TracedConnection
+from repro.cluster.fastpath import FastConnection, TracedConnection
+from repro.cluster.frontend import FrontEnd
 from repro.cluster.simulator import ClusterConfig, ClusterSimulator
 from repro.obs import SpanWriter
 from repro.obs.tracer import SimTracer
@@ -133,10 +134,10 @@ def test_fastpath_matches_generator_path(trace, config):
 
 
 def _conn_class(sim):
-    """The connection class the run was built from: chosen once, when
-    ``FrontEnd.start()`` builds the ``FastPath``, and still readable
-    after ``run()`` has released the pool."""
-    return sim.frontend._fastpath.conn_class
+    """The connection class the run was built from: chosen once, by
+    ``FrontEnd.start()``, and still readable after ``run()`` has
+    released the pool."""
+    return sim.frontend.conn_class
 
 
 def test_fastpath_is_actually_selected(trace, monkeypatch):
@@ -154,10 +155,10 @@ def test_fastpath_is_actually_selected(trace, monkeypatch):
     persistent.run()
     assert _conn_class(persistent) is FastConnection
 
-    def no_connection(path):
+    def no_connection(frontend):
         raise AssertionError("the oracle run built a state-machine connection")
 
-    monkeypatch.setattr(FastPath, "new_connection", no_connection)
+    monkeypatch.setattr(FrontEnd, "new_connection", no_connection)
     reference = use_oracle(ClusterSimulator(trace, ClusterConfig(**config)))
     assert reference.run().num_requests == len(trace)
 
@@ -169,7 +170,7 @@ def _parked_during(sim, every_s=0.01):
     parked = {}
 
     def probe():
-        parked.update((id(conn), conn) for conn in sim.frontend._fastpath.pool)
+        parked.update((id(conn), conn) for conn in sim.frontend.pool)
         if not sim.frontend.done:
             sim.engine.schedule(every_s, probe)
 
@@ -180,8 +181,8 @@ def _parked_during(sim, every_s=0.01):
 
 def test_pooled_connections_share_one_schedule_object(trace):
     """``engine.post`` evaluated per object would allocate one bound
-    method per pooled connection; every class takes the path's single
-    binding.  And a connection binds nothing else to itself: its events
+    method per pooled connection; every class takes the front-end's
+    single binding.  And a connection binds nothing else to itself: its events
     are its class's stage functions posted with it, so nothing it
     holds is a method."""
     for extra in (dict(), dict(requests_per_connection=4)):
@@ -196,14 +197,14 @@ def test_pooled_connections_share_one_schedule_object(trace):
             assert len(parked) > 1
             cls = _conn_class(run)
             assert {type(conn) for conn in parked} == {cls}
-            path = run.frontend._fastpath
-            assert all(conn.post is path.post for conn in parked)
+            frontend = run.frontend
+            assert all(conn.post is frontend.post for conn in parked)
             for conn in parked:
                 assert conn.advance_stage is cls._advance
-                held = [ref for ref in gc.get_referents(conn) if ref is not path.post]
+                held = [ref for ref in gc.get_referents(conn) if ref is not frontend.post]
                 assert not any(isinstance(ref, types.MethodType) for ref in held)
             # run() released them: the pool is gone.
-            assert path.pool == []
+            assert frontend.pool == []
 
 
 # -- the traced state machine ---------------------------------------------------
@@ -387,7 +388,7 @@ def test_admit_loop_stages_a_start_behind_an_event_due_now(trace):
     def raise_limit():
         frontend.max_in_flight += 1
         before = engine.events_dispatched
-        frontend._admit()
+        frontend.admit()
         ran_in_place.append(engine.events_dispatched - before)
 
     engine.schedule(0.01, raise_limit)
@@ -397,30 +398,37 @@ def test_admit_loop_stages_a_start_behind_an_event_due_now(trace):
     assert ran_in_place == [0, 1]
 
 
-# name -> (anchor in cluster/fastpath.py, replacement, ``-k`` selector of
-# the tests in this file that fail on it).
+# name -> (file under src/repro, anchor, replacement, ``-k`` selector of
+# the tests in this file that fail on it).  The admission loop is
+# ``FrontEnd.admit``; a completion's single admission is in
+# ``FastConnection._complete``.
 _INPLACE_MUTATIONS = {
     "in-place-start-without-the-heap-top-check": (
-        "                and (not fp.heap or fp.heap[0][0] > now)\n",
+        "cluster/fastpath.py",
+        "                and (not fe.heap or fe.heap[0][0] > now)\n",
         "",
         "test_fastpath_matches_generator_path and lard-4-524288",
     ),
     "in-place-start-in-the-admit-loop-without-the-heap-top-check": (
+        "cluster/frontend.py",
         "                and (not self.heap or self.heap[0][0] > now)\n",
         "",
         "test_admit_loop_stages_a_start_behind_an_event_due_now",
     ),
     "in-place-start-in-a-traced-admit-loop": (
-        "self.inplace: bool = fe.tracer is None",
+        "cluster/frontend.py",
+        "self.inplace: bool = self.tracer is None",
         "self.inplace: bool = True",
         "test_traced_state_machine_matches_generator_span_log and join",
     ),
     "in-place-start-not-counted": (
-        "fp.heap[0][0] > now)\n            ):\n                engine.events_dispatched += 1\n",
-        "fp.heap[0][0] > now)\n            ):\n",
+        "cluster/fastpath.py",
+        "fe.heap[0][0] > now)\n            ):\n                engine.events_dispatched += 1\n",
+        "fe.heap[0][0] > now)\n            ):\n",
         "test_in_place_starts_are_counted and one-request",
     ),
     "in-place-start-skips-the-sanitizer-hook": (
+        "cluster/fastpath.py",
         "                begin(self)\n"
         "                hook = engine._sanitizer\n                if hook is not None:\n"
         "                    hook(now, begin)\n            else:\n"
@@ -433,6 +441,7 @@ _INPLACE_MUTATIONS = {
         "test_the_sanitizer_hook_sees_every_event and one-request",
     ),
     "in-place-start-before-the-engine-runs": (
+        "cluster/frontend.py",
         "                and not (self.nowq or engine._stopped)\n",
         "                and not self.nowq\n",
         "test_initial_fill_is_staged",
@@ -442,7 +451,5 @@ _INPLACE_MUTATIONS = {
 
 @pytest.mark.parametrize("name", sorted(_INPLACE_MUTATIONS))
 def test_seeded_in_place_mutation_is_caught(name, tmp_path):
-    anchor, replacement, selector = _INPLACE_MUTATIONS[name]
-    assert_selected_tests_fail(
-        tmp_path, "cluster/fastpath.py", anchor, replacement, __file__, selector
-    )
+    relpath, anchor, replacement, selector = _INPLACE_MUTATIONS[name]
+    assert_selected_tests_fail(tmp_path, relpath, anchor, replacement, __file__, selector)

@@ -3,10 +3,8 @@
 import pytest
 
 from repro.sim import (
-    Acquire,
     Delay,
     Engine,
-    Release,
     Resource,
     Service,
     SimEvent,
@@ -122,64 +120,6 @@ class TestUtilization:
         eng.process(job())  # only one of two servers busy
         eng.run()
         assert resource.utilization() == pytest.approx(0.5)
-
-
-class TestAcquireRelease:
-    def test_hold_blocks_others(self):
-        eng = Engine()
-        resource = Resource(eng, capacity=1)
-        log = []
-
-        def holder():
-            yield Acquire(resource)
-            log.append(("acquired", eng.now))
-            yield Delay(3.0)
-            yield Release(resource)
-
-        def waiter():
-            yield Delay(1.0)
-            yield Acquire(resource)
-            log.append(("waiter-in", eng.now))
-            yield Release(resource)
-
-        eng.process(holder())
-        eng.process(waiter())
-        eng.run()
-        assert log == [("acquired", 0.0), ("waiter-in", 3.0)]
-
-    def test_release_restores_capacity(self):
-        eng = Engine()
-        resource = Resource(eng, capacity=1)
-
-        def cycle():
-            for _ in range(3):
-                yield Acquire(resource)
-                yield Delay(1.0)
-                yield Release(resource)
-
-        eng.process(cycle())
-        eng.run()
-        assert resource.busy == 0
-
-    def test_mixed_service_and_acquire(self):
-        eng = Engine()
-        resource = Resource(eng, capacity=1)
-        log = []
-
-        def a():
-            yield Acquire(resource)
-            yield Delay(2.0)
-            yield Release(resource)
-            log.append(("a", eng.now))
-
-        def b():
-            yield Service(resource, 1.0)
-            log.append(("b", eng.now))
-
-        eng.process(a())
-        eng.process(b())
-        eng.run()
-        assert log == [("a", 2.0), ("b", 3.0)]
 
 
 class TestSimEvent:

@@ -348,7 +348,7 @@ class TestClusterDynamicRequests:
             ClusterConfig(policy="lard/r", num_nodes=4, node_cache_bytes=2**19),
         )
         sim.run()
-        assert sim.frontend._fastpath.conn_class is FastConnection
+        assert sim.frontend.conn_class is FastConnection
 
     def test_sanitized_run_matches_unsanitized(self, cgi_trace):
         plain = dataclasses.asdict(

@@ -1,7 +1,7 @@
 """Shared machinery for the experiment benchmark harness.
 
 ``test_experiments.py`` regenerates every registered table/figure at
-``QUICK`` scale (see ``repro.analysis.Scale``), prints the same
+``QUICK`` scale (see ``repro.analysis.experiments.Scale``), prints the same
 rows/series the paper reports, and asserts the paper's *shape* claims
 (who wins, by roughly what factor, where crossovers fall).  Absolute
 numbers are expected to differ — the substrate is a simulator and
@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import os
 
-from repro.analysis import QUICK, run_experiment
+from repro.analysis.experiments import QUICK, run_experiment
 
 #: Worker processes per experiment (``REPRO_BENCH_JOBS=0`` = one per CPU).
 #: Cells are deterministic, so parallel runs report identical tables.

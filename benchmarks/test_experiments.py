@@ -3,7 +3,7 @@
 import pytest
 from conftest import run_and_report
 
-from repro.analysis import EXPERIMENTS
+from repro.analysis.experiments import EXPERIMENTS
 
 
 @pytest.mark.parametrize("experiment_id", list(EXPERIMENTS))

@@ -17,7 +17,8 @@ Run:  python examples/parameter_study.py
 import tempfile
 from pathlib import Path
 
-from repro.analysis import ascii_chart, sweep, write_csv
+from repro.analysis.chart import ascii_chart
+from repro.analysis.sweep import sweep, write_csv
 from repro.workload import synthesize_trace
 
 NUM_NODES = 4

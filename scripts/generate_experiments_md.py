@@ -16,7 +16,7 @@ import tempfile
 import time
 from pathlib import Path
 
-from repro.analysis import EXPERIMENTS, SCALES, run_experiment
+from repro.analysis.experiments import EXPERIMENTS, SCALES, run_experiment
 
 
 def prototype_sections() -> str:

@@ -27,12 +27,9 @@ sweep never silently drops cells.
 
 from __future__ import annotations
 
-import multiprocessing
 import os
 import shutil
 import tempfile
-from concurrent.futures import ProcessPoolExecutor, as_completed
-from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, Sequence, Union
 
@@ -140,6 +137,12 @@ def run_many(
             if progress is not None:
                 progress(index + 1, total)
         return results
+
+    # The pool's modules load only here: a serial run (every jobs=1
+    # campaign, every single simulation) never pays for them.
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor, as_completed
+    from concurrent.futures.process import BrokenProcessPool
 
     global _WORKER_TRACE
     jobs = min(jobs, total)

@@ -5,7 +5,7 @@ reproductions; :func:`sweep` is the open-ended tool a downstream user
 reaches for — "run this trace over every combination of these parameters
 and give me a flat result table I can load into pandas/R":
 
->>> from repro.analysis import sweep
+>>> from repro.analysis.sweep import sweep
 >>> from repro.workload import rice_like_trace
 >>> rows = sweep(rice_like_trace(num_requests=20_000, scale=0.1),
 ...              policy=["wrr", "lard/r"], num_nodes=[2, 4],

@@ -28,34 +28,24 @@ from __future__ import annotations
 import argparse
 import sys
 from pathlib import Path
-from typing import List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
 
-from .analysis import (
-    DEFAULT_CHAOS_POLICIES,
-    DEFAULT_SCALEOUT_POLICIES,
-    DEFAULT_SCALEOUT_SIZES,
-    EXPERIMENTS,
-    SCALEOUT_SCORECARD,
-    SCALES,
-    MatrixSpec,
-    builtin_matrix,
-    chaos_spec,
-    default_jobs,
-    format_table,
-    matrix_from_dict,
-    paper_scenario,
-    run_experiment,
-    run_matrix,
-    write_csv,
-)
 from .cluster import PAPER_NODE_CACHE_BYTES, run_simulation
 from .core import POLICY_NAMES, PolicyError
 from .workload import locality_profile
+
+if TYPE_CHECKING:
+    from .analysis.matrix import MatrixSpec
 
 __all__ = ["main", "build_parser"]
 
 #: The paper's three stand-in traces (see repro.analysis.matrix.paper_scenario).
 _TRACES = ("chess", "ibm", "rice")
+
+#: ``sorted(repro.analysis.experiments.SCALES)``, spelled out so that
+#: building the parser does not load the experiment registry (a test
+#: holds the two equal).  Each verb imports what it runs.
+_SCALE_NAMES = ("full", "quick", "smoke", "standard")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -71,7 +61,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("experiment", help="experiment id (see 'list') or 'all'")
     run.add_argument(
         "--scale",
-        choices=sorted(SCALES),
+        choices=_SCALE_NAMES,
         default="standard",
         help="experiment size (default: standard)",
     )
@@ -230,6 +220,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _make_trace(kind: str, requests: int, scale_factor: float):
+    from .analysis.matrix import paper_scenario
+
     return paper_scenario(kind, requests, scale_factor).build_trace()
 
 
@@ -237,6 +229,8 @@ def _resolve_jobs(jobs: int) -> int:
     """``--jobs``: 0 means one worker per CPU; a negative count is an error."""
     if jobs < 0:
         raise ValueError(f"--jobs must be >= 0 (0 = one per CPU), got {jobs}")
+    from .analysis.parallel import default_jobs
+
     return jobs or default_jobs()
 
 
@@ -254,6 +248,8 @@ def _policies(text: Optional[str], default: Sequence[str]) -> Tuple[str, ...]:
 
 
 def _cmd_list() -> int:
+    from .analysis.experiments import EXPERIMENTS
+
     for entry in EXPERIMENTS.values():
         print(f"{entry.experiment_id:16s} {entry.summary}")
     return 0
@@ -273,7 +269,8 @@ def _cmd_run(
     jobs: int = 1,
     profile: Optional[str] = None,
 ) -> int:
-    from .analysis import experiment_chart
+    from .analysis.chart import experiment_chart
+    from .analysis.experiments import EXPERIMENTS, SCALES, run_experiment
 
     profiler = None
     if profile:
@@ -376,6 +373,10 @@ def _cmd_spans(path: str) -> int:
 def _cmd_campaign(spec: MatrixSpec, header: str, args: argparse.Namespace) -> int:
     """What ``chaos``, ``scaleout`` and ``matrix`` share once each has
     mapped its flags to a spec: run it, print the scorecard, write it."""
+    from .analysis.matrix import run_matrix
+    from .analysis.report import format_table
+    from .analysis.sweep import write_csv
+
     jobs = _resolve_jobs(args.jobs)
     if args.csv:
         # A default scaleout is minutes; write_csv makes the directory too.
@@ -403,6 +404,9 @@ def _cmd_campaign(spec: MatrixSpec, header: str, args: argparse.Namespace) -> in
 
 
 def _cmd_chaos(args: argparse.Namespace) -> int:
+    from .analysis.chaos import DEFAULT_CHAOS_POLICIES, chaos_spec
+    from .analysis.matrix import paper_scenario
+
     spec = chaos_spec(
         paper_scenario(
             args.trace, _at_least_one("--requests", args.requests), args.scale_factor
@@ -420,6 +424,13 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
 
 
 def _cmd_scaleout(args: argparse.Namespace) -> int:
+    from .analysis.matrix import MatrixSpec, paper_scenario
+    from .analysis.scaleout import (
+        DEFAULT_SCALEOUT_POLICIES,
+        DEFAULT_SCALEOUT_SIZES,
+        SCALEOUT_SCORECARD,
+    )
+
     if args.sizes is None:
         sizes = DEFAULT_SCALEOUT_SIZES
     else:
@@ -452,6 +463,8 @@ def _cmd_scaleout(args: argparse.Namespace) -> int:
 
 
 def _cmd_matrix(args: argparse.Namespace) -> int:
+    from .analysis.matrix import builtin_matrix, matrix_from_dict
+
     if args.spec is not None:
         import json
 

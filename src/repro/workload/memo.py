@@ -1,11 +1,12 @@
 """Disk memoization for synthetic trace generation.
 
-Synthetic traces are pure functions of their parameters, and generating a
-few hundred thousand requests costs seconds — which every benchmark
-script, CLI invocation and parallel worker used to pay again.
-:func:`cached_trace` keys the generator call by a hash of its parameters
-and stores the result through :mod:`repro.workload.io`, so identical
-traces are generated once per machine and then loaded in milliseconds.
+Synthetic traces are pure functions of their parameters.  Generating
+100k requests costs tens of milliseconds, which every benchmark script,
+CLI invocation and parallel worker would pay again; loading the same
+trace from its uncompressed archive costs about one.  :func:`cached_trace`
+keys the generator call by a hash of its parameters and stores the result
+through :mod:`repro.workload.io`, so identical traces are generated once
+per machine and then loaded.
 
 The cache lives in ``$REPRO_TRACE_CACHE`` if set (``0``/``off`` disables
 caching entirely), else ``$XDG_CACHE_HOME/repro-lard/traces``, else

@@ -4,20 +4,17 @@ from pathlib import Path
 
 import pytest
 
-from repro.analysis import (
+from repro.analysis import experiments, matrix
+from repro.analysis.experiments import (
     EXPERIMENTS,
     SMOKE,
-    ExperimentResult,
     Scale,
-    check,
     clear_caches,
-    experiments,
-    format_table,
     get_trace,
-    matrix,
     run_cells,
     run_experiment,
 )
+from repro.analysis.report import ExperimentResult, check, format_table
 from repro.cluster import ClusterSimulator
 from tests.seeded_mutation import assert_selected_tests_fail
 

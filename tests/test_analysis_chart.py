@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.analysis import ExperimentResult, ascii_chart, experiment_chart
+from repro.analysis.chart import ascii_chart, experiment_chart
+from repro.analysis.report import ExperimentResult
 
 
 class TestAsciiChart:

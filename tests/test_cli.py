@@ -24,6 +24,14 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["run", "fig7", "--scale", "huge"])
 
+    def test_scale_choices_are_the_scale_table(self):
+        """The parser spells the names out so that building it does not
+        load the experiment registry; they must stay the registry's."""
+        from repro.analysis.experiments import SCALES
+        from repro.cli import _SCALE_NAMES
+
+        assert list(_SCALE_NAMES) == sorted(SCALES)
+
     def test_simulate_options(self):
         args = build_parser().parse_args(
             ["simulate", "--policy", "lard", "--nodes", "4", "--disks", "2"]

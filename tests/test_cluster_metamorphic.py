@@ -25,7 +25,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from repro.analysis import paper_scenario
+from repro.analysis.matrix import paper_scenario
 from repro.cluster import ClusterConfig, CostModel, run_simulation
 from repro.core import POLICY_NAMES
 from repro.obs import read_span_log

@@ -2,18 +2,10 @@
 
 import pytest
 
-from repro.analysis import (
-    ParallelExecutionError,
-    clear_caches,
-    expand_parameters,
-    experiments,
-    result_row,
-    run_cells,
-    run_many,
-    sweep,
-    write_csv,
-)
-from repro.analysis.experiments import SMOKE, run_experiment
+from repro.analysis import experiments
+from repro.analysis.experiments import SMOKE, clear_caches, run_cells, run_experiment
+from repro.analysis.parallel import ParallelExecutionError, run_many
+from repro.analysis.sweep import expand_parameters, result_row, sweep, write_csv
 from repro.cluster import ClusterConfig
 from repro.workload import synthesize_trace
 

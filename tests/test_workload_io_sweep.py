@@ -4,15 +4,67 @@ import csv
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.analysis import result_row, sweep, write_csv
+from repro.analysis.sweep import result_row, sweep, write_csv
 from repro.workload import (
     Trace,
     TraceError,
     load_trace,
+    rice_like_trace,
     save_trace,
     synthesize_trace,
 )
+from repro.workload.memo import TRACE_GENERATORS
+from tests.seeded_mutation import assert_selected_tests_fail
+
+
+def _same_trace(a, b):
+    """Values, int64 dtypes, name and cost table all equal."""
+    if a.cpu_cost_s_by_target is None or b.cpu_cost_s_by_target is None:
+        costs_equal = a.cpu_cost_s_by_target is b.cpu_cost_s_by_target is None
+    else:
+        costs_equal = np.array_equal(a.cpu_cost_s_by_target, b.cpu_cost_s_by_target)
+    return (
+        costs_equal
+        and a.name == b.name
+        and a.targets.dtype == b.targets.dtype == np.int64
+        and a.sizes_by_target.dtype == b.sizes_by_target.dtype == np.int64
+        and np.array_equal(a.targets, b.targets)
+        and np.array_equal(a.sizes_by_target, b.sizes_by_target)
+    )
+
+
+def _stand_in(kind):
+    """A 2000-request trace: format 1 (``rice``) or format 2 (``cgi``)."""
+    if kind == "cgi":
+        return TRACE_GENERATORS["cgi"](num_requests=2000, num_targets=300, total_bytes=2**22)
+    return rice_like_trace(num_requests=2000, scale=0.05)
+
+
+@pytest.fixture(scope="module")
+def archives(tmp_path_factory):
+    """kind -> (trace, the bytes save_trace writes for it)."""
+    directory = tmp_path_factory.mktemp("archives")
+    archives = {}
+    for kind in ("rice", "cgi"):
+        trace = _stand_in(kind)
+        archives[kind] = (trace, save_trace(trace, directory / kind).read_bytes())
+    return archives
+
+
+def _archive(path, **members):
+    """A hand-made archive: a well-formed format-1 trace unless overridden."""
+    arrays = dict(
+        version=np.int64(1),
+        targets=np.array([0, 1, 1]),
+        sizes_by_target=np.array([10, 20]),
+        name=np.bytes_(b"hand-made"),
+    )
+    arrays.update(members)
+    np.savez(path, **{k: v for k, v in arrays.items() if v is not None})
+    return path
 
 
 class TestTraceIO:
@@ -58,6 +110,92 @@ class TestTraceIO:
         with pytest.raises(TraceError):
             load_trace(path)
 
+    @pytest.mark.parametrize("kind", ["rice", "cgi"])
+    def test_archive_cut_in_half_refused(self, archives, tmp_path, kind):
+        original = archives[kind][1]
+        path = tmp_path / "cut.npz"
+        path.write_bytes(original[: len(original) // 2])
+        with pytest.raises(TraceError, match="cannot read"):
+            load_trace(path)
+
+    def test_cost_table_renamed_away_refused(self, archives, tmp_path):
+        """One byte of the central directory renames the cost table: the
+        zip then reads cleanly as a static trace.  The format says
+        otherwise."""
+        data = bytearray(archives["cgi"][1])
+        at = data.rindex(b"cpu_cost_s_by_target.npy")  # the directory entry
+        data[at] ^= 0x01
+        path = tmp_path / "renamed.npz"
+        path.write_bytes(bytes(data))
+        with pytest.raises(TraceError, match="format 2 does not match"):
+            load_trace(path)
+
+    def test_integer_arrays_stored_narrow(self, tmp_path):
+        trace = synthesize_trace(5000, 200, 10**6, 1.0, seed=2)
+        path = save_trace(trace, tmp_path / "narrow.npz")
+        with np.load(path) as archive:
+            assert archive["targets"].dtype == np.uint8  # 200 targets
+            assert archive["sizes_by_target"].dtype.itemsize < 8
+        assert _same_trace(load_trace(path), trace)
+
+    def test_empty_request_stream_round_trips(self, tmp_path):
+        trace = Trace([], [10, 20], name="empty")
+        assert _same_trace(load_trace(save_trace(trace, tmp_path / "e.npz")), trace)
+
+    @pytest.mark.parametrize("kind", ["rice", "cgi"])
+    def test_archive_written_the_old_way_loads_identically(self, tmp_path, kind):
+        """Earlier versions wrote zlib-compressed int64 arrays: caches
+        written by them keep working."""
+        trace = _stand_in(kind)
+        path = tmp_path / "old.npz"
+        extra = {}
+        if trace.cpu_cost_s_by_target is not None:
+            extra["cpu_cost_s_by_target"] = trace.cpu_cost_s_by_target
+        np.savez_compressed(
+            path,
+            version=np.int64(2 if extra else 1),
+            targets=trace.targets,
+            sizes_by_target=trace.sizes_by_target,
+            name=np.bytes_(trace.name.encode("utf-8")),
+            **extra,
+        )
+        assert _same_trace(load_trace(path), trace)
+
+    @pytest.mark.parametrize(
+        "members, complaint",
+        [
+            (dict(targets=np.array([0.5, 1.0])), "targets must be an integer array"),
+            (dict(sizes_by_target=np.array([10.0, 20.0])), "sizes_by_target must be an integer"),
+            (dict(targets=np.array([True, False])), "targets must be an integer array"),
+            (dict(name=np.array([104, 105])), "name must be a bytes scalar"),
+            (dict(name=np.array([b"a", b"b"])), "name must be a bytes scalar"),
+            (dict(name=np.str_("unicode")), "name must be a bytes scalar"),
+            (dict(version=np.array([1, 2])), "version must be an integer scalar"),
+            (dict(version=np.float64(1.5)), "version must be an integer scalar"),
+            (dict(targets=np.int64(0)), "targets must be an integer array"),
+            (dict(cpu_cost_s_by_target=np.array([b"x", b"y"]), version=np.int64(2)),
+             "cpu_cost_s_by_target must be a numeric array"),
+            (dict(cpu_cost_s_by_target=np.array([0.0, 0.1])), "format 1 does not match"),
+            (dict(version=np.int64(2)), "format 2 does not match"),
+            (dict(name=np.bytes_(b"\xff\xfe")), "not UTF-8"),
+            (dict(targets=None), "missing targets"),
+        ],
+    )
+    def test_garbage_member_refused_in_one_line(self, tmp_path, members, complaint):
+        """No clamp, no cast, no bare TypeError at the archive boundary."""
+        with pytest.raises(TraceError, match=complaint) as caught:
+            load_trace(_archive(tmp_path / "garbage.npz", **members))
+        assert "\n" not in str(caught.value)
+
+    def test_integer_members_of_any_width_accepted(self, tmp_path):
+        path = _archive(
+            tmp_path / "widths.npz",
+            version=np.uint8(1),
+            targets=np.array([0, 1, 1], dtype=np.int16),
+            sizes_by_target=np.array([10, 20], dtype=np.uint32),
+        )
+        assert _same_trace(load_trace(path), Trace([0, 1, 1], [10, 20], name="hand-made"))
+
     def test_unsupported_version(self, tmp_path):
         path = tmp_path / "v9.npz"
         np.savez(
@@ -69,6 +207,64 @@ class TestTraceIO:
         )
         with pytest.raises(TraceError, match="version"):
             load_trace(path)
+
+
+def _mutate(original, how, position, payload):
+    data = bytearray(original)
+    position %= len(data)
+    if how == "truncate":
+        del data[position:]
+    elif how == "flip":
+        data[position] ^= 1 << (payload[0] % 8)
+    elif how == "splice":
+        data[position : position + 8] = payload[:8].ljust(8, b"\0")
+    else:
+        data += payload
+    return bytes(data)
+
+
+@pytest.mark.parametrize("kind", ["rice", "cgi"])
+@settings(max_examples=150, deadline=None)
+@given(
+    how=st.sampled_from(["truncate", "flip", "splice", "append"]),
+    position=st.integers(min_value=0),
+    payload=st.binary(min_size=1, max_size=16),
+)
+def test_damaged_archive_is_refused_or_loads_unchanged(
+    archives, tmp_path_factory, kind, how, position, payload
+):
+    """Any byte damage to a 2000-request archive either raises
+    TraceError or (damage the zip does not read, such as a timestamp or
+    trailing bytes) loads the original trace: never another exception,
+    never different data."""
+    trace, original = archives[kind]
+    damaged = tmp_path_factory.mktemp("damaged") / "damaged.npz"
+    damaged.write_bytes(_mutate(original, how, position, payload))
+    try:
+        loaded = load_trace(damaged)
+    except TraceError as refused:
+        assert "\n" not in str(refused)
+    else:
+        assert _same_trace(loaded, trace)
+
+
+@pytest.mark.parametrize(
+    "anchor, replacement",
+    [
+        # Map only what np.load documents: a cut zip escapes as BadZipFile.
+        ("except _UNREADABLE as exc:", "except (OSError, ValueError) as exc:"),
+        # Cast whatever dtype arrives, as np.asarray(..., int64) would.
+        ("if values.dtype.kind not in kinds or", "if False and"),
+        # Trust the member list: a renamed cost table reads as static.
+        ("if (version == _FORMAT_VERSION) != (_OPTIONAL in arrays):", "if False:"),
+    ],
+    ids=["unmapped-zip-errors", "no-dtype-check", "no-format-check"],
+)
+def test_boundary_checks_catch_a_seeded_mutation(tmp_path, anchor, replacement):
+    assert_selected_tests_fail(
+        tmp_path, "workload/io.py", anchor, replacement, __file__,
+        "cut_in_half or garbage_member or renamed_away",
+    )
 
 
 @pytest.fixture(scope="module")

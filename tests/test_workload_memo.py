@@ -1,6 +1,7 @@
 """Tests for disk-backed trace memoization (repro.workload.memo)."""
 
 import hashlib
+import time
 
 import numpy as np
 import pytest
@@ -8,6 +9,9 @@ import pytest
 from repro.workload import (
     cached_trace,
     clear_trace_cache,
+    load_trace,
+    rice_like_trace,
+    save_trace,
     trace_cache_dir,
     trace_cache_key,
 )
@@ -50,6 +54,38 @@ class TestCachedTrace:
         entry.write_bytes(b"not a numpy archive")
         trace = cached_trace("chess", cache_dir=tmp_path, num_requests=500)
         assert len(trace) == 500
+
+    def test_truncated_entry_regenerated_and_rewritten(self, tmp_path):
+        """An entry cut short (a disk that filled, a cache copied while
+        being written) is a zip without its central directory."""
+        good = cached_trace("rice", cache_dir=tmp_path, num_requests=2000, scale=0.05)
+        (entry,) = tmp_path.glob("*.npz")
+        whole = entry.read_bytes()
+        entry.write_bytes(whole[: len(whole) // 2])
+        trace = cached_trace("rice", cache_dir=tmp_path, num_requests=2000, scale=0.05)
+        assert np.array_equal(trace.targets, good.targets)
+        assert np.array_equal(trace.sizes_by_target, good.sizes_by_target)
+        assert entry.stat().st_size == len(whole)
+        assert np.array_equal(load_trace(entry).targets, good.targets)
+
+    def test_writing_costs_less_than_generating(self, tmp_path):
+        """The memo exists to skip generation: storing the ledger's
+        ``ref-8n`` trace (100k requests) must cost less than making it.
+        Best of three on each side; the margin is about twentyfold."""
+
+        def best_of_three(action):
+            times = []
+            for _ in range(3):
+                start = time.perf_counter()
+                action()
+                times.append(time.perf_counter() - start)
+            return min(times)
+
+        params = dict(num_requests=100_000, scale=0.1, seed=1)
+        generate = best_of_three(lambda: rice_like_trace(**params))
+        trace = rice_like_trace(**params)
+        write = best_of_three(lambda: save_trace(trace, tmp_path / "ref-8n.npz"))
+        assert write < generate, f"write {write * 1e3:.1f} ms, generate {generate * 1e3:.1f} ms"
 
     def test_stale_format_entry_regenerated(self, tmp_path):
         good = cached_trace("chess", cache_dir=tmp_path, num_requests=500)
@@ -199,6 +235,21 @@ class TestMemoVersionGoldenDigests:
             "re-record the golden digests (stale disk-cache entries would "
             "otherwise be replayed as current)"
         )
+
+    @pytest.mark.parametrize("kind", sorted(_GOLDEN_PARAMS))
+    def test_generator_output_survives_the_archive(self, kind, tmp_path):
+        """Values, int64 dtypes, name and cost table, exactly."""
+        trace = TRACE_GENERATORS[kind](**_GOLDEN_PARAMS[kind])
+        loaded = load_trace(save_trace(trace, tmp_path / kind))
+        assert loaded.name == trace.name
+        for field in ("targets", "sizes_by_target"):
+            assert getattr(loaded, field).dtype == np.int64
+            assert np.array_equal(getattr(loaded, field), getattr(trace, field))
+        if trace.cpu_cost_s_by_target is None:
+            assert loaded.cpu_cost_s_by_target is None
+        else:
+            assert loaded.cpu_cost_s_by_target.tobytes() == trace.cpu_cost_s_by_target.tobytes()
+        assert _content_digest(loaded) == _GOLDEN_DIGESTS[_MEMO_VERSION][kind]
 
     def test_cache_key_depends_on_memo_version(self, monkeypatch):
         import repro.workload.memo as memo

@@ -10,7 +10,7 @@ per request.  Time inside C (``heapq``, dict and list methods) is not
 counted: compare two trees with it, do not read it as a duration.
 Above ``--max``, the CI ceiling, the exit status is 1.
 
-    PYTHONPATH=src python scripts/opcodes_per_request.py --max 1076
+    PYTHONPATH=src python scripts/opcodes_per_request.py --max 990
 """
 
 from __future__ import annotations

@@ -2,10 +2,13 @@
 
 One request is a handful of stages — establish, fetch decision, data
 services, teardown — and each stage is one function of the connection's
-class, posted to the engine with the connection as its argument
-(``engine.post(delay, stage, conn)``, dispatched as ``stage(conn)``),
-with the resource bookkeeping that ``Resource._enqueue``/``_finish``
-would do inlined at the head and tail of each stage, so one event
+class, scheduled with the connection as its argument and dispatched as
+``stage(conn)``.  A service that ends strictly after the clock is the
+engine's frameless ``push((when, next(seqs), stage, conn))``; any other
+duration (zero, or a NaN or negative one) and every zero-delay or rare
+event take ``engine.post(delay, stage, conn)``, which stages or refuses
+it.  The resource bookkeeping ``Resource._enqueue``/``_finish`` would
+do is inlined at the head and tail of each stage, so one event
 dispatch performs one whole lifecycle step with no coroutine machinery
 in between.  A connection is one object: it holds no method bound to
 itself, so a run's connections are not reference cycles and cost one
@@ -34,9 +37,9 @@ the contract below is stated against it.
 Resource waiters need care here.  *Every* job on a node resource belongs
 to a state-machine connection, so the canonical ``Resource._finish``
 wrapper never runs: a contended enqueue appends the event its start
-will post — ``(duration, stage, conn)``, the shape of every
+will schedule — ``(duration, stage, conn)``, the shape of every
 ``Resource`` job — to ``_waiting``, and the completing stage promotes
-it by posting it directly (``post(*job)``) — the stage books its own
+it by scheduling it directly — the stage books its own
 completion when it fires.  The promotion skips the canonical ``_start``
 busy-integral fold deliberately: the promoting stage has just set
 ``_last_change`` to the current instant, so the fold would add
@@ -65,7 +68,7 @@ Byte-identity contract (enforced by ``tests/test_fastpath_identity.py``,
 closed forms of ``tests/test_cluster_analytic.py`` check the same books
 from outside):
 
-* the relative order of every ``engine.post`` call — admissions,
+* the relative order of every ``push`` and ``post`` — admissions,
   service starts, waiter promotions, coalesced-read wakeups, retry
   timers — matches the oracle exactly, so the engine consumes the same
   ``(time, seq)`` stream and dispatches the same events; a connection's
@@ -219,12 +222,11 @@ class FastConnection:
     queue (see the module docstring for why that is sound).
 
     A connection is one object.  An event is a stage function of its
-    class and the connection itself (``post(delay, stage, conn)``, run
-    as ``stage(conn)``): the stage functions are read off the class
-    once per pooled object into the ``*_stage`` slots, shared with
-    every other connection of the run, so a connection holds no bound
-    method — nothing it references leads back to it, and a finished
-    run frees it with its pool.
+    class and the connection itself, run as ``stage(conn)``: the stage
+    functions are read off the class once per pooled object into the
+    ``*_stage`` slots, shared with every other connection of the run, so
+    a connection holds no bound method — nothing it references leads
+    back to it, and a finished run frees it with its pool.
 
     Instances are reused: a completing connection carries the request
     its freed slot admits, and parks itself in the front-end's pool
@@ -248,7 +250,8 @@ class FastConnection:
         "plan_i",
         "res",
         "reading",
-        "post",
+        "push",
+        "seqs",
         "units",
         "begin_stage",
         "decide_stage",
@@ -259,11 +262,12 @@ class FastConnection:
 
     def __init__(self, fe: Any) -> None:
         self.fe = fe
-        self.engine = fe.engine
-        # The front-end's one bound ``post`` (a per-object binding would
-        # allocate a method object per connection), and the per-target
-        # transmit-unit table read on every hit path.
-        self.post = fe.post
+        self.engine = engine = fe.engine
+        # The engine's frameless scheduling pair, one for every
+        # connection, and the per-target transmit-unit table read on
+        # every hit path.
+        self.push = engine.push
+        self.seqs = engine.seqs
         self.units = fe.units
         self.node: Any = None
         self.target = 0
@@ -311,7 +315,11 @@ class FastConnection:
         else:
             cpu._last_change = now
             cpu._busy = 1
-            self.post(node._conn_time, self.decide_stage, self)
+            when = now + node._conn_time
+            if when > now:
+                self.push((when, next(self.seqs), self.decide_stage, self))
+            else:
+                engine.post(node._conn_time, self.decide_stage, self)
 
     def _decide(self) -> None:
         """Establishment done: book it, then make the fetch decision."""
@@ -324,7 +332,12 @@ class FastConnection:
         cpu._last_change = now
         waiting = cpu._waiting
         if waiting:
-            self.post(*waiting.popleft())
+            duration, stage, conn = waiting.popleft()
+            when = now + duration
+            if when > now:
+                self.push((when, next(self.seqs), stage, conn))
+            else:
+                self.engine.post(duration, stage, conn)
         else:
             cpu._busy = 0
         self._fetch()
@@ -426,9 +439,14 @@ class FastConnection:
         if resource._busy:
             resource._waiting.append((duration, self.advance_stage, self))
         else:
-            resource._last_change = self.engine.now
+            now = self.engine.now
+            resource._last_change = now
             resource._busy = 1
-            self.post(duration, self.advance_stage, self)
+            when = now + duration
+            if when > now:
+                self.push((when, next(self.seqs), self.advance_stage, self))
+            else:
+                self.engine.post(duration, self.advance_stage, self)
 
     def _join_pending(self, waiters: Any) -> None:
         """The file is already being read from disk on this node:
@@ -472,12 +490,18 @@ class FastConnection:
         disks = node.disks  # disk_for's one-disk answer, without its frame
         disk = disks[0] if len(disks) == 1 else node.disk_for(target)
         self.res = disk
+        duration = times.single[target]
         if disk._busy:
-            disk._waiting.append((times.single[target], self.advance_stage, self))
+            disk._waiting.append((duration, self.advance_stage, self))
         else:
-            disk._last_change = self.engine.now
+            now = self.engine.now
+            disk._last_change = now
             disk._busy = 1
-            self.post(times.single[target], self.advance_stage, self)
+            when = now + duration
+            if when > now:
+                self.push((when, next(self.seqs), self.advance_stage, self))
+            else:
+                self.engine.post(duration, self.advance_stage, self)
 
     def _start_chunked_read(self) -> None:
         """Disk service then CPU transmit per 44 KB chunk, first chunk
@@ -514,7 +538,12 @@ class FastConnection:
         res._last_change = now
         waiting = res._waiting
         if waiting:
-            self.post(*waiting.popleft())
+            duration, stage, conn = waiting.popleft()
+            when = now + duration
+            if when > now:
+                self.push((when, next(self.seqs), stage, conn))
+            else:
+                self.engine.post(duration, stage, conn)
         else:
             res._busy = 0
         plan = self.plan
@@ -531,7 +560,7 @@ class FastConnection:
             # the oracle's order.
             self.reading = False
             for waiter in node._pending.pop(self.target):
-                self.post(0.0, type(waiter)._coalesced, waiter)
+                self.engine.post(0.0, type(waiter)._coalesced, waiter)
         if self.index == self.last:
             # Resource._enqueue, inlined (teardown service).
             cpu = node.cpu
@@ -540,7 +569,11 @@ class FastConnection:
             else:
                 cpu._last_change = now
                 cpu._busy = 1
-                self.post(node._teardown_time, self.complete_stage, self)
+                when = now + node._teardown_time
+                if when > now:
+                    self.push((when, next(self.seqs), self.complete_stage, self))
+                else:
+                    self.engine.post(node._teardown_time, self.complete_stage, self)
             return
         self._request_done(now)
         fe = self.fe
@@ -568,7 +601,7 @@ class FastConnection:
         """Re-run the policy for this request; if it names another node
         (or this one failed meanwhile) move the connection there."""
         fe = self.fe
-        new_node = fe.choose(self.target, self.size, now=now)
+        new_node = fe.choose(self.target, self.size, now)
         take = fe._take_prediction
         self.hit_hint = take() if take is not None else None
         node_id = self.node.node_id
@@ -621,7 +654,12 @@ class FastConnection:
         cpu._last_change = now
         waiting = cpu._waiting
         if waiting:
-            self.post(*waiting.popleft())
+            duration, stage, conn = waiting.popleft()
+            when = now + duration
+            if when > now:
+                self.push((when, next(self.seqs), stage, conn))
+            else:
+                engine.post(duration, stage, conn)
         else:
             cpu._busy = 0
         # The batch's last request is done: _request_done, inlined, since
@@ -685,7 +723,7 @@ class FastConnection:
             fe._next = end
             target = fe._target_list[first]
             size = fe._size_list[target]
-            node_id = fe.choose(target, size, now=now)
+            node_id = fe.choose(target, size, now)
             take = fe._take_prediction
             hit_hint = take() if take is not None else None
             if not fe.p_alive[node_id]:
@@ -709,7 +747,7 @@ class FastConnection:
             # more (a raised admission limit racing this completion)
             # goes to the general loop, behind this one's staged start.
             if in_flight + 1 < limit and end < n:
-                self.post(0.0, self.begin_stage, self)
+                engine.post(0.0, self.begin_stage, self)
                 fe.admit()
                 return
             # Nothing follows in this event, so a traced or faulty
@@ -726,7 +764,7 @@ class FastConnection:
                 if hook is not None:
                     hook(now, begin)
             else:
-                self.post(0.0, self.begin_stage, self)
+                engine.post(0.0, self.begin_stage, self)
         else:
             # Nothing to admit (the trace ran out, or a failure lowered
             # the limit): the slot is given up and the object parked.
@@ -789,7 +827,7 @@ class FaultyConnection(FastConnection):
         """The chosen node is dark: nothing answers until the client's
         timeout fires."""
         self.faults.doomed_dispatches += 1
-        self.post(self.retry.timeout_s, type(self)._timed_out, self)
+        self.engine.post(self.retry.timeout_s, type(self)._timed_out, self)
 
     def _timed_out(self) -> None:
         """Client timeout: give the dark node's slot back, then either
@@ -814,12 +852,12 @@ class FaultyConnection(FastConnection):
             return
         self.attempts += 1
         faults.retried_requests += self.last + 1 - self.index
-        self.post(self.retry.backoff_s(self.attempts), type(self)._retry, self)
+        self.engine.post(self.retry.backoff_s(self.attempts), type(self)._retry, self)
 
     def _retry(self) -> None:
         """Back-off over: the front-end dispatches the request afresh."""
         fe = self.fe
-        node_id = fe.choose(self.target, self.size, now=self.engine.now)
+        node_id = fe.choose(self.target, self.size, self.engine.now)
         take = fe._take_prediction
         self.hit_hint = take() if take is not None else None
         fe._attach(node_id)

@@ -112,9 +112,6 @@ class FrontEnd:
         self.t_under_time: List[float] = tracker._under_time
         self.t_is_under: List[bool] = tracker._is_under
         self.t_threshold: float = tracker.threshold
-        # One bound method for every connection: posting an event is
-        # the single hottest call each stage makes.
-        self.post = engine.post
         # What an admission looks at to tell whether the start event it
         # is about to stage would be the very next one dispatched (see
         # ``admit``): the engine's two queues, never written from here.
@@ -289,7 +286,7 @@ class FrontEnd:
             self._next = end
             target = self._target_list[first]
             size = self._size_list[target]
-            node_id = self.choose(target, size, now=now)
+            node_id = self.choose(target, size, now)
             # LB/GC's idealized front-end cache model dictates hit/miss.
             take = self._take_prediction
             hit_hint = take() if take is not None else None
@@ -334,7 +331,7 @@ class FrontEnd:
                 if hook is not None:
                     hook(now, begin)
             else:
-                self.post(0.0, conn.begin_stage, conn)
+                engine.post(0.0, conn.begin_stage, conn)
 
     def new_connection(self) -> FastConnection:
         """A connection object for the pool, of the class this run

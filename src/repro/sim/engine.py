@@ -10,11 +10,11 @@ The engine follows the classic event-list design:
   events, each a ``(time, sequence, fn, arg)`` tuple dispatched as
   ``fn(arg)``.  Ties in time are broken by insertion order, which makes
   runs fully deterministic.  One function and one argument is the whole
-  event: the cluster's request lifecycle posts a stage function with its
-  connection (:meth:`Engine.post`), so no event needs a closure, a bound
-  method or an argument tuple, and the run loop has one way to call
-  every event.  :meth:`Engine.schedule` takes a callback of any arity
-  and folds it into that shape.
+  event: the cluster's request lifecycle schedules a stage function
+  with its connection (``Engine.push``, :meth:`Engine.post`), so no
+  event needs a closure, a bound method or an argument tuple, and the
+  run loop has one way to call every event.  :meth:`Engine.schedule`
+  takes a callback of any arity and folds it into that shape.
 * :class:`Process` wraps a Python generator.  The generator *yields* command
   objects (:class:`Delay`, and :class:`Service` and :class:`Wait` from
   :mod:`repro.sim.resources`) and is resumed by the engine when the
@@ -41,7 +41,8 @@ from __future__ import annotations
 import heapq  # lardlint: disable-file=raw-heapq -- this IS the engine: every push carries the (time, seq) tie-break the rule exists to enforce
 from collections import deque
 from functools import partial
-from typing import Any, Callable, Deque, Generator, List, Optional, Tuple
+from operator import length_hint
+from typing import Any, Callable, Deque, Generator, Iterator, List, Optional, Tuple
 
 __all__ = ["Engine", "Process", "Delay", "SimulationError"]
 
@@ -61,6 +62,10 @@ Event = Tuple[float, int, Callable[[Any], Any], Any]
 
 #: The bound of an unbounded run that takes the general loop.
 _NEVER = float("inf")
+
+#: One past the last tie-break number an engine hands out: 2**62 - 1
+#: events outlast any simulation.
+_SEQ_END = 1 << 62
 
 
 class SimulationError(RuntimeError):
@@ -176,7 +181,15 @@ class Engine:
         # drain it before popping a later heap entry, and run() refuses
         # an ``until`` behind the clock.
         self._nowq: Deque[Event] = deque()
-        self._seq = 0
+        #: The tie-break counter, a C iterator: every scheduling path
+        #: draws an event's seq as ``next(seqs)``, at no Python frame;
+        #: what is left of the range tells how many were (``scheduled``).
+        self.seqs: Iterator[int] = iter(range(1, _SEQ_END))
+        #: ``push((when, next(seqs), fn, arg))``: :meth:`post` with no
+        #: frame, for a caller that has checked ``when = now + delay >
+        #: now`` itself; any other delay goes to :meth:`post`, which
+        #: stages or refuses it.
+        self.push: Callable[[Event], None] = partial(heapq.heappush, self._queue)
         # True whenever no run loop is going to dispatch another event:
         # before run(), once it returns, and from stop() on.  Code that
         # runs an event in place of staging it (the request lifecycle's
@@ -205,17 +218,15 @@ class Engine:
             raise SimulationError(
                 f"cannot schedule into the past or at NaN (delay={delay})"
             )
-        seq = self._seq + 1
-        self._seq = seq
         now = self.now
         when = now + delay
         # Route on the *computed* event time, not on ``delay == 0``:
         # a subnormal delay can round ``now + delay`` back to ``now``,
         # and such an event must keep FIFO order with the staged ones.
         if when > now:
-            _heappush(self._queue, (when, seq, fn, arg))
+            _heappush(self._queue, (when, next(self.seqs), fn, arg))
         else:
-            self._nowq.append((when, seq, fn, arg))
+            self._nowq.append((when, next(self.seqs), fn, arg))
 
     def schedule(self, delay: float, callback: Callable[..., Any], *args: Any) -> None:
         """Run ``callback(*args)`` after ``delay`` simulated time units:
@@ -246,19 +257,17 @@ class Engine:
             fn, arg = _call, partial(callback, *args)
         else:
             fn, arg = _call, callback
-        self._seq += 1
         if when > self.now:
-            _heappush(self._queue, (when, self._seq, fn, arg))
+            _heappush(self._queue, (when, next(self.seqs), fn, arg))
         else:
-            self._nowq.append((when, self._seq, fn, arg))
+            self._nowq.append((when, next(self.seqs), fn, arg))
 
     def process(self, gen: Generator[Any, Any, Any], name: str = "") -> Process:
         """Register a generator as a process, starting it at the current time."""
         proc = Process(self, gen, name=name)
         # Start the process via the event queue (not synchronously) so that
         # creation order and execution order are both deterministic.
-        self._seq += 1
-        self._nowq.append((self.now, self._seq, proc._resume, None))
+        self._nowq.append((self.now, next(self.seqs), proc._resume, None))
         return proc
 
     # -- execution ----------------------------------------------------------
@@ -275,7 +284,11 @@ class Engine:
         the hot one, which checks nothing per event; every other run —
         bounded, sanitized or both — takes the general one, where the
         bound is one compare per heap pop and the sanitizer's hook one
-        ``None`` test per event.
+        ``None`` test per event.  Neither counts: every event the run
+        dispatched was pending when it started or scheduled since, and
+        is no longer pending, so ``events_dispatched`` grows by the
+        drop in ``_backlog`` when the loop exits — an event that raised
+        included.
         """
         if until is not None and not until >= self.now:
             raise SimulationError(
@@ -286,7 +299,7 @@ class Engine:
         queue = self._queue
         nowq = self._nowq
         pop = heapq.heappop
-        dispatched = 0
+        backlog = self._backlog()
         try:
             if until is None and hook is None:
                 # Hot loop: no bound checks — post/schedule_at guarantee
@@ -304,7 +317,6 @@ class Engine:
                     else:
                         break
                     self.now = when
-                    dispatched += 1
                     fn(arg)
                 return self.now
             # Staged events are due at the current clock, which the
@@ -323,7 +335,6 @@ class Engine:
                 else:
                     break
                 self.now = when
-                dispatched += 1
                 fn(arg)
                 if hook is not None:
                     # The hook is shown the callback that ran: a zero-
@@ -334,7 +345,13 @@ class Engine:
             return self.now
         finally:
             self._stopped = True
-            self.events_dispatched += dispatched
+            self.events_dispatched += backlog - self._backlog()
+
+    def _backlog(self) -> int:
+        """Events pending plus sequence numbers not yet drawn: it drops
+        by one per event dispatched and by nothing else, since every
+        event scheduled draws one number and becomes pending."""
+        return self.pending + length_hint(self.seqs)
 
     def install_sanitizer(
         self, hook: Optional[Callable[[float, Callable[..., Any]], None]]
@@ -360,6 +377,12 @@ class Engine:
     def pending(self) -> int:
         """Number of events still queued."""
         return len(self._queue) + len(self._nowq)
+
+    @property
+    def scheduled(self) -> int:
+        """Number of events ever scheduled: seq numbers drawn from
+        ``seqs`` (read without drawing one)."""
+        return _SEQ_END - 1 - length_hint(self.seqs)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<Engine t={self.now:.6f} pending={self.pending}>"

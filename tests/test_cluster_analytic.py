@@ -265,14 +265,20 @@ _MUTATION = (
     "cluster/fastpath.py",
     "        res.jobs_served += 1\n        res._busy_integral += now - res._last_change\n"
     "        res._last_change = now\n        waiting = res._waiting\n        if waiting:\n"
-    "            self.post(*waiting.popleft())\n"
+    "            duration, stage, conn = waiting.popleft()\n"
+    "            when = now + duration\n            if when > now:\n"
+    "                self.push((when, next(self.seqs), stage, conn))\n"
+    "            else:\n                self.engine.post(duration, stage, conn)\n"
     "        else:\n            res._busy = 0\n        plan = self.plan\n        i = self.plan_i\n"
     "        if i < len(plan):\n            self.plan_i = i + 1\n"
     "            resource, duration = plan[i]\n            self._enqueue_data(resource, duration)\n"
     "            return\n        node = self.node\n",
     "        res.jobs_served += 1\n"
     "        res._last_change = now\n        waiting = res._waiting\n        if waiting:\n"
-    "            self.post(*waiting.popleft())\n"
+    "            duration, stage, conn = waiting.popleft()\n"
+    "            when = now + duration\n            if when > now:\n"
+    "                self.push((when, next(self.seqs), stage, conn))\n"
+    "            else:\n                self.engine.post(duration, stage, conn)\n"
     "        else:\n            res._busy = 0\n        plan = self.plan\n        i = self.plan_i\n"
     "        if i < len(plan):\n            self.plan_i = i + 1\n"
     "            resource, duration = plan[i]\n            self._enqueue_data(resource, duration)\n"

@@ -23,8 +23,10 @@ from repro.cluster.frontend import FrontEnd
 from repro.cluster.simulator import ClusterConfig, ClusterSimulator
 from repro.obs import SpanWriter
 from repro.obs.tracer import SimTracer
+from repro.sim import SimulationError
 from repro.workload import cgi_mix_trace
 from repro.workload.synthetic import synthesize_trace
+from repro.workload.trace import Trace
 from tests.cluster_oracle import use_oracle
 from tests.seeded_mutation import assert_selected_tests_fail
 from tests.test_cluster_differential import _schedule
@@ -180,11 +182,11 @@ def _parked_during(sim, every_s=0.01):
 
 
 def test_pooled_connections_share_one_schedule_object(trace):
-    """``engine.post`` evaluated per object would allocate one bound
-    method per pooled connection; every class takes the front-end's
-    single binding.  And a connection binds nothing else to itself: its events
-    are its class's stage functions posted with it, so nothing it
-    holds is a method."""
+    """A per-object binding of the engine's scheduling entry would
+    allocate one callable per pooled connection; every class takes the
+    engine's single ``push`` and ``seqs``.  And a connection binds
+    nothing to itself: its events are its class's stage functions
+    scheduled with it, so nothing it holds is a method."""
     for extra in (dict(), dict(requests_per_connection=4)):
         config = ClusterConfig(
             policy="lard/r", num_nodes=4, node_cache_bytes=2**19, **extra
@@ -197,11 +199,14 @@ def test_pooled_connections_share_one_schedule_object(trace):
             assert len(parked) > 1
             cls = _conn_class(run)
             assert {type(conn) for conn in parked} == {cls}
-            frontend = run.frontend
-            assert all(conn.post is frontend.post for conn in parked)
+            frontend, engine = run.frontend, run.engine
+            assert all(
+                conn.push is engine.push and conn.seqs is engine.seqs
+                for conn in parked
+            )
             for conn in parked:
                 assert conn.advance_stage is cls._advance
-                held = [ref for ref in gc.get_referents(conn) if ref is not frontend.post]
+                held = gc.get_referents(conn)
                 assert not any(isinstance(ref, types.MethodType) for ref in held)
             # run() released them: the pool is gone.
             assert frontend.pool == []
@@ -301,6 +306,87 @@ def test_untraced_run_builds_untraced_connections(trace):
     assert _conn_class(sim) is FastConnection
 
 
+# -- services that do not end after now -----------------------------------------
+#
+# A service that ends strictly after the clock is pushed straight onto
+# the engine's heap; any other duration goes through ``engine.post``,
+# which stages a zero one behind the events already due now and refuses
+# a NaN or negative one.  An empty file is the zero: 0 bytes, 0 transmit
+# units, a 0.0 s transmit on every path that serves it.
+
+_ZERO_CONFIGS = [
+    dict(policy="lard", num_nodes=2, node_cache_bytes=2**18),
+    dict(policy="wrr", num_nodes=3, node_cache_bytes=2**18),
+    dict(policy="lard/r", num_nodes=3, node_cache_bytes=2**18, requests_per_connection=4),
+]
+
+
+@pytest.fixture(scope="module")
+def empty_file_trace(trace):
+    """``trace`` with every fifth target an empty file."""
+    sizes = trace.sizes_by_target.copy()
+    sizes[::5] = 0
+    return Trace(trace.targets, sizes, name=trace.name)
+
+
+@pytest.mark.parametrize("config", _ZERO_CONFIGS, ids=_config_id)
+def test_a_zero_length_service_is_staged_as_the_oracle_stages_it(empty_file_trace, config):
+    sim, fast, fast_log = _run_traced(empty_file_trace, fastpath=True, **config)
+    oracle, slow, slow_log = _run_traced(empty_file_trace, fastpath=False, **config)
+    assert sim.engine.events_dispatched == oracle.engine.events_dispatched
+    assert fast == slow
+    # Digests: a diff of two megabyte logs would take pytest minutes.
+    assert hashlib.sha256(fast_log.encode()).digest() == hashlib.sha256(slow_log.encode()).digest()
+    untraced = []
+    for on_oracle in (False, True):
+        plain = ClusterSimulator(empty_file_trace, ClusterConfig(**config))
+        if on_oracle:
+            use_oracle(plain)
+        untraced.append((dataclasses.asdict(plain.run()), plain.engine.events_dispatched))
+    assert untraced[0] == untraced[1]
+    assert untraced[0][0] == fast
+    # Empty files were served, from the cache and from disk.
+    spans = [json.loads(line) for line in fast_log.splitlines() if '"kind":"span"' in line]
+    assert {"hit", "miss"} <= {span["outcome"] for span in spans if span["size"] == 0}
+
+
+@pytest.mark.parametrize("bad", [float("nan"), -1e-3, -5e-324], ids=["nan", "neg", "neg-subnormal"])
+@pytest.mark.parametrize("service", ["_conn_time", "_teardown_time"])
+def test_a_nan_or_negative_service_time_raises_where_it_is_scheduled(trace, service, bad):
+    sim = ClusterSimulator(trace, ClusterConfig(policy="lard/r", num_nodes=3))
+    for node in sim.nodes:
+        setattr(node, service, bad)
+    with pytest.raises(SimulationError, match="past or at NaN"):
+        sim.run()
+    # No request got past the bad service: the first establishment, at
+    # time 0, or the first teardown, before any completion.
+    assert sim.frontend.completed == 0
+    if service == "_conn_time":
+        assert sim.engine.now == 0.0
+
+
+# Every service pushed, a zero one onto the heap at the current instant
+# instead of behind the events already staged there.
+_PUSH_UNCONDITIONALLY = (
+    "cluster/fastpath.py",
+    "            when = now + duration\n"
+    "            if when > now:\n"
+    "                self.push((when, next(self.seqs), self.advance_stage, self))\n"
+    "            else:\n"
+    "                self.engine.post(duration, self.advance_stage, self)\n"
+    "\n    def _join_pending",
+    "            when = now + duration\n"
+    "            self.push((when, next(self.seqs), self.advance_stage, self))\n"
+    "\n    def _join_pending",
+)
+
+
+def test_seeded_push_unconditionally_is_caught(tmp_path):
+    assert_selected_tests_fail(
+        tmp_path, *_PUSH_UNCONDITIONALLY, __file__, "zero_length_service"
+    )
+
+
 # -- start events that run in place ---------------------------------------------
 #
 # An admission stages its connection's start event, or — when that event
@@ -327,7 +413,7 @@ def _counted(trace, traced=False, oracle=False, **config):
     if oracle:
         use_oracle(sim)
     result = sim.run()
-    return sim.engine.events_dispatched, sim.engine._seq, result, sim.sanitizer
+    return sim.engine.events_dispatched, sim.engine.scheduled, result, sim.sanitizer
 
 
 @pytest.mark.parametrize("traced", [False, True], ids=["untraced", "traced"])
@@ -432,11 +518,11 @@ _INPLACE_MUTATIONS = {
         "                begin(self)\n"
         "                hook = engine._sanitizer\n                if hook is not None:\n"
         "                    hook(now, begin)\n            else:\n"
-        "                self.post(0.0, self.begin_stage, self)\n        else:\n"
+        "                engine.post(0.0, self.begin_stage, self)\n        else:\n"
         "            # Nothing to admit",
         "                begin(self)\n"
         "            else:\n"
-        "                self.post(0.0, self.begin_stage, self)\n        else:\n"
+        "                engine.post(0.0, self.begin_stage, self)\n        else:\n"
         "            # Nothing to admit",
         "test_the_sanitizer_hook_sees_every_event and one-request",
     ),

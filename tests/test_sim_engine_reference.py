@@ -7,13 +7,16 @@ engine and an independent reference (a plain list re-sorted before every
 pop) through the *same* schedule program — events scheduled from inside
 callbacks, 0.0 delays, same-time ties, ``schedule_at`` at the current
 instant, ``stop()`` mid-run, and ``run(until=...)`` boundaries — and
-require the dispatch logs to match element for element.
+require the dispatch logs to match element for element.  The engine's
+two counts, ``events_dispatched`` and ``scheduled``, are derived rather
+than counted per event; they must equal the reference's pops and pushes.
 """
 
 import hypothesis.strategies as st
 from hypothesis import given, settings
 
 from repro.sim import Engine
+from tests.seeded_mutation import assert_selected_tests_fail
 
 
 class NaiveEngine:
@@ -21,6 +24,8 @@ class NaiveEngine:
 
     def __init__(self):
         self.now, self._seq, self._events, self._stopped = 0.0, 0, [], False
+        #: Events popped and called (``_seq`` counts the pushes).
+        self.pops = 0
 
     def schedule(self, delay, callback, *args):
         self.schedule_at(self.now + delay, callback, *args)
@@ -39,6 +44,7 @@ class NaiveEngine:
             if until is not None and self._events[0][0] > until:
                 break
             self.now, _seq, callback, args = self._events.pop(0)
+            self.pops += 1
             callback(*args)
         if until is not None and not self._stopped:
             self.now = max(self.now, until)
@@ -181,3 +187,105 @@ def test_spread_out_events_with_exact_ties_keep_time_seq_order():
         eng.schedule(delay, log.append, i)
     eng.run()
     assert log == sorted(range(500), key=lambda i: (delays[i], i))
+
+
+# -- the derived counts ---------------------------------------------------------
+
+
+class _Raised(Exception):
+    pass
+
+
+def _counts(engine):
+    """``(dispatched, scheduled)``: the engine's derived pair, or the
+    reference's pops and pushes."""
+    if isinstance(engine, NaiveEngine):
+        return engine.pops, engine._seq
+    return engine.events_dispatched, engine.scheduled
+
+
+def _run_in_place(engine, callback):
+    """What the request lifecycle does with a start event that would be
+    dispatched next anyway: run it now, counted as dispatched and never
+    scheduled."""
+    if isinstance(engine, NaiveEngine):
+        engine.pops += 1
+    else:
+        engine.events_dispatched += 1
+    callback()
+
+
+def _execute_counted(engine, program, roots, stop_at, raise_at, in_place_at, until_steps):
+    """Run ``program`` through every exit a run has — a bound, ``stop()``
+    from inside an event, an event that raises — with one event run in
+    place; return the dispatch log and the counts after every run()."""
+    log, counts = [], []
+
+    def in_place():
+        log.append(("in-place", engine.now))
+        engine.schedule(0.0, log.append, ("after-in-place", engine.now))
+
+    def fire(label):
+        log.append((label, engine.now))
+        for child, mode, delay in program[label]:
+            if mode == "rel":
+                engine.schedule(delay, fire, child)
+            elif mode == "abs":
+                engine.schedule_at(engine.now + delay, fire, child)
+            else:
+                engine.schedule_at(engine.now, fire, child)
+        if len(log) == in_place_at:
+            _run_in_place(engine, in_place)
+        if len(log) == stop_at:
+            engine.stop()
+        if len(log) == raise_at:
+            raise _Raised
+
+    for label, delay in roots:
+        engine.schedule(delay, fire, label)
+    # A stop and a raise end one run each; the third unbounded run drains.
+    for until in (*until_steps, None, None, None):
+        try:
+            engine.run(until=until)
+        except _Raised:
+            log.append("raised")
+        counts.append(_counts(engine))
+    return log, counts
+
+
+_event_numbers = st.one_of(st.none(), st.integers(1, 30))
+
+
+@given(
+    _programs(),
+    _event_numbers,
+    _event_numbers,
+    _event_numbers,
+    st.lists(_delays, max_size=3),
+)
+@settings(max_examples=150, deadline=None)
+def test_derived_counts_match_the_reference_pops_and_pushes(
+    prog, stop_at, raise_at, in_place_at, boundaries
+):
+    program, roots = prog
+    args = (program, roots, stop_at, raise_at, in_place_at, sorted(boundaries))
+    engine = Engine()
+    log, counts = _execute_counted(engine, *args)
+    assert (log, counts) == _execute_counted(NaiveEngine(), *args)
+    # Drained: every event scheduled was dispatched, and so was the one
+    # run in place, if its turn came.
+    dispatched, scheduled = counts[-1]
+    assert engine.pending == 0
+    ran_in_place = any(entry[0] == "in-place" for entry in log if entry != "raised")
+    assert dispatched == scheduled + ran_in_place
+
+
+def test_seeded_mutation_dropping_the_pending_at_start_term_is_caught(tmp_path):
+    assert_selected_tests_fail(
+        tmp_path,
+        "sim/engine.py",
+        "        backlog = self._backlog()\n",
+        "        backlog = length_hint(self.seqs)\n",
+        __file__,
+        "derived_counts",
+    )

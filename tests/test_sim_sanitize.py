@@ -108,8 +108,7 @@ def test_clock_regression_is_caught():
         # fn, arg)``, dated before the current clock, exactly the
         # corruption the sanitizer exists to catch.
         engine = sim.engine
-        engine._seq += 1
-        heapq.heappush(engine._queue, (engine.now / 2, engine._seq, lambda _: None, None))
+        heapq.heappush(engine._queue, (engine.now / 2, next(engine.seqs), lambda _: None, None))
 
     sim = _corrupt_at(_simulator(), 0.5, corrupt)
     with pytest.raises(SanitizerError, match="clock moved backwards"):

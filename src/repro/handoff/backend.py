@@ -38,18 +38,17 @@ from __future__ import annotations
 
 import queue
 import socket
-import struct
 import threading
 import time
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional, Sequence, Set
+from typing import Callable, Dict, Optional, Sequence, Set, Tuple
 
-from ..cache import GDSCache, LRUCache
-from ..cache.base import Cache
+from ..cache import GDSCache
 from ..obs.span import Span, SpanWriter
 from .dispatcher import Dispatcher
 from .docroot import DocumentStore
 from .http import HTTPError, HTTPRequest, build_response, parse_request_head
+from .net import Listener, abort_socket, close_quietly
 
 __all__ = [
     "BackendServer",
@@ -125,7 +124,6 @@ class BackendServer:
         node_id: int,
         store: DocumentStore,
         cache_bytes: int = 8 * 2**20,
-        cache_policy: str = "gds",
         miss_penalty_s: float = 0.02,
         workers: int = 4,
         persistent_mode: str = "sticky",
@@ -140,11 +138,7 @@ class BackendServer:
         self.store = store
         self.miss_penalty_s = miss_penalty_s
         self.persistent_mode = persistent_mode
-        self._cache: Cache = (
-            GDSCache(cache_bytes, name=f"be{node_id}")
-            if cache_policy == "gds"
-            else LRUCache(cache_bytes, name=f"be{node_id}")
-        )
+        self._cache = GDSCache(cache_bytes, name=f"be{node_id}")
         self._payload: Dict[str, bytes] = {}
         self._cache.evict_listener = lambda name, size: self._payload.pop(name, None)
         self._cache_lock = threading.Lock()
@@ -158,8 +152,7 @@ class BackendServer:
         self._conn_lock = threading.Lock()
         self._stats_lock = threading.Lock()
         self._active_conns: Set[socket.socket] = set()
-        self._listener: Optional[socket.socket] = None
-        self._accept_thread: Optional[threading.Thread] = None
+        self._listener: Optional[Listener] = None
         self.stats = BackendStats()
         #: Wired by the cluster: the shared dispatcher and peer list.
         self.dispatcher: Optional[Dispatcher] = None
@@ -233,7 +226,7 @@ class BackendServer:
         with self._conn_lock:
             victims = list(self._active_conns)
         for conn in victims:
-            self._abort_socket(conn)
+            abort_socket(conn)
             with self._stats_lock:
                 self.stats.severed += 1
         for thread in self._threads:
@@ -245,7 +238,7 @@ class BackendServer:
                     self.stats.reclaimed += 1
                 self.reclaim(item, self.node_id)
             else:
-                self._abort_socket(item.conn)
+                abort_socket(item.conn)
                 with self._stats_lock:
                     self.stats.severed += 1
                 if self.dispatcher is not None:
@@ -274,38 +267,13 @@ class BackendServer:
         return self._running
 
     def _close_listener(self) -> None:
-        if self._listener is not None:
-            try:
-                # Wake any thread blocked in accept(); close() alone won't.
-                self._listener.shutdown(socket.SHUT_RDWR)
-            except OSError:
-                pass
-            try:
-                self._listener.close()
-            except OSError:
-                pass
-            if self._accept_thread is not None:
-                self._accept_thread.join(timeout=5)
-            self._listener = None
-            self._accept_thread = None
-
-    @staticmethod
-    def _abort_socket(conn: socket.socket) -> None:
-        """Close with an RST so the peer learns of the crash immediately."""
-        try:
-            conn.setsockopt(
-                socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0)
-            )
-        except OSError:
-            pass
-        try:
-            conn.close()
-        except OSError:
-            pass
+        listener, self._listener = self._listener, None
+        if listener is not None:
+            listener.close()
 
     # -- listening mode (for L4-proxy deployments) -----------------------------
 
-    def listen(self, host: str = "127.0.0.1", port: int = 0):
+    def listen(self, host: str = "127.0.0.1", port: int = 0) -> Tuple[str, int]:
         """Accept TCP connections directly (no hand-off front-end).
 
         Used by the Layer-4 proxy comparator
@@ -315,30 +283,14 @@ class BackendServer:
         """
         if self._listener is not None:
             raise RuntimeError(f"backend {self.node_id} is already listening")
-        listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        listener.bind((host, port))
-        listener.listen(256)
-        self._listener = listener
-        self._accept_thread = threading.Thread(
-            target=self._accept_loop, name=f"backend{self.node_id}-accept", daemon=True
-        )
-        self._accept_thread.start()
-        return listener.getsockname()[:2]
+        self._listener = Listener(f"backend{self.node_id}-accept", self._accept, host, port)
+        return self._listener.address
 
-    def _accept_loop(self) -> None:
-        listener = self._listener
-        if listener is None:
-            raise RuntimeError("accept loop started before the listener was bound")
-        while self._running:
-            try:
-                conn, _ = listener.accept()
-            except OSError:
-                return
-            try:
-                self.handoff(HandoffItem(conn=conn, buffered=b"", request=None))
-            except (BackendUnavailableError, OSError):
-                self._abort_socket(conn)
+    def _accept(self, conn: socket.socket) -> None:
+        try:
+            self.handoff(HandoffItem(conn=conn, buffered=b"", request=None))
+        except (BackendUnavailableError, OSError):
+            abort_socket(conn)
 
     # -- the hand-off entry point ------------------------------------------------
 
@@ -374,10 +326,7 @@ class BackendServer:
             except Exception:
                 with self._stats_lock:
                     self.stats.errors += 1
-                try:
-                    item.conn.close()
-                except OSError:
-                    pass
+                close_quietly(item.conn)
 
     def _serve_connection(self, item: HandoffItem) -> None:
         """Serve requests on a handed-off connection until it closes."""
@@ -386,6 +335,8 @@ class BackendServer:
         with self._stats_lock:
             self.stats.connections += 1
         target = request.target if request else None
+        # The node the dispatcher books this connection's load on.
+        owner = self.node_id
         forwarded = False
         with self._conn_lock:
             self._active_conns.add(conn)
@@ -400,20 +351,24 @@ class BackendServer:
                     # connections) get fresh spans opened here.
                     span = self._begin_span(request)
                     if self.persistent_mode == "rehandoff" and self.dispatcher is not None:
-                        new_node = self.dispatcher.reroute(self.node_id, request.target)
-                        if new_node != self.node_id:
-                            with self._stats_lock:
-                                self.stats.rehandoffs_out += 1
-                            forwarded = True
-                            self.peers[new_node].handoff(
-                                HandoffItem(
-                                    conn=conn,
-                                    buffered=buffered,
-                                    request=request,
-                                    span=span,
+                        owner = self.dispatcher.reroute(owner, request.target)
+                        if owner != self.node_id:
+                            try:
+                                self.peers[owner].handoff(
+                                    HandoffItem(
+                                        conn=conn,
+                                        buffered=buffered,
+                                        request=request,
+                                        span=span,
+                                    )
                                 )
-                            )
-                            return  # connection now belongs to the peer
+                            except BackendUnavailableError:
+                                pass  # the peer refused: serve it here, booked there
+                            else:
+                                with self._stats_lock:
+                                    self.stats.rehandoffs_out += 1
+                                forwarded = True
+                                return  # connection now belongs to the peer
                 buffered = buffered[request.head_bytes:] if request.head_bytes else buffered
                 keep_alive = self._serve_one(conn, request, span)
                 request = None
@@ -424,15 +379,9 @@ class BackendServer:
             with self._conn_lock:
                 self._active_conns.discard(conn)
             if not forwarded:
-                self._finish_connection(conn, target)
-
-    def _finish_connection(self, conn: socket.socket, target) -> None:
-        try:
-            conn.close()
-        except OSError:
-            pass
-        if self.dispatcher is not None:
-            self.dispatcher.complete(self.node_id, target)
+                close_quietly(conn)
+                if self.dispatcher is not None:
+                    self.dispatcher.complete(owner, target)
 
     def _read_request(self, conn: socket.socket, buffered: bytes):
         """Read the next request head on a persistent connection.

@@ -17,7 +17,7 @@ manager:
 ...     result = LoadGenerator(cluster.address, ["/a"], concurrency=2).run(20)
 ...     # doctest: +SKIP
 
-Failure handling is on by default: dead back-ends are detected by
+Failure handling is always on: dead back-ends are detected by
 heartbeat (or fail-fast on a refused hand-off), their LARD mappings are
 dropped, in-flight work fails over to survivors, and a restarted
 back-end rejoins cold.  :meth:`HandoffCluster.fail_backend` /
@@ -28,8 +28,9 @@ those transitions from tests and benchmarks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+import time
+from dataclasses import dataclass
+from typing import Any, List, Optional, Tuple, TypeVar
 
 from ..core import make_policy
 from ..obs.metrics import MetricsRegistry
@@ -43,23 +44,15 @@ from .l4proxy import L4ProxyFrontEnd, L4ProxyStats
 
 __all__ = ["HandoffCluster", "L4ProxyCluster", "ClusterStats"]
 
+_C = TypeVar("_C", bound="_Cluster")
+
 
 @dataclass
-class ClusterStats:
-    """Aggregated statistics across the front-end and all back-ends."""
+class _BackendTotals:
+    """The back-end totals both deployments report."""
 
-    frontend: FrontEndStats
     backends: List[BackendStats]
     loads: List[int]
-    #: Per-node liveness at snapshot time (policy's view).
-    alive: List[bool] = field(default_factory=list)
-    #: Heartbeat / failover observability (None when health is disabled).
-    health: Optional[HealthStats] = None
-    #: Connections that died with a failed back-end (simulator's
-    #: ``orphaned_connections``, live).
-    orphaned: int = 0
-    #: Connections moved to a survivor after their back-end failed.
-    failovers: int = 0
 
     @property
     def requests_served(self) -> int:
@@ -78,34 +71,52 @@ class ClusterStats:
         total = self.cache_hits + self.cache_misses
         return self.cache_misses / total if total else 0.0
 
+
+@dataclass
+class ClusterStats(_BackendTotals):
+    """Aggregated statistics across the front-end and all back-ends."""
+
+    frontend: FrontEndStats
+    #: Heartbeat / failover observability.
+    health: HealthStats
+    #: Per-node liveness at snapshot time (policy's view).
+    alive: List[bool]
+    #: Connections that died with a failed back-end (simulator's
+    #: ``orphaned_connections``, live).
+    orphaned: int = 0
+    #: Connections moved to a survivor after their back-end failed.
+    failovers: int = 0
+
     @property
     def per_backend_requests(self) -> List[int]:
         return [b.requests_served for b in self.backends]
 
 
-class HandoffCluster:
-    """A running front-end + back-ends prototype cluster on loopback."""
+@dataclass
+class L4ClusterStats(_BackendTotals):
+    """Aggregated statistics for the L4 proxy deployment."""
+
+    proxy: L4ProxyStats
+
+
+class _Cluster:
+    """What both deployments share: a dispatcher around the policy, the
+    back-ends over one document store, the context-manager lifecycle and
+    the load generator's hooks.  Subclasses supply ``_start``/``_stop``
+    and ``address``."""
 
     def __init__(
         self,
         store: DocumentStore,
-        num_backends: int = 4,
-        policy: str = "lard/r",
-        cache_bytes: int = 8 * 2**20,
-        miss_penalty_s: float = 0.02,
-        workers_per_backend: int = 4,
+        policy: str,
+        num_backends: int,
+        cache_bytes: int,
+        miss_penalty_s: float,
+        workers_per_backend: int,
+        t_low: int,
+        t_high: int,
+        max_in_flight: Optional[int],
         persistent_mode: str = "sticky",
-        t_low: int = 4,
-        t_high: int = 12,
-        max_in_flight: Optional[int] = None,
-        handler_threads: int = 16,
-        health_interval_s: float = 0.25,
-        failure_threshold: int = 2,
-        recovery_threshold: int = 2,
-        enable_health: bool = True,
-        admit_timeout_s: Optional[float] = 10.0,
-        max_handoff_retries: int = 3,
-        trace_path: Optional[str] = None,
     ) -> None:
         self.store = store
         policy_obj = make_policy(
@@ -123,24 +134,95 @@ class HandoffCluster:
             )
             for node_id in range(num_backends)
         ]
+        self._started = False
+
+    @property
+    def address(self) -> Tuple[str, int]:
+        raise NotImplementedError
+
+    def _start(self) -> None:
+        raise NotImplementedError
+
+    def _stop(self) -> None:
+        raise NotImplementedError
+
+    def start(self) -> Tuple[str, int]:
+        """Start the cluster; returns the address clients connect to."""
+        if self._started:
+            raise RuntimeError("cluster already started")
+        self._start()
+        self._started = True
+        return self.address
+
+    def stop(self) -> None:
+        """Shut the cluster down (idempotent)."""
+        if not self._started:
+            return
+        self._stop()
+        self._started = False
+
+    def __enter__(self: _C) -> _C:
+        self.start()
+        return self
+
+    def __exit__(self, *exc_info: Any) -> None:
+        self.stop()
+
+    def wait_idle(self, timeout_s: float = 5.0) -> bool:
+        """Block until every admitted connection has completed.
+
+        Clients observe their final response bytes a moment before the
+        back-end finishes its own bookkeeping, so call this before reading
+        :meth:`stats` after a load run.  Returns False on timeout.
+        """
+        deadline = time.monotonic() + timeout_s
+        while time.monotonic() < deadline:
+            if self.dispatcher.in_flight == 0:
+                return True
+            time.sleep(0.005)
+        return self.dispatcher.in_flight == 0
+
+    def verify(self, path: str, body: bytes) -> bool:
+        """End-to-end content check callback for :class:`LoadGenerator`."""
+        try:
+            return body == self.store.expected_content(path)
+        except KeyError:
+            return False
+
+
+class HandoffCluster(_Cluster):
+    """A running front-end + back-ends prototype cluster on loopback."""
+
+    def __init__(
+        self,
+        store: DocumentStore,
+        num_backends: int = 4,
+        policy: str = "lard/r",
+        cache_bytes: int = 8 * 2**20,
+        miss_penalty_s: float = 0.02,
+        workers_per_backend: int = 4,
+        persistent_mode: str = "sticky",
+        t_low: int = 4,
+        t_high: int = 12,
+        max_in_flight: Optional[int] = None,
+        health_interval_s: float = 0.25,
+        admit_timeout_s: Optional[float] = 10.0,
+        trace_path: Optional[str] = None,
+    ) -> None:
+        super().__init__(
+            store, policy, num_backends, cache_bytes, miss_penalty_s,
+            workers_per_backend, t_low, t_high, max_in_flight, persistent_mode,
+        )
+        self.health = HealthMonitor(
+            self.dispatcher, self.backends, interval_s=health_interval_s
+        )
         self.frontend = FrontEndServer(
             self.dispatcher,
             self.backends,
+            self.health,
             store=store,
-            handler_threads=handler_threads,
             admit_timeout_s=admit_timeout_s,
-            max_handoff_retries=max_handoff_retries,
         )
-        self.health: Optional[HealthMonitor] = None
-        if enable_health:
-            self.health = HealthMonitor(
-                self.dispatcher,
-                self.backends,
-                interval_s=health_interval_s,
-                failure_threshold=failure_threshold,
-                recovery_threshold=recovery_threshold,
-            )
-            self.frontend.on_backend_failure = self.health.mark_down
         for backend in self.backends:
             backend.dispatcher = self.dispatcher
             backend.peers = self.backends
@@ -159,7 +241,6 @@ class HandoffCluster:
             self.frontend.trace_writer = writer
             for backend in self.backends:
                 backend.trace_writer = writer
-        self._started = False
 
     def _register_metrics(self) -> None:
         """Register the paper's runtime series over the live structures."""
@@ -226,67 +307,50 @@ class HandoffCluster:
             "lard_handoff_latency_seconds",
             "Accept-to-handoff latency (paper Section 6.2)",
         )
-        if self.health is not None:
-            health = self.health
-            registry.counter(
-                "lard_health_probes_total",
-                "Heartbeat probes sent",
-                fn=lambda: health.stats.probes,
-            )
-            registry.counter(
-                "lard_health_probe_failures_total",
-                "Heartbeat probes that failed",
-                fn=lambda: health.stats.probe_failures,
-            )
-            registry.counter(
-                "lard_health_marks_down_total",
-                "Down-transitions (failure detection)",
-                fn=lambda: health.stats.marks_down,
-            )
-            registry.counter(
-                "lard_health_marks_up_total",
-                "Up-transitions (recovery)",
-                fn=lambda: health.stats.marks_up,
-            )
-            health.probe_latency = registry.histogram(
-                "lard_health_probe_seconds",
-                "Heartbeat probe latency",
-            )
+        health = self.health
+        registry.counter(
+            "lard_health_probes_total",
+            "Heartbeat probes sent",
+            fn=lambda: health.stats.probes,
+        )
+        registry.counter(
+            "lard_health_probe_failures_total",
+            "Heartbeat probes that failed",
+            fn=lambda: health.stats.probe_failures,
+        )
+        registry.counter(
+            "lard_health_marks_down_total",
+            "Down-transitions (failure detection)",
+            fn=lambda: health.stats.marks_down,
+        )
+        registry.counter(
+            "lard_health_marks_up_total",
+            "Up-transitions (recovery)",
+            fn=lambda: health.stats.marks_up,
+        )
+        health.probe_latency = registry.histogram(
+            "lard_health_probe_seconds",
+            "Heartbeat probe latency",
+        )
 
     # -- lifecycle -----------------------------------------------------------
 
-    def start(self) -> Tuple[str, int]:
-        """Start back-ends, the front-end, then health; returns the client address."""
-        if self._started:
-            raise RuntimeError("cluster already started")
+    def _start(self) -> None:
+        """Back-ends first, then the front-end, then health."""
         for backend in self.backends:
             backend.start()
         self.frontend.start()
-        if self.health is not None:
-            self.health.start()
-        self._started = True
-        return self.address
+        self.health.start()
 
-    def stop(self) -> None:
-        """Shut down health, the front-end, then drain back-ends (idempotent)."""
-        if not self._started:
-            return
-        if self.health is not None:
-            self.health.stop()
+    def _stop(self) -> None:
+        """Health first, then the front-end, then drain the back-ends."""
+        self.health.stop()
         self.frontend.stop()
         for backend in self.backends:
             if backend.running:
                 backend.stop()
         if self.trace_writer is not None:
             self.trace_writer.close()
-        self._started = False
-
-    def __enter__(self) -> "HandoffCluster":
-        self.start()
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.stop()
 
     @property
     def address(self) -> Tuple[str, int]:
@@ -303,53 +367,25 @@ class HandoffCluster:
 
         With ``detect=True`` the failure is marked immediately (as the
         hand-off fail-fast path would); with ``detect=False`` only the
-        heartbeat monitor will notice, after ``failure_threshold``
-        missed beats — useful for exercising detection latency.
+        heartbeat monitor will notice, after two missed beats — useful
+        for exercising detection latency.
         """
         self.backends[node].kill()
         if detect:
-            if self.health is not None:
-                self.health.mark_down(node)
-            else:
-                from ..core.base import PolicyError
-
-                try:
-                    self.dispatcher.fail_node(node)
-                except PolicyError:
-                    pass
+            self.health.mark_down(node)
 
     def restart_backend(self, node: int, immediate: bool = True) -> None:
         """Bring a crashed/stopped back-end back, cold.
 
         ``immediate=True`` rejoins the policy's node set right away;
-        otherwise the health monitor rejoins it after
-        ``recovery_threshold`` clean heartbeats.
+        otherwise the health monitor rejoins it after two clean
+        heartbeats.
         """
         backend = self.backends[node]
         if not backend.running:
             backend.start()
         if immediate:
-            if self.health is not None:
-                self.health.mark_up(node)
-            else:
-                backend.reset_cache()
-                self.dispatcher.join_node(node)
-
-    def wait_idle(self, timeout_s: float = 5.0) -> bool:
-        """Block until every admitted connection has completed.
-
-        Clients observe their final response bytes a moment before the
-        back-end finishes its own bookkeeping, so call this before reading
-        :meth:`stats` after a load run.  Returns False on timeout.
-        """
-        import time
-
-        deadline = time.monotonic() + timeout_s
-        while time.monotonic() < deadline:
-            if self.dispatcher.in_flight == 0:
-                return True
-            time.sleep(0.005)
-        return self.dispatcher.in_flight == 0
+            self.health.mark_up(node)
 
     # -- reporting ---------------------------------------------------------------
 
@@ -357,24 +393,17 @@ class HandoffCluster:
         """Snapshot of front-end, health, and per-back-end statistics."""
         alive_set = set(self.dispatcher.alive_nodes)
         return ClusterStats(
-            frontend=self.frontend.stats,
             backends=[b.stats for b in self.backends],
             loads=self.dispatcher.loads,
+            frontend=self.frontend.stats,
+            health=self.health.stats,
             alive=[n in alive_set for n in range(len(self.backends))],
-            health=self.health.stats if self.health is not None else None,
             orphaned=self.dispatcher.orphaned,
             failovers=self.dispatcher.failovers,
         )
 
-    def verify(self, path: str, body: bytes) -> bool:
-        """End-to-end content check callback for :class:`LoadGenerator`."""
-        try:
-            return body == self.store.expected_content(path)
-        except KeyError:
-            return False
 
-
-class L4ProxyCluster:
+class L4ProxyCluster(_Cluster):
     """The commercial-comparator deployment: an L4 relay over TCP back-ends.
 
     Content-oblivious by construction (the back-end is chosen before any
@@ -400,52 +429,27 @@ class L4ProxyCluster:
         t_high: int = 12,
         max_in_flight: Optional[int] = None,
     ) -> None:
-        self.store = store
-        policy = make_policy("wrr", num_backends, t_low=t_low, t_high=t_high)
-        self.dispatcher = Dispatcher(policy, max_in_flight=max_in_flight)
-        self.backends = [
-            BackendServer(
-                node_id,
-                store,
-                cache_bytes=cache_bytes,
-                miss_penalty_s=miss_penalty_s,
-                workers=workers_per_backend,
-            )
-            for node_id in range(num_backends)
-        ]
+        super().__init__(
+            store, "wrr", num_backends, cache_bytes, miss_penalty_s,
+            workers_per_backend, t_low, t_high, max_in_flight,
+        )
         self.proxy: Optional[L4ProxyFrontEnd] = None
-        self._started = False
 
-    def start(self) -> Tuple[str, int]:
-        """Start listening back-ends then the relay proxy; returns its address."""
-        if self._started:
-            raise RuntimeError("cluster already started")
+    def _start(self) -> None:
+        """Listening back-ends first, then the relay proxy."""
         addresses = []
         for backend in self.backends:
             backend.start()
             addresses.append(backend.listen())
         self.proxy = L4ProxyFrontEnd(self.dispatcher, addresses)
         self.proxy.start()
-        self._started = True
-        return self.address
 
-    def stop(self) -> None:
-        """Shut down the proxy and back-ends (idempotent)."""
-        if not self._started:
-            return
+    def _stop(self) -> None:
         if self.proxy is None:
             raise RuntimeError("cluster marked started but has no proxy")
         self.proxy.stop()
         for backend in self.backends:
             backend.stop()
-        self._started = False
-
-    def __enter__(self) -> "L4ProxyCluster":
-        self.start()
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.stop()
 
     @property
     def address(self) -> Tuple[str, int]:
@@ -453,56 +457,12 @@ class L4ProxyCluster:
             raise RuntimeError("cluster not started")
         return self.proxy.address
 
-    def wait_idle(self, timeout_s: float = 5.0) -> bool:
-        """Block until every proxied connection has completed."""
-        import time
-
-        deadline = time.monotonic() + timeout_s
-        while time.monotonic() < deadline:
-            if self.dispatcher.in_flight == 0:
-                return True
-            time.sleep(0.005)
-        return self.dispatcher.in_flight == 0
-
-    def stats(self) -> "L4ClusterStats":
+    def stats(self) -> L4ClusterStats:
         """Snapshot of proxy and per-back-end statistics."""
         if self.proxy is None:
             raise RuntimeError("cluster not started")
         return L4ClusterStats(
-            proxy=self.proxy.stats,
             backends=[b.stats for b in self.backends],
             loads=self.dispatcher.loads,
+            proxy=self.proxy.stats,
         )
-
-    def verify(self, path: str, body: bytes) -> bool:
-        """End-to-end content check callback for :class:`LoadGenerator`."""
-        try:
-            return body == self.store.expected_content(path)
-        except KeyError:
-            return False
-
-
-@dataclass
-class L4ClusterStats:
-    """Aggregated statistics for the L4 proxy deployment."""
-
-    proxy: L4ProxyStats
-    backends: List[BackendStats]
-    loads: List[int]
-
-    @property
-    def requests_served(self) -> int:
-        return sum(b.requests_served for b in self.backends)
-
-    @property
-    def cache_misses(self) -> int:
-        return sum(b.cache_misses for b in self.backends)
-
-    @property
-    def cache_hits(self) -> int:
-        return sum(b.cache_hits for b in self.backends)
-
-    @property
-    def cache_miss_ratio(self) -> float:
-        total = self.cache_hits + self.cache_misses
-        return self.cache_misses / total if total else 0.0

@@ -40,13 +40,12 @@ tooling.
 
 from __future__ import annotations
 
-import socket
-import struct
 import threading
 import time
 from typing import List, Optional
 
 from .backend import BackendServer, BackendUnavailableError
+from .net import abort_socket
 
 __all__ = ["BackendFaults", "FaultInjector"]
 
@@ -91,16 +90,7 @@ class BackendFaults:
                 conn.sendall(payload[: max(1, len(payload) // 2)])
             except OSError:
                 pass
-            try:
-                conn.setsockopt(
-                    socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0)
-                )
-            except OSError:
-                pass
-            try:
-                conn.close()
-            except OSError:
-                pass
+            abort_socket(conn)
             with backend._stats_lock:
                 backend.stats.severed += 1
             raise OSError("connection severed mid-response (fault injection)")

@@ -23,7 +23,8 @@ from pathlib import Path
 from typing import Optional
 
 from .docroot import DocumentStore
-from .http import HTTPError, build_response, parse_request_head
+from .http import HTTPError, build_response, read_request_head
+from .net import close_quietly
 from .protocol import (
     MSG_HANDOFF,
     MSG_SHUTDOWN,
@@ -59,10 +60,7 @@ class FDHandoffSender:
 
     def close(self) -> None:
         """Close the hand-off channel socket."""
-        try:
-            self._channel.close()
-        except OSError:
-            pass
+        close_quietly(self._channel)
 
 
 def _serve_adopted_connection(fd: int, payload: bytes, store: DocumentStore) -> bool:
@@ -70,14 +68,9 @@ def _serve_adopted_connection(fd: int, payload: bytes, store: DocumentStore) -> 
     conn = socket.socket(fileno=fd)
     try:
         conn.settimeout(10.0)
-        data = payload
-        request = parse_request_head(data)
-        while request is None:
-            chunk = conn.recv(65536)
-            if not chunk:
-                return False
-            data += chunk
-            request = parse_request_head(data)
+        request, _ = read_request_head(conn, payload)
+        if request is None:
+            return False
         if request.method != "GET":
             conn.sendall(build_response(501, b"GET only"))
             return False

@@ -35,7 +35,7 @@ import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence, Tuple
 
 from ..core.base import PolicyError
 from ..obs.metrics import Histogram, MetricsRegistry
@@ -43,12 +43,19 @@ from ..obs.span import Span, SpanWriter
 from .backend import BackendServer, BackendUnavailableError, HandoffItem
 from .dispatcher import Dispatcher
 from .docroot import DocumentStore
-from .http import HTTPError, HTTPRequest, build_response, parse_request_head
+from .health import HealthMonitor
+from .http import HTTPError, HTTPRequest, build_response, read_request_head
+from .net import Listener, close_quietly, reply_and_close
 
 __all__ = ["FrontEndServer", "FrontEndStats"]
 
-_RECV_BYTES = 65536
 _HEAD_TIMEOUT_S = 5.0
+_HANDLER_THREADS = 16
+#: Failed hand-off attempts tolerated per connection before a ``503``.
+_MAX_HANDOFF_RETRIES = 3
+#: Initial and maximum sleep between failover attempts (exponential, capped).
+_RETRY_BACKOFF_S = 0.02
+_RETRY_BACKOFF_CAP_S = 0.25
 
 
 @dataclass
@@ -80,16 +87,14 @@ class FrontEndServer:
 
     Parameters
     ----------
+    health:
+        The cluster's monitor: a failed hand-off marks its node down
+        through :meth:`HealthMonitor.mark_down` at once, so heartbeat
+        bookkeeping stays consistent.
     admit_timeout_s:
         How long an accepted connection may wait for an admission slot
         before being answered ``503`` (None blocks forever — the
         pre-fault-tolerance behavior).
-    max_handoff_retries:
-        Failed hand-off attempts tolerated per connection before giving
-        up with a ``503``.
-    retry_backoff_s / retry_backoff_cap_s:
-        Initial and maximum sleep between failover attempts (exponential,
-        capped).
     """
 
     #: ``stats`` is mutated by the accept loop and every handler-pool
@@ -100,40 +105,26 @@ class FrontEndServer:
         self,
         dispatcher: Dispatcher,
         backends: Sequence[BackendServer],
+        health: HealthMonitor,
         store: Optional[DocumentStore] = None,
         host: str = "127.0.0.1",
         port: int = 0,
-        handler_threads: int = 16,
         admit_timeout_s: Optional[float] = 10.0,
-        max_handoff_retries: int = 3,
-        retry_backoff_s: float = 0.02,
-        retry_backoff_cap_s: float = 0.25,
     ) -> None:
         if len(backends) != dispatcher.policy.num_nodes:
             raise ValueError(
                 f"dispatcher expects {dispatcher.policy.num_nodes} back-ends, "
                 f"got {len(backends)}"
             )
-        if max_handoff_retries < 0:
-            raise ValueError(f"max_handoff_retries must be >= 0, got {max_handoff_retries}")
         self.dispatcher = dispatcher
         self.backends = backends
+        self.health = health
         self.store = store
         self.host = host
         self.port = port
         self.admit_timeout_s = admit_timeout_s
-        self.max_handoff_retries = max_handoff_retries
-        self.retry_backoff_s = retry_backoff_s
-        self.retry_backoff_cap_s = retry_backoff_cap_s
-        #: Invoked with the failed node id on hand-off failure; the cluster
-        #: wires this to :meth:`HealthMonitor.mark_down` so heartbeat
-        #: bookkeeping stays consistent.  Defaults to failing the node
-        #: directly on the dispatcher.
-        self.on_backend_failure: Optional[Callable[[int], None]] = None
-        self._listener: Optional[socket.socket] = None
-        self._accept_thread: Optional[threading.Thread] = None
-        self._pool = ThreadPoolExecutor(max_workers=handler_threads, thread_name_prefix="fe")
-        self._running = False
+        self._listener: Optional[Listener] = None
+        self._pool = ThreadPoolExecutor(max_workers=_HANDLER_THREADS, thread_name_prefix="fe")
         self.stats = FrontEndStats()
         self._stats_lock = threading.Lock()
         #: Wired by the cluster: when set, ``GET /metrics`` is answered
@@ -149,72 +140,38 @@ class FrontEndServer:
     # -- lifecycle -----------------------------------------------------------
 
     @property
-    def address(self):
+    def address(self) -> Tuple[str, int]:
         """(host, port) clients should connect to (valid after start)."""
         if self._listener is None:
             raise RuntimeError("front-end not started")
-        return self._listener.getsockname()[:2]
+        return self._listener.address
 
     def start(self) -> None:
         """Bind, listen, and start the accept loop."""
-        if self._running:
+        if self._listener is not None:
             raise RuntimeError("front-end already started")
-        listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        listener.bind((self.host, self.port))
-        listener.listen(512)
-        self._listener = listener
-        self._running = True
-        self._accept_thread = threading.Thread(
-            target=self._accept_loop, name="fe-accept", daemon=True
-        )
-        self._accept_thread.start()
+        self._listener = Listener("fe-accept", self._accept, self.host, self.port)
 
     def stop(self) -> None:
         """Close the listener and drain handler threads."""
-        self._running = False
         if self._listener is not None:
-            try:
-                # close() alone does not wake a thread blocked in accept();
-                # shutdown() makes it return immediately.
-                self._listener.shutdown(socket.SHUT_RDWR)
-            except OSError:
-                pass
-            try:
-                self._listener.close()
-            except OSError:
-                pass
-        if self._accept_thread is not None:
-            self._accept_thread.join(timeout=5)
+            self._listener.close()
         self._pool.shutdown(wait=True)
 
     # -- accept / inspect / hand off ------------------------------------------
 
-    def _accept_loop(self) -> None:
-        listener = self._listener
-        if listener is None:
-            raise RuntimeError("accept loop started before the listener was bound")
-        while self._running:
-            try:
-                conn, _addr = listener.accept()
-            except OSError:
-                return  # listener closed
-            with self._stats_lock:
-                self.stats.accepted += 1
-            self._pool.submit(self._handle, conn, time.perf_counter())
+    def _accept(self, conn: socket.socket) -> None:
+        with self._stats_lock:
+            self.stats.accepted += 1
+        self._pool.submit(self._handle, conn, time.perf_counter())
 
     def _handle(self, conn: socket.socket, accepted_at: float) -> None:
         try:
             conn.settimeout(_HEAD_TIMEOUT_S)
-            data = b""
-            request = None
-            while request is None:
-                chunk = conn.recv(_RECV_BYTES)
-                if not chunk:
-                    conn.close()
-                    return
-                data += chunk
-                request = parse_request_head(data)
+            request, data = read_request_head(conn, b"")
+            if request is None:
+                conn.close()
+                return
             if request.target == "/metrics" and self.metrics is not None:
                 # Observability endpoint: served by the front-end itself,
                 # outside admission control, so a scrape can never steal a
@@ -258,18 +215,11 @@ class FrontEndServer:
         except HTTPError as exc:
             with self._stats_lock:
                 self.stats.errors += 1
-            try:
-                conn.sendall(build_response(exc.status, exc.reason.encode("latin-1")))
-            except OSError:
-                pass
-            conn.close()
+            reply_and_close(conn, build_response(exc.status, exc.reason.encode("latin-1")))
         except OSError:
             with self._stats_lock:
                 self.stats.errors += 1
-            try:
-                conn.close()
-            except OSError:
-                pass
+            close_quietly(conn)
 
     # -- observability ----------------------------------------------------------
 
@@ -277,23 +227,17 @@ class FrontEndServer:
         """Answer ``GET /metrics`` with the registry's text exposition."""
         registry = self.metrics
         body = registry.render().encode("utf-8") if registry is not None else b""
-        try:
-            conn.sendall(
-                build_response(
-                    200,
-                    body,
-                    version=request.version,
-                    extra_headers={
-                        "Content-Type": "text/plain; version=0.0.4; charset=utf-8"
-                    },
-                )
-            )
-        except OSError:
-            pass
-        try:
-            conn.close()
-        except OSError:
-            pass
+        reply_and_close(
+            conn,
+            build_response(
+                200,
+                body,
+                version=request.version,
+                extra_headers={
+                    "Content-Type": "text/plain; version=0.0.4; charset=utf-8"
+                },
+            ),
+        )
 
     def _begin_span(
         self,
@@ -339,7 +283,7 @@ class FrontEndServer:
         The slot can never leak: any unexpected error aborts the
         admission before propagating.
         """
-        backoff = self.retry_backoff_s
+        backoff = _RETRY_BACKOFF_S
         attempts = 0
         try:
             while True:
@@ -350,9 +294,11 @@ class FrontEndServer:
                     except (BackendUnavailableError, OSError):
                         with self._stats_lock:
                             self.stats.handoff_failures += 1
-                        self._report_backend_failure(node)
+                        # Fail fast: a refused hand-off is better evidence
+                        # than the heartbeats that would confirm it later.
+                        self.health.mark_down(node)
                 attempts += 1
-                if attempts > self.max_handoff_retries:
+                if attempts > _MAX_HANDOFF_RETRIES:
                     break
                 if attempts > 1:
                     # First failover is immediate (the policy already
@@ -360,7 +306,7 @@ class FrontEndServer:
                     with self._stats_lock:
                         self.stats.retries += 1
                     time.sleep(backoff)
-                    backoff = min(backoff * 2, self.retry_backoff_cap_s)
+                    backoff = min(backoff * 2, _RETRY_BACKOFF_CAP_S)
                 try:
                     new_node = self.dispatcher.reassign(node, target, size)
                 except PolicyError:
@@ -403,7 +349,7 @@ class FrontEndServer:
         with self._stats_lock:
             self.stats.reclaimed += 1
         target = item.request.target if item.request is not None else None
-        self._report_backend_failure(from_node)
+        self.health.mark_down(from_node)
         try:
             node = self.dispatcher.reassign(from_node, target)
         except PolicyError:
@@ -417,27 +363,6 @@ class FrontEndServer:
             with self._stats_lock:
                 self.stats.failovers += 1
 
-    def _report_backend_failure(self, node: int) -> None:
-        """Fail-fast detection: a refused hand-off marks the node down
-        immediately (heartbeats would only confirm it later)."""
-        callback = self.on_backend_failure
-        try:
-            if callback is not None:
-                callback(node)
-            else:
-                self.dispatcher.fail_node(node)
-        except PolicyError:
-            pass  # last alive node: keep it nominally routable; 503s follow
-
     def _refuse(self, conn: socket.socket, reason: bytes) -> None:
         """Best-effort 503 + close (never silently drop a connection)."""
-        try:
-            conn.sendall(
-                build_response(503, reason, extra_headers={"Retry-After": "1"})
-            )
-        except OSError:
-            pass
-        try:
-            conn.close()
-        except OSError:
-            pass
+        reply_and_close(conn, build_response(503, reason, extra_headers={"Retry-After": "1"}))

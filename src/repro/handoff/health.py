@@ -9,13 +9,13 @@ that discovery layer:
 
 * a monitor thread probes every back-end's :meth:`~repro.handoff.backend.
   BackendServer.heartbeat` each ``interval_s``;
-* ``failure_threshold`` consecutive missed heartbeats mark the node down
-  — :meth:`mark_down` calls :meth:`Dispatcher.fail_node`, which drops the
-  node's LARD/LARD-R mappings and load and shrinks the admission limit,
-  exactly mirroring the simulator's ``fail_node``;
-* ``recovery_threshold`` consecutive good heartbeats from a down node
-  mark it up again — the node's cache is cleared first so it re-enters
-  the policy's node set *cold*, mirroring ``join_node``;
+* ``_FAILURE_THRESHOLD`` (2) consecutive missed heartbeats mark the node
+  down — :meth:`mark_down` calls :meth:`Dispatcher.fail_node`, which
+  drops the node's LARD/LARD-R mappings and load and shrinks the
+  admission limit, exactly mirroring the simulator's ``fail_node``;
+* ``_RECOVERY_THRESHOLD`` (2) consecutive good heartbeats from a down
+  node mark it up again — the node's cache is cleared first so it
+  re-enters the policy's node set *cold*, mirroring ``join_node``;
 * the front-end can also call :meth:`mark_down` directly when a hand-off
   fails (fail-fast detection: a refused hand-off is better evidence than
   any heartbeat).
@@ -28,10 +28,9 @@ dispatcher, front-end, and monitor can never disagree about membership.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Sequence
-
 import time
+from dataclasses import dataclass, field
+from typing import List, Optional, Sequence
 
 from ..core.base import PolicyError
 from ..obs.metrics import Histogram
@@ -39,6 +38,12 @@ from .backend import BackendServer
 from .dispatcher import Dispatcher
 
 __all__ = ["HealthMonitor", "HealthStats"]
+
+#: Consecutive failed probes before a node is marked down; a single
+#: flaky probe is absorbed.
+_FAILURE_THRESHOLD = 2
+#: Consecutive good probes before a down node rejoins.
+_RECOVERY_THRESHOLD = 2
 
 
 @dataclass
@@ -65,12 +70,6 @@ class HealthMonitor:
         The probe targets, indexed by node id.
     interval_s:
         Seconds between heartbeat rounds.
-    failure_threshold:
-        Consecutive failed probes before a node is marked down.
-    recovery_threshold:
-        Consecutive good probes before a down node rejoins.
-    on_down / on_up:
-        Optional callbacks ``fn(node)`` fired after a state change.
     """
 
     #: Probe streaks and counters are updated by the monitor thread and
@@ -82,22 +81,12 @@ class HealthMonitor:
         dispatcher: Dispatcher,
         backends: Sequence[BackendServer],
         interval_s: float = 0.25,
-        failure_threshold: int = 2,
-        recovery_threshold: int = 2,
-        on_down: Optional[Callable[[int], None]] = None,
-        on_up: Optional[Callable[[int], None]] = None,
     ) -> None:
         if interval_s <= 0:
             raise ValueError(f"interval_s must be positive, got {interval_s}")
-        if failure_threshold < 1 or recovery_threshold < 1:
-            raise ValueError("thresholds must be >= 1")
         self.dispatcher = dispatcher
         self.backends = list(backends)
         self.interval_s = interval_s
-        self.failure_threshold = failure_threshold
-        self.recovery_threshold = recovery_threshold
-        self.on_down = on_down
-        self.on_up = on_up
         self.stats = HealthStats(failure_streaks=[0] * len(self.backends))
         #: Wired by the cluster: per-probe latency observations (the
         #: health-check latency series on ``/metrics``).
@@ -156,12 +145,9 @@ class HealthMonitor:
                     self.stats.failure_streaks[node] += 1
                     streak = self.stats.failure_streaks[node]
             if ok:
-                if (
-                    not self.dispatcher.is_alive(node)
-                    and streak >= self.recovery_threshold
-                ):
+                if not self.dispatcher.is_alive(node) and streak >= _RECOVERY_THRESHOLD:
                     self.mark_up(node)
-            elif self.dispatcher.is_alive(node) and streak >= self.failure_threshold:
+            elif self.dispatcher.is_alive(node) and streak >= _FAILURE_THRESHOLD:
                 self.mark_down(node)
 
     # -- state transitions -----------------------------------------------------
@@ -183,8 +169,6 @@ class HealthMonitor:
             with self._lock:
                 self.stats.marks_down += 1
                 self._success_streak[node] = 0
-            if self.on_down is not None:
-                self.on_down(node)
         return changed
 
     def mark_up(self, node: int) -> bool:
@@ -198,8 +182,6 @@ class HealthMonitor:
             with self._lock:
                 self.stats.marks_up += 1
                 self.stats.failure_streaks[node] = 0
-            if self.on_up is not None:
-                self.on_up(node)
         return changed
 
     # -- introspection ---------------------------------------------------------

@@ -14,13 +14,22 @@ string, which is what :attr:`HTTPRequest.target` carries.
 
 from __future__ import annotations
 
+import socket
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Tuple
 
-__all__ = ["HTTPRequest", "HTTPError", "parse_request_head", "build_response", "HEAD_TERMINATOR"]
+__all__ = [
+    "HTTPRequest",
+    "HTTPError",
+    "parse_request_head",
+    "read_request_head",
+    "build_response",
+    "HEAD_TERMINATOR",
+]
 
 HEAD_TERMINATOR = b"\r\n\r\n"
 _MAX_HEAD_BYTES = 16384
+_RECV_BYTES = 65536
 
 
 class HTTPError(ValueError):
@@ -101,6 +110,26 @@ def parse_request_head(data: bytes) -> Optional[HTTPRequest]:
         headers=headers,
         head_bytes=end + len(HEAD_TERMINATOR),
     )
+
+
+def read_request_head(
+    conn: socket.socket, data: bytes
+) -> Tuple[Optional[HTTPRequest], bytes]:
+    """Read from ``conn`` until ``data`` holds a complete request head.
+
+    Returns ``(request, data)``, where the bytes past
+    ``request.head_bytes`` are pipelined leftovers, or ``(None, data)``
+    when the peer closes first.  Raises :class:`HTTPError` as
+    :func:`parse_request_head` does; socket errors propagate.
+    """
+    request = parse_request_head(data)
+    while request is None:
+        chunk = conn.recv(_RECV_BYTES)
+        if not chunk:
+            return None, data
+        data += chunk
+        request = parse_request_head(data)
+    return request, data
 
 
 _REASONS = {

@@ -33,6 +33,7 @@ from typing import List, Optional, Sequence, Tuple
 
 from ..core.base import PolicyError
 from .dispatcher import Dispatcher
+from .net import Listener, close_quietly
 
 __all__ = ["L4ProxyFrontEnd", "L4ProxyStats"]
 
@@ -82,9 +83,7 @@ class L4ProxyFrontEnd:
         self.backend_addresses = list(backend_addresses)
         self.host = host
         self.port = port
-        self._listener: Optional[socket.socket] = None
-        self._accept_thread: Optional[threading.Thread] = None
-        self._running = False
+        self._listener: Optional[Listener] = None
         self.stats = L4ProxyStats()
         self._stats_lock = threading.Lock()
 
@@ -94,55 +93,27 @@ class L4ProxyFrontEnd:
     def address(self) -> Tuple[str, int]:
         if self._listener is None:
             raise RuntimeError("proxy not started")
-        return self._listener.getsockname()[:2]
+        return self._listener.address
 
     def start(self) -> None:
         """Bind, listen, and start relaying accepted connections."""
-        if self._running:
+        if self._listener is not None:
             raise RuntimeError("proxy already started")
-        listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        listener.bind((self.host, self.port))
-        listener.listen(512)
-        self._listener = listener
-        self._running = True
-        self._accept_thread = threading.Thread(
-            target=self._accept_loop, name="l4-accept", daemon=True
-        )
-        self._accept_thread.start()
+        self._listener = Listener("l4-accept", self._accept, self.host, self.port)
 
     def stop(self) -> None:
         """Close the listener and stop accepting."""
-        self._running = False
         if self._listener is not None:
-            try:
-                # Wake any thread blocked in accept(); close() alone won't.
-                self._listener.shutdown(socket.SHUT_RDWR)
-            except OSError:
-                pass
-            try:
-                self._listener.close()
-            except OSError:
-                pass
-        if self._accept_thread is not None:
-            self._accept_thread.join(timeout=5)
+            self._listener.close()
 
     # -- proxying -------------------------------------------------------------
 
-    def _accept_loop(self) -> None:
-        listener = self._listener
-        if listener is None:
-            raise RuntimeError("accept loop started before the listener was bound")
-        while self._running:
-            try:
-                client, _ = listener.accept()
-            except OSError:
-                return
-            with self._stats_lock:
-                self.stats.accepted += 1
-            threading.Thread(
-                target=self._proxy_connection, args=(client,), daemon=True
-            ).start()
+    def _accept(self, client: socket.socket) -> None:
+        with self._stats_lock:
+            self.stats.accepted += 1
+        threading.Thread(
+            target=self._proxy_connection, args=(client,), daemon=True
+        ).start()
 
     def _proxy_connection(self, client: socket.socket) -> None:
         # The defining L4 limitation: the back-end is chosen NOW, before
@@ -175,10 +146,7 @@ class L4ProxyFrontEnd:
         finally:
             for conn in (client, upstream):
                 if conn is not None:
-                    try:
-                        conn.close()
-                    except OSError:
-                        pass
+                    close_quietly(conn)
             self.dispatcher.complete(node)
 
     def _connect_with_failover(self, node: int):

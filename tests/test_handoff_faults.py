@@ -29,8 +29,6 @@ def _cluster(store, **kw):
         miss_penalty_s=0.0,
         cache_bytes=10**6,
         health_interval_s=0.05,
-        failure_threshold=2,
-        recovery_threshold=2,
     )
     defaults.update(kw)
     return HandoffCluster(store, **defaults)

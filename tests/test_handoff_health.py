@@ -24,6 +24,7 @@ from repro.handoff import (
     fetch_one,
     parse_request_head,
 )
+from repro.handoff.client import _read_response
 
 
 @pytest.fixture(scope="module")
@@ -39,8 +40,6 @@ def _cluster(store, **kw):
         miss_penalty_s=0.0,
         cache_bytes=10**6,
         health_interval_s=30.0,  # probe manually via check_now()
-        failure_threshold=2,
-        recovery_threshold=2,
     )
     defaults.update(kw)
     return HandoffCluster(store, **defaults)
@@ -273,6 +272,41 @@ class TestDegradedService:
             assert status == 200
             assert time.perf_counter() - started >= 0.05
 
+    def test_refused_rehandoff_is_served_and_releases_its_slot(self, store):
+        """A keep-alive follow-up whose re-hand-off the chosen peer refuses
+        is answered where the connection is, and its slot still returns."""
+        with _cluster(
+            store, policy="lard", persistent_mode="rehandoff"
+        ) as cluster, FaultInjector(cluster) as chaos:
+            chaos.refuse_handoffs(1)
+            conn = socket.create_connection(cluster.address, timeout=5)
+            answered = []
+            try:
+                conn.sendall(
+                    b"GET /doc0 HTTP/1.1\r\nHost: x\r\nConnection: keep-alive\r\n\r\n"
+                )
+                status, body, rest, _ = _read_response(conn, b"")
+                answered.append((status, body))
+                # LARD sends the new target to the idle node, which refuses.
+                conn.sendall(
+                    b"GET /doc1 HTTP/1.1\r\nHost: x\r\nConnection: close\r\n\r\n"
+                )
+                try:
+                    status, body, _, _ = _read_response(conn, rest)
+                    answered.append((status, body))
+                except (OSError, RuntimeError):
+                    pass  # the connection died without an answer
+            finally:
+                conn.close()
+            assert answered == [
+                (200, store.expected_content("/doc0")),
+                (200, store.expected_content("/doc1")),
+            ]
+            assert cluster.dispatcher.transfers == 1  # the re-hand-off was tried
+            assert cluster.wait_idle()
+            assert cluster.dispatcher.loads == [0, 0]
+            assert sum(b.stats.rehandoffs_out for b in cluster.backends) == 0
+
     def test_stalled_handoff_still_served(self, store):
         with _cluster(store) as cluster, FaultInjector(cluster) as chaos:
             chaos.stall_handoffs(0, 0.05)
@@ -315,8 +349,6 @@ class TestHealthMonitorStandalone:
         cluster = _cluster(store)
         with pytest.raises(ValueError):
             HealthMonitor(cluster.dispatcher, cluster.backends, interval_s=0)
-        with pytest.raises(ValueError):
-            HealthMonitor(cluster.dispatcher, cluster.backends, failure_threshold=0)
 
     def test_stats_exposed_via_cluster(self, store):
         with _cluster(store) as cluster:

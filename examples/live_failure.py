@@ -82,7 +82,8 @@ def main() -> None:
         chaos.at(0.10, chaos.kill, VICTIM)
         during = run_phase(cluster, urls, "during")
         chaos.join(timeout_s=5)
-        assert not cluster.dispatcher.is_alive(VICTIM)
+        if cluster.dispatcher.is_alive(VICTIM):
+            raise RuntimeError(f"node {VICTIM} is still alive after the kill")
 
         chaos.revive(VICTIM)
         after = run_phase(cluster, urls, "after")

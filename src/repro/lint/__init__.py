@@ -13,15 +13,15 @@ of hoping a test notices.  Three rule families (see
 ``docs/static-analysis.md`` for the full catalogue):
 
 * **determinism** (``repro.sim``, ``repro.core``, ``repro.cache``,
-  ``repro.cluster``, ``repro.workload``): no wall-clock or global-RNG
-  calls, no iteration over unordered sets where order can reach event
-  scheduling, no mutable default arguments, no raw ``heapq`` event queues
-  outside the engine's ``(time, seq)`` tie-break;
-* **concurrency** (``repro.handoff``): every shared-mutable attribute is
-  declared in ``__guarded_by__`` and assigned under its documented lock,
-  nested lock acquisition follows the hierarchy declared in
-  ``repro/handoff/locks.py``, and no blocking call is made while a
-  dispatcher lock is held;
+  ``repro.cluster``, ``repro.workload``, ``repro.analysis``): no
+  wall-clock or global-RNG calls, no iteration over unordered sets where
+  order can reach event scheduling, no mutable default arguments, no raw
+  ``heapq`` event queues outside the engine's ``(time, seq)`` tie-break;
+* **concurrency** (``repro.handoff``, ``repro.obs``): every
+  shared-mutable attribute is declared in ``__guarded_by__`` and
+  assigned under its documented lock, nested lock acquisition follows
+  the hierarchy declared in ``repro/handoff/locks.py``, and no blocking
+  call is made while a dispatcher lock is held;
 * **hygiene** (repo-wide): no bare ``except:``, no ``assert`` used for
   runtime validation in shipped code.
 

@@ -3,8 +3,11 @@
 The per-file rules in :mod:`repro.lint.determinism` and
 :mod:`repro.lint.concurrency` see one AST at a time; the whole-program
 passes (:mod:`repro.lint.interproc`, :mod:`repro.lint.locksets`) both
-consume the :class:`ProjectSummary` built here instead — one extraction pass over every file, shared by every
-interprocedural rule.
+consume the :class:`ProjectSummary` built here instead — one extraction
+pass over every file, shared by every interprocedural rule.  It is built
+from the :class:`~repro.lint.context.ModuleScan` the runner made for each
+file, so both layers read the same import table, the same validated lock
+declarations and the same set-iteration sites.
 
 Resolution model (and its deliberate limits):
 
@@ -39,9 +42,10 @@ from __future__ import annotations
 import ast
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from .determinism import _Imports, _collect_set_names, _is_set_expr, classify_call
+from .context import ClassScan, ModuleScan, _annotation_name
+from .determinism import classify_call
 
 __all__ = [
     "CallSite",
@@ -54,12 +58,6 @@ __all__ = [
     "module_name_for",
     "package_root",
 ]
-
-#: Container annotations unwrapped to their (first) element type when
-#: resolving attribute/parameter classes.
-_CONTAINER_HEADS = frozenset(
-    {"Optional", "Sequence", "List", "Tuple", "Iterable", "MutableSequence"}
-)
 
 _ENV_READ_FUNCS = frozenset({"getenv", "get", "setdefault"})
 
@@ -141,7 +139,8 @@ class FunctionSummary:
 
 @dataclass
 class ClassSummary:
-    """One module-level class: methods, bases, and lock declarations."""
+    """One module-level class: methods, bases, and the lock declarations
+    that validate (``guard-decl`` reports the rest)."""
 
     qualname: str
     module: str
@@ -150,7 +149,6 @@ class ClassSummary:
     line: int
     bases: Tuple[str, ...] = ()
     methods: Dict[str, str] = field(default_factory=dict)
-    lock_attrs: FrozenSet[str] = frozenset()
     guarded: Dict[str, Tuple[str, ...]] = field(default_factory=dict)
     locked_helpers: Tuple[str, ...] = ()
 
@@ -183,24 +181,24 @@ class ProjectSummary:
             frontier.extend(cls.bases)
         return None
 
+    def subclass_family(self, class_qual: str) -> List[str]:
+        """``class_qual`` then every transitive project subclass of it,
+        breadth-first (cycle-safe)."""
+        family = [class_qual]
+        for current in family:
+            for sub in self.subclasses.get(current, ()):
+                if sub not in family:
+                    family.append(sub)
+        return family
+
     def override_sites(self, class_qual: str, method: str) -> List[str]:
         """Overrides of ``method`` in every transitive project subclass
         of ``class_qual`` (the conservative dynamic-dispatch edges)."""
         out: List[str] = []
-        seen: Set[str] = set()
-        frontier = list(self.subclasses.get(class_qual, ()))
-        while frontier:
-            current = frontier.pop(0)
-            if current in seen:
-                continue
-            seen.add(current)
-            cls = self.classes.get(current)
-            if cls is None:
-                continue
-            qual = cls.methods.get(method)
+        for current in self.subclass_family(class_qual)[1:]:
+            qual = self.classes[current].methods.get(method)
             if qual is not None:
                 out.append(qual)
-            frontier.extend(self.subclasses.get(current, ()))
         return out
 
 
@@ -240,7 +238,7 @@ def module_name_for(path: Path) -> str:
     return ".".join(parts)
 
 
-# -- chain / annotation helpers ------------------------------------------------
+# -- chain helpers -------------------------------------------------------------
 
 
 def _chain_parts(expr: ast.expr) -> Optional[List[str]]:
@@ -261,211 +259,11 @@ def _chain_parts(expr: ast.expr) -> Optional[List[str]]:
             return None
 
 
-def _is_own_class_or_self(expr: ast.expr) -> bool:
-    """``self``, ``cls`` or ``type(self)``: a method read off one of
-    them in ``__init__`` is the object's own function."""
-    if isinstance(expr, ast.Name):
-        return expr.id in ("self", "cls")
-    return (
-        isinstance(expr, ast.Call)
-        and isinstance(expr.func, ast.Name)
-        and expr.func.id == "type"
-        and len(expr.args) == 1
-        and isinstance(expr.args[0], ast.Name)
-        and expr.args[0].id == "self"
-    )
-
-
-def _annotation_name(annotation: ast.expr) -> Optional[str]:
-    """Class name an annotation ultimately refers to, unwrapping string
-    annotations and the common container heads."""
-    node: ast.expr = annotation
-    if isinstance(node, ast.Constant) and isinstance(node.value, str):
-        try:
-            node = ast.parse(node.value, mode="eval").body
-        except SyntaxError:
-            return None
-    while isinstance(node, ast.Subscript):
-        head = node.value
-        head_name = (
-            head.id
-            if isinstance(head, ast.Name)
-            else head.attr
-            if isinstance(head, ast.Attribute)
-            else ""
-        )
-        if head_name not in _CONTAINER_HEADS:
-            return None
-        inner = node.slice
-        if isinstance(inner, ast.Tuple) and inner.elts:
-            inner = inner.elts[0]
-        if not isinstance(inner, ast.expr):  # pragma: no cover - py<3.9 slices
-            return None
-        node = inner
-        if isinstance(node, ast.Constant) and isinstance(node.value, str):
-            try:
-                node = ast.parse(node.value, mode="eval").body
-            except SyntaxError:
-                return None
-    if isinstance(node, ast.Name):
-        return node.id
-    if isinstance(node, ast.Attribute):
-        return node.attr
-    return None
-
-
-def _string_tuple(value: ast.expr) -> Tuple[str, ...]:
-    if isinstance(value, ast.Constant) and isinstance(value.value, str):
-        return (value.value,)
-    if isinstance(value, ast.Tuple):
-        out: List[str] = []
-        for element in value.elts:
-            if isinstance(element, ast.Constant) and isinstance(element.value, str):
-                out.append(element.value)
-        return tuple(out)
-    return ()
-
-
-# -- raw per-module scan -------------------------------------------------------
-
-
-class _ClassScan:
-    """Raw (unresolved) facts about one module-level class."""
-
-    def __init__(self, module: str, node: ast.ClassDef) -> None:
-        self.node = node
-        self.name = node.name
-        self.qualname = f"{module}.{node.name}"
-        self.bases_raw: List[ast.expr] = list(node.bases)
-        self.methods: Dict[str, ast.FunctionDef] = {}
-        self.attr_types: Dict[str, str] = {}  # attr -> class qualname (resolved later)
-        self.attr_annotations: Dict[str, str] = {}  # attr -> raw class name
-        self.attr_ctor: Dict[str, str] = {}  # attr -> raw constructed class name
-        self.attr_aliases: Dict[str, str] = {}  # attr -> own method name
-        self.lock_attrs: Set[str] = set()
-        self.guarded: Dict[str, Tuple[str, ...]] = {}
-        self.locked_helpers: Tuple[str, ...] = ()
-        for stmt in node.body:
-            if isinstance(stmt, ast.FunctionDef) or isinstance(
-                stmt, ast.AsyncFunctionDef
-            ):
-                self.methods[stmt.name] = stmt  # type: ignore[assignment]
-            elif isinstance(stmt, ast.Assign):
-                for target in stmt.targets:
-                    if isinstance(target, ast.Name):
-                        if target.id == "__guarded_by__" and isinstance(
-                            stmt.value, ast.Dict
-                        ):
-                            for key, val in zip(stmt.value.keys, stmt.value.values):
-                                if isinstance(key, ast.Constant) and isinstance(
-                                    key.value, str
-                                ):
-                                    locks = _string_tuple(val)
-                                    if locks:
-                                        self.guarded[key.value] = locks
-                        elif target.id == "__locked_helpers__":
-                            self.locked_helpers = _string_tuple(stmt.value)
-        self._scan_init()
-
-    def _scan_init(self) -> None:
-        init = self.methods.get("__init__")
-        if init is None:
-            return
-        param_annotations: Dict[str, str] = {}
-        args = init.args
-        for arg in list(args.posonlyargs) + list(args.args) + list(args.kwonlyargs):
-            if arg.annotation is not None:
-                name = _annotation_name(arg.annotation)
-                if name is not None:
-                    param_annotations[arg.arg] = name
-        threading_names = {"threading"}
-        for stmt in ast.walk(init):
-            if isinstance(stmt, ast.AnnAssign) and isinstance(
-                stmt.target, ast.Attribute
-            ):
-                target = stmt.target
-                if isinstance(target.value, ast.Name) and target.value.id == "self":
-                    name = _annotation_name(stmt.annotation)
-                    if name is not None:
-                        self.attr_annotations[target.attr] = name
-            if not isinstance(stmt, ast.Assign) or len(stmt.targets) != 1:
-                continue
-            target_expr = stmt.targets[0]
-            if not (
-                isinstance(target_expr, ast.Attribute)
-                and isinstance(target_expr.value, ast.Name)
-                and target_expr.value.id == "self"
-            ):
-                continue
-            attr = target_expr.attr
-            value = stmt.value
-            if isinstance(value, ast.Call):
-                func = value.func
-                if isinstance(func, ast.Name):
-                    self.attr_ctor[attr] = func.id
-                elif (
-                    isinstance(func, ast.Attribute)
-                    and isinstance(func.value, ast.Name)
-                    and func.value.id in threading_names
-                ):
-                    self.lock_attrs.add(attr)
-            elif isinstance(value, ast.Name) and value.id in param_annotations:
-                self.attr_annotations.setdefault(attr, param_annotations[value.id])
-            elif (
-                isinstance(value, ast.Attribute)
-                and _is_own_class_or_self(value.value)
-                and value.attr in self.methods
-            ):
-                self.attr_aliases[attr] = value.attr
-
-
-class _ModuleScan:
-    """Raw facts about one module, before cross-module resolution."""
-
-    def __init__(self, display: str, module: str, tree: ast.Module) -> None:
-        self.display = display
-        self.module = module
-        self.tree = tree
-        self.imports_mod: Dict[str, str] = {}
-        self.imports_sym: Dict[str, Tuple[str, str]] = {}
-        self.functions: Dict[str, ast.FunctionDef] = {}
-        self.classes: Dict[str, _ClassScan] = {}
-        self.det_imports = _Imports(tree)
-        for stmt in tree.body:
-            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                self.functions[stmt.name] = stmt  # type: ignore[assignment]
-            elif isinstance(stmt, ast.ClassDef):
-                self.classes[stmt.name] = _ClassScan(module, stmt)
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Import):
-                for alias in node.names:
-                    self.imports_mod[alias.asname or alias.name.split(".")[0]] = (
-                        alias.name
-                    )
-            elif isinstance(node, ast.ImportFrom):
-                base = self._import_base(node)
-                if base is None:
-                    continue
-                for alias in node.names:
-                    self.imports_sym[alias.asname or alias.name] = (base, alias.name)
-
-    def _import_base(self, node: ast.ImportFrom) -> Optional[str]:
-        if node.level == 0:
-            return node.module
-        parts = self.module.split(".")
-        if node.level > len(parts):
-            return None
-        prefix = parts[: len(parts) - node.level]
-        if node.module:
-            prefix.append(node.module)
-        return ".".join(prefix) if prefix else None
-
-
 # -- the builder ---------------------------------------------------------------
 
 
 class _Builder:
-    def __init__(self, scans: Dict[str, _ModuleScan]) -> None:
+    def __init__(self, scans: Dict[str, ModuleScan]) -> None:
         self.scans = scans
         self.project = ProjectSummary()
 
@@ -490,13 +288,13 @@ class _Builder:
         submodule = f"{module}.{name}"
         if submodule in self.scans:
             return ("mod", submodule)
-        imported = scan.imports_sym.get(name)
+        imported = scan.imports.symbols.get(name)
         if imported is not None:
             src_module, src_name = imported
             if src_module in self.scans:
                 return self.resolve_symbol(src_module, src_name, _seen)
             return None
-        module_alias = scan.imports_mod.get(name)
+        module_alias = scan.imports.modules.get(name)
         if module_alias is not None and module_alias in self.scans:
             return ("mod", module_alias)
         return None
@@ -516,7 +314,7 @@ class _Builder:
         for scan in self.scans.values():
             for cls in scan.classes.values():
                 bases: List[str] = []
-                for base_expr in cls.bases_raw:
+                for base_expr in cls.node.bases:
                     parts = _chain_parts(base_expr)
                     if parts is None:
                         continue
@@ -530,11 +328,10 @@ class _Builder:
                     qualname=cls.qualname,
                     module=scan.module,
                     name=cls.name,
-                    path=scan.display,
+                    path=scan.path,
                     line=cls.node.lineno,
                     bases=tuple(bases),
                     methods=methods,
-                    lock_attrs=frozenset(cls.lock_attrs),
                     guarded=dict(cls.guarded),
                     locked_helpers=cls.locked_helpers,
                 )
@@ -565,15 +362,15 @@ class _Builder:
             scan = self.scans.get(module)
             if scan is None:
                 return None
-            target_module = scan.imports_mod.get(parts[0])
+            target_module = scan.imports.modules.get(parts[0])
             if target_module is not None:
                 return self.resolve_class_name(target_module, parts[1])
         return None
 
     def _extract(
         self,
-        scan: _ModuleScan,
-        cls: Optional[_ClassScan],
+        scan: ModuleScan,
+        cls: Optional[ClassScan],
         name: str,
         func: ast.FunctionDef,
     ) -> None:
@@ -585,7 +382,7 @@ class _Builder:
             module=scan.module,
             cls=cls.qualname if cls is not None else None,
             name=name,
-            path=scan.display,
+            path=scan.path,
             line=func.lineno,
         )
         _FunctionExtractor(self, scan, cls, func, summary).run()
@@ -599,8 +396,8 @@ class _FunctionExtractor:
     def __init__(
         self,
         builder: _Builder,
-        scan: _ModuleScan,
-        cls: Optional[_ClassScan],
+        scan: ModuleScan,
+        cls: Optional[ClassScan],
         func: ast.FunctionDef,
         summary: FunctionSummary,
     ) -> None:
@@ -612,7 +409,7 @@ class _FunctionExtractor:
         self.local_types: Dict[str, str] = {}
         #: local name -> (dotted receiver base, attribute) alias.
         self.aliases: Dict[str, Tuple[str, str]] = {}
-        self.set_names = _collect_set_names(func)
+        self.set_iterations = scan.set_iterations
         self._call_funcs: Set[int] = set()
         args = func.args
         for arg in list(args.posonlyargs) + list(args.args) + list(args.kwonlyargs):
@@ -671,13 +468,10 @@ class _FunctionExtractor:
         elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
             if id(node) not in self._call_funcs:
                 self._record_ref(node, held)
-        elif isinstance(node, ast.For):
-            self._record_set_iteration(node.iter)
-        elif isinstance(node, (ast.ListComp, ast.GeneratorExp, ast.DictComp, ast.SetComp)):
-            for gen in node.generators:
-                self._record_set_iteration(gen.iter)
         elif isinstance(node, ast.Subscript):
             self._record_env_subscript(node)
+        if node in self.set_iterations:
+            self._add_source("set-iteration", "iteration over an unordered set", node)
         if isinstance(node, ast.Call):
             # Visit the func expression *after* registering it, so the
             # Attribute it may be is not double-counted as a reference.
@@ -934,7 +728,7 @@ class _FunctionExtractor:
         if edges:
             self._add_edges(edges, node, parts[0], held, True)
 
-    def _class_scan(self, class_qual: str) -> Optional[_ClassScan]:
+    def _class_scan(self, class_qual: str) -> Optional[ClassScan]:
         cls = self.builder.project.classes.get(class_qual)
         if cls is None:
             return None
@@ -956,7 +750,7 @@ class _FunctionExtractor:
         )
 
     def _record_source_call(self, node: ast.Call, parts: List[str]) -> None:
-        imports = self.scan.det_imports
+        imports = self.scan.imports
         chain = ".".join(parts)
         root_module = imports.module_of(parts[0])
         source = classify_call(parts, imports)
@@ -987,10 +781,8 @@ class _FunctionExtractor:
             self._add_source("env-read", f"{chain}()", node)
 
     def _os_symbol(self, name: str) -> Optional[str]:
-        imported = self.scan.imports_sym.get(name)
-        if imported is not None and imported[0] == "os":
-            return imported[1]
-        return None
+        module, symbol = self.scan.imports.source_of(name)
+        return symbol if module == "os" else None
 
     def _record_env_subscript(self, node: ast.Subscript) -> None:
         if not isinstance(node.ctx, ast.Load):
@@ -998,7 +790,7 @@ class _FunctionExtractor:
         parts = _chain_parts(node.value)
         if parts is None:
             return
-        imports = self.scan.det_imports
+        imports = self.scan.imports
         if (
             len(parts) == 2
             and imports.module_of(parts[0]) == "os"
@@ -1006,21 +798,11 @@ class _FunctionExtractor:
         ) or (len(parts) == 1 and self._os_symbol(parts[0]) == "environ"):
             self._add_source("env-read", f"{'.'.join(parts)}[...]", node)
 
-    def _record_set_iteration(self, iter_expr: ast.expr) -> None:
-        if _is_set_expr(iter_expr, self.set_names):
-            self._add_source("set-iteration", "iteration over an unordered set", iter_expr)
-
 
 # -- public entry points -------------------------------------------------------
 
 
-def build_project(units: Sequence[Tuple[Path, str, ast.Module]]) -> ProjectSummary:
-    """Build the whole-program summary from parsed files.
-
-    ``units`` is ``(path, display, tree)`` per file.
-    """
-    scans: Dict[str, _ModuleScan] = {}
-    for path, display, tree in units:
-        module = module_name_for(path)
-        scans[module] = _ModuleScan(display, module, tree)
-    return _Builder(scans).build()
+def build_project(scans: Sequence[ModuleScan]) -> ProjectSummary:
+    """Build the whole-program summary from the runner's module scans
+    (a later scan of the same module name replaces an earlier one)."""
+    return _Builder({scan.module: scan for scan in scans}).build()

@@ -27,9 +27,9 @@ discipline into a checked declaration instead of a convention:
 from __future__ import annotations
 
 import ast
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import List, Sequence, Set, Tuple
 
-from .context import FileContext, call_chain, self_attribute_root
+from .context import ClassScan, FileContext, call_chain, self_attribute_root
 
 __all__ = ["RULES", "check"]
 
@@ -40,9 +40,6 @@ RULES: Tuple[str, ...] = (
     "blocking-call-in-lock",
 )
 
-_LOCK_FACTORIES = frozenset(
-    {"Lock", "RLock", "Condition", "Semaphore", "BoundedSemaphore"}
-)
 _BLOCKING_METHODS = frozenset(
     {
         "recv",
@@ -66,121 +63,6 @@ _BLOCKING_METHODS = frozenset(
 _HELD_LOCK_METHODS = frozenset({"wait", "wait_for", "notify", "notify_all"})
 
 
-class _ClassInfo:
-    """Lock attributes and guard declarations extracted from one class."""
-
-    def __init__(self, ctx: FileContext, node: ast.ClassDef) -> None:
-        self.node = node
-        self.lock_attrs: Set[str] = set()
-        self.guarded: Dict[str, Tuple[str, ...]] = {}
-        self.locked_helpers: Set[str] = set()
-        self.declared = False
-        self._collect_locks(ctx, node)
-        self._collect_declarations(ctx, node)
-
-    def _collect_locks(self, ctx: FileContext, node: ast.ClassDef) -> None:
-        threading_aliases = _threading_aliases(ctx.tree)
-        for method in node.body:
-            if not isinstance(method, ast.FunctionDef) or method.name != "__init__":
-                continue
-            for stmt in ast.walk(method):
-                if not isinstance(stmt, ast.Assign):
-                    continue
-                value = stmt.value
-                if not (isinstance(value, ast.Call) and isinstance(value.func, ast.Attribute)):
-                    continue
-                receiver = value.func.value
-                if not (
-                    isinstance(receiver, ast.Name)
-                    and receiver.id in threading_aliases
-                    and value.func.attr in _LOCK_FACTORIES
-                ):
-                    continue
-                for target in stmt.targets:
-                    attr = self_attribute_root(target)
-                    if attr:
-                        self.lock_attrs.add(attr)
-
-    def _collect_declarations(self, ctx: FileContext, node: ast.ClassDef) -> None:
-        for stmt in node.body:
-            if not isinstance(stmt, (ast.Assign, ast.AnnAssign)):
-                continue
-            targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
-            value = stmt.value
-            if value is None:
-                continue
-            for target in targets:
-                if not isinstance(target, ast.Name):
-                    continue
-                if target.id == "__guarded_by__":
-                    self.declared = True
-                    self._parse_guarded(ctx, value)
-                elif target.id == "__locked_helpers__":
-                    self._parse_helpers(ctx, value)
-
-    def _parse_guarded(self, ctx: FileContext, value: ast.expr) -> None:
-        if not isinstance(value, ast.Dict):
-            ctx.report(value, "guard-decl", "__guarded_by__ must be a dict literal")
-            return
-        for key, val in zip(value.keys, value.values):
-            if not (isinstance(key, ast.Constant) and isinstance(key.value, str)):
-                ctx.report(value, "guard-decl", "__guarded_by__ keys must be string literals")
-                continue
-            locks = _string_tuple(val)
-            if locks is None:
-                ctx.report(
-                    val,
-                    "guard-decl",
-                    f"__guarded_by__[{key.value!r}] must name a lock attribute "
-                    "(string or tuple of strings)",
-                )
-                continue
-            unknown = [name for name in locks if name not in self.lock_attrs]
-            if unknown:
-                ctx.report(
-                    val,
-                    "guard-decl",
-                    f"__guarded_by__[{key.value!r}] names unknown lock(s) "
-                    f"{', '.join(unknown)} (locks found in __init__: "
-                    f"{', '.join(sorted(self.lock_attrs)) or 'none'})",
-                )
-                continue
-            self.guarded[key.value] = locks
-
-    def _parse_helpers(self, ctx: FileContext, value: ast.expr) -> None:
-        names = _string_tuple(value)
-        if names is None:
-            ctx.report(
-                value, "guard-decl", "__locked_helpers__ must be a tuple of method names"
-            )
-            return
-        self.locked_helpers.update(names)
-
-
-def _threading_aliases(tree: ast.Module) -> Set[str]:
-    aliases: Set[str] = set()
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Import):
-            for alias in node.names:
-                if alias.name == "threading":
-                    aliases.add(alias.asname or "threading")
-    return aliases
-
-
-def _string_tuple(value: ast.expr) -> Optional[Tuple[str, ...]]:
-    """A string literal or tuple-of-strings literal, else None."""
-    if isinstance(value, ast.Constant) and isinstance(value.value, str):
-        return (value.value,)
-    if isinstance(value, ast.Tuple):
-        out: List[str] = []
-        for element in value.elts:
-            if not (isinstance(element, ast.Constant) and isinstance(element.value, str)):
-                return None
-            out.append(element.value)
-        return tuple(out)
-    return None
-
-
 def _with_lock_names(node: ast.With, lock_attrs: Set[str]) -> List[str]:
     """Locks acquired by one ``with`` statement (``with self.<lock>:``)."""
     names: List[str] = []
@@ -198,7 +80,7 @@ def _with_lock_names(node: ast.With, lock_attrs: Set[str]) -> List[str]:
     return names
 
 
-def _check_method(ctx: FileContext, info: _ClassInfo, method: ast.FunctionDef) -> None:
+def _check_method(ctx: FileContext, info: ClassScan, method: ast.FunctionDef) -> None:
     hierarchy = ctx.lock_hierarchy
 
     def visit(node: ast.AST, held: Tuple[str, ...]) -> None:
@@ -302,10 +184,10 @@ def _check_blocking(ctx: FileContext, node: ast.Call, held: Tuple[str, ...]) -> 
 
 def check(ctx: FileContext) -> None:
     """Run every concurrency rule over ``ctx``."""
-    for node in ast.walk(ctx.tree):
-        if not isinstance(node, ast.ClassDef):
-            continue
-        info = _ClassInfo(ctx, node)
+    for info in ctx.scan.all_classes:
+        node = info.node
+        for anchor, message in info.problems:
+            ctx.report(anchor, "guard-decl", message)
         if info.lock_attrs and not info.declared:
             ctx.report(
                 node,

@@ -36,9 +36,9 @@ these rules ban the constructs that silently break it:
 from __future__ import annotations
 
 import ast
-from typing import Dict, Optional, Sequence, Set, Tuple
+from typing import Optional, Sequence, Tuple
 
-from .context import FileContext, call_chain
+from .context import FileContext, _Imports, call_chain
 
 __all__ = ["RULES", "check"]
 
@@ -77,32 +77,6 @@ _NP_RANDOM_SAFE = frozenset(
 )
 
 
-class _Imports:
-    """Module aliases and from-imports that the call rules key off."""
-
-    def __init__(self, tree: ast.Module) -> None:
-        self.modules: Dict[str, str] = {}  # local alias -> real module name
-        self.from_time: Set[str] = set()  # local names bound to time.* functions
-        self.from_random: Set[str] = set()
-        self.datetime_class: Set[str] = set()  # local names bound to datetime.datetime
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Import):
-                for alias in node.names:
-                    self.modules[alias.asname or alias.name.split(".")[0]] = alias.name
-            elif isinstance(node, ast.ImportFrom) and node.module is not None:
-                for alias in node.names:
-                    local = alias.asname or alias.name
-                    if node.module == "time" and alias.name in _TIME_FUNCTIONS:
-                        self.from_time.add(local)
-                    elif node.module == "random" and alias.name not in _RANDOM_SAFE:
-                        self.from_random.add(local)
-                    elif node.module == "datetime" and alias.name == "datetime":
-                        self.datetime_class.add(local)
-
-    def module_of(self, alias: str) -> str:
-        return self.modules.get(alias, "")
-
-
 def classify_call(parts: Sequence[str], imports: _Imports) -> Optional[Tuple[str, str]]:
     """Whether the call named by the dotted chain ``parts`` reads the
     host clock or an interpreter-wide RNG: ``(kind, origin)``, or
@@ -112,9 +86,10 @@ def classify_call(parts: Sequence[str], imports: _Imports) -> Optional[Tuple[str
     ``from random`` through a from-imported name.  The per-file rules
     and the call graph's taint sources both classify with this."""
     if len(parts) == 1:
-        if parts[0] in imports.from_time:
+        module, name = imports.source_of(parts[0])
+        if module == "time" and name in _TIME_FUNCTIONS:
             return "wall-clock", "from time"
-        if parts[0] in imports.from_random:
+        if module == "random" and name not in _RANDOM_SAFE:
             return "global-random", "from random"
         return None
     root = imports.module_of(parts[0])
@@ -122,7 +97,7 @@ def classify_call(parts: Sequence[str], imports: _Imports) -> Optional[Tuple[str
         return "wall-clock", "time"
     if parts[-1] in _DATETIME_FUNCTIONS and (
         (root == "datetime" and len(parts) == 3 and parts[1] == "datetime")
-        or (len(parts) == 2 and parts[0] in imports.datetime_class)
+        or (len(parts) == 2 and imports.source_of(parts[0]) == ("datetime", "datetime"))
     ):
         return "wall-clock", "datetime"
     if root == "random" and len(parts) == 2 and parts[1] not in _RANDOM_SAFE:
@@ -151,50 +126,9 @@ _CALL_MESSAGES = {
 }
 
 
-def _is_set_expr(node: ast.expr, set_names: Set[str]) -> bool:
-    """Syntactically-certainly-a-set expressions (plus tracked local names)."""
-    if isinstance(node, (ast.Set, ast.SetComp)):
-        return True
-    if (
-        isinstance(node, ast.Call)
-        and isinstance(node.func, ast.Name)
-        and node.func.id in ("set", "frozenset")
-    ):
-        return True
-    if isinstance(node, ast.Name) and node.id in set_names:
-        return True
-    return False
-
-
-def _annotation_is_set(annotation: ast.expr) -> bool:
-    target = annotation
-    if isinstance(target, ast.Subscript):
-        target = target.value
-    if isinstance(target, ast.Name):
-        return target.id in ("set", "frozenset", "Set", "FrozenSet")
-    if isinstance(target, ast.Attribute):
-        return target.attr in ("Set", "FrozenSet")
-    return False
-
-
-def _collect_set_names(func: ast.AST) -> Set[str]:
-    """Local names assigned from set-typed expressions within ``func``."""
-    names: Set[str] = set()
-    for node in ast.walk(func):
-        if isinstance(node, ast.Assign) and len(node.targets) == 1:
-            target = node.targets[0]
-            if isinstance(target, ast.Name) and _is_set_expr(node.value, names):
-                names.add(target.id)
-        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
-            if _annotation_is_set(node.annotation):
-                names.add(node.target.id)
-    return names
-
-
-def _check_calls(ctx: FileContext, imports: _Imports) -> None:
-    for node in ast.walk(ctx.tree):
-        if not isinstance(node, ast.Call):
-            continue
+def _check_calls(ctx: FileContext) -> None:
+    imports = ctx.scan.imports
+    for node in ctx.scan.nodes(ast.Call):
         chain = call_chain(node.func)
         if not chain:
             continue
@@ -204,7 +138,7 @@ def _check_calls(ctx: FileContext, imports: _Imports) -> None:
             kind, origin = source
             ctx.report(node, kind, f"call to {chain}() {_CALL_MESSAGES[origin]}")
         elif imports.module_of(parts[0]) == "heapq" or (
-            len(parts) == 1 and _from_heapq(ctx, parts[0])
+            len(parts) == 1 and imports.source_of(parts[0])[0] == "heapq"
         ):
             ctx.report(
                 node,
@@ -215,50 +149,14 @@ def _check_calls(ctx: FileContext, imports: _Imports) -> None:
             )
 
 
-def _from_heapq(ctx: FileContext, name: str) -> bool:
-    for node in ast.walk(ctx.tree):
-        if isinstance(node, ast.ImportFrom) and node.module == "heapq":
-            for alias in node.names:
-                if (alias.asname or alias.name) == name:
-                    return True
-    return False
-
-
 def _check_set_iteration(ctx: FileContext) -> None:
-    # Recursive traversal so each statement is checked exactly once, with
-    # the set-typed local names of its nearest enclosing function.
-    def visit(node: ast.AST, set_names: Set[str]) -> None:
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            inner = _collect_set_names(node)
-            for child in ast.iter_child_nodes(node):
-                visit(child, inner)
-            return
-        _check_one_iteration(ctx, node, set_names)
-        for child in ast.iter_child_nodes(node):
-            visit(child, set_names)
-
-    visit(ctx.tree, set())
-
-
-def _check_one_iteration(ctx: FileContext, node: ast.AST, set_names: Set[str]) -> None:
-    message = (
-        "iteration order over an unordered set can reach event scheduling; "
-        "iterate sorted(...) or an ordered container"
-    )
-    if isinstance(node, ast.For) and _is_set_expr(node.iter, set_names):
-        ctx.report(node.iter, "set-iteration", message)
-    elif isinstance(node, (ast.ListComp, ast.GeneratorExp, ast.DictComp)):
-        for gen in node.generators:
-            if _is_set_expr(gen.iter, set_names):
-                ctx.report(gen.iter, "set-iteration", message)
-    elif (
-        isinstance(node, ast.Call)
-        and isinstance(node.func, ast.Name)
-        and node.func.id in ("list", "tuple")
-        and node.args
-        and _is_set_expr(node.args[0], set_names)
-    ):
-        ctx.report(node, "set-iteration", message)
+    for anchor in ctx.scan.set_iterations:
+        ctx.report(
+            anchor,
+            "set-iteration",
+            "iteration order over an unordered set can reach event scheduling; "
+            "iterate sorted(...) or an ordered container",
+        )
 
 
 def _check_event_queue(ctx: FileContext) -> None:
@@ -267,10 +165,9 @@ def _check_event_queue(ctx: FileContext) -> None:
     is a different namespace (e.g. a worker's thread-safe
     ``self._queue``), so self-rooted accesses stay clean; the engine
     module itself only ever uses self-rooted access."""
-    for node in ast.walk(ctx.tree):
+    for node in ctx.scan.nodes(ast.Attribute):
         if (
-            isinstance(node, ast.Attribute)
-            and node.attr in _EVENT_QUEUE_ATTRS
+            node.attr in _EVENT_QUEUE_ATTRS
             and not (isinstance(node.value, ast.Name) and node.value.id == "self")
         ):
             ctx.report(
@@ -283,9 +180,8 @@ def _check_event_queue(ctx: FileContext) -> None:
 
 
 def _check_mutable_defaults(ctx: FileContext) -> None:
-    for node in ast.walk(ctx.tree):
-        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            continue
+    scan = ctx.scan
+    for node in scan.nodes(ast.FunctionDef) + scan.nodes(ast.AsyncFunctionDef):
         defaults = list(node.args.defaults) + [
             d for d in node.args.kw_defaults if d is not None
         ]
@@ -306,8 +202,7 @@ def _check_mutable_defaults(ctx: FileContext) -> None:
 
 def check(ctx: FileContext) -> None:
     """Run every determinism rule over ``ctx``."""
-    imports = _Imports(ctx.tree)
-    _check_calls(ctx, imports)
+    _check_calls(ctx)
     _check_set_iteration(ctx)
     _check_mutable_defaults(ctx)
     _check_event_queue(ctx)

@@ -31,19 +31,18 @@ def _body_reraises(handler: ast.ExceptHandler) -> bool:
 
 def check(ctx: FileContext) -> None:
     """Run every hygiene rule over ``ctx``."""
-    for node in ast.walk(ctx.tree):
-        if isinstance(node, ast.ExceptHandler):
-            if node.type is None and not _body_reraises(node):
-                ctx.report(
-                    node,
-                    "bare-except",
-                    "bare 'except:' swallows SystemExit/KeyboardInterrupt; "
-                    "catch a named exception class",
-                )
-        elif isinstance(node, ast.Assert):
+    for handler in ctx.scan.nodes(ast.ExceptHandler):
+        if handler.type is None and not _body_reraises(handler):
             ctx.report(
-                node,
-                "runtime-assert",
-                "assert is stripped under 'python -O'; raise an explicit "
-                "exception for runtime validation",
+                handler,
+                "bare-except",
+                "bare 'except:' swallows SystemExit/KeyboardInterrupt; "
+                "catch a named exception class",
             )
+    for node in ctx.scan.nodes(ast.Assert):
+        ctx.report(
+            node,
+            "runtime-assert",
+            "assert is stripped under 'python -O'; raise an explicit "
+            "exception for runtime validation",
+        )

@@ -52,18 +52,6 @@ def _helper_locks(cls: ClassSummary, helper: FunctionSummary) -> FrozenSet[str]:
     return frozenset(locks)
 
 
-def _subclass_quals(project: ProjectSummary, class_qual: str) -> Set[str]:
-    out: Set[str] = {class_qual}
-    frontier = [class_qual]
-    while frontier:
-        current = frontier.pop()
-        for sub in project.subclasses.get(current, ()):
-            if sub not in out:
-                out.add(sub)
-                frontier.append(sub)
-    return out
-
-
 def _check_locked_helpers(
     project: ProjectSummary,
     scopes: Mapping[str, FrozenSet[str]],
@@ -74,7 +62,7 @@ def _check_locked_helpers(
             continue
         if "concurrency" not in scopes.get(cls.path, frozenset()):
             continue
-        family = _subclass_quals(project, cls.qualname)
+        family = set(project.subclass_family(cls.qualname))
         declared = set(cls.locked_helpers)
         for helper_name in cls.locked_helpers:
             helper_qual = project.resolve_method(cls.qualname, helper_name)
@@ -198,7 +186,7 @@ def _check_cross_writes(
             if write.base_cls:
                 families: Set[str] = set()
                 for cls in owners:
-                    families |= _subclass_quals(project, cls.qualname)
+                    families.update(project.subclass_family(cls.qualname))
                 if write.base_cls not in families:
                     continue
             declared_locks = {

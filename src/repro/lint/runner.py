@@ -40,7 +40,7 @@ from typing import (
 )
 
 from . import callgraph, concurrency, determinism, hygiene, interproc, locksets
-from .context import FileContext
+from .context import FileContext, ModuleScan
 from .findings import Finding
 from .suppress import Suppressions, parse_suppressions
 
@@ -151,21 +151,15 @@ def _load_lock_hierarchy(directory: Path) -> Tuple[str, ...]:
 
 
 class _ParsedFile:
-    """One successfully parsed file plus its lint context."""
+    """One successfully parsed file: its module scan, scopes and
+    suppressions."""
 
-    __slots__ = ("path", "display", "tree", "scopes", "suppressions")
+    __slots__ = ("scan", "scopes", "suppressions")
 
     def __init__(
-        self,
-        path: Path,
-        display: str,
-        tree: ast.Module,
-        scopes: FrozenSet[str],
-        suppressions: Suppressions,
+        self, scan: ModuleScan, scopes: FrozenSet[str], suppressions: Suppressions
     ) -> None:
-        self.path = path
-        self.display = display
-        self.tree = tree
+        self.scan = scan
         self.scopes = scopes
         self.suppressions = suppressions
 
@@ -200,10 +194,8 @@ def _lint_one(
         hierarchy = _load_lock_hierarchy(path.resolve().parent)
 
     ctx = FileContext(
-        path=display,
-        tree=tree,
+        scan=ModuleScan(display, callgraph.module_name_for(path), tree),
         scopes=scopes,
-        package=_repro_package(path),
         lock_hierarchy=hierarchy,
     )
     for scope, checker in _SCOPE_CHECKS:
@@ -216,7 +208,7 @@ def _lint_one(
         if not suppressions.is_suppressed(finding.rule, finding.line)
     ]
     kept.extend(suppressions.errors)
-    return kept, _ParsedFile(path, display, tree, scopes, suppressions)
+    return kept, _ParsedFile(ctx.scan, scopes, suppressions)
 
 
 def lint_file(path: Path, scopes: Optional[FrozenSet[str]] = None) -> List[Finding]:
@@ -263,11 +255,9 @@ def lint_paths(
             parsed.append(record)
     parse_done = time.perf_counter()
 
-    scope_map = {record.display: record.scopes for record in parsed}
-    sup_map = {record.display: record.suppressions for record in parsed}
-    project = callgraph.build_project(
-        [(record.path, record.display, record.tree) for record in parsed]
-    )
+    scope_map = {record.scan.path: record.scopes for record in parsed}
+    sup_map = {record.scan.path: record.suppressions for record in parsed}
+    project = callgraph.build_project([record.scan for record in parsed])
     graph_done = time.perf_counter()
 
     for finding in (

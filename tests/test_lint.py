@@ -11,12 +11,16 @@ whole-program rules use fixture *directories* (``proj_*``) linted via
 import json
 from pathlib import Path
 
+import pytest
+
 import repro
 from repro.cli import main as cli_main
 from repro.lint import ALL_RULES, lint_file, lint_paths, main as lint_main
 from repro.lint.runner import _repro_package
+from tests.seeded_mutation import assert_selected_tests_fail
 
 FIXTURES = Path(__file__).resolve().parent / "lint_fixtures"
+REPO_ROOT = Path(__file__).resolve().parent.parent
 REPRO_PACKAGE = Path(repro.__file__).resolve().parent
 
 
@@ -46,6 +50,10 @@ def test_determinism_negative_fixture_is_clean():
     assert rules_of("det_good.py") == []
 
 
+def test_aliased_heapq_import_is_raw_heapq():
+    assert rules_of("det_heapq_alias.py") == ["raw-heapq"]
+
+
 # -- concurrency ---------------------------------------------------------------
 
 
@@ -67,6 +75,40 @@ def test_blocking_call_under_lock_is_flagged():
 
 def test_disciplined_locking_fixture_is_clean():
     assert rules_of("conc_good.py") == []
+
+
+def test_aliased_threading_lock_needs_guard_decl():
+    assert rules_of("conc_lock_alias.py") == ["guard-decl"]
+
+
+def test_aliased_lock_in_nested_class_needs_guard_decl():
+    assert rules_of("conc_lock_nested.py") == ["guard-decl"]
+
+
+#: The import table's two binding lines; ignoring ``as`` in both makes
+#: ``import threading as th`` bind ``threading`` and ``from heapq import
+#: heappush as hp`` bind ``heappush``, so ``th.Lock()`` and ``hp()`` go
+#: unseen.
+_IMPORT_TABLE_BINDINGS = (
+    '                self.modules[alias.asname or alias.name.split(".")[0]] = alias.name\n'
+    "        for node in scan.nodes(ast.ImportFrom):\n"
+    "            base = _import_base(scan.module, node)\n"
+    "            if base is None:\n"
+    "                continue\n"
+    "            for alias in node.names:\n"
+    "                self.symbols[alias.asname or alias.name] = (base, alias.name)\n"
+)
+
+
+def test_import_table_ignoring_as_names_is_caught(tmp_path):
+    assert_selected_tests_fail(
+        tmp_path,
+        "lint/context.py",
+        _IMPORT_TABLE_BINDINGS,
+        _IMPORT_TABLE_BINDINGS.replace("alias.asname or ", ""),
+        __file__,
+        "aliased",
+    )
 
 
 # -- hygiene -------------------------------------------------------------------
@@ -165,6 +207,23 @@ def test_disciplined_lockset_corpus_is_clean():
     assert project_rules_of("proj_lock_good") == []
 
 
+def test_rejected_guard_declaration_is_not_enforced():
+    """``__guarded_by__`` naming a lock the class never creates is one
+    guard-decl; no pass may then demand ``with box.<_lok>:``."""
+    assert project_rules_of("proj_guard_unknown_lock") == ["guard-decl"]
+
+
+def test_taint_sources_follow_the_set_iteration_rule():
+    """``list(pool)`` is a set-iteration and so a taint source; the
+    set-to-set comprehension is neither, so the ``evens()`` call at
+    set_callers.py:9 stays clean."""
+    findings = lint_paths([FIXTURES / "proj_set_iteration"])
+    assert [(Path(f.path).name, f.line, f.rule) for f in findings] == [
+        ("set_callers.py", 13, "transitive-nondeterminism"),
+        ("set_pool.py", 13, "set-iteration"),
+    ]
+
+
 # -- every rule id has bad + good fixture coverage -----------------------------
 
 RULE_FIXTURES = {
@@ -222,7 +281,8 @@ def test_repro_package_anchors_on_package_root(tmp_path):
 
 
 def test_repro_package_lints_clean():
-    assert lint_paths([REPRO_PACKAGE]) == []
+    paths = [REPRO_PACKAGE, REPO_ROOT / "scripts", REPO_ROOT / "examples"]
+    assert lint_paths(paths) == []
 
 
 # -- CLI entry points ----------------------------------------------------------

@@ -578,7 +578,7 @@ class FastConnection:
         self._request_done(now)
         fe = self.fe
         self.index += 1
-        target = fe._target_list[self.index]
+        target = fe._targets[self.index]
         self.target = target
         self.size = fe._size_list[target]
         self._continue(now)
@@ -721,7 +721,7 @@ class FastConnection:
             if end > n:
                 end = n
             fe._next = end
-            target = fe._target_list[first]
+            target = fe._targets[first]
             size = fe._size_list[target]
             node_id = fe.choose(target, size, now)
             take = fe._take_prediction
@@ -843,7 +843,7 @@ class FaultyConnection(FastConnection):
                 fe._account_lost(t_first)
                 faults.record_lost(now, now - t_first)
                 if tracer is not None:
-                    target = fe._target_list[index]
+                    target = fe._targets[index]
                     tracer.lost(target, fe._size_list[target], self.node.node_id, t_first, now)
             # The connection is over: its load was released above.
             fe.in_flight -= 1

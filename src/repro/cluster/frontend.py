@@ -95,16 +95,17 @@ class FrontEnd:
         #: ``persistent_policy == "rehandoff"``: the policy is re-run
         #: for every request of a connection, not only its first.
         self.rehandoff = persistent_policy == "rehandoff"
-        # Plain-list views of the trace: indexing a numpy array yields a
-        # numpy scalar that must be unboxed per request, which dominates
-        # the admission loop on long traces.  Memoized on the trace so
-        # sweeps reusing one trace across cells convert it once.
-        self._target_list, self._size_list = trace.request_lists()
+        # The request stream as a read-only memoryview of the trace's
+        # array, and the catalog's sizes as a list.  Indexing the view
+        # returns a plain int, as a list would, but costs no memory per
+        # request (indexing the numpy array itself would box a numpy
+        # scalar).  Read-only: nothing here may write to the trace.
+        self._targets, self._size_list = trace.request_lists()
         # The LB/GC front-end cache model is the only policy with
         # per-request hit predictions; resolve the hook once.
         self._take_prediction = getattr(policy, "take_prediction", None)
         #: Trace length: admission stops here.
-        self.n = len(self._target_list)
+        self.n = len(self._targets)
         self.choose = policy.choose
         self.p_loads: List[int] = policy.loads
         self.p_alive: List[bool] = policy._alive
@@ -284,7 +285,7 @@ class FrontEnd:
             if end > n:
                 end = n
             self._next = end
-            target = self._target_list[first]
+            target = self._targets[first]
             size = self._size_list[target]
             node_id = self.choose(target, size, now)
             # LB/GC's idealized front-end cache model dictates hit/miss.

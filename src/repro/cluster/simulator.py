@@ -256,7 +256,10 @@ class ClusterSimulator:
     every node's counters, resources and cache, ``policy``, ``tracker``,
     ``gms``, ``sanitizer.events_seen`` / ``deep_sweeps``, the
     ``fault_runtime`` totals, ``events`` and degraded series, and the
-    connection class the run used (``frontend.conn_class``).
+    connection class the run used (``frontend.conn_class``).  A
+    ``collect_delays`` run's per-request delays are one list, not two:
+    the result's ``delays_s`` is ``frontend.delays_s`` itself, handed
+    over, not copied.
     What does not: the connection pool, and the links that made the
     finished cluster one reference cycle — ``BackendNode.peers`` and
     ``disk_times_for``, the engine's sanitizer hook, the tracer's and
@@ -424,7 +427,7 @@ class ClusterSimulator:
             orphaned_connections=self.frontend.orphaned,
             connections=self.frontend.connections,
             rehandoffs=self.frontend.rehandoffs,
-            delays_s=list(self.frontend.delays_s),
+            delays_s=self.frontend.delays_s,
             lost_requests=runtime.lost_requests if runtime is not None else 0,
             retried_requests=runtime.retried_requests if runtime is not None else 0,
             degraded=runtime.degraded_timeline() if runtime is not None else None,

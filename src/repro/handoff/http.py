@@ -66,8 +66,20 @@ def parse_request_head(data: bytes) -> Optional[HTTPRequest]:
     Returns None when the head is not yet complete (caller should read
     more bytes), the parsed :class:`HTTPRequest` when it is, and raises
     :class:`HTTPError` on malformed or oversized input.
+
+    Every line of the head must end in CRLF.  A bare LF or a bare CR is
+    refused with 400 (RFC 9112 Section 2.2 allows it) as soon as it is
+    in ``data``, so a head ending in ``\n\n`` does not wait for a
+    terminator that never comes.  A CR ending an incomplete ``data`` is
+    not bare yet: its LF may be in the next read.
     """
     end = data.find(HEAD_TERMINATOR)
+    head = data if end < 0 else data[:end]
+    crlfs = head.count(b"\r\n")
+    if head.count(b"\n") != crlfs:
+        raise HTTPError(400, "bare LF in request head")
+    if head.count(b"\r") != crlfs + (end < 0 and head.endswith(b"\r")):
+        raise HTTPError(400, "bare CR in request head")
     if end < 0:
         if len(data) > _MAX_HEAD_BYTES:
             raise HTTPError(431, "request head too large")
@@ -76,7 +88,6 @@ def parse_request_head(data: bytes) -> Optional[HTTPRequest]:
     # arriving in one buffer must be rejected, not accepted.
     if end + len(HEAD_TERMINATOR) > _MAX_HEAD_BYTES:
         raise HTTPError(431, "request head too large")
-    head = data[:end]
     try:
         text = head.decode("latin-1")
     except UnicodeDecodeError:  # pragma: no cover - latin-1 never fails

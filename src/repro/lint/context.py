@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass, field
+from pathlib import PurePath
 from typing import (
     AbstractSet,
     Dict,
@@ -57,7 +58,7 @@ class _Imports:
             for alias in node.names:
                 self.modules[alias.asname or alias.name.split(".")[0]] = alias.name
         for node in scan.nodes(ast.ImportFrom):
-            base = _import_base(scan.module, node)
+            base = _import_base(scan.package, node)
             if base is None:
                 continue
             for alias in node.names:
@@ -71,15 +72,17 @@ class _Imports:
         return self.symbols.get(name, ("", ""))
 
 
-def _import_base(module: str, node: ast.ImportFrom) -> Optional[str]:
+def _import_base(package: str, node: ast.ImportFrom) -> Optional[str]:
     """Absolute module a from-import reads, resolving relative levels
-    against ``module``; None when the level climbs above the root."""
+    against ``package`` (level 1 is ``package`` itself); None when the
+    level climbs above the root."""
     if node.level == 0:
         return node.module
-    parts = module.split(".")
-    if node.level > len(parts):
+    parts = package.split(".") if package else []
+    up = node.level - 1
+    if up > len(parts):
         return None
-    prefix = parts[: len(parts) - node.level]
+    prefix = parts[: len(parts) - up]
     if node.module:
         prefix.append(node.module)
     return ".".join(prefix) if prefix else None
@@ -247,12 +250,17 @@ class ModuleScan:
     instead of walking again.  ``functions`` and ``classes`` are the
     module-level definitions (the call graph's nodes); ``all_classes``
     is every class, nested ones included, in walk order (the per-file
-    concurrency rules check each).
+    concurrency rules check each).  ``package`` is what the module's
+    relative imports resolve against: the module itself for a package
+    ``__init__``, else the package that contains it.
     """
 
     def __init__(self, path: str, module: str, tree: ast.Module) -> None:
         self.path = path
         self.module = module
+        self.package = (
+            module if PurePath(path).name == "__init__.py" else module.rpartition(".")[0]
+        )
         self.tree = tree
         self._by_type: Dict[type, List[ast.AST]] = {}
         for node in ast.walk(tree):

@@ -140,20 +140,21 @@ class Trace:
         """Per-request byte sizes (vectorized)."""
         return self.sizes_by_target[self.targets]
 
-    def request_lists(self) -> Tuple[List[int], List[int]]:
-        """``(targets, sizes_by_target)`` as plain Python lists, memoized.
+    def request_lists(self) -> Tuple[memoryview, List[int]]:
+        """``(targets, sizes_by_target)`` as the admission loop reads them.
 
-        The admission loop indexes these once per request; indexing the
-        numpy arrays directly would box a fresh numpy scalar each time.
-        The conversion is done once per trace (not once per simulation),
-        so parameter sweeps that reuse a trace across many cells pay it
-        a single time.
+        ``targets`` is a fresh read-only view of :attr:`targets`: made in
+        O(1), it costs no memory per request, and indexing it returns a
+        plain ``int``.  It is not kept on the trace, which must stay
+        picklable; each caller keeps its own.  ``sizes_by_target`` is a
+        plain list, memoized once per trace: it is O(catalog), and a
+        list hands out the ``int`` it holds where a view would build a
+        new one on every read.
         """
-        cached = getattr(self, "_request_lists", None)
-        if cached is None:
-            cached = (self.targets.tolist(), self.sizes_by_target.tolist())
-            self._request_lists = cached
-        return cached
+        sizes = getattr(self, "_size_list", None)
+        if sizes is None:
+            sizes = self._size_list = self.sizes_by_target.tolist()
+        return memoryview(self.targets).toreadonly(), sizes
 
     def transmit_units(self, unit_bytes: int = 512) -> List[int]:
         """Per-target size in ``unit_bytes`` blocks (rounded up), memoized.
@@ -183,9 +184,9 @@ class Trace:
         Returns ``None`` when the catalog is all-static (no cost table,
         or every cost is zero) so callers can branch once per run instead
         of once per request.  The memoized list is a single shared object
-        per trace: every backend node of one simulation (and the fast
-        path) hold the *same* list, which is what the fast-path
-        eligibility gate's identity check relies on.
+        per trace: every back-end node of every simulation over the trace
+        holds the *same* list, so the table costs one catalog's worth of
+        floats however many nodes and runs read it.
         """
         if self.cpu_cost_s_by_target is None:
             return None

@@ -242,7 +242,7 @@ def _fetch_gms(node, target, size, phases):
 
 def _take_batch(fe) -> List[Tuple[int, int]]:
     """Next connection's requests: up to requests_per_connection."""
-    targets = fe._target_list
+    targets = fe._targets
     sizes = fe._size_list
     n = len(targets)
     batch: List[Tuple[int, int]] = []
@@ -255,7 +255,7 @@ def _take_batch(fe) -> List[Tuple[int, int]]:
 
 def _admit(fe) -> None:
     connection = _connection if fe.faults is None else _connection_faulty
-    n = len(fe._target_list)
+    n = len(fe._targets)
     while fe.in_flight < fe.max_in_flight and fe._next < n:
         batch = _take_batch(fe)
         target, size = batch[0]

@@ -16,6 +16,11 @@ if the three invariants below hold, so each is a test:
 (c) **the collector is put back as it was** — after a normal run, after
     a run that raises, and when the caller had it off.
 
+A fourth group holds what a run keeps per trace request: (d) the
+front-end reads the request stream through a read-only view of the
+trace's own array, so a built simulator retains no memory per request
+and the trace stays picklable.
+
 Both (a) and (b) run over every configuration that picks a different
 connection class, observer or cache system.  CI runs this file a second
 time under ``REPRO_SANITIZE=1``, which installs the engine hook — the
@@ -30,6 +35,7 @@ from __future__ import annotations
 
 import gc
 import io
+import pickle
 import subprocess
 import sys
 import tracemalloc
@@ -38,12 +44,14 @@ import weakref
 from collections import Counter
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from repro.cluster import ClusterConfig, ClusterSimulator
 from repro.obs import SpanWriter
 from repro.obs.tracer import SimTracer
 from repro.sim import SanitizerError
+from repro.workload import synthesize_trace
 from tests.seeded_mutation import mutated_env
 from tests.test_cluster_differential import CACHE, NUM_NODES, _schedule, _trace
 
@@ -289,6 +297,54 @@ def test_collector_is_back_on_after_a_sanitizer_violation():
     assert gc.isenabled()
 
 
+# -- (d) no memory per trace request --------------------------------------------
+
+
+def _bytes_retained_by_a_built_simulator(num_requests):
+    """Python memory a built simulator holds on to, over a trace made
+    before counting starts (the trace's own array is not the
+    simulator's)."""
+    trace = synthesize_trace(num_requests, 2000, 64 * 2**20, 1.0, seed=3)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        simulator = ClusterSimulator(
+            trace, ClusterConfig(num_nodes=NUM_NODES, node_cache_bytes=CACHE)
+        )
+        retained, _peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert simulator.frontend.n == num_requests
+    return retained
+
+
+def test_a_built_simulator_costs_no_memory_per_trace_request():
+    """Ten times the requests, the same simulator: a copy of the request
+    stream (a list slot per request, plus an int object per target id
+    above 256) would cost 8-40 bytes a request."""
+    small = _bytes_retained_by_a_built_simulator(20_000)
+    large = _bytes_retained_by_a_built_simulator(200_000)
+    per_request = (large - small) / 180_000
+    assert per_request < 2.0, f"{per_request:.1f} bytes retained per extra request"
+
+
+def test_a_trace_still_pickles_after_a_run():
+    simulator = _build("one-request")
+    simulator.run()
+    copy = pickle.loads(pickle.dumps(simulator.trace))
+    assert np.array_equal(copy.targets, simulator.trace.targets)
+    assert np.array_equal(copy.sizes_by_target, simulator.trace.sizes_by_target)
+
+
+def test_the_front_end_cannot_write_to_the_trace():
+    simulator = _build("one-request")
+    targets = simulator.frontend._targets
+    first = targets[0]
+    with pytest.raises(TypeError):
+        targets[0] = first + 1
+    assert simulator.trace.targets[0] == first
+
+
 # -- seeded mutations -----------------------------------------------------------
 #
 # name -> (file under src/repro, anchor, replacement, ``-k`` expression
@@ -345,6 +401,12 @@ MUTATIONS = {
         "            if collecting:\n                gc.enable()\n",
         "            gc.enable()\n",
         "caller_had_it_off",
+    ),
+    "request-stream-copied-to-a-list": (
+        "workload/trace.py",
+        "memoryview(self.targets).toreadonly()",
+        "self.targets.tolist()",
+        "costs_no_memory_per_trace_request",
     ),
 }
 

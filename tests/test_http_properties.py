@@ -129,10 +129,14 @@ class _Feed:
     def __init__(self, pieces):
         self._reader, self._writer = socket.socketpair()
         self._pieces = [piece for piece in pieces if piece]
+        #: Bytes the peer has sent so far.
+        self.sent = 0
 
     def recv(self, size):
         if self._pieces:
-            self._writer.sendall(self._pieces.pop(0))
+            piece = self._pieces.pop(0)
+            self.sent += len(piece)
+            self._writer.sendall(piece)
         else:
             self._writer.shutdown(socket.SHUT_WR)
         return self._reader.recv(size)
@@ -147,25 +151,64 @@ def _cut(stream, offsets):
     return [stream[a:b] for a, b in zip(bounds, bounds[1:])]
 
 
-@given(st.lists(_requests(), min_size=1, max_size=4), st.data())
+def _damage(head, kind, data):
+    """``head`` with a bare line break: every CRLF cut to LF, or one LF
+    or CR put in before its terminator."""
+    if kind == "lf-only":
+        return head.replace(b"\r\n", b"\n")
+    at = data.draw(st.integers(1, len(head) - len(b"\r\n\r\n")))
+    return head[:at] + (b"\n" if kind == "bare-lf" else b"\r") + head[at:]
+
+
+def _first_bare(stream):
+    """Index of the first byte that shows ``stream`` holds a bare LF or
+    a bare CR: the LF itself, or the byte after the CR."""
+    for at, byte in enumerate(stream):
+        if byte == ord("\n") and stream[at - 1 : at] != b"\r":
+            return at
+        if byte == ord("\r") and stream[at + 1 : at + 2] not in (b"", b"\n"):
+            return at + 1
+    return None
+
+
+@given(
+    st.lists(_requests(), min_size=1, max_size=4),
+    # About half the examples clean, as many as before damage was drawn.
+    st.one_of(st.none(), st.sampled_from(["lf-only", "bare-lf", "bare-cr"])),
+    st.data(),
+)
 # No explain phase: on a failure it costs seconds and adds no check.
-@settings(max_examples=80, deadline=None, phases=tuple(set(Phase) - {Phase.explain}))
-def test_read_request_head_split_and_pipelined(requests, data):
+@settings(max_examples=160, deadline=None, phases=tuple(set(Phase) - {Phase.explain}))
+def test_read_request_head_split_and_pipelined(requests, damage, data):
     """Pipelined heads cut at arbitrary offsets read back one by one, each
-    as the parser sees it alone, with the bytes past it carried forward."""
+    as the parser sees it alone, with the bytes past it carried forward.
+    A head with a bare LF or CR is refused with 400 by the read that
+    brings in the byte showing it, not by a later one."""
     heads = [_head(request) for request in requests]
+    bad = len(heads)
+    if damage is not None:
+        bad = data.draw(st.integers(0, len(heads) - 1))
+        heads[bad] = _damage(heads[bad], damage, data)
     stream = b"".join(heads)
     offsets = data.draw(st.lists(st.integers(0, len(stream)), max_size=8))
     feed = _Feed(_cut(stream, offsets))
     try:
         consumed, leftover = 0, b""
-        for head in heads:
+        for head in heads[:bad]:
             request, buffered = read_request_head(feed, leftover)
             assert request == parse_request_head(head)
             leftover = buffered[request.head_bytes:]
             consumed += request.head_bytes
             assert stream[consumed:].startswith(leftover)
-        assert read_request_head(feed, leftover) == (None, b"")
+        if damage is None:
+            assert read_request_head(feed, leftover) == (None, b"")
+            return
+        shown = _first_bare(stream)
+        assert shown is not None and shown >= consumed
+        with pytest.raises(HTTPError) as raised:
+            read_request_head(feed, leftover)
+        assert raised.value.status == 400
+        assert feed.sent == min(b for b in [*offsets, len(stream)] if b > shown)
     finally:
         feed.close()
 

@@ -92,7 +92,7 @@ def test_aliased_lock_in_nested_class_needs_guard_decl():
 _IMPORT_TABLE_BINDINGS = (
     '                self.modules[alias.asname or alias.name.split(".")[0]] = alias.name\n'
     "        for node in scan.nodes(ast.ImportFrom):\n"
-    "            base = _import_base(scan.module, node)\n"
+    "            base = _import_base(scan.package, node)\n"
     "            if base is None:\n"
     "                continue\n"
     "            for alias in node.names:\n"
@@ -222,6 +222,16 @@ def test_taint_sources_follow_the_set_iteration_rule():
         ("set_callers.py", 13, "transitive-nondeterminism"),
         ("set_pool.py", 13, "set-iteration"),
     ]
+
+
+def test_taint_follows_a_package_init_reexport():
+    """``from .clock import host_now`` in ``pkg/__init__.py`` reads
+    ``pkg.clock``, so ``from pkg import host_now`` reaches the source."""
+    findings = lint_paths([FIXTURES / "proj_init_reexport"])
+    assert [(Path(f.path).name, f.line, f.rule) for f in findings] == [
+        ("caller.py", 9, "transitive-nondeterminism"),
+    ]
+    assert findings[0].message.endswith("pkg.clock.host_now -> time.time()")
 
 
 # -- every rule id has bad + good fixture coverage -----------------------------

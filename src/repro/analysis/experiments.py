@@ -22,7 +22,13 @@ import math
 from dataclasses import dataclass, replace
 from typing import Any, Callable, Dict, List, Sequence, Tuple, Union
 
-from ..cluster import PAPER_NODE_CACHE_BYTES, CostModel, SimulationResult
+from ..cluster import (
+    PAPER_NODE_CACHE_BYTES,
+    CostModel,
+    CrashFault,
+    FaultSchedule,
+    SimulationResult,
+)
 from ..core import PAPER_POLICY_NAMES
 from ..workload import (
     Trace,
@@ -859,9 +865,12 @@ def ext_failure_recovery(scale: Scale, jobs: int) -> Dict[str, Any]:
     est = baseline.sim_time_s
     fail_at, join_at = 0.30 * est, 0.65 * est
     interval = est / 50
+    # The paper's failure: the front-end notices at once (detect_s=0)
+    # and the node rejoins cold.
+    crash = CrashFault(node=1, at_s=fail_at, detect_s=0.0, rejoin_at_s=join_at)
     faulted = dict(
         steady,
-        membership_events=((fail_at, "fail", 1), (join_at, "join", 1)),
+        fault_schedule=FaultSchedule(crashes=(crash,)),
         timeline_interval_s=interval,
     )
     result = run_cells("rice", {"faulted": faulted}, scale, jobs)["faulted"]

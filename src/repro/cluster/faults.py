@@ -1,17 +1,18 @@
 """Simulator fault model: crashes with detection lag, brownouts, rejoins.
 
 The paper's Section 2.6 treats back-end failure as an instantaneous,
-loss-free membership change, and ``ClusterConfig.membership_events``
-implements exactly that.  The live hand-off prototype knows better: a
-crashed node keeps *receiving* dispatches until the health monitor
+loss-free membership change.  The live hand-off prototype knows better:
+a crashed node keeps *receiving* dispatches until the health monitor
 notices, in-flight work is orphaned, and clients retry with backoff.
-This module closes that gap for the discrete-event simulator:
+This module models both for the discrete-event simulator:
 
 * :class:`CrashFault` — the node goes dark at ``at_s`` but the front-end
   keeps routing to it until detection at ``at_s + detect_s``; requests
   dispatched into that window time out client-side and are retried (per
   :class:`RetryPolicy`) or counted **lost**.  An optional rejoin brings
   the node back with a ``cold``, ``warm``, or partially ``aged`` cache.
+  ``detect_s=0`` is the paper's membership change: the front-end fails
+  the node the instant it goes dark, and a ``cold`` rejoin is its join.
 * :class:`Brownout` — the node stays in the cluster but its CPU and disk
   rates are scaled down for an interval (slow node, not dead node).
 * :func:`generate_fault_schedule` — a seeded MTTF/MTTR process that
@@ -27,15 +28,17 @@ schedule a faulty connection runs the plain stages and mutates the same
 state, so its results are byte-identical — the test suite asserts both
 properties.
 
-Scheduling caveat (shared with ``membership_events``): the engine runs
-until its queue is empty, so fault events placed past trace completion
-still fire and extend the run's final simulated time.
+Scheduling caveat: the engine runs until its queue is empty, so fault
+events placed past trace completion still fire and extend the run's
+final simulated time.
 """
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass, replace
+from numbers import Integral
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from .metrics import DegradedTimeline
@@ -56,6 +59,12 @@ __all__ = [
 #: survival).  GMS-backed nodes have no private cache and always
 #: effectively rejoin cold.
 REJOIN_MODES = ("cold", "warm", "aged")
+
+
+def _require_time(what: str, value: float, lowest: float = 0.0) -> None:
+    """Reject a fault time that is NaN, infinite or below ``lowest``."""
+    if not (lowest <= value < math.inf):
+        raise ValueError(f"{what} must be finite and >= {lowest}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -97,9 +106,10 @@ class RetryPolicy:
 
 @dataclass(frozen=True)
 class CrashFault:
-    """One crash: dark at ``at_s``, detected ``detect_s`` later, and
-    (optionally) rejoining at ``rejoin_at_s`` with ``rejoin_mode`` cache
-    state (``aged_fraction`` of bytes evicted in ``aged`` mode)."""
+    """One crash: dark at ``at_s``, detected ``detect_s`` later (0: at
+    once), and (optionally) rejoining at ``rejoin_at_s`` with
+    ``rejoin_mode`` cache state (``aged_fraction`` of bytes evicted in
+    ``aged`` mode)."""
 
     node: int
     at_s: float
@@ -109,14 +119,11 @@ class CrashFault:
     aged_fraction: float = 0.5
 
     def __post_init__(self) -> None:
-        if self.at_s < 0:
-            raise ValueError(f"crash at_s must be >= 0, got {self.at_s}")
-        if self.detect_s <= 0:
-            raise ValueError(f"crash detect_s must be positive, got {self.detect_s}")
-        if self.rejoin_at_s is not None and self.rejoin_at_s < self.at_s + self.detect_s:
-            raise ValueError(
-                f"node {self.node} rejoin_at_s ({self.rejoin_at_s}) precedes "
-                f"detection at {self.at_s + self.detect_s}"
+        _require_time("crash at_s", self.at_s)
+        _require_time("crash detect_s", self.detect_s)
+        if self.rejoin_at_s is not None:
+            _require_time(
+                f"node {self.node} rejoin_at_s", self.rejoin_at_s, self.detected_at_s
             )
         if self.rejoin_mode not in REJOIN_MODES:
             raise ValueError(
@@ -150,11 +157,10 @@ class Brownout:
     disk_factor: float = 0.5
 
     def __post_init__(self) -> None:
-        if self.at_s < 0:
-            raise ValueError(f"brownout at_s must be >= 0, got {self.at_s}")
-        if self.duration_s <= 0:
+        _require_time("brownout at_s", self.at_s)
+        if not (0.0 < self.duration_s < math.inf):
             raise ValueError(
-                f"brownout duration_s must be positive, got {self.duration_s}"
+                f"brownout duration_s must be positive and finite, got {self.duration_s!r}"
             )
         for name in ("cpu_factor", "disk_factor"):
             factor = getattr(self, name)
@@ -176,13 +182,18 @@ class FaultSchedule:
 
     def validate(self, num_nodes: int) -> None:
         """Raise ``ValueError`` unless this schedule is executable on a
-        ``num_nodes``-node cluster (ids in range, per-node crash
-        intervals ordered and disjoint, brownouts never overlapping a
-        crash, and at least one node alive at every detection)."""
+        ``num_nodes``-node cluster (ids integers in range, per-node
+        crash intervals ordered and disjoint, brownouts never overlapping
+        a crash, and at least one node alive at every detection)."""
         for fault in self.crashes + self.brownouts:
-            if not 0 <= fault.node < num_nodes:
+            node = fault.node
+            if (
+                isinstance(node, bool)
+                or not isinstance(node, Integral)
+                or not 0 <= node < num_nodes
+            ):
                 raise ValueError(
-                    f"fault schedule names unknown node {fault.node} "
+                    f"fault schedule names unknown node {node!r} "
                     f"(cluster has nodes 0..{num_nodes - 1})"
                 )
         per_node: Dict[int, List[CrashFault]] = {}
@@ -407,7 +418,10 @@ class FaultRuntime:
         #: Bucket width for the degraded-mode series (set by the
         #: simulator from ``timeline_interval_s``; None disables).
         self.interval_s: Optional[float] = None
-        self._completions: Dict[int, int] = {}
+        #: Served requests per bucket: the front-end's ``timeline``
+        #: itself, which counts them in the same call with the same
+        #: interval.
+        self._completions: Dict[int, int] = frontend.timeline
         self._misses: Dict[int, int] = {}
         self._lost: Dict[int, int] = {}
         self._delays: Dict[int, List[float]] = {}
@@ -501,7 +515,6 @@ class FaultRuntime:
         if interval is None:
             return
         bucket = int(now // interval)
-        self._completions[bucket] = self._completions.get(bucket, 0) + 1
         if missed:
             self._misses[bucket] = self._misses.get(bucket, 0) + 1
         self._delays.setdefault(bucket, []).append(delay_s)

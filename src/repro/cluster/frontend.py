@@ -18,9 +18,11 @@ protocol provides — ``"sticky"`` (one back-end serves all of a
 connection's requests) and ``"rehandoff"`` (the front-end re-runs the
 policy per request and moves the connection when the policy says so).
 
-It also owns cluster-membership dynamics (paper Section 2.6): failures
-drop a node's mappings, load accounting and (on rejoin) cache, while
-connections already in flight drain without corrupting the books.
+It also owns cluster-membership dynamics (paper Section 2.6), driven
+by the fault runtime (:mod:`repro.cluster.faults`): failures drop a
+node's mappings and load accounting, a rejoin sets the node's cache
+state, and connections already in flight drain without corrupting the
+books.
 
 The front-end decides *who* serves and keeps the books; the request
 lifecycle itself — every run's, whatever is attached to it — is the
@@ -215,17 +217,14 @@ class FrontEnd:
         if self._auto_limit:
             self.max_in_flight = self.policy.admission_limit
 
-    def join_node(
-        self, node: int, cache_mode: str = "cold", aged_fraction: float = 0.5
-    ) -> None:
+    def join_node(self, node: int, cache_mode: str, aged_fraction: float) -> None:
         """A back-end (re)joined.
 
         ``cache_mode`` selects what its cache survived with: ``"cold"``
-        (cleared — the default, and the only behavior before the fault
-        model existed), ``"warm"`` (kept exactly as it died), or
-        ``"aged"`` (``aged_fraction`` of its bytes evicted in policy
-        order).  GMS-backed nodes have no private cache and always
-        effectively rejoin cold.
+        (cleared — the paper's join), ``"warm"`` (kept exactly as it
+        died), or ``"aged"`` (``aged_fraction`` of its bytes evicted in
+        policy order).  GMS-backed nodes have no private cache and
+        always effectively rejoin cold.
         """
         if cache_mode not in ("cold", "warm", "aged"):
             raise ValueError(

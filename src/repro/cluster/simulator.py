@@ -21,7 +21,7 @@ import os
 from dataclasses import dataclass, field, replace
 from numbers import Integral
 from pathlib import Path
-from typing import Any, List, Optional, Tuple, Union
+from typing import Any, List, Optional, Union
 
 import numpy as np
 
@@ -82,54 +82,6 @@ def stripe_by_frequency(trace: Trace, num_disks: int) -> np.ndarray:
     return disk_of
 
 
-def _validate_membership_events(
-    events: Tuple[Tuple[float, str, int], ...], num_nodes: int
-) -> None:
-    """Reject malformed membership schedules at config time (clear errors
-    instead of a corrupted run): unknown actions or node ids, negative or
-    non-monotonic times, failing a failed node, joining an alive one."""
-    alive = [True] * num_nodes
-    last_when: Optional[float] = None
-    for event in events:
-        try:
-            when, action, node = event
-        except (TypeError, ValueError):
-            raise ValueError(
-                f"membership event must be (time_s, action, node), got {event!r}"
-            ) from None
-        if action not in ("fail", "join"):
-            raise ValueError(
-                f"unknown membership action {action!r} (expected 'fail' or 'join')"
-            )
-        if isinstance(node, bool) or not isinstance(node, int) or not 0 <= node < num_nodes:
-            raise ValueError(
-                f"membership event names unknown node {node!r} "
-                f"(cluster has nodes 0..{num_nodes - 1})"
-            )
-        if when < 0:
-            raise ValueError(f"membership event time must be >= 0, got {when!r}")
-        if last_when is not None and when < last_when:
-            raise ValueError(
-                "membership events must be in non-decreasing time order: "
-                f"t={when!r} after t={last_when!r}"
-            )
-        last_when = when
-        if action == "fail":
-            if not alive[node]:
-                raise ValueError(
-                    f"membership event at t={when!r} fails node {node}, "
-                    "which is already failed"
-                )
-            alive[node] = False
-        else:
-            if alive[node]:
-                raise ValueError(
-                    f"membership event at t={when!r} joins node {node}, "
-                    "which is already alive"
-                )
-            alive[node] = True
-
-
 def _require_count(name: str, value: Any, too_small: Optional[str] = None) -> None:
     """Reject a count field that is not an integer >= 1."""
     if isinstance(value, bool) or not isinstance(value, Integral):
@@ -158,10 +110,6 @@ class ClusterConfig:
     #: Coalesce concurrent misses on one file into a single disk read
     #: (paper Section 3.1); disable only for the ablation bench.
     coalesce_reads: bool = True
-    #: Membership schedule: ``((time_s, "fail"|"join", node), ...)``.
-    #: Failures drop the node's mappings/cache per paper Section 2.6;
-    #: joins bring it back cold.
-    membership_events: Tuple[Tuple[float, str, int], ...] = ()
     #: When set, completions are bucketed into intervals of this many
     #: simulated seconds (throughput timelines for dynamic experiments).
     timeline_interval_s: Optional[float] = None
@@ -183,9 +131,10 @@ class ClusterConfig:
     sanitize_interval: int = 256
     #: Optional simulator fault model (:mod:`repro.cluster.faults`):
     #: crash faults with detection lag and client retries, brownouts,
-    #: and cold/warm/aged rejoins.  ``None`` runs no fault code at
-    #: all.  Mutually exclusive with ``membership_events`` (the fault
-    #: model subsumes them).
+    #: and cold/warm/aged rejoins.  A crash with ``detect_s=0`` is the
+    #: paper's Section 2.6 failure (the front-end drops the node's
+    #: mappings at once), its cold rejoin the paper's join.  ``None``
+    #: runs no fault code at all.
     fault_schedule: Optional[FaultSchedule] = None
     #: Seed for randomized policies (``pod``, ``pod/lc``); equal seeds
     #: reproduce byte-identical runs.
@@ -214,14 +163,8 @@ class ClusterConfig:
             f"need at least one disk, got {self.disks_per_node}",
         )
         _require_count("sanitize_interval", self.sanitize_interval)
-        _validate_membership_events(self.membership_events, self.num_nodes)
         if self.fault_schedule is not None:
             self.fault_schedule.validate(self.num_nodes)
-        if self.fault_schedule is not None and self.membership_events:
-            raise ValueError(
-                "fault_schedule and membership_events cannot be combined; "
-                "express clean fail/join pairs as CrashFaults instead"
-            )
         interval = self.timeline_interval_s
         if interval is not None and not (0.0 < interval < math.inf):
             raise ValueError(
@@ -381,12 +324,6 @@ class ClusterSimulator:
     def _serve(self) -> SimulationResult:
         self.frontend.timeline_interval_s = self.config.timeline_interval_s
         self.frontend.collect_delays = self.config.collect_delays
-        for when, action, node in self.config.membership_events:
-            # ClusterConfig.__post_init__ admits only "fail" and "join".
-            if action == "fail":
-                self.engine.schedule(when, self.frontend.fail_node, node)
-            else:
-                self.engine.schedule(when, self.frontend.join_node, node)
         runtime = self.fault_runtime
         if runtime is not None:
             runtime.interval_s = self.config.timeline_interval_s

@@ -30,8 +30,8 @@ Fault tolerance (paper Section 2.6, made live):
   and heartbeats start failing so the
   :class:`~repro.handoff.health.HealthMonitor` marks the node down.
 * :meth:`BackendServer.start` works again after ``stop``/``kill`` — a
-  rejoined node comes back with a cold cache, exactly as in the
-  simulator's ``join_node``.
+  rejoined node comes back with a cold cache, exactly as a crash in the
+  simulator that rejoins in ``cold`` mode.
 """
 
 from __future__ import annotations

@@ -1,7 +1,7 @@
 """Reproducible fault injection for the live cluster (chaos harness).
 
-The simulator exercises paper Section 2.6 with a declarative
-``membership_events`` schedule; this module is the live-socket analogue.
+The simulator exercises paper Section 2.6 with a fault schedule
+(:mod:`repro.cluster.faults`); this module is the live-socket analogue.
 :class:`FaultInjector` scripts failures against a running
 :class:`~repro.handoff.cluster.HandoffCluster`:
 

@@ -3,9 +3,9 @@
 The paper argues LARD needs "no elaborate front-end state" to survive a
 back-end failure: "the front end simply re-assigns targets assigned to
 the failed back end as if they had not been assigned before."  The
-simulator implements that with scheduled ``membership_events``; a live
-cluster has to *discover* failures instead.  :class:`HealthMonitor` is
-that discovery layer:
+simulator implements that with a scheduled crash its front-end detects
+at once or after a set lag; a live cluster has to *discover* failures
+instead.  :class:`HealthMonitor` is that discovery layer:
 
 * a monitor thread probes every back-end's :meth:`~repro.handoff.backend.
   BackendServer.heartbeat` each ``interval_s``;
@@ -15,7 +15,8 @@ that discovery layer:
   admission limit, exactly mirroring the simulator's ``fail_node``;
 * ``_RECOVERY_THRESHOLD`` (2) consecutive good heartbeats from a down
   node mark it up again — the node's cache is cleared first so it
-  re-enters the policy's node set *cold*, mirroring ``join_node``;
+  re-enters the policy's node set *cold*, mirroring the simulator's
+  ``cold`` rejoin;
 * the front-end can also call :meth:`mark_down` directly when a hand-off
   fails (fail-fast detection: a refused hand-off is better evidence than
   any heartbeat).
@@ -173,7 +174,7 @@ class HealthMonitor:
 
     def mark_up(self, node: int) -> bool:
         """Rejoin ``node`` cold (idempotent): its cache is cleared before
-        the policy sees it, like the simulator's ``join_node``."""
+        the policy sees it, like the simulator's ``cold`` rejoin."""
         if self.dispatcher.is_alive(node):
             return False
         self.backends[node].reset_cache()

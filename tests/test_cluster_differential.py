@@ -20,7 +20,7 @@ after ``_account_request`` rather than before it, from the served hook
 Hypothesis draws fault times from a continuous process, so it never
 puts two membership changes at one instant; the case where that matters
 (a node failing between an admission and the start event the admission
-staged) is fixed below, through both ways of writing a schedule.
+staged) is fixed below.
 """
 
 from __future__ import annotations
@@ -179,14 +179,32 @@ def test_drawn_schedules_exercise_the_fault_paths():
 # connections are orphans: their load went with the node.  Both
 # lifecycles used to read the epoch in the start event, took the orphans
 # for live connections and died of "completion on node 2 with zero load".
+# A start event serves only on a node that is not dark, so the orphans
+# reach it only when node 2 is back within the same instant.
 
 _RACES = {
-    "membership-events": dict(
-        membership_events=((0.5, "fail", 1), (1.0, "join", 1), (1.0, "fail", 2)),
+    # Node 2 crashes, is failed and rejoins at t=1.0: its orphans start
+    # on the rejoined node and finish there, holding no load.
+    "down-and-back-at-once": dict(
+        fault_schedule=FaultSchedule(
+            crashes=(
+                CrashFault(1, at_s=0.5, detect_s=0.0, rejoin_at_s=1.0),
+                CrashFault(2, at_s=1.0, detect_s=0.0, rejoin_at_s=1.0),
+            ),
+        ),
     ),
-    # The same through the fault model: rejoin and detection at t=1.0;
-    # node 2 is dark by then, so the orphans time out rather than finish.
-    "fault-schedule": dict(
+    # Node 2 crashes and is failed at t=1.0 and stays down: its orphans
+    # find it dark, time out and are retried elsewhere.
+    "detected-at-once": dict(
+        fault_schedule=FaultSchedule(
+            crashes=(
+                CrashFault(1, at_s=0.5, detect_s=0.0, rejoin_at_s=1.0),
+                CrashFault(2, at_s=1.0, detect_s=0.0),
+            ),
+        ),
+    ),
+    # Rejoin and detection at t=1.0; node 2 has been dark since 0.75.
+    "detected-late": dict(
         fault_schedule=FaultSchedule(
             crashes=(
                 CrashFault(1, at_s=0.25, detect_s=0.25, rejoin_at_s=1.0),
@@ -256,7 +274,7 @@ MUTATIONS = {
         "        self.start = now\n",
         "        node = self.node\n        engine = self.engine\n        now = engine.now\n"
         "        self.start = now\n        self.epoch = self.fe._epoch[self.node.node_id]\n",
-        dict(traced=False, cgi=False, policy="wrr", **_RACES["membership-events"]),
+        dict(traced=False, cgi=False, policy="wrr", **_RACES["down-and-back-at-once"]),
     ),
     # A connection is a batch of trace requests; one of one is the paper's.
     "batch-torn-down-after-its-first-request": (

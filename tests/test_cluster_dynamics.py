@@ -2,7 +2,13 @@
 
 import pytest
 
-from repro.cluster import ClusterConfig, ClusterSimulator, run_simulation
+from repro.cluster import (
+    ClusterConfig,
+    ClusterSimulator,
+    CrashFault,
+    FaultSchedule,
+    run_simulation,
+)
 from repro.cluster.frontend_capacity import FrontEndCapacityModel
 from repro.workload import synthesize_trace
 
@@ -16,6 +22,15 @@ def _trace(n=6000, seed=3):
 CACHE = 2**20
 
 
+def _fail(node, at_s, rejoin_at_s=None, rejoin_mode="cold"):
+    """The paper's Section 2.6 failure: a crash the front-end detects at
+    once, optionally followed by a rejoin."""
+    crash = CrashFault(
+        node, at_s=at_s, detect_s=0.0, rejoin_at_s=rejoin_at_s, rejoin_mode=rejoin_mode
+    )
+    return FaultSchedule(crashes=(crash,))
+
+
 class TestMembershipDynamics:
     def test_all_requests_served_through_failure(self):
         trace = _trace()
@@ -25,7 +40,7 @@ class TestMembershipDynamics:
             policy="lard/r",
             num_nodes=4,
             node_cache_bytes=CACHE,
-            membership_events=((base.sim_time_s * 0.4, "fail", 2),),
+            fault_schedule=_fail(2, base.sim_time_s * 0.4),
         )
         assert result.num_requests == len(trace)
 
@@ -37,7 +52,7 @@ class TestMembershipDynamics:
             policy="lard/r",
             num_nodes=4,
             node_cache_bytes=CACHE,
-            membership_events=((fail_at, "fail", 2),),
+            fault_schedule=_fail(2, fail_at),
         )
         sim = ClusterSimulator(trace, config)
         result = sim.run()
@@ -52,10 +67,7 @@ class TestMembershipDynamics:
             policy="lard/r",
             num_nodes=4,
             node_cache_bytes=CACHE,
-            membership_events=(
-                (base.sim_time_s * 0.1, "fail", 2),
-                (base.sim_time_s * 0.3, "join", 2),
-            ),
+            fault_schedule=_fail(2, base.sim_time_s * 0.1, base.sim_time_s * 0.3),
         )
         sim = ClusterSimulator(trace, config)
         sim.run()
@@ -70,7 +82,7 @@ class TestMembershipDynamics:
             policy="lard/r",
             num_nodes=4,
             node_cache_bytes=CACHE,
-            membership_events=((base.sim_time_s * 0.3, "fail", 1),),
+            fault_schedule=_fail(1, base.sim_time_s * 0.3),
         )
         assert failed.throughput_rps < base.throughput_rps
 
@@ -82,7 +94,7 @@ class TestMembershipDynamics:
             policy="wrr",
             num_nodes=4,
             node_cache_bytes=CACHE,
-            membership_events=((base.sim_time_s * 0.5, "fail", 0),),
+            fault_schedule=_fail(0, base.sim_time_s * 0.5),
         )
         assert result.orphaned_connections > 0
 
@@ -99,13 +111,15 @@ class TestMembershipDynamics:
         assert max(result.timeline) <= int(result.sim_time_s / 0.5) + 1
 
     def test_unknown_membership_action_rejected(self):
-        with pytest.raises(ValueError, match="membership action"):
+        """A node rejoins cold, warm or aged; any other way back in is
+        refused when the schedule is built."""
+        with pytest.raises(ValueError, match="rejoin_mode"):
             run_simulation(
                 _trace(100),
                 policy="wrr",
                 num_nodes=2,
                 node_cache_bytes=CACHE,
-                membership_events=((0.1, "reboot", 0),),
+                fault_schedule=_fail(0, 0.1, 0.2, rejoin_mode="reboot"),
             )
 
 

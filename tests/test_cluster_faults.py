@@ -84,7 +84,9 @@ def test_retry_backoff_is_capped_exponential():
 
 def test_crash_fault_validation():
     with pytest.raises(ValueError, match="detect_s"):
-        CrashFault(node=0, at_s=1.0, detect_s=0.0)
+        CrashFault(node=0, at_s=1.0, detect_s=-0.5)
+    with pytest.raises(ValueError, match="detect_s"):
+        CrashFault(node=0, at_s=1.0, detect_s=float("nan"))
     with pytest.raises(ValueError, match="rejoin"):
         CrashFault(node=0, at_s=1.0, detect_s=0.5, rejoin_at_s=1.2)
     with pytest.raises(ValueError, match="rejoin_mode"):
@@ -147,31 +149,78 @@ def test_last_disruption_covers_rejoins_and_brownouts():
     assert FaultSchedule().last_disruption_s == 0.0
 
 
-# -- membership-event config validation (satellite) ----------------------------
+# -- schedule validation at config time ---------------------------------------
+#
+# The one fault validator is as strict as the fault model and the
+# declarative membership schedule it replaced were together: a node id
+# is an integer in range (never a bool), every time is finite.
+
+_NAN, _INF = float("nan"), float("inf")
 
 
 @pytest.mark.parametrize(
-    "events,match",
+    "make,match",
     [
-        (((1.0, "explode", 1),), "membership action"),
-        (((1.0, "fail", 9),), "unknown node"),
-        (((1.0, "fail", True),), "unknown node"),
-        (((-1.0, "fail", 1),), "must be >= 0"),
-        (((2.0, "fail", 1), (1.0, "join", 1)), "non-decreasing"),
-        (((1.0, "fail", 1), (2.0, "fail", 1)), "already failed"),
-        (((1.0, "join", 1),), "already alive"),
-        ((("soon", "fail"),), "membership event"),
+        (lambda: CrashFault(node=9, at_s=1.0, detect_s=0.0), "unknown node 9"),
+        (lambda: CrashFault(node=True, at_s=1.0, detect_s=0.0), "unknown node True"),
+        (lambda: CrashFault(node=1.5, at_s=1.0, detect_s=0.0), "unknown node 1.5"),
+        (lambda: Brownout(node=False, at_s=1.0, duration_s=1.0), "unknown node False"),
+        (lambda: CrashFault(node=1, at_s=-1.0, detect_s=0.0), "at_s must be"),
+        (lambda: CrashFault(node=1, at_s=_NAN, detect_s=0.0), "at_s must be"),
+        (lambda: CrashFault(node=1, at_s=_INF, detect_s=0.0), "at_s must be"),
+        (lambda: CrashFault(node=1, at_s=1.0, detect_s=_INF), "detect_s must be"),
+        (
+            lambda: CrashFault(node=1, at_s=1.0, detect_s=0.0, rejoin_at_s=_NAN),
+            "rejoin_at_s must be",
+        ),
+        (
+            lambda: CrashFault(node=1, at_s=1.0, detect_s=0.0, rejoin_at_s=_INF),
+            "rejoin_at_s must be",
+        ),
+        (lambda: Brownout(node=1, at_s=_NAN, duration_s=1.0), "at_s must be"),
+        (lambda: Brownout(node=1, at_s=1.0, duration_s=_NAN), "duration_s must be"),
+        (lambda: Brownout(node=1, at_s=1.0, duration_s=_INF), "duration_s must be"),
+    ],
+    ids=[
+        "unknown-node",
+        "bool-node",
+        "fractional-node",
+        "bool-brownout-node",
+        "negative-time",
+        "nan-time",
+        "inf-time",
+        "inf-detect",
+        "nan-rejoin",
+        "inf-rejoin",
+        "nan-brownout-start",
+        "nan-brownout-duration",
+        "inf-brownout-duration",
     ],
 )
-def test_malformed_membership_events_rejected_at_config_time(events, match):
+def test_malformed_fault_schedules_rejected_at_config_time(make, match):
     with pytest.raises(ValueError, match=match):
-        _config(membership_events=events)
+        fault = make()
+        field = "crashes" if isinstance(fault, CrashFault) else "brownouts"
+        _config(fault_schedule=FaultSchedule(**{field: (fault,)}))
 
 
-def test_fault_schedule_and_membership_events_are_exclusive():
-    schedule = FaultSchedule(crashes=(CrashFault(node=0, at_s=1.0, detect_s=0.5),))
-    with pytest.raises(ValueError, match="cannot be combined"):
-        _config(membership_events=((1.0, "fail", 1),), fault_schedule=schedule)
+def test_failing_a_node_that_is_already_down_is_rejected():
+    schedule = FaultSchedule(
+        crashes=(
+            CrashFault(node=1, at_s=1.0, detect_s=0.0),
+            CrashFault(node=1, at_s=2.0, detect_s=0.0),
+        )
+    )
+    with pytest.raises(ValueError, match="never rejoined"):
+        _config(fault_schedule=schedule)
+
+
+def test_a_crash_detected_at_once_is_the_papers_membership_change():
+    """Section 2.6's fail/join is a crash with ``detect_s=0``: the node
+    is failed the instant it goes dark, and may rejoin that instant."""
+    crash = CrashFault(node=1, at_s=1.0, detect_s=0.0, rejoin_at_s=1.0)
+    assert crash.detected_at_s == crash.at_s == crash.end_s == 1.0
+    _config(fault_schedule=FaultSchedule(crashes=(crash,)))
 
 
 # -- seeded schedule generation ------------------------------------------------
@@ -322,7 +371,7 @@ def test_frontend_join_rejects_unknown_cache_mode(baseline):
     sim = ClusterSimulator(_trace(), _config())
     sim.frontend.fail_node(1)
     with pytest.raises(ValueError, match="cache_mode"):
-        sim.frontend.join_node(1, cache_mode="tepid")
+        sim.frontend.join_node(1, cache_mode="tepid", aged_fraction=0.5)
 
 
 # -- degraded-mode metrics -----------------------------------------------------

@@ -47,7 +47,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.cluster import ClusterConfig, ClusterSimulator
+from repro.cluster import ClusterConfig, ClusterSimulator, CrashFault, FaultSchedule
 from repro.obs import SpanWriter
 from repro.obs.tracer import SimTracer
 from repro.sim import SanitizerError
@@ -84,7 +84,12 @@ CASES = {
     "cgi": (True, dict(policy="lard/r", collect_delays=True), False),
     "membership": (
         False,
-        dict(policy="lard/r", membership_events=((1.0, "fail", 1), (3.0, "join", 1))),
+        dict(
+            policy="lard/r",
+            fault_schedule=FaultSchedule(
+                crashes=(CrashFault(1, at_s=1.0, detect_s=0.0, rejoin_at_s=3.0),)
+            ),
+        ),
         False,
     ),
 }

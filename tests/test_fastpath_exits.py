@@ -1,5 +1,5 @@
 """The three ways out of ``_complete``, for batches of one and of four,
-plain and under the fault model.
+through a node failure and under a seeded fault schedule.
 
 A completion frees one admission slot.  In steady state the next trace
 request takes it and the completing object carries that request on (the
@@ -21,6 +21,7 @@ import sys
 
 import pytest
 
+from repro.cluster.faults import CrashFault, FaultSchedule
 from repro.cluster.frontend import FrontEnd
 from repro.cluster.simulator import ClusterConfig, ClusterSimulator
 from repro.obs import SpanWriter
@@ -30,10 +31,16 @@ from tests.cluster_oracle import use_oracle
 from tests.seeded_mutation import assert_selected_tests_fail
 from tests.test_cluster_differential import _schedule
 
-_MEMBERSHIP = dict(membership_events=((0.5, "fail", 1), (1.5, "join", 1)))
+#: Node 1 fails (a crash detected at once, paper Section 2.6) and
+#: rejoins cold.
+_FAILOVER = dict(
+    fault_schedule=FaultSchedule(
+        crashes=(CrashFault(1, at_s=0.5, detect_s=0.0, rejoin_at_s=1.5),)
+    )
+)
 _CASES = {
-    "plain": _MEMBERSHIP,
-    "persistent": dict(requests_per_connection=4, **_MEMBERSHIP),
+    "plain": _FAILOVER,
+    "persistent": dict(requests_per_connection=4, **_FAILOVER),
     # Crashes, rejoins and give-ups come from the schedule.
     "faulty": dict(fault_schedule=_schedule(3)),
 }

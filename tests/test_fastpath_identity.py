@@ -18,7 +18,8 @@ import types
 
 import pytest
 
-from repro.cluster.fastpath import FastConnection, TracedConnection
+from repro.cluster.fastpath import FastConnection, TracedConnection, TracedFaultyConnection
+from repro.cluster.faults import CrashFault, FaultSchedule
 from repro.cluster.frontend import FrontEnd
 from repro.cluster.simulator import ClusterConfig, ClusterSimulator
 from repro.obs import SpanWriter
@@ -56,6 +57,12 @@ def _sha256(result_dict):
     ).hexdigest()
 
 
+#: Paper Section 2.6: node 1 fails at 0.5 s — a crash the front-end
+#: detects at once — and rejoins cold at 1.5 s.
+_FAILOVER = FaultSchedule(
+    crashes=(CrashFault(1, at_s=0.5, detect_s=0.0, rejoin_at_s=1.5),)
+)
+
 _CONFIGS = [
     dict(policy="lard", num_nodes=4, node_cache_bytes=2**19),
     dict(policy="lard/r", num_nodes=4, node_cache_bytes=2**19),
@@ -64,12 +71,7 @@ _CONFIGS = [
     dict(policy="wrr/gms", num_nodes=4, node_cache_bytes=2**19),
     dict(policy="lard/r", num_nodes=2, node_cache_bytes=2**18, disks_per_node=3),
     dict(policy="lard", num_nodes=4, node_cache_bytes=2**19, coalesce_reads=False),
-    dict(
-        policy="lard/r",
-        num_nodes=3,
-        node_cache_bytes=2**19,
-        membership_events=((0.5, "fail", 1), (1.5, "join", 1)),
-    ),
+    dict(policy="lard/r", num_nodes=3, node_cache_bytes=2**19, fault_schedule=_FAILOVER),
     # Policy-zoo strategies: the seeded-RNG contract (entropy consumed
     # only inside choose, once per admitted request) must keep the
     # flattened fast path byte-identical to the generator twin.
@@ -77,12 +79,7 @@ _CONFIGS = [
     dict(policy="pod", num_nodes=4, node_cache_bytes=2**19),
     dict(policy="pod/lc", num_nodes=4, node_cache_bytes=2**19),
     dict(policy="pod/lc", num_nodes=4, node_cache_bytes=2**19, policy_seed=7),
-    dict(
-        policy="pod",
-        num_nodes=3,
-        node_cache_bytes=2**19,
-        membership_events=((0.5, "fail", 1), (1.5, "join", 1)),
-    ),
+    dict(policy="pod", num_nodes=3, node_cache_bytes=2**19, fault_schedule=_FAILOVER),
     # Persistent connections: a batch per pooled object, pinned below
     # against what the generator lifecycle produced on a7b00b5.
     dict(
@@ -118,11 +115,32 @@ _PARENT_GENERATOR_SHA256 = {
     "lard/r-4-524288-4-sticky": "4f17dcc074d5889984c3f3609b42eef73266045fdbe5cb36cb51ddc5c9d542a2",
     "lard/r-4-524288-4-rehandoff": "e430fd25e53b60855335cd52a615e23e3cc5d4bb6d6a101db50bc34638faa660",
     "lb/gc-4-524288-4-rehandoff": "91c63a668aedb9fb9deaad5ce7985958fce93075fbace0eaf0dd414613f5f1a8",
+    # Recorded on da7f422, where this failure was a declarative
+    # fail/join schedule beside the fault model: as a crash detected at
+    # once it must give the same result to the byte.
+    "lard/r-3-524288-((0.5, 'fail', 1), (1.5, 'join', 1))": (
+        "6f01c01d5ca59cd332191b15bd02b43f2a69fdfe736abc81262993ba018e48a1"
+    ),
+    "pod-3-524288-((0.5, 'fail', 1), (1.5, 'join', 1))": (
+        "264c6a3fca2af2b79c61a114b487527f93bb166cd0ceb0184c625a77118e398a"
+    ),
 }
 
 
+def _value_id(value):
+    """A config value as it appears in a test id; a schedule of crashes
+    detected at once reads as the fail/join transitions it makes."""
+    if isinstance(value, FaultSchedule):
+        events = []
+        for crash in value.crashes:
+            events.append((crash.at_s, "fail", crash.node))
+            events.append((crash.rejoin_at_s, "join", crash.node))
+        return str(tuple(events))
+    return str(value)
+
+
 def _config_id(config):
-    return "-".join(str(v) for v in config.values())
+    return "-".join(_value_id(v) for v in config.values())
 
 
 @pytest.mark.parametrize("config", _CONFIGS, ids=_config_id)
@@ -256,8 +274,9 @@ def test_traced_state_machine_matches_generator_span_log(trace, config):
     assert fast_log.count('"kind":"span"') == len(trace)
     assert fast_log.count('"kind":"sample"') >= 2
     # ...and it really was the state machine, one traced class for every
-    # batch length.
-    assert _conn_class(sim) is TracedConnection
+    # batch length (its faulty form under a fault schedule).
+    faulty = "fault_schedule" in config
+    assert _conn_class(sim) is (TracedFaultyConnection if faulty else TracedConnection)
 
 
 def test_traced_state_machine_matches_generator_on_cgi(cgi_trace):
@@ -400,7 +419,7 @@ _INPLACE_CASES = {
     "one-request": dict(),
     "persistent": dict(requests_per_connection=4),
     "faulty": dict(fault_schedule=_schedule(3)),
-    "membership": dict(membership_events=((0.5, "fail", 1), (1.5, "join", 1))),
+    "membership": dict(fault_schedule=_FAILOVER),
 }
 
 

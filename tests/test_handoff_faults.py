@@ -1,7 +1,7 @@
 """Chaos integration tests: back-end crashes under live load.
 
-The live analogue of the simulator's ``membership_events`` experiments
-(paper Section 2.6): kill a back-end in the middle of a load run and
+The live analogue of the simulator's node-failure experiments (paper
+Section 2.6): kill a back-end in the middle of a load run and
 assert the cluster's fault-tolerance contract — every client request
 gets an HTTP response (success or 503), admission slots all return, no
 worker threads leak, and throughput recovers once the node rejoins.

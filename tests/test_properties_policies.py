@@ -35,7 +35,7 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
-from repro.cluster import ClusterConfig, ClusterSimulator
+from repro.cluster import ClusterConfig, ClusterSimulator, CrashFault, FaultSchedule
 from repro.core import POLICY_NAMES, WeightedRoundRobin, make_policy
 from repro.workload import synthesize_trace
 from tests import policy_oracle
@@ -232,12 +232,12 @@ def test_load_helpers_match_the_scan_oracle_inside_a_run(
     simulation (with a node failing and rejoining under ``churn``),
     through the engine's per-event hook."""
     trace = synthesize_trace(500, 60, 8 * 2**20, 1.0, seed=seed % 50)
-    events = ((0.3, "fail", seed % num_nodes), (0.9, "join", seed % num_nodes))
+    crash = CrashFault(seed % num_nodes, at_s=0.3, detect_s=0.0, rejoin_at_s=0.9)
     config = ClusterConfig(
         policy=policy_name,
         num_nodes=num_nodes,
         node_cache_bytes=2**19,
-        membership_events=events if churn else (),
+        fault_schedule=FaultSchedule(crashes=(crash,)) if churn else None,
     )
     simulator = ClusterSimulator(trace, config)
     policy = simulator.policy

@@ -18,7 +18,13 @@ import heapq
 import pytest
 
 from repro.analysis.sweep import result_row, write_csv
-from repro.cluster import ClusterConfig, ClusterSimulator, run_simulation
+from repro.cluster import (
+    ClusterConfig,
+    ClusterSimulator,
+    CrashFault,
+    FaultSchedule,
+    run_simulation,
+)
 from repro.core.lardr import _ServerSet
 from repro.sim import Engine, InvariantSanitizer, SanitizerError
 from repro.workload import synthesize_trace
@@ -299,10 +305,16 @@ def test_alive_flag_flip_is_caught_by_the_recount_that_licenses_the_skip():
 def test_sweep_and_event_counts_are_pinned():
     """Counts recorded on 30ec2b1 (per-event checks behind two calls,
     mapping walk unconditional): fusing the calls and skipping the
-    vacuous walk must not change how often anything is checked."""
+    vacuous walk must not change how often anything is checked.  The
+    ``lard`` run's failure was a bare fail/join pair then (5619 events);
+    as a crash detected at once it is a crash event and a detection
+    event, one more."""
+    failover = FaultSchedule(
+        crashes=(CrashFault(1, at_s=0.5, detect_s=0.0, rejoin_at_s=1.5),)
+    )
     pinned = {
         "lard/r": (dict(), 5474, 86),
-        "lard": (dict(membership_events=((0.5, "fail", 1), (1.5, "join", 1))), 5619, 88),
+        "lard": (dict(fault_schedule=failover), 5620, 88),
     }
     for policy, (extra, events, sweeps) in pinned.items():
         config = ClusterConfig(

@@ -1,7 +1,8 @@
 """Shared machinery for the experiment benchmark harness.
 
 ``test_experiments.py`` regenerates every registered table/figure at
-``QUICK`` scale (see ``repro.analysis.experiments.Scale``), prints the same
+``QUICK`` scale (see ``repro.analysis.experiments.Scale``; the three live
+prototype experiments ignore the scale), prints the same
 rows/series the paper reports, and asserts the paper's *shape* claims
 (who wins, by roughly what factor, where crossovers fall).  Absolute
 numbers are expected to differ — the substrate is a simulator and

@@ -13,13 +13,17 @@ simulation it needs goes through :func:`run_cells` (or, for the three
 campaign experiments, :func:`~repro.analysis.matrix.run_matrix`) with the
 ``jobs`` it was given.  Cells over the stand-in traces are memoized per
 (trace, scale, config), so the figure-7/8/9 trio — different views of one
-sweep — runs the sweep once.
+sweep — runs the sweep once.  The three Section 6 results are *live*
+experiments: they drive the hand-off prototype over loopback sockets,
+ignore the scale, and are left out of :data:`SIMULATED` (``run all``).
 """
 
 from __future__ import annotations
 
 import math
+import tempfile
 from dataclasses import dataclass, replace
+from pathlib import Path
 from typing import Any, Callable, Dict, List, Sequence, Tuple, Union
 
 from ..cluster import (
@@ -52,6 +56,7 @@ __all__ = [
     "SCALES",
     "Experiment",
     "EXPERIMENTS",
+    "SIMULATED",
     "run_experiment",
     "run_cells",
     "get_trace",
@@ -200,17 +205,22 @@ class Experiment:
     experiment_id: str
     summary: str  #: the one-line description shown by ``lard-repro list``
     fn: Callable[[Scale, int], Dict[str, Any]]
+    #: Runs the live prototype on real sockets: wall-clock numbers that
+    #: differ run to run, so ``run all`` and its golden leave it out.
+    live: bool = False
 
 
-#: The registry, in ``run all`` order (the order of declaration below).
+#: The registry, in the order of declaration below.
 EXPERIMENTS: Dict[str, Experiment] = {}
 
 
-def experiment(experiment_id: str, summary: str) -> Callable[[Callable], Callable]:
+def experiment(
+    experiment_id: str, summary: str, live: bool = False
+) -> Callable[[Callable], Callable]:
     """Register the decorated ``fn(scale, jobs)`` under ``experiment_id``."""
 
     def register(fn: Callable[[Scale, int], Dict[str, Any]]) -> Callable:
-        EXPERIMENTS[experiment_id] = Experiment(experiment_id, summary, fn)
+        EXPERIMENTS[experiment_id] = Experiment(experiment_id, summary, fn, live)
         return fn
 
     return register
@@ -1357,3 +1367,171 @@ def ablation_coalescing(scale: Scale, jobs: int) -> Dict[str, Any]:
                   "coalescing concurrent misses on one file never hurts throughput")
         ],
     )
+
+
+# ---------------------------------------------------------------------------
+# The live prototype (Section 6): real sockets over loopback, so these
+# read wall-clock rates, ignore the scale and ``jobs``, and each imports
+# repro.handoff itself
+# ---------------------------------------------------------------------------
+
+
+def _load(cluster: Any, urls: Sequence[str], requests: int, concurrency: int) -> Tuple[Any, Any]:
+    """Start ``cluster``, drive ``requests`` closed-loop GETs over ``urls``
+    through it, and return the load result and the drained cluster's stats."""
+    from ..handoff import LoadGenerator
+
+    with cluster:
+        load = LoadGenerator(
+            cluster.address, urls, concurrency=concurrency, verify=cluster.verify
+        ).run(requests)
+        cluster.wait_idle()
+        return load, cluster.stats()
+
+
+@experiment("sec6.2-handoff", "Sec 6.2   - live hand-off latency and throughput", live=True)
+def sec62_handoff(scale: Scale, jobs: int) -> Dict[str, Any]:
+    """Section 6.2's two front-end measurements on the user-space
+    prototype: the latency one hand-off adds (accept -> parse -> dispatch
+    -> the back-end owns the socket) and the hand-offs one front-end
+    sustains, over one tiny document so that nothing else costs."""
+    from ..handoff import DocumentStore, HandoffCluster
+
+    with tempfile.TemporaryDirectory(prefix="lard-ho-") as root:
+        store = DocumentStore.build(Path(root), {"/tiny": 128})
+        cluster = HandoffCluster(
+            store, num_backends=2, policy="lard/r", cache_bytes=2**20,
+            miss_penalty_s=0.0, workers_per_backend=8, max_in_flight=256,
+        )
+        load, stats = _load(cluster, ["/tiny"], 2000, concurrency=16)
+    latency_us = stats.frontend.mean_handoff_latency_s * 1e6
+    return dict(
+        title="TCP hand-off front-end measurements",
+        paper_reference="Section 6.2",
+        headers=["metric", "paper (kernel, 300 MHz PII)", "measured (user space, loopback)"],
+        rows=[
+            ["hand-off latency", "~194 µs", f"{latency_us:.0f} µs"],
+            ["hand-off throughput", "thousands conn/s", f"{load.throughput_rps:.0f} conn/s"],
+        ],
+        expectation=(
+            "hand-off latency is insignificant against wide-area connection "
+            "setup, and one front-end sustains thousands of hand-offs/s"
+        ),
+        checks=[
+            check(load.errors == 0, f"every connection is answered ({load.errors} errors)"),
+            check(latency_us < 5000,
+                  f"a hand-off adds well under wide-area setup time "
+                  f"({latency_us:.0f} µs < 5000 µs)"),
+            check(load.throughput_rps > 1000,
+                  f"one front-end sustains thousands of hand-offs/s "
+                  f"({load.throughput_rps:.0f} > 1000 conn/s)"),
+        ],
+    )
+
+
+@experiment("fig18", "Figure 18 - live prototype HTTP throughput, WRR vs LARD/R", live=True)
+def fig18_prototype(scale: Scale, jobs: int) -> Dict[str, Any]:
+    """Figure 18 on the live prototype: a real front-end hands real
+    sockets to back-end HTTP servers whose caches hold a fraction of the
+    docroot, and a miss pays a disk-penalty sleep.  The paper drove its
+    six back-ends with a Rice trace segment."""
+    from ..handoff import DocumentStore, HandoffCluster
+
+    cache_bytes = 192 * 1024
+    sizes = (1, 2, 4, 6)
+    trace = synthesize_trace(
+        num_requests=2400, num_targets=400,
+        total_bytes=int(4 * cache_bytes * 0.9),  # fits four caches, not one
+        zipf_alpha=0.9, size_popularity_correlation=-0.4, seed=18, name="fig18",
+    )
+    rps: Dict[Tuple[int, str], float] = {}
+    errors = 0
+    with tempfile.TemporaryDirectory(prefix="lard-fig18-") as root:
+        store, urls = DocumentStore.from_trace(Path(root), trace)
+        for n in sizes:
+            for policy in ("wrr", "lard/r"):
+                cluster = HandoffCluster(
+                    store, num_backends=n, policy=policy, cache_bytes=cache_bytes,
+                    miss_penalty_s=0.012, workers_per_backend=4,
+                )
+                load, _ = _load(cluster, urls, 1200, concurrency=3 * n)
+                rps[n, policy] = load.throughput_rps
+                errors += load.errors
+    ratio = {n: rps[n, "lard/r"] / rps[n, "wrr"] for n in sizes}
+    top = sizes[-1]
+    scaling = rps[top, "lard/r"] / rps[1, "lard/r"]
+    return dict(
+        title="prototype cluster HTTP throughput",
+        paper_reference="Figure 18",
+        headers=["back-ends", "wrr req/s", "lard/r req/s", "lard/r : wrr"],
+        rows=[[n, round(rps[n, "wrr"]), round(rps[n, "lard/r"]), ratio[n]] for n in sizes],
+        expectation=(
+            "WRR nearly flat, LARD/R scales with back-ends "
+            "(~2.5x WRR at six nodes on the 1998 testbed)"
+        ),
+        checks=[
+            check(ratio[top] > 1.25,
+                  f"LARD/R clearly beats WRR at {top} back-ends ({ratio[top]:.2f}x > 1.25x)"),
+            check(ratio[top] > ratio[1],
+                  f"the gap widens with cluster size ({ratio[1]:.2f}x at one back-end)"),
+            check(scaling > 1.5,
+                  f"LARD/R scales with back-ends ({scaling:.2f}x from 1 to {top} > 1.5x)"),
+            check(errors == 0, f"every request is answered ({errors} errors)"),
+        ],
+    )
+
+
+@experiment("sec6.2-l4", "Sec 6.2   - live hand-off vs Layer-4 relay front-end", live=True)
+def sec62_l4_comparison(scale: Scale, jobs: int) -> Dict[str, Any]:
+    """The paper's case for TCP hand-off over relaying (Sections 5 and
+    7): an L4 proxy front-end, 1998's commercial state of the art, carries
+    every response byte through its own CPU and, blind to content, can
+    never run LARD.  One workload through both deployments."""
+    from ..handoff import DocumentStore, HandoffCluster, L4ProxyCluster
+
+    requests, doc_bytes = 800, 8192
+    documents = {f"/d{i}": doc_bytes for i in range(60)}
+    urls = list(documents)
+    with tempfile.TemporaryDirectory(prefix="lard-l4-") as root:
+        store = DocumentStore.build(Path(root), documents)
+        l4, l4_stats = _load(
+            L4ProxyCluster(store, num_backends=3, miss_penalty_s=0.002), urls, requests, 8
+        )
+        handoff, _ = _load(
+            HandoffCluster(store, num_backends=3, policy="lard/r", miss_penalty_s=0.002),
+            urls, requests, 8,
+        )
+    relayed = l4_stats.proxy.bytes_relayed
+    return dict(
+        title="hand-off vs Layer-4 relay front-end",
+        paper_reference="Section 7 comparator",
+        headers=["front-end", "req/s", "mean latency ms", "response bytes through front-end"],
+        rows=[
+            ["L4 relay (WRR, content-oblivious)", round(l4.throughput_rps),
+             l4.mean_latency_s * 1e3, relayed],
+            ["TCP hand-off (LARD/R)", round(handoff.throughput_rps),
+             handoff.mean_latency_s * 1e3, 0],
+        ],
+        expectation=(
+            "hand-off removes the front-end from the response path and enables "
+            "content-based distribution an L4 device cannot perform"
+        ),
+        checks=[
+            check(relayed >= requests * doc_bytes,
+                  f"every response byte crosses the L4 front-end "
+                  f"({relayed:,d} >= {requests * doc_bytes:,d} bytes)"),
+            check(handoff.throughput_rps > l4.throughput_rps,
+                  f"hand-off outperforms the relay on the same workload "
+                  f"({handoff.throughput_rps / l4.throughput_rps:.2f}x its req/s)"),
+            check(l4.errors == handoff.errors == 0,
+                  f"every request is answered ({l4.errors} + {handoff.errors} errors)"),
+        ],
+    )
+
+
+#: What ``run all`` runs: every experiment but the live ones, in
+#: registry order.  They are deterministic, so ``run all --scale smoke``
+#: has a golden.
+SIMULATED: Tuple[str, ...] = tuple(
+    experiment_id for experiment_id, entry in EXPERIMENTS.items() if not entry.live
+)

@@ -4,9 +4,10 @@ Usage::
 
     lard-repro list
     lard-repro run fig7 [--scale quick|standard|full|smoke] [--jobs N]
-    lard-repro run all --scale quick
+    lard-repro run all --scale quick        # every simulated experiment
+    lard-repro run sec6.2-l4                # a live one, by id
     lard-repro run fig7 --profile fig7.pstats
-    lard-repro trace rice [--requests N] [--scale-factor F]
+    lard-repro trace rice [--requests N] [--scale-factor F]   (rice/ibm only)
     lard-repro simulate --policy lard/r --nodes 8 [--trace rice] [...]
     lard-repro simulate --profile sim.pstats
     lard-repro simulate --spans out.jsonl [--sample-interval S]
@@ -17,6 +18,10 @@ Usage::
     lard-repro lint [paths...] [--list-rules]
 
 (`python -m repro` is equivalent.)
+
+``run all`` runs every experiment that simulates.  The live-prototype
+ones (``sec6.2-handoff``, ``fig18``, ``sec6.2-l4``) drive real sockets,
+read wall-clock rates and run only by id; ``list`` shows them all.
 
 Operator errors (unknown experiment or policy names, missing files,
 invalid fault-schedule configurations) exit with status 2 and a
@@ -58,7 +63,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_parser("list", help="list available experiments")
 
     run = sub.add_parser("run", help="run one experiment (or 'all')")
-    run.add_argument("experiment", help="experiment id (see 'list') or 'all'")
+    run.add_argument(
+        "experiment", help="experiment id (see 'list') or 'all' (every simulated one)"
+    )
     run.add_argument(
         "--scale",
         choices=_SCALE_NAMES,
@@ -90,8 +97,7 @@ def build_parser() -> argparse.ArgumentParser:
     trace.add_argument(
         "--scale-factor",
         type=float,
-        default=0.25,
-        help="catalog/data-set scale (rice/ibm only)",
+        help="catalog/data-set scale (rice/ibm only; default 0.25)",
     )
 
     sim = sub.add_parser("simulate", help="one cluster simulation run")
@@ -270,7 +276,7 @@ def _cmd_run(
     profile: Optional[str] = None,
 ) -> int:
     from .analysis.chart import experiment_chart
-    from .analysis.experiments import EXPERIMENTS, SCALES, run_experiment
+    from .analysis.experiments import SCALES, SIMULATED, run_experiment
 
     profiler = None
     if profile:
@@ -287,7 +293,7 @@ def _cmd_run(
         profiler.enable()
     jobs = _resolve_jobs(jobs)
     scale = SCALES[scale_name]
-    ids = list(EXPERIMENTS) if experiment == "all" else [experiment]
+    ids = SIMULATED if experiment == "all" else (experiment,)
     failed = False
     try:
         for experiment_id in ids:
@@ -307,7 +313,12 @@ def _cmd_run(
     return 1 if failed else 0
 
 
-def _cmd_trace(kind: str, requests: int, scale_factor: float) -> int:
+def _cmd_trace(kind: str, requests: int, scale_factor: Optional[float]) -> int:
+    if scale_factor is None:
+        scale_factor = 0.25
+    elif kind == "chess":
+        # Before the trace is built: the factor would be a silent no-op.
+        raise ValueError("--scale-factor applies to rice and ibm: the chess catalog is fixed")
     trace = _make_trace(kind, requests, scale_factor)
     print(trace.describe())
     print(f"distinct targets requested: {trace.num_distinct_requested}")

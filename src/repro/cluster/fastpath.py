@@ -870,13 +870,17 @@ class FaultyConnection(FastConnection):
 
     def _continue(self, now: float) -> None:
         """As the base step, with the dark-node check before the node
-        is kept and again after a rehandoff picks another."""
+        is kept and again after a rehandoff picks another.  A rehandoff
+        connection whose node the front-end has already failed moves
+        first; only a crash not yet detected swallows the request."""
         dark = self.dark
-        if dark[self.node.node_id]:
+        fe = self.fe
+        node_id = self.node.node_id
+        if dark[node_id] and (not fe.rehandoff or fe.p_alive[node_id]):
             self._doomed()
             return
         self.hit_hint = None
-        if self.fe.rehandoff:
+        if fe.rehandoff:
             self._rehandoff(now)
             if dark[self.node.node_id]:
                 # Rehandoff landed on a dark node: the attempt times out

@@ -367,7 +367,11 @@ def _connection_faulty(
     # (the policy just chose its node).
     fresh_dispatch = True
     while index < n:
-        if dark[node_id]:
+        # A rehandoff connection whose node the front-end has failed
+        # re-runs the policy below instead of waiting out the timeout.
+        if dark[node_id] and (
+            fresh_dispatch or not fe.rehandoff or fe.policy._alive[node_id]
+        ):
             faults.doomed_dispatches += 1
             yield Delay(retry.timeout_s)
             fe._detach(node_id, epoch)

@@ -7,6 +7,7 @@ import pytest
 from repro.analysis import experiments, matrix
 from repro.analysis.experiments import (
     EXPERIMENTS,
+    SIMULATED,
     SMOKE,
     Scale,
     clear_caches,
@@ -76,13 +77,19 @@ class TestHarness:
             "sec4.2-hot", "sec4.2-chess", "sec4.4-delay", "sec2.4-sens",
             "sec4.1-tenfold", "sec6.2-capacity",
             "ext-failure", "ext-persistent",
+            "sec6.2-handoff", "fig18", "sec6.2-l4",
         }
         assert expected <= set(EXPERIMENTS)
 
-    @pytest.mark.parametrize("experiment_id", list(EXPERIMENTS))
+    def test_run_all_is_every_experiment_but_the_live_ones(self):
+        live = {"sec6.2-handoff", "fig18", "sec6.2-l4"}
+        assert {i for i, entry in EXPERIMENTS.items() if entry.live} == live
+        assert list(SIMULATED) == [i for i in EXPERIMENTS if i not in live]
+
+    @pytest.mark.parametrize("experiment_id", SIMULATED)
     def test_smoke_render_matches_golden_block(self, experiment_id):
-        """Every experiment against ``run all --scale smoke`` as recorded
-        on 42f2d89, before the runners became one (CI's
+        """Every simulated experiment against ``run all --scale smoke`` as
+        recorded on 42f2d89, before the runners became one (CI's
         ``campaign-smoke`` compares the whole file)."""
         golden = Path(__file__).parent / "golden" / "experiments_smoke.txt"
         blocks = {
@@ -93,21 +100,18 @@ class TestHarness:
         assert rendered == blocks[f"== {experiment_id}"]
 
     def test_design_index_has_one_row_per_experiment(self):
-        """DESIGN.md Section 4: the registry plus the three live-prototype
-        measurements, whose benches are files of their own."""
+        """DESIGN.md Section 4: one row per registered experiment, each
+        citing its bench."""
         design = (Path(__file__).parent.parent / "DESIGN.md").read_text()
         index = design.split("## 4. Per-experiment index")[1].split("\n## ")[0]
         rows = [line.split("|") for line in index.splitlines() if line.startswith("| ")][1:]
         bench_by_id = {row[1].strip(): row[5].strip() for row in rows}
-        live = {"sec6.2-handoff", "fig18", "sec6.2-l4"}
         assert len(rows) == len(bench_by_id)
-        assert set(bench_by_id) == set(EXPERIMENTS) | live
+        assert set(bench_by_id) == set(EXPERIMENTS)
         for experiment_id in EXPERIMENTS:
             assert bench_by_id[experiment_id] == (
                 f"`benchmarks/test_experiments.py::test_experiment[{experiment_id}]`"
             )
-        for experiment_id in live:
-            assert (Path(__file__).parent.parent / bench_by_id[experiment_id].strip("`")).is_file()
 
     def test_every_experiment_has_a_title(self):
         for experiment_id, entry in EXPERIMENTS.items():
@@ -236,7 +240,7 @@ def routing(monkeypatch):
 _SERIAL_RERUNS = {"ext-scaleout": [(1, 1)], "ext-dynamic": [(1, 1), (1, 1)]}
 
 
-@pytest.mark.parametrize("experiment_id", list(EXPERIMENTS))
+@pytest.mark.parametrize("experiment_id", SIMULATED)
 def test_every_simulation_goes_through_run_many_with_the_jobs_given(experiment_id, routing):
     """52 of the 187 simulations of ``run all --scale smoke --jobs N``
     used to run in the parent whatever N was: ``run_cell`` misses nobody

@@ -62,6 +62,20 @@ class TestCommands:
         assert main(["trace", "rice", "--requests", "2000", "--scale-factor", "0.05"]) == 0
         assert "rice-like" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("factor", ["0.5", "0.01"])
+    def test_trace_chess_refuses_a_scale_factor(self, capsys, monkeypatch, factor):
+        """The chess catalog does not scale: an explicit factor exits 2
+        before any trace is built, instead of describing the same
+        800-file catalog for every value."""
+        import repro.cli
+
+        def build(*args):
+            raise AssertionError(f"trace built for {args}")
+
+        monkeypatch.setattr(repro.cli, "_make_trace", build)
+        assert main(["trace", "chess", "--scale-factor", factor]) == 2
+        assert "--scale-factor" in capsys.readouterr().err
+
     def test_simulate_small(self, capsys):
         code = main(
             [

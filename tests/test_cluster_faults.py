@@ -468,14 +468,17 @@ def test_traced_faulted_run_matches_untraced(baseline):
 # sha256 of (JSONL span log, asdict(result) as sorted-key JSON) for a
 # traced run under a seeded schedule, recorded on a7b00b5 where the
 # faulty path had its own admission loop and its own copy of ``serve``.
+# The rehandoff pin was re-recorded when a rehandoff connection stopped
+# sending requests to a node the front-end had already failed (retried
+# 344 -> 292, lost 67 -> 76); the oracle takes the same step.
 _PARENT_CHAOS_SHA256 = {
     (1, "sticky"): (
         "5d1e834bda40b266e9bcdfc81e27abb547b0f1b00e5c5bdfac0cf0c46ce5d1b4",
         "674924bb24a4aa8c88ab61bc6aa23a2d30ffd3a3c2bce057e669d5059aa607f6",
     ),
     (4, "rehandoff"): (
-        "ae8eab3a18551da1c9063e2c2bde03a754dc441440470d7feb07f47add67670f",
-        "3943f39f54a06e13362235f8323f6234bc9d5ea622097ec6fd63a55cc23bcba5",
+        "21b0d125a4b3637755501a7379f1e210da6b5ee3af143ba0d89242db302450fa",
+        "5838033c475be3438504ec4d0c7b9a6805b8dfc9ba0f62d6d70f031082e86a1b",
     ),
 }
 

@@ -17,6 +17,7 @@ import subprocess
 import sys
 import textwrap
 from pathlib import Path
+from typing import List
 
 import pytest
 
@@ -77,9 +78,10 @@ _CASES = {
 }
 
 
-@pytest.mark.parametrize("case", sorted(_CASES))
-def test_fresh_process_loads_nothing_it_does_not_run(case, tmp_path):
-    script = "import sys\n" + textwrap.dedent(_CASES[case]) + _REPORT.format(
+def _loaded_by_fresh_process(code: str, tmp_path: Path) -> List[str]:
+    """The modules of ``_NOT_NEEDED`` that ``code`` loads when it runs in
+    a fresh interpreter."""
+    script = "import sys\n" + textwrap.dedent(code) + _REPORT.format(
         budget=sorted(_NOT_NEEDED)
     )
     env = dict(os.environ)
@@ -95,5 +97,30 @@ def test_fresh_process_loads_nothing_it_does_not_run(case, tmp_path):
     )
     assert done.returncode == 0, done.stderr
     loaded = done.stdout.rsplit("LOADED", 1)[1].split()
-    crept = {name: _NOT_NEEDED[name] for name in (loaded[0].split(",") if loaded else [])}
+    return loaded[0].split(",") if loaded else []
+
+
+@pytest.mark.parametrize("case", sorted(_CASES))
+def test_fresh_process_loads_nothing_it_does_not_run(case, tmp_path):
+    crept = {name: _NOT_NEEDED[name] for name in _loaded_by_fresh_process(_CASES[case], tmp_path)}
     assert not crept, f"{case} loaded modules it does not run: {crept}"
+
+
+def test_a_simulated_experiment_does_not_load_the_live_prototype(tmp_path):
+    """``python -m repro run fig5`` loads the experiment registry, whose
+    live experiments (``Experiment.live``) import the prototype inside
+    their functions.  An import hoisted to module level would start the
+    hand-off package in every ``run``, ``run all`` and bench process."""
+    loaded = _loaded_by_fresh_process(
+        """
+        import runpy
+        sys.argv = ["repro", "run", "fig5", "--scale", "smoke"]
+        try:
+            runpy.run_module("repro", run_name="__main__", alter_sys=True)
+        except SystemExit as exit:
+            assert exit.code == 0, exit.code
+        """,
+        tmp_path,
+    )
+    assert "repro.analysis.experiments" in loaded
+    assert "repro.handoff" not in loaded

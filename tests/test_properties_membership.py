@@ -193,3 +193,15 @@ def test_a_sticky_connection_leaves_a_node_failed_under_it(trace, base_sim_time)
     assert batched.retried_requests > 0 and batched.lost_requests == 0
     _, single = _run(trace, "lard/r", schedule, (1, "sticky"))
     assert single.retried_requests == single.lost_requests == 0
+
+
+def test_a_rehandoff_connection_leaves_a_node_failed_under_it(trace, base_sim_time):
+    """The same failure under re-hand-off: the front-end re-runs the
+    policy for each request of a batch, so a connection whose node it
+    has already failed moves at once instead of sending its next request
+    there, timing out and retrying (219 of this trace's requests were
+    retried that way when the darkness check came first)."""
+    schedule = _schedule(((0.3, 0.0, None, 1),), base_sim_time)
+    assert _served_starts_while_down(trace, schedule, (8, "rehandoff")) == 0
+    _, batched = _run(trace, "lard/r", schedule, (8, "rehandoff"))
+    assert batched.retried_requests == batched.lost_requests == 0

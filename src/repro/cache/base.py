@@ -151,10 +151,6 @@ class Cache(abc.ABC):
     def __iter__(self) -> Iterator[Target]:
         return iter(self._sizes)
 
-    @property
-    def free_bytes(self) -> int:
-        return self.capacity_bytes - self.used_bytes
-
     # -- subclass hooks -----------------------------------------------------
 
     def _admits(self, target: Target, size: int) -> bool:

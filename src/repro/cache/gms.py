@@ -114,11 +114,6 @@ class GlobalMemorySystem:
         """Every node currently caching ``target``."""
         return set(self._where.get(target, ()))
 
-    def holder_of(self, target: Hashable) -> Optional[int]:
-        """One node caching ``target`` (the lowest id), or None."""
-        holders = self._where.get(target)
-        return min(holders) if holders else None
-
     def node_used_bytes(self, node: int) -> int:
         """Bytes cached on ``node``."""
         self._check_node(node)
@@ -140,10 +135,6 @@ class GlobalMemorySystem:
     @property
     def aggregate_used_bytes(self) -> int:
         return sum(c.used_bytes for c in self._locals)
-
-    @property
-    def aggregate_capacity_bytes(self) -> int:
-        return self.num_nodes * self.node_capacity_bytes
 
     # -- access protocol -----------------------------------------------------
 

@@ -162,7 +162,3 @@ class CostModel:
     def with_cpu_speed(self, multiplier: float) -> "CostModel":
         """The Figure 11/12 CPU scaling (disk unchanged)."""
         return replace(self, cpu_speed=multiplier)
-
-    def with_disk_speed(self, multiplier: float) -> "CostModel":
-        """A copy of this model with scaled disk speed (ablations)."""
-        return replace(self, disk_speed=multiplier)

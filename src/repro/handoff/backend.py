@@ -546,9 +546,5 @@ class BackendServer:
                 self._payload[name] = body
         return body
 
-    @property
-    def cache_stats(self):
-        return self._cache.stats
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<BackendServer {self.node_id} served={self.stats.requests_served}>"

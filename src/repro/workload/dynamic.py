@@ -39,8 +39,13 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from .synthetic import _assign_sizes_by_popularity, _lognormal_sizes, zipf_weights
-from .trace import Trace, TraceError
+from .synthetic import (
+    _assign_sizes_by_popularity,
+    _lognormal_sizes,
+    draw_tokens,
+    zipf_weights,
+)
+from .trace import Trace, TraceError, token_dtype
 
 __all__ = [
     "flash_crowd_trace",
@@ -129,7 +134,9 @@ def flash_crowd_trace(
         min_file_bytes,
         max_file_bytes,
     )
-    tokens = rng.choice(num_targets, size=num_requests, p=popularity)
+    tokens = draw_tokens(
+        rng, popularity, np.empty(num_requests, dtype=token_dtype(num_targets))
+    )
     if num_requests > 0 and peak_fraction > 0.0:
         crowd = rng.choice(
             num_targets,
@@ -213,19 +220,16 @@ def diurnal_trace(
     if remainder > 0:
         order = np.argsort(-weights, kind="stable")
         counts[order[:remainder]] += 1
-    pieces = []
+    tokens = np.empty(num_requests, dtype=token_dtype(num_targets))
+    stop = 0
     for phase in range(phases):
-        count = int(counts[phase])
-        if count == 0:
+        start, stop = stop, stop + int(counts[phase])
+        if start == stop:
             continue
         alpha = zipf_alpha_trough + (
             zipf_alpha_peak - zipf_alpha_trough
         ) * float(envelope01[phase])
-        popularity = zipf_weights(num_targets, alpha)
-        pieces.append(rng.choice(num_targets, size=count, p=popularity))
-    tokens = (
-        np.concatenate(pieces) if pieces else np.empty(0, dtype=np.int64)
-    )
+        draw_tokens(rng, zipf_weights(num_targets, alpha), tokens[start:stop])
     return Trace(tokens, sizes, name=name)
 
 
@@ -274,27 +278,23 @@ def drift_trace(
         min_file_bytes,
         max_file_bytes,
     )
-    perm = np.arange(num_targets, dtype=np.int64)
+    tokens = np.empty(num_requests, dtype=token_dtype(num_targets))
+    perm = np.arange(num_targets, dtype=tokens.dtype)
     churn_count = int(churn_fraction * num_targets)
     bounds = np.linspace(0, num_requests, phases + 1).astype(np.int64)
-    pieces = []
     for phase in range(phases):
         if phase > 0 and churn_count > 0:
             # Swap churn_count ranks with uniformly-chosen partners.
             a = rng.choice(num_targets, size=churn_count, replace=False)
             b = rng.choice(num_targets, size=churn_count, replace=False)
             perm[a], perm[b] = perm[b].copy(), perm[a].copy()
-        count = int(bounds[phase + 1] - bounds[phase])
-        if count == 0:
+        start, stop = int(bounds[phase]), int(bounds[phase + 1])
+        if start == stop:
             continue
         frac = phase / (phases - 1) if phases > 1 else 0.0
         alpha = alpha_start + (alpha_end - alpha_start) * frac
-        popularity = zipf_weights(num_targets, alpha)
-        ranks = rng.choice(num_targets, size=count, p=popularity)
-        pieces.append(perm[ranks])
-    tokens = (
-        np.concatenate(pieces) if pieces else np.empty(0, dtype=np.int64)
-    )
+        ranks = draw_tokens(rng, zipf_weights(num_targets, alpha), tokens[start:stop])
+        ranks[:] = perm[ranks]
     return Trace(tokens, sizes, name=name)
 
 
@@ -378,7 +378,9 @@ def cgi_mix_trace(
         min_file_bytes,
         max_file_bytes,
     )
-    tokens = rng.choice(num_targets, size=num_requests, p=popularity)
+    tokens = draw_tokens(
+        rng, popularity, np.empty(num_requests, dtype=token_dtype(num_targets))
+    )
     base = Trace(tokens, sizes, name=name)
     return mark_dynamic_targets(
         base,
@@ -443,15 +445,19 @@ def multi_tenant_trace(
         for _ in range(tenants)
     ]
     sizes = np.concatenate(size_tables)
-    tenant_of = rng.choice(tenants, size=num_requests, p=weights)
-    tokens = np.empty(num_requests, dtype=np.int64)
+    tenant_of = draw_tokens(
+        rng, weights, np.empty(num_requests, dtype=token_dtype(tenants))
+    )
+    # Each tenant's draws are offset into the union catalog, so they are
+    # drawn at the union's width, not at their own catalog's.
+    tokens = np.empty(num_requests, dtype=token_dtype(len(sizes)))
     for tenant in range(tenants):
         mask = tenant_of == tenant
         count = int(mask.sum())
         if count == 0:
             continue
         popularity = zipf_weights(per_targets, float(zipf_alphas[tenant]))
-        tokens[mask] = tenant * per_targets + rng.choice(
-            per_targets, size=count, p=popularity
-        )
+        draws = draw_tokens(rng, popularity, np.empty(count, dtype=tokens.dtype))
+        draws += tenant * per_targets
+        tokens[mask] = draws
     return Trace(tokens, sizes, name=name)

@@ -19,7 +19,7 @@ from typing import Optional
 
 import numpy as np
 
-from .trace import Trace
+from .trace import Trace, token_dtype
 
 __all__ = ["inject_hot_targets"]
 
@@ -56,9 +56,10 @@ def inject_hot_targets(
     num_redirected = int(round(hot_fraction * n))
     if num_redirected == 0:
         raise ValueError("hot_fraction too small: would redirect zero requests")
-    tokens = trace.targets.copy()
-    slots = rng.choice(n, size=num_redirected, replace=False)
     first_hot = trace.num_targets
+    # Widen before writing: the hot ids may not fit the base catalog's width.
+    tokens = trace.targets.astype(token_dtype(first_hot + num_hot))
+    slots = rng.choice(n, size=num_redirected, replace=False)
     tokens[slots] = first_hot + rng.integers(0, num_hot, size=num_redirected)
     sizes = np.concatenate(
         [trace.sizes_by_target, np.full(num_hot, hot_size_bytes, dtype=np.int64)]

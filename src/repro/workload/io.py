@@ -5,13 +5,15 @@ and replaying them many times is the normal workflow, so traces serialize
 to a single uncompressed numpy archive: the token stream, the size table,
 the name, and (format 2) the optional per-target dynamic CPU-cost table.
 The two integer arrays are stored at the narrowest unsigned width that
-holds them, which keeps the file near zlib's size without paying zlib's
-time (compression cost several times what generating the trace does);
-compressed archives written by earlier versions load the same way.
-Every member's dtype and shape is checked and the arrays are validated by
-the :class:`~repro.workload.trace.Trace` constructor, so a corrupted file
-raises :class:`~repro.workload.trace.TraceError` and cannot produce an
-inconsistent trace object.
+holds them (the tokens at the width the trace already keeps them at), which
+keeps the file near zlib's size without paying zlib's time (compression
+cost several times what generating the trace does); compressed or wider
+archives written by earlier versions load the same way.
+Every member must end where its ``.npy`` header says (which also makes zip
+check the member's CRC), its dtype and shape are checked, and the arrays
+are validated by the :class:`~repro.workload.trace.Trace` constructor, so a
+corrupted file raises :class:`~repro.workload.trace.TraceError` and cannot
+produce an inconsistent trace object.
 """
 
 from __future__ import annotations
@@ -21,11 +23,11 @@ import zlib
 from pathlib import Path
 from tokenize import TokenError
 from typing import Any, Union
-from zipfile import BadZipFile
+from zipfile import BadZipFile, ZipFile
 
 import numpy as np
 
-from .trace import Trace, TraceError
+from .trace import Trace, TraceError, unsigned_dtype
 
 __all__ = ["save_trace", "load_trace"]
 
@@ -68,7 +70,7 @@ _UNREADABLE = (
 
 def _narrow(values: np.ndarray[Any, Any]) -> np.ndarray[Any, Any]:
     """``values`` (all ``>= 0``) at the smallest unsigned dtype holding them."""
-    return values.astype(np.min_scalar_type(int(values.max()) if len(values) else 0))
+    return values.astype(unsigned_dtype(values.max() if len(values) else 0), copy=False)
 
 
 def save_trace(trace: Trace, path: Union[str, Path]) -> Path:
@@ -78,7 +80,7 @@ def save_trace(trace: Trace, path: Union[str, Path]) -> Path:
         path = path.with_suffix(path.suffix + ".npz")
     path.parent.mkdir(parents=True, exist_ok=True)
     arrays = dict(
-        targets=_narrow(trace.targets),
+        targets=trace.targets,
         sizes_by_target=_narrow(trace.sizes_by_target),
         name=np.bytes_(trace.name.encode("utf-8")),
     )
@@ -91,13 +93,30 @@ def save_trace(trace: Trace, path: Union[str, Path]) -> Path:
     return path
 
 
+def _read_member(archive: ZipFile, name: str) -> np.ndarray[Any, Any]:
+    """The ``.npy`` member ``name``, read to its last byte.
+
+    ``np.load`` stops after the bytes its header declares, so a damaged
+    shape (``(2000,)`` read as ``(0000,)``) would silently load a shorter
+    array and zip would never reach the end where it checks the CRC.
+    """
+    with archive.open(name) as stream:
+        values = np.lib.format.read_array(stream, allow_pickle=False)
+        if stream.read(1):
+            raise ValueError(f"{name} holds more bytes than its header declares")
+    return values
+
+
 def load_trace(path: Union[str, Path]) -> Trace:
     """Read a trace previously written by :func:`save_trace`."""
     path = Path(path)
     try:
-        with np.load(path, allow_pickle=False) as archive:
+        with ZipFile(path) as archive:
+            names = set(archive.namelist())
             arrays = {
-                member: archive[member] for member in _MEMBERS if member in archive
+                member: _read_member(archive, f"{member}.npy")
+                for member in _MEMBERS
+                if f"{member}.npy" in names
             }
     except _UNREADABLE as exc:
         raise TraceError(f"{path}: cannot read trace archive: {exc}") from exc

@@ -27,14 +27,15 @@ request interleaving is not.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Any, Iterator, Optional, Tuple
 
 import numpy as np
 
-from .trace import Trace
+from .trace import Trace, token_dtype
 
 __all__ = [
     "zipf_weights",
+    "draw_tokens",
     "synthesize_trace",
     "rice_like_trace",
     "ibm_like_trace",
@@ -47,6 +48,10 @@ RICE_TOTAL_MB = 1418
 IBM_NUM_FILES = 38527
 IBM_TOTAL_MB = 1029
 
+#: Requests drawn per pass: the float64 uniforms and intp indices of one
+#: pass are the only per-request temporaries a generator allocates.
+_CHUNK = 1 << 16
+
 
 def zipf_weights(num_targets: int, alpha: float) -> np.ndarray:
     """Normalized Zipf(alpha) probabilities for ranks ``1..num_targets``."""
@@ -57,6 +62,33 @@ def zipf_weights(num_targets: int, alpha: float) -> np.ndarray:
     ranks = np.arange(1, num_targets + 1, dtype=np.float64)
     weights = ranks ** (-alpha)
     return weights / weights.sum()
+
+
+def _chunks(n: int) -> Iterator[Tuple[int, int]]:
+    """``(start, stop)`` of consecutive ``_CHUNK``-long passes over ``0..n``."""
+    for start in range(0, n, _CHUNK):
+        yield start, min(start + _CHUNK, n)
+
+
+def draw_tokens(
+    rng: np.random.Generator,
+    popularity: np.ndarray[Any, Any],
+    out: np.ndarray[Any, Any],
+) -> np.ndarray[Any, Any]:
+    """Fill ``out`` with ``rng.choice(len(popularity), size=len(out), p=popularity)``.
+
+    The draws are numpy's own, value for value and in the same stream
+    order: ``choice`` takes one ``random()`` per request and finds it in
+    the normalised cdf with ``searchsorted(side="right")``.  Doing that a
+    chunk at a time writes straight into ``out`` at its own (narrow)
+    dtype, where ``choice`` would build a float64 and an int64 array per
+    request first.
+    """
+    cdf = np.cumsum(popularity, dtype=np.float64)
+    cdf /= cdf[-1]
+    for start, stop in _chunks(len(out)):
+        out[start:stop] = cdf.searchsorted(rng.random(stop - start), side="right")
+    return out
 
 
 def _lognormal_sizes(
@@ -147,11 +179,15 @@ def synthesize_trace(
         rng, num_targets, total_bytes, size_sigma, min_file_bytes, max_file_bytes
     )
     sizes = _assign_sizes_by_popularity(rng, sizes, size_popularity_correlation)
-    tokens = rng.choice(num_targets, size=num_requests, p=popularity)
+    tokens = draw_tokens(
+        rng, popularity, np.empty(num_requests, dtype=token_dtype(num_targets))
+    )
     if burst_fraction > 0.0 and num_requests > 0:
         if burst_focus < 1 or burst_window < 1:
             raise ValueError("burst_focus and burst_window must be >= 1")
-        burst_mask = rng.random(num_requests) < burst_fraction
+        burst_mask = np.empty(num_requests, dtype=bool)
+        for start, stop in _chunks(num_requests):
+            np.less(rng.random(stop - start), burst_fraction, out=burst_mask[start:stop])
         focus_count = min(burst_focus, num_targets)
         for start in range(0, num_requests, burst_window):
             stop = min(start + burst_window, num_requests)

@@ -5,22 +5,40 @@ tokenized target requests, where each token represents a unique target
 being served.  Associated with each token is a target size in bytes."*
 
 :class:`Trace` is exactly that — a sequence of integer target tokens plus a
-per-target size table — backed by numpy arrays so multi-hundred-thousand
-request traces stay cheap to store and iterate.
+per-target size table — backed by numpy arrays so multi-million request
+traces stay cheap to store and iterate.  A token is stored at the
+narrowest unsigned width its catalog needs (:func:`token_dtype`): the
+paper's catalogs of under 65 536 files cost two bytes a request.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-__all__ = ["Request", "Trace", "TraceError"]
+__all__ = ["Request", "Trace", "TraceError", "token_dtype", "unsigned_dtype"]
 
 
 class TraceError(ValueError):
     """Raised for malformed trace construction or access."""
+
+
+def unsigned_dtype(largest: int) -> np.dtype[Any]:
+    """The narrowest unsigned integer dtype holding ``0..largest``."""
+    return np.min_scalar_type(max(int(largest), 0))
+
+
+def token_dtype(num_targets: int) -> np.dtype[Any]:
+    """The dtype every token of a ``num_targets`` catalog is stored at.
+
+    A writer that grows the catalog (or offsets tokens into a larger
+    one) must widen to the grown catalog's dtype *before* writing: numpy
+    assignment wraps silently, so a ``uint8`` copy stores hot target 256
+    as 0.
+    """
+    return unsigned_dtype(num_targets - 1)
 
 
 @dataclass(frozen=True)
@@ -37,7 +55,10 @@ class Trace:
     Parameters
     ----------
     targets:
-        Per-request target tokens, each in ``0..num_targets-1``.
+        Per-request target tokens, each an integer in
+        ``0..num_targets-1``.  They are kept at :func:`token_dtype` of
+        the catalog (an array already at that width is not copied);
+        floats and booleans are refused, not cast.
     sizes_by_target:
         ``sizes_by_target[t]`` is the byte size of target ``t``.
     name:
@@ -57,19 +78,21 @@ class Trace:
         name: str = "trace",
         cpu_cost_s_by_target: Optional[Sequence[float]] = None,
     ) -> None:
-        self.targets = np.asarray(targets, dtype=np.int64)
+        tokens = np.asarray(targets)
         self.sizes_by_target = np.asarray(sizes_by_target, dtype=np.int64)
         self.name = name
-        if self.targets.ndim != 1 or self.sizes_by_target.ndim != 1:
+        if tokens.ndim != 1 or self.sizes_by_target.ndim != 1:
             raise TraceError("targets and sizes_by_target must be 1-D")
         if len(self.sizes_by_target) == 0:
             raise TraceError("empty target catalog")
         if np.any(self.sizes_by_target < 0):
             raise TraceError("negative target size")
-        if len(self.targets) and (
-            self.targets.min() < 0 or self.targets.max() >= len(self.sizes_by_target)
-        ):
-            raise TraceError("request token outside the target catalog")
+        if len(tokens):
+            if tokens.dtype.kind not in "iu":
+                raise TraceError(f"request tokens must be integers, got {tokens.dtype}")
+            if tokens.min() < 0 or tokens.max() >= len(self.sizes_by_target):
+                raise TraceError("request token outside the target catalog")
+        self.targets = tokens.astype(token_dtype(len(self.sizes_by_target)), copy=False)
         self.cpu_cost_s_by_target: Optional[np.ndarray]
         if cpu_cost_s_by_target is None:
             self.cpu_cost_s_by_target = None

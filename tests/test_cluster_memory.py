@@ -19,7 +19,9 @@ if the three invariants below hold, so each is a test:
 A fourth group holds what a run keeps per trace request: (d) the
 front-end reads the request stream through a read-only view of the
 trace's own array, so a built simulator retains no memory per request
-and the trace stays picklable.
+and the trace stays picklable.  A fifth, (e), holds what the trace
+itself costs: two bytes a request over the paper's catalogs, and a
+generation whose temporaries stay a few bytes a request.
 
 Both (a) and (b) run over every configuration that picks a different
 connection class, observer or cache system.  CI runs this file a second
@@ -51,7 +53,7 @@ from repro.cluster import ClusterConfig, ClusterSimulator, CrashFault, FaultSche
 from repro.obs import SpanWriter
 from repro.obs.tracer import SimTracer
 from repro.sim import SanitizerError
-from repro.workload import synthesize_trace
+from repro.workload import rice_like_trace, synthesize_trace
 from tests.seeded_mutation import mutated_env
 from tests.test_cluster_differential import CACHE, NUM_NODES, _schedule, _trace
 
@@ -350,6 +352,44 @@ def test_the_front_end_cannot_write_to_the_trace():
     assert simulator.trace.targets[0] == first
 
 
+# -- (e) what the trace itself costs --------------------------------------------
+
+
+def _rice_generation(num_requests):
+    """``(held, peak)`` bytes of a cold Rice generation (37 703 targets)
+    that is still alive when counting stops."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        trace = rice_like_trace(num_requests=num_requests)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(trace) == num_requests and trace.num_targets == 37_703
+    return held, peak
+
+
+def test_a_trace_token_costs_two_bytes_over_the_paper_catalog():
+    """The paper's catalogs fit 16 bits, so a request's token costs 2
+    bytes held, where an int64 stream cost 8.  Measured as a slope, from
+    20k to 200k requests, so the catalog's own tables drop out."""
+    _rice_generation(1_000)  # first-call allocations that stay behind
+    small, _ = _rice_generation(20_000)
+    large, _ = _rice_generation(200_000)
+    per_request = (large - small) / 180_000
+    assert per_request < 2.5, f"{per_request:.2f} bytes held per request"
+
+
+def test_a_cold_generation_peaks_a_few_bytes_per_request_above_its_output():
+    """Draws are made a chunk at a time straight into the narrow array:
+    what outlives a chunk is the one-byte burst mask.  ``choice`` over
+    the whole stream built a float64 and an int64 array per request."""
+    requests = 1_000_000
+    held, peak = _rice_generation(requests)
+    per_request = (peak - held) / requests
+    assert per_request <= 4.0, f"peak {per_request:.2f} bytes per request above the output"
+
+
 # -- seeded mutations -----------------------------------------------------------
 #
 # name -> (file under src/repro, anchor, replacement, ``-k`` expression
@@ -412,6 +452,19 @@ MUTATIONS = {
         "memoryview(self.targets).toreadonly()",
         "self.targets.tolist()",
         "costs_no_memory_per_trace_request",
+    ),
+    "tokens-widened-back-to-int64": (
+        "workload/trace.py",
+        "tokens.astype(token_dtype(len(self.sizes_by_target)), copy=False)",
+        "tokens.astype(np.int64)",
+        "two_bytes_over_the_paper_catalog",
+    ),
+    "tokens-drawn-in-one-pass": (
+        "workload/synthetic.py",
+        "    for start, stop in _chunks(len(out)):\n"
+        "        out[start:stop] = cdf.searchsorted(rng.random(stop - start), side=\"right\")\n",
+        "    out[:] = cdf.searchsorted(rng.random(len(out)), side=\"right\")\n",
+        "few_bytes_per_request_above_its_output",
     ),
 }
 

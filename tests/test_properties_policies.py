@@ -33,7 +33,7 @@ import random
 
 import hypothesis.strategies as st
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
 from repro.cluster import ClusterConfig, ClusterSimulator, CrashFault, FaultSchedule
 from repro.core import POLICY_NAMES, WeightedRoundRobin, make_policy
@@ -223,6 +223,10 @@ def test_load_helpers_match_the_scan_oracle(num_nodes, eager, schedule):
     every=st.integers(min_value=1, max_value=9),
     churn=st.booleans(),
 )
+# A witness for a completion that does not pull the cursor back: two
+# nodes, the second left at the bound.  Run first, it fails at once, where
+# a search fails too but then spends a minute shrinking and explaining.
+@example(policy_name="wrr", num_nodes=2, seed=0, every=1, churn=False)
 def test_load_helpers_match_the_scan_oracle_inside_a_run(
     policy_name, num_nodes, seed, every, churn
 ):

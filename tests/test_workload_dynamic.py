@@ -229,6 +229,25 @@ class TestMultiTenant:
         assert shares[0] > shares[1] > shares[2]
         assert abs(shares[0] - 0.6) < 0.05
 
+    def test_tenant_offsets_past_a_uint8_union_are_not_wrapped(self):
+        """Each tenant's 150 targets fit a byte, their union does not: the
+        second tenant's ids 256..299 must come out as drawn, not as 0..43
+        in the first tenant's catalog."""
+        trace = multi_tenant_trace(
+            num_requests=20_000,
+            tenants=2,
+            targets_per_tenant=150,
+            bytes_per_tenant=2**20,
+            zipf_alphas=(1.0, 1.0),
+            tenant_weights=(0.1, 0.9),
+            seed=23,
+        )
+        assert trace.num_targets == 300 and trace.targets.dtype == np.uint16
+        assert 256 <= trace.targets.max() < 300
+        assert (trace.targets >= 256).sum() > 500
+        second_share = (trace.targets >= 150).mean()
+        assert abs(second_share - 0.9) < 0.01
+
     def test_parameter_validation(self):
         with pytest.raises(ValueError, match="entries"):
             multi_tenant_trace(tenants=2, zipf_alphas=(1.0,), tenant_weights=(1.0, 1.0))

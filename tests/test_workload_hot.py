@@ -72,3 +72,16 @@ def test_validation():
     tiny = Trace([0], [10])
     with pytest.raises(ValueError):
         inject_hot_targets(tiny, num_hot=1, hot_fraction=0.001, hot_size_bytes=100)
+
+
+def test_hot_ids_past_a_uint8_catalog_are_not_wrapped():
+    """256 base targets are stored a byte each; the hot ids 256.. are not,
+    and a byte-wide copy would store them as 0, 1, 2."""
+    rng = np.random.default_rng(3)
+    base = Trace(rng.integers(0, 256, 20_000), np.full(256, 500), name="base")
+    assert base.targets.dtype == np.uint8
+    hot = inject_hot_targets(base, num_hot=3, hot_fraction=0.1, hot_size_bytes=5000, seed=4)
+    redirected = hot.targets != base.targets
+    assert set(hot.targets[redirected].tolist()) <= {256, 257, 258}
+    assert (hot.targets >= 256).sum() == 2000
+    assert np.array_equal(hot.targets[hot.targets < 256], base.targets[hot.targets < 256])

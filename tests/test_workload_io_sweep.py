@@ -17,11 +17,13 @@ from repro.workload import (
     synthesize_trace,
 )
 from repro.workload.memo import TRACE_GENERATORS
+from repro.workload.trace import token_dtype
 from tests.seeded_mutation import assert_selected_tests_fail
 
 
 def _same_trace(a, b):
-    """Values, int64 dtypes, name and cost table all equal."""
+    """Values, dtypes (tokens at their catalog's width, sizes int64),
+    name and cost table all equal."""
     if a.cpu_cost_s_by_target is None or b.cpu_cost_s_by_target is None:
         costs_equal = a.cpu_cost_s_by_target is b.cpu_cost_s_by_target is None
     else:
@@ -29,7 +31,7 @@ def _same_trace(a, b):
     return (
         costs_equal
         and a.name == b.name
-        and a.targets.dtype == b.targets.dtype == np.int64
+        and a.targets.dtype == b.targets.dtype == token_dtype(a.num_targets)
         and a.sizes_by_target.dtype == b.sizes_by_target.dtype == np.int64
         and np.array_equal(a.targets, b.targets)
         and np.array_equal(a.sizes_by_target, b.sizes_by_target)
@@ -83,9 +85,10 @@ class TestTraceIO:
         assert load_trace(path).name == "x"
 
     def test_compression_effective(self, tmp_path):
+        """Against the arrays at int64, the width they are used at."""
         trace = synthesize_trace(50_000, 100, 10**6, 1.0, seed=1)
         path = save_trace(trace, tmp_path / "big.npz")
-        raw_bytes = trace.targets.nbytes + trace.sizes_by_target.nbytes
+        raw_bytes = 8 * (trace.num_requests + trace.num_targets)
         assert path.stat().st_size < raw_bytes / 2
 
     def test_missing_file(self, tmp_path):
@@ -116,6 +119,19 @@ class TestTraceIO:
         path = tmp_path / "cut.npz"
         path.write_bytes(original[: len(original) // 2])
         with pytest.raises(TraceError, match="cannot read"):
+            load_trace(path)
+
+    @pytest.mark.parametrize("kind", ["rice", "cgi"])
+    def test_shrunk_shape_refused(self, archives, tmp_path, kind):
+        """One flipped bit turns the token header's ``(2000,)`` into
+        ``(0000,)``: the member then holds bytes its header does not
+        declare, and the loader must not read it as an empty stream."""
+        data = bytearray(archives[kind][1])
+        digit = data.index(b"(2000,)", data.index(b"targets.npy")) + 1
+        data[digit] ^= 0b10
+        path = tmp_path / "shrunk.npz"
+        path.write_bytes(bytes(data))
+        with pytest.raises(TraceError, match="more bytes than its header declares"):
             load_trace(path)
 
     def test_cost_table_renamed_away_refused(self, archives, tmp_path):
@@ -154,7 +170,7 @@ class TestTraceIO:
         np.savez_compressed(
             path,
             version=np.int64(2 if extra else 1),
-            targets=trace.targets,
+            targets=trace.targets.astype(np.int64),
             sizes_by_target=trace.sizes_by_target,
             name=np.bytes_(trace.name.encode("utf-8")),
             **extra,

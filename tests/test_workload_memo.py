@@ -16,6 +16,7 @@ from repro.workload import (
     trace_cache_key,
 )
 from repro.workload.memo import _DISABLED, _MEMO_VERSION, TRACE_GENERATORS
+from repro.workload.trace import token_dtype
 
 
 class TestCacheKey:
@@ -207,8 +208,10 @@ _GOLDEN_DIGESTS = {
 
 
 def _content_digest(trace):
+    """Tokens are hashed at int64, the width the digests were recorded at:
+    a change of storage width alone is not a change of output."""
     digest = hashlib.sha256()
-    digest.update(trace.targets.tobytes())
+    digest.update(trace.targets.astype(np.int64).tobytes())
     digest.update(trace.sizes_by_target.tobytes())
     if trace.cpu_cost_s_by_target is not None:
         digest.update(trace.cpu_cost_s_by_target.tobytes())
@@ -238,12 +241,14 @@ class TestMemoVersionGoldenDigests:
 
     @pytest.mark.parametrize("kind", sorted(_GOLDEN_PARAMS))
     def test_generator_output_survives_the_archive(self, kind, tmp_path):
-        """Values, int64 dtypes, name and cost table, exactly."""
+        """Values, dtypes (tokens at their catalog's width, sizes int64),
+        name and cost table, exactly."""
         trace = TRACE_GENERATORS[kind](**_GOLDEN_PARAMS[kind])
         loaded = load_trace(save_trace(trace, tmp_path / kind))
         assert loaded.name == trace.name
-        for field in ("targets", "sizes_by_target"):
-            assert getattr(loaded, field).dtype == np.int64
+        widths = {"targets": token_dtype(trace.num_targets), "sizes_by_target": np.int64}
+        for field, dtype in widths.items():
+            assert getattr(trace, field).dtype == getattr(loaded, field).dtype == dtype
             assert np.array_equal(getattr(loaded, field), getattr(trace, field))
         if trace.cpu_cost_s_by_target is None:
             assert loaded.cpu_cost_s_by_target is None

@@ -11,7 +11,22 @@ from repro.workload import (
     synthesize_trace,
     zipf_weights,
 )
-from repro.workload.synthetic import IBM_NUM_FILES, RICE_NUM_FILES
+from repro.workload.synthetic import _CHUNK, IBM_NUM_FILES, RICE_NUM_FILES, draw_tokens
+
+
+@pytest.mark.parametrize("size", [0, 1, _CHUNK - 1, _CHUNK, _CHUNK + 1])
+@pytest.mark.parametrize("num_targets", [1, 300, RICE_NUM_FILES])
+def test_draw_tokens_is_numpy_choice_value_for_value(num_targets, size):
+    """The chunked sampler against the installed numpy's own
+    ``choice(n, size, p)``: equal draws, and the generator left at the
+    same point of its stream for whatever is drawn next."""
+    popularity = zipf_weights(num_targets, 0.9)
+    ours, numpys = np.random.default_rng(17), np.random.default_rng(17)
+    drawn = draw_tokens(ours, popularity, np.empty(size, dtype=np.uint16))
+    expected = numpys.choice(num_targets, size=size, p=popularity)
+    assert drawn.dtype == np.uint16
+    assert np.array_equal(drawn, expected)
+    assert ours.bit_generator.state == numpys.bit_generator.state
 
 
 class TestZipfWeights:

@@ -126,3 +126,45 @@ def test_empty_catalog_rejected():
 def test_non_1d_rejected():
     with pytest.raises(TraceError):
         Trace(np.zeros((2, 2), dtype=int), [10])
+
+
+@pytest.mark.parametrize(
+    "tokens",
+    [[0.7, 1.2], np.array([0.0, 1.0]), np.array([True, False]), np.array(["0", "1"])],
+    ids=["float-list", "whole-floats", "booleans", "strings"],
+)
+def test_non_integer_tokens_refused_in_one_line(tokens):
+    """Refused, not truncated: ``[0.7, 1.2]`` is not a stream over
+    targets 0 and 1, as the archive loader already holds."""
+    with pytest.raises(TraceError, match="request tokens must be integers") as caught:
+        Trace(tokens, [10, 10])
+    assert "\n" not in str(caught.value)
+
+
+@pytest.mark.parametrize(
+    "num_targets, dtype",
+    [(1, np.uint8), (256, np.uint8), (257, np.uint16), (37_703, np.uint16),
+     (65_536, np.uint16), (65_537, np.uint32)],
+)
+def test_tokens_are_stored_at_their_catalog_width(num_targets, dtype):
+    """The width follows the catalog, not the tokens the stream happens
+    to hold, so every trace over one catalog stores alike."""
+    trace = Trace([0, num_targets - 1, 0], np.ones(num_targets, dtype=np.int64))
+    assert trace.targets.dtype == dtype
+    assert trace.targets.tolist() == [0, num_targets - 1, 0]
+    assert Trace([0], np.ones(num_targets, dtype=np.int64)).targets.dtype == dtype
+
+
+def test_tokens_already_at_width_are_not_copied():
+    tokens = np.array([0, 2, 1], dtype=np.uint8)
+    trace = Trace(tokens, [10, 20, 30])
+    assert trace.targets is tokens
+    assert trace.head(2).targets.base is tokens
+
+
+def test_signed_and_wide_tokens_narrow_to_equal_values():
+    wide = Trace(np.array([299, 0, 7], dtype=np.int64), np.ones(300, dtype=np.int64))
+    assert wide.targets.dtype == np.uint16
+    assert wide.targets.tolist() == [299, 0, 7]
+    with pytest.raises(TraceError, match="outside the target catalog"):
+        Trace(np.array([-1, 0], dtype=np.int8), [10, 20])

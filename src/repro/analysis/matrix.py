@@ -44,6 +44,7 @@ with ``cmp``.
 
 from __future__ import annotations
 
+import inspect
 from dataclasses import dataclass, field
 from typing import (
     Any,
@@ -182,11 +183,20 @@ class Scenario:
     def __post_init__(self) -> None:
         if not self.name:
             raise ValueError("scenario name must be non-empty")
-        if self.kind not in TRACE_GENERATORS:
+        generator = TRACE_GENERATORS.get(self.kind)
+        if generator is None:
             raise ValueError(
                 f"scenario {self.name!r}: unknown trace kind {self.kind!r} "
                 f"(known: {', '.join(sorted(TRACE_GENERATORS))})"
             )
+        # A misspelt or missing keyword is refused here, before any
+        # scenario's trace is generated.
+        try:
+            inspect.signature(generator).bind(**self.params)
+        except TypeError as exc:
+            raise ValueError(
+                f"scenario {self.name!r}: {generator.__name__} {exc}"
+            ) from None
         if not 0.0 <= self.warmup_fraction < 1.0:
             raise ValueError(
                 f"scenario {self.name!r}: warmup_fraction must be in [0, 1), "
@@ -307,12 +317,23 @@ def matrix_from_dict(spec: Mapping[str, Any]) -> MatrixSpec:
             raise ValueError(
                 f"scenario has unknown keys: {', '.join(sorted(extra))}"
             )
+        name = str(entry.get("name", ""))
+        params = entry.get("params", {})
+        if not isinstance(params, Mapping):
+            raise ValueError(
+                f"scenario {name!r}: 'params' must be an object, got {params!r}"
+            )
+        warmup = entry.get("warmup_fraction", 0.25)
+        if type(warmup) not in (int, float):
+            raise ValueError(
+                f"scenario {name!r}: 'warmup_fraction' must be a number, got {warmup!r}"
+            )
         scenarios.append(
             Scenario(
-                name=str(entry.get("name", "")),
+                name=name,
                 kind=str(entry.get("kind", "")),
-                params=dict(entry.get("params", {})),
-                warmup_fraction=float(entry.get("warmup_fraction", 0.25)),
+                params=dict(params),
+                warmup_fraction=float(warmup),
             )
         )
     return MatrixSpec(

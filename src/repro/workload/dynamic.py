@@ -25,6 +25,15 @@ the paper's own discussion — and the ROADMAP's "scenario diversity" item
 * **multi-tenant mixes** (:func:`multi_tenant_trace`) — K independent
   catalogs interleaved with per-tenant weights.
 
+Every generator takes only the keywords some caller passes.  They share
+one catalog, :func:`repro.workload.synthetic._catalog`'s defaults:
+log-normal sizes (sigma 1.6) from 128 B to 64 MiB summing to the
+requested bytes, assigned to popularity ranks with correlation -0.5
+(popular documents tend to be small).  The flash crowd and the CGI mix
+draw their stream the way :func:`~repro.workload.synthetic.
+synthesize_trace` does; the CGI mix *is* one, marked by
+:func:`mark_dynamic_targets`.
+
 Determinism contract: every generator is a pure function of its
 parameters — all randomness flows from ``np.random.default_rng(seed)``
 — so equal parameters give byte-identical traces, the generators are
@@ -35,14 +44,16 @@ them are byte-identical across ``--jobs`` fan-out.  See
 
 from __future__ import annotations
 
-from typing import Optional, Sequence, Tuple
+from typing import Optional, Sequence
 
 import numpy as np
 
 from .synthetic import (
-    _assign_sizes_by_popularity,
-    _lognormal_sizes,
+    _catalog,
+    _chunks,
+    _stationary,
     draw_tokens,
+    synthesize_trace,
     zipf_weights,
 )
 from .trace import Trace, TraceError, token_dtype
@@ -57,57 +68,27 @@ __all__ = [
 ]
 
 
-def _catalog(
-    rng: np.random.Generator,
-    num_targets: int,
-    total_bytes: int,
-    size_sigma: float,
-    size_popularity_correlation: float,
-    min_file_bytes: int,
-    max_file_bytes: int,
-) -> np.ndarray:
-    """One size table, shared by every generator below."""
-    sizes = _lognormal_sizes(
-        rng, num_targets, total_bytes, size_sigma, min_file_bytes, max_file_bytes
-    )
-    return _assign_sizes_by_popularity(rng, sizes, size_popularity_correlation)
-
-
-def _scaled(num_targets: int, total_bytes: int, scale: float) -> Tuple[int, int]:
-    if scale <= 0:
-        raise ValueError(f"scale must be positive, got {scale}")
-    return max(1, int(num_targets * scale)), max(1, int(total_bytes * scale))
-
-
 def flash_crowd_trace(
     num_requests: int = 200_000,
     num_targets: int = 20_000,
     total_bytes: int = 600 * 2**20,
-    zipf_alpha: float = 0.90,
     hot_targets: int = 8,
     peak_fraction: float = 0.60,
     onset_fraction: float = 0.30,
     peak_length_fraction: float = 0.20,
-    decay_length_fraction: float = 0.30,
-    size_sigma: float = 1.6,
-    size_popularity_correlation: float = -0.5,
-    min_file_bytes: int = 128,
-    max_file_bytes: int = 64 * 2**20,
     seed: int = 101,
-    scale: float = 1.0,
-    name: str = "flash-crowd",
 ) -> Trace:
     """Sudden hot-set concentration, then decay.
 
-    The stream is baseline Zipf(``zipf_alpha``) IRM until position
+    The stream is baseline Zipf(0.9) IRM until position
     ``onset_fraction * n``; there, the probability that a request is
     redirected onto a ``hot_targets``-document *crowd set* jumps to
     ``peak_fraction``, holds for ``peak_length_fraction`` of the stream,
-    then decays linearly to zero over ``decay_length_fraction``.  The
-    crowd set is a seeded popularity-weighted sample, so it overlaps the
-    warm working set only partially — the event both concentrates load
-    and rotates the hot documents, the combination that separates
-    locality-aware policies from oblivious ones.
+    then decays linearly to zero over the next 30%.  The crowd set is a
+    seeded popularity-weighted sample, so it overlaps the warm working
+    set only partially — the event both concentrates load and rotates
+    the hot documents, the combination that separates locality-aware
+    policies from oblivious ones.
     """
     if num_requests < 0:
         raise ValueError(f"negative request count: {num_requests}")
@@ -116,26 +97,14 @@ def flash_crowd_trace(
     for label, value in (
         ("onset_fraction", onset_fraction),
         ("peak_length_fraction", peak_length_fraction),
-        ("decay_length_fraction", decay_length_fraction),
     ):
         if not 0.0 <= value <= 1.0:
             raise ValueError(f"{label} must be in [0, 1], got {value}")
     if hot_targets < 1:
         raise ValueError(f"hot_targets must be >= 1, got {hot_targets}")
-    num_targets, total_bytes = _scaled(num_targets, total_bytes, scale)
     rng = np.random.default_rng(seed)
-    popularity = zipf_weights(num_targets, zipf_alpha)
-    sizes = _catalog(
-        rng,
-        num_targets,
-        total_bytes,
-        size_sigma,
-        size_popularity_correlation,
-        min_file_bytes,
-        max_file_bytes,
-    )
-    tokens = draw_tokens(
-        rng, popularity, np.empty(num_requests, dtype=token_dtype(num_targets))
+    popularity, sizes, tokens = _stationary(
+        rng, num_requests, num_targets, total_bytes, 0.90
     )
     if num_requests > 0 and peak_fraction > 0.0:
         crowd = rng.choice(
@@ -146,20 +115,34 @@ def flash_crowd_trace(
         )
         onset = int(onset_fraction * num_requests)
         peak_end = min(num_requests, onset + int(peak_length_fraction * num_requests))
-        decay_len = int(decay_length_fraction * num_requests)
+        decay_len = int(0.30 * num_requests)
         decay_end = min(num_requests, peak_end + decay_len)
-        # Per-position redirect probability: 0 before onset, peak during
-        # the plateau, linear decay back to 0 afterwards.
-        p_redirect = np.zeros(num_requests, dtype=np.float64)
-        p_redirect[onset:peak_end] = peak_fraction
-        if decay_len > 0 and decay_end > peak_end:
-            ramp = np.linspace(peak_fraction, 0.0, decay_len + 1)[1:]
-            p_redirect[peak_end:decay_end] = ramp[: decay_end - peak_end]
-        mask = rng.random(num_requests) < p_redirect
+        # Redirect probability: peak_fraction on the plateau, a linear
+        # decay back to 0 after it, 0 elsewhere.  Every position draws its
+        # uniform, but only the onset-to-decay window can redirect, so
+        # only the window holds a mask.
+        ramp = np.linspace(peak_fraction, 0.0, decay_len + 1)[1 : 1 + decay_end - peak_end]
+        mask = np.empty(decay_end - onset, dtype=bool)
+        for start, stop in _chunks(num_requests):
+            uniforms = rng.random(stop - start)
+            lo, hi = max(start, onset), min(stop, peak_end)
+            if lo < hi:
+                np.less(
+                    uniforms[lo - start : hi - start],
+                    peak_fraction,
+                    out=mask[lo - onset : hi - onset],
+                )
+            lo, hi = max(start, peak_end), min(stop, decay_end)
+            if lo < hi:
+                np.less(
+                    uniforms[lo - start : hi - start],
+                    ramp[lo - peak_end : hi - peak_end],
+                    out=mask[lo - onset : hi - onset],
+                )
         hits = int(mask.sum())
         if hits:
-            tokens[mask] = rng.choice(crowd, size=hits)
-    return Trace(tokens, sizes, name=name)
+            tokens[onset:decay_end][mask] = rng.choice(crowd, size=hits)
+    return Trace(tokens, sizes, name="flash-crowd")
 
 
 def diurnal_trace(
@@ -171,13 +154,7 @@ def diurnal_trace(
     cycles: int = 3,
     phases_per_cycle: int = 8,
     peak_to_trough: float = 4.0,
-    size_sigma: float = 1.6,
-    size_popularity_correlation: float = -0.5,
-    min_file_bytes: int = 128,
-    max_file_bytes: int = 64 * 2**20,
     seed: int = 105,
-    scale: float = 1.0,
-    name: str = "diurnal",
 ) -> Trace:
     """Day/night load envelope expressed in stream composition.
 
@@ -197,17 +174,8 @@ def diurnal_trace(
         raise ValueError("need cycles >= 1 and phases_per_cycle >= 2")
     if peak_to_trough < 1.0:
         raise ValueError(f"peak_to_trough must be >= 1, got {peak_to_trough}")
-    num_targets, total_bytes = _scaled(num_targets, total_bytes, scale)
     rng = np.random.default_rng(seed)
-    sizes = _catalog(
-        rng,
-        num_targets,
-        total_bytes,
-        size_sigma,
-        size_popularity_correlation,
-        min_file_bytes,
-        max_file_bytes,
-    )
+    sizes = _catalog(rng, num_targets, total_bytes)
     phases = cycles * phases_per_cycle
     k = np.arange(phases, dtype=np.float64)
     # Raised cosine in [0, 1] per phase position within its cycle.
@@ -230,7 +198,7 @@ def diurnal_trace(
             zipf_alpha_peak - zipf_alpha_trough
         ) * float(envelope01[phase])
         draw_tokens(rng, zipf_weights(num_targets, alpha), tokens[start:stop])
-    return Trace(tokens, sizes, name=name)
+    return Trace(tokens, sizes, name="diurnal")
 
 
 def drift_trace(
@@ -241,13 +209,7 @@ def drift_trace(
     alpha_end: float = 1.30,
     phases: int = 8,
     churn_fraction: float = 0.25,
-    size_sigma: float = 1.6,
-    size_popularity_correlation: float = -0.5,
-    min_file_bytes: int = 128,
-    max_file_bytes: int = 64 * 2**20,
     seed: int = 103,
-    scale: float = 1.0,
-    name: str = "drift",
 ) -> Trace:
     """Popularity drift: Zipf alpha sweeps while rank identity churns.
 
@@ -267,17 +229,8 @@ def drift_trace(
         raise ValueError(f"phases must be >= 1, got {phases}")
     if not 0.0 <= churn_fraction <= 1.0:
         raise ValueError(f"churn_fraction must be in [0, 1], got {churn_fraction}")
-    num_targets, total_bytes = _scaled(num_targets, total_bytes, scale)
     rng = np.random.default_rng(seed)
-    sizes = _catalog(
-        rng,
-        num_targets,
-        total_bytes,
-        size_sigma,
-        size_popularity_correlation,
-        min_file_bytes,
-        max_file_bytes,
-    )
+    sizes = _catalog(rng, num_targets, total_bytes)
     tokens = np.empty(num_requests, dtype=token_dtype(num_targets))
     perm = np.arange(num_targets, dtype=tokens.dtype)
     churn_count = int(churn_fraction * num_targets)
@@ -295,7 +248,7 @@ def drift_trace(
         alpha = alpha_start + (alpha_end - alpha_start) * frac
         ranks = draw_tokens(rng, zipf_weights(num_targets, alpha), tokens[start:stop])
         ranks[:] = perm[ranks]
-    return Trace(tokens, sizes, name=name)
+    return Trace(tokens, sizes, name="drift")
 
 
 def mark_dynamic_targets(
@@ -346,49 +299,28 @@ def cgi_mix_trace(
     zipf_alpha: float = 0.90,
     dynamic_fraction: float = 0.10,
     cpu_cost_s: float = 0.020,
-    cost_spread: float = 0.5,
-    size_sigma: float = 1.6,
-    size_popularity_correlation: float = -0.5,
-    min_file_bytes: int = 128,
-    max_file_bytes: int = 64 * 2**20,
     seed: int = 107,
-    scale: float = 1.0,
-    name: str = "cgi-mix",
 ) -> Trace:
     """Static Zipf IRM with a CPU-bound (CGI) target fraction.
 
     ``dynamic_fraction`` of the catalog is marked dynamic with a
-    size-independent CPU cost around ``cpu_cost_s`` seconds (paper
-    Section 2: dynamic content is compute-dominated and uncacheable);
-    the cluster charges it through
+    size-independent CPU cost within 50% of ``cpu_cost_s`` seconds
+    (paper Section 2: dynamic content is compute-dominated and
+    uncacheable); the cluster charges it through
     :meth:`repro.cluster.costs.CostModel.dynamic_service_time` and
     counts it in ``SimulationResult.dynamic_requests``.
     """
-    if num_requests < 0:
-        raise ValueError(f"negative request count: {num_requests}")
-    num_targets, total_bytes = _scaled(num_targets, total_bytes, scale)
-    rng = np.random.default_rng(seed)
-    popularity = zipf_weights(num_targets, zipf_alpha)
-    sizes = _catalog(
-        rng,
+    base = synthesize_trace(
+        num_requests,
         num_targets,
         total_bytes,
-        size_sigma,
-        size_popularity_correlation,
-        min_file_bytes,
-        max_file_bytes,
-    )
-    tokens = draw_tokens(
-        rng, popularity, np.empty(num_requests, dtype=token_dtype(num_targets))
-    )
-    base = Trace(tokens, sizes, name=name)
-    return mark_dynamic_targets(
-        base,
-        dynamic_fraction,
-        cpu_cost_s,
-        cost_spread=cost_spread,
+        zipf_alpha,
+        size_popularity_correlation=-0.5,
         seed=seed,
-        name=name,
+        name="cgi-mix",
+    )
+    return mark_dynamic_targets(
+        base, dynamic_fraction, cpu_cost_s, seed=seed, name="cgi-mix"
     )
 
 
@@ -399,13 +331,7 @@ def multi_tenant_trace(
     bytes_per_tenant: int = 200 * 2**20,
     zipf_alphas: Sequence[float] = (0.80, 1.00, 1.20),
     tenant_weights: Sequence[float] = (0.5, 0.3, 0.2),
-    size_sigma: float = 1.6,
-    size_popularity_correlation: float = -0.5,
-    min_file_bytes: int = 128,
-    max_file_bytes: int = 64 * 2**20,
     seed: int = 109,
-    scale: float = 1.0,
-    name: str = "multi-tenant",
 ) -> Trace:
     """K independent catalogs interleaved with per-tenant weights.
 
@@ -429,22 +355,10 @@ def multi_tenant_trace(
     if np.any(weights <= 0):
         raise ValueError("tenant_weights must all be positive")
     weights = weights / weights.sum()
-    per_targets = max(1, int(targets_per_tenant * scale))
-    per_bytes = max(1, int(bytes_per_tenant * scale))
     rng = np.random.default_rng(seed)
-    size_tables = [
-        _catalog(
-            rng,
-            per_targets,
-            per_bytes,
-            size_sigma,
-            size_popularity_correlation,
-            min_file_bytes,
-            max_file_bytes,
-        )
-        for _ in range(tenants)
-    ]
-    sizes = np.concatenate(size_tables)
+    sizes = np.concatenate(
+        [_catalog(rng, targets_per_tenant, bytes_per_tenant) for _ in range(tenants)]
+    )
     tenant_of = draw_tokens(
         rng, weights, np.empty(num_requests, dtype=token_dtype(tenants))
     )
@@ -456,8 +370,8 @@ def multi_tenant_trace(
         count = int(mask.sum())
         if count == 0:
             continue
-        popularity = zipf_weights(per_targets, float(zipf_alphas[tenant]))
+        popularity = zipf_weights(targets_per_tenant, float(zipf_alphas[tenant]))
         draws = draw_tokens(rng, popularity, np.empty(count, dtype=tokens.dtype))
-        draws += tenant * per_targets
+        draws += tenant * targets_per_tenant
         tokens[mask] = draws
-    return Trace(tokens, sizes, name=name)
+    return Trace(tokens, sizes, name="multi-tenant")

@@ -91,50 +91,60 @@ def draw_tokens(
     return out
 
 
-def _lognormal_sizes(
+def _catalog(
     rng: np.random.Generator,
     num_targets: int,
     total_bytes: int,
-    sigma: float,
-    min_bytes: int,
-    max_bytes: int,
+    size_sigma: float = 1.6,
+    correlation: float = -0.5,
+    min_file_bytes: int = 128,
+    max_file_bytes: int = 64 * 2**20,
 ) -> np.ndarray:
-    """Log-normal file sizes rescaled so they sum exactly to ``total_bytes``."""
-    raw = rng.lognormal(mean=0.0, sigma=sigma, size=num_targets)
-    sizes = raw * (total_bytes / raw.sum())
-    sizes = np.clip(sizes, min_bytes, max_bytes)
-    # Re-normalize after clipping (one pass is enough for test tolerances).
-    sizes = sizes * (total_bytes / sizes.sum())
-    return np.maximum(sizes.astype(np.int64), min_bytes)
-
-
-def _assign_sizes_by_popularity(
-    rng: np.random.Generator,
-    sizes: np.ndarray,
-    correlation: float,
-) -> np.ndarray:
-    """Permute ``sizes`` across popularity ranks.
+    """Log-normal file sizes summing to ``total_bytes``, by popularity rank.
 
     ``correlation`` in [-1, 1]: -1 pairs the most popular target with the
     smallest file (IBM-style), +1 with the largest, 0 is a uniform shuffle.
     Implemented as a noisy rank blend, so intermediate values give partial
-    rank correlation.
+    rank correlation.  The defaults are the catalog of every generator in
+    :mod:`repro.workload.dynamic`.
     """
     if not -1.0 <= correlation <= 1.0:
         raise ValueError(f"correlation must be in [-1, 1], got {correlation}")
-    n = len(sizes)
-    sorted_sizes = np.sort(sizes)
-    if correlation < 0:
-        sorted_sizes = sorted_sizes  # ascending: popular -> small
-    else:
-        sorted_sizes = sorted_sizes[::-1]  # descending: popular -> large
+    raw = rng.lognormal(mean=0.0, sigma=size_sigma, size=num_targets)
+    sizes = raw * (total_bytes / raw.sum())
+    sizes = np.clip(sizes, min_file_bytes, max_file_bytes)
+    # Re-normalize after clipping (one pass is enough for test tolerances).
+    sizes = sizes * (total_bytes / sizes.sum())
+    sizes = np.sort(np.maximum(sizes.astype(np.int64), min_file_bytes))
+    if correlation >= 0:
+        sizes = sizes[::-1]  # descending: popular -> large
     strength = abs(correlation)
     # Low-noise score ~ popularity rank; high noise ~ random permutation.
-    score = strength * np.arange(n) + (1.0 - strength) * rng.random(n) * n
-    order = np.argsort(score, kind="stable")
-    assigned = np.empty(n, dtype=np.int64)
-    assigned[order] = sorted_sizes
+    score = strength * np.arange(num_targets) + (
+        (1.0 - strength) * rng.random(num_targets) * num_targets
+    )
+    assigned = np.empty(num_targets, dtype=np.int64)
+    assigned[np.argsort(score, kind="stable")] = sizes
     return assigned
+
+
+def _stationary(
+    rng: np.random.Generator,
+    num_requests: int,
+    num_targets: int,
+    total_bytes: int,
+    zipf_alpha: float,
+    **catalog: Any,
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(popularity, sizes, tokens)`` of an independent-reference-model
+    stream: a :func:`_catalog` (``catalog`` overrides its defaults), then
+    ``num_requests`` Zipf(``zipf_alpha``) draws over it."""
+    popularity = zipf_weights(num_targets, zipf_alpha)
+    sizes = _catalog(rng, num_targets, total_bytes, **catalog)
+    tokens = draw_tokens(
+        rng, popularity, np.empty(num_requests, dtype=token_dtype(num_targets))
+    )
+    return popularity, sizes, tokens
 
 
 def synthesize_trace(
@@ -174,13 +184,16 @@ def synthesize_trace(
     if not 0.0 <= burst_fraction < 1.0:
         raise ValueError(f"burst_fraction must be in [0, 1), got {burst_fraction}")
     rng = np.random.default_rng(seed)
-    popularity = zipf_weights(num_targets, zipf_alpha)
-    sizes = _lognormal_sizes(
-        rng, num_targets, total_bytes, size_sigma, min_file_bytes, max_file_bytes
-    )
-    sizes = _assign_sizes_by_popularity(rng, sizes, size_popularity_correlation)
-    tokens = draw_tokens(
-        rng, popularity, np.empty(num_requests, dtype=token_dtype(num_targets))
+    popularity, sizes, tokens = _stationary(
+        rng,
+        num_requests,
+        num_targets,
+        total_bytes,
+        zipf_alpha,
+        size_sigma=size_sigma,
+        correlation=size_popularity_correlation,
+        min_file_bytes=min_file_bytes,
+        max_file_bytes=max_file_bytes,
     )
     if burst_fraction > 0.0 and num_requests > 0:
         if burst_focus < 1 or burst_window < 1:

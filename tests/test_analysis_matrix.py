@@ -88,6 +88,37 @@ class TestSpecValidation:
         spec = matrix_from_dict(dict(TINY, pod_d=3, pod_replication=4))
         assert (spec.pod_d, spec.pod_replication) == (3, 4)
 
+    def test_a_misspelt_generator_keyword_names_its_scenario(self):
+        second = dict(TINY["scenarios"][1])
+        second["params"] = dict(second["params"], num_request=2000)
+        bad = dict(TINY, scenarios=[TINY["scenarios"][0], second])
+        with pytest.raises(ValueError, match=r"^scenario 'cgi': .*'num_request'"):
+            matrix_from_dict(bad)
+
+    def test_a_missing_generator_keyword_names_its_scenario(self):
+        params = dict(num_requests=100, num_targets=10, total_bytes=2**20)
+        with pytest.raises(ValueError, match=r"^scenario 's': .*'zipf_alpha'"):
+            Scenario(name="s", kind="synthetic", params=params)
+
+    @pytest.mark.parametrize("keyword", ["scale", "name", "size_sigma"])
+    def test_a_keyword_the_generator_does_not_take_is_refused(self, keyword):
+        with pytest.raises(ValueError, match=f"'{keyword}'"):
+            Scenario(name="x", kind="flash", params={keyword: 1})
+
+    @pytest.mark.parametrize("value", ["0.5", True, None, [0.5]])
+    def test_warmup_fraction_is_not_coerced(self, value):
+        # float() used to turn "0.5" into 0.5 and true into 1.0.
+        bad = dict(TINY, scenarios=[dict(TINY["scenarios"][0], warmup_fraction=value)])
+        with pytest.raises(ValueError, match="'warmup_fraction' must be a number"):
+            matrix_from_dict(bad)
+
+    @pytest.mark.parametrize("value", [[["num_requests", 2000]], "num_requests=2000", None])
+    def test_params_must_be_an_object(self, value):
+        # dict() used to accept a list of pairs.
+        bad = dict(TINY, scenarios=[dict(TINY["scenarios"][0], params=value)])
+        with pytest.raises(ValueError, match="'params' must be an object"):
+            matrix_from_dict(bad)
+
     def test_unknown_trace_kind_rejected(self):
         with pytest.raises(ValueError, match="unknown trace kind"):
             Scenario(name="x", kind="nope")
@@ -227,6 +258,23 @@ class TestCli:
         spec_path.write_text("{nope")
         assert main(["matrix", "--spec", str(spec_path)]) == 2
         assert "not valid JSON" in capsys.readouterr().err
+
+    def test_a_misspelt_generator_keyword_exits_before_any_trace(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        """The first scenario is valid: it used to run, and the second
+        then died with a ``TypeError`` traceback."""
+        cache = tmp_path / "traces"
+        monkeypatch.setenv("REPRO_TRACE_CACHE", str(cache))
+        second = dict(TINY["scenarios"][1])
+        second["params"] = dict(second["params"], num_request=2000)
+        spec_path = tmp_path / "typo.json"
+        spec_path.write_text(json.dumps(dict(TINY, scenarios=[TINY["scenarios"][0], second])))
+        assert main(["matrix", "--spec", str(spec_path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1 and "'num_request'" in captured.err
+        assert not cache.exists()
 
     def test_unknown_builtin_is_operator_error(self, capsys):
         assert main(["matrix", "--name", "nope"]) == 2

@@ -53,7 +53,7 @@ from repro.cluster import ClusterConfig, ClusterSimulator, CrashFault, FaultSche
 from repro.obs import SpanWriter
 from repro.obs.tracer import SimTracer
 from repro.sim import SanitizerError
-from repro.workload import rice_like_trace, synthesize_trace
+from repro.workload import flash_crowd_trace, rice_like_trace, synthesize_trace
 from tests.seeded_mutation import mutated_env
 from tests.test_cluster_differential import CACHE, NUM_NODES, _schedule, _trace
 
@@ -355,17 +355,24 @@ def test_the_front_end_cannot_write_to_the_trace():
 # -- (e) what the trace itself costs --------------------------------------------
 
 
-def _rice_generation(num_requests):
-    """``(held, peak)`` bytes of a cold Rice generation (37 703 targets)
-    that is still alive when counting stops."""
+def _cold_generation(generate, num_requests):
+    """``(trace, held, peak)``: the bytes of a cold generation that is
+    still alive when counting stops."""
     gc.collect()
     tracemalloc.start()
     try:
-        trace = rice_like_trace(num_requests=num_requests)
+        trace = generate(num_requests=num_requests)
         held, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert len(trace) == num_requests and trace.num_targets == 37_703
+    assert len(trace) == num_requests
+    return trace, held, peak
+
+
+def _rice_generation(num_requests):
+    """``(held, peak)`` of a cold Rice generation (37 703 targets)."""
+    trace, held, peak = _cold_generation(rice_like_trace, num_requests)
+    assert trace.num_targets == 37_703
     return held, peak
 
 
@@ -388,6 +395,17 @@ def test_a_cold_generation_peaks_a_few_bytes_per_request_above_its_output():
     held, peak = _rice_generation(requests)
     per_request = (peak - held) / requests
     assert per_request <= 4.0, f"peak {per_request:.2f} bytes per request above the output"
+
+
+def test_a_cold_flash_crowd_peaks_a_few_bytes_per_request_above_its_output():
+    """The redirect mask is drawn a chunk at a time and kept over the
+    onset-to-decay window only.  A float64 redirect probability and a
+    float64 uniform per request of the whole stream peaked 20 bytes a
+    request above the output."""
+    requests = 1_000_000
+    _trace, held, peak = _cold_generation(flash_crowd_trace, requests)
+    per_request = (peak - held) / requests
+    assert per_request < 8.0, f"peak {per_request:.2f} bytes per request above the output"
 
 
 # -- seeded mutations -----------------------------------------------------------
@@ -465,6 +483,17 @@ MUTATIONS = {
         "        out[start:stop] = cdf.searchsorted(rng.random(stop - start), side=\"right\")\n",
         "    out[:] = cdf.searchsorted(rng.random(len(out)), side=\"right\")\n",
         "few_bytes_per_request_above_its_output",
+    ),
+    "flash-redirect-probability-over-the-whole-stream": (
+        "workload/dynamic.py",
+        "        mask = np.empty(decay_end - onset, dtype=bool)\n"
+        "        for start, stop in _chunks(num_requests):\n",
+        "        p_redirect = np.zeros(num_requests, dtype=np.float64)\n"
+        "        p_redirect[onset:peak_end] = peak_fraction\n"
+        "        p_redirect[peak_end:decay_end] = ramp\n"
+        "        mask = (rng.random(num_requests) < p_redirect)[onset:decay_end]\n"
+        "        for start, stop in ():\n",
+        "cold_flash_crowd",
     ),
 }
 

@@ -262,3 +262,65 @@ class TestMemoVersionGoldenDigests:
         before = trace_cache_key("rice", {"num_requests": 100})
         monkeypatch.setattr(memo, "_MEMO_VERSION", _MEMO_VERSION + 1)
         assert trace_cache_key("rice", {"num_requests": 100}) != before
+
+
+# The goldens above are 500-request calls, which never cross a draw
+# chunk (``synthetic._CHUNK``, 65 536 requests).  These pins do: about
+# three chunks each, recorded on 24619da.  Both flash windows straddle
+# chunk boundaries; the second runs off the end of the stream.
+_N = 200_003
+_CATALOG = dict(num_requests=_N, num_targets=3000, total_bytes=64 * 2**20)
+_CHUNK_CROSSING = {
+    "synthetic": (
+        "synthetic",
+        dict(_CATALOG, zipf_alpha=0.9, burst_fraction=0.2, burst_focus=10,
+             burst_window=7001, seed=5),
+        "80aa286b2f5b2db6c75c77516c125fa8468fca92c7faf122c2b03d3cdcdd645b",
+    ),
+    "flash": (
+        "flash",
+        dict(_CATALOG, hot_targets=8, peak_fraction=0.6, onset_fraction=0.31,
+             peak_length_fraction=0.2, seed=11),
+        "eb6221b5bec42a868986ba8eaa07bb4705da20defcd28866a861d4ede7962201",
+    ),
+    "flash-tail": (
+        "flash",
+        dict(_CATALOG, onset_fraction=0.75, seed=16),
+        "370c67f3396719bb82b2d4c2cabc6ab02a1e24fe8b65458f66e7afcfc0ff2061",
+    ),
+    "diurnal": (
+        "diurnal",
+        dict(_CATALOG, seed=12),
+        "504cf758b56ed9bda24b726a0ca382c3c86d602986e71c9c27db5807a766ac60",
+    ),
+    "drift": (
+        "drift",
+        dict(_CATALOG, seed=13),
+        "10d0fdf33e7e003f651e51cbe1de00b93899237085c3aa79b55e2a46f8838181",
+    ),
+    "cgi": (
+        "cgi",
+        dict(_CATALOG, zipf_alpha=1.0, dynamic_fraction=0.15, cpu_cost_s=0.02, seed=14),
+        "b9b0d8f7abb20fbd9891b6ab9ee6f1f421bd9acc1da2f23768767be92ffd720d",
+    ),
+    "tenants": (
+        "tenants",
+        dict(num_requests=_N, targets_per_tenant=1000, bytes_per_tenant=16 * 2**20, seed=15),
+        "e1fc99f131d6667ffeb2344e439f15b1d6e074ceeab28c9ba370e14d38c47b80",
+    ),
+}
+
+
+@pytest.mark.parametrize("label", sorted(_CHUNK_CROSSING))
+def test_a_chunk_crossing_generation_matches_its_pin(label):
+    """Name, token dtype, tokens, sizes and cost table, byte for byte."""
+    kind, params, pin = _CHUNK_CROSSING[label]
+    trace = TRACE_GENERATORS[kind](**params)
+    digest = hashlib.sha256()
+    digest.update(trace.name.encode())
+    digest.update(trace.targets.dtype.str.encode())
+    digest.update(trace.targets.tobytes())
+    digest.update(trace.sizes_by_target.tobytes())
+    if trace.cpu_cost_s_by_target is not None:
+        digest.update(trace.cpu_cost_s_by_target.tobytes())
+    assert digest.hexdigest() == pin

@@ -33,9 +33,10 @@ from __future__ import annotations
 import argparse
 import sys
 from pathlib import Path
-from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Any, List, Optional, Sequence, Tuple
 
-from .cluster import PAPER_NODE_CACHE_BYTES, run_simulation
+from .cluster import PAPER_NODE_CACHE_BYTES
+from .cluster.simulator import _simulate
 from .core import POLICY_NAMES, PolicyError
 from .workload import locality_profile
 
@@ -350,7 +351,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     if args.profile:
         _check_sink(args.profile)
     trace = _make_trace(args.trace, args.requests, args.scale_factor)
-    result = run_simulation(
+    simulator, result = _simulate(
         trace,
         policy=args.policy,
         num_nodes=args.nodes,
@@ -363,6 +364,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         sample_interval_s=args.sample_interval,
     )
     print(result.summary())
+    print(_core_line(simulator))
     if args.profile:
         print(f"profile written to {args.profile} (inspect with: python -m pstats {args.profile})")
     if args.spans:
@@ -372,6 +374,17 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         f"cpu busy {result.cpu_busy_fraction:.0%}, disk busy {result.disk_busy_fraction:.0%}"
     )
     return 0
+
+
+def _core_line(simulator: Any) -> str:
+    """Which lifecycle the run took, and why not the compiled one."""
+    from .cluster import native
+
+    if simulator.core == "native":
+        built = native.last_build_s()
+        first_use = "" if built is None else f" (compiled on first use in {built:.1f} s)"
+        return f"core: native{first_use}"
+    return f"core: python ({simulator.core_reason})"
 
 
 def _cmd_spans(path: str) -> int:

@@ -1,0 +1,1611 @@
+/* The plain request lifecycle of repro.cluster.fastpath, compiled.
+ *
+ * One Core object runs one simulation's FastConnection state machine --
+ * _begin, _decide, _fetch, _advance, _complete with the single-server
+ * Resource bookkeeping inlined, the in-place start, the steady-state
+ * admission.  Its events go through the run's own Engine: each is the
+ * engine's (time, seq, fn, arg) tuple, fn one of the Core's stage
+ * methods and arg the connection's number, pushed on Engine._queue or
+ * staged on Engine._nowq with a seq drawn from Engine.seqs, and
+ * Engine.run dispatches them.  fastpath.py is the reference: every line
+ * below mirrors one there, float operation for float operation (built
+ * with -ffp-contract=off, so no multiply-add is fused), and the identity
+ * and differential suites compare the two byte for byte.
+ *
+ * Python is called for what the policy and the cache decide
+ * (policy.choose, cache.access) and for the rare paths: a multi-chunk
+ * read plan (DiskTimes.chunk_plan), Policy.on_dispatch / on_complete on
+ * their error branches, a rehandoff's detach and attach, the timeline
+ * bucket.  The policy's hot state (loads, _min_load, _min_cursor,
+ * dispatches, completions) and the tracker's lists stay in their Python
+ * objects, read and written in place, because choose and the tracker
+ * read them; everything only the lifecycle reads (resources, node and
+ * front-end counters) lives here and is written back by finish(), when
+ * the run ends.
+ *
+ * repro.cluster.native builds this file on first use and
+ * FrontEnd.start() decides when a run may take it; runs with a tracer,
+ * a fault runtime, a sanitizer, a profiler, GMS, LB/GC hit hints or
+ * several disks per node take fastpath.py.
+ */
+
+#define PY_SSIZE_T_CLEAN
+#include <Python.h>
+#include <stdint.h>
+#include <string.h>
+
+enum { ST_BEGIN, ST_DECIDE, ST_ADVANCE, ST_COMPLETE, ST_COALESCED };
+
+/* What a connection does after its current data service. */
+enum { PLAN_EMPTY, PLAN_TRANSMIT, PLAN_CHUNKED };
+
+/* A waiting job: the event its start will schedule (Resource._waiting). */
+typedef struct {
+    double duration;
+    int stage;
+    int conn;
+} Job;
+
+typedef struct {
+    PyObject *obj; /* the Python Resource, written back at the end */
+    double busy_integral;
+    double last_change;
+    long long jobs_served;
+    int busy;
+    Job *jobs; /* FIFO ring */
+    Py_ssize_t head, len, cap;
+} Res;
+
+typedef struct {
+    PyObject *obj;        /* BackendNode */
+    PyObject *access;     /* node.cache.access */
+    PyObject *disk_times; /* DiskTimes: chunk_plan for multi-chunk files */
+    const double *single; /* DiskTimes.single */
+    long long chunk_bytes;
+    double conn_time, teardown_time, per_unit, cpu_speed;
+    int coalesce;
+    long long cache_hits, cache_misses, disk_reads, coalesced_reads;
+    long long requests_served, bytes_served, dynamic_requests;
+} Node;
+
+typedef struct {
+    int node;
+    int res; /* index into Core.res of the data service in flight */
+    int reading;
+    int plan_kind;
+    Py_ssize_t target, size, index, last, plan_i, plan_len;
+    long long epoch;
+    double start;
+    double plan_cpu;   /* PLAN_TRANSMIT: the one CPU step */
+    PyObject *pairs;   /* PLAN_CHUNKED: ((disk_time, cpu_units), ...) */
+    PyObject *id;      /* this connection's number: its events' argument */
+    int read_next;     /* next registered read of the same target */
+    int wait_head, wait_tail, wait_next; /* coalesced waiters, in order */
+} Conn;
+
+typedef struct {
+    double *table;
+    PyObject *source;
+} Table;
+
+typedef struct {
+    PyObject_HEAD
+    PyObject *fe, *engine, *policy, *policy_dict, *choose;
+    PyObject *p_loads, *p_alive, *epoch, *size_list;
+    PyObject *t_under_since, *t_under_time, *t_is_under, *observe;
+    PyObject *delays, *timeline, *timeline_interval;
+    Py_buffer targets;
+    int have_targets;
+    char tkind;
+    Py_ssize_t tstride;
+    double t_threshold;
+    Py_ssize_t n, next, rpc, num_targets;
+    long long in_flight, max_in_flight;
+    int rehandoff, collect_delays;
+    long long completed, connections, rehandoffs, orphaned;
+    long long started_in_place; /* events run in place: not in the queue */
+    double total_delay;
+    long long *pn_dispatches, *pn_completions;
+    double *pn_delay;
+    int num_nodes;
+    Node *nodes;
+    Res *res; /* cpu of node i is res[2i], its disk res[2i + 1] */
+    long long *units;
+    double *dyn; /* per-target CGI cost, or NULL */
+    Table *tables;
+    int num_tables;
+    Conn *conns;
+    int nconns, conn_cap;
+    int *pool;
+    int npool;
+    int *pending; /* target -> first registered read (a conn), or -1 */
+    /* The engine's queue, staging FIFO and tie-break counter, and its
+     * instance dict, where Engine.run keeps the clock ("now"). */
+    PyObject *queue, *nowq, *nowq_append, *seqs, *heappush, *engine_dict;
+    PyObject *stage_fns[5]; /* the bound stage methods, by ST_* */
+    double now;             /* the clock, read when a stage starts */
+    int ran;
+} Core;
+
+static PyObject *s_dispatches, *s_completions, *s_min_load, *s_min_cursor, *s_now, *s_stopped;
+
+/* -- events: the engine's (time, seq, fn, arg), on its heap (Engine.push)
+ * or its FIFO for the current instant (Engine._nowq). ------------------ */
+
+static int
+push_event(Core *s, int heap, double time, int stage, int conn)
+{
+    PyObject *seq = PyIter_Next(s->seqs);
+    if (seq == NULL) {
+        if (!PyErr_Occurred())
+            PyErr_SetString(PyExc_RuntimeError, "tie-break counter exhausted");
+        return -1;
+    }
+    PyObject *t = PyFloat_FromDouble(time);
+    PyObject *ev = t ? PyTuple_New(4) : NULL;
+    if (ev == NULL) {
+        Py_DECREF(seq);
+        Py_XDECREF(t);
+        return -1;
+    }
+    PyTuple_SET_ITEM(ev, 0, t);
+    PyTuple_SET_ITEM(ev, 1, seq);
+    Py_INCREF(s->stage_fns[stage]);
+    PyTuple_SET_ITEM(ev, 2, s->stage_fns[stage]);
+    Py_INCREF(s->conns[conn].id);
+    PyTuple_SET_ITEM(ev, 3, s->conns[conn].id);
+    PyObject *args[2] = {s->queue, ev};
+    PyObject *r = heap ? PyObject_Vectorcall(s->heappush, args, 2, NULL)
+                       : PyObject_Vectorcall(s->nowq_append, &args[1], 1, NULL);
+    Py_DECREF(ev);
+    if (r == NULL)
+        return -1;
+    Py_DECREF(r);
+    return 0;
+}
+
+static inline int
+heap_push(Core *s, double time, int stage, int conn)
+{
+    return push_event(s, 1, time, stage, conn);
+}
+
+static inline int
+nowq_push(Core *s, double time, int stage, int conn)
+{
+    return push_event(s, 0, time, stage, conn);
+}
+
+/* engine.post(delay, stage, conn), reached only when now + delay is not
+ * after now: staged for this instant, or refused. */
+static int
+post_now(Core *s, double delay, int stage, int conn)
+{
+    if (!(delay >= 0)) {
+        PyObject *mod = PyImport_ImportModule("repro.sim.engine");
+        if (mod != NULL) {
+            PyObject *err = PyObject_GetAttrString(mod, "SimulationError");
+            PyObject *shown = PyFloat_FromDouble(delay);
+            if (err != NULL && shown != NULL)
+                PyErr_Format(err, "cannot schedule into the past or at NaN (delay=%R)", shown);
+            Py_XDECREF(shown);
+            Py_XDECREF(err);
+            Py_DECREF(mod);
+        }
+        return -1;
+    }
+    return nowq_push(s, s->now + delay, stage, conn);
+}
+
+/* The stages' "when = now + d; push if when > now, else post". */
+static inline int
+schedule(Core *s, double duration, int stage, int conn)
+{
+    double when = s->now + duration;
+    if (when > s->now)
+        return heap_push(s, when, stage, conn);
+    return post_now(s, duration, stage, conn);
+}
+
+/* -- single-server resources (Resource._enqueue / _finish, inlined) ------ */
+
+static int
+res_enqueue(Core *s, Res *r, double duration, int stage, int conn)
+{
+    if (r->busy) {
+        if (r->len == r->cap) {
+            Py_ssize_t cap = r->cap ? 2 * r->cap : 16;
+            Job *grown = PyMem_Malloc((size_t)cap * sizeof(Job));
+            if (grown == NULL) {
+                PyErr_NoMemory();
+                return -1;
+            }
+            for (Py_ssize_t k = 0; k < r->len; k++)
+                grown[k] = r->jobs[(r->head + k) % r->cap];
+            PyMem_Free(r->jobs);
+            r->jobs = grown;
+            r->head = 0;
+            r->cap = cap;
+        }
+        Job job = {duration, stage, conn};
+        r->jobs[(r->head + r->len++) % r->cap] = job;
+        return 0;
+    }
+    r->last_change = s->now;
+    r->busy = 1;
+    return schedule(s, duration, stage, conn);
+}
+
+/* The freed server promotes its next waiter before the finishing
+ * request's own logic runs. */
+static inline int
+res_finish(Core *s, Res *r)
+{
+    double now = s->now;
+    r->jobs_served += 1;
+    r->busy_integral += now - r->last_change;
+    r->last_change = now;
+    if (r->len) {
+        Job job = r->jobs[r->head];
+        r->head = (r->head + 1) % r->cap;
+        r->len--;
+        return schedule(s, job.duration, job.stage, job.conn);
+    }
+    r->busy = 0;
+    return 0;
+}
+
+/* -- Python state read and written in place ------------------------------ */
+
+static inline int
+list_ll(PyObject *list, Py_ssize_t i, long long *out)
+{
+    *out = PyLong_AsLongLong(PyList_GET_ITEM(list, i));
+    return (*out == -1 && PyErr_Occurred()) ? -1 : 0;
+}
+
+static inline int
+list_set_ll(PyObject *list, Py_ssize_t i, long long value)
+{
+    PyObject *obj = PyLong_FromLongLong(value);
+    if (obj == NULL)
+        return -1;
+    PyList_SetItem(list, i, obj);
+    return 0;
+}
+
+static inline int
+list_set_double(PyObject *list, Py_ssize_t i, double value)
+{
+    PyObject *obj = PyFloat_FromDouble(value);
+    if (obj == NULL)
+        return -1;
+    PyList_SetItem(list, i, obj);
+    return 0;
+}
+
+static inline int
+list_double(PyObject *list, Py_ssize_t i, double *out)
+{
+    *out = PyFloat_AsDouble(PyList_GET_ITEM(list, i));
+    return (*out == -1.0 && PyErr_Occurred()) ? -1 : 0;
+}
+
+static int
+policy_ll(Core *s, PyObject *key, long long *out)
+{
+    PyObject *value = PyDict_GetItemWithError(s->policy_dict, key);
+    if (value == NULL) {
+        if (!PyErr_Occurred())
+            PyErr_SetObject(PyExc_AttributeError, key);
+        return -1;
+    }
+    *out = PyLong_AsLongLong(value);
+    return (*out == -1 && PyErr_Occurred()) ? -1 : 0;
+}
+
+static int
+policy_set_ll(Core *s, PyObject *key, long long value)
+{
+    PyObject *obj = PyLong_FromLongLong(value);
+    if (obj == NULL)
+        return -1;
+    int rc = PyDict_SetItem(s->policy_dict, key, obj);
+    Py_DECREF(obj);
+    return rc;
+}
+
+static int
+policy_add(Core *s, PyObject *key)
+{
+    long long value;
+    if (policy_ll(s, key, &value) < 0)
+        return -1;
+    return policy_set_ll(s, key, value + 1);
+}
+
+static int
+call_node_method(Core *s, const char *name, int node)
+{
+    PyObject *result = PyObject_CallMethod(s->policy, name, "i", node);
+    if (result == NULL)
+        return -1;
+    Py_DECREF(result);
+    return 0;
+}
+
+static int
+observe(Core *s, int node)
+{
+    PyObject *result = PyObject_CallFunction(s->observe, "id", node, s->now);
+    if (result == NULL)
+        return -1;
+    Py_DECREF(result);
+    return 0;
+}
+
+static inline int
+target_at(Core *s, Py_ssize_t i, Py_ssize_t *out)
+{
+    const char *p = (const char *)s->targets.buf + i * s->tstride;
+    long long t;
+    switch (s->tkind) {
+    case 'B': t = *(const uint8_t *)p; break;
+    case 'H': t = *(const uint16_t *)p; break;
+    case 'I': t = *(const uint32_t *)p; break;
+    case 'b': t = *(const int8_t *)p; break;
+    case 'h': t = *(const int16_t *)p; break;
+    case 'i': t = *(const int32_t *)p; break;
+    default: t = *(const int64_t *)p; break;
+    }
+    if (t < 0 || t >= s->num_targets) {
+        PyErr_Format(PyExc_IndexError, "trace token %lld outside the catalog", t);
+        return -1;
+    }
+    *out = (Py_ssize_t)t;
+    return 0;
+}
+
+/* fe.choose(target, size, now): the policy's decision. */
+static int
+choose(Core *s, Py_ssize_t target, int *node)
+{
+    PyObject *args[3];
+    args[0] = PyLong_FromSsize_t(target);
+    args[1] = PyList_GET_ITEM(s->size_list, target);
+    args[2] = PyFloat_FromDouble(s->now);
+    PyObject *result = NULL;
+    if (args[0] != NULL && args[2] != NULL)
+        result = PyObject_Vectorcall(s->choose, args, 3, NULL);
+    Py_XDECREF(args[0]);
+    Py_XDECREF(args[2]);
+    if (result == NULL)
+        return -1;
+    long value = PyLong_AsLong(result);
+    Py_DECREF(result);
+    if (value == -1 && PyErr_Occurred())
+        return -1;
+    if (value < 0 || value >= s->num_nodes) {
+        PyErr_Format(PyExc_IndexError, "policy chose node %ld of %d", value, s->num_nodes);
+        return -1;
+    }
+    *node = (int)value;
+    return 0;
+}
+
+/* -- connections ---------------------------------------------------------- */
+
+static int
+new_conn(Core *s)
+{
+    if (s->npool)
+        return s->pool[--s->npool];
+    if (s->nconns == s->conn_cap) {
+        int cap = s->conn_cap ? 2 * s->conn_cap : 256;
+        Conn *grown = PyMem_Realloc(s->conns, (size_t)cap * sizeof(Conn));
+        int *pool = PyMem_Realloc(s->pool, (size_t)cap * sizeof(int));
+        if (grown != NULL)
+            s->conns = grown;
+        if (pool != NULL)
+            s->pool = pool;
+        if (grown == NULL || pool == NULL) {
+            PyErr_NoMemory();
+            return -1;
+        }
+        s->conn_cap = cap;
+    }
+    Conn *c = &s->conns[s->nconns];
+    memset(c, 0, sizeof(Conn));
+    c->read_next = c->wait_head = c->wait_tail = c->wait_next = -1;
+    if ((c->id = PyLong_FromLong(s->nconns)) == NULL)
+        return -1;
+    return s->nconns++;
+}
+
+static inline void
+set_plan(Conn *c, int kind, PyObject *pairs, Py_ssize_t len)
+{
+    PyObject *old = c->pairs;
+    c->plan_kind = kind;
+    c->pairs = pairs;
+    c->plan_len = len;
+    c->plan_i = 0;
+    Py_XDECREF(old);
+}
+
+static int stage_begin(Core *s, int ci);
+
+/* The delays a served request books on the front-end (FrontEnd
+ * ._account_request, inlined); returns whether the connection's node is
+ * still the one it was dispatched to. */
+static int
+account(Core *s, Conn *c, int *live)
+{
+    Node *node = &s->nodes[c->node];
+    node->requests_served += 1;
+    node->bytes_served += c->size;
+    double now = s->now;
+    double delay = now - c->start;
+    s->total_delay += delay;
+    if (s->collect_delays) {
+        PyObject *obj = PyFloat_FromDouble(delay);
+        if (obj == NULL)
+            return -1;
+        int rc = PyList_Append(s->delays, obj);
+        Py_DECREF(obj);
+        if (rc < 0)
+            return -1;
+    }
+    long long epoch;
+    if (list_ll(s->epoch, c->node, &epoch) < 0)
+        return -1;
+    *live = epoch == c->epoch;
+    if (*live) {
+        s->pn_delay[c->node] += delay;
+        s->pn_completions[c->node] += 1;
+    }
+    if (s->timeline_interval != Py_None) {
+        PyObject *t = PyFloat_FromDouble(now);
+        PyObject *q = t ? PyNumber_FloorDivide(t, s->timeline_interval) : NULL;
+        PyObject *bucket = q ? PyNumber_Long(q) : NULL;
+        Py_XDECREF(t);
+        Py_XDECREF(q);
+        if (bucket == NULL)
+            return -1;
+        PyObject *count = PyDict_GetItemWithError(s->timeline, bucket);
+        long long value = 0;
+        if (count != NULL)
+            value = PyLong_AsLongLong(count);
+        PyObject *next = (PyErr_Occurred()) ? NULL : PyLong_FromLongLong(value + 1);
+        int rc = next ? PyDict_SetItem(s->timeline, bucket, next) : -1;
+        Py_XDECREF(next);
+        Py_DECREF(bucket);
+        if (rc < 0)
+            return -1;
+    }
+    s->completed += 1;
+    return 0;
+}
+
+/* Policy.on_dispatch and LoadTracker.observe for a +1 (inlined). */
+static int
+dispatch_load(Core *s, int node)
+{
+    PyObject *alive = PyList_GET_ITEM(s->p_alive, node);
+    int is_alive = PyObject_IsTrue(alive);
+    if (is_alive < 0)
+        return -1;
+    if (!is_alive && call_node_method(s, "on_dispatch", node) < 0)
+        return -1;
+    long long load;
+    if (list_ll(s->p_loads, node, &load) < 0)
+        return -1;
+    load += 1;
+    if (list_set_ll(s->p_loads, node, load) < 0)
+        return -1;
+    if (policy_add(s, s_dispatches) < 0)
+        return -1;
+    if ((double)load >= s->t_threshold) {
+        int under = PyObject_IsTrue(PyList_GET_ITEM(s->t_is_under, node));
+        if (under < 0)
+            return -1;
+        if (under) {
+            double spent, since;
+            if (list_double(s->t_under_time, node, &spent) < 0
+                || list_double(s->t_under_since, node, &since) < 0
+                || list_set_double(s->t_under_time, node, spent + (s->now - since)) < 0)
+                return -1;
+            Py_INCREF(Py_False);
+            PyList_SetItem(s->t_is_under, node, Py_False);
+        }
+    }
+    s->pn_dispatches[node] += 1;
+    s->connections += 1;
+    return 0;
+}
+
+/* Hand connection ``ci`` the trace requests from ``first``: the policy
+ * decision and the books of one admission. */
+static int
+admit_one(Core *s, int ci, Py_ssize_t first, Py_ssize_t end)
+{
+    Py_ssize_t target;
+    int node;
+    if (target_at(s, first, &target) < 0 || choose(s, target, &node) < 0)
+        return -1;
+    if (dispatch_load(s, node) < 0)
+        return -1;
+    Conn *c = &s->conns[ci];
+    long long epoch;
+    if (list_ll(s->epoch, node, &epoch) < 0)
+        return -1;
+    c->epoch = epoch;
+    c->node = node;
+    c->target = target;
+    c->size = (Py_ssize_t)PyLong_AsSsize_t(PyList_GET_ITEM(s->size_list, target));
+    c->index = first;
+    c->last = end - 1;
+    return 0;
+}
+
+/* FastConnection's in-place start: a run loop is on, nothing is staged
+ * for this instant and no heap event is due at it, so the start event
+ * would be the next one dispatched anyway.  An error reads as "no". */
+static int
+start_in_place(Core *s)
+{
+    PyObject *stopped = PyDict_GetItemWithError(s->engine_dict, s_stopped);
+    if (stopped == NULL || PyObject_IsTrue(stopped) != 0 || PyObject_Length(s->nowq) != 0) {
+        PyErr_Clear();
+        return 0;
+    }
+    if (PyList_GET_SIZE(s->queue) == 0)
+        return 1;
+    PyObject *top = PyList_GET_ITEM(s->queue, 0);
+    double due = PyTuple_Check(top) ? PyFloat_AsDouble(PyTuple_GET_ITEM(top, 0)) : -1.0;
+    PyErr_Clear();
+    return due > s->now;
+}
+
+/* FrontEnd.admit: admit while slots and trace requests remain. */
+static int
+admit(Core *s)
+{
+    while (s->in_flight < s->max_in_flight && s->next < s->n) {
+        Py_ssize_t first = s->next;
+        Py_ssize_t end = first + s->rpc;
+        if (end > s->n)
+            end = s->n;
+        s->next = end;
+        s->in_flight += 1;
+        int ci = new_conn(s);
+        if (ci < 0 || admit_one(s, ci, first, end) < 0)
+            return -1;
+        if (start_in_place(s)) {
+            s->started_in_place += 1;
+            if (stage_begin(s, ci) < 0)
+                return -1;
+        }
+        else if (nowq_push(s, s->now, ST_BEGIN, ci) < 0)
+            return -1;
+    }
+    return 0;
+}
+
+/* -- the stages ----------------------------------------------------------- */
+
+static int
+stage_begin(Core *s, int ci)
+{
+    Conn *c = &s->conns[ci];
+    Node *node = &s->nodes[c->node];
+    c->start = s->now;
+    return res_enqueue(s, &s->res[2 * c->node], node->conn_time, ST_DECIDE, ci);
+}
+
+static inline int
+enqueue_data(Core *s, int ci, int res, double duration)
+{
+    s->conns[ci].res = res;
+    return res_enqueue(s, &s->res[res], duration, ST_ADVANCE, ci);
+}
+
+static int
+start_chunked_read(Core *s, int ci)
+{
+    Conn *c = &s->conns[ci];
+    Node *node = &s->nodes[c->node];
+    node->disk_reads += 1;
+    PyObject *pairs = PyObject_CallMethod(node->disk_times, "chunk_plan", "nn", c->target, c->size);
+    if (pairs == NULL)
+        return -1;
+    if (!PyTuple_Check(pairs) || PyTuple_GET_SIZE(pairs) < 1) {
+        Py_DECREF(pairs);
+        PyErr_SetString(PyExc_TypeError, "chunk_plan must return a non-empty tuple");
+        return -1;
+    }
+    set_plan(c, PLAN_CHUNKED, pairs, 2 * PyTuple_GET_SIZE(pairs) - 1);
+    double disk_time = PyFloat_AsDouble(PyTuple_GET_ITEM(PyTuple_GET_ITEM(pairs, 0), 0));
+    if (disk_time == -1.0 && PyErr_Occurred())
+        return -1;
+    return enqueue_data(s, ci, 2 * c->node + 1, disk_time);
+}
+
+static int
+start_disk_read(Core *s, int ci)
+{
+    Conn *c = &s->conns[ci];
+    Node *node = &s->nodes[c->node];
+    /* Register the read as in flight, with no waiters yet. */
+    c->read_next = s->pending[c->target];
+    c->wait_head = c->wait_tail = -1;
+    s->pending[c->target] = ci;
+    c->reading = 1;
+    if (c->size > node->chunk_bytes)
+        return start_chunked_read(s, ci);
+    node->disk_reads += 1;
+    set_plan(c, PLAN_TRANSMIT, NULL, 1);
+    c->plan_cpu = (double)s->units[c->target] * node->per_unit;
+    return enqueue_data(s, ci, 2 * c->node + 1, node->single[c->target]);
+}
+
+/* The read of ``target`` registered on ``node``, or -1. */
+static inline int
+pending_read(Core *s, int node, Py_ssize_t target)
+{
+    int r = s->pending[target];
+    while (r >= 0 && s->conns[r].node != node)
+        r = s->conns[r].read_next;
+    return r;
+}
+
+static int
+fetch(Core *s, int ci)
+{
+    Conn *c = &s->conns[ci];
+    Node *node = &s->nodes[c->node];
+    Py_ssize_t target = c->target;
+    if (s->dyn != NULL && s->dyn[target] > 0.0) {
+        node->dynamic_requests += 1;
+        set_plan(c, PLAN_EMPTY, NULL, 0);
+        return enqueue_data(s, ci, 2 * c->node,
+                            s->dyn[target] / node->cpu_speed
+                                + (double)s->units[target] * node->per_unit);
+    }
+    int reader = pending_read(s, c->node, target);
+    if (reader >= 0) {
+        node->cache_misses += 1;
+        if (node->coalesce) {
+            node->coalesced_reads += 1;
+            Conn *r = &s->conns[reader];
+            c->wait_next = -1;
+            if (r->wait_tail >= 0)
+                s->conns[r->wait_tail].wait_next = ci;
+            else
+                r->wait_head = ci;
+            r->wait_tail = ci;
+            return 0;
+        }
+        return start_chunked_read(s, ci);
+    }
+    PyObject *args[2];
+    args[0] = PyLong_FromSsize_t(target);
+    if (args[0] == NULL)
+        return -1;
+    args[1] = PyList_GET_ITEM(s->size_list, target);
+    PyObject *hit = PyObject_Vectorcall(node->access, args, 2, NULL);
+    Py_DECREF(args[0]);
+    if (hit == NULL)
+        return -1;
+    int is_hit = PyObject_IsTrue(hit);
+    Py_DECREF(hit);
+    if (is_hit < 0)
+        return -1;
+    if (is_hit) {
+        node->cache_hits += 1;
+        set_plan(c, PLAN_EMPTY, NULL, 0);
+        return enqueue_data(s, ci, 2 * c->node, (double)s->units[target] * node->per_unit);
+    }
+    node->cache_misses += 1;
+    return start_disk_read(s, ci);
+}
+
+static int
+stage_decide(Core *s, int ci)
+{
+    if (res_finish(s, &s->res[2 * s->conns[ci].node]) < 0)
+        return -1;
+    return fetch(s, ci);
+}
+
+static int
+stage_coalesced(Core *s, int ci)
+{
+    Conn *c = &s->conns[ci];
+    Node *node = &s->nodes[c->node];
+    set_plan(c, PLAN_EMPTY, NULL, 0);
+    return enqueue_data(s, ci, 2 * c->node, (double)s->units[c->target] * node->per_unit);
+}
+
+/* FaultyConnection-free _rehandoff: re-run the policy; move the
+ * connection's load when it names another node (FrontEnd._detach and
+ * _attach, with the canonical policy and tracker calls). */
+static int
+rehandoff(Core *s, int ci)
+{
+    Conn *c = &s->conns[ci];
+    int moved_to;
+    if (choose(s, c->target, &moved_to) < 0)
+        return -1;
+    int node = c->node;
+    long long epoch;
+    if (list_ll(s->epoch, node, &epoch) < 0)
+        return -1;
+    if (moved_to == node && epoch == c->epoch)
+        return 0;
+    if (epoch != c->epoch)
+        s->orphaned += 1;
+    else if (call_node_method(s, "on_complete", node) < 0 || observe(s, node) < 0)
+        return -1;
+    if (call_node_method(s, "on_dispatch", moved_to) < 0 || observe(s, moved_to) < 0)
+        return -1;
+    s->pn_dispatches[moved_to] += 1;
+    s->rehandoffs += 1;
+    c->node = moved_to;
+    if (list_ll(s->epoch, moved_to, &epoch) < 0)
+        return -1;
+    c->epoch = epoch;
+    return 0;
+}
+
+static int
+stage_advance(Core *s, int ci)
+{
+    Conn *c = &s->conns[ci];
+    if (res_finish(s, &s->res[c->res]) < 0)
+        return -1;
+    c = &s->conns[ci];
+    Node *node = &s->nodes[c->node];
+    if (c->plan_i < c->plan_len) {
+        Py_ssize_t i = c->plan_i++;
+        if (c->plan_kind == PLAN_TRANSMIT)
+            return enqueue_data(s, ci, 2 * c->node, c->plan_cpu);
+        /* Chunked: CPU for chunk i/2 on even steps, disk for chunk
+         * (i+1)/2 on odd ones. */
+        PyObject *pair = PyTuple_GET_ITEM(c->pairs, (i + 1) / 2);
+        if (i & 1) {
+            double disk_time = PyFloat_AsDouble(PyTuple_GET_ITEM(pair, 0));
+            if (disk_time == -1.0 && PyErr_Occurred())
+                return -1;
+            return enqueue_data(s, ci, 2 * c->node + 1, disk_time);
+        }
+        long long units = PyLong_AsLongLong(PyTuple_GET_ITEM(pair, 1));
+        if (units == -1 && PyErr_Occurred())
+            return -1;
+        return enqueue_data(s, ci, 2 * c->node, (double)units * node->per_unit);
+    }
+    if (c->reading) {
+        /* Deregister after the last chunk, before teardown is enqueued,
+         * and wake the waiters in order. */
+        c->reading = 0;
+        int *link = &s->pending[c->target];
+        while (*link != ci)
+            link = &s->conns[*link].read_next;
+        *link = c->read_next;
+        c->read_next = -1;
+        for (int w = c->wait_head; w >= 0; w = s->conns[w].wait_next) {
+            if (nowq_push(s, s->now, ST_COALESCED, w) < 0)
+                return -1;
+        }
+        c->wait_head = c->wait_tail = -1;
+    }
+    if (c->index == c->last)
+        return res_enqueue(s, &s->res[2 * c->node], node->teardown_time, ST_COMPLETE, ci);
+    int live;
+    if (account(s, c, &live) < 0)
+        return -1;
+    c->index += 1;
+    Py_ssize_t target;
+    if (target_at(s, c->index, &target) < 0)
+        return -1;
+    c->target = target;
+    c->size = PyLong_AsSsize_t(PyList_GET_ITEM(s->size_list, target));
+    if (s->rehandoff && rehandoff(s, ci) < 0)
+        return -1;
+    c = &s->conns[ci];
+    c->start = s->now;
+    return fetch(s, ci);
+}
+
+static int
+stage_complete(Core *s, int ci)
+{
+    Conn *c = &s->conns[ci];
+    int node = c->node;
+    if (res_finish(s, &s->res[2 * node]) < 0)
+        return -1;
+    c = &s->conns[ci];
+    int live;
+    if (account(s, c, &live) < 0)
+        return -1;
+    double now = s->now;
+    if (live) {
+        long long load;
+        if (list_ll(s->p_loads, node, &load) < 0)
+            return -1;
+        load -= 1;
+        if (load < 0 && call_node_method(s, "on_complete", node) < 0)
+            return -1;
+        if (list_set_ll(s->p_loads, node, load) < 0)
+            return -1;
+        long long low, cursor;
+        if (policy_ll(s, s_min_load, &low) < 0)
+            return -1;
+        if (load <= low) {
+            if (load < low) {
+                if (policy_set_ll(s, s_min_load, load) < 0
+                    || policy_set_ll(s, s_min_cursor, node) < 0)
+                    return -1;
+            }
+            else {
+                if (policy_ll(s, s_min_cursor, &cursor) < 0)
+                    return -1;
+                if (node < cursor && policy_set_ll(s, s_min_cursor, node) < 0)
+                    return -1;
+            }
+        }
+        if (policy_add(s, s_completions) < 0)
+            return -1;
+        if ((double)load < s->t_threshold) {
+            int under = PyObject_IsTrue(PyList_GET_ITEM(s->t_is_under, node));
+            if (under < 0)
+                return -1;
+            if (!under) {
+                if (list_set_double(s->t_under_since, node, now) < 0)
+                    return -1;
+                Py_INCREF(Py_True);
+                PyList_SetItem(s->t_is_under, node, Py_True);
+            }
+        }
+    }
+    else {
+        s->orphaned += 1;
+    }
+    /* The freed slot admits the next trace requests on this connection:
+     * one out, one in, so in_flight and the pool are left alone. */
+    long long in_flight = s->in_flight - 1;
+    Py_ssize_t first = s->next;
+    if (first < s->n && in_flight < s->max_in_flight) {
+        Py_ssize_t end = first + s->rpc;
+        if (end > s->n)
+            end = s->n;
+        s->next = end;
+        if (admit_one(s, ci, first, end) < 0)
+            return -1;
+        if (in_flight + 1 < s->max_in_flight && end < s->n) {
+            if (nowq_push(s, now, ST_BEGIN, ci) < 0)
+                return -1;
+            return admit(s);
+        }
+        if (start_in_place(s)) {
+            s->started_in_place += 1;
+            return stage_begin(s, ci);
+        }
+        return nowq_push(s, now, ST_BEGIN, ci);
+    }
+    s->in_flight = in_flight;
+    set_plan(c, PLAN_EMPTY, NULL, 0);
+    s->pool[s->npool++] = ci;
+    return 0;
+}
+
+/* -- writing the books back ---------------------------------------------- */
+
+static int
+set_ll(PyObject *obj, const char *name, long long value)
+{
+    PyObject *v = PyLong_FromLongLong(value);
+    if (v == NULL)
+        return -1;
+    int rc = PyObject_SetAttrString(obj, name, v);
+    Py_DECREF(v);
+    return rc;
+}
+
+static int
+set_double(PyObject *obj, const char *name, double value)
+{
+    PyObject *v = PyFloat_FromDouble(value);
+    if (v == NULL)
+        return -1;
+    int rc = PyObject_SetAttrString(obj, name, v);
+    Py_DECREF(v);
+    return rc;
+}
+
+static int
+write_back(Core *s)
+{
+    PyObject *fe = s->fe, *engine = s->engine;
+    long long before;
+    PyObject *count = PyObject_GetAttrString(engine, "events_dispatched");
+    if (count == NULL)
+        return -1;
+    before = PyLong_AsLongLong(count);
+    Py_DECREF(count);
+    if (before == -1 && PyErr_Occurred())
+        return -1;
+    if (set_ll(engine, "events_dispatched", before + s->started_in_place) < 0
+        || set_ll(fe, "_next", s->next) < 0
+        || set_ll(fe, "in_flight", s->in_flight) < 0
+        || set_ll(fe, "completed", s->completed) < 0
+        || set_ll(fe, "connections", s->connections) < 0
+        || set_ll(fe, "rehandoffs", s->rehandoffs) < 0
+        || set_ll(fe, "orphaned", s->orphaned) < 0
+        || set_double(fe, "total_delay_s", s->total_delay) < 0)
+        return -1;
+    s->started_in_place = 0;
+    PyObject *lists[3];
+    lists[0] = PyObject_GetAttrString(fe, "per_node_dispatches");
+    lists[1] = PyObject_GetAttrString(fe, "per_node_completions");
+    lists[2] = PyObject_GetAttrString(fe, "per_node_delay_s");
+    int rc = 0;
+    for (int k = 0; k < 3; k++) {
+        if (lists[k] == NULL || !PyList_Check(lists[k])
+            || PyList_GET_SIZE(lists[k]) != s->num_nodes)
+            rc = -1;
+    }
+    for (int i = 0; rc == 0 && i < s->num_nodes; i++) {
+        if (list_set_ll(lists[0], i, s->pn_dispatches[i]) < 0
+            || list_set_ll(lists[1], i, s->pn_completions[i]) < 0
+            || list_set_double(lists[2], i, s->pn_delay[i]) < 0)
+            rc = -1;
+    }
+    for (int k = 0; k < 3; k++)
+        Py_XDECREF(lists[k]);
+    if (rc < 0) {
+        if (!PyErr_Occurred())
+            PyErr_SetString(PyExc_TypeError, "front-end per-node lists changed shape");
+        return -1;
+    }
+    for (int i = 0; i < s->num_nodes; i++) {
+        Node *node = &s->nodes[i];
+        if (set_ll(node->obj, "cache_hits", node->cache_hits) < 0
+            || set_ll(node->obj, "cache_misses", node->cache_misses) < 0
+            || set_ll(node->obj, "disk_reads", node->disk_reads) < 0
+            || set_ll(node->obj, "coalesced_reads", node->coalesced_reads) < 0
+            || set_ll(node->obj, "requests_served", node->requests_served) < 0
+            || set_ll(node->obj, "bytes_served", node->bytes_served) < 0
+            || set_ll(node->obj, "dynamic_requests", node->dynamic_requests) < 0)
+            return -1;
+        for (int k = 0; k < 2; k++) {
+            Res *r = &s->res[2 * i + k];
+            if (set_ll(r->obj, "jobs_served", r->jobs_served) < 0
+                || set_double(r->obj, "_busy_integral", r->busy_integral) < 0
+                || set_double(r->obj, "_last_change", r->last_change) < 0
+                || set_ll(r->obj, "_busy", r->busy) < 0)
+                return -1;
+        }
+    }
+    return 0;
+}
+
+/* -- the Core type ---------------------------------------------------------- */
+
+static int
+get_ll(PyObject *obj, const char *name, long long *out)
+{
+    PyObject *v = PyObject_GetAttrString(obj, name);
+    if (v == NULL)
+        return -1;
+    *out = PyLong_AsLongLong(v);
+    Py_DECREF(v);
+    return (*out == -1 && PyErr_Occurred()) ? -1 : 0;
+}
+
+static int
+get_double(PyObject *obj, const char *name, double *out)
+{
+    PyObject *v = PyObject_GetAttrString(obj, name);
+    if (v == NULL)
+        return -1;
+    *out = PyFloat_AsDouble(v);
+    Py_DECREF(v);
+    return (*out == -1.0 && PyErr_Occurred()) ? -1 : 0;
+}
+
+static int
+get_list(PyObject *obj, const char *name, Py_ssize_t length, PyObject **out)
+{
+    PyObject *v = PyObject_GetAttrString(obj, name);
+    if (v == NULL)
+        return -1;
+    if (!PyList_Check(v) || (length >= 0 && PyList_GET_SIZE(v) != length)) {
+        PyErr_Format(PyExc_TypeError, "%s must be a list of %zd", name, length);
+        Py_DECREF(v);
+        return -1;
+    }
+    *out = v;
+    return 0;
+}
+
+static double *
+float_table(PyObject *list, Py_ssize_t length)
+{
+    if (!PyList_Check(list) || PyList_GET_SIZE(list) != length) {
+        PyErr_SetString(PyExc_TypeError, "per-target table does not match the catalog");
+        return NULL;
+    }
+    double *table = PyMem_Malloc((size_t)(length ? length : 1) * sizeof(double));
+    if (table == NULL) {
+        PyErr_NoMemory();
+        return NULL;
+    }
+    for (Py_ssize_t t = 0; t < length; t++) {
+        table[t] = PyFloat_AsDouble(PyList_GET_ITEM(list, t));
+        if (table[t] == -1.0 && PyErr_Occurred()) {
+            PyMem_Free(table);
+            return NULL;
+        }
+    }
+    return table;
+}
+
+/* The DiskTimes.single table of a node, shared by every node of one
+ * cost model. */
+static const double *
+single_table(Core *s, PyObject *disk_times)
+{
+    PyObject *single = PyObject_GetAttrString(disk_times, "single");
+    if (single == NULL)
+        return NULL;
+    for (int k = 0; k < s->num_tables; k++) {
+        if (s->tables[k].source == single) {
+            Py_DECREF(single);
+            return s->tables[k].table;
+        }
+    }
+    double *table = float_table(single, s->num_targets);
+    if (table == NULL) {
+        Py_DECREF(single);
+        return NULL;
+    }
+    Table *entry = &s->tables[s->num_tables++];
+    entry->table = table;
+    entry->source = single; /* the reference is kept */
+    return table;
+}
+
+static int
+init_resource(Res *r, PyObject *obj)
+{
+    Py_INCREF(obj);
+    r->obj = obj;
+    long long busy, capacity;
+    PyObject *waiting = PyObject_GetAttrString(obj, "_waiting");
+    if (waiting == NULL)
+        return -1;
+    Py_ssize_t queued = PyObject_Length(waiting);
+    Py_DECREF(waiting);
+    if (queued < 0 || get_ll(obj, "capacity", &capacity) < 0 || get_ll(obj, "_busy", &busy) < 0
+        || get_ll(obj, "jobs_served", &r->jobs_served) < 0
+        || get_double(obj, "_busy_integral", &r->busy_integral) < 0
+        || get_double(obj, "_last_change", &r->last_change) < 0)
+        return -1;
+    if (capacity != 1 || queued || busy) {
+        PyErr_SetString(PyExc_ValueError, "the native core starts on idle single-server resources");
+        return -1;
+    }
+    r->busy = 0;
+    return 0;
+}
+
+static int
+init_node(Core *s, int i, PyObject *obj)
+{
+    Node *node = &s->nodes[i];
+    Py_INCREF(obj);
+    node->obj = obj;
+    PyObject *cpu = PyObject_GetAttrString(obj, "cpu");
+    PyObject *disks = PyObject_GetAttrString(obj, "disks");
+    PyObject *cache = PyObject_GetAttrString(obj, "cache");
+    PyObject *costs = PyObject_GetAttrString(obj, "costs");
+    PyObject *pending = PyObject_GetAttrString(obj, "_pending");
+    int rc = -1;
+    if (cpu == NULL || disks == NULL || cache == NULL || costs == NULL || pending == NULL)
+        goto done;
+    if (!PyList_Check(disks) || PyList_GET_SIZE(disks) != 1 || cache == Py_None
+        || PyObject_Length(pending) != 0) {
+        PyErr_SetString(PyExc_ValueError,
+                        "the native core serves one disk and a private cache per node");
+        goto done;
+    }
+    if (init_resource(&s->res[2 * i], cpu) < 0
+        || init_resource(&s->res[2 * i + 1], PyList_GET_ITEM(disks, 0)) < 0)
+        goto done;
+    node->access = PyObject_GetAttrString(cache, "access");
+    node->disk_times = PyObject_GetAttrString(obj, "disk_times");
+    if (node->access == NULL || node->disk_times == NULL)
+        goto done;
+    node->single = single_table(s, node->disk_times);
+    if (node->single == NULL)
+        goto done;
+    long long coalesce;
+    if (get_ll(node->disk_times, "chunk_bytes", &node->chunk_bytes) < 0
+        || get_double(obj, "_conn_time", &node->conn_time) < 0
+        || get_double(obj, "_teardown_time", &node->teardown_time) < 0
+        || get_double(obj, "_transmit_per_unit", &node->per_unit) < 0
+        || get_double(costs, "cpu_speed", &node->cpu_speed) < 0
+        || get_ll(obj, "coalesce_reads", &coalesce) < 0
+        || get_ll(obj, "cache_hits", &node->cache_hits) < 0
+        || get_ll(obj, "cache_misses", &node->cache_misses) < 0
+        || get_ll(obj, "disk_reads", &node->disk_reads) < 0
+        || get_ll(obj, "coalesced_reads", &node->coalesced_reads) < 0
+        || get_ll(obj, "requests_served", &node->requests_served) < 0
+        || get_ll(obj, "bytes_served", &node->bytes_served) < 0
+        || get_ll(obj, "dynamic_requests", &node->dynamic_requests) < 0)
+        goto done;
+    node->coalesce = coalesce != 0;
+    rc = 0;
+done:
+    Py_XDECREF(cpu);
+    Py_XDECREF(disks);
+    Py_XDECREF(cache);
+    Py_XDECREF(costs);
+    Py_XDECREF(pending);
+    return rc;
+}
+
+static int
+Core_init(Core *s, PyObject *args, PyObject *kwds)
+{
+    PyObject *fe;
+    static char *kwlist[] = {"frontend", NULL};
+    if (!PyArg_ParseTupleAndKeywords(args, kwds, "O:Core", kwlist, &fe))
+        return -1;
+    if (s->fe != NULL) {
+        PyErr_SetString(PyExc_RuntimeError, "a Core is built once");
+        return -1;
+    }
+    Py_INCREF(fe);
+    s->fe = fe;
+    PyObject *tracker = NULL, *nodes = NULL;
+    int rc = -1;
+    long long value;
+    if ((s->engine = PyObject_GetAttrString(fe, "engine")) == NULL
+        || (s->policy = PyObject_GetAttrString(fe, "policy")) == NULL
+        || (s->choose = PyObject_GetAttrString(fe, "choose")) == NULL
+        || (tracker = PyObject_GetAttrString(fe, "tracker")) == NULL
+        || (s->observe = PyObject_GetAttrString(tracker, "observe")) == NULL
+        || (nodes = PyObject_GetAttrString(fe, "nodes")) == NULL
+        || (s->delays = PyObject_GetAttrString(fe, "delays_s")) == NULL
+        || (s->timeline = PyObject_GetAttrString(fe, "timeline")) == NULL
+        || (s->timeline_interval = PyObject_GetAttrString(fe, "timeline_interval_s")) == NULL)
+        goto done;
+    s->policy_dict = PyObject_GenericGetDict(s->policy, NULL);
+    if (s->policy_dict == NULL)
+        goto done;
+    if (!PyList_Check(s->delays) || !PyDict_Check(s->timeline)) {
+        PyErr_SetString(PyExc_TypeError, "delays_s must be a list and timeline a dict");
+        goto done;
+    }
+    Py_ssize_t num_nodes = PySequence_Length(nodes);
+    if (num_nodes < 1)
+        goto done;
+    s->num_nodes = (int)num_nodes;
+    if (get_list(fe, "p_loads", num_nodes, &s->p_loads) < 0
+        || get_list(fe, "p_alive", num_nodes, &s->p_alive) < 0
+        || get_list(fe, "_epoch", num_nodes, &s->epoch) < 0
+        || get_list(fe, "t_under_since", num_nodes, &s->t_under_since) < 0
+        || get_list(fe, "t_under_time", num_nodes, &s->t_under_time) < 0
+        || get_list(fe, "t_is_under", num_nodes, &s->t_is_under) < 0
+        || get_list(fe, "_size_list", -1, &s->size_list) < 0
+        || get_double(fe, "t_threshold", &s->t_threshold) < 0)
+        goto done;
+    s->num_targets = PyList_GET_SIZE(s->size_list);
+    PyObject *targets = PyObject_GetAttrString(fe, "_targets");
+    if (targets == NULL)
+        goto done;
+    /* The buffer of the array a view shows, not of the view: the
+     * collector may tp_clear a view in the same cycle as a Core that
+     * was started and never finished, and a view with an export
+     * refuses that. */
+    PyObject *exporter = targets;
+    if (PyMemoryView_Check(targets) && PyMemoryView_GET_BUFFER(targets)->obj != NULL)
+        exporter = PyMemoryView_GET_BUFFER(targets)->obj;
+    int got = PyObject_GetBuffer(exporter, &s->targets, PyBUF_FORMAT | PyBUF_STRIDES);
+    Py_DECREF(targets);
+    if (got < 0)
+        goto done;
+    s->have_targets = 1;
+    const char *format = s->targets.format ? s->targets.format : "B";
+    if (format[0] == '<' || format[0] == '=' || format[0] == '@')
+        format++;
+    s->tkind = format[0];
+    if (s->targets.ndim != 1 || strchr("BHIbhilqLQ", s->tkind) == NULL || format[1] != '\0'
+        || (s->tkind == 'l' || s->tkind == 'q' || s->tkind == 'L' || s->tkind == 'Q'
+            ? s->targets.itemsize != 8
+            : 0)) {
+        PyErr_SetString(PyExc_TypeError, "the request stream must be a 1-d integer buffer");
+        goto done;
+    }
+    s->tstride = s->targets.strides ? s->targets.strides[0] : s->targets.itemsize;
+    if (get_ll(fe, "n", &value) < 0)
+        goto done;
+    s->n = (Py_ssize_t)value;
+    if (s->n > s->targets.shape[0]) {
+        PyErr_SetString(PyExc_ValueError, "trace length exceeds the request stream");
+        goto done;
+    }
+    if (get_ll(fe, "_next", &value) < 0)
+        goto done;
+    s->next = (Py_ssize_t)value;
+    if (get_ll(fe, "requests_per_connection", &value) < 0)
+        goto done;
+    s->rpc = (Py_ssize_t)value;
+    long long flag;
+    if (get_ll(fe, "in_flight", &s->in_flight) < 0
+        || get_ll(fe, "max_in_flight", &s->max_in_flight) < 0
+        || get_ll(fe, "rehandoff", &flag) < 0)
+        goto done;
+    s->rehandoff = flag != 0;
+    if (get_ll(fe, "collect_delays", &flag) < 0
+        || get_ll(fe, "completed", &s->completed) < 0
+        || get_ll(fe, "connections", &s->connections) < 0
+        || get_ll(fe, "rehandoffs", &s->rehandoffs) < 0
+        || get_ll(fe, "orphaned", &s->orphaned) < 0
+        || get_double(fe, "total_delay_s", &s->total_delay) < 0)
+        goto done;
+    s->collect_delays = flag != 0;
+    if (s->in_flight != 0) {
+        PyErr_SetString(PyExc_ValueError, "the native core starts with nothing in flight");
+        goto done;
+    }
+    if (get_double(s->engine, "now", &s->now) < 0)
+        goto done;
+    PyObject *heapq = PyImport_ImportModule("heapq");
+    if (heapq == NULL)
+        goto done;
+    s->heappush = PyObject_GetAttrString(heapq, "heappush");
+    Py_DECREF(heapq);
+    static const char *names[5] = {"begin", "decide", "advance", "complete", "coalesced"};
+    for (int k = 0; k < 5; k++)
+        if ((s->stage_fns[k] = PyObject_GetAttrString((PyObject *)s, names[k])) == NULL)
+            goto done;
+    if (s->heappush == NULL
+        || (s->queue = PyObject_GetAttrString(s->engine, "_queue")) == NULL
+        || (s->nowq = PyObject_GetAttrString(s->engine, "_nowq")) == NULL
+        || (s->nowq_append = PyObject_GetAttrString(s->nowq, "append")) == NULL
+        || (s->seqs = PyObject_GetAttrString(s->engine, "seqs")) == NULL
+        || (s->engine_dict = PyObject_GenericGetDict(s->engine, NULL)) == NULL)
+        goto done;
+    size_t nn = (size_t)num_nodes;
+    s->pn_dispatches = PyMem_Calloc(nn, sizeof(long long));
+    s->pn_completions = PyMem_Calloc(nn, sizeof(long long));
+    s->pn_delay = PyMem_Calloc(nn, sizeof(double));
+    s->nodes = PyMem_Calloc(nn, sizeof(Node));
+    s->res = PyMem_Calloc(2 * nn, sizeof(Res));
+    s->tables = PyMem_Calloc(nn, sizeof(Table));
+    s->pending = PyMem_Malloc((size_t)(s->num_targets ? s->num_targets : 1) * sizeof(int));
+    s->units = PyMem_Malloc((size_t)(s->num_targets ? s->num_targets : 1) * sizeof(long long));
+    if (!s->pn_dispatches || !s->pn_completions || !s->pn_delay || !s->nodes || !s->res
+        || !s->tables || !s->pending || !s->units) {
+        PyErr_NoMemory();
+        goto done;
+    }
+    for (Py_ssize_t t = 0; t < s->num_targets; t++)
+        s->pending[t] = -1;
+    PyObject *lists[3] = {NULL, NULL, NULL};
+    if (get_list(fe, "per_node_dispatches", num_nodes, &lists[0]) == 0
+        && get_list(fe, "per_node_completions", num_nodes, &lists[1]) == 0
+        && get_list(fe, "per_node_delay_s", num_nodes, &lists[2]) == 0) {
+        int bad = 0;
+        for (Py_ssize_t i = 0; i < num_nodes && !bad; i++)
+            bad = list_ll(lists[0], i, &s->pn_dispatches[i]) < 0
+                  || list_ll(lists[1], i, &s->pn_completions[i]) < 0
+                  || list_double(lists[2], i, &s->pn_delay[i]) < 0;
+        for (int k = 0; k < 3; k++)
+            Py_XDECREF(lists[k]);
+        if (bad)
+            goto done;
+    }
+    else {
+        for (int k = 0; k < 3; k++)
+            Py_XDECREF(lists[k]);
+        goto done;
+    }
+    PyObject *units = PyObject_GetAttrString(fe, "units");
+    if (units == NULL)
+        goto done;
+    if (!PyList_Check(units) || PyList_GET_SIZE(units) != s->num_targets) {
+        Py_DECREF(units);
+        PyErr_SetString(PyExc_TypeError, "units must be a list over the catalog");
+        goto done;
+    }
+    for (Py_ssize_t t = 0; t < s->num_targets; t++) {
+        if (list_ll(units, t, &s->units[t]) < 0) {
+            Py_DECREF(units);
+            goto done;
+        }
+    }
+    Py_DECREF(units);
+    for (int i = 0; i < s->num_nodes; i++) {
+        PyObject *node = PySequence_GetItem(nodes, i);
+        if (node == NULL)
+            goto done;
+        int bad = init_node(s, i, node);
+        Py_DECREF(node);
+        if (bad < 0)
+            goto done;
+    }
+    /* One CGI cost table, shared by every node (or none at all). */
+    PyObject *first = PySequence_GetItem(nodes, 0);
+    if (first == NULL)
+        goto done;
+    PyObject *dyn = PyObject_GetAttrString(first, "dynamic_cost_of_target");
+    Py_DECREF(first);
+    if (dyn == NULL)
+        goto done;
+    if (dyn != Py_None)
+        s->dyn = float_table(dyn, s->num_targets);
+    Py_DECREF(dyn);
+    if (PyErr_Occurred())
+        goto done;
+    rc = 0;
+done:
+    Py_XDECREF(tracker);
+    Py_XDECREF(nodes);
+    return rc;
+}
+
+static int
+Core_traverse(Core *s, visitproc visit, void *arg)
+{
+    Py_VISIT(s->fe);
+    Py_VISIT(s->engine);
+    Py_VISIT(s->policy);
+    Py_VISIT(s->policy_dict);
+    Py_VISIT(s->choose);
+    Py_VISIT(s->p_loads);
+    Py_VISIT(s->p_alive);
+    Py_VISIT(s->epoch);
+    Py_VISIT(s->size_list);
+    Py_VISIT(s->t_under_since);
+    Py_VISIT(s->t_under_time);
+    Py_VISIT(s->t_is_under);
+    Py_VISIT(s->observe);
+    Py_VISIT(s->delays);
+    Py_VISIT(s->timeline);
+    Py_VISIT(s->timeline_interval);
+    Py_VISIT(s->queue);
+    Py_VISIT(s->nowq);
+    Py_VISIT(s->nowq_append);
+    Py_VISIT(s->seqs);
+    Py_VISIT(s->heappush);
+    Py_VISIT(s->engine_dict);
+    for (int k = 0; k < 5; k++)
+        Py_VISIT(s->stage_fns[k]);
+    if (s->have_targets)
+        Py_VISIT(s->targets.obj);
+    for (int i = 0; s->nodes != NULL && i < s->num_nodes; i++) {
+        Py_VISIT(s->nodes[i].obj);
+        Py_VISIT(s->nodes[i].access);
+        Py_VISIT(s->nodes[i].disk_times);
+    }
+    for (int i = 0; s->res != NULL && i < 2 * s->num_nodes; i++)
+        Py_VISIT(s->res[i].obj);
+    for (int k = 0; s->tables != NULL && k < s->num_tables; k++)
+        Py_VISIT(s->tables[k].source);
+    for (int k = 0; s->conns != NULL && k < s->nconns; k++)
+        Py_VISIT(s->conns[k].pairs);
+    return 0;
+}
+
+static int
+Core_clear_refs(Core *s)
+{
+    Py_CLEAR(s->fe);
+    Py_CLEAR(s->engine);
+    Py_CLEAR(s->policy);
+    Py_CLEAR(s->policy_dict);
+    Py_CLEAR(s->choose);
+    Py_CLEAR(s->p_loads);
+    Py_CLEAR(s->p_alive);
+    Py_CLEAR(s->epoch);
+    Py_CLEAR(s->size_list);
+    Py_CLEAR(s->t_under_since);
+    Py_CLEAR(s->t_under_time);
+    Py_CLEAR(s->t_is_under);
+    Py_CLEAR(s->observe);
+    Py_CLEAR(s->delays);
+    Py_CLEAR(s->timeline);
+    Py_CLEAR(s->timeline_interval);
+    Py_CLEAR(s->queue);
+    Py_CLEAR(s->nowq);
+    Py_CLEAR(s->nowq_append);
+    Py_CLEAR(s->seqs);
+    Py_CLEAR(s->heappush);
+    Py_CLEAR(s->engine_dict);
+    for (int k = 0; k < 5; k++)
+        Py_CLEAR(s->stage_fns[k]);
+    if (s->have_targets) {
+        PyBuffer_Release(&s->targets);
+        s->have_targets = 0;
+    }
+    if (s->nodes != NULL) {
+        for (int i = 0; i < s->num_nodes; i++) {
+            Py_CLEAR(s->nodes[i].obj);
+            Py_CLEAR(s->nodes[i].access);
+            Py_CLEAR(s->nodes[i].disk_times);
+        }
+    }
+    if (s->res != NULL) {
+        for (int i = 0; i < 2 * s->num_nodes; i++)
+            Py_CLEAR(s->res[i].obj);
+    }
+    for (int k = 0; s->tables != NULL && k < s->num_tables; k++)
+        Py_CLEAR(s->tables[k].source);
+    for (int k = 0; s->conns != NULL && k < s->nconns; k++) {
+        Py_CLEAR(s->conns[k].pairs);
+        Py_CLEAR(s->conns[k].id);
+    }
+    return 0;
+}
+
+static void
+Core_dealloc(Core *s)
+{
+    PyObject_GC_UnTrack(s);
+    Core_clear_refs(s);
+    if (s->res != NULL) {
+        for (int i = 0; i < 2 * s->num_nodes; i++)
+            PyMem_Free(s->res[i].jobs);
+    }
+    for (int k = 0; s->tables != NULL && k < s->num_tables; k++)
+        PyMem_Free(s->tables[k].table);
+    PyMem_Free(s->tables);
+    PyMem_Free(s->pn_dispatches);
+    PyMem_Free(s->pn_completions);
+    PyMem_Free(s->pn_delay);
+    PyMem_Free(s->nodes);
+    PyMem_Free(s->res);
+    PyMem_Free(s->units);
+    PyMem_Free(s->dyn);
+    PyMem_Free(s->pending);
+    PyMem_Free(s->conns);
+    PyMem_Free(s->pool);
+    Py_TYPE(s)->tp_free((PyObject *)s);
+}
+
+static int
+check_ready(Core *s)
+{
+    if (s->fe == NULL || s->ran) {
+        PyErr_SetString(PyExc_RuntimeError, "this Core is not built, or it already ran");
+        return -1;
+    }
+    return 0;
+}
+
+static PyObject *
+Core_admit(Core *s, PyObject *Py_UNUSED(ignored))
+{
+    if (check_ready(s) < 0 || admit(s) < 0)
+        return NULL;
+    Py_RETURN_NONE;
+}
+
+/* One event: the stage ``stage`` of connection ``arg``, at the clock
+ * Engine.run has just set. */
+static PyObject *
+run_stage(Core *s, PyObject *arg, int stage)
+{
+    if (s->engine_dict == NULL) {
+        PyErr_SetString(PyExc_RuntimeError, "this Core's run is over");
+        return NULL;
+    }
+    PyObject *now = PyDict_GetItemWithError(s->engine_dict, s_now);
+    if (now == NULL) {
+        if (!PyErr_Occurred())
+            PyErr_SetString(PyExc_RuntimeError, "the engine has no clock");
+        return NULL;
+    }
+    s->now = PyFloat_AsDouble(now);
+    long ci = PyLong_AsLong(arg);
+    if (PyErr_Occurred())
+        return NULL;
+    if (ci < 0 || ci >= s->nconns) {
+        PyErr_Format(PyExc_IndexError, "no connection %ld", ci);
+        return NULL;
+    }
+    int rc;
+    switch (stage) {
+    case ST_BEGIN: rc = stage_begin(s, (int)ci); break;
+    case ST_DECIDE: rc = stage_decide(s, (int)ci); break;
+    case ST_ADVANCE: rc = stage_advance(s, (int)ci); break;
+    case ST_COMPLETE: rc = stage_complete(s, (int)ci); break;
+    default: rc = stage_coalesced(s, (int)ci); break;
+    }
+    if (rc < 0)
+        return NULL;
+    Py_RETURN_NONE;
+}
+
+static PyObject *Core_begin(Core *s, PyObject *a) { return run_stage(s, a, ST_BEGIN); }
+static PyObject *Core_decide(Core *s, PyObject *a) { return run_stage(s, a, ST_DECIDE); }
+static PyObject *Core_advance(Core *s, PyObject *a) { return run_stage(s, a, ST_ADVANCE); }
+static PyObject *Core_complete(Core *s, PyObject *a) { return run_stage(s, a, ST_COMPLETE); }
+static PyObject *Core_coalesced(Core *s, PyObject *a) { return run_stage(s, a, ST_COALESCED); }
+
+static PyObject *
+Core_finish(Core *s, PyObject *Py_UNUSED(ignored))
+{
+    if (check_ready(s) < 0)
+        return NULL;
+    s->ran = 1;
+    int written = write_back(s);
+    Core_clear_refs(s);
+    if (written < 0)
+        return NULL;
+    Py_RETURN_NONE;
+}
+
+static PyMethodDef Core_methods[] = {
+    {"admit", (PyCFunction)Core_admit, METH_NOARGS,
+     "FrontEnd.admit on the native core: the initial fill, staged."},
+    {"finish", (PyCFunction)Core_finish, METH_NOARGS,
+     "The run is over: write the books back into the Python objects."},
+    {"begin", (PyCFunction)Core_begin, METH_O, "FastConnection._begin, an event."},
+    {"decide", (PyCFunction)Core_decide, METH_O, "FastConnection._decide, an event."},
+    {"advance", (PyCFunction)Core_advance, METH_O, "FastConnection._advance, an event."},
+    {"complete", (PyCFunction)Core_complete, METH_O, "FastConnection._complete, an event."},
+    {"coalesced", (PyCFunction)Core_coalesced, METH_O,
+     "A coalesced waiter's transmit, an event."},
+    {NULL, NULL, 0, NULL},
+};
+
+static PyTypeObject CoreType = {
+    PyVarObject_HEAD_INIT(NULL, 0)
+    .tp_name = "repro.cluster._lifecycle.Core",
+    .tp_basicsize = sizeof(Core),
+    .tp_flags = Py_TPFLAGS_DEFAULT | Py_TPFLAGS_HAVE_GC,
+    .tp_traverse = (traverseproc)Core_traverse,
+    .tp_clear = (inquiry)Core_clear_refs,
+    .tp_doc = "One run of the plain request lifecycle, compiled.",
+    .tp_new = PyType_GenericNew,
+    .tp_init = (initproc)Core_init,
+    .tp_dealloc = (destructor)Core_dealloc,
+    .tp_methods = Core_methods,
+};
+
+static struct PyModuleDef lifecycle_module = {
+    PyModuleDef_HEAD_INIT,
+    .m_name = "_lifecycle",
+    .m_doc = "The plain request lifecycle of repro.cluster.fastpath, compiled.",
+    .m_size = -1,
+};
+
+PyMODINIT_FUNC
+PyInit__lifecycle(void)
+{
+    if (PyType_Ready(&CoreType) < 0)
+        return NULL;
+    s_dispatches = PyUnicode_InternFromString("dispatches");
+    s_completions = PyUnicode_InternFromString("completions");
+    s_min_load = PyUnicode_InternFromString("_min_load");
+    s_min_cursor = PyUnicode_InternFromString("_min_cursor");
+    s_now = PyUnicode_InternFromString("now");
+    s_stopped = PyUnicode_InternFromString("_stopped");
+    if (!s_dispatches || !s_completions || !s_min_load || !s_min_cursor)
+        return NULL;
+    PyObject *module = PyModule_Create(&lifecycle_module);
+    if (module == NULL)
+        return NULL;
+    Py_INCREF(&CoreType);
+    if (PyModule_AddObject(module, "Core", (PyObject *)&CoreType) < 0) {
+        Py_DECREF(&CoreType);
+        Py_DECREF(module);
+        return NULL;
+    }
+    return module;
+}

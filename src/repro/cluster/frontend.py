@@ -28,12 +28,15 @@ The front-end decides *who* serves and keeps the books; the request
 lifecycle itself — every run's, whatever is attached to it — is the
 state machine in :mod:`repro.cluster.fastpath`, whose connections share
 the front-end's per-run state: the pool, the cost tables and the
-references into the policy's and the tracker's hot state.
+references into the policy's and the tracker's hot state.  A plain run
+takes the same lifecycle compiled (:mod:`repro.cluster.native`) when it
+can; :meth:`FrontEnd.start` decides, and says why not.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Sequence
+import sys
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..core.base import Policy
 from ..sim import Engine
@@ -46,6 +49,14 @@ from .node import BackendNode
 __all__ = ["FrontEnd", "PERSISTENT_POLICIES"]
 
 PERSISTENT_POLICIES = ("sticky", "rehandoff")
+
+
+def _profiled() -> bool:
+    """Whether a profiler (``cProfile``, ``profile``) watches this thread."""
+    if sys.getprofile() is not None:
+        return True
+    monitoring = getattr(sys, "monitoring", None)  # Python 3.12+: cProfile's hook
+    return monitoring is not None and monitoring.get_tool(monitoring.PROFILER_ID) is not None
 
 
 class FrontEnd:
@@ -151,13 +162,19 @@ class FrontEnd:
         #: empty schedule it replays the plain stages exactly.
         self.tracer: Optional[Any] = None
         self.faults: Optional[Any] = None
+        #: Which lifecycle ``start()`` chose: ``"native"`` (the compiled
+        #: core) or ``"python"`` (``fastpath.py``), and for the latter
+        #: why; ``None`` before ``start()``.
+        self.core: Optional[str] = None
+        self.core_reason = ""
+        self._native: Optional[Any] = None
 
     # -- driving ---------------------------------------------------------------
 
     def start(self) -> None:
-        """Pick the connection class for this run's observers, hand each
-        node its disk-time table and admit the initial batch;
-        completions keep the pipeline full."""
+        """Pick the connection class for this run's observers and the
+        core that runs it, hand each node its disk-time table and admit
+        the initial batch; completions keep the pipeline full."""
         base = FastConnection if self.faults is None else FaultyConnection
         self.conn_class = base if self.tracer is None else _TRACED[base]
         #: The admission loop may run a start event in place.  Not a
@@ -177,7 +194,76 @@ class FrontEnd:
                     )
             node.disk_times_for = self.disk_times
             node.disk_times = self.disk_times(node.costs)
-        self.admit()
+        core, self.core_reason = self._pick_core()
+        self.core = "python" if core is None else "native"
+        if core is None:
+            self.admit()
+        else:
+            self._native = core(self)
+            self._native.admit()
+
+    def _pick_core(self) -> Tuple[Optional[Any], str]:
+        """The compiled core's ``Core`` class for a run it covers, else
+        ``None`` and why the run takes ``fastpath.py``.
+
+        The compiled core is the plain :class:`FastConnection` lifecycle
+        over private caches, one disk per node, CGI costs, coalesced and
+        chunked reads, persistent connections, delay and timeline
+        collection.  What observes or perturbs a run (a tracer, a fault
+        runtime, the sanitizer's per-event hook, a profiler) and what it
+        does not implement (GMS, LB/GC's hit hints, several disks per
+        node, the test oracle's admission seam, events scheduled from
+        outside, which could read the books the core keeps until the
+        run ends) keeps the reference.  A profile of the compiled core
+        shows its stages as built-in methods called from ``Engine.run``,
+        with nothing of their bodies inside, so a profiled run takes the
+        reference, whose every stage and helper is its own entry.
+        """
+        if self.tracer is not None:
+            return None, "tracer attached"
+        if self.faults is not None:
+            return None, "fault schedule"
+        if self.engine._sanitizer is not None:
+            return None, "sanitizer"
+        if _profiled():
+            return None, "profiler attached"
+        unsupported = self._unsupported()
+        if unsupported:
+            return None, f"unsupported configuration: {unsupported}"
+        from . import native  # on first use: a process that only builds pays nothing
+
+        module, why = native.load()
+        if module is None:
+            return None, f"extension unavailable: {why}"
+        return module.Core, ""
+
+    def _unsupported(self) -> str:
+        """What in this run the compiled core does not cover, or ``""``."""
+        nodes = self.nodes
+        if any(node.gms is not None for node in nodes):
+            return "GMS"
+        if self._take_prediction is not None:
+            return "LB/GC hit hints"
+        if any(len(node.disks) != 1 for node in nodes):
+            return "multi-disk nodes"
+        if any(node.dynamic_cost_of_target is not nodes[0].dynamic_cost_of_target for node in nodes):
+            return "per-node CGI cost tables"
+        if "admit" in vars(self):
+            return "replaced admission"
+        if self.engine.pending:
+            return "events scheduled before the run"
+        return ""
+
+    def run(self) -> float:
+        """Dispatch the run's events to the end with :meth:`Engine.run
+        <repro.sim.engine.Engine.run>` and return the clock; on the
+        compiled core, then write its books back into these objects."""
+        core, self._native = self._native, None
+        try:
+            return self.engine.run()
+        finally:
+            if core is not None:
+                core.finish()
 
     def release(self) -> None:
         """The run is over: free its connections and cut the links from
@@ -187,6 +273,7 @@ class FrontEnd:
         only way back to itself is the pool; what is read afterwards
         (the counters, ``conn_class``, the cost tables) stays."""
         self.pool.clear()
+        self._native = None
         for node in self.nodes:
             node.disk_times_for = None
 

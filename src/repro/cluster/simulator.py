@@ -21,7 +21,7 @@ import os
 from dataclasses import dataclass, field, replace
 from numbers import Integral
 from pathlib import Path
-from typing import Any, List, Optional, Union
+from typing import Any, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -302,6 +302,22 @@ class ClusterSimulator:
             self.sanitizer = sanitizer
         self._ran = False
 
+    @property
+    def core(self) -> Optional[str]:
+        """The lifecycle :meth:`run` took: ``"native"`` (compiled,
+        :mod:`repro.cluster.native`) or ``"python"``
+        (:mod:`repro.cluster.fastpath`); ``None`` before it ran.  Both
+        give the same result to the byte."""
+        return self.frontend.core
+
+    @property
+    def core_reason(self) -> str:
+        """Why the run took ``fastpath.py`` (``""`` on the native core):
+        ``tracer attached``, ``fault schedule``, ``sanitizer``,
+        ``unsupported configuration: <what>`` or ``extension
+        unavailable: <why>``."""
+        return self.frontend.core_reason
+
     def run(self) -> SimulationResult:
         """Serve the whole trace and report the paper's metrics."""
         if self._ran:
@@ -329,7 +345,7 @@ class ClusterSimulator:
             runtime.interval_s = self.config.timeline_interval_s
             runtime.schedule_events(self.engine)
         self.frontend.start()
-        end_time = self.engine.run()
+        end_time = self.frontend.run()
         if self.sanitizer is not None:
             self.sanitizer.final_check(end_time)
         if not self.frontend.done:
@@ -408,6 +424,19 @@ def run_simulation(
     them).  Tracing observes the run without changing it: the returned
     result is identical either way.
     """
+    return _simulate(trace, config, profile, trace_out, sample_interval_s, **overrides)[1]
+
+
+def _simulate(
+    trace: Trace,
+    config: Optional[ClusterConfig] = None,
+    profile: Optional[Union[str, Path]] = None,
+    trace_out: Optional[Union[str, Path]] = None,
+    sample_interval_s: Optional[float] = None,
+    **overrides: Any,
+) -> Tuple[ClusterSimulator, SimulationResult]:
+    """:func:`run_simulation`, also handing back the simulator that ran
+    (which core it took and why, its counters)."""
     if sample_interval_s is not None and trace_out is None:
         raise ValueError("sample_interval_s needs trace_out: samples go to the span log")
     base = config if config is not None else ClusterConfig()
@@ -421,9 +450,9 @@ def run_simulation(
         with SpanWriter(trace_out, source="sim") as writer:
             tracer = SimTracer(writer, sample_interval_s=sample_interval_s)
             simulator = ClusterSimulator(trace, base, tracer=tracer)
-            return _run(simulator, profile)
+            return simulator, _run(simulator, profile)
     simulator = ClusterSimulator(trace, base)
-    return _run(simulator, profile)
+    return simulator, _run(simulator, profile)
 
 
 def _run(

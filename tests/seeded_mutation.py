@@ -17,20 +17,39 @@ from pathlib import Path
 from typing import Dict
 
 import repro
+from repro.workload.memo import trace_cache_dir
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
+
+
+#: The compiled core's source, in the package.
+NATIVE_SOURCE = "cluster/_lifecycle.c"
 
 
 def mutated_env(tmp_path: Path, relpath: str, anchor: str, replacement: str) -> Dict[str, str]:
     """Copy ``repro`` under ``tmp_path`` with ``anchor`` (which must
     occur exactly once in ``relpath``) replaced; return an environment
-    whose ``PYTHONPATH`` finds that copy, then the repo's ``tests``."""
+    whose ``PYTHONPATH`` finds that copy, then the repo's ``tests``.
+
+    A mutation of the Python code runs on the Python lifecycle: the
+    copy has no C source, so plain runs cannot take the compiled core
+    (which would not run the mutated stage bodies).  A mutation of the C
+    source is built from the copy, into a build cache of its own."""
     root = tmp_path / "repro"
     shutil.copytree(Path(repro.__file__).resolve().parent, root)
     text = (root / relpath).read_text(encoding="utf-8")
     assert text.count(anchor) == 1, f"mutation anchor not found once in {relpath}"
     (root / relpath).write_text(text.replace(anchor, replacement), encoding="utf-8")
-    return dict(os.environ, PYTHONPATH=os.pathsep.join([str(tmp_path), str(REPO_ROOT)]))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(tmp_path), str(REPO_ROOT)]))
+    if relpath != NATIVE_SOURCE:
+        (root / NATIVE_SOURCE).unlink()
+    else:
+        # The trace memo stays where it is; only the build moves.
+        traces = trace_cache_dir()
+        if traces is not None:
+            env.setdefault("REPRO_TRACE_CACHE", str(traces))
+        env["XDG_CACHE_HOME"] = str(tmp_path / "cache")
+    return env
 
 
 def assert_selected_tests_fail(

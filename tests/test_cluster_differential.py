@@ -47,6 +47,7 @@ from repro.obs import SpanWriter
 from repro.obs.tracer import SimTracer
 from repro.workload import cgi_mix_trace, synthesize_trace
 from tests.cluster_oracle import use_oracle
+from tests.native_core import reference_core
 from tests.seeded_mutation import REPO_ROOT, mutated_env
 
 NUM_NODES = 3
@@ -123,8 +124,9 @@ def _disagreement(traced: bool, cgi: bool, **config):
     return None
 
 
-@settings(max_examples=100, deadline=None)
-@given(
+#: One draw: a configuration, a connection shape, a fault schedule or
+#: none, a trace and an observer.
+_draws = given(
     policy=st.sampled_from(POLICY_NAMES),
     requests_per_connection=st.sampled_from([1, 2, 4, 7]),
     persistent_policy=st.sampled_from(["sticky", "rehandoff"]),
@@ -136,21 +138,40 @@ def _disagreement(traced: bool, cgi: bool, **config):
     traced=st.booleans(),
     cgi=st.booleans(),
 )
-def test_state_machine_matches_oracle(
+
+
+def _draw_disagreement(
     policy, requests_per_connection, persistent_policy, fault_seed, mttf_frac,
     max_retries, factors, coalesce_reads, traced, cgi,
 ):
     schedule = None
     if fault_seed is not None:
         schedule = _schedule(fault_seed, mttf_frac, max_retries, *factors)
-    assert _disagreement(
+    return _disagreement(
         traced, cgi,
         policy=policy,
         requests_per_connection=requests_per_connection,
         persistent_policy=persistent_policy,
         fault_schedule=schedule,
         coalesce_reads=coalesce_reads,
-    ) is None
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@_draws
+def test_state_machine_matches_oracle(**draw):
+    """A plain draw (no tracer, no fault schedule, a policy without GMS
+    or hit hints) takes the compiled core where it is built."""
+    assert _draw_disagreement(**draw) is None
+
+
+@settings(max_examples=100, deadline=None)
+@_draws
+def test_reference_state_machine_matches_oracle(**draw):
+    """Every draw on ``fastpath.py``, as a machine without a C compiler
+    runs it."""
+    with reference_core():
+        assert _draw_disagreement(**draw) is None
 
 
 def test_drawn_schedules_exercise_the_fault_paths():

@@ -29,6 +29,7 @@ from repro.workload import cgi_mix_trace
 from repro.workload.synthetic import synthesize_trace
 from repro.workload.trace import Trace
 from tests.cluster_oracle import use_oracle
+from tests.native_core import native_available, reference_core
 from tests.seeded_mutation import assert_selected_tests_fail
 from tests.test_cluster_differential import _schedule
 
@@ -143,14 +144,42 @@ def _config_id(config):
     return "-".join(_value_id(v) for v in config.values())
 
 
+#: What keeps a configuration off the compiled core.
+_REFERENCE_ONLY = ("lb/gc", "wrr/gms", "disks_per_node", "fault_schedule")
+
+
+def _native_covers(config):
+    return not any(
+        key in _REFERENCE_ONLY or value in _REFERENCE_ONLY for key, value in config.items()
+    )
+
+
 @pytest.mark.parametrize("config", _CONFIGS, ids=_config_id)
 def test_fastpath_matches_generator_path(trace, config):
-    fast = _run(trace, fastpath=True, **config)
+    """The plain configurations take the compiled core where it is
+    built (the rest ``fastpath.py``), and must not notice."""
+    sim = ClusterSimulator(trace, ClusterConfig(**config))
+    fast = dataclasses.asdict(sim.run())
+    native = _native_covers(config) and native_available() and sim.sanitizer is None
+    assert sim.core == ("native" if native else "python")
     slow = _run(trace, fastpath=False, **config)
     assert fast == slow
     pinned = _PARENT_GENERATOR_SHA256.get(_config_id(config))
     if pinned is not None:
         assert _sha256(slow) == pinned
+
+
+@pytest.mark.parametrize(
+    "config", [c for c in _CONFIGS if _native_covers(c)], ids=_config_id
+)
+def test_reference_core_matches_generator_path(trace, config):
+    """The same plain configurations on ``fastpath.py``, as a machine
+    without a C compiler runs them."""
+    with reference_core():
+        sim = ClusterSimulator(trace, ClusterConfig(**config))
+        fast = dataclasses.asdict(sim.run())
+    assert sim.core == "python"
+    assert fast == _run(trace, fastpath=False, **config)
 
 
 def _conn_class(sim):
@@ -468,13 +497,15 @@ def test_the_sanitizer_hook_sees_every_event(trace, case, traced):
 @pytest.mark.parametrize("max_in_flight", [1, 7])
 def test_initial_fill_is_staged(trace, max_in_flight):
     """Nothing runs before ``engine.run()``: not even a fill of one,
-    which finds both of the engine's queues empty."""
+    which finds both of the engine's queues empty.  (On the reference:
+    the compiled core writes ``in_flight`` back when the run ends.)"""
     sim = ClusterSimulator(
         trace,
         ClusterConfig(policy="wrr", num_nodes=3, requests_per_connection=2,
                       max_in_flight=max_in_flight),
     )
-    sim.frontend.start()
+    with reference_core():
+        sim.frontend.start()
     assert sim.engine.events_dispatched == 0
     assert sim.engine.pending == sim.frontend.in_flight == max_in_flight
     assert all(node.cpu.busy == 0 for node in sim.nodes)

@@ -1,0 +1,355 @@
+"""The compiled core: which runs take it, and its build on first use.
+
+``FrontEnd.start`` gives a plain run the compiled lifecycle
+(``repro/cluster/_lifecycle.c``, built by :mod:`repro.cluster.native`)
+and every other run ``fastpath.py``, the reference; a run says which it
+took and, for the reference, why.  The byte-identity of the two is the
+identity and differential suites' business (both run against both
+cores); here are the selection rule and the build boundary: an edited
+source, a damaged binary, a failed compile, no compiler, two first runs
+at once, and a warm start that spawns nothing.
+"""
+
+from __future__ import annotations
+
+import cProfile
+import dataclasses
+import hashlib
+import importlib.machinery
+import io
+import os
+import shutil
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
+import pytest
+
+from repro.cluster import ClusterConfig, ClusterSimulator, native
+from repro.cluster.faults import FaultSchedule
+from repro.obs import SpanWriter
+from repro.obs.tracer import SimTracer
+from repro.workload.synthetic import synthesize_trace
+from tests.cluster_oracle import use_oracle
+from tests.native_core import reference_core, require_native
+from tests.seeded_mutation import REPO_ROOT, assert_selected_tests_fail
+
+_SRC = str(REPO_ROOT / "src")
+_HAVE_CC = shutil.which(native.COMPILER) is not None
+needs_cc = pytest.mark.skipif(not _HAVE_CC, reason=f"no {native.COMPILER} on PATH")
+
+
+@pytest.fixture(scope="module")
+def trace():
+    return synthesize_trace(
+        num_requests=600, num_targets=120, total_bytes=8 * 2**20, zipf_alpha=1.0, seed=3
+    )
+
+
+@pytest.fixture(autouse=True)
+def _unsanitized(monkeypatch):
+    # REPRO_SANITIZE=1 would send every run here to the reference.
+    monkeypatch.delenv("REPRO_SANITIZE", raising=False)
+
+
+# -- which runs take which core ------------------------------------------------------
+
+
+def _tracer():
+    return SimTracer(SpanWriter(io.StringIO(), source="sim"))
+
+
+def _profiled(sim):
+    run = sim.run
+
+    def profiled_run():
+        with cProfile.Profile():
+            return run()
+
+    sim.run = profiled_run
+
+
+def _oracle(sim):
+    use_oracle(sim)
+
+
+def _probe(sim):
+    sim.engine.schedule(0.5, lambda: None)
+
+
+def _own_cgi_table(sim):
+    sim.nodes[1].dynamic_cost_of_target = [0.0] * len(sim.trace.sizes_by_target)
+
+
+#: reason -> (config fields, attach a tracer, what is done to the built
+#: simulator).  Every run here could take neither core but the reference.
+_REFERENCE_ONLY = {
+    "tracer attached": (dict(), True, None),
+    "fault schedule": (dict(fault_schedule=FaultSchedule()), False, None),
+    "sanitizer": (dict(sanitize=True), False, None),
+    "profiler attached": (dict(), False, _profiled),
+    "unsupported configuration: GMS": (dict(policy="wrr/gms"), False, None),
+    "unsupported configuration: LB/GC hit hints": (dict(policy="lb/gc"), False, None),
+    "unsupported configuration: multi-disk nodes": (dict(disks_per_node=2), False, None),
+    "unsupported configuration: per-node CGI cost tables": (dict(), False, _own_cgi_table),
+    "unsupported configuration: replaced admission": (dict(), False, _oracle),
+    "unsupported configuration: events scheduled before the run": (dict(), False, _probe),
+}
+
+
+@pytest.mark.parametrize("reason", sorted(_REFERENCE_ONLY))
+def test_a_run_the_native_core_does_not_cover_names_its_reason(trace, reason):
+    fields, traced, prepare = _REFERENCE_ONLY[reason]
+    config = ClusterConfig(
+        **{"policy": "lard/r", "num_nodes": 3, "node_cache_bytes": 2**19, **fields}
+    )
+    sim = ClusterSimulator(trace, config, tracer=_tracer() if traced else None)
+    if prepare is not None:
+        prepare(sim)
+    assert sim.core is None
+    sim.run()
+    assert (sim.core, sim.core_reason) == ("python", reason)
+
+
+def test_an_unavailable_extension_names_its_reason(trace):
+    with reference_core():
+        sim = ClusterSimulator(trace, ClusterConfig(policy="lard/r", num_nodes=3))
+        sim.run()
+    assert (sim.core, sim.core_reason) == ("python", "extension unavailable: disabled by the test")
+
+
+@pytest.mark.parametrize(
+    "fields",
+    [
+        dict(policy="lard/r"),
+        dict(policy="wrr", cache_policy="lru", coalesce_reads=False),
+        dict(policy="chash", requests_per_connection=3, persistent_policy="rehandoff"),
+        dict(policy="pod/lc", collect_delays=True, timeline_interval_s=0.25),
+    ],
+    ids=["lard-r", "wrr-lru-uncoalesced", "chash-rehandoff", "pod-lc-delays"],
+)
+def test_a_plain_run_takes_the_native_core_and_gives_the_reference_result(trace, fields):
+    require_native()
+    config = ClusterConfig(num_nodes=3, node_cache_bytes=2**19, **fields)
+    native_sim = ClusterSimulator(trace, config)
+    result = dataclasses.asdict(native_sim.run())
+    assert (native_sim.core, native_sim.core_reason) == ("native", "")
+    with reference_core():
+        reference = ClusterSimulator(trace, config)
+        assert dataclasses.asdict(reference.run()) == result
+    assert native_sim.engine.events_dispatched == reference.engine.events_dispatched
+    assert native_sim.engine.scheduled == reference.engine.scheduled
+    for mine, theirs in zip(native_sim.nodes, reference.nodes):
+        for resource, twin in ((mine.cpu, theirs.cpu), (mine.disks[0], theirs.disks[0])):
+            assert (resource.jobs_served, resource.busy_time(), resource.busy) == (
+                twin.jobs_served, twin.busy_time(), twin.busy
+            )
+    policy, twin = native_sim.policy, reference.policy
+    # _min_load / _min_cursor: the C copy of Policy.on_complete's update.
+    assert (
+        policy.loads, policy.dispatches, policy.completions, policy._min_load, policy._min_cursor
+    ) == (twin.loads, twin.dispatches, twin.completions, twin._min_load, twin._min_cursor)
+
+
+def test_simulate_prints_the_core_it_took(tmp_path):
+    env = dict(os.environ, PYTHONPATH=_SRC, REPRO_TRACE_CACHE="off")
+    env.pop("REPRO_SANITIZE", None)
+    args = [sys.executable, "-m", "repro", "simulate", "--requests", "3000", "--nodes", "2"]
+    plain = subprocess.run(args, env=env, capture_output=True, text=True, timeout=120)
+    traced = subprocess.run(
+        args + ["--spans", str(tmp_path / "s.jsonl")],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert plain.returncode == traced.returncode == 0, plain.stderr + traced.stderr
+    if native.load()[0] is not None:
+        assert "\ncore: native" in plain.stdout
+    else:
+        assert "\ncore: python (extension unavailable: " in plain.stdout
+    assert "\ncore: python (tracer attached)\n" in traced.stdout
+
+
+# -- the build boundary ---------------------------------------------------------------
+
+
+@pytest.fixture
+def build(tmp_path, monkeypatch):
+    """A private build cache and a private copy of the C source; the
+    process's memo of ``load()`` is forgotten before and after."""
+    source = tmp_path / "_lifecycle.c"
+    shutil.copy(native.SOURCE, source)
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
+    monkeypatch.setattr(native, "SOURCE", source)
+    monkeypatch.setattr(native, "_loaded", None)
+    monkeypatch.setattr(native, "_build_s", None)
+    return source
+
+
+def _reload():
+    native._loaded = None
+    native._build_s = None
+    return native.load()
+
+
+def _binaries():
+    suffix = importlib.machinery.EXTENSION_SUFFIXES[0]
+    return sorted(path for path in native.build_dir().iterdir() if path.name.endswith(suffix))
+
+
+@needs_cc
+def test_an_edited_source_is_rebuilt(build):
+    first, why = native.load()
+    assert first is not None, why
+    assert native.last_build_s() is not None
+    assert native.build_dir() == build.parent / "cache" / "repro-lard" / "native"
+    [before] = _binaries()
+    build.write_text(build.read_text() + "\n/* edited */\n")
+    second, why = _reload()
+    assert second is not None, why
+    assert native.last_build_s() is not None
+    assert len(_binaries()) == 2 and before in _binaries()
+    # And the edit is built once: the next process finds it.
+    assert _reload()[0] is not None and native.last_build_s() is None
+
+
+@needs_cc
+@pytest.mark.parametrize("damage", ["truncated", "overwritten"])
+def test_a_damaged_binary_is_refused_and_rebuilt(build, damage, monkeypatch):
+    assert native.load()[0] is not None
+    [binary] = _binaries()
+    good = binary.read_bytes()
+    # A new file in its place: this process still maps the one it loaded.
+    damaged = binary.with_name("damaged")
+    damaged.write_bytes(good[: len(good) // 3] if damage == "truncated" else bytes(len(good)))
+    os.replace(damaged, binary)
+    executed = []
+    exec_module = importlib.machinery.ExtensionFileLoader.exec_module
+
+    def recording(loader, module):
+        executed.append(hashlib.sha256(Path(loader.path).read_bytes()).hexdigest())
+        return exec_module(loader, module)
+
+    monkeypatch.setattr(importlib.machinery.ExtensionFileLoader, "exec_module", recording)
+    module, why = _reload()
+    assert module is not None, why
+    assert native.last_build_s() is not None  # rebuilt ...
+    assert binary.read_bytes() == good  # ... to the same bytes,
+    assert executed == [hashlib.sha256(good).hexdigest()]  # and only those were loaded
+
+
+@needs_cc
+def test_a_failed_compile_is_recorded_and_not_retried(build, monkeypatch, trace):
+    build.write_text("#error seeded compile failure\n" + build.read_text())
+    module, why = native.load()
+    assert module is None and "seeded compile failure" in why
+    [record] = native.build_dir().glob("*.failed")
+    assert "seeded compile failure" in record.read_text()
+
+    def no_compiler(*args, **kwargs):
+        raise AssertionError("a recorded failure was compiled again")
+
+    monkeypatch.setattr(subprocess, "run", no_compiler)
+    assert _reload() == (None, why)
+    sim = ClusterSimulator(trace, ClusterConfig(policy="lard/r", num_nodes=3))
+    sim.run()
+    assert (sim.core, sim.core_reason) == ("python", f"extension unavailable: {why}")
+
+
+def _timed_out(command, **kwargs):
+    raise subprocess.TimeoutExpired(command, kwargs["timeout"])
+
+
+def _unlaunchable(command, **kwargs):
+    raise OSError(12, "Cannot allocate memory")
+
+
+def _killed(command, **kwargs):
+    return subprocess.CompletedProcess(command, -9, "", "")
+
+
+@needs_cc
+@pytest.mark.parametrize(
+    "attempt, why",
+    [
+        (_timed_out, "timed out after 300 seconds"),
+        (_unlaunchable, "Cannot allocate memory"),
+        (_killed, "killed by signal 9"),
+    ],
+    ids=["timeout", "launch-error", "signal"],
+)
+def test_an_interrupted_compile_is_not_recorded_and_the_next_process_builds(
+    build, monkeypatch, attempt, why
+):
+    with monkeypatch.context() as patch:
+        patch.setattr(subprocess, "run", attempt)
+        module, reason = native.load()
+    assert module is None and why in reason
+    assert not list(native.build_dir().glob("*.failed"))
+    module, reason = _reload()
+    assert module is not None, reason
+    assert native.last_build_s() is not None
+
+
+def test_a_missing_compiler_falls_back_with_its_reason(build, monkeypatch, trace):
+    monkeypatch.setattr(native, "COMPILER", "repro-no-such-cc")
+    module, why = native.load()
+    assert module is None
+    assert why == "no C compiler (repro-no-such-cc is not on PATH)"
+    sim = ClusterSimulator(trace, ClusterConfig(policy="wrr", num_nodes=2))
+    sim.run()
+    assert sim.core_reason == f"extension unavailable: {why}"
+
+
+_LOAD_AND_REPORT = textwrap.dedent(
+    """
+    import sys
+    from repro.cluster import native
+    module, why = native.load()
+    print(module is not None, native.last_build_s() is not None, why)
+    print("subprocess" in sys.modules, "sysconfig" in sys.modules)
+    """
+)
+
+
+def _start(cache: Path) -> subprocess.Popen:
+    env = dict(os.environ, PYTHONPATH=_SRC, XDG_CACHE_HOME=str(cache))
+    return subprocess.Popen(
+        [sys.executable, "-c", _LOAD_AND_REPORT], env=env, stdout=subprocess.PIPE, text=True
+    )
+
+
+@needs_cc
+def test_two_first_runs_at_once_both_load_one_build(tmp_path):
+    runs = [_start(tmp_path), _start(tmp_path)]
+    reports = [run.communicate(timeout=300)[0].splitlines() for run in runs]
+    assert [run.returncode for run in runs] == [0, 0]
+    loaded = [report[0].split()[:2] for report in reports]
+    assert sorted(loaded) == [["True", "False"], ["True", "True"]]
+    assert len([p for p in (tmp_path / "repro-lard" / "native").iterdir() if p.suffix == ".so"]) == 1
+
+
+@needs_cc
+def test_the_warm_path_spawns_nothing(tmp_path):
+    cold = _start(tmp_path)
+    assert cold.communicate(timeout=300)[0].splitlines()[0].startswith("True True")
+    warm = _start(tmp_path)
+    first, modules = warm.communicate(timeout=300)[0].splitlines()
+    assert first.startswith("True False")
+    assert modules == "False False"
+
+
+# -- the identity suite catches a bug in the C file -------------------------------------
+
+
+@needs_cc
+def test_seeded_c_mutation_is_caught_by_the_identity_suite(tmp_path):
+    """A data service whose busy time never reaches the resource's
+    integral: every utilisation comes out low on the native core only."""
+    assert_selected_tests_fail(
+        tmp_path,
+        "cluster/_lifecycle.c",
+        "    r->busy_integral += now - r->last_change;\n",
+        "",
+        str(REPO_ROOT / "tests" / "test_fastpath_identity.py"),
+        "test_fastpath_matches_generator_path and lard",
+    )

@@ -8,7 +8,7 @@ from unittest import mock
 
 import hypothesis.strategies as st
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
 from repro.obs import span as span_module
 from repro.obs import (
@@ -448,6 +448,10 @@ class TestSharedMemoAndBatches:
 
     @settings(max_examples=150, deadline=None)
     @given(st.lists(_ops, max_size=14))
+    # A span taken, another record, a span taken last: held spans must
+    # reach the stream before the next record and at close (the two
+    # seeded mutations below each break one of those).
+    @example([("take", _span(req=0)), ("sample", 1.0), ("take", _span(req=1))])
     def test_batched_log_equals_the_unbatched_log(self, ops):
         with mock.patch.object(span_module, "_SPAN_BATCH", 3):
             batched, writer = _replay(ops, True)

@@ -13,6 +13,7 @@ Corruption tests run with ``sanitize_interval=1`` so the deep sweep
 inspects state on the very next event after the corruption lands.
 """
 
+import contextlib
 import heapq
 
 import pytest
@@ -28,6 +29,7 @@ from repro.cluster import (
 from repro.core.lardr import _ServerSet
 from repro.sim import Engine, InvariantSanitizer, SanitizerError
 from repro.workload import synthesize_trace
+from tests.native_core import reference_core, require_native
 
 CACHE = 256 * 1024
 
@@ -406,24 +408,39 @@ def test_load_tracker_flag_on_the_wrong_side_is_caught():
         sim.run()
 
 
-def test_fastpath_run_keeps_policy_summaries_in_sync():
-    """The one-request connection inlines its own copy of
-    ``Policy.on_complete``; audit it on an unsanitized run too: stop a
-    plain run mid-flight and at the end, and recount."""
+def _audit_policy_summaries(core):
+    """Stop a plain, unsanitized run on ``core`` mid-flight and at the
+    end, and recount the policy's summaries each time."""
     config = ClusterConfig(policy="lard/r", num_nodes=3, node_cache_bytes=CACHE)
-    end = ClusterSimulator(_trace(), config).run().sim_time_s
-    sim = ClusterSimulator(_trace(), config)
-    sanitizer = InvariantSanitizer()
-    sanitizer.watch_policy(sim.policy)
-    sim.frontend.start()
+    with contextlib.ExitStack() as stack:
+        if core == "python":
+            stack.enter_context(reference_core())
+        end = ClusterSimulator(_trace(), config).run().sim_time_s
+        sim = ClusterSimulator(_trace(), config)
+        sanitizer = InvariantSanitizer()
+        sanitizer.watch_policy(sim.policy)
+        sim.frontend.start()
+    assert sim.core == core
     for fraction in (0.1, 0.3, 0.5, 0.7, 0.9):
         sim.engine.run(until=end * fraction)
         assert sim.policy.total_load > 0
         sanitizer.final_check(sim.engine.now)
-    sim.engine.run()
+    sim.frontend.run()  # the rest, and the compiled core's books back
     assert sim.frontend.done
     sanitizer.final_check(sim.engine.now)
     assert sim.policy._min_load == 0 and sim.policy.total_load == 0
+
+
+def test_fastpath_run_keeps_policy_summaries_in_sync():
+    """The one-request connection inlines its own copy of
+    ``Policy.on_complete``; audit it on an unsanitized run too."""
+    _audit_policy_summaries("python")
+
+
+def test_native_run_keeps_policy_summaries_in_sync():
+    """So does the compiled core (``stage_complete``)."""
+    require_native()
+    _audit_policy_summaries("native")
 
 
 # -- error message quality -----------------------------------------------------

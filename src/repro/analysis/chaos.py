@@ -153,12 +153,11 @@ def fault_fields(
 ) -> Dict[str, Any]:
     """The :class:`~repro.cluster.ClusterConfig` fields of a cell under
     stock ``profile``, once the fault-free ``duration_s`` that scales it
-    is known: the schedule, and the timeline its recovery series need."""
+    is known: the schedule, with the bucket width its recovery series
+    need."""
     scenarios = build_scenarios(num_nodes, duration_s, seed)
-    return dict(
-        fault_schedule=scenarios[FAULT_PROFILES.index(profile)].schedule,
-        timeline_interval_s=duration_s / _TIMELINE_BUCKETS,
-    )
+    schedule = scenarios[FAULT_PROFILES.index(profile)].schedule
+    return dict(fault_schedule=replace(schedule, interval_s=duration_s / _TIMELINE_BUCKETS))
 
 
 def _chaos_row(
@@ -173,7 +172,8 @@ def _chaos_row(
     recovery_tput: object = 0.0
     recovery_miss: object = 0.0
     recovery_p99: object = 0.0
-    # A faulted cell always has both: fault_fields gave it a timeline.
+    # A faulted cell always has both: fault_fields gave its schedule a
+    # bucket width.
     if baseline is not None and degraded is not None:
         interval_s = degraded.interval_s
         after_s = config["fault_schedule"].last_disruption_s

@@ -878,17 +878,16 @@ def ext_failure_recovery(scale: Scale, jobs: int) -> Dict[str, Any]:
     # The paper's failure: the front-end notices at once (detect_s=0)
     # and the node rejoins cold.
     crash = CrashFault(node=1, at_s=fail_at, detect_s=0.0, rejoin_at_s=join_at)
-    faulted = dict(
-        steady,
-        fault_schedule=FaultSchedule(crashes=(crash,)),
-        timeline_interval_s=interval,
-    )
+    faulted = dict(steady, fault_schedule=FaultSchedule(crashes=(crash,), interval_s=interval))
     result = run_cells("rice", {"faulted": faulted}, scale, jobs)["faulted"]
+    if result.degraded is None:
+        raise RuntimeError("a schedule with interval_s records the degraded-mode series")
+    completions = result.degraded.completions
 
     def phase_rate(t0: float, t1: float) -> float:
         buckets = [
             count
-            for bucket, count in result.timeline.items()
+            for bucket, count in completions.items()
             if t0 <= bucket * interval and (bucket + 1) * interval <= t1
         ]
         return sum(buckets) / (len(buckets) * interval) if buckets else 0.0

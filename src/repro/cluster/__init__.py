@@ -21,7 +21,7 @@ from .faults import (
     RetryPolicy,
     generate_fault_schedule,
 )
-from .frontend import PERSISTENT_POLICIES, FrontEnd
+from .frontend import FrontEnd
 from .frontend_capacity import FrontEndCapacityModel
 from .metrics import (
     UNDERUTILIZATION_FRACTION,
@@ -45,7 +45,6 @@ __all__ = [
     "PAPER_NODE_CACHE_BYTES",
     "BackendNode",
     "FrontEnd",
-    "PERSISTENT_POLICIES",
     "FrontEndCapacityModel",
     "LoadTracker",
     "SimulationResult",

@@ -15,8 +15,7 @@
  * Python is called for what the policy and the cache decide
  * (policy.choose, cache.access) and for the rare paths: a multi-chunk
  * read plan (DiskTimes.chunk_plan), Policy.on_dispatch / on_complete on
- * their error branches, a rehandoff's detach and attach, the timeline
- * bucket.  The policy's hot state (loads, _min_load, _min_cursor,
+ * their error branches, a rehandoff's detach and attach.  The policy's hot state (loads, _min_load, _min_cursor,
  * dispatches, completions) and the tracker's lists stay in their Python
  * objects, read and written in place, because choose and the tracker
  * read them; everything only the lifecycle reads (resources, node and
@@ -26,7 +25,9 @@
  * repro.cluster.native builds this file on first use and
  * FrontEnd.start() decides when a run may take it; runs with a tracer,
  * a fault runtime, a sanitizer, a profiler, GMS, LB/GC hit hints or
- * several disks per node take fastpath.py.
+ * several disks per node take fastpath.py.  So the degraded-mode series
+ * never run here: they and their bucket width belong to the fault
+ * schedule, and its runtime books them from fastpath.py's served hook.
  */
 
 #define PY_SSIZE_T_CLEAN
@@ -93,7 +94,7 @@ typedef struct {
     PyObject *fe, *engine, *policy, *policy_dict, *choose;
     PyObject *p_loads, *p_alive, *epoch, *size_list;
     PyObject *t_under_since, *t_under_time, *t_is_under, *observe;
-    PyObject *delays, *timeline, *timeline_interval;
+    PyObject *delays;
     Py_buffer targets;
     int have_targets;
     char tkind;
@@ -105,7 +106,7 @@ typedef struct {
     long long completed, connections, rehandoffs, orphaned;
     long long started_in_place; /* events run in place: not in the queue */
     double total_delay;
-    long long *pn_dispatches, *pn_completions;
+    long long *pn_completions;
     double *pn_delay;
     int num_nodes;
     Node *nodes;
@@ -444,8 +445,7 @@ account(Core *s, Conn *c, int *live)
     Node *node = &s->nodes[c->node];
     node->requests_served += 1;
     node->bytes_served += c->size;
-    double now = s->now;
-    double delay = now - c->start;
+    double delay = s->now - c->start;
     s->total_delay += delay;
     if (s->collect_delays) {
         PyObject *obj = PyFloat_FromDouble(delay);
@@ -463,25 +463,6 @@ account(Core *s, Conn *c, int *live)
     if (*live) {
         s->pn_delay[c->node] += delay;
         s->pn_completions[c->node] += 1;
-    }
-    if (s->timeline_interval != Py_None) {
-        PyObject *t = PyFloat_FromDouble(now);
-        PyObject *q = t ? PyNumber_FloorDivide(t, s->timeline_interval) : NULL;
-        PyObject *bucket = q ? PyNumber_Long(q) : NULL;
-        Py_XDECREF(t);
-        Py_XDECREF(q);
-        if (bucket == NULL)
-            return -1;
-        PyObject *count = PyDict_GetItemWithError(s->timeline, bucket);
-        long long value = 0;
-        if (count != NULL)
-            value = PyLong_AsLongLong(count);
-        PyObject *next = (PyErr_Occurred()) ? NULL : PyLong_FromLongLong(value + 1);
-        int rc = next ? PyDict_SetItem(s->timeline, bucket, next) : -1;
-        Py_XDECREF(next);
-        Py_DECREF(bucket);
-        if (rc < 0)
-            return -1;
     }
     s->completed += 1;
     return 0;
@@ -519,7 +500,6 @@ dispatch_load(Core *s, int node)
             PyList_SetItem(s->t_is_under, node, Py_False);
         }
     }
-    s->pn_dispatches[node] += 1;
     s->connections += 1;
     return 0;
 }
@@ -749,7 +729,6 @@ rehandoff(Core *s, int ci)
         return -1;
     if (call_node_method(s, "on_dispatch", moved_to) < 0 || observe(s, moved_to) < 0)
         return -1;
-    s->pn_dispatches[moved_to] += 1;
     s->rehandoffs += 1;
     c->node = moved_to;
     if (list_ll(s->epoch, moved_to, &epoch) < 0)
@@ -945,23 +924,21 @@ write_back(Core *s)
         || set_double(fe, "total_delay_s", s->total_delay) < 0)
         return -1;
     s->started_in_place = 0;
-    PyObject *lists[3];
-    lists[0] = PyObject_GetAttrString(fe, "per_node_dispatches");
-    lists[1] = PyObject_GetAttrString(fe, "per_node_completions");
-    lists[2] = PyObject_GetAttrString(fe, "per_node_delay_s");
+    PyObject *lists[2];
+    lists[0] = PyObject_GetAttrString(fe, "per_node_completions");
+    lists[1] = PyObject_GetAttrString(fe, "per_node_delay_s");
     int rc = 0;
-    for (int k = 0; k < 3; k++) {
+    for (int k = 0; k < 2; k++) {
         if (lists[k] == NULL || !PyList_Check(lists[k])
             || PyList_GET_SIZE(lists[k]) != s->num_nodes)
             rc = -1;
     }
     for (int i = 0; rc == 0 && i < s->num_nodes; i++) {
-        if (list_set_ll(lists[0], i, s->pn_dispatches[i]) < 0
-            || list_set_ll(lists[1], i, s->pn_completions[i]) < 0
-            || list_set_double(lists[2], i, s->pn_delay[i]) < 0)
+        if (list_set_ll(lists[0], i, s->pn_completions[i]) < 0
+            || list_set_double(lists[1], i, s->pn_delay[i]) < 0)
             rc = -1;
     }
-    for (int k = 0; k < 3; k++)
+    for (int k = 0; k < 2; k++)
         Py_XDECREF(lists[k]);
     if (rc < 0) {
         if (!PyErr_Occurred())
@@ -1178,15 +1155,13 @@ Core_init(Core *s, PyObject *args, PyObject *kwds)
         || (tracker = PyObject_GetAttrString(fe, "tracker")) == NULL
         || (s->observe = PyObject_GetAttrString(tracker, "observe")) == NULL
         || (nodes = PyObject_GetAttrString(fe, "nodes")) == NULL
-        || (s->delays = PyObject_GetAttrString(fe, "delays_s")) == NULL
-        || (s->timeline = PyObject_GetAttrString(fe, "timeline")) == NULL
-        || (s->timeline_interval = PyObject_GetAttrString(fe, "timeline_interval_s")) == NULL)
+        || (s->delays = PyObject_GetAttrString(fe, "delays_s")) == NULL)
         goto done;
     s->policy_dict = PyObject_GenericGetDict(s->policy, NULL);
     if (s->policy_dict == NULL)
         goto done;
-    if (!PyList_Check(s->delays) || !PyDict_Check(s->timeline)) {
-        PyErr_SetString(PyExc_TypeError, "delays_s must be a list and timeline a dict");
+    if (!PyList_Check(s->delays)) {
+        PyErr_SetString(PyExc_TypeError, "delays_s must be a list");
         goto done;
     }
     Py_ssize_t num_nodes = PySequence_Length(nodes);
@@ -1280,7 +1255,6 @@ Core_init(Core *s, PyObject *args, PyObject *kwds)
         || (s->engine_dict = PyObject_GenericGetDict(s->engine, NULL)) == NULL)
         goto done;
     size_t nn = (size_t)num_nodes;
-    s->pn_dispatches = PyMem_Calloc(nn, sizeof(long long));
     s->pn_completions = PyMem_Calloc(nn, sizeof(long long));
     s->pn_delay = PyMem_Calloc(nn, sizeof(double));
     s->nodes = PyMem_Calloc(nn, sizeof(Node));
@@ -1288,29 +1262,27 @@ Core_init(Core *s, PyObject *args, PyObject *kwds)
     s->tables = PyMem_Calloc(nn, sizeof(Table));
     s->pending = PyMem_Malloc((size_t)(s->num_targets ? s->num_targets : 1) * sizeof(int));
     s->units = PyMem_Malloc((size_t)(s->num_targets ? s->num_targets : 1) * sizeof(long long));
-    if (!s->pn_dispatches || !s->pn_completions || !s->pn_delay || !s->nodes || !s->res
+    if (!s->pn_completions || !s->pn_delay || !s->nodes || !s->res
         || !s->tables || !s->pending || !s->units) {
         PyErr_NoMemory();
         goto done;
     }
     for (Py_ssize_t t = 0; t < s->num_targets; t++)
         s->pending[t] = -1;
-    PyObject *lists[3] = {NULL, NULL, NULL};
-    if (get_list(fe, "per_node_dispatches", num_nodes, &lists[0]) == 0
-        && get_list(fe, "per_node_completions", num_nodes, &lists[1]) == 0
-        && get_list(fe, "per_node_delay_s", num_nodes, &lists[2]) == 0) {
+    PyObject *lists[2] = {NULL, NULL};
+    if (get_list(fe, "per_node_completions", num_nodes, &lists[0]) == 0
+        && get_list(fe, "per_node_delay_s", num_nodes, &lists[1]) == 0) {
         int bad = 0;
         for (Py_ssize_t i = 0; i < num_nodes && !bad; i++)
-            bad = list_ll(lists[0], i, &s->pn_dispatches[i]) < 0
-                  || list_ll(lists[1], i, &s->pn_completions[i]) < 0
-                  || list_double(lists[2], i, &s->pn_delay[i]) < 0;
-        for (int k = 0; k < 3; k++)
+            bad = list_ll(lists[0], i, &s->pn_completions[i]) < 0
+                  || list_double(lists[1], i, &s->pn_delay[i]) < 0;
+        for (int k = 0; k < 2; k++)
             Py_XDECREF(lists[k]);
         if (bad)
             goto done;
     }
     else {
-        for (int k = 0; k < 3; k++)
+        for (int k = 0; k < 2; k++)
             Py_XDECREF(lists[k]);
         goto done;
     }
@@ -1375,8 +1347,6 @@ Core_traverse(Core *s, visitproc visit, void *arg)
     Py_VISIT(s->t_is_under);
     Py_VISIT(s->observe);
     Py_VISIT(s->delays);
-    Py_VISIT(s->timeline);
-    Py_VISIT(s->timeline_interval);
     Py_VISIT(s->queue);
     Py_VISIT(s->nowq);
     Py_VISIT(s->nowq_append);
@@ -1418,8 +1388,6 @@ Core_clear_refs(Core *s)
     Py_CLEAR(s->t_is_under);
     Py_CLEAR(s->observe);
     Py_CLEAR(s->delays);
-    Py_CLEAR(s->timeline);
-    Py_CLEAR(s->timeline_interval);
     Py_CLEAR(s->queue);
     Py_CLEAR(s->nowq);
     Py_CLEAR(s->nowq_append);
@@ -1464,7 +1432,6 @@ Core_dealloc(Core *s)
     for (int k = 0; s->tables != NULL && k < s->num_tables; k++)
         PyMem_Free(s->tables[k].table);
     PyMem_Free(s->tables);
-    PyMem_Free(s->pn_dispatches);
     PyMem_Free(s->pn_completions);
     PyMem_Free(s->pn_delay);
     PyMem_Free(s->nodes);

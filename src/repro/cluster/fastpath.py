@@ -635,9 +635,6 @@ class FastConnection:
         if fe._epoch[node_id] == self.epoch:
             fe.per_node_delay_s[node_id] += delay
             fe.per_node_completions[node_id] += 1
-        if fe.timeline_interval_s is not None:
-            bucket = int(now // fe.timeline_interval_s)
-            fe.timeline[bucket] = fe.timeline.get(bucket, 0) + 1
         fe.completed += 1
 
     def _complete(self) -> None:
@@ -679,9 +676,6 @@ class FastConnection:
         if live:
             fe.per_node_delay_s[node_id] += delay
             fe.per_node_completions[node_id] += 1
-        if fe.timeline_interval_s is not None:
-            bucket = int(now // fe.timeline_interval_s)
-            fe.timeline[bucket] = fe.timeline.get(bucket, 0) + 1
         fe.completed += 1
         # FrontEnd._detach, inlined (Policy.on_complete — least-load
         # bound and scan cursor included — and LoadTracker.observe on
@@ -734,7 +728,6 @@ class FastConnection:
             if load >= fe.t_threshold and fe.t_is_under[node_id]:
                 fe.t_under_time[node_id] += now - fe.t_under_since[node_id]
                 fe.t_is_under[node_id] = False
-            fe.per_node_dispatches[node_id] += 1
             fe.connections += 1
             self.epoch = fe._epoch[node_id]
             self.node = fe.nodes[node_id]
@@ -826,7 +819,6 @@ class FaultyConnection(FastConnection):
     def _doomed(self) -> None:
         """The chosen node is dark: nothing answers until the client's
         timeout fires."""
-        self.faults.doomed_dispatches += 1
         self.engine.post(self.retry.timeout_s, type(self)._timed_out, self)
 
     def _timed_out(self) -> None:

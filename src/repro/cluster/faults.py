@@ -179,12 +179,22 @@ class FaultSchedule:
     crashes: Tuple[CrashFault, ...] = ()
     brownouts: Tuple[Brownout, ...] = ()
     retry: RetryPolicy = RetryPolicy()
+    #: Bucket width (simulated seconds) of the run's degraded-mode
+    #: series (:class:`~repro.cluster.metrics.DegradedTimeline`); None
+    #: records none.
+    interval_s: Optional[float] = None
 
     def validate(self, num_nodes: int) -> None:
         """Raise ``ValueError`` unless this schedule is executable on a
         ``num_nodes``-node cluster (ids integers in range, per-node
         crash intervals ordered and disjoint, brownouts never overlapping
-        a crash, and at least one node alive at every detection)."""
+        a crash, and at least one node alive at every detection) with a
+        bucket width, if any, that is positive and finite."""
+        interval = self.interval_s
+        if interval is not None and not (0.0 < interval < math.inf):
+            raise ValueError(
+                f"interval_s must be positive and finite, got {interval!r}"
+            )
         for fault in self.crashes + self.brownouts:
             node = fault.node
             if (
@@ -411,17 +421,12 @@ class FaultRuntime:
         self.lost_requests = 0
         self.retried_requests = 0
         self.served_requests = 0
-        self.doomed_dispatches = 0
         #: Every fault event executed, as (time_s, event, node) —
         #: retained even when no tracer is attached.
         self.events: List[Tuple[float, str, int]] = []
-        #: Bucket width for the degraded-mode series (set by the
-        #: simulator from ``timeline_interval_s``; None disables).
-        self.interval_s: Optional[float] = None
-        #: Served requests per bucket: the front-end's ``timeline``
-        #: itself, which counts them in the same call with the same
-        #: interval.
-        self._completions: Dict[int, int] = frontend.timeline
+        #: Bucket width for the degraded-mode series (None disables).
+        self.interval_s = schedule.interval_s
+        self._completions: Dict[int, int] = {}
         self._misses: Dict[int, int] = {}
         self._lost: Dict[int, int] = {}
         self._delays: Dict[int, List[float]] = {}
@@ -515,6 +520,7 @@ class FaultRuntime:
         if interval is None:
             return
         bucket = int(now // interval)
+        self._completions[bucket] = self._completions.get(bucket, 0) + 1
         if missed:
             self._misses[bucket] = self._misses.get(bucket, 0) + 1
         self._delays.setdefault(bucket, []).append(delay_s)
@@ -530,7 +536,8 @@ class FaultRuntime:
         self._delays.setdefault(bucket, []).append(delay_s)
 
     def degraded_timeline(self) -> Optional[DegradedTimeline]:
-        """The per-bucket degraded-mode series (None without a timeline)."""
+        """The per-bucket degraded-mode series (None when the schedule
+        has no ``interval_s``)."""
         if self.interval_s is None:
             return None
         return DegradedTimeline(

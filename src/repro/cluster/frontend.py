@@ -46,9 +46,7 @@ from .fastpath import _TRACED, DiskTimes, FastConnection, FaultyConnection
 from .metrics import LoadTracker
 from .node import BackendNode
 
-__all__ = ["FrontEnd", "PERSISTENT_POLICIES"]
-
-PERSISTENT_POLICIES = ("sticky", "rehandoff")
+__all__ = ["FrontEnd"]
 
 
 def _profiled() -> bool:
@@ -137,7 +135,6 @@ class FrontEnd:
         self.connections = 0
         self.rehandoffs = 0
         self.total_delay_s = 0.0
-        self.per_node_dispatches = [0] * len(nodes)
         self.per_node_delay_s = [0.0] * len(nodes)
         self.per_node_completions = [0] * len(nodes)
         # Membership epochs: bumped when a node fails so that connections
@@ -145,10 +142,6 @@ class FrontEnd:
         # when they drain (paper Section 2.6 failure handling).
         self._epoch = [0] * len(nodes)
         self.orphaned = 0
-        #: When set (seconds), completions are counted into time buckets —
-        #: used by the failure-recovery experiment to plot throughput dips.
-        self.timeline_interval_s: Optional[float] = None
-        self.timeline: Dict[int, int] = {}
         #: When True, every request's delay is recorded (percentiles).
         self.collect_delays: bool = False
         self.delays_s: List[float] = []
@@ -208,10 +201,10 @@ class FrontEnd:
 
         The compiled core is the plain :class:`FastConnection` lifecycle
         over private caches, one disk per node, CGI costs, coalesced and
-        chunked reads, persistent connections, delay and timeline
-        collection.  What observes or perturbs a run (a tracer, a fault
-        runtime, the sanitizer's per-event hook, a profiler) and what it
-        does not implement (GMS, LB/GC's hit hints, several disks per
+        chunked reads, persistent connections and delay collection.
+        What observes or perturbs a run (a tracer, a fault runtime, the
+        sanitizer's per-event hook, a profiler) and what it does not
+        implement (GMS, LB/GC's hit hints, several disks per
         node, the test oracle's admission seam, events scheduled from
         outside, which could read the books the core keeps until the
         run ends) keeps the reference.  A profile of the compiled core
@@ -393,7 +386,6 @@ class FrontEnd:
             if load >= self.t_threshold and self.t_is_under[node_id]:
                 self.t_under_time[node_id] += now - self.t_under_since[node_id]
                 self.t_is_under[node_id] = False
-            self.per_node_dispatches[node_id] += 1
             self.connections += 1
             self.in_flight += 1
             pool = self.pool
@@ -430,7 +422,6 @@ class FrontEnd:
     def _attach(self, node_id: int) -> None:
         self.policy.on_dispatch(node_id)
         self.tracker.observe(node_id, self.engine.now)
-        self.per_node_dispatches[node_id] += 1
 
     def _detach(self, node_id: int, epoch: int) -> None:
         """Release a connection's load at ``node_id``, unless the node
@@ -442,17 +433,13 @@ class FrontEnd:
         self.tracker.observe(node_id, self.engine.now)
 
     def _account_request(self, node_id: int, epoch: int, start: float) -> None:
-        now = self.engine.now
-        delay = now - start
+        delay = self.engine.now - start
         self.total_delay_s += delay
         if self.collect_delays:
             self.delays_s.append(delay)
         if self._epoch[node_id] == epoch:
             self.per_node_delay_s[node_id] += delay
             self.per_node_completions[node_id] += 1
-        if self.timeline_interval_s is not None:
-            bucket = int(now // self.timeline_interval_s)
-            self.timeline[bucket] = self.timeline.get(bucket, 0) + 1
         self.completed += 1
 
     def _account_lost(self, start: float) -> None:
@@ -460,8 +447,7 @@ class FrontEnd:
 
         It still counts toward ``completed`` (the closed loop must
         drain) and, when delays are collected, contributes its
-        abandonment delay — but never lands in ``timeline``, whose
-        buckets count goodput only.
+        abandonment delay; the fault runtime books it lost.
         """
         now = self.engine.now
         self.total_delay_s += now - start

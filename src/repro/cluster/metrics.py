@@ -201,8 +201,6 @@ class SimulationResult:
     #: they count in neither cache_hits nor cache_misses.
     dynamic_requests: int = 0
     per_node_mean_delay_s: List[float] = field(default_factory=list)
-    #: Completions per time bucket (only when timeline_interval_s was set).
-    timeline: Dict[int, int] = field(default_factory=dict)
     orphaned_connections: int = 0
     #: Connections admitted (== num_requests unless persistent connections).
     connections: int = 0
@@ -217,9 +215,9 @@ class SimulationResult:
     #: Client retry attempts: requests re-dispatched after a timeout
     #: against a crashed-but-undetected node (faulted runs only).
     retried_requests: int = 0
-    #: Per-bucket degraded-mode series (faulted runs with a timeline).
+    #: Per-bucket degraded-mode series (faulted runs whose schedule
+    #: sets ``interval_s``).
     degraded: Optional[DegradedTimeline] = None
-    extra: Dict[str, float] = field(default_factory=dict)
 
     @property
     def throughput_rps(self) -> float:

@@ -16,7 +16,6 @@ order of request frequency in the trace" — see :func:`stripe_by_frequency`.
 from __future__ import annotations
 
 import gc
-import math
 import os
 from dataclasses import dataclass, field, replace
 from numbers import Integral
@@ -28,13 +27,13 @@ import numpy as np
 from ..cache import GDSCache, GlobalMemorySystem, LFUCache, LRUCache
 from ..cache.base import Cache
 from ..core import Policy, make_policy, uses_gms
-from ..core.base import DEFAULT_T_HIGH, DEFAULT_T_LOW
+from ..core.base import DEFAULT_T_HIGH, DEFAULT_T_LOW, PERSISTENT_POLICIES
 from ..core.lardr import DEFAULT_K_SECONDS
 from ..sim import Engine, InvariantSanitizer
 from ..workload.trace import Trace
 from .costs import PAPER_NODE_CACHE_BYTES, CostModel
 from .faults import FaultRuntime, FaultSchedule
-from .frontend import PERSISTENT_POLICIES, FrontEnd
+from .frontend import FrontEnd
 from .metrics import UNDERUTILIZATION_FRACTION, LoadTracker, SimulationResult
 from .node import BackendNode
 
@@ -110,9 +109,6 @@ class ClusterConfig:
     #: Coalesce concurrent misses on one file into a single disk read
     #: (paper Section 3.1); disable only for the ablation bench.
     coalesce_reads: bool = True
-    #: When set, completions are bucketed into intervals of this many
-    #: simulated seconds (throughput timelines for dynamic experiments).
-    timeline_interval_s: Optional[float] = None
     #: HTTP/1.1 persistent connections: consecutive trace requests grouped
     #: per connection (1 = the paper's HTTP/1.0 evaluation).
     requests_per_connection: int = 1
@@ -133,7 +129,8 @@ class ClusterConfig:
     #: crash faults with detection lag and client retries, brownouts,
     #: and cold/warm/aged rejoins.  A crash with ``detect_s=0`` is the
     #: paper's Section 2.6 failure (the front-end drops the node's
-    #: mappings at once), its cold rejoin the paper's join.  ``None``
+    #: mappings at once), its cold rejoin the paper's join.  Its
+    #: ``interval_s`` buckets the run's degraded-mode series.  ``None``
     #: runs no fault code at all.
     fault_schedule: Optional[FaultSchedule] = None
     #: Seed for randomized policies (``pod``, ``pod/lc``); equal seeds
@@ -165,11 +162,6 @@ class ClusterConfig:
         _require_count("sanitize_interval", self.sanitize_interval)
         if self.fault_schedule is not None:
             self.fault_schedule.validate(self.num_nodes)
-        interval = self.timeline_interval_s
-        if interval is not None and not (0.0 < interval < math.inf):
-            raise ValueError(
-                f"timeline_interval_s must be positive and finite, got {interval!r}"
-            )
 
     def scaled_cpu(self, cpu_multiplier: float, memory_multiplier: float = 1.0) -> "ClusterConfig":
         """The Figure 11/12 scaling: faster CPU, proportionally larger cache."""
@@ -338,11 +330,9 @@ class ClusterSimulator:
                 gc.enable()
 
     def _serve(self) -> SimulationResult:
-        self.frontend.timeline_interval_s = self.config.timeline_interval_s
         self.frontend.collect_delays = self.config.collect_delays
         runtime = self.fault_runtime
         if runtime is not None:
-            runtime.interval_s = self.config.timeline_interval_s
             runtime.schedule_events(self.engine)
         self.frontend.start()
         end_time = self.frontend.run()
@@ -376,7 +366,6 @@ class ClusterSimulator:
                     self.frontend.per_node_delay_s, self.frontend.per_node_completions
                 )
             ],
-            timeline=dict(self.frontend.timeline),
             orphaned_connections=self.frontend.orphaned,
             connections=self.frontend.connections,
             rehandoffs=self.frontend.rehandoffs,

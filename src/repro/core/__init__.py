@@ -9,6 +9,7 @@ hand-off prototype (:mod:`repro.handoff`).
 from .base import (
     DEFAULT_T_HIGH,
     DEFAULT_T_LOW,
+    PERSISTENT_POLICIES,
     Policy,
     PolicyError,
     admission_limit,
@@ -29,6 +30,7 @@ __all__ = [
     "DEFAULT_T_LOW",
     "DEFAULT_T_HIGH",
     "DEFAULT_K_SECONDS",
+    "PERSISTENT_POLICIES",
     "WeightedRoundRobin",
     "HashLocality",
     "stable_hash",

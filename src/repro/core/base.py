@@ -28,12 +28,25 @@ from __future__ import annotations
 import abc
 from typing import Any, Hashable, List
 
-__all__ = ["Policy", "PolicyError", "DEFAULT_T_LOW", "DEFAULT_T_HIGH", "admission_limit"]
+__all__ = [
+    "Policy",
+    "PolicyError",
+    "DEFAULT_T_LOW",
+    "DEFAULT_T_HIGH",
+    "PERSISTENT_POLICIES",
+    "admission_limit",
+]
 
 #: Paper Section 2.4: "settings of T_low = 25 and T_high = 65 active
 #: connections give good performance across all workloads we tested".
 DEFAULT_T_LOW = 25
 DEFAULT_T_HIGH = 65
+
+#: How a persistent connection's later requests are distributed (paper
+#: Section 5): ``sticky`` (the first request's back-end serves them all)
+#: or ``rehandoff`` (the policy runs per request and the connection
+#: moves when it names another back-end).
+PERSISTENT_POLICIES = ("sticky", "rehandoff")
 
 
 class PolicyError(RuntimeError):

@@ -18,7 +18,6 @@ from .backend import (
     BackendStats,
     BackendUnavailableError,
     HandoffItem,
-    PERSISTENT_MODES,
 )
 from .client import LoadGenerator, LoadResult, fetch_one
 from .cluster import ClusterStats, HandoffCluster, L4ProxyCluster
@@ -44,7 +43,6 @@ __all__ = [
     "HandoffItem",
     "HealthMonitor",
     "HealthStats",
-    "PERSISTENT_MODES",
     "FrontEndServer",
     "FrontEndStats",
     "Dispatcher",

@@ -44,6 +44,7 @@ from dataclasses import dataclass
 from typing import Callable, Dict, Optional, Sequence, Set, Tuple
 
 from ..cache import GDSCache
+from ..core.base import PERSISTENT_POLICIES
 from ..obs.span import Span, SpanWriter
 from .dispatcher import Dispatcher
 from .docroot import DocumentStore
@@ -55,10 +56,8 @@ __all__ = [
     "BackendStats",
     "BackendUnavailableError",
     "HandoffItem",
-    "PERSISTENT_MODES",
 ]
 
-PERSISTENT_MODES = ("sticky", "rehandoff")
 
 _KEEPALIVE_TIMEOUT_S = 5.0
 _DRAIN_POLL_S = 0.05
@@ -128,9 +127,9 @@ class BackendServer:
         workers: int = 4,
         persistent_mode: str = "sticky",
     ) -> None:
-        if persistent_mode not in PERSISTENT_MODES:
+        if persistent_mode not in PERSISTENT_POLICIES:
             raise ValueError(
-                f"persistent_mode must be one of {PERSISTENT_MODES}, got {persistent_mode!r}"
+                f"persistent_mode must be one of {PERSISTENT_POLICIES}, got {persistent_mode!r}"
             )
         if workers < 1:
             raise ValueError(f"need at least one worker, got {workers}")

@@ -17,8 +17,7 @@ A span log is a JSONL stream of four record kinds:
     One completed request (see :class:`Span`).
 ``sample``
     One periodic time-series observation (per-node load, rolling miss
-    ratio, queue depths) — the generalization of the simulator's
-    completions-only ``timeline``.
+    ratio, queue depths).
 ``fault``
     One injected-fault event: ``{"kind": "fault", "t": seconds,
     "node": int, "event": name}`` plus free-form detail fields.  The

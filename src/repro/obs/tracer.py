@@ -11,8 +11,7 @@ own, so a traced run produces byte-identical
 untraced one, and an unhooked run pays nothing (the perf ledger's
 ``ref-8n`` workload holds).
 
-Sampling is **completion-driven**, generalizing the front-end's
-completions-only ``timeline``: rather than scheduling engine events
+Sampling is **completion-driven**: rather than scheduling engine events
 (which would perturb the run's final simulated time), the tracer checks
 at each span completion whether the sampling interval has elapsed and,
 if so, emits a ``sample`` record stamped at that completion time with

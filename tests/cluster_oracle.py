@@ -372,7 +372,6 @@ def _connection_faulty(
         if dark[node_id] and (
             fresh_dispatch or not fe.rehandoff or fe.policy._alive[node_id]
         ):
-            faults.doomed_dispatches += 1
             yield Delay(retry.timeout_s)
             fe._detach(node_id, epoch)
             if attempts >= retry.max_retries:

@@ -229,18 +229,19 @@ def test_wrr_spreads_identical_requests_evenly_over_identical_nodes(cls):
     counts end three apart — exchangeability needs the equal start.)"""
     requests = 1003  # not a multiple of 8, nor of 4 * 8
     sim, result = _run(cls, [0] * requests, [4096], num_nodes=8, max_in_flight=64)
-    dispatches = sim.frontend.per_node_dispatches
+    served = [node.requests_served for node in sim.nodes]
+    # A node's CPU serves one transmit a request and one establishment
+    # and one teardown a connection it was dispatched.
+    twice = [node.cpu.jobs_served - s for node, s in zip(sim.nodes, served)]
+    assert [t % 2 for t in twice] == [0] * 8
+    dispatches = [t // 2 for t in twice]
     assert sum(dispatches) == result.connections == _connections(cls, requests)
     assert max(dispatches) - min(dispatches) <= 1
-    served = [node.requests_served for node in sim.nodes]
     per_conn = CLASSES[cls].get("requests_per_connection", 1)
     assert sum(served) == requests
     assert max(served) - min(served) <= per_conn
     # Every node read the file once and served the rest from memory.
     assert result.disk_reads == 8
-    assert [node.cpu.jobs_served for node in sim.nodes] == [
-        s + 2 * d for s, d in zip(served, dispatches)
-    ]
 
 
 # -- what the state machine refuses ------------------------------------------------------

@@ -89,7 +89,12 @@ def _schedule(seed, mttf_frac=0.4, max_retries=1, cpu_factor=0.5, disk_factor=0.
 
 
 def _run(oracle: bool, traced: bool, cgi: bool, **config):
-    """``(asdict(result), span log)`` of one run on one lifecycle."""
+    """``(asdict(result), span log)`` of one run on one lifecycle; a
+    fault schedule also records the degraded-mode series."""
+    if config.get("fault_schedule") is not None:
+        config["fault_schedule"] = dataclasses.replace(
+            config["fault_schedule"], interval_s=SPAN_S / 20
+        )
     sink = io.StringIO()
     tracer = None
     if traced:
@@ -97,8 +102,7 @@ def _run(oracle: bool, traced: bool, cgi: bool, **config):
     sim = ClusterSimulator(
         _trace(cgi),
         ClusterConfig(
-            num_nodes=NUM_NODES, node_cache_bytes=CACHE,
-            timeline_interval_s=SPAN_S / 20, collect_delays=True, **config,
+            num_nodes=NUM_NODES, node_cache_bytes=CACHE, collect_delays=True, **config,
         ),
         tracer=tracer,
     )

@@ -11,6 +11,7 @@ from repro.cluster import (
 )
 from repro.cluster.frontend_capacity import FrontEndCapacityModel
 from repro.workload import synthesize_trace
+from tests.seeded_mutation import assert_selected_tests_fail
 
 
 def _trace(n=6000, seed=3):
@@ -105,10 +106,22 @@ class TestMembershipDynamics:
             policy="wrr",
             num_nodes=2,
             node_cache_bytes=CACHE,
-            timeline_interval_s=0.5,
+            fault_schedule=FaultSchedule(interval_s=0.5),
         )
-        assert sum(result.timeline.values()) == len(trace)
-        assert max(result.timeline) <= int(result.sim_time_s / 0.5) + 1
+        completions = result.degraded.completions
+        assert sum(completions.values()) == len(trace)
+        assert max(completions) <= int(result.sim_time_s / 0.5) + 1
+
+    def test_seeded_mutation_dropping_the_completion_count_is_caught(self, tmp_path):
+        """The fault runtime alone counts a bucket's completions."""
+        assert_selected_tests_fail(
+            tmp_path,
+            "cluster/faults.py",
+            "        self._completions[bucket] = self._completions.get(bucket, 0) + 1\n",
+            "",
+            __file__,
+            "test_timeline_collection",
+        )
 
     def test_unknown_membership_action_rejected(self):
         """A node rejoins cold, warm or aged; any other way back in is

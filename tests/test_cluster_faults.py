@@ -257,8 +257,8 @@ def test_crash_with_detection_lag_loses_or_retries_requests(baseline):
     est = baseline.sim_time_s
     result = run_simulation(
         _trace(),
-        _config(fault_schedule=_crash_schedule(est), collect_delays=True,
-                timeline_interval_s=est / 20),
+        _config(fault_schedule=dataclasses.replace(_crash_schedule(est), interval_s=est / 20),
+                collect_delays=True),
         sanitize=True,
     )
     # Dispatches during the detection window time out; with one retry
@@ -271,6 +271,7 @@ def test_crash_with_detection_lag_loses_or_retries_requests(baseline):
     assert result.degraded is not None
     lost_in_buckets = sum(result.degraded.lost.values())
     assert lost_in_buckets == result.lost_requests
+    assert sum(result.degraded.completions.values()) == result.served_requests
 
 
 def test_faulted_run_is_deterministic(baseline):
@@ -468,6 +469,9 @@ def test_traced_faulted_run_matches_untraced(baseline):
 # sha256 of (JSONL span log, asdict(result) as sorted-key JSON) for a
 # traced run under a seeded schedule, recorded on a7b00b5 where the
 # faulty path had its own admission loop and its own copy of ``serve``.
+# The result then also held ``timeline`` (the same counts as
+# ``degraded.completions``) and an ``extra`` nothing wrote; the digest
+# puts both back as they were.
 # The rehandoff pin was re-recorded when a rehandoff connection stopped
 # sending requests to a node the front-end had already failed (retried
 # 344 -> 292, lost 67 -> 76); the oracle takes the same step.
@@ -496,8 +500,7 @@ def test_seeded_chaos_run_matches_parent_lifecycle(connection):
                           backoff_cap_s=0.25),
     )
     config = _config(
-        fault_schedule=schedule,
-        timeline_interval_s=0.25,
+        fault_schedule=dataclasses.replace(schedule, interval_s=0.25),
         requests_per_connection=requests_per_connection,
         persistent_policy=persistent_policy,
     )
@@ -507,10 +510,12 @@ def test_seeded_chaos_run_matches_parent_lifecycle(connection):
     # The untraced run hands ``serve`` the fault runtime's probe instead.
     assert run_simulation(_trace(), config) == traced
     assert traced.lost_requests > 0 and traced.retried_requests > 0
+    recorded = dataclasses.asdict(traced)
+    recorded.update(timeline=recorded["degraded"]["completions"], extra={})
     digests = (
         hashlib.sha256(buf.getvalue().encode()).hexdigest(),
         hashlib.sha256(
-            json.dumps(dataclasses.asdict(traced), sort_keys=True).encode()
+            json.dumps(recorded, sort_keys=True).encode()
         ).hexdigest(),
     )
     assert digests == _PARENT_CHAOS_SHA256[connection]

@@ -44,6 +44,7 @@ import tracemalloc
 import types
 import weakref
 from collections import Counter
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -72,7 +73,7 @@ CASES = {
     ),
     "faulty": (
         False,
-        dict(policy="lard/r", fault_schedule=_LOSSY, timeline_interval_s=0.5,
+        dict(policy="lard/r", fault_schedule=replace(_LOSSY, interval_s=0.5),
              requests_per_connection=4, persistent_policy="rehandoff"),
         False,
     ),

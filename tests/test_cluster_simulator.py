@@ -7,6 +7,7 @@ from repro.cluster import (
     ClusterConfig,
     ClusterSimulator,
     CostModel,
+    FaultSchedule,
     make_cache,
     run_simulation,
     stripe_by_frequency,
@@ -185,8 +186,13 @@ class TestConfig:
 
     @pytest.mark.parametrize("interval", [0.0, -1.0, float("inf"), float("nan")])
     def test_bad_timeline_interval_rejected_at_construction(self, interval):
-        with pytest.raises(ValueError, match="timeline_interval_s"):
-            ClusterConfig(timeline_interval_s=interval)
+        """The degraded-mode timeline's bucket width is the fault
+        schedule's, checked when the schedule is validated."""
+        schedule = FaultSchedule(interval_s=interval)
+        with pytest.raises(ValueError, match="interval_s must be positive and finite"):
+            schedule.validate(num_nodes=1)
+        with pytest.raises(ValueError, match="interval_s"):
+            ClusterConfig(fault_schedule=schedule)
 
     @pytest.mark.parametrize(
         "field, value, message",

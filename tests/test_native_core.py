@@ -125,7 +125,7 @@ def test_an_unavailable_extension_names_its_reason(trace):
         dict(policy="lard/r"),
         dict(policy="wrr", cache_policy="lru", coalesce_reads=False),
         dict(policy="chash", requests_per_connection=3, persistent_policy="rehandoff"),
-        dict(policy="pod/lc", collect_delays=True, timeline_interval_s=0.25),
+        dict(policy="pod/lc", collect_delays=True),
     ],
     ids=["lard-r", "wrr-lru-uncoalesced", "chash-rehandoff", "pod-lc-delays"],
 )

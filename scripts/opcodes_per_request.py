@@ -10,10 +10,11 @@ per request.  Time inside C (``heapq``, dict and list methods) is not
 counted: compare two trees with it, do not read it as a duration.
 Above ``--max``, the CI ceiling, the exit status is 1.
 
-It measures the pure-Python reference, ``repro.cluster.fastpath``, and
-says so: the compiled core (``repro.cluster.native``) is patched out
-for the run, since on it only the policy and cache bodies execute
-bytecode and the ceiling would guard nothing.
+It measures the pure-Python reference, ``repro.sim.engine`` and
+``repro.cluster.fastpath``, and says so: the compiled engine and core
+(``repro.sim.native``) are patched out for the run, since on them only
+the policy and cache bodies execute bytecode and the ceiling would
+guard nothing.
 
     PYTHONPATH=src python scripts/opcodes_per_request.py --max 990
 """
@@ -31,7 +32,7 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(REPO_ROOT / "src"), str(REPO_ROOT / "benchmarks")]
 
 from perf import micro  # noqa: E402
-from repro.cluster import native  # noqa: E402
+from repro.sim import native  # noqa: E402
 from repro.cluster.simulator import ClusterConfig, ClusterSimulator  # noqa: E402
 from repro.workload.synthetic import rice_like_trace  # noqa: E402
 
@@ -70,14 +71,20 @@ def main() -> int:
     simulator = ClusterSimulator(trace, config)
     with mock.patch.object(native, "load", lambda: (None, "the reference is measured")):
         counts = count_opcodes(simulator.run)
-    if simulator.core != "python":
-        print(f"FAIL: measured the {simulator.core} core, not repro.cluster.fastpath")
+    if simulator.core != "python" or simulator.engine_kind != "python":
+        print(
+            f"FAIL: measured the {simulator.core} core on the {simulator.engine_kind} engine,"
+            " not repro.cluster.fastpath on repro.sim.engine"
+        )
         return 1
     by_function: Counter[str] = collections.Counter()
     for code, count in counts.items():
         by_function[f"{code.co_qualname} ({Path(code.co_filename).name})"] += count
     total = sum(by_function.values()) / REQUESTS
-    print(f"path: repro.cluster.fastpath, pure Python ({simulator.core_reason})")
+    print(
+        "path: repro.cluster.fastpath on repro.sim.engine, pure Python"
+        f" ({simulator.core_reason})"
+    )
     print(f"{'bytecodes/request':>17}  function   [{REQUESTS} requests, seed {SEED}]")
     for name, count in by_function.most_common():
         if count >= REQUESTS:  # at least one bytecode per request

@@ -377,14 +377,19 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _core_line(simulator: Any) -> str:
-    """Which lifecycle the run took, and why not the compiled one."""
-    from .cluster import native
+    """Which lifecycle and which engine the run took, and why not the
+    compiled ones: two lines."""
+    from .sim import native
 
     if simulator.core == "native":
+        core = "core: native"
+    else:
+        core = f"core: python ({simulator.core_reason})"
+    if simulator.engine_kind == "native":
         built = native.last_build_s()
         first_use = "" if built is None else f" (compiled on first use in {built:.1f} s)"
-        return f"core: native{first_use}"
-    return f"core: python ({simulator.core_reason})"
+        return f"{core}\nengine: native{first_use}"
+    return f"{core}\nengine: python ({simulator.engine_reason})"
 
 
 def _cmd_spans(path: str) -> int:

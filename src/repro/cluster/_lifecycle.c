@@ -3,14 +3,16 @@
  * One Core object runs one simulation's FastConnection state machine --
  * _begin, _decide, _fetch, _advance, _complete with the single-server
  * Resource bookkeeping inlined, the in-place start, the steady-state
- * admission.  Its events go through the run's own Engine: each is the
- * engine's (time, seq, fn, arg) tuple, fn one of the Core's stage
- * methods and arg the connection's number, pushed on Engine._queue or
- * staged on Engine._nowq with a seq drawn from Engine.seqs, and
- * Engine.run dispatches them.  fastpath.py is the reference: every line
- * below mirrors one there, float operation for float operation (built
- * with -ffp-contract=off, so no multiply-add is fused), and the identity
- * and differential suites compare the two byte for byte.
+ * admission.  Its events go through the run's own compiled Engine
+ * (repro/sim/_engine.c, built into the same extension): each is a native
+ * event, the stage's tag and the connection's number under a seq the
+ * engine draws, pushed on its heap or staged for the current instant
+ * where fastpath.py pushes and stages its own, and Engine.run dispatches
+ * them with no Python object made for them.  fastpath.py is the
+ * reference: every line below mirrors one there, float operation for
+ * float operation (built with -ffp-contract=off, so no multiply-add is
+ * fused), and the identity and differential suites compare the two byte
+ * for byte.
  *
  * Python is called for what the policy and the cache decide
  * (policy.choose, cache.access) and for the rare paths: a multi-chunk
@@ -22,7 +24,7 @@
  * front-end counters) lives here and is written back by finish(), when
  * the run ends.
  *
- * repro.cluster.native builds this file on first use and
+ * repro.sim.native builds this file with the engine on first use and
  * FrontEnd.start() decides when a run may take it; runs with a tracer,
  * a fault runtime, a sanitizer, a profiler, GMS, LB/GC hit hints or
  * several disks per node take fastpath.py.  So the degraded-mode series
@@ -30,9 +32,7 @@
  * schedule, and its runtime books them from fastpath.py's served hook.
  */
 
-#define PY_SSIZE_T_CLEAN
-#include <Python.h>
-#include <stdint.h>
+#include "_engine.h"
 #include <string.h>
 
 enum { ST_BEGIN, ST_DECIDE, ST_ADVANCE, ST_COMPLETE, ST_COALESCED };
@@ -79,7 +79,6 @@ typedef struct {
     double start;
     double plan_cpu;   /* PLAN_TRANSMIT: the one CPU step */
     PyObject *pairs;   /* PLAN_CHUNKED: ((disk_time, cpu_units), ...) */
-    PyObject *id;      /* this connection's number: its events' argument */
     int read_next;     /* next registered read of the same target */
     int wait_head, wait_tail, wait_next; /* coalesced waiters, in order */
 } Conn;
@@ -91,7 +90,7 @@ typedef struct {
 
 typedef struct {
     PyObject_HEAD
-    PyObject *fe, *engine, *policy, *policy_dict, *choose;
+    PyObject *fe, *policy, *policy_dict, *choose;
     PyObject *p_loads, *p_alive, *epoch, *size_list;
     PyObject *t_under_since, *t_under_time, *t_is_under, *observe;
     PyObject *delays;
@@ -104,7 +103,6 @@ typedef struct {
     long long in_flight, max_in_flight;
     int rehandoff, collect_delays;
     long long completed, connections, rehandoffs, orphaned;
-    long long started_in_place; /* events run in place: not in the queue */
     double total_delay;
     long long *pn_completions;
     double *pn_delay;
@@ -120,61 +118,26 @@ typedef struct {
     int *pool;
     int npool;
     int *pending; /* target -> first registered read (a conn), or -1 */
-    /* The engine's queue, staging FIFO and tie-break counter, and its
-     * instance dict, where Engine.run keeps the clock ("now"). */
-    PyObject *queue, *nowq, *nowq_append, *seqs, *heappush, *engine_dict;
-    PyObject *stage_fns[5]; /* the bound stage methods, by ST_* */
-    double now;             /* the clock, read when a stage starts */
+    EngineObject *eng; /* fe.engine, the compiled one; this Core is its client */
+    double now;        /* the clock, read when a stage starts */
     int ran;
 } Core;
 
-static PyObject *s_dispatches, *s_completions, *s_min_load, *s_min_cursor, *s_now, *s_stopped;
+static PyObject *s_dispatches, *s_completions, *s_min_load, *s_min_cursor;
 
-/* -- events: the engine's (time, seq, fn, arg), on its heap (Engine.push)
- * or its FIFO for the current instant (Engine._nowq). ------------------ */
-
-static int
-push_event(Core *s, int heap, double time, int stage, int conn)
-{
-    PyObject *seq = PyIter_Next(s->seqs);
-    if (seq == NULL) {
-        if (!PyErr_Occurred())
-            PyErr_SetString(PyExc_RuntimeError, "tie-break counter exhausted");
-        return -1;
-    }
-    PyObject *t = PyFloat_FromDouble(time);
-    PyObject *ev = t ? PyTuple_New(4) : NULL;
-    if (ev == NULL) {
-        Py_DECREF(seq);
-        Py_XDECREF(t);
-        return -1;
-    }
-    PyTuple_SET_ITEM(ev, 0, t);
-    PyTuple_SET_ITEM(ev, 1, seq);
-    Py_INCREF(s->stage_fns[stage]);
-    PyTuple_SET_ITEM(ev, 2, s->stage_fns[stage]);
-    Py_INCREF(s->conns[conn].id);
-    PyTuple_SET_ITEM(ev, 3, s->conns[conn].id);
-    PyObject *args[2] = {s->queue, ev};
-    PyObject *r = heap ? PyObject_Vectorcall(s->heappush, args, 2, NULL)
-                       : PyObject_Vectorcall(s->nowq_append, &args[1], 1, NULL);
-    Py_DECREF(ev);
-    if (r == NULL)
-        return -1;
-    Py_DECREF(r);
-    return 0;
-}
+/* -- events: native events of the compiled engine, on its heap
+ * (Engine.push) or staged for the current instant (Engine.post(0.0)). ---- */
 
 static inline int
 heap_push(Core *s, double time, int stage, int conn)
 {
-    return push_event(s, 1, time, stage, conn);
+    return engine_push_native(s->eng, time, stage, conn);
 }
 
 static inline int
-nowq_push(Core *s, double time, int stage, int conn)
+nowq_push(Core *s, int stage, int conn)
 {
-    return push_event(s, 0, time, stage, conn);
+    return engine_stage_native(s->eng, stage, conn);
 }
 
 /* engine.post(delay, stage, conn), reached only when now + delay is not
@@ -183,19 +146,15 @@ static int
 post_now(Core *s, double delay, int stage, int conn)
 {
     if (!(delay >= 0)) {
-        PyObject *mod = PyImport_ImportModule("repro.sim.engine");
-        if (mod != NULL) {
-            PyObject *err = PyObject_GetAttrString(mod, "SimulationError");
-            PyObject *shown = PyFloat_FromDouble(delay);
-            if (err != NULL && shown != NULL)
-                PyErr_Format(err, "cannot schedule into the past or at NaN (delay=%R)", shown);
-            Py_XDECREF(shown);
-            Py_XDECREF(err);
-            Py_DECREF(mod);
+        PyObject *shown = PyFloat_FromDouble(delay);
+        if (shown != NULL) {
+            PyErr_Format(SimulationError, "cannot schedule into the past or at NaN (delay=%R)",
+                         shown);
+            Py_DECREF(shown);
         }
         return -1;
     }
-    return nowq_push(s, s->now + delay, stage, conn);
+    return nowq_push(s, stage, conn);
 }
 
 /* The stages' "when = now + d; push if when > now, else post". */
@@ -418,8 +377,6 @@ new_conn(Core *s)
     Conn *c = &s->conns[s->nconns];
     memset(c, 0, sizeof(Conn));
     c->read_next = c->wait_head = c->wait_tail = c->wait_next = -1;
-    if ((c->id = PyLong_FromLong(s->nconns)) == NULL)
-        return -1;
     return s->nconns++;
 }
 
@@ -528,23 +485,16 @@ admit_one(Core *s, int ci, Py_ssize_t first, Py_ssize_t end)
     return 0;
 }
 
-/* FastConnection's in-place start: a run loop is on, nothing is staged
- * for this instant and no heap event is due at it, so the start event
- * would be the next one dispatched anyway.  An error reads as "no". */
-static int
+/* FastConnection's in-place start: the start event would be the next
+ * one dispatched anyway (Engine.runs_next), so it runs here, counted as
+ * the dispatch it replaces. */
+static inline int
 start_in_place(Core *s)
 {
-    PyObject *stopped = PyDict_GetItemWithError(s->engine_dict, s_stopped);
-    if (stopped == NULL || PyObject_IsTrue(stopped) != 0 || PyObject_Length(s->nowq) != 0) {
-        PyErr_Clear();
+    if (!engine_runs_next(s->eng))
         return 0;
-    }
-    if (PyList_GET_SIZE(s->queue) == 0)
-        return 1;
-    PyObject *top = PyList_GET_ITEM(s->queue, 0);
-    double due = PyTuple_Check(top) ? PyFloat_AsDouble(PyTuple_GET_ITEM(top, 0)) : -1.0;
-    PyErr_Clear();
-    return due > s->now;
+    s->eng->events_dispatched += 1;
+    return 1;
 }
 
 /* FrontEnd.admit: admit while slots and trace requests remain. */
@@ -562,11 +512,10 @@ admit(Core *s)
         if (ci < 0 || admit_one(s, ci, first, end) < 0)
             return -1;
         if (start_in_place(s)) {
-            s->started_in_place += 1;
             if (stage_begin(s, ci) < 0)
                 return -1;
         }
-        else if (nowq_push(s, s->now, ST_BEGIN, ci) < 0)
+        else if (nowq_push(s, ST_BEGIN, ci) < 0)
             return -1;
     }
     return 0;
@@ -773,7 +722,7 @@ stage_advance(Core *s, int ci)
         *link = c->read_next;
         c->read_next = -1;
         for (int w = c->wait_head; w >= 0; w = s->conns[w].wait_next) {
-            if (nowq_push(s, s->now, ST_COALESCED, w) < 0)
+            if (nowq_push(s, ST_COALESCED, w) < 0)
                 return -1;
         }
         c->wait_head = c->wait_tail = -1;
@@ -862,15 +811,13 @@ stage_complete(Core *s, int ci)
         if (admit_one(s, ci, first, end) < 0)
             return -1;
         if (in_flight + 1 < s->max_in_flight && end < s->n) {
-            if (nowq_push(s, now, ST_BEGIN, ci) < 0)
+            if (nowq_push(s, ST_BEGIN, ci) < 0)
                 return -1;
             return admit(s);
         }
-        if (start_in_place(s)) {
-            s->started_in_place += 1;
+        if (start_in_place(s))
             return stage_begin(s, ci);
-        }
-        return nowq_push(s, now, ST_BEGIN, ci);
+        return nowq_push(s, ST_BEGIN, ci);
     }
     s->in_flight = in_flight;
     set_plan(c, PLAN_EMPTY, NULL, 0);
@@ -905,17 +852,8 @@ set_double(PyObject *obj, const char *name, double value)
 static int
 write_back(Core *s)
 {
-    PyObject *fe = s->fe, *engine = s->engine;
-    long long before;
-    PyObject *count = PyObject_GetAttrString(engine, "events_dispatched");
-    if (count == NULL)
-        return -1;
-    before = PyLong_AsLongLong(count);
-    Py_DECREF(count);
-    if (before == -1 && PyErr_Occurred())
-        return -1;
-    if (set_ll(engine, "events_dispatched", before + s->started_in_place) < 0
-        || set_ll(fe, "_next", s->next) < 0
+    PyObject *fe = s->fe;
+    if (set_ll(fe, "_next", s->next) < 0
         || set_ll(fe, "in_flight", s->in_flight) < 0
         || set_ll(fe, "completed", s->completed) < 0
         || set_ll(fe, "connections", s->connections) < 0
@@ -923,7 +861,6 @@ write_back(Core *s)
         || set_ll(fe, "orphaned", s->orphaned) < 0
         || set_double(fe, "total_delay_s", s->total_delay) < 0)
         return -1;
-    s->started_in_place = 0;
     PyObject *lists[2];
     lists[0] = PyObject_GetAttrString(fe, "per_node_completions");
     lists[1] = PyObject_GetAttrString(fe, "per_node_delay_s");
@@ -1133,6 +1070,8 @@ done:
     return rc;
 }
 
+static int dispatch(PyObject *client, int stage, int ci);
+
 static int
 Core_init(Core *s, PyObject *args, PyObject *kwds)
 {
@@ -1149,8 +1088,18 @@ Core_init(Core *s, PyObject *args, PyObject *kwds)
     PyObject *tracker = NULL, *nodes = NULL;
     int rc = -1;
     long long value;
-    if ((s->engine = PyObject_GetAttrString(fe, "engine")) == NULL
-        || (s->policy = PyObject_GetAttrString(fe, "policy")) == NULL
+    PyObject *engine = PyObject_GetAttrString(fe, "engine");
+    if (engine == NULL)
+        return -1;
+    if (!PyObject_TypeCheck(engine, &EngineType)) {
+        Py_DECREF(engine);
+        PyErr_SetString(PyExc_TypeError, "the native core runs on the compiled engine");
+        return -1;
+    }
+    s->eng = (EngineObject *)engine;
+    if (engine_bind(s->eng, (PyObject *)s, dispatch) < 0)
+        return -1;
+    if ((s->policy = PyObject_GetAttrString(fe, "policy")) == NULL
         || (s->choose = PyObject_GetAttrString(fe, "choose")) == NULL
         || (tracker = PyObject_GetAttrString(fe, "tracker")) == NULL
         || (s->observe = PyObject_GetAttrString(tracker, "observe")) == NULL
@@ -1236,24 +1185,7 @@ Core_init(Core *s, PyObject *args, PyObject *kwds)
         PyErr_SetString(PyExc_ValueError, "the native core starts with nothing in flight");
         goto done;
     }
-    if (get_double(s->engine, "now", &s->now) < 0)
-        goto done;
-    PyObject *heapq = PyImport_ImportModule("heapq");
-    if (heapq == NULL)
-        goto done;
-    s->heappush = PyObject_GetAttrString(heapq, "heappush");
-    Py_DECREF(heapq);
-    static const char *names[5] = {"begin", "decide", "advance", "complete", "coalesced"};
-    for (int k = 0; k < 5; k++)
-        if ((s->stage_fns[k] = PyObject_GetAttrString((PyObject *)s, names[k])) == NULL)
-            goto done;
-    if (s->heappush == NULL
-        || (s->queue = PyObject_GetAttrString(s->engine, "_queue")) == NULL
-        || (s->nowq = PyObject_GetAttrString(s->engine, "_nowq")) == NULL
-        || (s->nowq_append = PyObject_GetAttrString(s->nowq, "append")) == NULL
-        || (s->seqs = PyObject_GetAttrString(s->engine, "seqs")) == NULL
-        || (s->engine_dict = PyObject_GenericGetDict(s->engine, NULL)) == NULL)
-        goto done;
+    s->now = s->eng->now;
     size_t nn = (size_t)num_nodes;
     s->pn_completions = PyMem_Calloc(nn, sizeof(long long));
     s->pn_delay = PyMem_Calloc(nn, sizeof(double));
@@ -1334,7 +1266,7 @@ static int
 Core_traverse(Core *s, visitproc visit, void *arg)
 {
     Py_VISIT(s->fe);
-    Py_VISIT(s->engine);
+    Py_VISIT(s->eng);
     Py_VISIT(s->policy);
     Py_VISIT(s->policy_dict);
     Py_VISIT(s->choose);
@@ -1347,14 +1279,6 @@ Core_traverse(Core *s, visitproc visit, void *arg)
     Py_VISIT(s->t_is_under);
     Py_VISIT(s->observe);
     Py_VISIT(s->delays);
-    Py_VISIT(s->queue);
-    Py_VISIT(s->nowq);
-    Py_VISIT(s->nowq_append);
-    Py_VISIT(s->seqs);
-    Py_VISIT(s->heappush);
-    Py_VISIT(s->engine_dict);
-    for (int k = 0; k < 5; k++)
-        Py_VISIT(s->stage_fns[k]);
     if (s->have_targets)
         Py_VISIT(s->targets.obj);
     for (int i = 0; s->nodes != NULL && i < s->num_nodes; i++) {
@@ -1375,7 +1299,9 @@ static int
 Core_clear_refs(Core *s)
 {
     Py_CLEAR(s->fe);
-    Py_CLEAR(s->engine);
+    if (s->eng != NULL)
+        engine_unbind(s->eng, (PyObject *)s);
+    Py_CLEAR(s->eng);
     Py_CLEAR(s->policy);
     Py_CLEAR(s->policy_dict);
     Py_CLEAR(s->choose);
@@ -1388,14 +1314,6 @@ Core_clear_refs(Core *s)
     Py_CLEAR(s->t_is_under);
     Py_CLEAR(s->observe);
     Py_CLEAR(s->delays);
-    Py_CLEAR(s->queue);
-    Py_CLEAR(s->nowq);
-    Py_CLEAR(s->nowq_append);
-    Py_CLEAR(s->seqs);
-    Py_CLEAR(s->heappush);
-    Py_CLEAR(s->engine_dict);
-    for (int k = 0; k < 5; k++)
-        Py_CLEAR(s->stage_fns[k]);
     if (s->have_targets) {
         PyBuffer_Release(&s->targets);
         s->have_targets = 0;
@@ -1413,10 +1331,8 @@ Core_clear_refs(Core *s)
     }
     for (int k = 0; s->tables != NULL && k < s->num_tables; k++)
         Py_CLEAR(s->tables[k].source);
-    for (int k = 0; s->conns != NULL && k < s->nconns; k++) {
+    for (int k = 0; s->conns != NULL && k < s->nconns; k++)
         Py_CLEAR(s->conns[k].pairs);
-        Py_CLEAR(s->conns[k].id);
-    }
     return 0;
 }
 
@@ -1457,52 +1373,33 @@ check_ready(Core *s)
 static PyObject *
 Core_admit(Core *s, PyObject *Py_UNUSED(ignored))
 {
-    if (check_ready(s) < 0 || admit(s) < 0)
+    if (check_ready(s) < 0)
+        return NULL;
+    s->now = s->eng->now;
+    if (admit(s) < 0)
         return NULL;
     Py_RETURN_NONE;
 }
 
-/* One event: the stage ``stage`` of connection ``arg``, at the clock
- * Engine.run has just set. */
-static PyObject *
-run_stage(Core *s, PyObject *arg, int stage)
+/* One native event: the stage ``stage`` of connection ``ci``, at the
+ * clock Engine.run has just set. */
+static int
+dispatch(PyObject *client, int stage, int ci)
 {
-    if (s->engine_dict == NULL) {
-        PyErr_SetString(PyExc_RuntimeError, "this Core's run is over");
-        return NULL;
-    }
-    PyObject *now = PyDict_GetItemWithError(s->engine_dict, s_now);
-    if (now == NULL) {
-        if (!PyErr_Occurred())
-            PyErr_SetString(PyExc_RuntimeError, "the engine has no clock");
-        return NULL;
-    }
-    s->now = PyFloat_AsDouble(now);
-    long ci = PyLong_AsLong(arg);
-    if (PyErr_Occurred())
-        return NULL;
+    Core *s = (Core *)client;
     if (ci < 0 || ci >= s->nconns) {
-        PyErr_Format(PyExc_IndexError, "no connection %ld", ci);
-        return NULL;
+        PyErr_Format(PyExc_IndexError, "no connection %d", ci);
+        return -1;
     }
-    int rc;
+    s->now = s->eng->now;
     switch (stage) {
-    case ST_BEGIN: rc = stage_begin(s, (int)ci); break;
-    case ST_DECIDE: rc = stage_decide(s, (int)ci); break;
-    case ST_ADVANCE: rc = stage_advance(s, (int)ci); break;
-    case ST_COMPLETE: rc = stage_complete(s, (int)ci); break;
-    default: rc = stage_coalesced(s, (int)ci); break;
+    case ST_BEGIN: return stage_begin(s, ci);
+    case ST_DECIDE: return stage_decide(s, ci);
+    case ST_ADVANCE: return stage_advance(s, ci);
+    case ST_COMPLETE: return stage_complete(s, ci);
+    default: return stage_coalesced(s, ci);
     }
-    if (rc < 0)
-        return NULL;
-    Py_RETURN_NONE;
 }
-
-static PyObject *Core_begin(Core *s, PyObject *a) { return run_stage(s, a, ST_BEGIN); }
-static PyObject *Core_decide(Core *s, PyObject *a) { return run_stage(s, a, ST_DECIDE); }
-static PyObject *Core_advance(Core *s, PyObject *a) { return run_stage(s, a, ST_ADVANCE); }
-static PyObject *Core_complete(Core *s, PyObject *a) { return run_stage(s, a, ST_COMPLETE); }
-static PyObject *Core_coalesced(Core *s, PyObject *a) { return run_stage(s, a, ST_COALESCED); }
 
 static PyObject *
 Core_finish(Core *s, PyObject *Py_UNUSED(ignored))
@@ -1522,18 +1419,12 @@ static PyMethodDef Core_methods[] = {
      "FrontEnd.admit on the native core: the initial fill, staged."},
     {"finish", (PyCFunction)Core_finish, METH_NOARGS,
      "The run is over: write the books back into the Python objects."},
-    {"begin", (PyCFunction)Core_begin, METH_O, "FastConnection._begin, an event."},
-    {"decide", (PyCFunction)Core_decide, METH_O, "FastConnection._decide, an event."},
-    {"advance", (PyCFunction)Core_advance, METH_O, "FastConnection._advance, an event."},
-    {"complete", (PyCFunction)Core_complete, METH_O, "FastConnection._complete, an event."},
-    {"coalesced", (PyCFunction)Core_coalesced, METH_O,
-     "A coalesced waiter's transmit, an event."},
     {NULL, NULL, 0, NULL},
 };
 
 static PyTypeObject CoreType = {
     PyVarObject_HEAD_INIT(NULL, 0)
-    .tp_name = "repro.cluster._lifecycle.Core",
+    .tp_name = "repro.sim._native.Core",
     .tp_basicsize = sizeof(Core),
     .tp_flags = Py_TPFLAGS_DEFAULT | Py_TPFLAGS_HAVE_GC,
     .tp_traverse = (traverseproc)Core_traverse,
@@ -1545,34 +1436,16 @@ static PyTypeObject CoreType = {
     .tp_methods = Core_methods,
 };
 
-static struct PyModuleDef lifecycle_module = {
-    PyModuleDef_HEAD_INIT,
-    .m_name = "_lifecycle",
-    .m_doc = "The plain request lifecycle of repro.cluster.fastpath, compiled.",
-    .m_size = -1,
-};
-
-PyMODINIT_FUNC
-PyInit__lifecycle(void)
+int
+lifecycle_init(PyObject *module)
 {
     if (PyType_Ready(&CoreType) < 0)
-        return NULL;
+        return -1;
     s_dispatches = PyUnicode_InternFromString("dispatches");
     s_completions = PyUnicode_InternFromString("completions");
     s_min_load = PyUnicode_InternFromString("_min_load");
     s_min_cursor = PyUnicode_InternFromString("_min_cursor");
-    s_now = PyUnicode_InternFromString("now");
-    s_stopped = PyUnicode_InternFromString("_stopped");
     if (!s_dispatches || !s_completions || !s_min_load || !s_min_cursor)
-        return NULL;
-    PyObject *module = PyModule_Create(&lifecycle_module);
-    if (module == NULL)
-        return NULL;
-    Py_INCREF(&CoreType);
-    if (PyModule_AddObject(module, "Core", (PyObject *)&CoreType) < 0) {
-        Py_DECREF(&CoreType);
-        Py_DECREF(module);
-        return NULL;
-    }
-    return module;
+        return -1;
+    return PyModule_AddObjectRef(module, "Core", (PyObject *)&CoreType);
 }

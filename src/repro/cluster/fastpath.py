@@ -746,16 +746,11 @@ class FastConnection:
             # Nothing follows in this event, so a traced or faulty
             # connection may start in place too (the conditions are
             # ``FrontEnd.admit``'s).
-            if (
-                not (fe.nowq or engine._stopped)
-                and (not fe.heap or fe.heap[0][0] > now)
-            ):
+            if engine.runs_next():
                 engine.events_dispatched += 1
-                begin = self.begin_stage
-                begin(self)
-                hook = engine._sanitizer
-                if hook is not None:
-                    hook(now, begin)
+                self.begin_stage(self)
+                if engine._sanitizer is not None:
+                    engine._sanitizer(now, self.begin_stage)
             else:
                 engine.post(0.0, self.begin_stage, self)
         else:

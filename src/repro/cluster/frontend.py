@@ -28,18 +28,18 @@ The front-end decides *who* serves and keeps the books; the request
 lifecycle itself — every run's, whatever is attached to it — is the
 state machine in :mod:`repro.cluster.fastpath`, whose connections share
 the front-end's per-run state: the pool, the cost tables and the
-references into the policy's and the tracker's hot state.  A plain run
-takes the same lifecycle compiled (:mod:`repro.cluster.native`) when it
-can; :meth:`FrontEnd.start` decides, and says why not.
+references into the policy's and the tracker's hot state.  Every run
+that can runs on the compiled engine, and a plain run takes the same
+lifecycle compiled as well (:mod:`repro.sim.native`);
+:meth:`FrontEnd.start` decides both, and says why not.
 """
 
 from __future__ import annotations
 
-import sys
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..core.base import Policy
-from ..sim import Engine
+from ..sim.engine import Engine
 from ..workload.trace import Trace
 from .costs import CostModel
 from .fastpath import _TRACED, DiskTimes, FastConnection, FaultyConnection
@@ -47,14 +47,6 @@ from .metrics import LoadTracker
 from .node import BackendNode
 
 __all__ = ["FrontEnd"]
-
-
-def _profiled() -> bool:
-    """Whether a profiler (``cProfile``, ``profile``) watches this thread."""
-    if sys.getprofile() is not None:
-        return True
-    monitoring = getattr(sys, "monitoring", None)  # Python 3.12+: cProfile's hook
-    return monitoring is not None and monitoring.get_tool(monitoring.PROFILER_ID) is not None
 
 
 class FrontEnd:
@@ -124,11 +116,6 @@ class FrontEnd:
         self.t_under_time: List[float] = tracker._under_time
         self.t_is_under: List[bool] = tracker._is_under
         self.t_threshold: float = tracker.threshold
-        # What an admission looks at to tell whether the start event it
-        # is about to stage would be the very next one dispatched (see
-        # ``admit``): the engine's two queues, never written from here.
-        self.heap = engine._queue  # lardlint: disable=event-queue -- read-only: is anything else due at this instant
-        self.nowq = engine._nowq  # lardlint: disable=event-queue -- read-only: is anything staged ahead
         self._next = 0
         self.in_flight = 0
         self.completed = 0
@@ -155,6 +142,11 @@ class FrontEnd:
         #: empty schedule it replays the plain stages exactly.
         self.tracer: Optional[Any] = None
         self.faults: Optional[Any] = None
+        #: Which engine ``start()`` ran on: ``"native"`` (the compiled
+        #: one, which took the run over) or ``"python"`` (``engine.py``),
+        #: and for the latter why; ``None`` before ``start()``.
+        self.engine_kind: Optional[str] = None
+        self.engine_reason = ""
         #: Which lifecycle ``start()`` chose: ``"native"`` (the compiled
         #: core) or ``"python"`` (``fastpath.py``), and for the latter
         #: why; ``None`` before ``start()``.
@@ -165,9 +157,19 @@ class FrontEnd:
     # -- driving ---------------------------------------------------------------
 
     def start(self) -> None:
-        """Pick the connection class for this run's observers and the
-        core that runs it, hand each node its disk-time table and admit
-        the initial batch; completions keep the pipeline full."""
+        """Hand the run to the compiled engine where it loads, install
+        the fault schedule, pick the connection class for this run's
+        observers and the core that runs it, hand each node its
+        disk-time table and admit the initial batch; completions keep
+        the pipeline full."""
+        from ..sim import native  # on first use: a process that only builds pays nothing
+
+        compiled, self.engine_reason = native.engine_type()
+        if compiled is not None and isinstance(self.engine, Engine):
+            self._hand_over(compiled())
+        self.engine_kind = "python" if isinstance(self.engine, Engine) else "native"
+        if self.faults is not None:
+            self.faults.schedule_events(self.engine)
         base = FastConnection if self.faults is None else FaultyConnection
         self.conn_class = base if self.tracer is None else _TRACED[base]
         #: The admission loop may run a start event in place.  Not a
@@ -195,6 +197,17 @@ class FrontEnd:
             self._native = core(self)
             self._native.admit()
 
+    def _hand_over(self, successor: Any) -> None:
+        """The run is the compiled engine's from here: what was scheduled
+        on the reference moves over (:meth:`Engine.hand_over
+        <repro.sim.engine.Engine.hand_over>`), and the front-end, the
+        nodes and their resources hold the new engine."""
+        self.engine = self.engine.hand_over(successor)
+        for node in self.nodes:
+            node.engine = successor
+            for resource in (node.cpu, *node.disks):
+                resource.engine = successor
+
     def _pick_core(self) -> Tuple[Optional[Any], str]:
         """The compiled core's ``Core`` class for a run it covers, else
         ``None`` and why the run takes ``fastpath.py``.
@@ -207,27 +220,27 @@ class FrontEnd:
         implement (GMS, LB/GC's hit hints, several disks per
         node, the test oracle's admission seam, events scheduled from
         outside, which could read the books the core keeps until the
-        run ends) keeps the reference.  A profile of the compiled core
-        shows its stages as built-in methods called from ``Engine.run``,
-        with nothing of their bodies inside, so a profiled run takes the
-        reference, whose every stage and helper is its own entry.
+        run ends) keeps the reference.  The core's events are native
+        events of the compiled engine, so a run on ``engine.py`` (under a
+        profiler, whose every stage and helper is its own entry there, or
+        with the extension unavailable) keeps the reference too.
         """
+        from ..sim import native
+
         if self.tracer is not None:
             return None, "tracer attached"
         if self.faults is not None:
             return None, "fault schedule"
         if self.engine._sanitizer is not None:
             return None, "sanitizer"
-        if _profiled():
+        if native.profiled():
             return None, "profiler attached"
         unsupported = self._unsupported()
         if unsupported:
             return None, f"unsupported configuration: {unsupported}"
-        from . import native  # on first use: a process that only builds pays nothing
-
-        module, why = native.load()
-        if module is None:
-            return None, f"extension unavailable: {why}"
+        module, _ = native.load()
+        if module is None or self.engine_kind != "native":
+            return None, self.engine_reason
         return module.Core, ""
 
     def _unsupported(self) -> str:
@@ -340,13 +353,12 @@ class FrontEnd:
         A start event is staged (``post(0.0, ...)``) unless it would
         be the very next event dispatched anyway, in which case it runs
         here, in place, and is counted in ``engine.events_dispatched``
-        as the dispatch it replaces.  That is so exactly when nothing
-        is staged ahead of it (``_nowq`` empty), the run loop is going
-        to dispatch another event (engine not stopped — which also
-        keeps every run's initial fill, made before ``run()``, staged)
-        and nothing else is due at this instant (heap empty, or its top
-        strictly later than ``now``: a heap entry for ``now`` goes
-        first).  A sanitizer's hook must see every event, so the site
+        as the dispatch it replaces.  The engine says when that is
+        (:meth:`~repro.sim.engine.Engine.runs_next`): nothing is staged
+        ahead of it, the run loop is going to dispatch another event
+        (which also keeps every run's initial fill, made before
+        ``run()``, staged) and nothing else is due at this instant.
+        A sanitizer's hook must see every event, so the site
         that ran one in place calls it, as the run loop would have:
         ``hook(now, stage)`` right after the event.  Every admission
         here is the last thing its event does
@@ -398,11 +410,7 @@ class FrontEnd:
             conn.index = first
             conn.last = end - 1
             # One start event per connection, in admission order.
-            if (
-                self.inplace
-                and not (self.nowq or engine._stopped)
-                and (not self.heap or self.heap[0][0] > now)
-            ):
+            if self.inplace and engine.runs_next():
                 engine.events_dispatched += 1
                 begin = conn.begin_stage
                 begin(conn)

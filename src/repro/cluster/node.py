@@ -32,7 +32,8 @@ from typing import Any, Callable, Dict, Hashable, Optional, Sequence
 
 from ..cache.base import Cache
 from ..cache.gms import GlobalMemorySystem
-from ..sim import Engine, Resource
+from ..sim import Resource
+from ..sim.engine import Engine
 from .costs import CostModel
 
 __all__ = ["BackendNode"]

@@ -29,7 +29,8 @@ from ..cache.base import Cache
 from ..core import Policy, make_policy, uses_gms
 from ..core.base import DEFAULT_T_HIGH, DEFAULT_T_LOW, PERSISTENT_POLICIES
 from ..core.lardr import DEFAULT_K_SECONDS
-from ..sim import Engine, InvariantSanitizer
+from ..sim import InvariantSanitizer
+from ..sim.engine import Engine
 from ..workload.trace import Trace
 from .costs import PAPER_NODE_CACHE_BYTES, CostModel
 from .faults import FaultRuntime, FaultSchedule
@@ -185,6 +186,12 @@ class ClusterSimulator:
     producing the exact same
     :class:`~repro.cluster.metrics.SimulationResult`.
 
+    **The engine** built here is :mod:`repro.sim.engine`'s reference;
+    :meth:`run` hands it over to the compiled engine where that loads
+    and no profiler is attached (``engine_kind`` / ``engine_reason``
+    say which ran), and ``engine`` is then the compiled one.  A
+    reference taken before the run forwards to it.
+
     **What survives** :meth:`run`.  Everything a caller reads
     afterwards: ``frontend`` counters (``completed``, ``connections``,
     per-node series), ``engine.events_dispatched`` and ``engine.now``,
@@ -295,9 +302,23 @@ class ClusterSimulator:
         self._ran = False
 
     @property
+    def engine_kind(self) -> Optional[str]:
+        """The engine :meth:`run` ran on: ``"native"`` (compiled,
+        :mod:`repro.sim.native`, which took the run over when it
+        started) or ``"python"`` (:mod:`repro.sim.engine`); ``None``
+        before it ran.  Both give the same result to the byte."""
+        return self.frontend.engine_kind
+
+    @property
+    def engine_reason(self) -> str:
+        """Why the run took ``engine.py`` (``""`` on the compiled one):
+        ``profiler attached`` or ``extension unavailable: <why>``."""
+        return self.frontend.engine_reason
+
+    @property
     def core(self) -> Optional[str]:
         """The lifecycle :meth:`run` took: ``"native"`` (compiled,
-        :mod:`repro.cluster.native`) or ``"python"``
+        :mod:`repro.sim.native`) or ``"python"``
         (:mod:`repro.cluster.fastpath`); ``None`` before it ran.  Both
         give the same result to the byte."""
         return self.frontend.core
@@ -332,9 +353,9 @@ class ClusterSimulator:
     def _serve(self) -> SimulationResult:
         self.frontend.collect_delays = self.config.collect_delays
         runtime = self.fault_runtime
-        if runtime is not None:
-            runtime.schedule_events(self.engine)
         self.frontend.start()
+        # The run's engine: the compiled one, if start() handed it over.
+        self.engine = self.frontend.engine
         end_time = self.frontend.run()
         if self.sanitizer is not None:
             self.sanitizer.final_check(end_time)

@@ -22,6 +22,13 @@ The engine follows the classic event-list design:
   implemented here from scratch so the reproduction has no
   third-party simulation dependency.
 
+This module is the reference.  ``_engine.c`` is the same :class:`Engine`
+compiled (:mod:`repro.sim.native` builds it), with the same contract and
+the same order of events; ``repro.sim.Engine()`` gives it where it
+loads, and a cluster simulation hands its run to it when the run starts
+(:meth:`Engine.hand_over`).  A run under a profiler, or with no C
+compiler, keeps this one.
+
 Example
 -------
 >>> eng = Engine()
@@ -305,17 +312,17 @@ class Engine:
                 # Hot loop: no bound checks — post/schedule_at guarantee
                 # event times are never in the past.  Staged same-instant
                 # events dispatch after any equal-time heap entry (the
-                # heap entry's seq is necessarily smaller).
+                # heap entry's seq is necessarily smaller); the heap's
+                # pop, the common case, is the branch with no jump.
                 while not self._stopped:
-                    if nowq:
-                        if queue and queue[0][0] <= nowq[0][0]:
-                            when, _seq, fn, arg = pop(queue)
-                        else:
-                            when, _seq, fn, arg = nowq.popleft()
-                    elif queue:
-                        when, _seq, fn, arg = pop(queue)
+                    if not queue:
+                        if not nowq:
+                            break
+                        when, _seq, fn, arg = nowq.popleft()
+                    elif nowq and nowq[0][0] < queue[0][0]:
+                        when, _seq, fn, arg = nowq.popleft()
                     else:
-                        break
+                        when, _seq, fn, arg = pop(queue)
                     self.now = when
                     fn(arg)
                 return self.now
@@ -323,17 +330,16 @@ class Engine:
             # guard above keeps <= until: only heap entries can be late.
             limit = _NEVER if until is None else until
             while not self._stopped:
-                if nowq:
-                    if queue and queue[0][0] <= nowq[0][0]:
-                        when, _seq, fn, arg = pop(queue)
-                    else:
-                        when, _seq, fn, arg = nowq.popleft()
-                elif queue:
-                    if queue[0][0] > limit:
+                if not queue:
+                    if not nowq:
                         break
-                    when, _seq, fn, arg = pop(queue)
-                else:
+                    when, _seq, fn, arg = nowq.popleft()
+                elif nowq and nowq[0][0] < queue[0][0]:
+                    when, _seq, fn, arg = nowq.popleft()
+                elif queue[0][0] > limit:
                     break
+                else:
+                    when, _seq, fn, arg = pop(queue)
                 self.now = when
                 fn(arg)
                 if hook is not None:
@@ -373,6 +379,34 @@ class Engine:
         """Halt :meth:`run` after the currently dispatching event returns."""
         self._stopped = True
 
+    def runs_next(self) -> bool:
+        """Whether an event staged now would be the very next one
+        dispatched: a run loop is on (not before :meth:`run`, not once it
+        returns, not from :meth:`stop` on), nothing is staged, and nothing
+        on the heap is due at the current instant (an entry for ``now``
+        would go first).  Code that may run such an event in place of
+        staging it (the request lifecycle's start events) asks this."""
+        queue = self._queue
+        return not (self._nowq or self._stopped) and (not queue or queue[0][0] > self.now)
+
+    def hand_over(self, successor: Any) -> Any:
+        """Move this engine's clock, pending events (each with its seq),
+        counters and sanitizer hook to ``successor`` — a fresh engine of
+        another implementation, the compiled one — and return it.  From
+        then on every use of this object is a use of the successor, so
+        whatever still holds it (a closure that schedules, a caller that
+        reads ``events_dispatched`` afterwards) sees the one run."""
+        if not self._stopped:
+            raise SimulationError("cannot hand over a running engine")
+        successor._adopt(
+            self.now, self._queue, list(self._nowq), self.scheduled,
+            self.events_dispatched, self._sanitizer,
+        )
+        self.__dict__.clear()
+        self.__class__ = _HandedOver
+        object.__setattr__(self, "_successor", successor)
+        return successor
+
     @property
     def pending(self) -> int:
         """Number of events still queued."""
@@ -386,3 +420,14 @@ class Engine:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<Engine t={self.now:.6f} pending={self.pending}>"
+
+
+class _HandedOver(Engine):
+    """An engine that handed its run over (:meth:`Engine.hand_over`):
+    every attribute read or written is its successor's."""
+
+    def __getattribute__(self, name: str) -> Any:
+        return getattr(object.__getattribute__(self, "_successor"), name)
+
+    def __setattr__(self, name: str, value: Any) -> None:
+        setattr(object.__getattribute__(self, "_successor"), name, value)

@@ -1,21 +1,27 @@
-"""The compiled request lifecycle: ``_lifecycle.c``, built on first use.
+"""The compiled engine and lifecycle: one extension, built on first use.
 
-``_lifecycle.c`` is the plain :class:`~repro.cluster.fastpath.FastConnection`
-lifecycle in C: its stages, run as the events of the simulation's own
-:class:`~repro.sim.Engine`.  Nothing builds it at install
-or import time: the first run that may take it (see
-``FrontEnd.start``) compiles it with the system C compiler into
+``_engine.c`` is :class:`~repro.sim.engine.Engine` in C, and
+``repro/cluster/_lifecycle.c`` the plain
+:class:`~repro.cluster.fastpath.FastConnection` lifecycle, whose stages
+run as that engine's native events (``_engine.h`` is what the second
+reads of the first).  Both build into one extension, ``_native``.
+Nothing builds it at install or import time: the first run that may
+take it (``FrontEnd.start``, or a bare :func:`new_engine`) compiles it
+with the system C compiler into
 ``$XDG_CACHE_HOME/repro-lard/native/`` (``~/.cache/repro-lard/native/``
 when unset), beside the trace memo's ``traces/``.  The file there is
-named by a digest of the C source, the interpreter's extension suffix
+named by a digest of the C sources, the interpreter's extension suffix
 and the compile command, so an edited source, another Python or other
 flags build afresh, and every later process loads it in about a
-millisecond.  The one build costs about a second of wall time and a
+millisecond.  The one build costs about 1.5 s of wall time and a
 ``cc1`` child of about 60 MB.
 
 Whatever goes wrong — no compiler, a compile error, an unwritable
-cache, a damaged binary — the run takes ``fastpath.py``, which stays the
-reference, and :func:`load` says why.  A compile the compiler refused
+cache, a damaged binary — the run takes ``engine.py`` and
+``fastpath.py``, which stay the references, and :func:`load` says why;
+so does a run under a profiler (:func:`engine_type`), whose profile of
+the compiled engine would show every event inside one built-in call.
+A compile the compiler refused
 (a nonzero exit status) is recorded against its digest (``*.failed``,
 holding the compiler's output), so later processes do not retry it; one
 that timed out, could not be launched or was killed by a signal is not
@@ -34,45 +40,91 @@ import hashlib
 import importlib.machinery
 import importlib.util
 import os
+import sys
 import time
 from pathlib import Path
 from types import ModuleType
-from typing import Optional, Tuple
+from typing import Any, Optional, Tuple
 
-__all__ = ["SOURCE", "COMPILER", "CFLAGS", "build_dir", "load", "last_build_s"]
+from .engine import Engine
 
-#: The C source, shipped beside this module.
-SOURCE = Path(__file__).with_name("_lifecycle.c")
-#: The compile command: ``COMPILER CFLAGS -I <Python include dir> SOURCE
-#: -o OUT``.  ``-ffp-contract=off`` keeps every ``a * b + c`` two
-#: roundings, as in Python, so results stay byte-identical.
+__all__ = [
+    "SOURCES", "COMPILER", "CFLAGS", "build_dir", "load", "last_build_s",
+    "profiled", "engine_type", "new_engine",
+]
+
+_HERE = Path(__file__).resolve().parent
+
+#: The extension's files: the engine's header, then the C sources, the
+#: engine's own and the cluster's lifecycle (a file of the tree, not an
+#: import: nothing in ``repro.sim`` imports ``repro.cluster``).
+SOURCES: Tuple[Path, ...] = (
+    _HERE / "_engine.h",
+    _HERE / "_engine.c",
+    _HERE.parent / "cluster" / "_lifecycle.c",
+)
+#: The compile command: ``COMPILER CFLAGS -I <Python include dir> -I
+#: <header dir> SOURCES... -o OUT``.  ``-ffp-contract=off`` keeps every
+#: ``a * b + c`` two roundings, as in Python, so results stay
+#: byte-identical.
 COMPILER = "cc"
 CFLAGS: Tuple[str, ...] = ("-shared", "-fPIC", "-O2", "-ffp-contract=off")
 
-_NAME = "repro.cluster._lifecycle"
+_NAME = "repro.sim._native"
 
 #: ``(module, "")`` or ``(None, why not)``, once per process.
 _loaded: Optional[Tuple[Optional[ModuleType], str]] = None
-#: Wall seconds this process spent compiling the core (``None``: it did
+#: Wall seconds this process spent compiling the extension (``None``: it did
 #: not compile it).
 _build_s: Optional[float] = None
 
 
 def build_dir() -> Path:
-    """Where built cores live: ``$XDG_CACHE_HOME/repro-lard/native``."""
+    """Where built extensions live: ``$XDG_CACHE_HOME/repro-lard/native``."""
     xdg = os.environ.get("XDG_CACHE_HOME")  # lardlint: disable=transitive-nondeterminism -- build cache *location* only; the binary is named by the digest of what it was built from
     root = Path(xdg).expanduser() if xdg else Path.home() / ".cache"
     return root / "repro-lard" / "native"
 
 
 def last_build_s() -> Optional[float]:
-    """Seconds this process spent compiling the core, if it did."""
+    """Seconds this process spent compiling the extension, if it did."""
     return _build_s
 
 
+def profiled() -> bool:
+    """Whether a profiler (``cProfile``, ``profile``) watches this thread."""
+    if sys.getprofile() is not None:
+        return True
+    monitoring = getattr(sys, "monitoring", None)  # Python 3.12+: cProfile's hook
+    return monitoring is not None and monitoring.get_tool(monitoring.PROFILER_ID) is not None
+
+
+def engine_type() -> Tuple[Optional[Any], str]:
+    """The compiled :class:`Engine` class, or ``None`` and why a run
+    started now takes ``engine.py``: ``profiler attached`` or
+    ``extension unavailable: <why>``."""
+    if profiled():
+        return None, "profiler attached"
+    module, why = load()
+    if module is None:
+        return None, f"extension unavailable: {why}"
+    return module.Engine, ""
+
+
+def new_engine() -> Engine:
+    """A fresh engine: the compiled one where :func:`engine_type` gives
+    it, else the reference.  ``repro.sim.Engine()`` is this; a
+    :class:`~repro.cluster.ClusterSimulator` builds the reference and
+    hands its run over when it starts (``FrontEnd.start``)."""
+    compiled, _ = engine_type()
+    engine: Engine = Engine() if compiled is None else compiled()
+    return engine
+
+
 def load() -> Tuple[Optional[ModuleType], str]:
-    """The compiled core, building it if need be: ``(module, "")``, or
-    ``(None, reason)`` when this process's runs take ``fastpath.py``."""
+    """The compiled extension, building it if need be: ``(module, "")``,
+    or ``(None, reason)`` when this process's runs take ``engine.py`` and
+    ``fastpath.py``."""
     global _loaded
     loaded = _loaded
     if loaded is None:
@@ -87,7 +139,7 @@ def load() -> Tuple[Optional[ModuleType], str]:
 def _paths(key: str, suffix: str) -> Tuple[Path, Path, Path]:
     """The binary, its recorded digest and the failed-compile record."""
     directory = build_dir()
-    stem = f"_lifecycle-{key}"
+    stem = f"_native-{key}"
     return (
         directory / f"{stem}{suffix}",
         directory / f"{stem}.sha256",
@@ -96,14 +148,16 @@ def _paths(key: str, suffix: str) -> Tuple[Path, Path, Path]:
 
 
 def _load() -> Tuple[Optional[ModuleType], str]:
-    try:
-        source = SOURCE.read_bytes()
-    except OSError:
-        return None, f"no C source ({SOURCE.name})"
+    sources = []
+    for path in SOURCES:
+        try:
+            sources.append(path.read_bytes())
+        except OSError:
+            return None, f"no C source ({path.name})"
     suffix = importlib.machinery.EXTENSION_SUFFIXES[0]
     command = " ".join((COMPILER,) + CFLAGS)
     key = hashlib.sha256(
-        b"\0".join((source, suffix.encode(), command.encode()))
+        b"\0".join((*sources, suffix.encode(), command.encode()))
     ).hexdigest()[:24]
     binary, digest, failed = _paths(key, suffix)
     module = _import_verified(binary, digest)
@@ -167,8 +221,10 @@ def _build(binary: Path, digest: Path, failed: Path) -> Tuple[Optional[ModuleTyp
             return None, _first_line(failed.read_text(encoding="utf-8", errors="replace"))
         handle, scratch = tempfile.mkstemp(prefix=".build-", suffix=binary.suffix, dir=directory)
         os.close(handle)
+        header, *sources = SOURCES
         command = [
-            compiler, *CFLAGS, "-I", sysconfig.get_paths()["include"], str(SOURCE), "-o", scratch,
+            compiler, *CFLAGS, "-I", sysconfig.get_paths()["include"], "-I", str(header.parent),
+            *map(str, sources), "-o", scratch,
         ]
         started = time.perf_counter()  # lardlint: disable=wall-clock -- times the one-time compile for its report; nothing simulated reads it
         status: Optional[int] = None  # None: the compiler did not finish
@@ -193,7 +249,7 @@ def _build(binary: Path, digest: Path, failed: Path) -> Tuple[Optional[ModuleTyp
         os.replace(scratch, binary)
         module = _import_verified(binary, digest)
         if module is None:
-            return None, "the built core does not import"
+            return None, "the built extension does not import"
         return module, ""
 
 

@@ -363,15 +363,18 @@ def multi_tenant_trace(
         rng, weights, np.empty(num_requests, dtype=token_dtype(tenants))
     )
     # Each tenant's draws are offset into the union catalog, so they are
-    # drawn at the union's width, not at their own catalog's.
+    # drawn at the union's width, not at their own catalog's.  They are
+    # drawn and scattered a chunk of requests at a time: one tenant's
+    # draws are one stretch of the stream however it is cut, and what is
+    # alive beside the output and ``tenant_of`` is one chunk's.
     tokens = np.empty(num_requests, dtype=token_dtype(len(sizes)))
     for tenant in range(tenants):
-        mask = tenant_of == tenant
-        count = int(mask.sum())
-        if count == 0:
-            continue
         popularity = zipf_weights(targets_per_tenant, float(zipf_alphas[tenant]))
-        draws = draw_tokens(rng, popularity, np.empty(count, dtype=tokens.dtype))
-        draws += tenant * targets_per_tenant
-        tokens[mask] = draws
+        for start, stop in _chunks(num_requests):
+            mask = tenant_of[start:stop] == tenant
+            draws = draw_tokens(
+                rng, popularity, np.empty(np.count_nonzero(mask), dtype=tokens.dtype)
+            )
+            draws += tenant * targets_per_tenant
+            np.place(tokens[start:stop], mask, draws)
     return Trace(tokens, sizes, name="multi-tenant")

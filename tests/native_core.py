@@ -1,11 +1,12 @@
-"""Choosing the core a test runs on.
+"""Choosing the engine and the core a test runs on.
 
-A plain run takes the compiled core when it can (``FrontEnd.start``
-decides); ``repro.cluster.fastpath`` stays the reference.  Suites that
-compare the two, and tests that look at the reference's own objects
-while a run is on, pick the reference here: ``reference_core()`` makes
-:func:`repro.cluster.native.load` report the extension unavailable, as
-a machine without a C compiler would, for as long as it is active.
+A run takes the compiled engine, and a plain run the compiled core, when
+it can (``FrontEnd.start`` decides); ``repro.sim.engine`` and
+``repro.cluster.fastpath`` stay the references.  Suites that compare the
+two, and tests that look at the references' own objects while a run is
+on, pick the references here: ``reference_core()`` makes
+:func:`repro.sim.native.load` report the extension unavailable, as a
+machine without a C compiler would, for as long as it is active.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from typing import Iterator
 
 import pytest
 
-from repro.cluster import native
+from repro.sim import native
 
 
 def native_available() -> bool:
@@ -31,8 +32,9 @@ def require_native() -> None:
 
 @contextlib.contextmanager
 def reference_core() -> Iterator[None]:
-    """Runs started inside take ``fastpath.py``, as on a machine
-    without a C compiler."""
+    """Runs started (and engines built by ``repro.sim.Engine()``) inside
+    take ``engine.py`` and ``fastpath.py``, as on a machine without a C
+    compiler."""
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(native, "load", lambda: (None, "disabled by the test"))
         yield

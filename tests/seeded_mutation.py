@@ -22,8 +22,8 @@ from repro.workload.memo import trace_cache_dir
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
 
-#: The compiled core's source, in the package.
-NATIVE_SOURCE = "cluster/_lifecycle.c"
+#: The compiled extension's files (engine and core), in the package.
+NATIVE_SOURCES = ("sim/_engine.h", "sim/_engine.c", "cluster/_lifecycle.c")
 
 
 def mutated_env(tmp_path: Path, relpath: str, anchor: str, replacement: str) -> Dict[str, str]:
@@ -31,18 +31,20 @@ def mutated_env(tmp_path: Path, relpath: str, anchor: str, replacement: str) -> 
     occur exactly once in ``relpath``) replaced; return an environment
     whose ``PYTHONPATH`` finds that copy, then the repo's ``tests``.
 
-    A mutation of the Python code runs on the Python lifecycle: the
-    copy has no C source, so plain runs cannot take the compiled core
-    (which would not run the mutated stage bodies).  A mutation of the C
-    source is built from the copy, into a build cache of its own."""
+    A mutation of the Python code runs on the Python engine and
+    lifecycle: the copy has no C sources, so no run can take the
+    compiled engine or core (which would not run the mutated code).  A
+    mutation of a C source is built from the copy, into a build cache of
+    its own."""
     root = tmp_path / "repro"
     shutil.copytree(Path(repro.__file__).resolve().parent, root)
     text = (root / relpath).read_text(encoding="utf-8")
     assert text.count(anchor) == 1, f"mutation anchor not found once in {relpath}"
     (root / relpath).write_text(text.replace(anchor, replacement), encoding="utf-8")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(tmp_path), str(REPO_ROOT)]))
-    if relpath != NATIVE_SOURCE:
-        (root / NATIVE_SOURCE).unlink()
+    if relpath not in NATIVE_SOURCES:
+        for source in NATIVE_SOURCES:
+            (root / source).unlink()
     else:
         # The trace memo stays where it is; only the build moves.
         traces = trace_cache_dir()

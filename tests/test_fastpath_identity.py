@@ -539,18 +539,19 @@ def test_admit_loop_stages_a_start_behind_an_event_due_now(trace):
 # name -> (file under src/repro, anchor, replacement, ``-k`` selector of
 # the tests in this file that fail on it).  The admission loop is
 # ``FrontEnd.admit``; a completion's single admission is in
-# ``FastConnection._complete``.
+# ``FastConnection._complete``; both ask ``Engine.runs_next`` whether the
+# start would be dispatched next (a Python mutation runs on engine.py).
 _INPLACE_MUTATIONS = {
     "in-place-start-without-the-heap-top-check": (
-        "cluster/fastpath.py",
-        "                and (not fe.heap or fe.heap[0][0] > now)\n",
-        "",
+        "sim/engine.py",
+        "        return not (self._nowq or self._stopped) and (not queue or queue[0][0] > self.now)\n",
+        "        return not (self._nowq or self._stopped)\n",
         "test_fastpath_matches_generator_path and lard-4-524288",
     ),
     "in-place-start-in-the-admit-loop-without-the-heap-top-check": (
         "cluster/frontend.py",
-        "                and (not self.heap or self.heap[0][0] > now)\n",
-        "",
+        "            if self.inplace and engine.runs_next():\n",
+        "            if self.inplace and not (engine._nowq or engine._stopped):\n",
         "test_admit_loop_stages_a_start_behind_an_event_due_now",
     ),
     "in-place-start-in-a-traced-admit-loop": (
@@ -561,27 +562,27 @@ _INPLACE_MUTATIONS = {
     ),
     "in-place-start-not-counted": (
         "cluster/fastpath.py",
-        "fe.heap[0][0] > now)\n            ):\n                engine.events_dispatched += 1\n",
-        "fe.heap[0][0] > now)\n            ):\n",
+        "            if engine.runs_next():\n                engine.events_dispatched += 1\n",
+        "            if engine.runs_next():\n",
         "test_in_place_starts_are_counted and one-request",
     ),
     "in-place-start-skips-the-sanitizer-hook": (
         "cluster/fastpath.py",
-        "                begin(self)\n"
-        "                hook = engine._sanitizer\n                if hook is not None:\n"
-        "                    hook(now, begin)\n            else:\n"
+        "                self.begin_stage(self)\n"
+        "                if engine._sanitizer is not None:\n"
+        "                    engine._sanitizer(now, self.begin_stage)\n            else:\n"
         "                engine.post(0.0, self.begin_stage, self)\n        else:\n"
         "            # Nothing to admit",
-        "                begin(self)\n"
+        "                self.begin_stage(self)\n"
         "            else:\n"
         "                engine.post(0.0, self.begin_stage, self)\n        else:\n"
         "            # Nothing to admit",
         "test_the_sanitizer_hook_sees_every_event and one-request",
     ),
     "in-place-start-before-the-engine-runs": (
-        "cluster/frontend.py",
-        "                and not (self.nowq or engine._stopped)\n",
-        "                and not self.nowq\n",
+        "sim/engine.py",
+        "        return not (self._nowq or self._stopped) and (not queue or queue[0][0] > self.now)\n",
+        "        return not self._nowq and (not queue or queue[0][0] > self.now)\n",
         "test_initial_fill_is_staged",
     ),
 }

@@ -1,13 +1,15 @@
 """The compiled core: which runs take it, and its build on first use.
 
 ``FrontEnd.start`` gives a plain run the compiled lifecycle
-(``repro/cluster/_lifecycle.c``, built by :mod:`repro.cluster.native`)
-and every other run ``fastpath.py``, the reference; a run says which it
-took and, for the reference, why.  The byte-identity of the two is the
-identity and differential suites' business (both run against both
-cores); here are the selection rule and the build boundary: an edited
-source, a damaged binary, a failed compile, no compiler, two first runs
-at once, and a warm start that spawns nothing.
+(``repro/cluster/_lifecycle.c``, built with the compiled engine by
+:mod:`repro.sim.native`) and every other run ``fastpath.py``, the
+reference; a run says which it took and, for the reference, why.  The
+byte-identity of the two is the identity and differential suites'
+business (both run against both cores); here are the selection rule
+(of the core, and of the engine every unprofiled run takes) and the
+build boundary: an edited source, a damaged binary, a failed compile,
+no compiler, two first runs at once, and a warm start that spawns
+nothing.
 """
 
 from __future__ import annotations
@@ -26,10 +28,12 @@ from pathlib import Path
 
 import pytest
 
-from repro.cluster import ClusterConfig, ClusterSimulator, native
+from repro.cluster import ClusterConfig, ClusterSimulator
 from repro.cluster.faults import FaultSchedule
 from repro.obs import SpanWriter
 from repro.obs.tracer import SimTracer
+from repro.sim import native
+from repro.sim.engine import Engine
 from repro.workload.synthetic import synthesize_trace
 from tests.cluster_oracle import use_oracle
 from tests.native_core import reference_core, require_native
@@ -117,6 +121,56 @@ def test_an_unavailable_extension_names_its_reason(trace):
         sim = ClusterSimulator(trace, ClusterConfig(policy="lard/r", num_nodes=3))
         sim.run()
     assert (sim.core, sim.core_reason) == ("python", "extension unavailable: disabled by the test")
+    assert (sim.engine_kind, sim.engine_reason) == (
+        "python", "extension unavailable: disabled by the test"
+    )
+    assert type(sim.engine) is Engine
+
+
+@pytest.mark.parametrize("reason", sorted(_REFERENCE_ONLY))
+def test_every_run_but_a_profiled_one_takes_the_compiled_engine(trace, reason):
+    """The reference lifecycle runs on the compiled engine too: only a
+    profiler (or no extension) keeps ``engine.py``, and says so."""
+    require_native()
+    fields, traced, prepare = _REFERENCE_ONLY[reason]
+    config = ClusterConfig(
+        **{"policy": "lard/r", "num_nodes": 3, "node_cache_bytes": 2**19, **fields}
+    )
+    sim = ClusterSimulator(trace, config, tracer=_tracer() if traced else None)
+    if prepare is not None:
+        prepare(sim)
+    assert sim.engine_kind is None and type(sim.engine) is Engine
+    sim.run()
+    if reason == "profiler attached":
+        assert (sim.engine_kind, sim.engine_reason) == ("python", "profiler attached")
+        assert type(sim.engine) is Engine
+    else:
+        assert (sim.engine_kind, sim.engine_reason) == ("native", "")
+        assert type(sim.engine).__module__ == "repro.sim._native"
+
+
+def test_an_engine_held_from_before_the_run_is_the_run_s(trace):
+    """``ClusterSimulator`` builds the reference and ``FrontEnd.start``
+    hands the run over: what was scheduled on it runs, and a reference
+    taken before the run reads and schedules on the engine that ran."""
+    require_native()
+    sim = ClusterSimulator(trace, ClusterConfig(policy="lard/r", num_nodes=3))
+    early = sim.engine
+    seen = []
+
+    def look():
+        seen.append(early.now)
+        if len(seen) < 3:
+            early.schedule(0.25, look)
+
+    early.schedule(0.25, look)
+    sim.run()
+    assert sim.engine_kind == "native" and sim.engine is not early
+    assert seen == [0.25, 0.5, 0.75]
+    assert early.events_dispatched == sim.engine.events_dispatched > len(trace)
+    assert (early.now, early.pending, early.scheduled) == (
+        sim.engine.now, 0, sim.engine.scheduled
+    )
 
 
 @pytest.mark.parametrize(
@@ -163,9 +217,11 @@ def test_simulate_prints_the_core_it_took(tmp_path):
     )
     assert plain.returncode == traced.returncode == 0, plain.stderr + traced.stderr
     if native.load()[0] is not None:
-        assert "\ncore: native" in plain.stdout
+        assert "\ncore: native\nengine: native" in plain.stdout
+        assert "\ncore: python (tracer attached)\nengine: native" in traced.stdout
     else:
         assert "\ncore: python (extension unavailable: " in plain.stdout
+        assert "\nengine: python (extension unavailable: " in plain.stdout
     assert "\ncore: python (tracer attached)\n" in traced.stdout
 
 
@@ -174,15 +230,18 @@ def test_simulate_prints_the_core_it_took(tmp_path):
 
 @pytest.fixture
 def build(tmp_path, monkeypatch):
-    """A private build cache and a private copy of the C source; the
-    process's memo of ``load()`` is forgotten before and after."""
-    source = tmp_path / "_lifecycle.c"
-    shutil.copy(native.SOURCE, source)
+    """A private build cache and a private copy of the C sources; the
+    process's memo of ``load()`` is forgotten before and after.  Returns
+    the copy of the engine's source."""
+    copies = []
+    for path in native.SOURCES:
+        copies.append(tmp_path / path.name)
+        shutil.copy(path, copies[-1])
     monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
-    monkeypatch.setattr(native, "SOURCE", source)
+    monkeypatch.setattr(native, "SOURCES", tuple(copies))
     monkeypatch.setattr(native, "_loaded", None)
     monkeypatch.setattr(native, "_build_s", None)
-    return source
+    return tmp_path / "_engine.c"
 
 
 def _reload():
@@ -303,7 +362,7 @@ def test_a_missing_compiler_falls_back_with_its_reason(build, monkeypatch, trace
 _LOAD_AND_REPORT = textwrap.dedent(
     """
     import sys
-    from repro.cluster import native
+    from repro.sim import native
     module, why = native.load()
     print(module is not None, native.last_build_s() is not None, why)
     print("subprocess" in sys.modules, "sysconfig" in sys.modules)

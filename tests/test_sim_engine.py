@@ -1,8 +1,15 @@
-"""Unit tests for the discrete-event engine."""
+"""Unit tests for the discrete-event engine.
+
+``Engine`` here is :mod:`repro.sim.engine`'s, the reference;
+``tests/test_sim_engine_compiled.py`` runs this module again on the
+compiled one.
+"""
 
 import pytest
 
-from repro.sim import Delay, Engine, SimulationError
+from repro.sim import Delay, SimulationError
+from repro.sim.engine import Engine
+from repro.sim.engine import Engine as ReferenceEngine
 
 
 def test_clock_starts_at_zero():
@@ -40,8 +47,9 @@ def test_an_event_is_one_function_and_one_argument():
     """``post`` stores ``(time, seq, fn, arg)`` as given and the loop
     calls ``fn(arg)``; ``schedule`` folds every arity into that shape,
     and both draw on one sequence, so ties keep the order of the calls
-    whichever made them."""
-    eng = Engine()
+    whichever made them.  It reads the reference's own queues, so it
+    runs on the reference only."""
+    eng = ReferenceEngine()
     log = []
 
     class Conn:
@@ -176,6 +184,33 @@ def test_stop_halts_dispatch():
     eng.run()
     assert log == ["first"]
     assert eng.pending == 1
+
+
+def test_runs_next_says_whether_an_event_staged_now_would_dispatch_next():
+    """Only inside a run, with nothing staged and nothing else due at
+    the instant: the condition for running a start event in place."""
+    eng = Engine()
+    seen = []
+
+    def probe(tag):
+        seen.append((tag, eng.runs_next()))
+
+    assert not eng.runs_next()
+    eng.schedule(1.0, probe, "alone")
+    eng.schedule(2.0, probe, "tie")
+    eng.schedule(2.0, probe, "last-of-tie")
+    eng.schedule(3.0, lambda: (eng.schedule(0.0, probe, "staged"), probe("before-staged")))
+    eng.schedule(4.0, lambda: (eng.stop(), probe("stopped")))
+    eng.run()
+    assert seen == [
+        ("alone", True),
+        ("tie", False),
+        ("last-of-tie", True),
+        ("before-staged", False),
+        ("staged", True),
+        ("stopped", False),
+    ]
+    assert not eng.runs_next()
 
 
 def test_events_dispatched_counter():

@@ -14,7 +14,6 @@ inspects state on the very next event after the corruption lands.
 """
 
 import contextlib
-import heapq
 
 import pytest
 
@@ -114,9 +113,10 @@ def test_clock_regression_is_caught():
     def corrupt(sim):
         # Bypass the post() past-guard: push a raw event, ``(time, seq,
         # fn, arg)``, dated before the current clock, exactly the
-        # corruption the sanitizer exists to catch.
+        # corruption the sanitizer exists to catch (``push`` checks
+        # nothing, on either engine).
         engine = sim.engine
-        heapq.heappush(engine._queue, (engine.now / 2, next(engine.seqs), lambda _: None, None))
+        engine.push((engine.now / 2, next(engine.seqs), lambda _: None, None))
 
     sim = _corrupt_at(_simulator(), 0.5, corrupt)
     with pytest.raises(SanitizerError, match="clock moved backwards"):
@@ -128,9 +128,7 @@ def test_bare_engine_hook_checks_monotonicity():
     sanitizer = InvariantSanitizer(deep_interval=1)
     engine.install_sanitizer(sanitizer.after_event)
     engine.schedule(1.0, lambda: None)
-    engine.schedule(
-        0.5, lambda: heapq.heappush(engine._queue, (0.1, 10**9, lambda _: None, None))
-    )
+    engine.schedule(0.5, lambda: engine.push((0.1, next(engine.seqs), lambda _: None, None)))
     with pytest.raises(SanitizerError, match="clock moved backwards"):
         engine.run()
 
@@ -158,7 +156,7 @@ def test_bounded_run_under_a_sanitizer_checks_exactly_the_events_it_dispatches()
     assert engine.run() == 3.5
     assert sanitizer.events_seen == engine.events_dispatched == 6
     # And a corruption inside a bounded run is caught inside it.
-    engine.schedule(1.0, lambda: heapq.heappush(engine._queue, (0.1, 10**9, lambda _: None, None)))
+    engine.schedule(1.0, lambda: engine.push((0.1, next(engine.seqs), lambda _: None, None)))
     with pytest.raises(SanitizerError, match="clock moved backwards"):
         engine.run(until=10.0)
 

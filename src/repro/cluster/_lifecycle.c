@@ -1242,12 +1242,8 @@ Core_init(Core *s, PyObject *args, PyObject *kwds)
         if (bad < 0)
             goto done;
     }
-    /* One CGI cost table, shared by every node (or none at all). */
-    PyObject *first = PySequence_GetItem(nodes, 0);
-    if (first == NULL)
-        goto done;
-    PyObject *dyn = PyObject_GetAttrString(first, "dynamic_cost_of_target");
-    Py_DECREF(first);
+    /* The cluster's one CGI cost table (or none at all). */
+    PyObject *dyn = PyObject_GetAttrString(fe, "dynamic_costs");
     if (dyn == NULL)
         goto done;
     if (dyn != Py_None)

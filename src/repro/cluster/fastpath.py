@@ -253,6 +253,7 @@ class FastConnection:
         "push",
         "seqs",
         "units",
+        "dynamic_costs",
         "begin_stage",
         "decide_stage",
         "advance_stage",
@@ -264,11 +265,12 @@ class FastConnection:
         self.fe = fe
         self.engine = engine = fe.engine
         # The engine's frameless scheduling pair, one for every
-        # connection, and the per-target transmit-unit table read on
-        # every hit path.
+        # connection, and the cluster's per-target tables read on every
+        # fetch: transmit units and CGI costs.
         self.push = engine.push
         self.seqs = engine.seqs
         self.units = fe.units
+        self.dynamic_costs = fe.dynamic_costs
         self.node: Any = None
         self.target = 0
         self.size = 0
@@ -349,7 +351,7 @@ class FastConnection:
         book."""
         node = self.node
         target = self.target
-        dyn = node.dynamic_cost_of_target
+        dyn = self.dynamic_costs
         if dyn is not None and dyn[target] > 0.0:
             # Dynamic (CGI) request: uncacheable CPU-bound compute +
             # transmit as one combined service, neither a hit nor a miss.
@@ -420,7 +422,7 @@ class FastConnection:
         elif outcome is GMSOutcome.REMOTE_HIT:
             node.cache_hits += 1
             node.gms_remote_hits += 1
-            holder = node.peers[result.holder]
+            holder = self.fe.nodes[result.holder]
             fetch = costs.gms_fetch_time(self.size)
             self.plan = (
                 (node.cpu, fetch),

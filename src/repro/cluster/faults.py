@@ -498,18 +498,20 @@ class FaultRuntime:
 
     def _brownout_start(self, node: int, cpu_factor: float, disk_factor: float) -> None:
         base = self._base_costs[node]
-        self.nodes[node].set_costs(
-            replace(
-                base,
-                cpu_speed=base.cpu_speed * cpu_factor,
-                disk_speed=base.disk_speed * disk_factor,
-            )
+        scaled = replace(
+            base, cpu_speed=base.cpu_speed * cpu_factor, disk_speed=base.disk_speed * disk_factor
         )
+        self._set_costs(node, scaled)
         self._emit("brownout_start", node, cpu_factor=cpu_factor, disk_factor=disk_factor)
 
     def _brownout_end(self, node: int) -> None:
-        self.nodes[node].set_costs(self._base_costs[node])
+        self._set_costs(node, self._base_costs[node])
         self._emit("brownout_end", node)
+
+    def _set_costs(self, node: int, costs: Any) -> None:
+        """Install ``costs`` and the front-end's disk-time table for it."""
+        self.nodes[node].set_costs(costs)
+        self.nodes[node].disk_times = self.frontend.disk_times(costs)
 
     # -- degraded-mode accounting ----------------------------------------------
 

@@ -59,6 +59,8 @@ class FrontEnd:
     * ``units[t]`` — target ``t``'s size in 512-byte transmit blocks;
       multiplied by a node's folded ``_transmit_per_unit`` this is
       bit-for-bit the oracle's ``((size + 511) // 512) * per_unit``;
+    * ``dynamic_costs[t]`` — target ``t``'s CGI CPU cost in seconds
+      (``None`` for an all-static catalog), one table for every node;
     * one :class:`DiskTimes` per distinct :class:`CostModel`
       (:meth:`disk_times`), handed to each node for its own model;
     * the policy's ``loads``/``_alive`` lists and the tracker's arrays
@@ -177,6 +179,7 @@ class FrontEnd:
         #: admissions of the same loop still change.
         self.inplace: bool = self.tracer is None
         self.units: List[int] = self.trace.transmit_units(512)
+        self.dynamic_costs: Optional[List[float]] = self.trace.dynamic_cost_list()
         self.tables: Dict[CostModel, DiskTimes] = {}
         self.pool: List[FastConnection] = []
         for node in self.nodes:
@@ -187,7 +190,6 @@ class FrontEnd:
                         f"resources only: {resource.name} has capacity "
                         f"{resource.capacity}"
                     )
-            node.disk_times_for = self.disk_times
             node.disk_times = self.disk_times(node.costs)
         core, self.core_reason = self._pick_core()
         self.core = "python" if core is None else "native"
@@ -200,11 +202,10 @@ class FrontEnd:
     def _hand_over(self, successor: Any) -> None:
         """The run is the compiled engine's from here: what was scheduled
         on the reference moves over (:meth:`Engine.hand_over
-        <repro.sim.engine.Engine.hand_over>`), and the front-end, the
-        nodes and their resources hold the new engine."""
+        <repro.sim.engine.Engine.hand_over>`), and the front-end and the
+        nodes' resources hold the new engine."""
         self.engine = self.engine.hand_over(successor)
         for node in self.nodes:
-            node.engine = successor
             for resource in (node.cpu, *node.disks):
                 resource.engine = successor
 
@@ -252,8 +253,6 @@ class FrontEnd:
             return "LB/GC hit hints"
         if any(len(node.disks) != 1 for node in nodes):
             return "multi-disk nodes"
-        if any(node.dynamic_cost_of_target is not nodes[0].dynamic_cost_of_target for node in nodes):
-            return "per-node CGI cost tables"
         if "admit" in vars(self):
             return "replaced admission"
         if self.engine.pending:
@@ -272,16 +271,13 @@ class FrontEnd:
                 core.finish()
 
     def release(self) -> None:
-        """The run is over: free its connections and cut the links from
-        the nodes back to this object (``disk_times_for``), so that
-        nothing left is a reference cycle.  Every connection of a
-        finished run is parked in the pool, and a pooled connection's
-        only way back to itself is the pool; what is read afterwards
-        (the counters, ``conn_class``, the cost tables) stays."""
+        """The run is over: free its connections, so that nothing left
+        is a reference cycle.  Every connection of a finished run is
+        parked in the pool, and a pooled connection's only way back to
+        itself is the pool; what is read afterwards (the counters,
+        ``conn_class``, the cost tables) stays."""
         self.pool.clear()
         self._native = None
-        for node in self.nodes:
-            node.disk_times_for = None
 
     def disk_times(self, costs: CostModel) -> DiskTimes:
         """The disk-time table for ``costs``, built on first use (a

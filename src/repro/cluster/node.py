@@ -21,14 +21,15 @@ In WRR/GMS mode the node consults the cluster-wide
 :class:`~repro.cache.gms.GlobalMemorySystem` instead of a private cache;
 remote hits charge fetch CPU time at *both* the holder and the requester.
 
-This class is the node's *state* — resources, cache, cost constants,
-counters.  The steps above are driven by the connection state machine in
+This class is the node's own *state* — resources, cache, cost
+constants, counters; what every node shares is the front-end's.  The
+steps above are driven by the connection state machine in
 :mod:`repro.cluster.fastpath`.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Hashable, Optional, Sequence
+from typing import Any, Dict, Hashable, Optional, Sequence
 
 from ..cache.base import Cache
 from ..cache.gms import GlobalMemorySystem
@@ -56,15 +57,12 @@ class BackendNode:
             raise ValueError("exactly one of cache/gms must be provided")
         if num_disks < 1:
             raise ValueError(f"need at least one disk, got {num_disks}")
-        self.engine = engine
         self.node_id = node_id
         self.cache = cache
         self.gms = gms
         self.coalesce_reads = coalesce_reads
-        #: Set by ``FrontEnd.start``: cost model -> its per-target
-        #: disk-time table (``FrontEnd.disk_times``), and the table for
-        #: the model in force.
-        self.disk_times_for: Optional[Callable[[CostModel], Any]] = None
+        #: The disk-time table of the model in force, installed by
+        #: ``FrontEnd.start`` and each brownout (``FrontEnd.disk_times``).
         self.disk_times: Any = None
         self.set_costs(costs)
         self.cpu = Resource(engine, capacity=1, name=f"cpu[{node_id}]")
@@ -72,13 +70,8 @@ class BackendNode:
             Resource(engine, capacity=1, name=f"disk[{node_id}.{d}]")
             for d in range(num_disks)
         ]
-        #: Set by the cluster: peer nodes, used for GMS remote fetches.
-        self.peers: Sequence["BackendNode"] = ()
         #: Set by the cluster: target -> disk index (frequency striping).
         self.disk_of_target: Optional[Sequence[int]] = None
-        #: Set by the cluster: target -> CPU (CGI) cost in seconds, or
-        #: ``None`` for an all-static catalog.
-        self.dynamic_cost_of_target: Optional[Sequence[float]] = None
         #: target -> who waits for the read in flight: the lifecycle's
         #: own representation (the waiting connections for the state
         #: machine, a ``SimEvent`` for the coroutine oracle in ``tests/``).
@@ -100,15 +93,13 @@ class BackendNode:
         pays the new rates.
 
         The model is immutable, so per-request method calls into it are
-        folded into plain constants here, and the per-target disk times
-        are one table lookup away.
+        folded into plain constants here; its disk-time table is the
+        installer's to set (``disk_times``).
         """
         self.costs = costs
         self._conn_time = costs.connection_time()
         self._teardown_time = costs.teardown_time()
         self._transmit_per_unit = costs.transmit_s_per_512b / costs.cpu_speed
-        if self.disk_times_for is not None:
-            self.disk_times = self.disk_times_for(costs)
 
     # -- disk placement ----------------------------------------------------------
 

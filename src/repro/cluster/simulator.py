@@ -161,6 +161,9 @@ class ClusterConfig:
             f"need at least one disk, got {self.disks_per_node}",
         )
         _require_count("sanitize_interval", self.sanitize_interval)
+        for name in ("coalesce_reads", "collect_delays", "sanitize"):
+            if not isinstance(getattr(self, name), bool):
+                raise ValueError(f"{name} must be a bool, got {getattr(self, name)!r}")
         if self.fault_schedule is not None:
             self.fault_schedule.validate(self.num_nodes)
 
@@ -203,10 +206,10 @@ class ClusterSimulator:
     the result's ``delays_s`` is ``frontend.delays_s`` itself, handed
     over, not copied.
     What does not: the connection pool, and the links that made the
-    finished cluster one reference cycle — ``BackendNode.peers`` and
-    ``disk_times_for``, the engine's sanitizer hook, the tracer's and
-    the fault runtime's references to the cluster.  A finished simulator is therefore freed by reference
-    count the moment it is dropped, with no collector pass.
+    finished cluster one reference cycle — the engine's sanitizer hook,
+    the tracer's and the fault runtime's references to the cluster (a
+    node holds none).  A finished simulator is therefore freed by
+    reference count the moment it is dropped, with no collector pass.
 
     **The cyclic collector is paused** for the length of :meth:`run`
     (and put back as it was, also when the run raises): a run creates
@@ -263,11 +266,6 @@ class ClusterSimulator:
             )
             node.disk_of_target = disk_of
             self.nodes.append(node)
-        # One shared dynamic-cost table (or None) across all nodes.
-        dynamic_costs = trace.dynamic_cost_list()
-        for node in self.nodes:
-            node.peers = self.nodes
-            node.dynamic_cost_of_target = dynamic_costs
         self.tracker = LoadTracker(
             self.policy.loads, threshold=UNDERUTILIZATION_FRACTION * config.t_low
         )
@@ -403,8 +401,6 @@ class ClusterSimulator:
         into the cluster, leaving a graph without cycles (see the class
         docstring for what stays readable)."""
         self.frontend.release()
-        for node in self.nodes:
-            node.peers = ()
         self.engine.install_sanitizer(None)
         if self.tracer is not None:
             self.tracer.unbind()

@@ -207,9 +207,9 @@ class Trace:
         Returns ``None`` when the catalog is all-static (no cost table,
         or every cost is zero) so callers can branch once per run instead
         of once per request.  The memoized list is a single shared object
-        per trace: every back-end node of every simulation over the trace
-        holds the *same* list, so the table costs one catalog's worth of
-        floats however many nodes and runs read it.
+        per trace: every simulation over the trace reads the *same* list,
+        so the table costs one catalog's worth of floats however many
+        nodes and runs read it.
         """
         if self.cpu_cost_s_by_target is None:
             return None

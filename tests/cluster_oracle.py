@@ -54,6 +54,7 @@ def use_oracle(sim: Any) -> Any:
 
 
 def serve(
+    fe: Any,
     node: Any,
     target: Hashable,
     size: int,
@@ -62,7 +63,9 @@ def serve(
     teardown: bool = True,
     span: Optional[Any] = None,
 ):
-    """Generator process serving one request end to end on ``node``.
+    """Generator process serving one request end to end on ``node``,
+    one of the nodes of front-end ``fe`` (which holds what every node
+    shares: the peer list and the CGI cost table).
 
     ``hit_hint`` is set only for LB/GC: the front-end's idealized cache
     model dictates whether this request hits, so the node obeys the
@@ -73,14 +76,14 @@ def serve(
     establishment and only its last pays teardown (paper Section 5's
     HTTP/1.1 discussion).
     """
-    engine = node.engine
+    engine = node.cpu.engine
     phases: Optional[Dict[str, float]] = None if span is None else span.phases
     if establish:
         t0 = engine.now
         yield Service(node.cpu, node._conn_time)
         if phases is not None:
             phases["establish"] = phases.get("establish", 0.0) + (engine.now - t0)
-    dyn = node.dynamic_cost_of_target
+    dyn = fe.dynamic_costs
     if dyn is not None and isinstance(target, int) and dyn[target] > 0.0:
         # Dynamic (CGI) request: CPU-bound compute, uncacheable, so it
         # bypasses the cache entirely and is neither a hit nor a miss.
@@ -97,7 +100,7 @@ def serve(
     elif hit_hint is not None:
         outcome = yield from _fetch_hinted(node, target, size, hit_hint, phases)
     elif node.gms is not None:
-        outcome = yield from _fetch_gms(node, target, size, phases)
+        outcome = yield from _fetch_gms(fe.nodes, node, target, size, phases)
     else:
         outcome = yield from _fetch_local(node, target, size, phases)
     if teardown:
@@ -118,10 +121,10 @@ def serve(
 def _fetch_hinted(node, target, size, hit, phases):
     if hit:
         node.cache_hits += 1
-        t0 = node.engine.now
+        t0 = node.cpu.engine.now
         yield Service(node.cpu, ((size + 511) // 512) * node._transmit_per_unit)
         if phases is not None:
-            phases["cpu"] = phases.get("cpu", 0.0) + (node.engine.now - t0)
+            phases["cpu"] = phases.get("cpu", 0.0) + (node.cpu.engine.now - t0)
         return "hit"
     pending = node._pending.get(target)
     if pending is not None:
@@ -137,10 +140,10 @@ def _fetch_local(node, target, size, phases):
         return (yield from _serve_inflight(node, pending, target, size, phases))
     if node.cache.access(target, size):
         node.cache_hits += 1
-        t0 = node.engine.now
+        t0 = node.cpu.engine.now
         yield Service(node.cpu, ((size + 511) // 512) * node._transmit_per_unit)
         if phases is not None:
-            phases["cpu"] = phases.get("cpu", 0.0) + (node.engine.now - t0)
+            phases["cpu"] = phases.get("cpu", 0.0) + (node.cpu.engine.now - t0)
         return "hit"
     node.cache_misses += 1
     yield from _disk_read(node, target, size, phases)
@@ -159,7 +162,7 @@ def _serve_inflight(node, pending, target, size, phases):
         yield from _chunked_read(node, target, size, phases)
         return "miss"
     node.coalesced_reads += 1
-    engine = node.engine
+    engine = node.cpu.engine
     t0 = engine.now
     yield Wait(pending)
     t1 = engine.now
@@ -172,7 +175,7 @@ def _serve_inflight(node, pending, target, size, phases):
 
 def _disk_read(node, target, size, phases):
     """First read of a file: registers the in-flight marker."""
-    event = SimEvent(node.engine, name=f"read[{node.node_id}:{target}]")
+    event = SimEvent(node.cpu.engine, name=f"read[{node.node_id}:{target}]")
     node._pending[target] = event
     yield from _chunked_read(node, target, size, phases)
     del node._pending[target]
@@ -185,7 +188,7 @@ def _chunked_read(node, target, size, phases):
     disk = node.disk_for(target)
     cpu = node.cpu
     per_unit = node._transmit_per_unit
-    engine = node.engine
+    engine = node.cpu.engine
     disk_total = cpu_total = 0.0
     if phases is not None:
         disk_total = phases.get("disk", 0.0)
@@ -203,12 +206,12 @@ def _chunked_read(node, target, size, phases):
         phases["cpu"] = cpu_total
 
 
-def _fetch_gms(node, target, size, phases):
+def _fetch_gms(peers, node, target, size, phases):
     pending = node._pending.get(target)
     if pending is not None:
         return (yield from _serve_inflight(node, pending, target, size, phases))
     result = node.gms.access(node.node_id, target, size)
-    engine = node.engine
+    engine = node.cpu.engine
     if result.outcome is GMSOutcome.LOCAL_HIT:
         node.cache_hits += 1
         node.gms_local_hits += 1
@@ -222,7 +225,7 @@ def _fetch_gms(node, target, size, phases):
         # without touching a disk, but both peers pay fetch CPU.
         node.cache_hits += 1
         node.gms_remote_hits += 1
-        holder = node.peers[result.holder]
+        holder = peers[result.holder]
         fetch = node.costs.gms_fetch_time(size)
         transmit = node.costs.transmit_time(size)  # see the module docstring
         t0 = engine.now
@@ -289,6 +292,7 @@ def _connection(fe, batch: List[Tuple[int, int]], node_id: int, epoch: int, hit_
         if tracer is not None:
             span = tracer.begin(target, size, node_id, start)
         yield from serve(
+            fe,
             fe.nodes[node_id],
             target,
             size,
@@ -413,6 +417,7 @@ def _connection_faulty(
             else _FaultProbe()
         )
         yield from serve(
+            fe,
             fe.nodes[node_id],
             target,
             size,

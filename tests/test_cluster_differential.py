@@ -275,9 +275,9 @@ MUTATIONS = {
              **_REHANDOFF),
     ),
     "brownout-reads-base-disk-table": (
-        "cluster/node.py",
-        "            self.disk_times = self.disk_times_for(costs)",
-        "            pass",
+        "cluster/faults.py",
+        "        self.nodes[node].disk_times = self.frontend.disk_times(costs)",
+        "        pass",
         dict(traced=False, cgi=False, policy="wrr", fault_seed=3),
     ),
     "first-request-delay-restarts-on-retry": (

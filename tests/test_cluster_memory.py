@@ -427,12 +427,6 @@ def test_a_cold_multi_tenant_generation_peaks_a_few_bytes_per_request_above_its_
 # selecting the tests that must fail on it).
 
 MUTATIONS = {
-    "peers-link-left-in-place": (
-        "cluster/simulator.py",
-        "            node.peers = ()\n",
-        "            pass\n",
-        "freed_without_the_collector and one-request",
-    ),
     "sanitizer-hook-left-installed": (
         "cluster/simulator.py",
         "        self.engine.install_sanitizer(None)\n",

@@ -1,5 +1,7 @@
 """Integration tests for the end-to-end cluster simulator."""
 
+import contextlib
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,7 @@ from repro.cluster import (
 )
 from repro.cache import GDSCache, LFUCache, LRUCache
 from repro.workload import Trace, synthesize_trace
+from tests.native_core import reference_core
 
 
 def _trace(n_requests=4000, n_targets=200, total=5 * 10**6, alpha=1.0, seed=0):
@@ -70,7 +73,7 @@ class TestBasicRuns:
         def state():
             return (sim.frontend.completed, sim.frontend.connections,
                     sim.engine.events_dispatched, sim.engine.now, sim.engine.pending,
-                    sim.policy.dispatches, sim.nodes[0].disk_times_for)
+                    sim.policy.dispatches, sim.nodes[0].disk_times)
 
         before = state()
         with pytest.raises(RuntimeError, match="already ran; build a new ClusterSimulator"):
@@ -220,6 +223,20 @@ class TestConfig:
         """One line, from one layer, before anything is built."""
         with pytest.raises(ValueError, match=message):
             ClusterConfig(**{field: value})
+
+    @pytest.mark.parametrize("field", ["coalesce_reads", "collect_delays", "sanitize"])
+    @pytest.mark.parametrize("value", ["no", 1, None])
+    @pytest.mark.parametrize("core", ["native", "reference"])
+    def test_a_flag_that_is_not_a_bool_is_rejected_on_both_cores(self, field, value, core):
+        """``coalesce_reads='no'`` used to raise a ``TypeError`` at
+        ``run()`` on the compiled core and to coalesce on the
+        reference, as ``True`` does."""
+        with reference_core() if core == "reference" else contextlib.nullcontext():
+            with pytest.raises(ValueError, match=f"^{field} must be a bool, got {value!r}$"):
+                run_simulation(
+                    _trace(3000), policy="wrr", num_nodes=4, node_cache_bytes=CACHE,
+                    **{field: value},
+                )
 
     def test_numpy_integer_counts_accepted(self):
         config = ClusterConfig(

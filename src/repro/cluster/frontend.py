@@ -29,9 +29,10 @@ lifecycle itself — every run's, whatever is attached to it — is the
 state machine in :mod:`repro.cluster.fastpath`, whose connections share
 the front-end's per-run state: the pool, the cost tables and the
 references into the policy's and the tracker's hot state.  Every run
-that can runs on the compiled engine, and a plain run takes the same
-lifecycle compiled as well (:mod:`repro.sim.native`);
-:meth:`FrontEnd.start` decides both, and says why not.
+that can runs on the compiled engine (``ClusterSimulator.engine``
+chooses it), and a plain run takes the same lifecycle compiled as well
+(:mod:`repro.sim.native`): :meth:`FrontEnd.start` decides that, and
+says why not.
 """
 
 from __future__ import annotations
@@ -74,7 +75,6 @@ class FrontEnd:
 
     def __init__(
         self,
-        engine: Engine,
         policy: Policy,
         nodes: Sequence[BackendNode],
         trace: Trace,
@@ -87,7 +87,9 @@ class FrontEnd:
             raise ValueError(
                 f"policy expects {policy.num_nodes} nodes, cluster has {len(nodes)}"
             )
-        self.engine = engine
+        #: The run's engine, given by ``ClusterSimulator.engine`` when it
+        #: makes it (before ``start()``).
+        self.engine: Any = None
         self.policy = policy
         self.nodes = nodes
         self.trace = trace
@@ -144,11 +146,6 @@ class FrontEnd:
         #: empty schedule it replays the plain stages exactly.
         self.tracer: Optional[Any] = None
         self.faults: Optional[Any] = None
-        #: Which engine ``start()`` ran on: ``"native"`` (the compiled
-        #: one, which took the run over) or ``"python"`` (``engine.py``),
-        #: and for the latter why; ``None`` before ``start()``.
-        self.engine_kind: Optional[str] = None
-        self.engine_reason = ""
         #: Which lifecycle ``start()`` chose: ``"native"`` (the compiled
         #: core) or ``"python"`` (``fastpath.py``), and for the latter
         #: why; ``None`` before ``start()``.
@@ -159,17 +156,10 @@ class FrontEnd:
     # -- driving ---------------------------------------------------------------
 
     def start(self) -> None:
-        """Hand the run to the compiled engine where it loads, install
-        the fault schedule, pick the connection class for this run's
-        observers and the core that runs it, hand each node its
+        """Install the fault schedule, pick the connection class for this
+        run's observers and the core that runs it, hand each node its
         disk-time table and admit the initial batch; completions keep
         the pipeline full."""
-        from ..sim import native  # on first use: a process that only builds pays nothing
-
-        compiled, self.engine_reason = native.engine_type()
-        if compiled is not None and isinstance(self.engine, Engine):
-            self._hand_over(compiled())
-        self.engine_kind = "python" if isinstance(self.engine, Engine) else "native"
         if self.faults is not None:
             self.faults.schedule_events(self.engine)
         base = FastConnection if self.faults is None else FaultyConnection
@@ -198,16 +188,6 @@ class FrontEnd:
         else:
             self._native = core(self)
             self._native.admit()
-
-    def _hand_over(self, successor: Any) -> None:
-        """The run is the compiled engine's from here: what was scheduled
-        on the reference moves over (:meth:`Engine.hand_over
-        <repro.sim.engine.Engine.hand_over>`), and the front-end and the
-        nodes' resources hold the new engine."""
-        self.engine = self.engine.hand_over(successor)
-        for node in self.nodes:
-            for resource in (node.cpu, *node.disks):
-                resource.engine = successor
 
     def _pick_core(self) -> Tuple[Optional[Any], str]:
         """The compiled core's ``Core`` class for a run it covers, else
@@ -239,9 +219,11 @@ class FrontEnd:
         unsupported = self._unsupported()
         if unsupported:
             return None, f"unsupported configuration: {unsupported}"
-        module, _ = native.load()
-        if module is None or self.engine_kind != "native":
-            return None, self.engine_reason
+        module, why = native.load()
+        if module is None:
+            return None, f"extension unavailable: {why}"
+        if type(self.engine) is Engine:  # made while a profiler watched
+            return None, "profiler attached"
         return module.Core, ""
 
     def _unsupported(self) -> str:

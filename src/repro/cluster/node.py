@@ -34,7 +34,6 @@ from typing import Any, Dict, Hashable, Optional, Sequence
 from ..cache.base import Cache
 from ..cache.gms import GlobalMemorySystem
 from ..sim import Resource
-from ..sim.engine import Engine
 from .costs import CostModel
 
 __all__ = ["BackendNode"]
@@ -45,7 +44,6 @@ class BackendNode:
 
     def __init__(
         self,
-        engine: Engine,
         node_id: int,
         costs: CostModel,
         cache: Optional[Cache],
@@ -65,9 +63,11 @@ class BackendNode:
         #: ``FrontEnd.start`` and each brownout (``FrontEnd.disk_times``).
         self.disk_times: Any = None
         self.set_costs(costs)
-        self.cpu = Resource(engine, capacity=1, name=f"cpu[{node_id}]")
+        # The engine is given to these when a simulator makes it
+        # (``ClusterSimulator.engine``).
+        self.cpu = Resource(None, capacity=1, name=f"cpu[{node_id}]")
         self.disks = [
-            Resource(engine, capacity=1, name=f"disk[{node_id}.{d}]")
+            Resource(None, capacity=1, name=f"disk[{node_id}.{d}]")
             for d in range(num_disks)
         ]
         #: Set by the cluster: target -> disk index (frequency striping).

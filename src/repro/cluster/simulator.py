@@ -18,7 +18,7 @@ from __future__ import annotations
 import gc
 import os
 from dataclasses import dataclass, field, replace
-from numbers import Integral
+from numbers import Integral, Real
 from pathlib import Path
 from typing import Any, List, Optional, Tuple, Union
 
@@ -161,6 +161,15 @@ class ClusterConfig:
             f"need at least one disk, got {self.disks_per_node}",
         )
         _require_count("sanitize_interval", self.sanitize_interval)
+        for name in ("t_low", "t_high", "node_cache_bytes"):
+            _require_count(name, getattr(self, name))
+        if self.max_mappings is not None:
+            _require_count("max_mappings", self.max_mappings)
+        k = self.k_seconds
+        if isinstance(k, bool) or not isinstance(k, Real) or not k > 0:
+            raise ValueError(f"k_seconds must be a number > 0, got {k!r}")
+        if isinstance(self.policy_seed, bool) or not isinstance(self.policy_seed, Integral):
+            raise ValueError(f"policy_seed must be an integer, got {self.policy_seed!r}")
         for name in ("coalesce_reads", "collect_delays", "sanitize"):
             if not isinstance(getattr(self, name), bool):
                 raise ValueError(f"{name} must be a bool, got {getattr(self, name)!r}")
@@ -189,11 +198,15 @@ class ClusterSimulator:
     producing the exact same
     :class:`~repro.cluster.metrics.SimulationResult`.
 
-    **The engine** built here is :mod:`repro.sim.engine`'s reference;
-    :meth:`run` hands it over to the compiled engine where that loads
-    and no profiler is attached (``engine_kind`` / ``engine_reason``
-    say which ran), and ``engine`` is then the compiled one.  A
-    reference taken before the run forwards to it.
+    **The engine** is made once, at first use: the first read of
+    ``engine`` or :meth:`run`, whichever comes first.  It is the
+    compiled one (:mod:`repro.sim.native`) unless the extension is
+    unavailable or a profiler is attached at that moment, which gives
+    :mod:`repro.sim.engine`'s reference; ``engine_kind`` /
+    ``engine_reason`` say which, and read ``None`` / ``""`` until then.
+    The front-end, every node's resources and the sanitizer get it
+    there, and nothing is re-pointed afterwards: an engine, or a method
+    of it, held from before the run is the run's.
 
     **What survives** :meth:`run`.  Everything a caller reads
     afterwards: ``frontend`` counters (``completed``, ``connections``,
@@ -223,7 +236,12 @@ class ClusterSimulator:
     ) -> None:
         self.trace = trace
         self.config = config
-        self.engine = Engine()
+        self._engine: Optional[Any] = None
+        #: ``"native"`` or ``"python"``, and for the latter why
+        #: (``profiler attached`` or ``extension unavailable: <why>``);
+        #: ``None`` / ``""`` until the engine is made.
+        self.engine_kind: Optional[str] = None
+        self.engine_reason = ""
         policy_kwargs = dict(t_low=config.t_low, t_high=config.t_high)
         if config.policy in ("lard", "lard/r") and config.max_mappings is not None:
             policy_kwargs["max_mappings"] = config.max_mappings
@@ -256,7 +274,6 @@ class ClusterSimulator:
                 else make_cache(config.cache_policy, config.node_cache_bytes, name=f"n{node_id}")
             )
             node = BackendNode(
-                self.engine,
                 node_id,
                 config.costs,
                 cache,
@@ -270,7 +287,6 @@ class ClusterSimulator:
             self.policy.loads, threshold=UNDERUTILIZATION_FRACTION * config.t_low
         )
         self.frontend = FrontEnd(
-            self.engine,
             self.policy,
             self.nodes,
             trace,
@@ -295,23 +311,32 @@ class ClusterSimulator:
             sanitizer.watch_frontend(self.frontend)
             sanitizer.watch_policy(self.policy)
             sanitizer.watch_nodes(self.nodes)
-            self.engine.install_sanitizer(sanitizer.after_event)
             self.sanitizer = sanitizer
         self._ran = False
 
     @property
-    def engine_kind(self) -> Optional[str]:
-        """The engine :meth:`run` ran on: ``"native"`` (compiled,
-        :mod:`repro.sim.native`, which took the run over when it
-        started) or ``"python"`` (:mod:`repro.sim.engine`); ``None``
-        before it ran.  Both give the same result to the byte."""
-        return self.frontend.engine_kind
+    def engine(self) -> Any:
+        """The run's engine, made on first use (see the class
+        docstring).  Both kinds give the same result to the byte."""
+        if self._engine is None:
+            self._make_engine()
+        return self._engine
 
-    @property
-    def engine_reason(self) -> str:
-        """Why the run took ``engine.py`` (``""`` on the compiled one):
-        ``profiler attached`` or ``extension unavailable: <why>``."""
-        return self.frontend.engine_reason
+    def _make_engine(self) -> None:
+        """Make the engine and give it to all that use it: the one
+        binding site."""
+        from ..sim import native  # on first use: a process that only builds pays nothing
+
+        compiled, self.engine_reason = native.engine_type()
+        engine = Engine() if compiled is None else compiled()
+        self.engine_kind = "python" if compiled is None else "native"
+        self.frontend.engine = engine
+        for node in self.nodes:
+            for resource in (node.cpu, *node.disks):
+                resource.engine = engine
+        if self.sanitizer is not None:
+            engine.install_sanitizer(self.sanitizer.after_event)
+        self._engine = engine
 
     @property
     def core(self) -> Optional[str]:
@@ -351,9 +376,9 @@ class ClusterSimulator:
     def _serve(self) -> SimulationResult:
         self.frontend.collect_delays = self.config.collect_delays
         runtime = self.fault_runtime
+        if self._engine is None:  # not read before the run: made now
+            self._make_engine()
         self.frontend.start()
-        # The run's engine: the compiled one, if start() handed it over.
-        self.engine = self.frontend.engine
         end_time = self.frontend.run()
         if self.sanitizer is not None:
             self.sanitizer.final_check(end_time)

@@ -16,8 +16,8 @@
  * an event that raised included.
  *
  * repro.sim.native builds this file and the lifecycle into one
- * extension on first use; a ClusterSimulator hands its run to this
- * engine in FrontEnd.start, and runs under a profiler keep engine.py.
+ * extension on first use; a ClusterSimulator makes this engine for its
+ * run at first use, and one made under a profiler is engine.py's.
  */
 
 #include "_engine.h"
@@ -621,66 +621,6 @@ Engine_get_sanitizer(EngineObject *e, void *Py_UNUSED(closure))
     return Py_NewRef(e->hook ? e->hook : Py_None);
 }
 
-/* Written as engine.py's methods write it: a method of the reference
- * bound before it handed its run over (Engine.hand_over) runs on this
- * engine. */
-static int
-Engine_set_sanitizer(EngineObject *e, PyObject *hook, void *Py_UNUSED(closure))
-{
-    if (hook == NULL) {
-        PyErr_SetString(PyExc_AttributeError, "the sanitizer hook cannot be deleted");
-        return -1;
-    }
-    Py_XSETREF(e->hook, hook == Py_None ? NULL : Py_NewRef(hook));
-    return 0;
-}
-
-/* Engine.hand_over's other half: a fresh engine takes the reference's
- * clock, pending events (each with its seq), counter and hook. */
-static PyObject *
-Engine_adopt(EngineObject *e, PyObject *args)
-{
-    double now;
-    PyObject *heap, *staged, *hook;
-    unsigned long long scheduled;
-    long long dispatched;
-    if (!PyArg_ParseTuple(args, "dOOKLO:_adopt", &now, &heap, &staged, &scheduled, &dispatched,
-                          &hook)
-        || check_queue(e) < 0)
-        return NULL;
-    EventQueue *q = e->queue;
-    if (q->heap_len || q->fifo_len || q->next_seq != 1 || !e->stopped) {
-        PyErr_SetString(SimulationError, "only a fresh engine adopts a run");
-        return NULL;
-    }
-    if (set_clock(e, now) < 0)
-        return NULL;
-    q->next_seq = scheduled + 1;
-    e->events_dispatched = dispatched;
-    Py_XSETREF(e->hook, hook == Py_None ? NULL : Py_NewRef(hook));
-    PyObject *sources[2] = {heap, staged};
-    for (int k = 0; k < 2; k++) {
-        PyObject *items = PySequence_Fast(sources[k], "events must be a sequence");
-        if (items == NULL)
-            return NULL;
-        for (Py_ssize_t i = 0; i < PySequence_Fast_GET_SIZE(items); i++) {
-            Event ev;
-            if (parse_event(PySequence_Fast_GET_ITEM(items, i), &ev) < 0) {
-                Py_DECREF(items);
-                return NULL;
-            }
-            /* The staged events in their order, behind the heap. */
-            if ((k == 0 ? queue_heap_push(q, ev) : queue_stage(q, ev)) < 0) {
-                event_release(&ev);
-                Py_DECREF(items);
-                return NULL;
-            }
-        }
-        Py_DECREF(items);
-    }
-    Py_RETURN_NONE;
-}
-
 static PyObject *
 Engine_get_pending(EngineObject *e, void *Py_UNUSED(closure))
 {
@@ -727,15 +667,13 @@ static PyMethodDef Engine_methods[] = {
      "Whether an event staged now would be the next one dispatched."},
     {"install_sanitizer", (PyCFunction)Engine_install_sanitizer, METH_O,
      "Call hook(event_time, callback) after every dispatched event (None: none)."},
-    {"_adopt", (PyCFunction)Engine_adopt, METH_VARARGS,
-     "Take over a reference engine's run (Engine.hand_over)."},
     {NULL, NULL, 0, NULL},
 };
 
 static PyGetSetDef Engine_getset[] = {
     {"pending", (getter)Engine_get_pending, NULL, "Number of events still queued.", NULL},
     {"scheduled", (getter)Engine_get_scheduled, NULL, "Number of events ever scheduled.", NULL},
-    {"_sanitizer", (getter)Engine_get_sanitizer, (setter)Engine_set_sanitizer,
+    {"_sanitizer", (getter)Engine_get_sanitizer, NULL,
      "The installed sanitizer hook, or None.", NULL},
     {NULL, NULL, NULL, NULL, NULL},
 };
@@ -748,8 +686,6 @@ static PyMemberDef Engine_members[] = {
      "The tie-break counter: next(seqs) draws an event's seq."},
     {"push", T_OBJECT, offsetof(EngineObject, push), READONLY,
      "push((when, next(seqs), fn, arg)) for when > now."},
-    {"_stopped", T_INT, offsetof(EngineObject, stopped), 0,
-     "True whenever no run loop is going to dispatch another event."},
     {NULL, 0, 0, 0, NULL},
 };
 

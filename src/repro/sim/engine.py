@@ -25,9 +25,9 @@ The engine follows the classic event-list design:
 This module is the reference.  ``_engine.c`` is the same :class:`Engine`
 compiled (:mod:`repro.sim.native` builds it), with the same contract and
 the same order of events; ``repro.sim.Engine()`` gives it where it
-loads, and a cluster simulation hands its run to it when the run starts
-(:meth:`Engine.hand_over`).  A run under a profiler, or with no C
-compiler, keeps this one.
+loads, and so does a cluster simulation, which makes its one engine at
+first use (``ClusterSimulator.engine``).  An engine made under a
+profiler, or with no C compiler, is this one.
 
 Example
 -------
@@ -389,24 +389,6 @@ class Engine:
         queue = self._queue
         return not (self._nowq or self._stopped) and (not queue or queue[0][0] > self.now)
 
-    def hand_over(self, successor: Any) -> Any:
-        """Move this engine's clock, pending events (each with its seq),
-        counters and sanitizer hook to ``successor`` — a fresh engine of
-        another implementation, the compiled one — and return it.  From
-        then on every use of this object is a use of the successor, so
-        whatever still holds it (a closure that schedules, a caller that
-        reads ``events_dispatched`` afterwards) sees the one run."""
-        if not self._stopped:
-            raise SimulationError("cannot hand over a running engine")
-        successor._adopt(
-            self.now, self._queue, list(self._nowq), self.scheduled,
-            self.events_dispatched, self._sanitizer,
-        )
-        self.__dict__.clear()
-        self.__class__ = _HandedOver
-        object.__setattr__(self, "_successor", successor)
-        return successor
-
     @property
     def pending(self) -> int:
         """Number of events still queued."""
@@ -420,14 +402,3 @@ class Engine:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<Engine t={self.now:.6f} pending={self.pending}>"
-
-
-class _HandedOver(Engine):
-    """An engine that handed its run over (:meth:`Engine.hand_over`):
-    every attribute read or written is its successor's."""
-
-    def __getattribute__(self, name: str) -> Any:
-        return getattr(object.__getattribute__(self, "_successor"), name)
-
-    def __setattr__(self, name: str, value: Any) -> None:
-        setattr(object.__getattribute__(self, "_successor"), name, value)

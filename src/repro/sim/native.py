@@ -5,9 +5,9 @@
 :class:`~repro.cluster.fastpath.FastConnection` lifecycle, whose stages
 run as that engine's native events (``_engine.h`` is what the second
 reads of the first).  Both build into one extension, ``_native``.
-Nothing builds it at install or import time: the first run that may
-take it (``FrontEnd.start``, or a bare :func:`new_engine`) compiles it
-with the system C compiler into
+Nothing builds it at install or import time: the first engine that may
+be it (a ``ClusterSimulator``'s, made at first use, or a bare
+:func:`new_engine`) compiles it with the system C compiler into
 ``$XDG_CACHE_HOME/repro-lard/native/`` (``~/.cache/repro-lard/native/``
 when unset), beside the trace memo's ``traces/``.  The file there is
 named by a digest of the C sources, the interpreter's extension suffix
@@ -19,8 +19,9 @@ millisecond.  The one build costs about 1.5 s of wall time and a
 Whatever goes wrong — no compiler, a compile error, an unwritable
 cache, a damaged binary — the run takes ``engine.py`` and
 ``fastpath.py``, which stay the references, and :func:`load` says why;
-so does a run under a profiler (:func:`engine_type`), whose profile of
-the compiled engine would show every event inside one built-in call.
+so does an engine made under a profiler (:func:`engine_type`), whose
+profile of the compiled engine would show every event inside one
+built-in call.
 A compile the compiler refused
 (a nonzero exit status) is recorded against its digest (``*.failed``,
 holding the compiler's output), so later processes do not retry it; one
@@ -100,8 +101,8 @@ def profiled() -> bool:
 
 
 def engine_type() -> Tuple[Optional[Any], str]:
-    """The compiled :class:`Engine` class, or ``None`` and why a run
-    started now takes ``engine.py``: ``profiler attached`` or
+    """The compiled :class:`Engine` class, or ``None`` and why an
+    engine made now is ``engine.py``: ``profiler attached`` or
     ``extension unavailable: <why>``."""
     if profiled():
         return None, "profiler attached"
@@ -114,8 +115,8 @@ def engine_type() -> Tuple[Optional[Any], str]:
 def new_engine() -> Engine:
     """A fresh engine: the compiled one where :func:`engine_type` gives
     it, else the reference.  ``repro.sim.Engine()`` is this; a
-    :class:`~repro.cluster.ClusterSimulator` builds the reference and
-    hands its run over when it starts (``FrontEnd.start``)."""
+    :class:`~repro.cluster.ClusterSimulator` makes its engine the same
+    way at first use, keeping the reason (``engine_reason``)."""
     compiled, _ = engine_type()
     engine: Engine = Engine() if compiled is None else compiled()
     return engine

@@ -24,7 +24,7 @@ reported without sampling.
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Callable, Deque, List, Tuple
+from typing import Any, Callable, Deque, List, Optional, Tuple
 
 from .engine import Engine, Process, SimulationError
 
@@ -37,14 +37,16 @@ class Resource:
     Parameters
     ----------
     engine:
-        The owning :class:`~repro.sim.engine.Engine`.
+        The owning :class:`~repro.sim.engine.Engine`; ``None`` for one
+        given later, before the clock moves (a cluster's nodes get
+        their engine when ``ClusterSimulator.engine`` makes it).
     capacity:
         Number of jobs that may be in service simultaneously.
     name:
         Label used in ``repr`` and error messages.
     """
 
-    def __init__(self, engine: Engine, capacity: int = 1, name: str = "") -> None:
+    def __init__(self, engine: Optional[Engine], capacity: int = 1, name: str = "") -> None:
         if capacity < 1:
             raise SimulationError(f"resource capacity must be >= 1, got {capacity}")
         self.engine = engine
@@ -61,7 +63,7 @@ class Resource:
         self._waiting: Deque[Tuple[float, Callable[[Any], Any], Any]] = deque()
         # Utilization accounting: integral of (busy servers) dt.
         self._busy_integral = 0.0
-        self._last_change = engine.now
+        self._last_change = 0.0 if engine is None else engine.now
         self.jobs_served = 0
         # No pre-bound ``self._finish`` kept here: an object holding a
         # method bound to itself is a reference cycle, and a finished

@@ -370,6 +370,7 @@ def test_cache_age_evicts_requested_fraction():
 
 def test_frontend_join_rejects_unknown_cache_mode(baseline):
     sim = ClusterSimulator(_trace(), _config())
+    assert sim.engine is sim.frontend.engine  # made at first use
     sim.frontend.fail_node(1)
     with pytest.raises(ValueError, match="cache_mode"):
         sim.frontend.join_node(1, cache_mode="tepid", aged_fraction=0.5)

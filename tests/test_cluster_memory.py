@@ -212,6 +212,7 @@ def test_a_pooled_connection_is_one_allocation(case):
     trace is admitted at once, is 20k objects rather than 100k."""
     simulator = _build(case, io.StringIO())
     frontend = simulator.frontend
+    assert frontend.engine is None and simulator.engine is frontend.engine  # made here
     frontend.start()
     # The front-end allocates the object, the connection class's
     # ``__init__`` anything else.

@@ -16,7 +16,6 @@ from repro.cluster import ClusterConfig, ClusterSimulator, CostModel
 from repro.cluster.node import BackendNode
 from repro.obs import SpanWriter, parse_span_log
 from repro.obs.tracer import SimTracer
-from repro.sim import Engine
 from repro.workload import Trace
 from tests.cluster_oracle import use_oracle
 from tests.seeded_mutation import assert_selected_tests_fail
@@ -25,10 +24,8 @@ from tests.seeded_mutation import assert_selected_tests_fail
 LIFECYCLES = (False, True)
 
 
-def _node(engine, cache_bytes=10**6, num_disks=1, **kw):
-    return BackendNode(
-        engine, 0, CostModel(), GDSCache(cache_bytes), num_disks=num_disks, **kw
-    )
+def _node(cache_bytes=10**6, num_disks=1, **kw):
+    return BackendNode(0, CostModel(), GDSCache(cache_bytes), num_disks=num_disks, **kw)
 
 
 def _cluster(oracle, targets, sizes, concurrent=False, tracer=None, **config):
@@ -198,15 +195,14 @@ class TestDisks:
             assert double.run().sim_time_s < single.run().sim_time_s
 
     def test_striping_assignment_used(self):
-        engine = Engine()
-        node = _node(engine, num_disks=2)
+        node = _node(num_disks=2)
         node.disk_of_target = [1, 0]
         assert node.disk_for(0) is node.disks[1]
         assert node.disk_for(1) is node.disks[0]
 
     def test_invalid_disk_count(self):
         with pytest.raises(ValueError):
-            _node(Engine(), num_disks=0)
+            _node(num_disks=0)
 
 
 class TestHintedMode:
@@ -266,12 +262,10 @@ class TestGMSMode:
             assert sim.nodes[0].disk_reads == 1
 
     def test_exactly_one_of_cache_or_gms(self):
-        engine = Engine()
         with pytest.raises(ValueError):
-            BackendNode(engine, 0, CostModel(), None, gms=None)
+            BackendNode(0, CostModel(), None, gms=None)
         with pytest.raises(ValueError):
             BackendNode(
-                engine,
                 0,
                 CostModel(),
                 GDSCache(100),

@@ -1,6 +1,7 @@
 """Integration tests for the end-to-end cluster simulator."""
 
 import contextlib
+import re
 
 import numpy as np
 import pytest
@@ -15,6 +16,8 @@ from repro.cluster import (
     stripe_by_frequency,
 )
 from repro.cache import GDSCache, LFUCache, LRUCache
+from repro.sim import native
+from repro.sim.engine import Engine as ReferenceEngine
 from repro.workload import Trace, synthesize_trace
 from tests.native_core import reference_core
 
@@ -90,6 +93,31 @@ class TestBasicRuns:
             sim.run()
         with pytest.raises(RuntimeError, match="already ran"):
             sim.run()
+
+
+    def test_the_engine_is_made_once_at_first_use_and_says_which(self):
+        """The first read of ``engine`` makes it and gives it to the
+        front-end and every node's resources: the compiled one where the
+        extension loads, else ``engine.py`` and why (as with no C
+        compiler on ``PATH``)."""
+        sim = ClusterSimulator(
+            _trace(500), ClusterConfig(policy="lard/r", num_nodes=2, node_cache_bytes=CACHE)
+        )
+        assert (sim.engine_kind, sim.engine_reason) == (None, "")
+        engine = sim.engine
+        module, why = native.load()
+        if module is None:
+            assert type(engine) is ReferenceEngine
+            assert (sim.engine_kind, sim.engine_reason) == (
+                "python", f"extension unavailable: {why}"
+            )
+        else:
+            assert type(engine) is module.Engine
+            assert (sim.engine_kind, sim.engine_reason) == ("native", "")
+        resources = [r for node in sim.nodes for r in (node.cpu, *node.disks)]
+        assert sim.frontend.engine is engine and all(r.engine is engine for r in resources)
+        sim.run()
+        assert sim.engine is engine and engine.events_dispatched > 500
 
 
 class TestPaperShape:
@@ -236,6 +264,41 @@ class TestConfig:
                 run_simulation(
                     _trace(3000), policy="wrr", num_nodes=4, node_cache_bytes=CACHE,
                     **{field: value},
+                )
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            # 25.5 ran on the reference and raised a TypeError at
+            # FrontEnd.start on the compiled core.
+            ("t_low", 25.5, "t_low must be an integer, got 25.5"),
+            ("t_low", True, "t_low must be an integer, got True"),
+            ("t_high", 65.0, "t_high must be an integer, got 65.0"),
+            ("t_high", 0, "t_high must be >= 1, got 0"),
+            # True ran a one-byte cache (no hit) on both cores.
+            ("node_cache_bytes", True, "node_cache_bytes must be an integer, got True"),
+            ("node_cache_bytes", 2.0**19, "node_cache_bytes must be an integer, got 524288.0"),
+            ("node_cache_bytes", 0, "node_cache_bytes must be >= 1, got 0"),
+            ("max_mappings", 50.5, "max_mappings must be an integer, got 50.5"),
+            ("max_mappings", 0, "max_mappings must be >= 1, got 0"),
+            # '20' raised a TypeError from inside LARD/R.
+            ("k_seconds", "20", "k_seconds must be a number > 0, got '20'"),
+            ("k_seconds", True, "k_seconds must be a number > 0, got True"),
+            ("k_seconds", 0.0, "k_seconds must be a number > 0, got 0.0"),
+            ("k_seconds", float("nan"), "k_seconds must be a number > 0, got nan"),
+            ("policy_seed", 1.5, "policy_seed must be an integer, got 1.5"),
+            ("policy_seed", False, "policy_seed must be an integer, got False"),
+        ],
+    )
+    @pytest.mark.parametrize("core", ["native", "reference"])
+    def test_a_policy_field_of_the_wrong_type_is_rejected_on_both_cores(
+        self, field, value, message, core
+    ):
+        with reference_core() if core == "reference" else contextlib.nullcontext():
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                run_simulation(
+                    _trace(3000),
+                    **{"policy": "lard/r", "num_nodes": 4, "node_cache_bytes": CACHE, field: value},
                 )
 
     def test_numpy_integer_counts_accepted(self):

@@ -507,9 +507,10 @@ def test_initial_fill_is_staged(trace, max_in_flight):
                       max_in_flight=max_in_flight),
     )
     with reference_core():
+        engine = sim.engine  # made at first use: engine.py here
         sim.frontend.start()
-    assert sim.engine.events_dispatched == 0
-    assert sim.engine.pending == sim.frontend.in_flight == max_in_flight
+    assert engine.events_dispatched == 0
+    assert engine.pending == sim.frontend.in_flight == max_in_flight
     assert all(node.cpu.busy == 0 for node in sim.nodes)
 
 

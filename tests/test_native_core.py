@@ -31,6 +31,7 @@ import pytest
 
 from repro.cluster import ClusterConfig, ClusterSimulator
 from repro.cluster.faults import FaultSchedule
+from repro.cluster.simulator import _simulate
 from repro.obs import SpanWriter
 from repro.obs.tracer import SimTracer
 from repro.sim import native
@@ -135,7 +136,6 @@ def test_every_run_but_a_profiled_one_takes_the_compiled_engine(trace, reason):
     sim = ClusterSimulator(trace, config, tracer=_tracer() if traced else None)
     if prepare is not None:
         prepare(sim)
-    assert sim.engine_kind is None and type(sim.engine) is Engine
     sim.run()
     if reason == "profiler attached":
         assert (sim.engine_kind, sim.engine_reason) == ("python", "profiler attached")
@@ -146,9 +146,9 @@ def test_every_run_but_a_profiled_one_takes_the_compiled_engine(trace, reason):
 
 
 def test_an_engine_held_from_before_the_run_is_the_run_s(trace):
-    """``ClusterSimulator`` builds the reference and ``FrontEnd.start``
-    hands the run over: what was scheduled on it runs, and a reference
-    taken before the run reads and schedules on the engine that ran."""
+    """The engine a simulator makes on first use is the one that runs:
+    what was scheduled on it before the run runs, and an engine taken
+    before the run reads and schedules on the run's."""
     require_native()
     sim = ClusterSimulator(trace, ClusterConfig(policy="lard/r", num_nodes=3))
     early = sim.engine
@@ -161,21 +161,11 @@ def test_an_engine_held_from_before_the_run_is_the_run_s(trace):
 
     early.schedule(0.25, look)
     sim.run()
-    assert sim.engine_kind == "native" and sim.engine is not early
+    assert sim.engine_kind == "native" and sim.engine is early
     assert seen == [0.25, 0.5, 0.75]
-    assert early.events_dispatched == sim.engine.events_dispatched > len(trace)
-    assert (early.now, early.pending, early.scheduled) == (
-        sim.engine.now, 0, sim.engine.scheduled
-    )
+    assert early.events_dispatched > len(trace) and early.pending == 0
 
 
-@pytest.mark.xfail(
-    strict=True,
-    raises=AttributeError,
-    reason="ROADMAP item 6: Engine.hand_over turns the engine a simulator built into "
-    "a forwarder, and a method bound to it before the run runs the reference's code "
-    "on the forwarder, which has no '_nowq'",
-)
 def test_an_engine_method_bound_before_the_run_works_during_it(trace):
     require_native()
     sim = ClusterSimulator(trace, ClusterConfig(policy="lard/r", num_nodes=3))
@@ -184,6 +174,29 @@ def test_an_engine_method_bound_before_the_run_works_during_it(trace):
     sim.engine.schedule(0.01, lambda: post(0.0, seen.append, "x"))
     sim.run()
     assert seen == ["x"]
+
+
+def test_a_profiler_gets_engine_py_only_when_the_engine_is_made_under_it(trace, tmp_path):
+    """An engine read before a profiled ``run()`` is made outside the
+    profiler, so it is the compiled one and only the core steps aside;
+    ``run_simulation(profile=...)`` makes it inside, so it is
+    ``engine.py``.  Either way the result is the reference's."""
+    require_native()
+    config = ClusterConfig(policy="lard/r", num_nodes=3, node_cache_bytes=2**19)
+    with reference_core():
+        reference = dataclasses.asdict(ClusterSimulator(trace, config).run())
+    early = ClusterSimulator(trace, config)
+    assert (early.engine_kind, early.engine_reason) == (None, "")
+    assert type(early.engine).__module__ == "repro.sim._native"
+    _profiled(early)
+    assert dataclasses.asdict(early.run()) == reference
+    assert (early.engine_kind, early.engine_reason) == ("native", "")
+    assert (early.core, early.core_reason) == ("python", "profiler attached")
+    sim, result = _simulate(trace, config, profile=tmp_path / "run.pstats")
+    assert dataclasses.asdict(result) == reference
+    assert (sim.engine_kind, sim.engine_reason) == ("python", "profiler attached")
+    assert type(sim.engine) is Engine
+    assert (sim.core, sim.core_reason) == ("python", "profiler attached")
 
 
 @pytest.mark.parametrize(

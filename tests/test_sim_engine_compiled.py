@@ -12,8 +12,7 @@ one reads its queues, and one seeds a bug into ``engine.py``.
 
 import pytest
 
-from repro.sim import SimulationError, native
-from repro.sim.engine import Engine as ReferenceEngine
+from repro.sim import native
 from tests import test_sim_engine as contract
 from tests import test_sim_engine_reference as oracle
 from tests.seeded_mutation import assert_selected_tests_fail
@@ -37,32 +36,6 @@ def _compiled_engine():
 
 def test_the_tests_here_run_the_compiled_engine():
     assert type(contract.Engine()).__module__ == "repro.sim._native"
-
-
-def test_hand_over_moves_the_run_in_its_order_and_forwards():
-    """``Engine.hand_over``: the reference's clock, events (each with its
-    seq), counts and hook move to a fresh compiled engine, and the old
-    object reads and schedules on the new one."""
-    reference = ReferenceEngine()
-    log, hooked = [], []
-    reference.schedule(1.0, log.append, "a")
-    reference.schedule(1.0, lambda: reference.schedule(0.0, log.append, "staged-late"))
-    reference.schedule(0.5, log.append, "first")
-    reference.run(until=0.25)
-    reference.post(0.0, log.append, "staged")
-    reference.install_sanitizer(lambda when, callback: hooked.append(when))
-    engine = reference.hand_over(contract.Engine())
-    assert type(reference) is not ReferenceEngine
-    assert (engine.now, engine.pending, engine.scheduled) == (0.25, 4, 4)
-    reference.schedule(1.0, log.append, "b")
-    assert reference.run() == engine.now == 1.25
-    assert log == ["staged", "first", "a", "staged-late", "b"]
-    assert reference.events_dispatched == engine.events_dispatched == 6
-    assert hooked == [0.25, 0.5, 1.0, 1.0, 1.0, 1.25]
-    running = ReferenceEngine()
-    running.schedule(1.0, lambda: running.hand_over(contract.Engine()))
-    with pytest.raises(SimulationError, match="running"):
-        running.run()
 
 
 def test_seeded_mutation_serving_the_staged_fifo_first_is_caught(tmp_path):

@@ -417,6 +417,7 @@ def _audit_policy_summaries(core):
         sim = ClusterSimulator(_trace(), config)
         sanitizer = InvariantSanitizer()
         sanitizer.watch_policy(sim.policy)
+        assert sim.engine is sim.frontend.engine  # made here, on ``core``'s engine
         sim.frontend.start()
     assert sim.core == core
     for fraction in (0.1, 0.3, 0.5, 0.7, 0.9):

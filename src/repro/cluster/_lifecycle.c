@@ -24,12 +24,21 @@
  * front-end counters) lives here and is written back by finish(), when
  * the run ends.
  *
+ * A traced run (fe.tracer set) runs here too.  Each stage that ends a
+ * phase times it in the connection behind one ``if (s->rows)`` test, as
+ * fastpath.py does behind ``if self.tracer``, and a completed request
+ * appends its span as one row to the tracer's chunk (the layout of
+ * repro.obs.span: ROW_INTS, ROW_FLOATS, one load per node), whose
+ * numpy buffers the core writes in place; the tracer's flush and sample
+ * are called when the chunk fills and when a sample is due.  The
+ * chunk's text comes from render_rows at the bottom of this file.
+ *
  * repro.sim.native builds this file with the engine on first use and
- * FrontEnd.start() decides when a run may take it; runs with a tracer,
- * a fault runtime, a sanitizer, a profiler, GMS, LB/GC hit hints or
- * several disks per node take fastpath.py.  So the degraded-mode series
- * never run here: they and their bucket width belong to the fault
- * schedule, and its runtime books them from fastpath.py's served hook.
+ * FrontEnd.start() decides when a run may take it; runs with a fault
+ * runtime, a sanitizer, a profiler, GMS, LB/GC hit hints or several
+ * disks per node take fastpath.py.  So the degraded-mode series never
+ * run here: they and their bucket width belong to the fault schedule,
+ * and its runtime books them from fastpath.py's served hook.
  */
 
 #include "_engine.h"
@@ -39,6 +48,13 @@ enum { ST_BEGIN, ST_DECIDE, ST_ADVANCE, ST_COMPLETE, ST_COALESCED };
 
 /* What a connection does after its current data service. */
 enum { PLAN_EMPTY, PLAN_TRANSMIT, PLAN_CHUNKED };
+
+/* The span-row layout of repro.obs.span: ROW_OUTCOMES, ROW_PHASES (bit
+ * k of a row's mask: phase k was paid), ROW_INTS and ROW_FLOATS. */
+enum { OUT_HIT, OUT_MISS, OUT_COALESCED, OUT_GMS_LOCAL, OUT_GMS_REMOTE, OUT_DYNAMIC, OUT_LOST };
+enum { PH_ESTABLISH, PH_QUEUE, PH_DISK, PH_CPU, PH_TEARDOWN, PH_RETRY, NUM_PHASES };
+enum { R_REQ, R_TARGET, R_SIZE, R_NODE, R_OUTCOME, R_MASK, ROW_INTS };
+enum { R_ARRIVAL, R_COMPLETE, R_PHASES, ROW_FLOATS = R_PHASES + NUM_PHASES };
 
 /* A waiting job: the event its start will schedule (Resource._waiting). */
 typedef struct {
@@ -83,6 +99,19 @@ typedef struct {
     int wait_head, wait_tail, wait_next; /* coalesced waiters, in order */
 } Conn;
 
+/* The span of a traced connection's request (Core.spans, beside the
+ * connections, so an untraced run's connections stay their size): its
+ * number, the phases paid (mask) and when the one being timed began,
+ * the outcome, and on a disk read whether the service in flight is the
+ * disk's.  Its dispatch-time loads are the connection's row of
+ * Core.span_loads. */
+typedef struct {
+    long long req;
+    double mark;
+    double ph[NUM_PHASES];
+    int mask, outcome, on_disk;
+} Span;
+
 typedef struct {
     double *table;
     PyObject *source;
@@ -121,9 +150,22 @@ typedef struct {
     EngineObject *eng; /* fe.engine, the compiled one; this Core is its client */
     double now;        /* the clock, read when a stage starts */
     int ran;
+    /* Tracing: the tracer (NULL: none, and rows is 0), its chunk's three
+     * buffers and the rows written since its last flush, the next span
+     * number and when the next sample is due (its seq, next_sample_t). */
+    PyObject *tracer;
+    int rows;
+    Py_buffer chunk[3];
+    int have_chunk;
+    Span *spans;
+    long long *rint, *rload, *span_loads;
+    double *rflt;
+    Py_ssize_t rcap, rfill;
+    long long next_req;
+    double next_sample;
 } Core;
 
-static PyObject *s_dispatches, *s_completions, *s_min_load, *s_min_cursor;
+static PyObject *s_dispatches, *s_completions, *s_min_load, *s_min_cursor, *s_flush;
 
 /* -- events: native events of the compiled engine, on its heap
  * (Engine.push) or staged for the current instant (Engine.post(0.0)). ---- */
@@ -372,6 +414,19 @@ new_conn(Core *s)
             PyErr_NoMemory();
             return -1;
         }
+        if (s->rows) {
+            Span *spans = PyMem_Realloc(s->spans, (size_t)cap * sizeof(Span));
+            long long *loads = PyMem_Realloc(
+                s->span_loads, (size_t)cap * (size_t)s->num_nodes * sizeof(long long));
+            if (spans != NULL)
+                s->spans = spans;
+            if (loads != NULL)
+                s->span_loads = loads;
+            if (spans == NULL || loads == NULL) {
+                PyErr_NoMemory();
+                return -1;
+            }
+        }
         s->conn_cap = cap;
     }
     Conn *c = &s->conns[s->nconns];
@@ -393,15 +448,153 @@ set_plan(Conn *c, int kind, PyObject *pairs, Py_ssize_t len)
 
 static int stage_begin(Core *s, int ci);
 
-/* The delays a served request books on the front-end (FrontEnd
- * ._account_request, inlined); returns whether the connection's node is
- * still the one it was dispatched to. */
+/* -- span rows (a traced run) ------------------------------------------- */
+
+/* The request starts: draw its span number and snapshot the policy's
+ * loads, its dispatch context (SimTracer.begin). */
 static int
-account(Core *s, Conn *c, int *live)
+open_span(Core *s, int ci)
 {
+    Span *sp = &s->spans[ci];
+    sp->req = s->next_req++;
+    memset(sp->ph, 0, sizeof sp->ph);
+    sp->mask = 0;
+    long long *load = s->span_loads + (size_t)ci * (size_t)s->num_nodes;
+    for (int i = 0; i < s->num_nodes; i++) {
+        if (list_ll(s->p_loads, i, &load[i]) < 0)
+            return -1;
+    }
+    return 0;
+}
+
+/* A data service ended, before stage_advance books it: a disk read adds
+ * it to ``disk`` or ``cpu``, alternately; any other path times its
+ * services as one ``cpu`` delta, at the last. */
+static void
+time_service(Core *s, int ci)
+{
+    Conn *c = &s->conns[ci];
+    Span *sp = &s->spans[ci];
+    int last = c->plan_i >= c->plan_len;
+    if (sp->outcome == OUT_MISS) {
+        sp->ph[sp->on_disk ? PH_DISK : PH_CPU] += s->now - sp->mark;
+        sp->on_disk = !sp->on_disk;
+        sp->mark = s->now;
+        if (last)
+            sp->mask |= 1 << PH_DISK | 1 << PH_CPU;
+    }
+    else if (last) {
+        sp->ph[PH_CPU] = s->now - sp->mark;
+        sp->mask |= 1 << PH_CPU;
+        sp->mark = s->now;
+    }
+}
+
+/* The tracer's flush of the rows written so far. */
+static int
+rows_flush(Core *s)
+{
+    if (s->rfill == 0)
+        return 0;
+    PyObject *fill = PyLong_FromSsize_t(s->rfill);
+    if (fill == NULL)
+        return -1;
+    int rc = PyObject_SetAttrString(s->tracer, "fill", fill);
+    Py_DECREF(fill);
+    if (rc < 0)
+        return -1;
+    s->rfill = 0;
+    PyObject *result = PyObject_CallMethodNoArgs(s->tracer, s_flush);
+    if (result == NULL)
+        return -1;
+    Py_DECREF(result);
+    return 0;
+}
+
+/* A sample is due: the rows so far go first, then SimTracer.sample with
+ * the books only the core holds; it says when the next one is due. */
+static int
+take_sample(Core *s)
+{
+    if (rows_flush(s) < 0)
+        return -1;
+    long long hits = 0, misses = 0, dynamic = 0;
+    PyObject *cpu_queue = PyList_New(s->num_nodes);
+    PyObject *disk_queue = PyList_New(s->num_nodes);
+    int rc = -1;
+    if (cpu_queue == NULL || disk_queue == NULL)
+        goto done;
+    for (int i = 0; i < s->num_nodes; i++) {
+        Node *node = &s->nodes[i];
+        hits += node->cache_hits;
+        misses += node->cache_misses;
+        dynamic += node->dynamic_requests;
+        if (list_set_ll(cpu_queue, i, s->res[2 * i].len) < 0
+            || list_set_ll(disk_queue, i, s->res[2 * i + 1].len) < 0)
+            goto done;
+    }
+    PyObject *next = PyObject_CallMethod(s->tracer, "sample", "dLLLLLOO", s->now, hits, misses,
+                                         dynamic, s->completed, s->in_flight, cpu_queue,
+                                         disk_queue);
+    if (next == NULL)
+        goto done;
+    s->next_sample = PyFloat_AsDouble(next);
+    Py_DECREF(next);
+    if (!(s->next_sample == -1.0 && PyErr_Occurred()))
+        rc = 0;
+done:
+    Py_XDECREF(cpu_queue);
+    Py_XDECREF(disk_queue);
+    return rc;
+}
+
+/* The served request's span, as the next row of the tracer's chunk
+ * (fastpath.py's _write_row); then a full chunk is flushed and a due
+ * sample taken. */
+static int
+write_row(Core *s, int ci)
+{
+    Conn *c = &s->conns[ci];
+    Span *sp = &s->spans[ci];
+    Py_ssize_t k = s->rfill;
+    long long *ints = s->rint + k * ROW_INTS;
+    ints[R_REQ] = sp->req;
+    ints[R_TARGET] = c->target;
+    ints[R_SIZE] = c->size;
+    ints[R_NODE] = c->node;
+    ints[R_OUTCOME] = sp->outcome;
+    ints[R_MASK] = sp->mask;
+    double *floats = s->rflt + k * ROW_FLOATS;
+    floats[R_ARRIVAL] = c->start;
+    floats[R_COMPLETE] = s->now;
+    memcpy(floats + R_PHASES, sp->ph, sizeof sp->ph);
+    memcpy(s->rload + k * s->num_nodes, s->span_loads + (size_t)ci * (size_t)s->num_nodes,
+           (size_t)s->num_nodes * sizeof(long long));
+    s->rfill = k + 1;
+    if (s->rfill == s->rcap && rows_flush(s) < 0)
+        return -1;
+    if (s->now >= s->next_sample)
+        return take_sample(s);
+    return 0;
+}
+
+/* -- admission, and the books of a served request ------------------------ */
+
+/* The delays a served request books on the front-end (FrontEnd
+ * ._account_request, inlined), after its span's row; returns whether
+ * the connection's node is still the one it was dispatched to. */
+static int
+account(Core *s, int ci, int *live)
+{
+    Conn *c = &s->conns[ci];
     Node *node = &s->nodes[c->node];
     node->requests_served += 1;
     node->bytes_served += c->size;
+    if (s->rows) {
+        if (write_row(s, ci) < 0)
+            return -1;
+        c = &s->conns[ci];
+    }
     double delay = s->now - c->start;
     s->total_delay += delay;
     if (s->collect_delays) {
@@ -511,7 +704,9 @@ admit(Core *s)
         int ci = new_conn(s);
         if (ci < 0 || admit_one(s, ci, first, end) < 0)
             return -1;
-        if (start_in_place(s)) {
+        /* Not a traced one (FrontEnd.inplace): it snapshots the loads,
+         * which the later admissions of this loop still change. */
+        if (!s->rows && start_in_place(s)) {
             if (stage_begin(s, ci) < 0)
                 return -1;
         }
@@ -529,6 +724,8 @@ stage_begin(Core *s, int ci)
     Conn *c = &s->conns[ci];
     Node *node = &s->nodes[c->node];
     c->start = s->now;
+    if (s->rows && open_span(s, ci) < 0)
+        return -1;
     return res_enqueue(s, &s->res[2 * c->node], node->conn_time, ST_DECIDE, ci);
 }
 
@@ -639,11 +836,44 @@ fetch(Core *s, int ci)
     return start_disk_read(s, ci);
 }
 
+/* fetch, its outcome read off the node's counters around it: every
+ * decision bumps cache_hits, cache_misses or dynamic_requests, and the
+ * coalescing counter tells the rest apart (fastpath.py's
+ * _traced_fetch). */
+static int
+traced_fetch(Core *s, int ci)
+{
+    Node *node = &s->nodes[s->conns[ci].node];
+    long long hits = node->cache_hits, misses = node->cache_misses;
+    long long coalesced = node->coalesced_reads;
+    if (fetch(s, ci) < 0)
+        return -1;
+    Span *sp = &s->spans[ci];
+    if (node->cache_hits != hits)
+        sp->outcome = OUT_HIT;
+    else if (node->cache_misses == misses)
+        sp->outcome = OUT_DYNAMIC;
+    else if (node->coalesced_reads != coalesced)
+        sp->outcome = OUT_COALESCED;
+    else {
+        sp->outcome = OUT_MISS;
+        sp->on_disk = 1;
+    }
+    return 0;
+}
+
 static int
 stage_decide(Core *s, int ci)
 {
     if (res_finish(s, &s->res[2 * s->conns[ci].node]) < 0)
         return -1;
+    if (s->rows) {
+        Span *sp = &s->spans[ci];
+        sp->ph[PH_ESTABLISH] = s->now - s->conns[ci].start;
+        sp->mask = 1 << PH_ESTABLISH;
+        sp->mark = s->now;
+        return traced_fetch(s, ci);
+    }
     return fetch(s, ci);
 }
 
@@ -652,6 +882,12 @@ stage_coalesced(Core *s, int ci)
 {
     Conn *c = &s->conns[ci];
     Node *node = &s->nodes[c->node];
+    if (s->rows) {
+        Span *sp = &s->spans[ci];
+        sp->ph[PH_QUEUE] = s->now - sp->mark;
+        sp->mask |= 1 << PH_QUEUE;
+        sp->mark = s->now;
+    }
     set_plan(c, PLAN_EMPTY, NULL, 0);
     return enqueue_data(s, ci, 2 * c->node, (double)s->units[c->target] * node->per_unit);
 }
@@ -690,6 +926,8 @@ static int
 stage_advance(Core *s, int ci)
 {
     Conn *c = &s->conns[ci];
+    if (s->rows)
+        time_service(s, ci);
     if (res_finish(s, &s->res[c->res]) < 0)
         return -1;
     c = &s->conns[ci];
@@ -730,8 +968,9 @@ stage_advance(Core *s, int ci)
     if (c->index == c->last)
         return res_enqueue(s, &s->res[2 * c->node], node->teardown_time, ST_COMPLETE, ci);
     int live;
-    if (account(s, c, &live) < 0)
+    if (account(s, ci, &live) < 0)
         return -1;
+    c = &s->conns[ci];
     c->index += 1;
     Py_ssize_t target;
     if (target_at(s, c->index, &target) < 0)
@@ -742,6 +981,12 @@ stage_advance(Core *s, int ci)
         return -1;
     c = &s->conns[ci];
     c->start = s->now;
+    if (s->rows) {
+        if (open_span(s, ci) < 0)
+            return -1;
+        s->spans[ci].mark = s->now;
+        return traced_fetch(s, ci);
+    }
     return fetch(s, ci);
 }
 
@@ -753,9 +998,15 @@ stage_complete(Core *s, int ci)
     if (res_finish(s, &s->res[2 * node]) < 0)
         return -1;
     c = &s->conns[ci];
+    if (s->rows) {
+        Span *sp = &s->spans[ci];
+        sp->ph[PH_TEARDOWN] = s->now - sp->mark;
+        sp->mask |= 1 << PH_TEARDOWN;
+    }
     int live;
-    if (account(s, c, &live) < 0)
+    if (account(s, ci, &live) < 0)
         return -1;
+    c = &s->conns[ci];
     double now = s->now;
     if (live) {
         long long load;
@@ -901,6 +1152,10 @@ write_back(Core *s)
                 return -1;
         }
     }
+    /* The rows not flushed yet are the tracer's to flush. */
+    if (s->rows
+        && (set_ll(s->tracer, "fill", s->rfill) < 0 || set_ll(s->tracer, "seq", s->next_req) < 0))
+        return -1;
     return 0;
 }
 
@@ -1068,6 +1323,72 @@ done:
     Py_XDECREF(costs);
     Py_XDECREF(pending);
     return rc;
+}
+
+/* A buffer of one of the tracer's chunk arrays: C-contiguous, writable,
+ * two-dimensional, 8-byte items of ``kind`` ('i' integer, 'd' float),
+ * ``width`` columns. */
+static int
+chunk_buffer(PyObject *tracer, const char *name, char kind, Py_ssize_t width, Py_buffer *view)
+{
+    PyObject *array = PyObject_GetAttrString(tracer, name);
+    if (array == NULL)
+        return -1;
+    int got = PyObject_GetBuffer(array, view, PyBUF_C_CONTIGUOUS | PyBUF_FORMAT | PyBUF_WRITABLE);
+    Py_DECREF(array);
+    if (got < 0)
+        return -1;
+    const char *format = view->format ? view->format : "B";
+    if (format[0] == '<' || format[0] == '=' || format[0] == '@')
+        format++;
+    int ok = view->ndim == 2 && view->itemsize == 8 && view->shape[1] == width && format[1] == '\0'
+             && (kind == 'd' ? format[0] == 'd' : strchr("lq", format[0]) != NULL);
+    if (!ok) {
+        PyBuffer_Release(view);
+        PyErr_Format(PyExc_TypeError, "tracer.%s must be a C-contiguous (rows, %zd) array of %s",
+                     name, width, kind == 'd' ? "float64" : "int64");
+        return -1;
+    }
+    return 0;
+}
+
+/* Take over the tracer's chunk, its span numbers and its sample clock. */
+static int
+init_rows(Core *s, PyObject *tracer)
+{
+    Py_INCREF(tracer);
+    s->tracer = tracer;
+    s->rows = 1;
+    if (chunk_buffer(tracer, "ints", 'i', ROW_INTS, &s->chunk[0]) < 0)
+        return -1;
+    if (chunk_buffer(tracer, "floats", 'd', ROW_FLOATS, &s->chunk[1]) < 0) {
+        PyBuffer_Release(&s->chunk[0]);
+        return -1;
+    }
+    if (chunk_buffer(tracer, "loads", 'i', s->num_nodes, &s->chunk[2]) < 0) {
+        PyBuffer_Release(&s->chunk[0]);
+        PyBuffer_Release(&s->chunk[1]);
+        return -1;
+    }
+    s->have_chunk = 1;
+    s->rint = s->chunk[0].buf;
+    s->rflt = s->chunk[1].buf;
+    s->rload = s->chunk[2].buf;
+    s->rcap = s->chunk[0].shape[0];
+    long long fill;
+    if (s->chunk[1].shape[0] != s->rcap || s->chunk[2].shape[0] != s->rcap || s->rcap < 1) {
+        PyErr_SetString(PyExc_ValueError, "the tracer's chunk arrays differ in length");
+        return -1;
+    }
+    if (get_ll(tracer, "fill", &fill) < 0 || get_ll(tracer, "seq", &s->next_req) < 0
+        || get_double(tracer, "next_sample_t", &s->next_sample) < 0)
+        return -1;
+    if (fill < 0 || fill >= s->rcap) {
+        PyErr_SetString(PyExc_ValueError, "the tracer's chunk has no free row");
+        return -1;
+    }
+    s->rfill = (Py_ssize_t)fill;
+    return 0;
 }
 
 static int dispatch(PyObject *client, int stage, int ci);
@@ -1251,6 +1572,13 @@ Core_init(Core *s, PyObject *args, PyObject *kwds)
     Py_DECREF(dyn);
     if (PyErr_Occurred())
         goto done;
+    PyObject *tracer = PyObject_GetAttrString(fe, "tracer");
+    if (tracer == NULL)
+        goto done;
+    int traced = tracer != Py_None ? init_rows(s, tracer) : 0;
+    Py_DECREF(tracer);
+    if (traced < 0)
+        goto done;
     rc = 0;
 done:
     Py_XDECREF(tracker);
@@ -1288,6 +1616,7 @@ Core_traverse(Core *s, visitproc visit, void *arg)
         Py_VISIT(s->tables[k].source);
     for (int k = 0; s->conns != NULL && k < s->nconns; k++)
         Py_VISIT(s->conns[k].pairs);
+    Py_VISIT(s->tracer);
     return 0;
 }
 
@@ -1329,6 +1658,12 @@ Core_clear_refs(Core *s)
         Py_CLEAR(s->tables[k].source);
     for (int k = 0; s->conns != NULL && k < s->nconns; k++)
         Py_CLEAR(s->conns[k].pairs);
+    if (s->have_chunk) {
+        for (int k = 0; k < 3; k++)
+            PyBuffer_Release(&s->chunk[k]);
+        s->have_chunk = 0;
+    }
+    Py_CLEAR(s->tracer);
     return 0;
 }
 
@@ -1353,6 +1688,8 @@ Core_dealloc(Core *s)
     PyMem_Free(s->pending);
     PyMem_Free(s->conns);
     PyMem_Free(s->pool);
+    PyMem_Free(s->spans);
+    PyMem_Free(s->span_loads);
     Py_TYPE(s)->tp_free((PyObject *)s);
 }
 
@@ -1432,6 +1769,320 @@ static PyTypeObject CoreType = {
     .tp_methods = Core_methods,
 };
 
+/* -- span rows to JSONL ---------------------------------------------------- */
+
+/* The text being built, grown as it goes. */
+typedef struct {
+    char *buf;
+    Py_ssize_t len, cap;
+} Text;
+
+static int
+text_reserve(Text *t, Py_ssize_t extra)
+{
+    if (t->len + extra <= t->cap)
+        return 0;
+    Py_ssize_t cap = 2 * t->cap > t->len + extra ? 2 * t->cap : t->len + extra;
+    char *grown = PyMem_Realloc(t->buf, (size_t)cap);
+    if (grown == NULL) {
+        PyErr_NoMemory();
+        return -1;
+    }
+    t->buf = grown;
+    t->cap = cap;
+    return 0;
+}
+
+/* Appends assume the row's room is reserved (render_rows reserves it). */
+static inline void
+text_put(Text *t, const char *s, size_t n)
+{
+    memcpy(t->buf + t->len, s, n);
+    t->len += (Py_ssize_t)n;
+}
+
+#define TEXT_LITERAL(t, literal) text_put(t, literal, sizeof(literal) - 1)
+
+/* An integer as ``int.__repr__`` writes it. */
+static void
+text_int(Text *t, long long value)
+{
+    char digits[24];
+    int n = 0;
+    unsigned long long u = value < 0 ? 0ULL - (unsigned long long)value : (unsigned long long)value;
+    do {
+        digits[n++] = (char)('0' + u % 10);
+        u /= 10;
+    } while (u);
+    if (value < 0)
+        digits[n++] = '-';
+    while (n)
+        t->buf[t->len++] = digits[--n];
+}
+
+/* The shortest digits of a double x = m * 2^e that read back as x,
+ * the one nearest x among them (float.__repr__'s digits), for the
+ * normal doubles in [2^-37, 2^52) that are not a power of two: every
+ * time and phase a simulated span carries.  Exact, in 128-bit integers:
+ * scaled by 10^k, the smallest power with 10^k * 2^e >= 1, the doubles
+ * that round to x fill an interval longer than 1, so its integers are
+ * candidates, and the shortest is the one with most trailing zeros.
+ * Returns the digits (no trailing zeros) and sets *decpt, the decimal
+ * point's position after the first digit, as dtoa does; 0: not covered
+ * (or an exact tie between two candidates), the caller falls back. */
+static uint64_t
+shortest_digits(double x, int *decpt)
+{
+    uint64_t bits;
+    memcpy(&bits, &x, sizeof bits);
+    int field = (int)(bits >> 52 & 0x7ff);
+    uint64_t m = (bits & ((1ULL << 52) - 1)) | 1ULL << 52;
+    int e = field - 1075;
+    if (bits >> 63 || field == 0 || m == 1ULL << 52 || e < -89 || e > -1)
+        return 0;
+    /* k = ceil(-e * log10(2)): floor(n * log10(2)) is (n * 78913) >> 18
+     * for n < 2620, and -e * log10(2) is never an integer. */
+    int k = ((-e * 78913) >> 18) + 1;
+    int t = 2 - e - k; /* x * 10^k = (4m * 5^k) / 2^t */
+    uint64_t five = 1;
+    for (int i = 0; i < k; i++)
+        five *= 5; /* 5^27 < 2^63 */
+    unsigned __int128 lower = (unsigned __int128)(4 * m - 2) * five;
+    unsigned __int128 upper = (unsigned __int128)(4 * m + 2) * five;
+    unsigned __int128 value = (unsigned __int128)(4 * m) * five;
+    unsigned __int128 below = ((unsigned __int128)1 << t) - 1;
+    /* An even m keeps the interval's ends (strtod rounds half to even). */
+    uint64_t lo, hi;
+    if (m & 1) {
+        lo = (uint64_t)(lower >> t) + 1;
+        hi = (uint64_t)((upper + below) >> t) - 1;
+    }
+    else {
+        lo = (uint64_t)((lower + below) >> t);
+        hi = (uint64_t)(upper >> t);
+    }
+    int j = 0;
+    uint64_t scale = 1;
+    while ((lo + 9) / 10 <= hi / 10) {
+        lo = (lo + 9) / 10;
+        hi /= 10;
+        j++;
+        scale *= 10;
+    }
+    /* The candidate nearest x: x * 10^(k-j) rounded, kept in [lo, hi]. */
+    uint64_t whole = (uint64_t)(value >> t);
+    unsigned __int128 frac = value & below;
+    uint64_t q = whole / scale, r = whole % scale;
+    int up, tie;
+    if (j == 0) {
+        unsigned __int128 half = (unsigned __int128)1 << (t - 1);
+        up = frac > half;
+        tie = frac == half;
+    }
+    else {
+        uint64_t half = scale / 2;
+        up = r > half || (r == half && frac != 0);
+        tie = r == half && frac == 0;
+    }
+    if (tie)
+        return 0;
+    uint64_t digits = q + (uint64_t)up;
+    if (digits < lo)
+        digits = lo;
+    if (digits > hi)
+        digits = hi;
+    int length = 1;
+    for (uint64_t rest = digits; rest >= 10; rest /= 10)
+        length++;
+    *decpt = length + j - k;
+    return digits;
+}
+
+/* A finite float as ``float.__repr__`` writes it; at most 24
+ * characters. */
+static int
+text_float(Text *t, double value)
+{
+    int decpt;
+    uint64_t digits = shortest_digits(value, &decpt);
+    if (digits == 0) {
+        char *repr = PyOS_double_to_string(value, 'r', 0, Py_DTSF_ADD_DOT_0, NULL);
+        if (repr == NULL)
+            return -1;
+        text_put(t, repr, strlen(repr));
+        PyMem_Free(repr);
+        return 0;
+    }
+    char text[20];
+    int n = 0;
+    for (; digits; digits /= 10)
+        text[n++] = (char)('0' + digits % 10);
+    /* text holds the n digits backwards.  Python's 'r' format: fixed
+     * notation for -4 < decpt <= 16, else an exponent of two or more
+     * digits. */
+    if (decpt <= -4 || decpt > 16) {
+        t->buf[t->len++] = text[--n];
+        if (n) {
+            t->buf[t->len++] = '.';
+            while (n)
+                t->buf[t->len++] = text[--n];
+        }
+        int exponent = decpt - 1;
+        t->buf[t->len++] = 'e';
+        t->buf[t->len++] = exponent < 0 ? '-' : '+';
+        if (exponent < 0)
+            exponent = -exponent;
+        if (exponent >= 100)
+            t->buf[t->len++] = (char)('0' + exponent / 100);
+        t->buf[t->len++] = (char)('0' + exponent / 10 % 10);
+        t->buf[t->len++] = (char)('0' + exponent % 10);
+    }
+    else if (decpt <= 0) {
+        TEXT_LITERAL(t, "0.");
+        for (int i = decpt; i < 0; i++)
+            t->buf[t->len++] = '0';
+        while (n)
+            t->buf[t->len++] = text[--n];
+    }
+    else {
+        int written = 0;
+        while (n) {
+            if (written++ == decpt)
+                t->buf[t->len++] = '.';
+            t->buf[t->len++] = text[--n];
+        }
+        for (; written < decpt; written++)
+            t->buf[t->len++] = '0';
+        if (written == decpt)
+            TEXT_LITERAL(t, ".0");
+    }
+    return 0;
+}
+
+/* A row's phases, in the sorted order of their names (json.dumps's
+ * sort_keys): cpu, disk, establish, queue, retry, teardown. */
+static const struct {
+    int phase;
+    const char *key;
+} sorted_phases[NUM_PHASES] = {
+    {PH_CPU, "\"cpu\":"},     {PH_DISK, "\"disk\":"},   {PH_ESTABLISH, "\"establish\":"},
+    {PH_QUEUE, "\"queue\":"}, {PH_RETRY, "\"retry\":"}, {PH_TEARDOWN, "\"teardown\":"},
+};
+
+static const char *const outcome_names[] = {
+    "hit", "miss", "coalesced", "gms_local", "gms_remote", "dynamic", "lost",
+};
+
+/* render_rows(ints, floats, loads, n, policy): the JSONL lines of the
+ * first n rows of a chunk (SpanWriter.write_rows has checked them),
+ * byte for byte what _SpanEncoder.encode writes for their spans;
+ * ``policy`` comes quoted. */
+static PyObject *
+render_rows(PyObject *Py_UNUSED(module), PyObject *args)
+{
+    PyObject *arrays[3], *policy;
+    Py_ssize_t n;
+    if (!PyArg_ParseTuple(args, "OOOnU:render_rows", &arrays[0], &arrays[1], &arrays[2], &n,
+                          &policy))
+        return NULL;
+    Py_ssize_t policy_len;
+    const char *policy_text = PyUnicode_AsUTF8AndSize(policy, &policy_len);
+    if (policy_text == NULL)
+        return NULL;
+    Py_buffer views[3];
+    int got = 0;
+    for (; got < 3; got++) {
+        if (PyObject_GetBuffer(arrays[got], &views[got], PyBUF_C_CONTIGUOUS | PyBUF_FORMAT) < 0)
+            break;
+    }
+    PyObject *result = NULL;
+    Text text = {NULL, 0, 0};
+    if (got < 3)
+        goto done;
+    Py_ssize_t width = views[2].ndim == 2 ? views[2].shape[1] : -1;
+    static const Py_ssize_t widths[2] = {ROW_INTS, ROW_FLOATS};
+    for (int k = 0; k < 3; k++) {
+        if (views[k].ndim != 2 || views[k].itemsize != 8 || views[k].shape[0] < n || n < 0
+            || (k < 2 && views[k].shape[1] != widths[k])) {
+            PyErr_SetString(PyExc_ValueError, "render_rows: not a chunk of span rows");
+            goto done;
+        }
+    }
+    for (Py_ssize_t r = 0; r < n; r++) {
+        const long long *ints = (const long long *)views[0].buf + r * ROW_INTS;
+        const double *floats = (const double *)views[1].buf + r * ROW_FLOATS;
+        const long long *load = (const long long *)views[2].buf + r * width;
+        long long outcome = ints[R_OUTCOME];
+        if (outcome < 0 || outcome > OUT_LOST) {
+            PyErr_Format(PyExc_ValueError, "render_rows: outcome code %lld", outcome);
+            goto done;
+        }
+        /* Every field but the floats, 24 characters each, fits here. */
+        if (text_reserve(&text, 320 + policy_len + 21 * (width + 6) + 24 * (3 + NUM_PHASES)) < 0)
+            goto done;
+        TEXT_LITERAL(&text, "{\"kind\":\"span\",");
+        if (outcome != OUT_LOST) {
+            TEXT_LITERAL(&text, "\"load\":[");
+            for (Py_ssize_t i = 0; i < width; i++) {
+                if (i)
+                    TEXT_LITERAL(&text, ",");
+                text_int(&text, load[i]);
+            }
+            TEXT_LITERAL(&text, "],");
+        }
+        TEXT_LITERAL(&text, "\"node\":");
+        text_int(&text, ints[R_NODE]);
+        TEXT_LITERAL(&text, ",\"outcome\":\"");
+        const char *name = outcome_names[outcome];
+        text_put(&text, name, strlen(name));
+        TEXT_LITERAL(&text, "\",\"phases\":{");
+        int first = 1;
+        for (int p = 0; p < NUM_PHASES; p++) {
+            int phase = sorted_phases[p].phase;
+            if (!(ints[R_MASK] >> phase & 1))
+                continue;
+            if (!first)
+                TEXT_LITERAL(&text, ",");
+            first = 0;
+            text_put(&text, sorted_phases[p].key, strlen(sorted_phases[p].key));
+            if (text_float(&text, floats[R_PHASES + phase]) < 0)
+                goto done;
+        }
+        TEXT_LITERAL(&text, "},\"policy\":");
+        text_put(&text, policy_text, (size_t)policy_len);
+        TEXT_LITERAL(&text, ",\"req\":");
+        text_int(&text, ints[R_REQ]);
+        TEXT_LITERAL(&text, ",\"size\":");
+        text_int(&text, ints[R_SIZE]);
+        TEXT_LITERAL(&text, ",\"t_arrival\":");
+        Py_ssize_t arrival = text.len;
+        if (text_float(&text, floats[R_ARRIVAL]) < 0)
+            goto done;
+        Py_ssize_t arrival_len = text.len - arrival;
+        TEXT_LITERAL(&text, ",\"t_complete\":");
+        if (text_float(&text, floats[R_COMPLETE]) < 0)
+            goto done;
+        TEXT_LITERAL(&text, ",\"t_dispatch\":");
+        memmove(text.buf + text.len, text.buf + arrival, (size_t)arrival_len);
+        text.len += arrival_len;
+        TEXT_LITERAL(&text, ",\"target\":\"");
+        text_int(&text, ints[R_TARGET]);
+        TEXT_LITERAL(&text, "\"}\n");
+    }
+    result = PyUnicode_DecodeASCII(text.buf ? text.buf : "", text.len, NULL);
+done:
+    for (int k = 0; k < got; k++)
+        PyBuffer_Release(&views[k]);
+    PyMem_Free(text.buf);
+    return result;
+}
+
+static PyMethodDef lifecycle_functions[] = {
+    {"render_rows", render_rows, METH_VARARGS,
+     "render_rows(ints, floats, loads, n, policy): the JSONL lines of n span rows."},
+    {NULL, NULL, 0, NULL},
+};
+
 int
 lifecycle_init(PyObject *module)
 {
@@ -1441,7 +2092,10 @@ lifecycle_init(PyObject *module)
     s_completions = PyUnicode_InternFromString("completions");
     s_min_load = PyUnicode_InternFromString("_min_load");
     s_min_cursor = PyUnicode_InternFromString("_min_cursor");
-    if (!s_dispatches || !s_completions || !s_min_load || !s_min_cursor)
+    s_flush = PyUnicode_InternFromString("flush");
+    if (!s_dispatches || !s_completions || !s_min_load || !s_min_cursor || !s_flush)
+        return -1;
+    if (PyModule_AddFunctions(module, lifecycle_functions) < 0)
         return -1;
     return PyModule_AddObjectRef(module, "Core", (PyObject *)&CoreType);
 }

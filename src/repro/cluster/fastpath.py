@@ -14,8 +14,8 @@ in between.  A connection is one object: it holds no method bound to
 itself, so a run's connections are not reference cycles and cost one
 allocation each, however many stages they pass through.
 
-Every simulation runs here: what a run adds — a fault runtime, a
-tracer — is a connection *class*, chosen once by
+Every simulation the compiled core does not take runs here.  A fault
+runtime is a connection *class*, chosen once by
 :meth:`FrontEnd.start() <repro.cluster.frontend.FrontEnd.start>`, that
 overrides only the stages where it intervenes:
 
@@ -27,8 +27,12 @@ overrides only the stages where it intervenes:
   ``rehandoff``, paper Section 5) only makes the batches longer;
 * :class:`FaultyConnection` — a connection under a
   :class:`~repro.cluster.faults.FaultRuntime`: a dispatch to a dark
-  node times out, backs off and re-runs the policy, or is counted lost;
-* the ``Traced*`` classes — either of the two observed by a tracer.
+  node times out, backs off and re-runs the policy, or is counted lost.
+
+A tracer is not a class: each stage that ends a phase times it behind
+one ``if self.tracer:`` test, and the served hook writes the finished
+span as a row into the tracer's chunk (:mod:`repro.obs.tracer`), the
+row ``_lifecycle.c`` writes for the same request.
 
 The coroutine form of the same lifecycle (``yield Service(...)`` per
 stage) lives on as the reference oracle in ``tests/cluster_oracle.py``;
@@ -114,7 +118,7 @@ threshold crossing is left to inline: it integrates over the policy's
 own ``loads``, so the load a policy update has just computed is the one
 it compares, and a +1 (-1) can only leave (enter) underutilization.
 What a run adds should cost what it records, not a frame per stage on
-top: the fault runtime's goodput record and a tracer's span finish both
+top: the fault runtime's goodput record and a tracer's span row both
 ride the served hook, called where a request is booked, and a class
 that changes a stage carries that stage in full
 (``FaultyConnection._fetch``) rather than wrapping the base one.  Only the rare paths — a rehandoff, a
@@ -141,8 +145,6 @@ __all__ = [
     "DiskTimes",
     "FastConnection",
     "FaultyConnection",
-    "TracedConnection",
-    "TracedFaultyConnection",
 ]
 
 #: Shared empty plan for single-service data paths (cache hits,
@@ -154,6 +156,14 @@ _EMPTY_PLAN: Tuple[Tuple[Any, float], ...] = ()
 #: and nobody else waits for it — nearly every read.  The first request
 #: to join replaces it with a list of the connections waiting.
 _NO_WAITERS: Tuple[Any, ...] = ()
+
+# The span-row layout (``repro.obs.span.ROW_PHASES`` / ``ROW_OUTCOMES``,
+# which ``_lifecycle.c`` writes too): a phase's slot in ``phases`` and
+# its bit in ``mask``, and the outcome codes.
+_ESTABLISH, _QUEUE, _DISK, _CPU, _TEARDOWN = range(5)
+_HIT, _MISS, _COALESCED, _GMS_LOCAL, _GMS_REMOTE, _DYNAMIC = range(6)
+#: A span's phases before any is timed (the ``retry`` slot stays 0.0).
+_NO_PHASES = (0.0,) * 6
 
 
 class DiskTimes:
@@ -259,6 +269,14 @@ class FastConnection:
         "advance_stage",
         "complete_stage",
         "_served_hook",
+        "tracer",
+        "req",
+        "load",
+        "mark",
+        "phases",
+        "mask",
+        "outcome",
+        "on_disk",
     )
 
     def __init__(self, fe: Any) -> None:
@@ -296,10 +314,26 @@ class FastConnection:
         self.decide_stage = cls._decide
         self.advance_stage = cls._advance
         self.complete_stage = cls._complete
+        #: The run's tracer, or ``None``: the one test each stage that
+        #: ends a phase makes.
+        self.tracer = tracer = fe.tracer
         #: Observer hook, ``hook(conn, now)``, called when a request is
         #: served (by ``_request_done``, and by ``_complete`` for a
         #: batch's last request); ``None`` on an unobserved connection.
-        self._served_hook: Any = None
+        self._served_hook: Any = cls._write_row if tracer else None
+        # The span of the request being served: its number, the
+        # dispatch-time loads, the phases paid so far (``mask``) and when
+        # the one being timed began, the outcome, and on a disk read
+        # whether the service in flight is the disk's.  The lists are
+        # the span's own, made when it opens: an untraced connection is
+        # one allocation.
+        self.req = 0
+        self.load: Any = ()
+        self.mark = 0.0
+        self.phases: Any = _NO_PHASES
+        self.mask = 0
+        self.outcome = _HIT
+        self.on_disk = False
 
     # -- lifecycle stages ------------------------------------------------------
 
@@ -307,9 +341,10 @@ class FastConnection:
         """Start event: the request's clock starts *now* (exactly where
         the oracle's first resume reads it), then queue establishment."""
         node = self.node
-        engine = self.engine
-        now = engine.now
+        now = self.engine.now
         self.start = now
+        if self.tracer:
+            self._open_span()
         cpu = node.cpu
         # Resource._enqueue, inlined (establish service).
         if cpu._busy:
@@ -321,7 +356,7 @@ class FastConnection:
             if when > now:
                 self.push((when, next(self.seqs), self.decide_stage, self))
             else:
-                engine.post(node._conn_time, self.decide_stage, self)
+                self.engine.post(node._conn_time, self.decide_stage, self)
 
     def _decide(self) -> None:
         """Establishment done: book it, then make the fetch decision."""
@@ -342,7 +377,13 @@ class FastConnection:
                 self.engine.post(duration, stage, conn)
         else:
             cpu._busy = 0
-        self._fetch()
+        if self.tracer:
+            self.phases[_ESTABLISH] = now - self.start
+            self.mask = 1 << _ESTABLISH
+            self.mark = now
+            self._traced_fetch()
+        else:
+            self._fetch()
 
     def _fetch(self) -> None:
         """The fetch decision: count the outcome on the node and enqueue
@@ -467,6 +508,11 @@ class FastConnection:
 
     def _coalesced(self) -> None:
         """The awaited disk read finished: transmit from memory."""
+        if self.tracer:
+            now = self.engine.now
+            self.phases[_QUEUE] = now - self.mark
+            self.mask |= 1 << _QUEUE
+            self.mark = now
         node = self.node
         self.plan = _EMPTY_PLAN
         self.plan_i = 0
@@ -532,6 +578,8 @@ class FastConnection:
         step, or close out the read and move to teardown — or, when the
         plan that ended is not the connection's last, to its next
         request."""
+        if self.tracer:
+            self._time_service()
         res = self.res
         now = self.engine.now
         # Resource._finish, inlined (waiter promotion before our logic).
@@ -596,8 +644,13 @@ class FastConnection:
 
     def _resume(self) -> None:
         """A request on an already-established connection starts."""
-        self.start = self.engine.now
-        self._fetch()
+        now = self.start = self.engine.now
+        if self.tracer:
+            self._open_span()
+            self.mark = now
+            self._traced_fetch()
+        else:
+            self._fetch()
 
     def _rehandoff(self, now: float) -> None:
         """Re-run the policy for this request; if it names another node
@@ -625,9 +678,8 @@ class FastConnection:
         node = self.node
         node.requests_served += 1
         node.bytes_served += self.size
-        hook = self._served_hook
-        if hook is not None:
-            hook(self, now)
+        if self._served_hook:
+            self._served_hook(self, now)
         fe = self.fe
         node_id = node.node_id
         delay = now - self.start
@@ -665,9 +717,8 @@ class FastConnection:
         # in the paper's HTTP/1.0 runs it is every request.
         node.requests_served += 1
         node.bytes_served += self.size
-        hook = self._served_hook
-        if hook is not None:
-            hook(self, now)
+        if self._served_hook:
+            self._served_hook(self, now)
         fe = self.fe
         node_id = node.node_id
         delay = now - self.start
@@ -708,11 +759,12 @@ class FastConnection:
         # The freed slot admits the next trace requests on this object:
         # one connection out, one in, so ``fe.in_flight`` and the pool
         # are left alone (FrontEnd.admit's single admission, inlined).
-        in_flight = fe.in_flight - 1
-        limit = fe.max_in_flight
+        # ``room`` is the slots free once this connection is out, less
+        # one: the one it frees is the one it refills.
+        room = fe.max_in_flight - fe.in_flight
         first = fe._next
         n = fe.n
-        if first < n and in_flight < limit:
+        if first < n and room >= 0:
             end = first + fe.requests_per_connection
             if end > n:
                 end = n
@@ -721,7 +773,7 @@ class FastConnection:
             size = fe._size_list[target]
             node_id = fe.choose(target, size, now)
             take = fe._take_prediction
-            hit_hint = take() if take is not None else None
+            self.hit_hint = take() if take else None
             if not fe.p_alive[node_id]:
                 policy.on_dispatch(node_id)
             load = p_loads[node_id] + 1
@@ -735,13 +787,12 @@ class FastConnection:
             self.node = fe.nodes[node_id]
             self.target = target
             self.size = size
-            self.hit_hint = hit_hint
             self.index = first
             self.last = end - 1
             # A single freed slot admits a single connection; anything
             # more (a raised admission limit racing this completion)
             # goes to the general loop, behind this one's staged start.
-            if in_flight + 1 < limit and end < n:
+            if room > 0 and end < n:
                 engine.post(0.0, self.begin_stage, self)
                 fe.admit()
                 return
@@ -758,8 +809,86 @@ class FastConnection:
         else:
             # Nothing to admit (the trace ran out, or a failure lowered
             # the limit): the slot is given up and the object parked.
-            fe.in_flight = in_flight
+            fe.in_flight -= 1
             fe.pool.append(self)
+
+    # -- the span of a traced request -------------------------------------------
+    #
+    # The phase floats reproduce the oracle's arithmetic exactly
+    # (``tests/cluster_oracle.py`` ``serve(span=...)``; the identity tests
+    # compare span-log bytes against it): ``establish`` and ``teardown``
+    # only where the request paid them, one delta per service on a disk
+    # read, one delta across all the CPU services of any other data path
+    # (a GMS remote hit's three included), ``queue`` then ``cpu`` for a
+    # coalesced read.
+
+    def _open_span(self) -> None:
+        """The request starts: draw its span number and snapshot the
+        policy's loads (its dispatch context)."""
+        tracer = self.tracer
+        self.req = tracer.seq
+        tracer.seq += 1
+        self.load = list(self.fe.p_loads)
+        self.phases = list(_NO_PHASES)
+        self.mask = 0
+
+    def _traced_fetch(self) -> None:
+        """The fetch decision, its outcome read off the node's counters
+        around it: every decision bumps ``cache_hits``, ``cache_misses``
+        or ``dynamic_requests``, and the GMS / coalescing counters tell
+        the rest apart.  Nothing is decided twice."""
+        node = self.node
+        hits = node.cache_hits
+        misses = node.cache_misses
+        local = node.gms_local_hits
+        remote = node.gms_remote_hits
+        coalesced = node.coalesced_reads
+        self._fetch()
+        if node.cache_hits != hits:
+            if node.gms_local_hits != local:
+                self.outcome = _GMS_LOCAL
+            elif node.gms_remote_hits != remote:
+                self.outcome = _GMS_REMOTE
+            else:
+                self.outcome = _HIT
+        elif node.cache_misses == misses:
+            self.outcome = _DYNAMIC
+        elif node.coalesced_reads != coalesced:
+            self.outcome = _COALESCED
+        else:
+            self.outcome = _MISS
+            self.on_disk = True
+
+    def _time_service(self) -> None:
+        """A data service ended (before ``_advance`` books it): a disk
+        read adds it to ``disk`` or ``cpu``, alternately; any other
+        path times its services as one ``cpu`` delta, at the last."""
+        now = self.engine.now
+        last = self.plan_i >= len(self.plan)
+        if self.outcome == _MISS:
+            if self.on_disk:
+                self.phases[_DISK] += now - self.mark
+            else:
+                self.phases[_CPU] += now - self.mark
+            self.on_disk = not self.on_disk
+            self.mark = now
+            if last:
+                self.mask |= 1 << _DISK | 1 << _CPU
+        elif last:
+            self.phases[_CPU] = now - self.mark
+            self.mask |= 1 << _CPU
+            self.mark = now
+
+    def _write_row(self, now: float) -> None:
+        """The served hook of a traced connection: the span's row, with
+        the teardown a batch's last request paid."""
+        if self.last == self.index:
+            self.phases[_TEARDOWN] = now - self.mark
+            self.mask |= 1 << _TEARDOWN
+        self.tracer.row(
+            self.req, self.target, self.size, self.node.node_id, self.start, now,
+            self.outcome, self.mask, self.phases, self.load,
+        )
 
 
 class FaultyConnection(FastConnection):
@@ -799,6 +928,8 @@ class FaultyConnection(FastConnection):
         cls = type(self)
         self.begin_stage = cls._dispatch
         self._served_hook = cls._record_served
+        if self.tracer:
+            self._served_hook = cls._trace_and_record
 
     def _dispatch(self) -> None:
         """Start event: the connection's clock starts, whatever becomes
@@ -827,7 +958,7 @@ class FaultyConnection(FastConnection):
         if self.attempts >= self.retry.max_retries:
             now = self.engine.now
             t_first = self.t_first
-            tracer = fe.tracer
+            tracer = self.tracer
             for index in range(self.index, self.last + 1):
                 fe._account_lost(t_first)
                 faults.record_lost(now, now - t_first)
@@ -891,161 +1022,15 @@ class FaultyConnection(FastConnection):
         """The served hook: the fault runtime's goodput record, with the
         delay the front-end is about to book."""
         if self.index == self.first:
-            # ``start`` has done its other job (the establish phase of a
-            # traced span) by now; from here it is the accounting origin.
+            # ``start`` has done its other job (a traced span's arrival
+            # and establish phase) by now; from here it is the
+            # accounting origin.
             self.start = self.t_first
         self.faults.record_served(now, now - self.start, self.missed)
 
-
-#: ``_Traced.mark`` from the start event until the fetch decision (every
-#: real mark is an engine time, so >= 0): no phase is being timed from a
-#: mark, the establishment runs from ``start``.
-_ESTABLISHING = -1.0
-
-
-class _Traced:
-    """Stage wrappers that stamp a request's span around the unchanged
-    stages of ``_base``, the connection class being observed.
-
-    The phase floats reproduce the oracle's arithmetic exactly
-    (``tests/cluster_oracle.py`` ``serve(span=...)``; the identity tests
-    compare span-log bytes against it): ``establish`` and ``teardown``
-    only where the request paid them, one delta per service on a
-    chunked read, one delta across all the CPU services of any other
-    data path (a GMS remote hit's three included), ``queue`` then
-    ``cpu`` for a coalesced read.
-
-    The wrappers never replay a decision.  ``_fetch`` reads the node's
-    outcome counters around the base stage: every fetch decision bumps
-    ``cache_hits`` or ``cache_misses`` or ``dynamic_requests``, and the
-    GMS / coalescing counters tell the rest apart.  The tracer is
-    duck-typed (``begin``/``finish``), so this module never imports
-    :mod:`repro.obs`.
-    """
-
-    __slots__ = ()
-
-    #: Slots every concrete traced class declares.
-    _SLOTS = ("tracer", "span", "mark", "disk_s", "cpu_s", "on_disk")
-
-    #: The observed class, named explicitly by each concrete class: the
-    #: wrappers call ``self._base.<stage>(self)`` because ``super()``
-    #: costs ~70 ns more per call on CPython 3.11, five times a request.
-    _base: Any = None
-
-    def __init__(self, fe: Any) -> None:
-        self._base.__init__(self, fe)
-        self.tracer = fe.tracer
-        self.span: Any = None
-        #: When the phase now being timed began.
-        self.mark = 0.0
-        # Chunked-read accumulators (disk and CPU time so far).
-        self.disk_s = 0.0
-        self.cpu_s = 0.0
-        self.on_disk = False
-        self._served_hook = type(self)._served
-
-    def _begin(self) -> None:
-        self.span = self.tracer.begin(
-            self.target, self.size, self.node.node_id, self.engine.now
-        )
-        # Establishment is being paid: ``_fetch`` stamps it (the fetch
-        # decision is made in the event that books the establishment,
-        # so the phase needs no wrapper around ``_decide``).
-        self.mark = _ESTABLISHING
-        self._base._begin(self)
-
-    def _resume(self) -> None:
-        now = self.engine.now
-        self.span = self.tracer.begin(self.target, self.size, self.node.node_id, now)
-        self.mark = now
-        self._base._resume(self)
-
-    def _fetch(self) -> None:
-        if self.mark < 0.0:
-            now = self.engine.now
-            self.span.phases["establish"] = now - self.start
-            self.mark = now
-        node = self.node
-        hits = node.cache_hits
-        misses = node.cache_misses
-        local = node.gms_local_hits
-        remote = node.gms_remote_hits
-        coalesced = node.coalesced_reads
-        self._base._fetch(self)
-        span = self.span
-        if node.cache_hits != hits:
-            if node.gms_local_hits != local:
-                span.outcome = "gms_local"
-            elif node.gms_remote_hits != remote:
-                span.outcome = "gms_remote"
-            else:
-                span.outcome = "hit"
-        elif node.cache_misses == misses:
-            span.outcome = "dynamic"
-        elif node.coalesced_reads != coalesced:
-            span.outcome = "coalesced"
-        else:
-            span.outcome = "miss"
-            self.disk_s = self.cpu_s = 0.0
-            self.on_disk = True
-
-    def _coalesced(self) -> None:
-        now = self.engine.now
-        self.span.phases["queue"] = now - self.mark
-        self.mark = now
-        self._base._coalesced(self)
-
-    def _advance(self) -> None:
-        now = self.engine.now
-        span = self.span
-        last = self.plan_i >= len(self.plan)
-        if span.outcome == "miss":
-            if self.on_disk:
-                self.disk_s += now - self.mark
-            else:
-                self.cpu_s += now - self.mark
-            self.on_disk = not self.on_disk
-            self.mark = now
-            if last:
-                span.phases["disk"] = self.disk_s
-                span.phases["cpu"] = self.cpu_s
-        elif last:
-            span.phases["cpu"] = now - self.mark
-            self.mark = now
-        self._base._advance(self)
-
-    def _complete(self) -> None:
-        self.span.phases["teardown"] = self.engine.now - self.mark
-        self._base._complete(self)
-
-    def _served(self, now: float) -> None:
-        span = self.span
-        span.t_complete = now
-        self.span = None
-        self.tracer.finish(span)
-
-
-class TracedConnection(_Traced, FastConnection):
-    """A :class:`FastConnection` observed by a tracer: one span per
-    request, opened when that request starts."""
-
-    __slots__ = _Traced._SLOTS
-    _base = FastConnection
-
-
-class TracedFaultyConnection(_Traced, FaultyConnection):
-    """A :class:`FaultyConnection` observed by a tracer: spans open only
-    for requests a live node serves (lost requests get theirs from
-    ``tracer.lost``)."""
-
-    __slots__ = _Traced._SLOTS
-    _base = FaultyConnection
-
-    def _served(self, now: float) -> None:
-        """Both observers' hook: the span, then the goodput record."""
-        _Traced._served(self, now)
+    def _trace_and_record(self, now: float) -> None:
+        """A traced connection's served hook: the span's row, then the
+        goodput record (which moves ``start``)."""
+        self._write_row(now)
         self._record_served(now)
 
-
-_TRACED = {cls._base: cls for cls in (TracedConnection, TracedFaultyConnection)}

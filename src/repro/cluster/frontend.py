@@ -43,7 +43,7 @@ from ..core.base import Policy
 from ..sim.engine import Engine
 from ..workload.trace import Trace
 from .costs import CostModel
-from .fastpath import _TRACED, DiskTimes, FastConnection, FaultyConnection
+from .fastpath import DiskTimes, FastConnection, FaultyConnection
 from .metrics import LoadTracker
 from .node import BackendNode
 
@@ -69,8 +69,7 @@ class FrontEnd:
       — they are mutated in place, never reassigned — so the
       per-request accounting runs on plain list indexing;
     * the connection pool, and the connection class this run needs: a
-      run without a tracer or a fault runtime executes none of their
-      code.
+      run without a fault runtime executes none of its code.
     """
 
     def __init__(
@@ -139,11 +138,12 @@ class FrontEnd:
         #: Optional :class:`repro.obs.tracer.SimTracer` and
         #: :class:`repro.cluster.faults.FaultRuntime`, attached from
         #: outside before ``start()`` (like the invariant sanitizer).
-        #: Neither changes what runs: each selects the connection class
-        #: the state machine is built from, the tracer's stamping spans
-        #: around the stages, the fault runtime's adding crash detection
-        #: lag, client retries and lost-request accounting — with an
-        #: empty schedule it replays the plain stages exactly.
+        #: Neither changes what runs.  The tracer is a row sink either
+        #: core writes a span into as each request completes; the fault
+        #: runtime selects the connection class the state machine is
+        #: built from, adding crash detection lag, client retries and
+        #: lost-request accounting — with an empty schedule it replays
+        #: the plain stages exactly.
         self.tracer: Optional[Any] = None
         self.faults: Optional[Any] = None
         #: Which lifecycle ``start()`` chose: ``"native"`` (the compiled
@@ -162,8 +162,7 @@ class FrontEnd:
         the pipeline full."""
         if self.faults is not None:
             self.faults.schedule_events(self.engine)
-        base = FastConnection if self.faults is None else FaultyConnection
-        self.conn_class = base if self.tracer is None else _TRACED[base]
+        self.conn_class = FastConnection if self.faults is None else FaultyConnection
         #: The admission loop may run a start event in place.  Not a
         #: traced one: it snapshots ``policy.loads``, which the later
         #: admissions of the same loop still change.
@@ -196,8 +195,9 @@ class FrontEnd:
         The compiled core is the plain :class:`FastConnection` lifecycle
         over private caches, one disk per node, CGI costs, coalesced and
         chunked reads, persistent connections and delay collection.
-        What observes or perturbs a run (a tracer, a fault runtime, the
-        sanitizer's per-event hook, a profiler) and what it does not
+        A tracer is a row sink the core writes too.  What perturbs or
+        watches every event of a run (a fault runtime, the sanitizer's
+        per-event hook, a profiler) and what the core does not
         implement (GMS, LB/GC's hit hints, several disks per
         node, the test oracle's admission seam, events scheduled from
         outside, which could read the books the core keeps until the
@@ -208,8 +208,6 @@ class FrontEnd:
         """
         from ..sim import native
 
-        if self.tracer is not None:
-            return None, "tracer attached"
         if self.faults is not None:
             return None, "fault schedule"
         if self.engine._sanitizer is not None:
@@ -244,13 +242,18 @@ class FrontEnd:
     def run(self) -> float:
         """Dispatch the run's events to the end with :meth:`Engine.run
         <repro.sim.engine.Engine.run>` and return the clock; on the
-        compiled core, then write its books back into these objects."""
+        compiled core, then write its books back into these objects.
+        A tracer's last rows go to its writer however the run ends."""
         core, self._native = self._native, None
         try:
             return self.engine.run()
         finally:
-            if core is not None:
-                core.finish()
+            try:
+                if core is not None:
+                    core.finish()
+            finally:
+                if self.tracer is not None:
+                    self.tracer.flush()
 
     def release(self) -> None:
         """The run is over: free its connections, so that nothing left

@@ -192,9 +192,8 @@ class ClusterSimulator:
     second call raises; build a new ``ClusterSimulator`` to run again.
 
     ``tracer`` attaches a :class:`repro.obs.tracer.SimTracer`: the run
-    takes the one request lifecycle there is (the state machine in
-    :mod:`repro.cluster.fastpath`) with the tracer observing it,
-    emitting one span per request (plus periodic samples) while
+    takes the core it would take untraced, which writes one span row
+    per request into the tracer (plus periodic samples) while
     producing the exact same
     :class:`~repro.cluster.metrics.SimulationResult`.
 
@@ -349,7 +348,7 @@ class ClusterSimulator:
     @property
     def core_reason(self) -> str:
         """Why the run took ``fastpath.py`` (``""`` on the native core):
-        ``tracer attached``, ``fault schedule``, ``sanitizer``,
+        ``fault schedule``, ``sanitizer``, ``profiler attached``,
         ``unsupported configuration: <what>`` or ``extension
         unavailable: <why>``."""
         return self.frontend.core_reason

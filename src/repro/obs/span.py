@@ -38,7 +38,9 @@ import time
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
-from typing import IO, Dict, List, Mapping, Optional, Union
+from typing import IO, Any, Dict, List, Mapping, Optional, Union
+
+import numpy as np
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -52,6 +54,11 @@ __all__ = [
     "validate_record",
     "read_span_log",
     "parse_span_log",
+    "ROW_OUTCOMES",
+    "ROW_PHASES",
+    "ROW_INTS",
+    "ROW_FLOATS",
+    "check_rows",
 ]
 
 #: Bump when a field changes meaning; readers refuse unknown versions.
@@ -442,6 +449,85 @@ class _SpanEncoder:
         )
 
 
+# -- span rows ---------------------------------------------------------------------
+#
+# A simulator span reaches the log as a *row* of fixed-width columns (the
+# tracer's chunk, ``repro.obs.tracer.SimTracer``), written by the request
+# lifecycle -- ``repro/cluster/_lifecycle.c`` or ``repro.cluster.fastpath``,
+# which hard-code the same layout -- and checked and rendered a chunk at a
+# time by :meth:`SpanWriter.write_rows`.  A row is one int64 row of
+# ``ROW_INTS``, one float64 row of ``ROW_FLOATS`` and one int64 row of
+# per-node loads (the dispatch-time snapshot; a ``lost`` span has none).
+# ``t_dispatch`` is ``t_arrival``: the simulated front-end dispatches a
+# request the instant it is admitted.
+
+#: Outcome codes of a row, in code order.
+ROW_OUTCOMES = ("hit", "miss", "coalesced", "gms_local", "gms_remote", "dynamic", "lost")
+#: Phase columns of a row, in the order a request passes them (and
+#: :func:`_validate_span` checks a span's); bit ``k`` of a row's phase
+#: mask says phase ``k`` was paid.
+ROW_PHASES = ("establish", "queue", "disk", "cpu", "teardown", "retry")
+ROW_INTS = ("req", "target", "size", "node", "outcome", "mask")
+ROW_FLOATS = ("t_arrival", "t_complete") + ROW_PHASES
+
+_LOST = ROW_OUTCOMES.index("lost")
+_BITS = np.arange(len(ROW_PHASES), dtype=np.int64)
+
+
+def _row_span(ints: Any, floats: Any, loads: Any, k: int, policy: str) -> Span:
+    """Row ``k`` as the :class:`Span` it stands for."""
+    req, target, size, node, code, mask = ints[k].tolist()
+    times = floats[k].tolist()
+    phases = {
+        name: times[2 + bit] for bit, name in enumerate(ROW_PHASES) if mask >> bit & 1
+    }
+    outcome = ROW_OUTCOMES[code] if 0 <= code < len(ROW_OUTCOMES) else f"<code {code}>"
+    load = None if code == _LOST else loads[k].tolist()
+    t_arrival = times[0]
+    return Span(
+        req, str(target), size, policy, node, t_arrival, t_arrival, times[1], outcome, load, phases
+    )
+
+
+def check_rows(ints: Any, floats: Any, loads: Any, n: int, policy: str) -> None:
+    """Raise :class:`SchemaError` unless the first ``n`` rows are spans
+    :func:`_validate_span` accepts.
+
+    The check runs over whole columns; the first row it rejects is
+    checked again as a :class:`Span`, so the message is the one
+    :meth:`SpanWriter.write_span` would give, prefixed with the row's
+    ``req``.
+    """
+    head, times = ints[:n], floats[:n]
+    t_arrival, t_complete = times[:, 0], times[:, 1]
+    ok = (0.0 <= t_arrival) & (t_arrival <= t_complete) & (t_complete < np.inf)
+    codes, masks = head[:, 4], head[:, 5]
+    ok &= (0 <= codes) & (codes < len(ROW_OUTCOMES)) & (masks >> len(ROW_PHASES) == 0)
+    paid = (masks[:, None] >> _BITS) & 1 == 1
+    phases = times[:, 2:]
+    ok &= ~(paid & ~((0.0 <= phases) & (phases < np.inf))).any(axis=1)
+    if ok.all():
+        return
+    k = int(np.argmin(ok))
+    span = _row_span(ints, floats, loads, k, policy)
+    try:
+        _validate_span(
+            span.req, span.target, span.size, span.policy, span.node, span.outcome,
+            span.t_arrival, span.t_dispatch, span.t_complete, span.phases, span.load,
+        )
+    except SchemaError as exc:
+        raise SchemaError(f"span req={span.req}: {exc}") from exc
+    raise SchemaError(f"span req={span.req}: phase mask {int(masks[k]):#x} names no phase")
+
+
+def _render_rows(
+    ints: Any, floats: Any, loads: Any, n: int, policy: str, encoder: _SpanEncoder
+) -> str:
+    """The reference rendering of checked rows: each row's
+    :class:`Span`, formatted by ``encoder``."""
+    return "".join([encoder.encode(_row_span(ints, floats, loads, k, policy)) for k in range(n)])
+
+
 class SpanWriter:
     """Streaming JSONL span sink, shared by every emitting thread.
 
@@ -511,9 +597,14 @@ class SpanWriter:
 
     def write(self, record: Mapping[str, object]) -> None:
         """Validate and append one record to the stream (the generic
-        path: meta, sample and fault records, or a span already a dict)."""
+        path: meta, sample and fault records, or a span already a dict).
+        A non-finite number anywhere in it (a sample's ratio, a fault's
+        detail) is a :class:`SchemaError`: ``NaN`` is not JSON."""
         validate_record(record)
-        line = json.dumps(record, separators=(",", ":"), sort_keys=True)
+        try:
+            line = json.dumps(record, separators=(",", ":"), sort_keys=True, allow_nan=False)
+        except ValueError as exc:
+            raise SchemaError(f"{record.get('kind')} record: {exc}") from exc
         self._append(line + "\n", 1 if record.get("kind") == "span" else 0)
 
     def write_span(self, span: Span) -> None:
@@ -579,6 +670,28 @@ class SpanWriter:
         record.update(details)
         self.write(record)
 
+    def write_rows(self, ints: Any, floats: Any, loads: Any, n: int, policy: str) -> None:
+        """Check the first ``n`` span rows of a chunk against the schema
+        (:func:`check_rows`) and append them, in row order.  The compiled
+        renderer formats them when the extension is loaded and no
+        profiler watches; otherwise :class:`_SpanEncoder` does, a
+        :class:`Span` per row.  The bytes are the same either way."""
+        check_rows(ints, floats, loads, n, policy)
+        from ..sim import native  # lazily: the live prototype never renders rows
+
+        module, _ = native.load()
+        with self._lock:
+            if self._closed:
+                return
+            if module is None or native.profiled():
+                text = _render_rows(ints, floats, loads, n, policy, self._encoder)
+            else:
+                text = module.render_rows(ints, floats, loads, n, _quote(policy))
+            self._write_taken()
+            self._stream.write(text)
+            self.records_written += n
+            self.spans_written += n
+
     # -- lifecycle -------------------------------------------------------------
 
     def close(self) -> None:
@@ -621,6 +734,11 @@ class SpanLog:
         return sum(span.delay_s for span in self.spans)
 
 
+def _refuse_constant(name: str) -> float:
+    """``json.loads`` reads ``NaN`` and ``Infinity``; a log may not hold them."""
+    raise SchemaError(f"numbers must be finite, got {name}")
+
+
 def parse_span_log(lines: List[str]) -> SpanLog:
     """Parse span-log lines (validating every record against the schema)."""
     meta: Optional[Dict[str, object]] = None
@@ -632,9 +750,11 @@ def parse_span_log(lines: List[str]) -> SpanLog:
         if not line:
             continue
         try:
-            record = json.loads(line)
+            record = json.loads(line, parse_constant=_refuse_constant)
         except json.JSONDecodeError as exc:
             raise SchemaError(f"line {number}: invalid JSON: {exc}") from exc
+        except SchemaError as exc:
+            raise SchemaError(f"line {number}: {exc}") from exc
         if not isinstance(record, dict):
             raise SchemaError(f"line {number}: record must be a JSON object")
         try:

@@ -290,7 +290,7 @@ def _connection(fe, batch: List[Tuple[int, int]], node_id: int, epoch: int, hit_
                 )
         start = fe.engine.now
         if tracer is not None:
-            span = tracer.begin(target, size, node_id, start)
+            span = _open_span(fe, target, size, node_id, start)
         yield from serve(
             fe,
             fe.nodes[node_id],
@@ -303,7 +303,7 @@ def _connection(fe, batch: List[Tuple[int, int]], node_id: int, epoch: int, hit_
         )
         if tracer is not None:
             span.t_complete = fe.engine.now
-            tracer.finish(span)
+            _finish_span(fe, span)
         fe._account_request(node_id, epoch, start)
     fe._detach(node_id, epoch)
     fe.in_flight -= 1
@@ -327,6 +327,37 @@ def _maybe_rehandoff(fe, node_id: int, epoch: int, target: int, size: int):
     fe._attach(new_node)
     fe.rehandoffs += 1
     return new_node, fe._epoch[new_node], hit_hint
+
+
+def _open_span(fe, target, size: int, node_id: int, now: float):
+    """A request's span, opened where it starts: numbered from the
+    tracer's sequence (spans are numbered in start order), with the
+    policy's loads at that instant."""
+    from repro.obs.span import Span
+
+    tracer = fe.tracer
+    span = Span(
+        tracer.seq, str(target), size, "", node_id, now, now, 0.0, "error",
+        list(fe.p_loads), {},
+    )
+    tracer.seq += 1
+    return span
+
+
+def _finish_span(fe, span) -> None:
+    """The finished span, as the row the state machine writes for it."""
+    from repro.obs.span import ROW_OUTCOMES, ROW_PHASES
+
+    phases = span.phases
+    mask = 0
+    for bit, name in enumerate(ROW_PHASES):
+        if name in phases:
+            mask |= 1 << bit
+    fe.tracer.row(
+        span.req, int(span.target), span.size, span.node, span.t_arrival,
+        span.t_complete, ROW_OUTCOMES.index(span.outcome), mask,
+        [phases.get(name, 0.0) for name in ROW_PHASES], span.load,
+    )
 
 
 class _FaultProbe:
@@ -412,7 +443,7 @@ def _connection_faulty(
                     continue
         start = engine.now
         span = (
-            tracer.begin(target, size, node_id, start)
+            _open_span(fe, target, size, node_id, start)
             if tracer is not None
             else _FaultProbe()
         )
@@ -429,7 +460,7 @@ def _connection_faulty(
         now = engine.now
         if tracer is not None:
             span.t_complete = now
-            tracer.finish(span)
+            _finish_span(fe, span)
         request_start = t_first if index == 0 else start
         fe._account_request(node_id, epoch, request_start)
         faults.record_served(

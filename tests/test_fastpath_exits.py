@@ -141,7 +141,7 @@ def test_every_exit_of_complete_keeps_the_oracles_books(trace, case, traced, mon
 
 #: The park exit that forgets to give the slot up.  Batches of one and
 #: of four leave through the same ``_complete``; each must catch it.
-_PARK_EXIT = "the slot is given up and the object parked.\n            fe.in_flight = in_flight\n"
+_PARK_EXIT = "the slot is given up and the object parked.\n            fe.in_flight -= 1\n"
 #: name -> (anchor in cluster/fastpath.py, ``-k`` selector).
 _MUTATIONS = {
     "plain-park-exit-keeps-the-slot": (_PARK_EXIT, "plain"),
@@ -154,6 +154,6 @@ def test_seeded_exit_mutation_is_caught(name, tmp_path):
     anchor, selector = _MUTATIONS[name]
     assert_selected_tests_fail(
         tmp_path, "cluster/fastpath.py", anchor,
-        anchor.replace("            fe.in_flight = in_flight\n", ""),
+        anchor.replace("            fe.in_flight -= 1\n", ""),
         __file__, f"every_exit and untraced and ({selector})",
     )

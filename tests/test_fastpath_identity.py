@@ -18,7 +18,7 @@ import types
 
 import pytest
 
-from repro.cluster.fastpath import FastConnection, TracedConnection, TracedFaultyConnection
+from repro.cluster.fastpath import FastConnection, FaultyConnection
 from repro.cluster.faults import CrashFault, FaultSchedule
 from repro.cluster.frontend import FrontEnd
 from repro.cluster.simulator import ClusterConfig, ClusterSimulator
@@ -304,10 +304,10 @@ def test_traced_state_machine_matches_generator_span_log(trace, config):
     assert fast == slow == _run(trace, fastpath=True, **config)
     assert fast_log.count('"kind":"span"') == len(trace)
     assert fast_log.count('"kind":"sample"') >= 2
-    # ...and it really was the state machine, one traced class for every
-    # batch length (its faulty form under a fault schedule).
+    # ...and it really was the state machine, one class for every batch
+    # length, traced or not (its faulty form under a fault schedule).
     faulty = "fault_schedule" in config
-    assert _conn_class(sim) is (TracedFaultyConnection if faulty else TracedConnection)
+    assert _conn_class(sim) is (FaultyConnection if faulty else FastConnection)
 
 
 def test_traced_state_machine_matches_generator_on_cgi(cgi_trace):

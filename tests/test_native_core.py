@@ -87,7 +87,6 @@ def _probe(sim):
 #: reason -> (config fields, attach a tracer, what is done to the built
 #: simulator).  Every run here could take neither core but the reference.
 _REFERENCE_ONLY = {
-    "tracer attached": (dict(), True, None),
     "fault schedule": (dict(fault_schedule=FaultSchedule()), False, None),
     "sanitizer": (dict(sanitize=True), False, None),
     "profiler attached": (dict(), False, _profiled),
@@ -124,12 +123,16 @@ def test_an_unavailable_extension_names_its_reason(trace):
     assert type(sim.engine) is Engine
 
 
-@pytest.mark.parametrize("reason", sorted(_REFERENCE_ONLY))
+#: The runs above, and a traced one, which takes the compiled core.
+_ENGINE_CASES = {**_REFERENCE_ONLY, "tracer attached": (dict(), True, None)}
+
+
+@pytest.mark.parametrize("reason", sorted(_ENGINE_CASES))
 def test_every_run_but_a_profiled_one_takes_the_compiled_engine(trace, reason):
     """The reference lifecycle runs on the compiled engine too: only a
     profiler (or no extension) keeps ``engine.py``, and says so."""
     require_native()
-    fields, traced, prepare = _REFERENCE_ONLY[reason]
+    fields, traced, prepare = _ENGINE_CASES[reason]
     config = ClusterConfig(
         **{"policy": "lard/r", "num_nodes": 3, "node_cache_bytes": 2**19, **fields}
     )
@@ -242,13 +245,12 @@ def test_simulate_prints_the_core_it_took(tmp_path):
         env=env, capture_output=True, text=True, timeout=120,
     )
     assert plain.returncode == traced.returncode == 0, plain.stderr + traced.stderr
-    if native.load()[0] is not None:
-        assert "\ncore: native\nengine: native" in plain.stdout
-        assert "\ncore: python (tracer attached)\nengine: native" in traced.stdout
-    else:
-        assert "\ncore: python (extension unavailable: " in plain.stdout
-        assert "\nengine: python (extension unavailable: " in plain.stdout
-    assert "\ncore: python (tracer attached)\n" in traced.stdout
+    for run in (plain, traced):
+        if native.load()[0] is not None:
+            assert "\ncore: native\nengine: native" in run.stdout
+        else:
+            assert "\ncore: python (extension unavailable: " in run.stdout
+            assert "\nengine: python (extension unavailable: " in run.stdout
 
 
 #: Experiment -> why its ``smoke`` cells that take ``fastpath.py`` do
@@ -470,6 +472,53 @@ def test_the_warm_path_spawns_nothing(tmp_path):
 
 
 @needs_cc
+def test_a_traced_run_takes_the_native_core(trace):
+    """A tracer is a row sink the compiled core writes: it keeps a run
+    on neither reference."""
+    require_native()
+    config = ClusterConfig(policy="lard/r", num_nodes=3, node_cache_bytes=2**19)
+    sim = ClusterSimulator(trace, config, tracer=_tracer())
+    sim.run()
+    assert (sim.core, sim.core_reason) == ("native", "")
+    assert (sim.engine_kind, sim.engine_reason) == ("native", "")
+    assert sim.tracer.spans_finished == len(trace)
+
+
+#: name -> (anchor in cluster/_lifecycle.c, replacement): bugs in the
+#: compiled core's span rows, each caught by the span-log identity tests.
+_ROW_MUTATIONS = {
+    "teardown-stamped-from-the-start": (
+        "        sp->ph[PH_TEARDOWN] = s->now - sp->mark;\n",
+        "        sp->ph[PH_TEARDOWN] = s->now - c->start;\n",
+    ),
+    # In-place starts in the admission loop under a tracer (the initial
+    # fill among them): the loads are snapshotted at admission, before
+    # the loop's later admissions.
+    "in-place-start-left-on-under-a-tracer": (
+        "        if (!s->rows && start_in_place(s)) {\n",
+        "        if (s->rows || start_in_place(s)) {\n",
+    ),
+    "chunk-not-flushed-before-a-sample": (
+        "    if (rows_flush(s) < 0)\n        return -1;\n    long long hits = 0",
+        "    long long hits = 0",
+    ),
+}
+
+
+@needs_cc
+@pytest.mark.parametrize("name", sorted(_ROW_MUTATIONS))
+def test_seeded_span_row_mutation_is_caught_by_the_identity_suite(tmp_path, name):
+    anchor, replacement = _ROW_MUTATIONS[name]
+    assert_selected_tests_fail(
+        tmp_path,
+        "cluster/_lifecycle.c",
+        anchor,
+        replacement,
+        str(REPO_ROOT / "tests" / "test_obs_sim_tracing.py"),
+        "test_span_log_bytes_match_parent and lard",
+    )
+
+
 def test_seeded_c_mutation_is_caught_by_the_identity_suite(tmp_path):
     """A data service whose busy time never reaches the resource's
     integral: every utilisation comes out low on the native core only."""

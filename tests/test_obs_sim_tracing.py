@@ -5,6 +5,10 @@ produce a :class:`SimulationResult` equal to the untraced run, down to
 the exported CSV bytes, while the span log it emits must account for
 every request and reproduce the run's aggregate delay *exactly* (the
 tracer observes the same floats the accounting path adds up).
+
+A traced run takes the compiled core where it can, and the classes
+whose tests depend on the core run a second time on the references
+(``...OnTheReference``, as a machine without a C compiler runs them).
 """
 
 import hashlib
@@ -15,10 +19,11 @@ import pytest
 from repro.analysis.sweep import result_row, write_csv
 from repro.cluster import ClusterConfig, ClusterSimulator, run_simulation
 from repro.obs import SpanWriter, read_span_log
-from repro.obs.span import _SPAN_BATCH
+from repro.obs.span import parse_span_log
 from repro.obs.tracer import SimTracer
 from repro.sim import SanitizerError
 from repro.workload import cgi_mix_trace, synthesize_trace
+from tests.native_core import native_available, reference_core, require_native
 
 CACHE = 256 * 1024
 
@@ -34,6 +39,18 @@ def _run_traced(tmp_path, trace, name="spans.jsonl", **kwargs):
 
 
 KWARGS = dict(policy="lard/r", num_nodes=3, node_cache_bytes=CACHE)
+
+
+class _OnTheReference:
+    """Mixed into a test class: its tests again, on ``fastpath.py`` and
+    ``engine.py``."""
+
+    core = "python"
+
+    @pytest.fixture(autouse=True)
+    def _reference_core(self):
+        with reference_core():
+            yield
 
 
 class TestReadOnlyContract:
@@ -106,6 +123,8 @@ def _cgi_trace():
 
 
 class TestMatchesParentLifecycle:
+    core = "native" if native_available() else "python"
+
     @pytest.mark.parametrize("case", sorted(_PARENT_SPAN_LOG_SHA256))
     def test_span_log_bytes_match_parent(self, case):
         trace = _cgi_trace() if case == "cgi" else _trace()
@@ -114,9 +133,12 @@ class TestMatchesParentLifecycle:
         buf = io.StringIO()
         with SpanWriter(buf, source="sim") as writer:
             tracer = SimTracer(writer, sample_interval_s=0.05)
-            ClusterSimulator(trace, config, tracer=tracer).run()
+            sim = ClusterSimulator(trace, config, tracer=tracer)
+            sim.run()
         digest = hashlib.sha256(buf.getvalue().encode()).hexdigest()
         assert digest == _PARENT_SPAN_LOG_SHA256[case]
+        # GMS and LB/GC's hit hints are the reference's on either.
+        assert sim.core == (self.core if case in ("lard/r", "cgi") else "python")
 
     def test_cgi_trace_traces_and_is_unperturbed(self, tmp_path):
         trace = _cgi_trace()
@@ -125,6 +147,10 @@ class TestMatchesParentLifecycle:
         assert traced == plain
         dynamic = sum(1 for span in log.spans if span.outcome == "dynamic")
         assert dynamic == plain.dynamic_requests > 0
+
+
+class TestMatchesParentLifecycleOnTheReference(_OnTheReference, TestMatchesParentLifecycle):
+    pass
 
 
 class TestSpanContent:
@@ -168,6 +194,10 @@ class TestSpanContent:
         assert "gms_local" in outcomes or "gms_remote" in outcomes
 
 
+class TestSpanContentOnTheReference(_OnTheReference, TestSpanContent):
+    pass
+
+
 class TestSampling:
     def test_samples_emitted_on_interval(self, tmp_path):
         path = tmp_path / "sampled.jsonl"
@@ -208,10 +238,16 @@ class TestSampling:
         assert log.samples == []
 
 
+class TestSamplingOnTheReference(_OnTheReference, TestSampling):
+    pass
+
+
 class TestRunThatEndsEarly:
-    """The tracer hands its spans over to the writer, which formats them
-    a batch at a time; a run that dies must still leave every finished
+    """The lifecycle writes its spans as rows, which the writer formats
+    a chunk at a time; a run that dies must still leave every finished
     span in a log closed by ``with SpanWriter(...)``."""
+
+    core = "native" if native_available() else "python"
 
     def _traced(self, writer, **config):
         tracer = SimTracer(writer)
@@ -224,8 +260,8 @@ class TestRunThatEndsEarly:
         log = read_span_log(path)
         finished = sim.frontend.completed
         assert 0 < finished < len(sim.trace)
-        # Part of a batch was still waiting to be formatted.
-        assert finished % _SPAN_BATCH
+        # Part of a chunk was still waiting to be formatted.
+        assert finished % len(tracer.ints)
         assert len({span.req for span in log.spans}) == len(log.spans) == finished
         assert tracer.spans_finished == finished
 
@@ -233,9 +269,21 @@ class TestRunThatEndsEarly:
         path = tmp_path / "stalled.jsonl"
         with SpanWriter(path, source="sim") as writer:
             tracer, sim = self._traced(writer)
-            sim.engine.schedule(1.0, sim.engine.stop)
+            # Stopped from inside the run, by the 700th policy decision:
+            # an event scheduled from outside would keep the run off the
+            # compiled core.
+            choose, calls = sim.frontend.choose, []
+
+            def choose_then_stop(*args):
+                calls.append(None)
+                if len(calls) == 700:
+                    sim.engine.stop()
+                return choose(*args)
+
+            sim.frontend.choose = choose_then_stop
             with pytest.raises(RuntimeError, match="simulation stalled"):
                 sim.run()
+        assert sim.core == self.core
         self._check(path, tracer, sim)
 
     def test_sanitizer_violation_keeps_every_finished_span(self, tmp_path):
@@ -250,3 +298,73 @@ class TestRunThatEndsEarly:
             with pytest.raises(SanitizerError, match="in_flight is negative"):
                 sim.run()
         self._check(path, tracer, sim)
+
+
+class TestRunThatEndsEarlyOnTheReference(_OnTheReference, TestRunThatEndsEarly):
+    pass
+
+
+# -- the compiled core writes the reference's span log ------------------------------
+
+#: name -> (trace, ClusterConfig fields, sample interval): the paths a
+#: span row has to time, on each core.
+_BOTH_CORES = {
+    "persistent-sticky": (_trace, dict(requests_per_connection=4), None),
+    "persistent-rehandoff": (
+        _trace, dict(requests_per_connection=3, persistent_policy="rehandoff"), None
+    ),
+    "cgi": (_cgi_trace, dict(), None),
+    "chunked": (
+        lambda: synthesize_trace(1500, 60, 40 * 10**6, 1.0, seed=5), dict(), None
+    ),
+    "coalesced-and-not": (_trace, dict(coalesce_reads=False), None),
+    "sampled": (_trace, dict(), 0.01),
+    "1024-nodes": (
+        lambda: synthesize_trace(3000, 2000, 64 * 10**6, 1.0, seed=3),
+        dict(num_nodes=1024, policy="wrr"),
+        0.2,
+    ),
+}
+
+
+def _span_log(trace, fields, interval):
+    buf = io.StringIO()
+    with SpanWriter(buf, source="sim") as writer:
+        config = ClusterConfig(**{**KWARGS, **fields})
+        sim = ClusterSimulator(trace, config, tracer=SimTracer(writer, interval))
+        sim.run()
+    return sim, buf.getvalue()
+
+
+@pytest.mark.parametrize("case", sorted(_BOTH_CORES))
+def test_compiled_and_reference_span_logs_are_byte_equal(case):
+    require_native()
+    make_trace, fields, interval = _BOTH_CORES[case]
+    trace = make_trace()
+    compiled, compiled_log = _span_log(trace, fields, interval)
+    with reference_core():
+        reference, reference_log = _span_log(trace, fields, interval)
+    assert (compiled.core, reference.core) == ("native", "python")
+    assert compiled_log == reference_log
+    assert compiled_log.count('"kind":"span"') == len(trace)
+    if interval is not None:
+        assert compiled_log.count('"kind":"sample"') >= 2
+
+
+def test_the_cases_drive_every_path_the_core_times():
+    """The cases above are only a proof if, between them, they reach
+    every outcome the compiled core writes, every phase it times and
+    reads of several disk chunks."""
+    outcomes, phases = set(), set()
+    for case in ("cgi", "chunked", "coalesced-and-not", "persistent-sticky"):
+        make_trace, fields, interval = _BOTH_CORES[case]
+        sim, log = _span_log(make_trace(), fields, interval)
+        parsed = parse_span_log(log.splitlines())
+        outcomes.update(span.outcome for span in parsed.spans)
+        phases.update(name for span in parsed.spans for name in span.phases)
+        if case == "chunked":
+            assert sim.nodes[0].costs.disk_chunk_bytes < max(
+                span.size for span in parsed.spans
+            )
+    assert outcomes == {"hit", "miss", "coalesced", "dynamic"}
+    assert phases == {"establish", "queue", "disk", "cpu", "teardown"}

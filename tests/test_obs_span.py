@@ -10,6 +10,8 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import example, given, settings
 
+import numpy as np
+
 from repro.obs import span as span_module
 from repro.obs import (
     OUTCOMES,
@@ -21,6 +23,7 @@ from repro.obs import (
     read_span_log,
     validate_record,
 )
+from repro.sim import native
 from tests.seeded_mutation import assert_selected_tests_fail
 
 
@@ -153,6 +156,25 @@ class TestWriter:
             parse_span_log([meta, line])
         with pytest.raises(SchemaError, match="line 2.*finite"):
             parse_span_log([meta, '{"kind":"sample","t":NaN}'])
+
+    def test_non_finite_sample_and_fault_details_are_refused(self):
+        """A sample's ratio or a fault's detail once went out as
+        ``NaN`` / ``Infinity``, which is not JSON, and read back without
+        complaint."""
+        sink = io.StringIO()
+        with SpanWriter(sink) as writer:
+            with pytest.raises(SchemaError, match="sample record.*not JSON compliant"):
+                writer.write_sample(0.5, {"miss_ratio": math.nan})
+            with pytest.raises(SchemaError, match="fault record.*not JSON compliant"):
+                writer.write_fault(1.0, 0, "crash", lag=math.inf)
+            assert writer.records_written == 1
+        assert sink.getvalue().count("\n") == 1  # the meta line only
+        meta = json.dumps({"kind": "meta", "schema": SCHEMA_VERSION, "source": "sim"})
+        for line in ('{"kind":"sample","t":0.5,"miss_ratio":NaN}',
+                     '{"event":"crash","kind":"fault","lag":Infinity,"node":0,"t":1.0}',
+                     '{"kind":"sample","t":0.5,"load":[-Infinity]}'):
+            with pytest.raises(SchemaError, match="line 2: numbers must be finite"):
+                parse_span_log([meta, line])
 
     def test_bad_source_rejected(self):
         with pytest.raises(ValueError, match="source"):
@@ -530,3 +552,119 @@ def test_seeded_mutation_is_caught(name, tmp_path):
     assert_selected_tests_fail(
         tmp_path, "obs/span.py", anchor, replacement, __file__, selector
     )
+
+
+# -- span rows: the column check and the two renderers ---------------------------
+
+_ROW_SPAN = dict(
+    req=5, target="17", size=2048, policy="lard/r", node=1, t_arrival=1.0,
+    t_dispatch=1.0, t_complete=2.0, outcome="miss", load=[3, 1, 4],
+    phases={"establish": 0.25, "disk": 0.5, "cpu": 0.125, "teardown": 0.125},
+)
+
+
+def _rows(spans):
+    """The chunk a lifecycle would have written for ``spans``."""
+    n = len(spans)
+    ints = np.zeros((n, len(span_module.ROW_INTS)), dtype=np.int64)
+    floats = np.zeros((n, len(span_module.ROW_FLOATS)), dtype=np.float64)
+    loads = np.zeros((n, 3), dtype=np.int64)
+    for k, span in enumerate(spans):
+        mask = 0
+        for bit, name in enumerate(span_module.ROW_PHASES):
+            if name in span.phases:
+                mask |= 1 << bit
+                floats[k, 2 + bit] = span.phases[name]
+        code = span_module.ROW_OUTCOMES.index(span.outcome)
+        ints[k] = (span.req, int(span.target), span.size, span.node, code, mask)
+        floats[k, :2] = (span.t_arrival, span.t_complete)
+        if span.load is not None:
+            loads[k] = span.load
+    return ints, floats, loads
+
+
+_damage = st.sampled_from([
+    ("t_arrival", math.nan), ("t_complete", math.nan), ("t_complete", math.inf),
+    ("t_arrival", -0.5), ("t_arrival", 3.0), ("establish", math.nan),
+    ("disk", -1e-9), ("cpu", math.inf), ("teardown", -2.0), ("establish", -0.0),
+])
+
+
+class TestSpanRows:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        damages=st.lists(st.tuples(st.integers(0, 7), _damage), max_size=4),
+        reqs=st.lists(st.integers(0, 10**6), min_size=8, max_size=8, unique=True),
+    )
+    @example(damages=[(3, ("disk", -1e-9)), (6, ("t_arrival", math.nan))], reqs=list(range(8)))
+    def test_the_column_check_rejects_what_validate_span_rejects(self, damages, reqs):
+        """Row by row, the first span ``_validate_span`` refuses is the
+        one the column check names, by its ``req``, with its message."""
+        spans = [Span(**dict(_ROW_SPAN, req=req, phases=dict(_ROW_SPAN["phases"]))) for req in reqs]
+        for k, (field, value) in damages:
+            if field in ("t_arrival", "t_complete"):
+                setattr(spans[k], field, value)
+                if field == "t_arrival":
+                    spans[k].t_dispatch = value
+            else:
+                spans[k].phases[field] = value
+        expected = None
+        for span in spans:
+            try:
+                span_module._validate_span(
+                    span.req, span.target, span.size, span.policy, span.node, span.outcome,
+                    span.t_arrival, span.t_dispatch, span.t_complete, span.phases, span.load,
+                )
+            except SchemaError as exc:
+                expected = f"span req={span.req}: {exc}"
+                break
+        ints, floats, loads = _rows(spans)
+        if expected is None:
+            span_module.check_rows(ints, floats, loads, len(spans), "lard/r")
+        else:
+            with pytest.raises(SchemaError) as rejected:
+                span_module.check_rows(ints, floats, loads, len(spans), "lard/r")
+            assert str(rejected.value) == expected
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        rows=st.lists(
+            st.tuples(
+                st.sampled_from(span_module.ROW_OUTCOMES),
+                st.integers(0, 63),
+                st.lists(st.floats(0.0, 1e6, allow_nan=False), min_size=8, max_size=8),
+                st.lists(st.integers(0, 2**40), min_size=3, max_size=3),
+                st.integers(0, 2**62),
+            ),
+            min_size=1, max_size=12,
+        )
+    )
+    def test_the_compiled_renderer_writes_the_reference_s_bytes(self, rows):
+        """``render_rows`` against ``_SpanEncoder``, a :class:`Span` per
+        row: every outcome, every set of phases, any floats."""
+        module, why = native.load()
+        if module is None:
+            pytest.skip(f"no compiled extension: {why}")
+        n = len(rows)
+        ints = np.zeros((n, 6), dtype=np.int64)
+        floats = np.zeros((n, 8), dtype=np.float64)
+        loads = np.zeros((n, 3), dtype=np.int64)
+        for k, (outcome, mask, values, load, big) in enumerate(rows):
+            ints[k] = (big, big // 3, big // 7, k, span_module.ROW_OUTCOMES.index(outcome), mask)
+            floats[k] = sorted(values[:2]) + values[2:]
+            loads[k] = load
+        reference = span_module._render_rows(
+            ints, floats, loads, n, "lard/r", span_module._SpanEncoder()
+        )
+        assert module.render_rows(ints, floats, loads, n, '"lard/r"') == reference
+
+    def test_write_rows_appends_checked_rows_in_order(self):
+        spans = [Span(**dict(_ROW_SPAN, req=req)) for req in (4, 2, 9)]
+        sink = io.StringIO()
+        with SpanWriter(sink) as writer:
+            writer.write_sample(0.5, {"load": [1]})
+            writer.write_rows(*_rows(spans), 3, "lard/r")
+            assert writer.spans_written == 3 and writer.records_written == 5
+        assert sink.getvalue().splitlines(keepends=True)[2:] == [
+            _reference_line(span) for span in spans
+        ]

@@ -1,9 +1,10 @@
-/* The plain request lifecycle of repro.cluster.fastpath, compiled.
+/* The request lifecycle of repro.cluster.fastpath, compiled.
  *
- * One Core object runs one simulation's FastConnection state machine --
+ * One Core object runs one simulation's state machine -- FastConnection's
  * _begin, _decide, _fetch, _advance, _complete with the single-server
  * Resource bookkeeping inlined, the in-place start, the steady-state
- * admission.  Its events go through the run's own compiled Engine
+ * admission, and on a faulty run FaultyConnection's stages too.  Its
+ * events go through the run's own compiled Engine
  * (repro/sim/_engine.c, built into the same extension): each is a native
  * event, the stage's tag and the connection's number under a seq the
  * engine draws, pushed on its heap or staged for the current instant
@@ -17,34 +18,53 @@
  * Python is called for what the policy and the cache decide
  * (policy.choose, cache.access) and for the rare paths: a multi-chunk
  * read plan (DiskTimes.chunk_plan), Policy.on_dispatch / on_complete on
- * their error branches, a rehandoff's detach and attach.  The policy's hot state (loads, _min_load, _min_cursor,
- * dispatches, completions) and the tracker's lists stay in their Python
- * objects, read and written in place, because choose and the tracker
- * read them; everything only the lifecycle reads (resources, node and
- * front-end counters) lives here and is written back by finish(), when
- * the run ends.
+ * their error branches, a rehandoff's or a retry's detach and attach, a
+ * retry's back-off and a lost request's record.  The policy's hot state
+ * (loads, _alive, _min_load, _min_cursor, dispatches, completions), the
+ * tracker's lists, the membership epochs and the fault runtime's dark
+ * list stay in their Python objects, read and written in place, because
+ * choose, the tracker and the fault transitions read or write them;
+ * everything only the lifecycle reads (resources, node and front-end
+ * counters, the served and retried counts) lives here and is written
+ * back by finish(), when the run ends.
  *
  * A traced run (fe.tracer set) runs here too.  Each stage that ends a
  * phase times it in the connection behind one ``if (s->rows)`` test, as
  * fastpath.py does behind ``if self.tracer``, and a completed request
  * appends its span as one row to the tracer's chunk (the layout of
  * repro.obs.span: ROW_INTS, ROW_FLOATS, one load per node), whose
- * numpy buffers the core writes in place; the tracer's flush and sample
- * are called when the chunk fills and when a sample is due.  The
- * chunk's text comes from render_rows at the bottom of this file.
+ * numpy buffers the core writes in place, a lost request's row included;
+ * the tracer's flush and sample are called when the chunk fills and when
+ * a sample is due.  The chunk's text comes from render_rows at the
+ * bottom of this file.
+ *
+ * A faulty run (fe.faults set) has a start stage of its own (the
+ * dark-node check, ST_DISPATCH), the client timeout and the back-off
+ * (ST_TIMED_OUT, ST_RETRY); the plain stages test one per-run flag
+ * where a served request is booked and a fetch decided (``watched``)
+ * and one where a batch's next request starts (``reroute``), the tests
+ * that were there for the tracer and for rehandoff.  The fault
+ * runtime's transitions are Python events on the same engine; each tells
+ * the core what it changed (FrontEnd's fail_node and join_node the
+ * admission limit, set on max_in_flight, and a join admits through
+ * admit(); a brownout the node's cost constants, reload_node) and flushes
+ * the rows before its fault record (flush_rows).  The degraded-mode
+ * series is the runtime's: served requests go to its record_served only
+ * when the schedule has a bucket width, and are only counted otherwise.
  *
  * repro.sim.native builds this file with the engine on first use and
- * FrontEnd.start() decides when a run may take it; runs with a fault
- * runtime, a sanitizer, a profiler, GMS, LB/GC hit hints or several
- * disks per node take fastpath.py.  So the degraded-mode series never
- * run here: they and their bucket width belong to the fault schedule,
- * and its runtime books them from fastpath.py's served hook.
+ * FrontEnd.start() decides when a run may take it; runs with a
+ * sanitizer, a profiler, GMS, LB/GC hit hints or several disks per node
+ * take fastpath.py.
  */
 
 #include "_engine.h"
+#include <stddef.h>
 #include <string.h>
+#include <structmember.h>
 
-enum { ST_BEGIN, ST_DECIDE, ST_ADVANCE, ST_COMPLETE, ST_COALESCED };
+enum { ST_BEGIN, ST_DECIDE, ST_ADVANCE, ST_COMPLETE, ST_COALESCED, ST_DISPATCH, ST_TIMED_OUT,
+       ST_RETRY };
 
 /* What a connection does after its current data service. */
 enum { PLAN_EMPTY, PLAN_TRANSMIT, PLAN_CHUNKED };
@@ -93,7 +113,9 @@ typedef struct {
     Py_ssize_t target, size, index, last, plan_i, plan_len;
     long long epoch;
     double start;
-    double plan_cpu;   /* PLAN_TRANSMIT: the one CPU step */
+    double plan_cpu;   /* PLAN_TRANSMIT: the one CPU step; PLAN_CHUNKED: the
+                        * transmit rate when the plan was made (a brownout
+                        * changes new plans only) */
     PyObject *pairs;   /* PLAN_CHUNKED: ((disk_time, cpu_units), ...) */
     int read_next;     /* next registered read of the same target */
     int wait_head, wait_tail, wait_next; /* coalesced waiters, in order */
@@ -112,12 +134,24 @@ typedef struct {
     int mask, outcome, on_disk;
 } Span;
 
+/* The fault state of a faulty run's connection (Core.tries, beside the
+ * connections like the spans): when its start event ran and the request
+ * it started with -- that request's delay runs from there, however many
+ * attempts it takes -- the attempts so far, and whether the request
+ * being served missed. */
+typedef struct {
+    double t_first;
+    Py_ssize_t first;
+    long long attempts;
+    int missed;
+} Tries;
+
 typedef struct {
     double *table;
     PyObject *source;
 } Table;
 
-typedef struct {
+typedef struct Core {
     PyObject_HEAD
     PyObject *fe, *policy, *policy_dict, *choose;
     PyObject *p_loads, *p_alive, *epoch, *size_list;
@@ -141,7 +175,7 @@ typedef struct {
     long long *units;
     double *dyn; /* per-target CGI cost, or NULL */
     Table *tables;
-    int num_tables;
+    int num_tables, tables_cap;
     Conn *conns;
     int nconns, conn_cap;
     int *pool;
@@ -163,6 +197,22 @@ typedef struct {
     Py_ssize_t rcap, rfill;
     long long next_req;
     double next_sample;
+    /* A faulty run: the fault runtime (NULL: none), its dark list (read
+     * in place), the retry policy's timeout, limit and back-off, the
+     * goodput record (NULL: the schedule keeps no series, and a served
+     * request is only counted), the lost record, the connections' fault
+     * state and the counters written back. */
+    PyObject *faults, *dark, *backoff, *record_served, *record_lost;
+    double timeout;
+    long long max_retries;
+    Tries *tries;
+    long long served, retried;
+    /* The per-run choices: the start stage and its tag (stage_begin, or
+     * stage_dispatch on a faulty run), whether a served request has a
+     * hook and a fetch is watched (a tracer or faults), and whether a
+     * batch's next request takes a turn first (rehandoff or faults). */
+    int (*start)(struct Core *, int);
+    int start_tag, watched, reroute;
 } Core;
 
 static PyObject *s_dispatches, *s_completions, *s_min_load, *s_min_cursor, *s_flush;
@@ -427,6 +477,14 @@ new_conn(Core *s)
                 return -1;
             }
         }
+        if (s->faults != NULL) {
+            Tries *tries = PyMem_Realloc(s->tries, (size_t)cap * sizeof(Tries));
+            if (tries == NULL) {
+                PyErr_NoMemory();
+                return -1;
+            }
+            s->tries = tries;
+        }
         s->conn_cap = cap;
     }
     Conn *c = &s->conns[s->nconns];
@@ -445,8 +503,6 @@ set_plan(Conn *c, int kind, PyObject *pairs, Py_ssize_t len)
     c->plan_i = 0;
     Py_XDECREF(old);
 }
-
-static int stage_begin(Core *s, int ci);
 
 /* -- span rows (a traced run) ------------------------------------------- */
 
@@ -548,9 +604,43 @@ done:
     return rc;
 }
 
+/* A row was written: a full chunk is flushed and a due sample taken
+ * (SimTracer.row). */
+static int
+row_written(Core *s)
+{
+    s->rfill += 1;
+    if (s->rfill == s->rcap && rows_flush(s) < 0)
+        return -1;
+    if (s->now >= s->next_sample)
+        return take_sample(s);
+    return 0;
+}
+
+/* A request abandoned after its retries, as the next row (SimTracer
+ * .lost): its whole life is one ``retry`` phase, and it has no
+ * dispatch-time loads. */
+static int
+lost_row(Core *s, Py_ssize_t target, Py_ssize_t size, int node, double t_first)
+{
+    Py_ssize_t k = s->rfill;
+    long long *ints = s->rint + k * ROW_INTS;
+    ints[R_REQ] = s->next_req++;
+    ints[R_TARGET] = target;
+    ints[R_SIZE] = size;
+    ints[R_NODE] = node;
+    ints[R_OUTCOME] = OUT_LOST;
+    ints[R_MASK] = 1 << PH_RETRY;
+    double *floats = s->rflt + k * ROW_FLOATS;
+    floats[R_ARRIVAL] = t_first;
+    floats[R_COMPLETE] = s->now;
+    memset(floats + R_PHASES, 0, NUM_PHASES * sizeof(double));
+    floats[R_PHASES + PH_RETRY] = s->now - t_first;
+    return row_written(s);
+}
+
 /* The served request's span, as the next row of the tracer's chunk
- * (fastpath.py's _write_row); then a full chunk is flushed and a due
- * sample taken. */
+ * (fastpath.py's _write_row). */
 static int
 write_row(Core *s, int ci)
 {
@@ -570,19 +660,54 @@ write_row(Core *s, int ci)
     memcpy(floats + R_PHASES, sp->ph, sizeof sp->ph);
     memcpy(s->rload + k * s->num_nodes, s->span_loads + (size_t)ci * (size_t)s->num_nodes,
            (size_t)s->num_nodes * sizeof(long long));
-    s->rfill = k + 1;
-    if (s->rfill == s->rcap && rows_flush(s) < 0)
-        return -1;
-    if (s->now >= s->next_sample)
-        return take_sample(s);
-    return 0;
+    return row_written(s);
 }
 
 /* -- admission, and the books of a served request ------------------------ */
 
+/* A request's delay on the front-end's books: the total, and the list
+ * when delays are collected. */
+static int
+book_delay(Core *s, double delay)
+{
+    s->total_delay += delay;
+    if (!s->collect_delays)
+        return 0;
+    PyObject *obj = PyFloat_FromDouble(delay);
+    if (obj == NULL)
+        return -1;
+    int rc = PyList_Append(s->delays, obj);
+    Py_DECREF(obj);
+    return rc;
+}
+
+/* FaultyConnection._record_served, a faulty run's served hook: the
+ * request a connection started with books its delay from the
+ * connection's first start event, and the goodput series, if the
+ * schedule keeps one, records it. */
+static int
+served_hook(Core *s, int ci)
+{
+    Conn *c = &s->conns[ci];
+    Tries *f = &s->tries[ci];
+    if (c->index == f->first)
+        c->start = f->t_first;
+    if (s->record_served == NULL) {
+        s->served += 1;
+        return 0;
+    }
+    PyObject *result = PyObject_CallFunction(s->record_served, "ddO", s->now, s->now - c->start,
+                                             f->missed ? Py_True : Py_False);
+    if (result == NULL)
+        return -1;
+    Py_DECREF(result);
+    return 0;
+}
+
 /* The delays a served request books on the front-end (FrontEnd
- * ._account_request, inlined), after its span's row; returns whether
- * the connection's node is still the one it was dispatched to. */
+ * ._account_request, inlined), after its served hook (a span's row,
+ * then the goodput record); returns whether the connection's node is
+ * still the one it was dispatched to. */
 static int
 account(Core *s, int ci, int *live)
 {
@@ -590,22 +715,16 @@ account(Core *s, int ci, int *live)
     Node *node = &s->nodes[c->node];
     node->requests_served += 1;
     node->bytes_served += c->size;
-    if (s->rows) {
-        if (write_row(s, ci) < 0)
+    if (s->watched) {
+        if (s->rows && write_row(s, ci) < 0)
+            return -1;
+        if (s->faults != NULL && served_hook(s, ci) < 0)
             return -1;
         c = &s->conns[ci];
     }
     double delay = s->now - c->start;
-    s->total_delay += delay;
-    if (s->collect_delays) {
-        PyObject *obj = PyFloat_FromDouble(delay);
-        if (obj == NULL)
-            return -1;
-        int rc = PyList_Append(s->delays, obj);
-        Py_DECREF(obj);
-        if (rc < 0)
-            return -1;
-    }
+    if (book_delay(s, delay) < 0)
+        return -1;
     long long epoch;
     if (list_ll(s->epoch, c->node, &epoch) < 0)
         return -1;
@@ -707,10 +826,10 @@ admit(Core *s)
         /* Not a traced one (FrontEnd.inplace): it snapshots the loads,
          * which the later admissions of this loop still change. */
         if (!s->rows && start_in_place(s)) {
-            if (stage_begin(s, ci) < 0)
+            if (s->start(s, ci) < 0)
                 return -1;
         }
-        else if (nowq_push(s, ST_BEGIN, ci) < 0)
+        else if (nowq_push(s, s->start_tag, ci) < 0)
             return -1;
     }
     return 0;
@@ -751,6 +870,7 @@ start_chunked_read(Core *s, int ci)
         return -1;
     }
     set_plan(c, PLAN_CHUNKED, pairs, 2 * PyTuple_GET_SIZE(pairs) - 1);
+    c->plan_cpu = node->per_unit;
     double disk_time = PyFloat_AsDouble(PyTuple_GET_ITEM(PyTuple_GET_ITEM(pairs, 0), 0));
     if (disk_time == -1.0 && PyErr_Occurred())
         return -1;
@@ -836,18 +956,24 @@ fetch(Core *s, int ci)
     return start_disk_read(s, ci);
 }
 
-/* fetch, its outcome read off the node's counters around it: every
- * decision bumps cache_hits, cache_misses or dynamic_requests, and the
- * coalescing counter tells the rest apart (fastpath.py's
- * _traced_fetch). */
+/* fetch, watched: its outcome read off the node's counters around it.
+ * Every decision bumps cache_hits, cache_misses or dynamic_requests, and
+ * the coalescing counter tells the rest apart.  A traced request's span
+ * takes the outcome (fastpath.py's _traced_fetch), a faulty run's
+ * connection whether the request missed (FaultyConnection._fetch: every
+ * miss and every coalesced read counts one cache miss). */
 static int
-traced_fetch(Core *s, int ci)
+watched_fetch(Core *s, int ci)
 {
     Node *node = &s->nodes[s->conns[ci].node];
     long long hits = node->cache_hits, misses = node->cache_misses;
     long long coalesced = node->coalesced_reads;
     if (fetch(s, ci) < 0)
         return -1;
+    if (s->faults != NULL)
+        s->tries[ci].missed = node->cache_misses != misses;
+    if (!s->rows)
+        return 0;
     Span *sp = &s->spans[ci];
     if (node->cache_hits != hits)
         sp->outcome = OUT_HIT;
@@ -867,12 +993,14 @@ stage_decide(Core *s, int ci)
 {
     if (res_finish(s, &s->res[2 * s->conns[ci].node]) < 0)
         return -1;
-    if (s->rows) {
-        Span *sp = &s->spans[ci];
-        sp->ph[PH_ESTABLISH] = s->now - s->conns[ci].start;
-        sp->mask = 1 << PH_ESTABLISH;
-        sp->mark = s->now;
-        return traced_fetch(s, ci);
+    if (s->watched) {
+        if (s->rows) {
+            Span *sp = &s->spans[ci];
+            sp->ph[PH_ESTABLISH] = s->now - s->conns[ci].start;
+            sp->mask = 1 << PH_ESTABLISH;
+            sp->mark = s->now;
+        }
+        return watched_fetch(s, ci);
     }
     return fetch(s, ci);
 }
@@ -892,9 +1020,34 @@ stage_coalesced(Core *s, int ci)
     return enqueue_data(s, ci, 2 * c->node, (double)s->units[c->target] * node->per_unit);
 }
 
-/* FaultyConnection-free _rehandoff: re-run the policy; move the
- * connection's load when it names another node (FrontEnd._detach and
- * _attach, with the canonical policy and tracker calls). */
+/* FrontEnd._detach: release a connection's load at ``node``, unless the
+ * node failed since the dispatch (then the connection is an orphan). */
+static int
+detach(Core *s, int node, long long epoch)
+{
+    long long current;
+    if (list_ll(s->epoch, node, &current) < 0)
+        return -1;
+    if (current != epoch) {
+        s->orphaned += 1;
+        return 0;
+    }
+    if (call_node_method(s, "on_complete", node) < 0)
+        return -1;
+    return observe(s, node);
+}
+
+/* FrontEnd._attach. */
+static int
+attach(Core *s, int node)
+{
+    if (call_node_method(s, "on_dispatch", node) < 0)
+        return -1;
+    return observe(s, node);
+}
+
+/* _rehandoff: re-run the policy; move the connection's load when it
+ * names another node, or when this one failed meanwhile. */
 static int
 rehandoff(Core *s, int ci)
 {
@@ -908,11 +1061,7 @@ rehandoff(Core *s, int ci)
         return -1;
     if (moved_to == node && epoch == c->epoch)
         return 0;
-    if (epoch != c->epoch)
-        s->orphaned += 1;
-    else if (call_node_method(s, "on_complete", node) < 0 || observe(s, node) < 0)
-        return -1;
-    if (call_node_method(s, "on_dispatch", moved_to) < 0 || observe(s, moved_to) < 0)
+    if (detach(s, node, c->epoch) < 0 || attach(s, moved_to) < 0)
         return -1;
     s->rehandoffs += 1;
     c->node = moved_to;
@@ -920,6 +1069,57 @@ rehandoff(Core *s, int ci)
         return -1;
     c->epoch = epoch;
     return 0;
+}
+
+/* Whether the fault runtime has ``node`` dark (crashed, detected or
+ * not): 1 or 0, or -1 with an exception set. */
+static inline int
+node_dark(Core *s, int node)
+{
+    return PyObject_IsTrue(PyList_GET_ITEM(s->dark, node));
+}
+
+/* FaultyConnection._doomed: the chosen node is dark, and nothing answers
+ * until the client's timeout fires. */
+static inline int
+doomed(Core *s, int ci)
+{
+    return schedule(s, s->timeout, ST_TIMED_OUT, ci);
+}
+
+/* The turn a batch's next request takes before it starts: _rehandoff,
+ * and on a faulty run FaultyConnection._continue's dark-node checks
+ * around it -- a rehandoff connection whose node the front-end has
+ * already failed moves first; only a crash not yet detected swallows
+ * the request.  1: the request was doomed. */
+static int
+next_turn(Core *s, int ci)
+{
+    if (s->faults != NULL) {
+        int node = s->conns[ci].node;
+        int dark = node_dark(s, node);
+        if (dark < 0)
+            return -1;
+        if (dark) {
+            int alive = s->rehandoff ? PyObject_IsTrue(PyList_GET_ITEM(s->p_alive, node)) : 1;
+            if (alive < 0)
+                return -1;
+            if (alive)
+                return doomed(s, ci) < 0 ? -1 : 1;
+        }
+    }
+    if (!s->rehandoff)
+        return 0;
+    if (rehandoff(s, ci) < 0)
+        return -1;
+    if (s->faults == NULL)
+        return 0;
+    int dark = node_dark(s, s->conns[ci].node);
+    if (dark <= 0)
+        return dark;
+    /* Rehandoff landed on a dark node: the attempt times out there like
+     * any doomed dispatch. */
+    return doomed(s, ci) < 0 ? -1 : 1;
 }
 
 static int
@@ -948,7 +1148,7 @@ stage_advance(Core *s, int ci)
         long long units = PyLong_AsLongLong(PyTuple_GET_ITEM(pair, 1));
         if (units == -1 && PyErr_Occurred())
             return -1;
-        return enqueue_data(s, ci, 2 * c->node, (double)units * node->per_unit);
+        return enqueue_data(s, ci, 2 * c->node, (double)units * c->plan_cpu);
     }
     if (c->reading) {
         /* Deregister after the last chunk, before teardown is enqueued,
@@ -977,15 +1177,20 @@ stage_advance(Core *s, int ci)
         return -1;
     c->target = target;
     c->size = PyLong_AsSsize_t(PyList_GET_ITEM(s->size_list, target));
-    if (s->rehandoff && rehandoff(s, ci) < 0)
-        return -1;
-    c = &s->conns[ci];
+    if (s->reroute) {
+        int turn = next_turn(s, ci);
+        if (turn != 0)
+            return turn < 0 ? -1 : 0;
+        c = &s->conns[ci];
+    }
     c->start = s->now;
-    if (s->rows) {
-        if (open_span(s, ci) < 0)
-            return -1;
-        s->spans[ci].mark = s->now;
-        return traced_fetch(s, ci);
+    if (s->watched) {
+        if (s->rows) {
+            if (open_span(s, ci) < 0)
+                return -1;
+            s->spans[ci].mark = s->now;
+        }
+        return watched_fetch(s, ci);
     }
     return fetch(s, ci);
 }
@@ -1062,18 +1267,101 @@ stage_complete(Core *s, int ci)
         if (admit_one(s, ci, first, end) < 0)
             return -1;
         if (in_flight + 1 < s->max_in_flight && end < s->n) {
-            if (nowq_push(s, ST_BEGIN, ci) < 0)
+            if (nowq_push(s, s->start_tag, ci) < 0)
                 return -1;
             return admit(s);
         }
         if (start_in_place(s))
-            return stage_begin(s, ci);
-        return nowq_push(s, ST_BEGIN, ci);
+            return s->start(s, ci);
+        return nowq_push(s, s->start_tag, ci);
     }
     s->in_flight = in_flight;
     set_plan(c, PLAN_EMPTY, NULL, 0);
     s->pool[s->npool++] = ci;
     return 0;
+}
+
+/* -- the faulty stages (FaultyConnection) --------------------------------- */
+
+/* _dispatch, a faulty run's start event: the connection's clock starts,
+ * whatever becomes of the first dispatch. */
+static int
+stage_dispatch(Core *s, int ci)
+{
+    Tries *f = &s->tries[ci];
+    f->t_first = s->now;
+    f->first = s->conns[ci].index;
+    f->attempts = 0;
+    int dark = node_dark(s, s->conns[ci].node);
+    if (dark < 0)
+        return -1;
+    return dark ? doomed(s, ci) : stage_begin(s, ci);
+}
+
+/* _timed_out: give the dark node's slot back, then either back off for
+ * another attempt or abandon what is left of the connection. */
+static int
+stage_timed_out(Core *s, int ci)
+{
+    Conn *c = &s->conns[ci];
+    Tries *f = &s->tries[ci];
+    if (detach(s, c->node, c->epoch) < 0)
+        return -1;
+    if (f->attempts >= s->max_retries) {
+        double t_first = f->t_first;
+        for (Py_ssize_t index = c->index; index <= c->last; index++) {
+            /* FrontEnd._account_lost, then the fault runtime's record. */
+            double delay = s->now - t_first;
+            if (book_delay(s, delay) < 0)
+                return -1;
+            s->completed += 1;
+            PyObject *result = PyObject_CallFunction(s->record_lost, "dd", s->now, delay);
+            if (result == NULL)
+                return -1;
+            Py_DECREF(result);
+            if (s->rows) {
+                Py_ssize_t target;
+                if (target_at(s, index, &target) < 0)
+                    return -1;
+                Py_ssize_t size = PyLong_AsSsize_t(PyList_GET_ITEM(s->size_list, target));
+                if (lost_row(s, target, size, c->node, t_first) < 0)
+                    return -1;
+            }
+        }
+        /* The connection is over: its load was released above. */
+        s->in_flight -= 1;
+        set_plan(c, PLAN_EMPTY, NULL, 0);
+        s->pool[s->npool++] = ci;
+        return admit(s);
+    }
+    f->attempts += 1;
+    s->retried += c->last + 1 - c->index;
+    PyObject *backoff = PyObject_CallFunction(s->backoff, "L", f->attempts);
+    if (backoff == NULL)
+        return -1;
+    double delay = PyFloat_AsDouble(backoff);
+    Py_DECREF(backoff);
+    if (delay == -1.0 && PyErr_Occurred())
+        return -1;
+    return schedule(s, delay, ST_RETRY, ci);
+}
+
+/* _retry: the back-off is over, and the front-end dispatches the request
+ * afresh. */
+static int
+stage_retry(Core *s, int ci)
+{
+    int node;
+    if (choose(s, s->conns[ci].target, &node) < 0 || attach(s, node) < 0)
+        return -1;
+    Conn *c = &s->conns[ci];
+    c->node = node;
+    if (list_ll(s->epoch, node, &c->epoch) < 0)
+        return -1;
+    int dark = node_dark(s, node);
+    if (dark < 0)
+        return -1;
+    return dark ? doomed(s, ci) : stage_begin(s, ci);
 }
 
 /* -- writing the books back ---------------------------------------------- */
@@ -1156,6 +1444,13 @@ write_back(Core *s)
     if (s->rows
         && (set_ll(s->tracer, "fill", s->rfill) < 0 || set_ll(s->tracer, "seq", s->next_req) < 0))
         return -1;
+    /* Served requests, when only counted here (record_served counts
+     * them itself). */
+    if (s->faults != NULL
+        && (set_ll(s->faults, "retried_requests", s->retried) < 0
+            || (s->record_served == NULL
+                && set_ll(s->faults, "served_requests", s->served) < 0)))
+        return -1;
     return 0;
 }
 
@@ -1221,7 +1516,7 @@ float_table(PyObject *list, Py_ssize_t length)
 }
 
 /* The DiskTimes.single table of a node, shared by every node of one
- * cost model. */
+ * cost model (a brownout's scaled model adds one). */
 static const double *
 single_table(Core *s, PyObject *disk_times)
 {
@@ -1233,6 +1528,17 @@ single_table(Core *s, PyObject *disk_times)
             Py_DECREF(single);
             return s->tables[k].table;
         }
+    }
+    if (s->num_tables == s->tables_cap) {
+        int cap = s->tables_cap ? 2 * s->tables_cap : 4;
+        Table *grown = PyMem_Realloc(s->tables, (size_t)cap * sizeof(Table));
+        if (grown == NULL) {
+            Py_DECREF(single);
+            PyErr_NoMemory();
+            return NULL;
+        }
+        s->tables = grown;
+        s->tables_cap = cap;
     }
     double *table = float_table(single, s->num_targets);
     if (table == NULL) {
@@ -1269,6 +1575,32 @@ init_resource(Res *r, PyObject *obj)
     return 0;
 }
 
+/* What a node's cost model fixes: the constants BackendNode.set_costs
+ * folds and the disk-time table installed with them -- read when the
+ * core is built and again after a brownout installs another model. */
+static int
+node_costs(Core *s, Node *node)
+{
+    PyObject *disk_times = PyObject_GetAttrString(node->obj, "disk_times");
+    if (disk_times == NULL)
+        return -1;
+    Py_XSETREF(node->disk_times, disk_times);
+    node->single = single_table(s, disk_times);
+    PyObject *costs = PyObject_GetAttrString(node->obj, "costs");
+    if (node->single == NULL || costs == NULL) {
+        Py_XDECREF(costs);
+        return -1;
+    }
+    int rc = get_double(costs, "cpu_speed", &node->cpu_speed);
+    Py_DECREF(costs);
+    if (rc < 0 || get_ll(disk_times, "chunk_bytes", &node->chunk_bytes) < 0
+        || get_double(node->obj, "_conn_time", &node->conn_time) < 0
+        || get_double(node->obj, "_teardown_time", &node->teardown_time) < 0
+        || get_double(node->obj, "_transmit_per_unit", &node->per_unit) < 0)
+        return -1;
+    return 0;
+}
+
 static int
 init_node(Core *s, int i, PyObject *obj)
 {
@@ -1278,10 +1610,9 @@ init_node(Core *s, int i, PyObject *obj)
     PyObject *cpu = PyObject_GetAttrString(obj, "cpu");
     PyObject *disks = PyObject_GetAttrString(obj, "disks");
     PyObject *cache = PyObject_GetAttrString(obj, "cache");
-    PyObject *costs = PyObject_GetAttrString(obj, "costs");
     PyObject *pending = PyObject_GetAttrString(obj, "_pending");
     int rc = -1;
-    if (cpu == NULL || disks == NULL || cache == NULL || costs == NULL || pending == NULL)
+    if (cpu == NULL || disks == NULL || cache == NULL || pending == NULL)
         goto done;
     if (!PyList_Check(disks) || PyList_GET_SIZE(disks) != 1 || cache == Py_None
         || PyObject_Length(pending) != 0) {
@@ -1293,19 +1624,10 @@ init_node(Core *s, int i, PyObject *obj)
         || init_resource(&s->res[2 * i + 1], PyList_GET_ITEM(disks, 0)) < 0)
         goto done;
     node->access = PyObject_GetAttrString(cache, "access");
-    node->disk_times = PyObject_GetAttrString(obj, "disk_times");
-    if (node->access == NULL || node->disk_times == NULL)
-        goto done;
-    node->single = single_table(s, node->disk_times);
-    if (node->single == NULL)
+    if (node->access == NULL || node_costs(s, node) < 0)
         goto done;
     long long coalesce;
-    if (get_ll(node->disk_times, "chunk_bytes", &node->chunk_bytes) < 0
-        || get_double(obj, "_conn_time", &node->conn_time) < 0
-        || get_double(obj, "_teardown_time", &node->teardown_time) < 0
-        || get_double(obj, "_transmit_per_unit", &node->per_unit) < 0
-        || get_double(costs, "cpu_speed", &node->cpu_speed) < 0
-        || get_ll(obj, "coalesce_reads", &coalesce) < 0
+    if (get_ll(obj, "coalesce_reads", &coalesce) < 0
         || get_ll(obj, "cache_hits", &node->cache_hits) < 0
         || get_ll(obj, "cache_misses", &node->cache_misses) < 0
         || get_ll(obj, "disk_reads", &node->disk_reads) < 0
@@ -1320,7 +1642,6 @@ done:
     Py_XDECREF(cpu);
     Py_XDECREF(disks);
     Py_XDECREF(cache);
-    Py_XDECREF(costs);
     Py_XDECREF(pending);
     return rc;
 }
@@ -1389,6 +1710,34 @@ init_rows(Core *s, PyObject *tracer)
     }
     s->rfill = (Py_ssize_t)fill;
     return 0;
+}
+
+/* Take over a fault runtime: its dark list (read in place), its retry
+ * policy, its records and the counters the core keeps. */
+static int
+init_faults(Core *s, PyObject *faults)
+{
+    s->faults = Py_NewRef(faults);
+    PyObject *retry = NULL, *interval = NULL;
+    int rc = -1;
+    if (get_list(faults, "_dark", s->num_nodes, &s->dark) < 0
+        || (retry = PyObject_GetAttrString(faults, "retry")) == NULL
+        || (s->backoff = PyObject_GetAttrString(retry, "backoff_s")) == NULL
+        || (s->record_lost = PyObject_GetAttrString(faults, "record_lost")) == NULL
+        || (interval = PyObject_GetAttrString(faults, "interval_s")) == NULL
+        || get_double(retry, "timeout_s", &s->timeout) < 0
+        || get_ll(retry, "max_retries", &s->max_retries) < 0
+        || get_ll(faults, "served_requests", &s->served) < 0
+        || get_ll(faults, "retried_requests", &s->retried) < 0)
+        goto done;
+    if (interval != Py_None
+        && (s->record_served = PyObject_GetAttrString(faults, "record_served")) == NULL)
+        goto done;
+    rc = 0;
+done:
+    Py_XDECREF(retry);
+    Py_XDECREF(interval);
+    return rc;
 }
 
 static int dispatch(PyObject *client, int stage, int ci);
@@ -1512,11 +1861,9 @@ Core_init(Core *s, PyObject *args, PyObject *kwds)
     s->pn_delay = PyMem_Calloc(nn, sizeof(double));
     s->nodes = PyMem_Calloc(nn, sizeof(Node));
     s->res = PyMem_Calloc(2 * nn, sizeof(Res));
-    s->tables = PyMem_Calloc(nn, sizeof(Table));
     s->pending = PyMem_Malloc((size_t)(s->num_targets ? s->num_targets : 1) * sizeof(int));
     s->units = PyMem_Malloc((size_t)(s->num_targets ? s->num_targets : 1) * sizeof(long long));
-    if (!s->pn_completions || !s->pn_delay || !s->nodes || !s->res
-        || !s->tables || !s->pending || !s->units) {
+    if (!s->pn_completions || !s->pn_delay || !s->nodes || !s->res || !s->pending || !s->units) {
         PyErr_NoMemory();
         goto done;
     }
@@ -1579,6 +1926,17 @@ Core_init(Core *s, PyObject *args, PyObject *kwds)
     Py_DECREF(tracer);
     if (traced < 0)
         goto done;
+    PyObject *faults = PyObject_GetAttrString(fe, "faults");
+    if (faults == NULL)
+        goto done;
+    int faulty = faults != Py_None ? init_faults(s, faults) : 0;
+    Py_DECREF(faults);
+    if (faulty < 0)
+        goto done;
+    s->start = s->faults != NULL ? stage_dispatch : stage_begin;
+    s->start_tag = s->faults != NULL ? ST_DISPATCH : ST_BEGIN;
+    s->watched = s->rows || s->faults != NULL;
+    s->reroute = s->rehandoff || s->faults != NULL;
     rc = 0;
 done:
     Py_XDECREF(tracker);
@@ -1617,6 +1975,11 @@ Core_traverse(Core *s, visitproc visit, void *arg)
     for (int k = 0; s->conns != NULL && k < s->nconns; k++)
         Py_VISIT(s->conns[k].pairs);
     Py_VISIT(s->tracer);
+    Py_VISIT(s->faults);
+    Py_VISIT(s->dark);
+    Py_VISIT(s->backoff);
+    Py_VISIT(s->record_served);
+    Py_VISIT(s->record_lost);
     return 0;
 }
 
@@ -1664,6 +2027,11 @@ Core_clear_refs(Core *s)
         s->have_chunk = 0;
     }
     Py_CLEAR(s->tracer);
+    Py_CLEAR(s->faults);
+    Py_CLEAR(s->dark);
+    Py_CLEAR(s->backoff);
+    Py_CLEAR(s->record_served);
+    Py_CLEAR(s->record_lost);
     return 0;
 }
 
@@ -1690,6 +2058,7 @@ Core_dealloc(Core *s)
     PyMem_Free(s->pool);
     PyMem_Free(s->spans);
     PyMem_Free(s->span_loads);
+    PyMem_Free(s->tries);
     Py_TYPE(s)->tp_free((PyObject *)s);
 }
 
@@ -1730,7 +2099,10 @@ dispatch(PyObject *client, int stage, int ci)
     case ST_DECIDE: return stage_decide(s, ci);
     case ST_ADVANCE: return stage_advance(s, ci);
     case ST_COMPLETE: return stage_complete(s, ci);
-    default: return stage_coalesced(s, ci);
+    case ST_COALESCED: return stage_coalesced(s, ci);
+    case ST_DISPATCH: return stage_dispatch(s, ci);
+    case ST_TIMED_OUT: return stage_timed_out(s, ci);
+    default: return stage_retry(s, ci);
     }
 }
 
@@ -1747,9 +2119,45 @@ Core_finish(Core *s, PyObject *Py_UNUSED(ignored))
     Py_RETURN_NONE;
 }
 
+/* A brownout installed another cost model on node ``i``. */
+static PyObject *
+Core_reload_node(Core *s, PyObject *arg)
+{
+    if (check_ready(s) < 0)
+        return NULL;
+    long i = PyLong_AsLong(arg);
+    if (i == -1 && PyErr_Occurred())
+        return NULL;
+    if (i < 0 || i >= s->num_nodes) {
+        PyErr_Format(PyExc_IndexError, "no node %ld", i);
+        return NULL;
+    }
+    if (node_costs(s, &s->nodes[i]) < 0)
+        return NULL;
+    Py_RETURN_NONE;
+}
+
+static PyObject *
+Core_flush_rows(Core *s, PyObject *Py_UNUSED(ignored))
+{
+    if (check_ready(s) < 0 || (s->rows && rows_flush(s) < 0))
+        return NULL;
+    Py_RETURN_NONE;
+}
+
+static PyMemberDef Core_members[] = {
+    {"max_in_flight", T_LONGLONG, offsetof(Core, max_in_flight), 0,
+     "The admission limit the core admits to (FrontEnd.max_in_flight)."},
+    {NULL, 0, 0, 0, NULL},
+};
+
 static PyMethodDef Core_methods[] = {
     {"admit", (PyCFunction)Core_admit, METH_NOARGS,
-     "FrontEnd.admit on the native core: the initial fill, staged."},
+     "FrontEnd.admit on the native core: the initial fill, staged, and a rejoin's refill."},
+    {"reload_node", (PyCFunction)Core_reload_node, METH_O,
+     "reload_node(i): node i's cost constants and disk-time table changed (a brownout)."},
+    {"flush_rows", (PyCFunction)Core_flush_rows, METH_NOARGS,
+     "The span rows written so far go to the tracer's writer (before a fault record)."},
     {"finish", (PyCFunction)Core_finish, METH_NOARGS,
      "The run is over: write the books back into the Python objects."},
     {NULL, NULL, 0, NULL},
@@ -1762,11 +2170,12 @@ static PyTypeObject CoreType = {
     .tp_flags = Py_TPFLAGS_DEFAULT | Py_TPFLAGS_HAVE_GC,
     .tp_traverse = (traverseproc)Core_traverse,
     .tp_clear = (inquiry)Core_clear_refs,
-    .tp_doc = "One run of the plain request lifecycle, compiled.",
+    .tp_doc = "One run of the request lifecycle, compiled.",
     .tp_new = PyType_GenericNew,
     .tp_init = (initproc)Core_init,
     .tp_dealloc = (destructor)Core_dealloc,
     .tp_methods = Core_methods,
+    .tp_members = Core_members,
 };
 
 /* -- span rows to JSONL ---------------------------------------------------- */

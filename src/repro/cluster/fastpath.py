@@ -904,7 +904,9 @@ class FaultyConnection(FastConnection):
     exactly as it serves a :class:`FastConnection`, with every served
     request also recorded by the fault runtime (the served hook).  With
     an empty schedule no node is ever dark and the two classes run the
-    same stages.
+    same stages.  ``_lifecycle.c`` runs the same stages compiled
+    (``stage_dispatch``, ``stage_timed_out``, ``stage_retry``,
+    ``next_turn``), line for line.
     """
 
     __slots__ = (

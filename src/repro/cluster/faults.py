@@ -22,11 +22,13 @@ This module models both for the discrete-event simulator:
 :class:`FaultRuntime` executes a schedule against a running cluster.  It
 follows the sanitizer/tracer pattern: attached from outside
 (``FrontEnd.faults``), it makes the state machine build
-:class:`~repro.cluster.fastpath.FaultyConnection` objects, so a
-fault-free run executes no fault code at all.  With an **empty**
-schedule a faulty connection runs the plain stages and mutates the same
-state, so its results are byte-identical — the test suite asserts both
-properties.
+:class:`~repro.cluster.fastpath.FaultyConnection` objects (and the
+compiled core run their stages), so a fault-free run executes no fault
+code at all.  Its transitions are events of the run's engine, and each
+tells the front-end what it changed, which passes it on to the compiled
+core.  With an **empty** schedule a faulty connection runs the plain
+stages and mutates the same state, so its results are byte-identical —
+the test suite asserts both properties.
 
 Scheduling caveat: the engine runs until its queue is empty, so fault
 events placed past trace completion still fire and extend the run's
@@ -84,14 +86,17 @@ class RetryPolicy:
     backoff_cap_s: float = 2.0
 
     def __post_init__(self) -> None:
-        if self.max_retries < 0:
-            raise ValueError(f"max_retries must be >= 0, got {self.max_retries}")
-        if self.timeout_s <= 0:
-            raise ValueError(f"timeout_s must be positive, got {self.timeout_s}")
-        if self.backoff_base_s < 0:
+        # NaN and inf fail each chained compare below, as in
+        # _require_time: a run would take either, then end badly.
+        retries = self.max_retries
+        if isinstance(retries, bool) or not isinstance(retries, Integral) or retries < 0:
+            raise ValueError(f"max_retries must be an integer >= 0, got {retries!r}")
+        if not 0.0 < self.timeout_s < math.inf:
             raise ValueError(
-                f"backoff_base_s must be >= 0, got {self.backoff_base_s}"
+                f"timeout_s must be positive and finite, got {self.timeout_s!r}"
             )
+        _require_time("backoff_base_s", self.backoff_base_s)
+        _require_time("backoff_cap_s", self.backoff_cap_s)
         if self.backoff_cap_s < self.backoff_base_s:
             raise ValueError(
                 f"backoff_cap_s ({self.backoff_cap_s}) must be >= "
@@ -434,9 +439,11 @@ class FaultRuntime:
 
     # -- schedule execution ----------------------------------------------------
 
-    def schedule_events(self, engine: Any) -> None:
-        """Install every crash/brownout transition into the engine."""
+    def schedule_events(self, engine: Any) -> int:
+        """Install every crash/brownout transition into the engine, and
+        say how many events that scheduled."""
         self._engine = engine
+        pending = engine.pending
         for crash in self.schedule.crashes:
             engine.schedule(crash.at_s, self._crash, crash.node)
             engine.schedule(crash.detected_at_s, self._detect, crash.node)
@@ -457,6 +464,7 @@ class FaultRuntime:
                 brownout.disk_factor,
             )
             engine.schedule(brownout.end_s, self._brownout_end, brownout.node)
+        return int(engine.pending - pending)
 
     def brownouts(self) -> Tuple[Brownout, ...]:
         """The schedule's brownout intervals (convenience accessor)."""
@@ -476,6 +484,7 @@ class FaultRuntime:
         now = self._engine.now if self._engine is not None else 0.0
         self.events.append((now, event, node))
         if self.tracer is not None:
+            self.frontend.flush_rows()
             self.tracer.fault_event(now, node, event, **details)
 
     def _crash(self, node: int) -> None:
@@ -512,6 +521,7 @@ class FaultRuntime:
         """Install ``costs`` and the front-end's disk-time table for it."""
         self.nodes[node].set_costs(costs)
         self.nodes[node].disk_times = self.frontend.disk_times(costs)
+        self.frontend.refresh_node(node)
 
     # -- degraded-mode accounting ----------------------------------------------
 

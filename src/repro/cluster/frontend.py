@@ -30,9 +30,9 @@ state machine in :mod:`repro.cluster.fastpath`, whose connections share
 the front-end's per-run state: the pool, the cost tables and the
 references into the policy's and the tracker's hot state.  Every run
 that can runs on the compiled engine (``ClusterSimulator.engine``
-chooses it), and a plain run takes the same lifecycle compiled as well
-(:mod:`repro.sim.native`): :meth:`FrontEnd.start` decides that, and
-says why not.
+chooses it), and a plain, traced or faulty run takes the same lifecycle
+compiled as well (:mod:`repro.sim.native`): :meth:`FrontEnd.start`
+decides that, and says why not.
 """
 
 from __future__ import annotations
@@ -141,9 +141,10 @@ class FrontEnd:
         #: Neither changes what runs.  The tracer is a row sink either
         #: core writes a span into as each request completes; the fault
         #: runtime selects the connection class the state machine is
-        #: built from, adding crash detection lag, client retries and
-        #: lost-request accounting — with an empty schedule it replays
-        #: the plain stages exactly.
+        #: built from (and the compiled core its faulty stages), adding
+        #: crash detection lag, client retries and lost-request
+        #: accounting — with an empty schedule it replays the plain
+        #: stages exactly.
         self.tracer: Optional[Any] = None
         self.faults: Optional[Any] = None
         #: Which lifecycle ``start()`` chose: ``"native"`` (the compiled
@@ -160,8 +161,11 @@ class FrontEnd:
         run's observers and the core that runs it, hand each node its
         disk-time table and admit the initial batch; completions keep
         the pipeline full."""
+        #: The fault runtime's transitions, scheduled before the run: the
+        #: one kind of event from outside the compiled core runs beside.
+        self._fault_events = 0
         if self.faults is not None:
-            self.faults.schedule_events(self.engine)
+            self._fault_events = self.faults.schedule_events(self.engine)
         self.conn_class = FastConnection if self.faults is None else FaultyConnection
         #: The admission loop may run a start event in place.  Not a
         #: traced one: it snapshots ``policy.loads``, which the later
@@ -192,24 +196,26 @@ class FrontEnd:
         """The compiled core's ``Core`` class for a run it covers, else
         ``None`` and why the run takes ``fastpath.py``.
 
-        The compiled core is the plain :class:`FastConnection` lifecycle
-        over private caches, one disk per node, CGI costs, coalesced and
-        chunked reads, persistent connections and delay collection.
-        A tracer is a row sink the core writes too.  What perturbs or
-        watches every event of a run (a fault runtime, the sanitizer's
-        per-event hook, a profiler) and what the core does not
-        implement (GMS, LB/GC's hit hints, several disks per
+        The compiled core is the :class:`FastConnection` lifecycle over
+        private caches, one disk per node, CGI costs, coalesced and
+        chunked reads, persistent connections and delay collection, and
+        :class:`FaultyConnection`'s under a fault runtime, whose
+        transitions tell the core what they change (:meth:`fail_node`,
+        :meth:`join_node`, :meth:`refresh_node`, :meth:`flush_rows`).
+        A tracer is a row sink the core writes too.  What watches every
+        event of a run (the sanitizer's per-event hook, which reads the
+        fault runtime's counters too, or a profiler) and what the core
+        does not implement (GMS, LB/GC's hit hints, several disks per
         node, the test oracle's admission seam, events scheduled from
-        outside, which could read the books the core keeps until the
-        run ends) keeps the reference.  The core's events are native
-        events of the compiled engine, so a run on ``engine.py`` (under a
-        profiler, whose every stage and helper is its own entry there, or
-        with the extension unavailable) keeps the reference too.
+        outside that are not the fault runtime's, which could read the
+        books the core keeps until the run ends) keeps the reference.
+        The core's events are native events of the compiled engine, so a
+        run on ``engine.py`` (under a profiler, whose every stage and
+        helper is its own entry there, or with the extension
+        unavailable) keeps the reference too.
         """
         from ..sim import native
 
-        if self.faults is not None:
-            return None, "fault schedule"
         if self.engine._sanitizer is not None:
             return None, "sanitizer"
         if native.profiled():
@@ -235,7 +241,7 @@ class FrontEnd:
             return "multi-disk nodes"
         if "admit" in vars(self):
             return "replaced admission"
-        if self.engine.pending:
+        if self.engine.pending > self._fault_events:
             return "events scheduled before the run"
         return ""
 
@@ -244,10 +250,10 @@ class FrontEnd:
         <repro.sim.engine.Engine.run>` and return the clock; on the
         compiled core, then write its books back into these objects.
         A tracer's last rows go to its writer however the run ends."""
-        core, self._native = self._native, None
         try:
             return self.engine.run()
         finally:
+            core, self._native = self._native, None
             try:
                 if core is not None:
                     core.finish()
@@ -278,6 +284,11 @@ class FrontEnd:
         return self.completed == len(self.trace)
 
     # -- cluster membership (paper Section 2.6) ---------------------------------
+    #
+    # The fault runtime's transitions run as Python events beside the
+    # compiled core, which holds copies of the admission limit, the
+    # nodes' cost constants and the span rows written since the last
+    # flush: each transition tells it what changed.
 
     def fail_node(self, node: int) -> None:
         """A back-end died: drop its mappings and load, orphan its
@@ -288,8 +299,7 @@ class FrontEnd:
         backend = self.nodes[node]
         if backend.gms is not None:
             backend.gms.drop_node(node)
-        if self._auto_limit:
-            self.max_in_flight = self.policy.admission_limit
+        self._relimit()
 
     def join_node(self, node: int, cache_mode: str, aged_fraction: float) -> None:
         """A back-end (re)joined.
@@ -311,9 +321,32 @@ class FrontEnd:
                 backend.cache.clear()
             elif cache_mode == "aged":
                 backend.cache.age(aged_fraction)
+        self._relimit()
+        if self._native is not None:
+            self._native.admit()
+        else:
+            self.admit()
+
+    def _relimit(self) -> None:
+        """The alive count changed: so does an automatic admission
+        limit (the paper's S), on the compiled core too."""
         if self._auto_limit:
             self.max_in_flight = self.policy.admission_limit
-        self.admit()
+            if self._native is not None:
+                self._native.max_in_flight = self.max_in_flight
+
+    def refresh_node(self, node: int) -> None:
+        """``node``'s cost model and disk-time table were replaced (a
+        brownout): the compiled core reads their constants again."""
+        if self._native is not None:
+            self._native.reload_node(node)
+
+    def flush_rows(self) -> None:
+        """The span rows the compiled core has written since the
+        tracer's last flush go to its writer, ahead of a fault record
+        (on the reference they are the tracer's own to flush)."""
+        if self._native is not None:
+            self._native.flush_rows()
 
     # -- admission ---------------------------------------------------------------
 

@@ -201,6 +201,10 @@ class SimulationResult:
     #: they count in neither cache_hits nor cache_misses.
     dynamic_requests: int = 0
     per_node_mean_delay_s: List[float] = field(default_factory=list)
+    #: Dispatches a node failure overtook (the connection's load went
+    #: with the node, so its release is not booked): one per stale
+    #: detach.  A connection is dispatched at its admission and again at
+    #: each rehandoff and retry, so it can be orphaned more than once.
     orphaned_connections: int = 0
     #: Connections admitted (== num_requests unless persistent connections).
     connections: int = 0

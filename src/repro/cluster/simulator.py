@@ -348,7 +348,7 @@ class ClusterSimulator:
     @property
     def core_reason(self) -> str:
         """Why the run took ``fastpath.py`` (``""`` on the native core):
-        ``fault schedule``, ``sanitizer``, ``profiler attached``,
+        ``sanitizer``, ``profiler attached``,
         ``unsupported configuration: <what>`` or ``extension
         unavailable: <why>``."""
         return self.frontend.core_reason

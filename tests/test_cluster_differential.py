@@ -47,7 +47,7 @@ from repro.obs import SpanWriter
 from repro.obs.tracer import SimTracer
 from repro.workload import cgi_mix_trace, synthesize_trace
 from tests.cluster_oracle import use_oracle
-from tests.native_core import reference_core
+from tests.native_core import native_available, reference_core
 from tests.seeded_mutation import REPO_ROOT, mutated_env
 
 NUM_NODES = 3
@@ -164,8 +164,8 @@ def _draw_disagreement(
 @settings(max_examples=100, deadline=None)
 @_draws
 def test_state_machine_matches_oracle(**draw):
-    """A plain draw (no tracer, no fault schedule, a policy without GMS
-    or hit hints) takes the compiled core where it is built."""
+    """A draw with a policy without GMS or hit hints takes the compiled
+    core where it is built, traced or faulty or not."""
     assert _draw_disagreement(**draw) is None
 
 
@@ -178,10 +178,21 @@ def test_reference_state_machine_matches_oracle(**draw):
         assert _draw_disagreement(**draw) is None
 
 
-def test_drawn_schedules_exercise_the_fault_paths():
+def test_drawn_schedules_exercise_the_fault_paths(monkeypatch):
     """The strategy above is only a proof if its schedules bite: the
-    fixed cases below lose requests, retry, rehandoff, orphan, and run
-    brownouts on nodes that are serving."""
+    fixed cases below lose requests, retry (each retry is a timed-out
+    dispatch), rehandoff, orphan, and run brownouts on nodes that are
+    serving, on the compiled core where it is built."""
+    cores = []
+    run = ClusterSimulator.run
+
+    def recording_run(sim):
+        result = run(sim)
+        compiled = native_available() and sim.sanitizer is None
+        cores.append(sim.core == ("native" if compiled else "python"))
+        return result
+
+    monkeypatch.setattr(ClusterSimulator, "run", recording_run)
     result, _ = _run(
         False, False, False, policy="lard/r", requests_per_connection=4,
         persistent_policy="rehandoff", fault_schedule=_schedule(5, 0.15, 0),
@@ -194,6 +205,7 @@ def test_drawn_schedules_exercise_the_fault_paths():
     )
     assert result["retried_requests"] > 0
     assert _schedule(3).brownouts and _schedule(5, 0.15).brownouts
+    assert cores == [True, True]
 
 
 # -- a failure between an admission and its start -----------------------------------
@@ -325,6 +337,27 @@ MUTATIONS = {
         "        if self.last == self.index:\n            self.phases[_TEARDOWN]",
         "        if True:\n            self.phases[_TEARDOWN]",
         dict(traced=True, cgi=False, policy="lard", requests_per_connection=2),
+    ),
+    # The compiled core's faulty stages: the mutated copy builds its own
+    # extension, which the oracle's run (a replaced admission) never takes.
+    "doomed-dispatch-served-anyway": (
+        "cluster/_lifecycle.c",
+        "    return dark ? doomed(s, ci) : stage_begin(s, ci);\n}\n\n/* _timed_out",
+        "    return dark < 0 ? -1 : stage_begin(s, ci);\n}\n\n/* _timed_out",
+        dict(traced=False, cgi=False, policy="wrr", fault_seed=3),
+    ),
+    "retry-keeps-the-old-epoch": (
+        "cluster/_lifecycle.c",
+        "    if (list_ll(s->epoch, node, &c->epoch) < 0)\n        return -1;\n",
+        "",
+        dict(traced=False, cgi=False, policy="wrr", fault_seed=3, max_retries=2),
+    ),
+    "lost-request-not-completed": (
+        "cluster/_lifecycle.c",
+        "            s->completed += 1;\n            PyObject *result",
+        "            PyObject *result",
+        dict(traced=False, cgi=False, policy="lard/r", fault_seed=5, mttf_frac=0.15,
+             max_retries=0, **_REHANDOFF),
     ),
 }
 

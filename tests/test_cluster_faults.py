@@ -73,6 +73,36 @@ def test_retry_policy_validation():
         RetryPolicy(backoff_base_s=2.0, backoff_cap_s=1.0)
 
 
+@pytest.mark.parametrize(
+    "fields, field",
+    [
+        # Accepted once, then a SimulationError mid-run.
+        (dict(timeout_s=float("nan")), "timeout_s"),
+        # Accepted once, then a run "to completion" at sim_time_s inf.
+        (dict(timeout_s=float("inf")), "timeout_s"),
+        (dict(timeout_s=-1.0), "timeout_s"),
+        # Accepted once as the cap: every compare with NaN is false.
+        (dict(backoff_base_s=float("nan")), "backoff_base_s"),
+        (dict(backoff_base_s=float("inf"), backoff_cap_s=float("inf")), "backoff_base_s"),
+        (dict(backoff_cap_s=float("nan")), "backoff_cap_s"),
+        (dict(backoff_cap_s=float("inf")), "backoff_cap_s"),
+        # A count of attempts is an integer, and a bool is not one.
+        (dict(max_retries=1.5), "max_retries"),
+        (dict(max_retries=True), "max_retries"),
+        (dict(max_retries=2.0), "max_retries"),
+        (dict(max_retries="2"), "max_retries"),
+    ],
+)
+def test_retry_policy_refuses_what_no_run_can_take(fields, field):
+    with pytest.raises(ValueError, match=field):
+        RetryPolicy(**fields)
+
+
+def test_retry_policy_takes_the_edges_it_allows():
+    RetryPolicy(max_retries=0, timeout_s=1e-9, backoff_base_s=0.0, backoff_cap_s=0.0)
+    RetryPolicy(max_retries=10**6, backoff_base_s=0.5, backoff_cap_s=0.5)
+
+
 def test_retry_backoff_is_capped_exponential():
     retry = RetryPolicy(backoff_base_s=0.1, backoff_cap_s=0.5)
     assert retry.backoff_s(1) == pytest.approx(0.1)

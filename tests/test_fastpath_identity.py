@@ -147,7 +147,7 @@ def _config_id(config):
 
 
 #: What keeps a configuration off the compiled core.
-_REFERENCE_ONLY = ("lb/gc", "wrr/gms", "disks_per_node", "fault_schedule")
+_REFERENCE_ONLY = ("lb/gc", "wrr/gms", "disks_per_node")
 
 
 def _native_covers(config):

@@ -1,9 +1,9 @@
 """The compiled core: which runs take it, and its build on first use.
 
-``FrontEnd.start`` gives a plain run the compiled lifecycle
-(``repro/cluster/_lifecycle.c``, built with the compiled engine by
-:mod:`repro.sim.native`) and every other run ``fastpath.py``, the
-reference; a run says which it took and, for the reference, why.  The
+``FrontEnd.start`` gives a plain, traced or faulty run the compiled
+lifecycle (``repro/cluster/_lifecycle.c``, built with the compiled
+engine by :mod:`repro.sim.native`) and every other run ``fastpath.py``,
+the reference; a run says which it took and, for the reference, why.  The
 byte-identity of the two is the identity and differential suites'
 business (both run against both cores); here are the selection rule
 (of the core, and of the engine every unprofiled run takes) and the
@@ -30,7 +30,7 @@ from pathlib import Path
 import pytest
 
 from repro.cluster import ClusterConfig, ClusterSimulator
-from repro.cluster.faults import FaultSchedule
+from repro.cluster.faults import Brownout, CrashFault, FaultSchedule, RetryPolicy
 from repro.cluster.simulator import _simulate
 from repro.obs import SpanWriter
 from repro.obs.tracer import SimTracer
@@ -87,7 +87,6 @@ def _probe(sim):
 #: reason -> (config fields, attach a tracer, what is done to the built
 #: simulator).  Every run here could take neither core but the reference.
 _REFERENCE_ONLY = {
-    "fault schedule": (dict(fault_schedule=FaultSchedule()), False, None),
     "sanitizer": (dict(sanitize=True), False, None),
     "profiler attached": (dict(), False, _profiled),
     "unsupported configuration: GMS": (dict(policy="wrr/gms"), False, None),
@@ -123,8 +122,13 @@ def test_an_unavailable_extension_names_its_reason(trace):
     assert type(sim.engine) is Engine
 
 
-#: The runs above, and a traced one, which takes the compiled core.
-_ENGINE_CASES = {**_REFERENCE_ONLY, "tracer attached": (dict(), True, None)}
+#: The runs above, and a traced and a faulty one, which take the compiled
+#: core.
+_ENGINE_CASES = {
+    **_REFERENCE_ONLY,
+    "tracer attached": (dict(), True, None),
+    "fault schedule": (dict(fault_schedule=FaultSchedule()), False, None),
+}
 
 
 @pytest.mark.parametrize("reason", sorted(_ENGINE_CASES))
@@ -254,17 +258,16 @@ def test_simulate_prints_the_core_it_took(tmp_path):
 
 
 #: Experiment -> why its ``smoke`` cells that take ``fastpath.py`` do
-#: (every other cell takes the compiled core).  Of 187 simulations, 153
-#: are compiled; 13 take the reference for a fault schedule, 12 for
-#: several disks, 5 for LB/GC's hit hints and 4 for GMS.  ROADMAP item
-#: 7 empties the last three.
+#: (every other cell takes the compiled core).  Of 187 simulations, 163
+#: are compiled; 12 take the reference for several disks, 8 for LB/GC's
+#: hit hints (4 of them under a fault schedule) and 4 for GMS.  ROADMAP
+#: item 7 empties the rest.
 _REFERENCE_CELLS = {
     "fig7": {"unsupported configuration: GMS", "unsupported configuration: LB/GC hit hints"},
     "fig10": {"unsupported configuration: GMS", "unsupported configuration: LB/GC hit hints"},
     "fig13": {"unsupported configuration: multi-disk nodes"},
     "fig14": {"unsupported configuration: multi-disk nodes"},
-    "ext-failure": {"fault schedule"},
-    "ext-chaos": {"fault schedule", "unsupported configuration: LB/GC hit hints"},
+    "ext-chaos": {"unsupported configuration: LB/GC hit hints"},
 }
 
 
@@ -482,6 +485,64 @@ def test_a_traced_run_takes_the_native_core(trace):
     assert (sim.core, sim.core_reason) == ("native", "")
     assert (sim.engine_kind, sim.engine_reason) == ("native", "")
     assert sim.tracer.spans_finished == len(trace)
+
+
+#: Every transition of a fault runtime within the run (about 3.3 s):
+#: node 1 dark at 0.5 s, failed at 0.7 s and back at 1.5 s, node 2
+#: browned out from 2.0 s; a timed-out dispatch is retried once, then
+#: lost.
+_CHURN = FaultSchedule(
+    crashes=(CrashFault(1, at_s=0.5, detect_s=0.2, rejoin_at_s=1.5),),
+    brownouts=(Brownout(2, at_s=2.0, duration_s=0.5),),
+    retry=RetryPolicy(max_retries=1, timeout_s=0.05, backoff_base_s=0.02, backoff_cap_s=0.1),
+)
+
+
+@needs_cc
+@pytest.mark.parametrize("traced", [False, True], ids=["untraced", "traced"])
+def test_a_faulty_run_takes_the_native_core(trace, traced):
+    """A fault runtime's transitions are Python events beside the
+    compiled core, which runs the faulty stages itself."""
+    require_native()
+    config = ClusterConfig(
+        policy="lard/r", num_nodes=3, node_cache_bytes=2**19, fault_schedule=_CHURN
+    )
+    sim = ClusterSimulator(trace, config, tracer=_tracer() if traced else None)
+    result = sim.run()
+    assert (sim.core, sim.core_reason) == ("native", "")
+    assert result.retried_requests > 0 and result.lost_requests > 0
+    assert sim.fault_runtime.served_requests + result.lost_requests == len(trace)
+    if traced:
+        assert sim.tracer.spans_finished == len(trace)
+        assert [event for _, event, _ in sim.fault_runtime.events] == [
+            "crash", "detect", "join", "brownout_start", "brownout_end"
+        ]
+
+
+def test_a_sanitized_faulty_run_takes_the_reference(trace):
+    """The sanitizer reads the fault runtime's counters at every event,
+    which the compiled core keeps until the run ends."""
+    config = ClusterConfig(
+        policy="lard/r", num_nodes=3, node_cache_bytes=2**19, fault_schedule=_CHURN,
+        sanitize=True,
+    )
+    sim = ClusterSimulator(trace, config)
+    sim.run()
+    assert (sim.core, sim.core_reason) == ("python", "sanitizer")
+
+
+def test_an_event_from_outside_keeps_a_faulty_run_on_the_reference(trace):
+    """The fault runtime's own transitions are the one kind of event
+    scheduled before the run that the compiled core runs beside."""
+    config = ClusterConfig(
+        policy="lard/r", num_nodes=3, node_cache_bytes=2**19, fault_schedule=_CHURN
+    )
+    sim = ClusterSimulator(trace, config)
+    _probe(sim)
+    sim.run()
+    assert (sim.core, sim.core_reason) == (
+        "python", "unsupported configuration: events scheduled before the run"
+    )
 
 
 #: name -> (anchor in cluster/_lifecycle.c, replacement): bugs in the

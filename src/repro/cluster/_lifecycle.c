@@ -50,12 +50,26 @@
  * admit(); a brownout the node's cost constants, reload_node) and flushes
  * the rows before its fault record (flush_rows).  The degraded-mode
  * series is the runtime's: served requests go to its record_served only
- * when the schedule has a bucket width, and are only counted otherwise.
+ * when the schedule has a bucket width, and are counted here either way,
+ * as lost ones are.
+ *
+ * A sanitized run (FrontEnd.start passes the InvariantSanitizer whose
+ * after_event is the engine's hook) runs here too.  The engine calls
+ * check_event where it would call that hook, and an in-place start calls
+ * sanitize itself, as fastpath.py calls hook(now, begin): the per-event
+ * laws of after_event -- the clock, in_flight against the limit and its
+ * drain allowance, request conservation both ways, served + lost ==
+ * completed -- are checked over the books held here, and a violation is
+ * raised through the sanitizer's _fail with the reference's text and the
+ * reference's stage function named.  Every deep_interval events the
+ * books the deep sweep reads are written back (write_books) and its
+ * _deep_check runs on them, unchanged; the sanitizer's events_seen,
+ * clock and allowance go back at each sweep and at finish().
  *
  * repro.sim.native builds this file with the engine on first use and
- * FrontEnd.start() decides when a run may take it; runs with a
- * sanitizer, a profiler, GMS, LB/GC hit hints or several disks per node
- * take fastpath.py.
+ * FrontEnd.start() decides when a run may take it; runs with an engine
+ * hook that is not their sanitizer's, a profiler, GMS, LB/GC hit hints
+ * or several disks per node take fastpath.py.
  */
 
 #include "_engine.h"
@@ -206,7 +220,16 @@ typedef struct Core {
     double timeout;
     long long max_retries;
     Tries *tries;
-    long long served, retried;
+    long long served, retried, lost;
+    /* A sanitized run: the InvariantSanitizer whose after_event is the
+     * engine's hook (NULL: none), its _deep_check and _fail, the stage
+     * function of the reference each tag stands for (what a violation
+     * names), and the sanitizer's own counters, kept here and written
+     * back at each sweep and at the end. */
+    PyObject *sanitizer, *deep_check, *fail;
+    PyObject *stage_fns[ST_RETRY + 1];
+    long long events_seen, deep_interval, in_flight_cap;
+    double last_time;
     /* The per-run choices: the start stage and its tag (stage_begin, or
      * stage_dispatch on a faulty run), whether a served request has a
      * hook and a fetch is watched (a tracer or faults), and whether a
@@ -683,8 +706,9 @@ book_delay(Core *s, double delay)
 
 /* FaultyConnection._record_served, a faulty run's served hook: the
  * request a connection started with books its delay from the
- * connection's first start event, and the goodput series, if the
- * schedule keeps one, records it. */
+ * connection's first start event, the request is counted, and the
+ * goodput series, if the schedule keeps one, records it (and counts it
+ * too). */
 static int
 served_hook(Core *s, int ci)
 {
@@ -692,10 +716,9 @@ served_hook(Core *s, int ci)
     Tries *f = &s->tries[ci];
     if (c->index == f->first)
         c->start = f->t_first;
-    if (s->record_served == NULL) {
-        s->served += 1;
+    s->served += 1;
+    if (s->record_served == NULL)
         return 0;
-    }
     PyObject *result = PyObject_CallFunction(s->record_served, "ddO", s->now, s->now - c->start,
                                              f->missed ? Py_True : Py_False);
     if (result == NULL)
@@ -809,6 +832,19 @@ start_in_place(Core *s)
     return 1;
 }
 
+static int sanitize(Core *s, double when, PyObject *callback);
+
+/* The start stage, run in place, and on a sanitized run checked where
+ * the run loop would have checked the event it replaces (FrontEnd.admit's
+ * ``hook(now, begin)``). */
+static int
+start_here(Core *s, int ci)
+{
+    if (s->start(s, ci) < 0)
+        return -1;
+    return s->sanitizer != NULL ? sanitize(s, s->now, s->stage_fns[s->start_tag]) : 0;
+}
+
 /* FrontEnd.admit: admit while slots and trace requests remain. */
 static int
 admit(Core *s)
@@ -826,7 +862,7 @@ admit(Core *s)
         /* Not a traced one (FrontEnd.inplace): it snapshots the loads,
          * which the later admissions of this loop still change. */
         if (!s->rows && start_in_place(s)) {
-            if (s->start(s, ci) < 0)
+            if (start_here(s, ci) < 0)
                 return -1;
         }
         else if (nowq_push(s, s->start_tag, ci) < 0)
@@ -1272,7 +1308,7 @@ stage_complete(Core *s, int ci)
             return admit(s);
         }
         if (start_in_place(s))
-            return s->start(s, ci);
+            return start_here(s, ci);
         return nowq_push(s, s->start_tag, ci);
     }
     s->in_flight = in_flight;
@@ -1319,6 +1355,7 @@ stage_timed_out(Core *s, int ci)
             if (result == NULL)
                 return -1;
             Py_DECREF(result);
+            s->lost += 1;
             if (s->rows) {
                 Py_ssize_t target;
                 if (target_at(s, index, &target) < 0)
@@ -1388,8 +1425,10 @@ set_double(PyObject *obj, const char *name, double value)
     return rc;
 }
 
+/* The books a deep sweep reads, and the run's end: the front-end's, the
+ * nodes', the resources' and the fault runtime's counters. */
 static int
-write_back(Core *s)
+write_books(Core *s)
 {
     PyObject *fe = s->fe;
     if (set_ll(fe, "_next", s->next) < 0
@@ -1440,18 +1479,152 @@ write_back(Core *s)
                 return -1;
         }
     }
-    /* The rows not flushed yet are the tracer's to flush. */
-    if (s->rows
-        && (set_ll(s->tracer, "fill", s->rfill) < 0 || set_ll(s->tracer, "seq", s->next_req) < 0))
-        return -1;
     /* Served requests, when only counted here (record_served counts
-     * them itself). */
+     * them itself, as record_lost counts the lost ones). */
     if (s->faults != NULL
         && (set_ll(s->faults, "retried_requests", s->retried) < 0
             || (s->record_served == NULL
                 && set_ll(s->faults, "served_requests", s->served) < 0)))
         return -1;
     return 0;
+}
+
+/* The sanitizer's own counters, as its after_event would have left them. */
+static int
+write_watch(Core *s)
+{
+    if (set_ll(s->sanitizer, "events_seen", s->events_seen) < 0
+        || set_double(s->sanitizer, "_last_time", s->last_time) < 0
+        || set_ll(s->sanitizer, "_in_flight_cap", s->in_flight_cap) < 0)
+        return -1;
+    return 0;
+}
+
+static int
+write_back(Core *s)
+{
+    if (write_books(s) < 0 || (s->sanitizer != NULL && write_watch(s) < 0))
+        return -1;
+    /* The rows not flushed yet are the tracer's to flush. */
+    if (s->rows
+        && (set_ll(s->tracer, "fill", s->rfill) < 0 || set_ll(s->tracer, "seq", s->next_req) < 0))
+        return -1;
+    return 0;
+}
+
+/* -- the invariant sanitizer (a sanitized run) ------------------------------ */
+
+/* InvariantSanitizer._fail: the SanitizerError naming the event, with the
+ * reference's text; -1 with it set.  ``reason`` is stolen. */
+static int
+violation(Core *s, double when, PyObject *callback, PyObject *reason)
+{
+    PyObject *at = reason != NULL ? PyFloat_FromDouble(when) : NULL;
+    if (at != NULL && write_watch(s) == 0) {
+        PyObject *result = PyObject_CallFunctionObjArgs(s->fail, at, callback, reason, NULL);
+        Py_XDECREF(result);
+        if (result != NULL)
+            PyErr_SetString(PyExc_RuntimeError, "InvariantSanitizer._fail returned");
+    }
+    Py_XDECREF(at);
+    Py_XDECREF(reason);
+    return -1;
+}
+
+/* Every deep_interval events: the books go back into the Python objects
+ * the sweep reads, and InvariantSanitizer._deep_check reads them. */
+static int
+sweep(Core *s, double when, PyObject *callback)
+{
+    if (write_books(s) < 0 || write_watch(s) < 0)
+        return -1;
+    PyObject *at = PyFloat_FromDouble(when);
+    if (at == NULL)
+        return -1;
+    PyObject *result = PyObject_CallFunctionObjArgs(s->deep_check, at, callback, NULL);
+    Py_DECREF(at);
+    if (result == NULL)
+        return -1;
+    Py_DECREF(result);
+    return 0;
+}
+
+/* InvariantSanitizer.after_event over the core's books: the event that
+ * ran at ``when`` (the reference's ``callback``) is counted, the clock
+ * and the front-end's and the fault runtime's laws are checked, and a
+ * deep sweep is made every deep_interval events. */
+static int
+sanitize(Core *s, double when, PyObject *callback)
+{
+    long long seen = ++s->events_seen;
+    if (when + 1e-12 < s->last_time) {
+        PyObject *at = PyFloat_FromDouble(when), *last = PyFloat_FromDouble(s->last_time);
+        PyObject *reason = NULL;
+        if (at != NULL && last != NULL)
+            reason = PyUnicode_FromFormat("clock moved backwards: event at t=%R after t=%R", at,
+                                          last);
+        Py_XDECREF(at);
+        Py_XDECREF(last);
+        return violation(s, when, callback, reason);
+    }
+    s->last_time = when;
+    long long admitted = s->next, completed = s->completed, in_flight = s->in_flight;
+    if (in_flight < 0)
+        return violation(s, when, callback,
+                         PyUnicode_FromFormat("in_flight is negative (%lld)", in_flight));
+    long long limit = s->max_in_flight, cap = s->in_flight_cap;
+    long long allowance = cap > limit ? cap : limit;
+    if (in_flight > allowance)
+        return violation(s, when, callback,
+                         PyUnicode_FromFormat("in_flight %lld exceeds the admission limit %lld "
+                                              "(drain allowance %lld)",
+                                              in_flight, limit, allowance));
+    if (cap != limit && in_flight <= limit)
+        s->in_flight_cap = limit;
+    long long outstanding = admitted - completed;
+    if (outstanding < 0)
+        return violation(s, when, callback,
+                         PyUnicode_FromFormat("completed %lld exceeds admitted %lld", completed,
+                                              admitted));
+    long long carried = in_flight * (long long)s->rpc;
+    if (outstanding > carried)
+        return violation(s, when, callback,
+                         PyUnicode_FromFormat("request conservation broken: admitted %lld != "
+                                              "completed %lld + work carried by %lld in-flight "
+                                              "connection(s) (<= %lld requests)",
+                                              admitted, completed, in_flight, carried));
+    if (outstanding < in_flight)
+        return violation(s, when, callback,
+                         PyUnicode_FromFormat("request conservation broken: %lld in-flight "
+                                              "connection(s) carry only %lld outstanding "
+                                              "request(s) (admitted %lld, completed %lld)",
+                                              in_flight, outstanding, admitted, completed));
+    if (s->faults != NULL) {
+        long long lost = s->lost, served = s->served, retried = s->retried;
+        if (lost < 0 || served < 0 || retried < 0)
+            return violation(s, when, callback,
+                             PyUnicode_FromFormat("fault-runtime counters went negative (served "
+                                                  "%lld, lost %lld, retried %lld)",
+                                                  served, lost, retried));
+        if (served + lost != completed)
+            return violation(s, when, callback,
+                             PyUnicode_FromFormat("lost-request conservation broken: served %lld "
+                                                  "+ lost %lld != completed %lld",
+                                                  served, lost, completed));
+    }
+    if (seen % s->deep_interval == 0)
+        return sweep(s, when, callback);
+    return 0;
+}
+
+/* The engine's check of a sanitized run, after each event it dispatched:
+ * a native one is named by its stage's function in the reference. */
+static int
+check_event(PyObject *client, const Event *ev)
+{
+    Core *s = (Core *)client;
+    PyObject *callback = ev->fn == NULL ? s->stage_fns[ev->u.native.tag] : event_callback(ev);
+    return sanitize(s, ev->time, callback);
 }
 
 /* -- the Core type ---------------------------------------------------------- */
@@ -1728,7 +1901,8 @@ init_faults(Core *s, PyObject *faults)
         || get_double(retry, "timeout_s", &s->timeout) < 0
         || get_ll(retry, "max_retries", &s->max_retries) < 0
         || get_ll(faults, "served_requests", &s->served) < 0
-        || get_ll(faults, "retried_requests", &s->retried) < 0)
+        || get_ll(faults, "retried_requests", &s->retried) < 0
+        || get_ll(faults, "lost_requests", &s->lost) < 0)
         goto done;
     if (interval != Py_None
         && (s->record_served = PyObject_GetAttrString(faults, "record_served")) == NULL)
@@ -1740,14 +1914,57 @@ done:
     return rc;
 }
 
+/* The stage functions of the reference's connection class, by tag. */
+static const char *const stage_names[ST_RETRY + 1] = {
+    "_begin", "_decide", "_advance", "_complete", "_coalesced", "_dispatch", "_timed_out", "_retry",
+};
+
+/* Take over a sanitizer: its counters, the methods a sweep and a
+ * violation call, and the names of the stages it may report. */
+static int
+init_sanitizer(Core *s, PyObject *sanitizer)
+{
+    s->sanitizer = Py_NewRef(sanitizer);
+    PyObject *cls = PyObject_GetAttrString(s->fe, "conn_class");
+    if (cls == NULL)
+        return -1;
+    int rc = -1;
+    for (int tag = 0; tag <= ST_RETRY; tag++) {
+        s->stage_fns[tag] = PyObject_GetAttrString(cls, stage_names[tag]);
+        if (s->stage_fns[tag] == NULL) {
+            /* A plain run's class has no faulty stages, nor events of
+             * theirs. */
+            if (!PyErr_ExceptionMatches(PyExc_AttributeError))
+                goto done;
+            PyErr_Clear();
+            s->stage_fns[tag] = Py_NewRef(Py_None);
+        }
+    }
+    if ((s->deep_check = PyObject_GetAttrString(sanitizer, "_deep_check")) == NULL
+        || (s->fail = PyObject_GetAttrString(sanitizer, "_fail")) == NULL
+        || get_ll(sanitizer, "deep_interval", &s->deep_interval) < 0
+        || get_ll(sanitizer, "events_seen", &s->events_seen) < 0
+        || get_ll(sanitizer, "_in_flight_cap", &s->in_flight_cap) < 0
+        || get_double(sanitizer, "_last_time", &s->last_time) < 0)
+        goto done;
+    if (s->deep_interval < 1) {
+        PyErr_SetString(PyExc_ValueError, "deep_interval must be >= 1");
+        goto done;
+    }
+    rc = 0;
+done:
+    Py_DECREF(cls);
+    return rc;
+}
+
 static int dispatch(PyObject *client, int stage, int ci);
 
 static int
 Core_init(Core *s, PyObject *args, PyObject *kwds)
 {
-    PyObject *fe;
-    static char *kwlist[] = {"frontend", NULL};
-    if (!PyArg_ParseTupleAndKeywords(args, kwds, "O:Core", kwlist, &fe))
+    PyObject *fe, *sanitizer = Py_None;
+    static char *kwlist[] = {"frontend", "sanitizer", NULL};
+    if (!PyArg_ParseTupleAndKeywords(args, kwds, "O|O:Core", kwlist, &fe, &sanitizer))
         return -1;
     if (s->fe != NULL) {
         PyErr_SetString(PyExc_RuntimeError, "a Core is built once");
@@ -1767,7 +1984,8 @@ Core_init(Core *s, PyObject *args, PyObject *kwds)
         return -1;
     }
     s->eng = (EngineObject *)engine;
-    if (engine_bind(s->eng, (PyObject *)s, dispatch) < 0)
+    if (engine_bind(s->eng, (PyObject *)s, dispatch, sanitizer != Py_None ? check_event : NULL)
+        < 0)
         return -1;
     if ((s->policy = PyObject_GetAttrString(fe, "policy")) == NULL
         || (s->choose = PyObject_GetAttrString(fe, "choose")) == NULL
@@ -1937,6 +2155,8 @@ Core_init(Core *s, PyObject *args, PyObject *kwds)
     s->start_tag = s->faults != NULL ? ST_DISPATCH : ST_BEGIN;
     s->watched = s->rows || s->faults != NULL;
     s->reroute = s->rehandoff || s->faults != NULL;
+    if (sanitizer != Py_None && init_sanitizer(s, sanitizer) < 0)
+        goto done;
     rc = 0;
 done:
     Py_XDECREF(tracker);
@@ -1980,6 +2200,11 @@ Core_traverse(Core *s, visitproc visit, void *arg)
     Py_VISIT(s->backoff);
     Py_VISIT(s->record_served);
     Py_VISIT(s->record_lost);
+    Py_VISIT(s->sanitizer);
+    Py_VISIT(s->deep_check);
+    Py_VISIT(s->fail);
+    for (int tag = 0; tag <= ST_RETRY; tag++)
+        Py_VISIT(s->stage_fns[tag]);
     return 0;
 }
 
@@ -2032,6 +2257,11 @@ Core_clear_refs(Core *s)
     Py_CLEAR(s->backoff);
     Py_CLEAR(s->record_served);
     Py_CLEAR(s->record_lost);
+    Py_CLEAR(s->sanitizer);
+    Py_CLEAR(s->deep_check);
+    Py_CLEAR(s->fail);
+    for (int tag = 0; tag <= ST_RETRY; tag++)
+        Py_CLEAR(s->stage_fns[tag]);
     return 0;
 }
 

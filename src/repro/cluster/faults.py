@@ -104,8 +104,15 @@ class RetryPolicy:
             )
 
     def backoff_s(self, attempt: int) -> float:
-        """Capped exponential backoff before retry ``attempt`` (1-based)."""
-        backoff = self.backoff_base_s * (2.0 ** (attempt - 1))
+        """Capped exponential backoff before retry ``attempt`` (1-based).
+
+        ``ldexp`` scales by the power of two exactly, as ``base * 2.0 **
+        (attempt - 1)`` does while that power is a float; past the float
+        range the back-off is past any cap."""
+        try:
+            backoff = math.ldexp(self.backoff_base_s, attempt - 1)
+        except OverflowError:
+            return self.backoff_cap_s
         return backoff if backoff < self.backoff_cap_s else self.backoff_cap_s
 
 

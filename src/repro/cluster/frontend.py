@@ -30,8 +30,8 @@ state machine in :mod:`repro.cluster.fastpath`, whose connections share
 the front-end's per-run state: the pool, the cost tables and the
 references into the policy's and the tracker's hot state.  Every run
 that can runs on the compiled engine (``ClusterSimulator.engine``
-chooses it), and a plain, traced or faulty run takes the same lifecycle
-compiled as well (:mod:`repro.sim.native`): :meth:`FrontEnd.start`
+chooses it), and a plain, traced, faulty or sanitized run takes the same
+lifecycle compiled as well (:mod:`repro.sim.native`): :meth:`FrontEnd.start`
 decides that, and says why not.
 """
 
@@ -41,6 +41,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..core.base import Policy
 from ..sim.engine import Engine
+from ..sim.sanitize import InvariantSanitizer
 from ..workload.trace import Trace
 from .costs import CostModel
 from .fastpath import DiskTimes, FastConnection, FaultyConnection
@@ -189,7 +190,7 @@ class FrontEnd:
         if core is None:
             self.admit()
         else:
-            self._native = core(self)
+            self._native = core(self, self._sanitizer())
             self._native.admit()
 
     def _pick_core(self) -> Tuple[Optional[Any], str]:
@@ -202,22 +203,25 @@ class FrontEnd:
         :class:`FaultyConnection`'s under a fault runtime, whose
         transitions tell the core what they change (:meth:`fail_node`,
         :meth:`join_node`, :meth:`refresh_node`, :meth:`flush_rows`).
-        A tracer is a row sink the core writes too.  What watches every
-        event of a run (the sanitizer's per-event hook, which reads the
-        fault runtime's counters too, or a profiler) and what the core
-        does not implement (GMS, LB/GC's hit hints, several disks per
-        node, the test oracle's admission seam, events scheduled from
-        outside that are not the fault runtime's, which could read the
-        books the core keeps until the run ends) keeps the reference.
-        The core's events are native events of the compiled engine, so a
-        run on ``engine.py`` (under a profiler, whose every stage and
-        helper is its own entry there, or with the extension
+        A tracer is a row sink the core writes too, and the invariant
+        sanitizer watching this front-end is checked by the core: its
+        per-event laws over the core's own books, its deep sweep over
+        the books written back for it (:meth:`_sanitizer`).  What
+        watches every event of a run otherwise (a foreign engine hook,
+        which could read the books the core keeps until the run ends,
+        or a profiler) and what the core does not implement (GMS,
+        LB/GC's hit hints, several disks per node, the test oracle's
+        admission seam, events scheduled from outside that are not the
+        fault runtime's, which could read those books too) keeps the
+        reference.  The core's events are native events of the compiled
+        engine, so a run on ``engine.py`` (under a profiler, whose every
+        stage and helper is its own entry there, or with the extension
         unavailable) keeps the reference too.
         """
         from ..sim import native
 
-        if self.engine._sanitizer is not None:
-            return None, "sanitizer"
+        if self.engine._sanitizer is not None and self._sanitizer() is None:
+            return None, "foreign event hook"
         if native.profiled():
             return None, "profiler attached"
         unsupported = self._unsupported()
@@ -229,6 +233,21 @@ class FrontEnd:
         if type(self.engine) is Engine:  # made while a profiler watched
             return None, "profiler attached"
         return module.Core, ""
+
+    def _sanitizer(self) -> Optional[InvariantSanitizer]:
+        """The invariant sanitizer whose :meth:`~InvariantSanitizer
+        .after_event` is the engine's hook and which watches this
+        front-end, else ``None``: the one hook whose checks the compiled
+        core makes itself."""
+        hook = self.engine._sanitizer
+        sanitizer = getattr(hook, "__self__", None)
+        if (
+            type(sanitizer) is InvariantSanitizer
+            and hook == sanitizer.after_event
+            and sanitizer._frontend is self
+        ):
+            return sanitizer
+        return None
 
     def _unsupported(self) -> str:
         """What in this run the compiled core does not cover, or ``""``."""

@@ -348,7 +348,8 @@ class ClusterSimulator:
     @property
     def core_reason(self) -> str:
         """Why the run took ``fastpath.py`` (``""`` on the native core):
-        ``sanitizer``, ``profiler attached``,
+        ``foreign event hook`` (an engine hook that is not the run's
+        sanitizer's), ``profiler attached``,
         ``unsupported configuration: <what>`` or ``extension
         unavailable: <why>``."""
         return self.frontend.core_reason

@@ -12,8 +12,8 @@ untraced one, and an unhooked run pays nothing (the perf ledger's
 A span is a **row** the request lifecycle writes into the tracer's
 chunk when the request completes: the compiled core
 (``repro/cluster/_lifecycle.c``) on a run it covers, the connection
-classes of :mod:`repro.cluster.fastpath` on any other (sanitized,
-profiled, GMS, LB/GC, or no C compiler).  Each stage times
+classes of :mod:`repro.cluster.fastpath` on any other (profiled,
+GMS, LB/GC, or no C compiler).  Each stage times
 its phase behind one tracer test; nothing wraps a stage.  The chunk is
 preallocated when the tracer is bound and of fixed length (rows of the
 :mod:`repro.obs.span` row layout plus one load per node: up to

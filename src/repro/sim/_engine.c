@@ -13,7 +13,9 @@
  * (fn NULL) is a tag and an index that the bound client -- the compiled
  * request lifecycle, _lifecycle.c -- dispatches with no Python object
  * made for it.  events_dispatched is counted as events are dispatched,
- * an event that raised included.
+ * an event that raised included.  A client bound with a check (the
+ * lifecycle of a sanitized run) checks the sanitizer's laws after each
+ * event itself, where the hook would be called.
  *
  * repro.sim.native builds this file and the lifecycle into one
  * extension on first use; a ClusterSimulator makes this engine for its
@@ -218,7 +220,7 @@ static PyTypeObject EventQueueType = {
 /* -- the engine ------------------------------------------------------------------ */
 
 int
-engine_bind(EngineObject *e, PyObject *client, NativeDispatch dispatch)
+engine_bind(EngineObject *e, PyObject *client, NativeDispatch dispatch, NativeCheck check)
 {
     if (e->client != NULL && e->client != client) {
         PyErr_SetString(PyExc_RuntimeError, "the engine already runs another native client");
@@ -226,6 +228,7 @@ engine_bind(EngineObject *e, PyObject *client, NativeDispatch dispatch)
     }
     e->client = client;
     e->dispatch = dispatch;
+    e->check = check;
     return 0;
 }
 
@@ -235,6 +238,7 @@ engine_unbind(EngineObject *e, PyObject *client)
     if (e->client == client) {
         e->client = NULL;
         e->dispatch = NULL;
+        e->check = NULL;
     }
 }
 
@@ -366,6 +370,7 @@ Engine_clear(EngineObject *e)
 {
     e->client = NULL;
     e->dispatch = NULL;
+    e->check = NULL;
     Py_CLEAR(e->queue);
     Py_CLEAR(e->push);
     Py_CLEAR(e->hook);
@@ -491,8 +496,13 @@ Engine_process(EngineObject *e, PyObject *args, PyObject *kwds)
     return proc;
 }
 
-/* The sanitizer's view of an event that ran: a native event shows None,
- * a zero-argument callback itself rather than operator.call. */
+PyObject *
+event_callback(const Event *ev)
+{
+    return ev->fn == op_call ? ev->u.arg : ev->fn;
+}
+
+/* The sanitizer's view of an event that ran: a native event shows None. */
 static int
 show(PyObject *hook, const Event *ev)
 {
@@ -500,7 +510,7 @@ show(PyObject *hook, const Event *ev)
     args[0] = PyFloat_FromDouble(ev->time);
     if (args[0] == NULL)
         return -1;
-    args[1] = ev->fn == NULL ? Py_None : ev->fn == op_call ? ev->u.arg : ev->fn;
+    args[1] = ev->fn == NULL ? Py_None : event_callback(ev);
     PyObject *r = PyObject_Vectorcall(hook, args, 2, NULL);
     Py_DECREF(args[0]);
     if (r == NULL)
@@ -573,8 +583,10 @@ Engine_run(EngineObject *e, PyObject *args, PyObject *kwds)
             rc = r == NULL ? -1 : 0;
             Py_XDECREF(r);
         }
+        /* A client that checks the laws itself does so in the hook's
+         * place. */
         if (rc == 0 && hook != NULL)
-            rc = show(hook, &ev);
+            rc = e->check != NULL ? e->check(e->client, &ev) : show(hook, &ev);
         event_release(&ev);
         /* A native run executes no bytecode, so Ctrl-C is looked for
          * here. */
@@ -666,7 +678,8 @@ static PyMethodDef Engine_methods[] = {
     {"runs_next", (PyCFunction)Engine_runs_next, METH_NOARGS,
      "Whether an event staged now would be the next one dispatched."},
     {"install_sanitizer", (PyCFunction)Engine_install_sanitizer, METH_O,
-     "Call hook(event_time, callback) after every dispatched event (None: none)."},
+     "Call hook(event_time, callback) after every dispatched event (None: none); a bound "
+     "native client that checks the hook's laws itself does so in its place."},
     {NULL, NULL, 0, NULL},
 };
 

@@ -44,6 +44,10 @@ typedef struct {
 /* Runs a native event; 0, or -1 with an exception set. */
 typedef int (*NativeDispatch)(PyObject *client, int tag, int index);
 
+/* Checks a sanitized run's laws after an event, in place of the
+ * sanitizer's hook; 0, or -1 with an exception set. */
+typedef int (*NativeCheck)(PyObject *client, const Event *ev);
+
 typedef struct {
     PyObject_HEAD
     EventQueue *queue;
@@ -52,6 +56,7 @@ typedef struct {
     PyObject *hook;    /* the sanitizer's hook, or NULL */
     PyObject *client;  /* borrowed: the client unbinds before it goes */
     NativeDispatch dispatch;
+    NativeCheck check; /* the client's, called where the hook would be; or NULL */
     double now;
     long long events_dispatched;
     int stopped;
@@ -64,9 +69,16 @@ extern PyObject *SimulationError; /* repro.sim.engine.SimulationError */
 int queue_grow_heap(EventQueue *q);
 int queue_grow_fifo(EventQueue *q);
 
-/* Bind the one native client of an engine; -1 if another is bound. */
-int engine_bind(EngineObject *e, PyObject *client, NativeDispatch dispatch);
+/* Bind the one native client of an engine, and the check it makes of
+ * every event when a hook is installed (NULL: the hook is called); -1 if
+ * another client is bound. */
+int engine_bind(EngineObject *e, PyObject *client, NativeDispatch dispatch, NativeCheck check);
 void engine_unbind(EngineObject *e, PyObject *client);
+
+/* What the sanitizer's hook is shown of a Python event that ran: the
+ * callback, a zero-argument one itself rather than operator.call
+ * (borrowed). */
+PyObject *event_callback(const Event *ev);
 
 /* The compiled lifecycle's types, added to the extension module. */
 int lifecycle_init(PyObject *module);

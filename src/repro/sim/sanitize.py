@@ -15,9 +15,11 @@ Checked every event (cheap, O(1)):
 * the simulated clock never moves backwards;
 * request conservation at the front-end: requests admitted from the
   trace equal completions plus what in-flight connections can still be
-  carrying, and ``0 <= in_flight <= max_in_flight`` (with a drain
-  allowance when a node failure shrinks the admission limit under
-  connections admitted before it, per paper Section 2.6);
+  carrying — at least one request each (a slot is given back in the
+  event that completes its last request) and at most
+  ``requests_per_connection`` — and ``0 <= in_flight <= max_in_flight``
+  (with a drain allowance when a node failure shrinks the admission
+  limit under connections admitted before it, per paper Section 2.6);
 * on fault-model runs (:mod:`repro.cluster.faults`), lost-request
   conservation: served goodput plus abandoned (lost) requests exactly
   tile the completion count, and no runtime counter goes negative.
@@ -50,6 +52,19 @@ The sanitizer is strictly read-only: it never touches accounting methods
 with side effects (e.g. ``Resource.busy_time`` folds the running
 integral), so a sanitized run produces *byte-identical* results to an
 unsanitized one — a property the test suite asserts.
+
+Which core runs which check.  On ``fastpath.py`` (the reference) the
+engine calls :meth:`InvariantSanitizer.after_event` after every event,
+and the in-place start sites call it for the start events they run.
+On the compiled core (``repro/cluster/_lifecycle.c``) the engine calls
+the core's own check instead, at the same points: the per-event laws
+above are checked in C over the books the core holds (with this class's
+texts, raised through :meth:`_fail`), and every ``deep_interval``
+events the core writes those books back into the front-end, the nodes,
+their resources and the fault runtime and calls :meth:`_deep_check`
+here, unchanged.  ``events_seen`` and the clock and allowance the laws
+keep are written back at each sweep and when the run ends, so
+:meth:`final_check` runs here on either core.
 """
 
 from __future__ import annotations
@@ -210,6 +225,16 @@ class InvariantSanitizer:
                     f"request conservation broken: admitted {admitted} != completed "
                     f"{completed} + work carried by {in_flight} in-flight "
                     f"connection(s) (<= {in_flight * fe.requests_per_connection} requests)",
+                )
+            # ...and every in-flight connection still carries a request:
+            # a slot is given back in the event that completes its last.
+            if outstanding < in_flight:
+                self._fail(
+                    when,
+                    callback,
+                    f"request conservation broken: {in_flight} in-flight "
+                    f"connection(s) carry only {outstanding} outstanding request(s) "
+                    f"(admitted {admitted}, completed {completed})",
                 )
             # Lost-request conservation (fault-model runs): every completion
             # is either served goodput or an abandoned (lost) request — the

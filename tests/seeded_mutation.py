@@ -3,8 +3,9 @@
 Shared by the test modules that record mutations beside their tests
 (``test_cluster_differential``, ``test_cluster_memory``,
 ``test_fastpath_identity``, ``test_obs_span``,
-``test_cluster_metamorphic``, ``test_analysis_matrix``): each shows,
-in a subprocess importing the mutated copy, that its checks fail on it.
+``test_cluster_metamorphic``, ``test_analysis_matrix``,
+``test_sim_sanitize``): each shows, in a subprocess importing the
+mutated copy, that its checks fail on it.
 """
 
 from __future__ import annotations
@@ -52,6 +53,19 @@ def mutated_env(tmp_path: Path, relpath: str, anchor: str, replacement: str) -> 
             env.setdefault("REPRO_TRACE_CACHE", str(traces))
         env["XDG_CACHE_HOME"] = str(tmp_path / "cache")
     return env
+
+
+def run_mutated(
+    tmp_path: Path, relpath: str, anchor: str, replacement: str, code: str
+) -> subprocess.CompletedProcess:
+    """Run ``python -c code`` against a copy of ``repro`` mutated as
+    :func:`mutated_env` mutates it; its output is the caller's to
+    judge."""
+    return subprocess.run(
+        [sys.executable, "-c", code],
+        env=mutated_env(tmp_path, relpath, anchor, replacement),
+        cwd=tmp_path, capture_output=True, text=True, timeout=180,
+    )
 
 
 def assert_selected_tests_fail(

@@ -188,8 +188,7 @@ def test_drawn_schedules_exercise_the_fault_paths(monkeypatch):
 
     def recording_run(sim):
         result = run(sim)
-        compiled = native_available() and sim.sanitizer is None
-        cores.append(sim.core == ("native" if compiled else "python"))
+        cores.append(sim.core == ("native" if native_available() else "python"))
         return result
 
     monkeypatch.setattr(ClusterSimulator, "run", recording_run)

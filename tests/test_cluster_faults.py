@@ -112,6 +112,21 @@ def test_retry_backoff_is_capped_exponential():
     assert retry.backoff_s(10) == pytest.approx(0.5)
 
 
+def test_retry_backoff_past_the_float_range_is_the_cap():
+    """``max_retries`` has no upper bound, and ``2.0 ** 1024`` is past
+    the float range: from attempt 1025 the back-off is the cap (a zero
+    base stays zero), and below it every value is the exponential's own
+    float."""
+    retry = RetryPolicy(max_retries=2000)
+    assert retry.backoff_s(1024) == retry.backoff_s(1025) == retry.backoff_s(5000) == 2.0
+    zero = RetryPolicy(max_retries=2000, backoff_base_s=0.0)
+    assert zero.backoff_s(1025) == zero.backoff_s(1) == 0.0
+    tiny = RetryPolicy(backoff_base_s=5e-324, backoff_cap_s=2.0)
+    for attempt in (1, 2, 60, 1023, 1024, 1025):
+        expected = 5e-324 * 2.0 ** (attempt - 1) if attempt <= 1024 else 5e-324 * 2.0 ** 1023 * 2
+        assert tiny.backoff_s(attempt) == min(expected, 2.0)
+
+
 def test_crash_fault_validation():
     with pytest.raises(ValueError, match="detect_s"):
         CrashFault(node=0, at_s=1.0, detect_s=-0.5)

@@ -162,7 +162,7 @@ def test_fastpath_matches_generator_path(trace, config):
     built (the rest ``fastpath.py``), and must not notice."""
     sim = ClusterSimulator(trace, ClusterConfig(**config))
     fast = dataclasses.asdict(sim.run())
-    native = _native_covers(config) and native_available() and sim.sanitizer is None
+    native = _native_covers(config) and native_available()
     assert sim.core == ("native" if native else "python")
     slow = _run(trace, fastpath=False, **config)
     assert fast == slow

@@ -1,7 +1,7 @@
 """The compiled core: which runs take it, and its build on first use.
 
-``FrontEnd.start`` gives a plain, traced or faulty run the compiled
-lifecycle (``repro/cluster/_lifecycle.c``, built with the compiled
+``FrontEnd.start`` gives a plain, traced, faulty or sanitized run the
+compiled lifecycle (``repro/cluster/_lifecycle.c``, built with the compiled
 engine by :mod:`repro.sim.native`) and every other run ``fastpath.py``,
 the reference; a run says which it took and, for the reference, why.  The
 byte-identity of the two is the identity and differential suites'
@@ -53,12 +53,6 @@ def trace():
     )
 
 
-@pytest.fixture(autouse=True)
-def _unsanitized(monkeypatch):
-    # REPRO_SANITIZE=1 would send every run here to the reference.
-    monkeypatch.delenv("REPRO_SANITIZE", raising=False)
-
-
 # -- which runs take which core ------------------------------------------------------
 
 
@@ -84,10 +78,14 @@ def _probe(sim):
     sim.engine.schedule(0.5, lambda: None)
 
 
+def _hooked(sim):
+    sim.engine.install_sanitizer(lambda when, callback: None)
+
+
 #: reason -> (config fields, attach a tracer, what is done to the built
 #: simulator).  Every run here could take neither core but the reference.
 _REFERENCE_ONLY = {
-    "sanitizer": (dict(sanitize=True), False, None),
+    "foreign event hook": (dict(), False, _hooked),
     "profiler attached": (dict(), False, _profiled),
     "unsupported configuration: GMS": (dict(policy="wrr/gms"), False, None),
     "unsupported configuration: LB/GC hit hints": (dict(policy="lb/gc"), False, None),
@@ -122,12 +120,13 @@ def test_an_unavailable_extension_names_its_reason(trace):
     assert type(sim.engine) is Engine
 
 
-#: The runs above, and a traced and a faulty one, which take the compiled
-#: core.
+#: The runs above, and a traced, a faulty and a sanitized one, which take
+#: the compiled core.
 _ENGINE_CASES = {
     **_REFERENCE_ONLY,
     "tracer attached": (dict(), True, None),
     "fault schedule": (dict(fault_schedule=FaultSchedule()), False, None),
+    "sanitizer": (dict(sanitize=True), False, None),
 }
 
 
@@ -519,16 +518,71 @@ def test_a_faulty_run_takes_the_native_core(trace, traced):
         ]
 
 
-def test_a_sanitized_faulty_run_takes_the_reference(trace):
-    """The sanitizer reads the fault runtime's counters at every event,
-    which the compiled core keeps until the run ends."""
+@needs_cc
+def test_a_sanitized_faulty_run_takes_the_native_core(trace):
+    """The core checks the sanitizer's per-event laws over its own books
+    (the fault runtime's served and lost counts among them) and hands
+    its deep sweep the books written back: the run is compiled, checked
+    event for event and sweep for sweep as the reference checks it, and
+    its result is the reference's, sanitized or not."""
+    require_native()
     config = ClusterConfig(
         policy="lard/r", num_nodes=3, node_cache_bytes=2**19, fault_schedule=_CHURN,
-        sanitize=True,
+        sanitize=True, sanitize_interval=16,
     )
     sim = ClusterSimulator(trace, config)
-    sim.run()
-    assert (sim.core, sim.core_reason) == ("python", "sanitizer")
+    result = dataclasses.asdict(sim.run())
+    assert (sim.core, sim.core_reason) == ("native", "")
+    assert result["lost_requests"] > 0 and result["retried_requests"] > 0
+    with reference_core():
+        reference = ClusterSimulator(trace, config)
+        assert dataclasses.asdict(reference.run()) == result
+    assert reference.core == "python"
+    unsanitized = ClusterSimulator(trace, dataclasses.replace(config, sanitize=False))
+    assert dataclasses.asdict(unsanitized.run()) == result
+    for checked in (sim, reference):
+        assert checked.sanitizer.events_seen == checked.engine.events_dispatched
+    assert sim.engine.events_dispatched == reference.engine.events_dispatched
+    assert sim.sanitizer.deep_sweeps == reference.sanitizer.deep_sweeps > 0
+
+
+@needs_cc
+def test_every_cell_of_the_offpath_benchmark_takes_the_native_core():
+    """The five cells of the ledger's ``offpath-8n`` workload (8 LARD/R
+    nodes, caches and Rice-like trace at 0.1 scale), rebuilt here at a
+    small size: plain, traced, sanitized, faulty under the chaos churn
+    schedule and persistent, each compiled."""
+    require_native()
+    from repro.analysis.chaos import build_scenarios
+    from repro.cluster import PAPER_NODE_CACHE_BYTES
+    from repro.workload.synthetic import rice_like_trace
+
+    seed = 42
+    trace = rice_like_trace(num_requests=3000, scale=0.1, seed=seed)
+    base = ClusterConfig(
+        policy="lard/r", num_nodes=8, node_cache_bytes=int(PAPER_NODE_CACHE_BYTES * 0.1),
+        policy_seed=seed,
+    )
+    plain = ClusterSimulator(trace, base)
+    duration = plain.run().sim_time_s
+    churn = build_scenarios(base.num_nodes, duration, seed)[0]
+    cells = {
+        "plain": plain,
+        "traced": ClusterSimulator(trace, base, tracer=_tracer()),
+        "sanitized": ClusterSimulator(trace, dataclasses.replace(base, sanitize=True)),
+        "faulty": ClusterSimulator(
+            trace, dataclasses.replace(base, fault_schedule=churn.schedule)
+        ),
+        "persistent": ClusterSimulator(
+            trace, dataclasses.replace(base, requests_per_connection=4)
+        ),
+    }
+    for name, sim in cells.items():
+        if name != "plain":
+            sim.run()
+        assert (name, sim.core, sim.core_reason) == (name, "native", "")
+    assert cells["faulty"].fault_runtime.events
+    assert cells["sanitized"].sanitizer.deep_sweeps > 0
 
 
 def test_an_event_from_outside_keeps_a_faulty_run_on_the_reference(trace):

@@ -10,10 +10,17 @@ Two halves:
   naming the violation, for every invariant family the sanitizer checks.
 
 Corruption tests run with ``sanitize_interval=1`` so the deep sweep
-inspects state on the very next event after the corruption lands.
+inspects state on the very next event after the corruption lands.  Each
+schedules its corruption as an event before the run, so each runs on
+``fastpath.py``: the compiled core runs beside no outside event but a
+fault runtime's (it holds the books such an event would write until the
+run ends).  The compiled core's own checks are held to the reference's
+by the pinned counts below, by the identity suites' sanitized runs and
+by the seeded C mutations at the bottom of this file.
 """
 
 import contextlib
+import re
 
 import pytest
 
@@ -29,6 +36,7 @@ from repro.core.lardr import _ServerSet
 from repro.sim import Engine, InvariantSanitizer, SanitizerError
 from repro.workload import synthesize_trace
 from tests.native_core import reference_core, require_native
+from tests.seeded_mutation import run_mutated
 
 CACHE = 256 * 1024
 
@@ -302,13 +310,17 @@ def test_alive_flag_flip_is_caught_by_the_recount_that_licenses_the_skip():
         sim.run()
 
 
-def test_sweep_and_event_counts_are_pinned():
+@pytest.mark.parametrize("core", ["native", "python"])
+def test_sweep_and_event_counts_are_pinned(core):
     """Counts recorded on 30ec2b1 (per-event checks behind two calls,
     mapping walk unconditional): fusing the calls and skipping the
     vacuous walk must not change how often anything is checked.  The
     ``lard`` run's failure was a bare fail/join pair then (5619 events);
     as a crash detected at once it is a crash event and a detection
-    event, one more."""
+    event, one more.  The compiled core checks the same events and
+    sweeps as often as ``fastpath.py``."""
+    if core == "native":
+        require_native()
     failover = FaultSchedule(
         crashes=(CrashFault(1, at_s=0.5, detect_s=0.0, rejoin_at_s=1.5),)
     )
@@ -325,8 +337,12 @@ def test_sweep_and_event_counts_are_pinned():
             sanitize_interval=64,
             **extra,
         )
-        sim = ClusterSimulator(_trace(), config)
-        sim.run()
+        with contextlib.ExitStack() as stack:
+            if core == "python":
+                stack.enter_context(reference_core())
+            sim = ClusterSimulator(_trace(), config)
+            sim.run()
+        assert sim.core == core
         assert sim.sanitizer.events_seen == sim.engine.events_dispatched == events
         assert sim.sanitizer.deep_sweeps == sweeps
 
@@ -460,3 +476,86 @@ def test_error_names_time_event_and_callback():
 def test_deep_interval_validation():
     with pytest.raises(ValueError):
         InvariantSanitizer(deep_interval=0)
+
+
+# -- the compiled core's checks: seeded bugs in its books --------------------------
+#
+# One bug per law of the front-end's and the fault runtime's books, seeded
+# in ``_lifecycle.c`` and, beside it, the same bug in the reference
+# (``fastpath.py``, or the fault runtime's own counter).  Each copy runs
+# one sanitized simulation in a subprocess: the compiled run must fail on
+# the native core with the very message the reference run fails with —
+# the law's text, the event's number and time, the stage it names.
+
+_MUTATION_RUN = """
+from repro.cluster import ClusterConfig, ClusterSimulator, CrashFault, FaultSchedule
+from repro.sim import SanitizerError
+from repro.workload import synthesize_trace
+
+crash = CrashFault(1, at_s=0.5, detect_s=0.2, rejoin_at_s=1.5)
+config = ClusterConfig(
+    policy="lard/r", num_nodes=3, node_cache_bytes={cache}, sanitize=True,
+    fault_schedule=FaultSchedule(crashes=(crash,)) if {faulty} else None,
+)
+sim = ClusterSimulator(synthesize_trace(1200, 150, 4 * 10**6, 1.0, seed=3), config)
+try:
+    sim.run()
+except SanitizerError as error:
+    print(sim.core)
+    print(error)
+"""
+
+#: name -> (faulty run, the C bug, the reference's, the law's text).  A
+#: completion booked twice and a slot never given back both break request
+#: conservation from below (fewer requests outstanding than connections
+#: in flight); a refill that also counts as an admission breaks the
+#: admission limit.
+_BOOK_MUTATIONS = {
+    "completion-counted-twice": (
+        False,
+        ("        s->pn_completions[c->node] += 1;\n    }\n    s->completed += 1;\n",
+         "        s->pn_completions[c->node] += 1;\n    }\n    s->completed += 2;\n"),
+        ("cluster/fastpath.py",
+         "        fe.completed += 1\n        # FrontEnd._detach, inlined",
+         "        fe.completed += 2\n        # FrontEnd._detach, inlined"),
+        r"request conservation broken: \d+ in-flight connection\(s\) carry only \d+ ",
+    ),
+    "in-flight-decrement-skipped": (
+        False,
+        ("    s->in_flight = in_flight;\n", ""),
+        ("cluster/fastpath.py",
+         "object parked.\n            fe.in_flight -= 1\n", "object parked.\n"),
+        r"request conservation broken: \d+ in-flight connection\(s\) carry only \d+ ",
+    ),
+    "refill-counted-as-an-admission": (
+        False,
+        ("        s->next = end;\n        if (admit_one(",
+         "        s->next = end;\n        s->in_flight += 1;\n        if (admit_one("),
+        ("cluster/fastpath.py", "            fe._next = end\n",
+         "            fe._next = end\n            fe.in_flight += 1\n"),
+        r"in_flight \d+ exceeds the admission limit \d+ \(drain allowance \d+\)",
+    ),
+    "served-count-dropped": (
+        True,
+        ("    s->served += 1;\n", ""),
+        ("cluster/faults.py", "        self.served_requests += 1\n", ""),
+        r"lost-request conservation broken: served \d+ \+ lost \d+ != completed \d+",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_BOOK_MUTATIONS))
+def test_seeded_core_bug_fails_with_the_reference_s_message(tmp_path, name):
+    require_native()
+    faulty, (anchor, replacement), reference, law = _BOOK_MUTATIONS[name]
+    code = _MUTATION_RUN.format(cache=CACHE, faulty=faulty)
+    compiled = run_mutated(
+        tmp_path / "native", "cluster/_lifecycle.c", anchor, replacement, code
+    )
+    twin = run_mutated(tmp_path / "python", *reference, code)
+    for run in (compiled, twin):
+        assert run.returncode == 0, run.stderr
+    core, message = compiled.stdout.splitlines()
+    assert core == "native"
+    assert twin.stdout.splitlines() == ["python", message]
+    assert re.search(law, message), message
